@@ -25,7 +25,7 @@ SUITES = ("devroye", "cc", "jiang", "maric", "containment", "all")
 
 
 def _dump_json(obj: dict, path: str | None) -> None:
-    text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
     if path:
         Path(path).write_text(text)
     else:
@@ -72,7 +72,13 @@ def _cmd_frontier(args) -> int:
     )
     out = args.out or "frontier.csv"
     Path(out).write_text(result.to_csv())
-    print(f"wrote {out} ({len(result.points)} points, {len(result.pareto)} on the frontier)")
+    summary = f"{len(result.points)} points, {len(result.pareto)} on the frontier"
+    if result.missing:
+        lams = ", ".join(f"{lam:g}" for lam in result.missing)
+        summary += f"; no feasible point for lambda {lams}"
+        print(f"warning: {args.schema}: no feasible point found for lambda {lams}; "
+              "raise --samples", file=sys.stderr)
+    print(f"wrote {out} ({summary})")
     return 0
 
 

@@ -18,12 +18,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import Infeasible, Unbounded
-from .regions import GE, LE, InstantiatedRegion
+from .errors import Infeasible, InvalidParameter, Unbounded
+from .probability import MI_CLAMP, JointDistribution, entropy_vector
+from .regions import GE, LE, InstantiatedRegion, RegionSchema
 
 FEAS_TOL = 1e-9  # slack when testing a candidate point against a row
 TIGHT_TOL = 1e-8  # a half-plane must touch a vertex this closely to be kept
 VERTEX_MERGE_TOL = 1e-9
+TIE_TOL = 1e-13  # relative: support values this close count as one optimal face
 
 
 @dataclass(frozen=True)
@@ -299,6 +301,247 @@ def project_or_empty(system: LinearSystem, feas_tol: float = FEAS_TOL) -> Polyto
         return fme_project(system, feas_tol)
     except Infeasible:
         return EMPTY
+
+
+# ---------------------------------------------------------------------------
+# Compiled projection: eliminate once per schema, evaluate per distribution
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True, eq=False)
+class CompiledSchema:
+    """A schema's projection onto (R1, R2) with symbolic right-hand sides.
+
+    Every right-hand side is mu . b, where mu is a nonnegative integer
+    multiplier vector over the schema's constraint rows and b holds their
+    LE-normal right-hand sides at one distribution d:
+
+        h     = entropy_vector(d, subsets)
+        atoms = atom_matrix @ h        (clamped as mutual_information clamps)
+        b     = rhs_matrix @ atoms + rhs_offset
+
+    The rate system is feasible iff mu . b >= 0 for every mu in
+    `feasibility` and the half-planes a1*R1 + a2*R2 <= mu . b of
+    `projected` meet the nonnegative quadrant; that intersection is the
+    projected region.
+    """
+
+    subsets: tuple[tuple[str, ...], ...]
+    atom_matrix: np.ndarray  # integer, (atoms, subsets)
+    rhs_matrix: np.ndarray  # integer, (constraint rows, atoms)
+    rhs_offset: np.ndarray  # constants of the rhs expressions, LE-normal
+    projected: tuple[tuple[int, int, tuple[int, ...]], ...]  # (a1, a2, mu)
+    feasibility: tuple[tuple[int, ...], ...]  # mu with 0 <= mu . b
+
+    def __post_init__(self):
+        # Group the projected rows (plus the quadrant) by gcd-reduced normal:
+        # per distribution only the smallest rhs of each group matters.
+        width = self.rhs_matrix.shape[0]
+        rows = list(self.projected) + [(-1, 0, (0,) * width), (0, -1, (0,) * width)]
+        groups: dict[tuple[int, int], list[np.ndarray]] = {}
+        for a1, a2, mu in rows:
+            g = math.gcd(a1, a2)
+            groups.setdefault((a1 // g, a2 // g), []).append(np.asarray(mu, dtype=float) / g)
+        normals = sorted(groups)
+        mu_rows = [m for n in normals for m in groups[n]]
+        starts = np.cumsum([0] + [len(groups[n]) for n in normals[:-1]])
+        a = np.asarray(normals, dtype=float)
+        pairs = [(i, j) for i, j in itertools.combinations(range(len(normals)), 2)
+                 if a[i, 0] * a[j, 1] != a[i, 1] * a[j, 0]]
+        i, j = (np.asarray(ix, dtype=int) for ix in zip(*pairs))
+        object.__setattr__(self, "_mu", np.array(mu_rows))
+        object.__setattr__(self, "_starts", starts)
+        object.__setattr__(self, "_normals", a)
+        object.__setattr__(self, "_pairs", (i, j, a[i, 0] * a[j, 1] - a[i, 1] * a[j, 0]))
+        object.__setattr__(self, "_feas", np.asarray(self.feasibility, dtype=float).reshape(-1, width))
+
+    def rhs(self, d: JointDistribution) -> np.ndarray:
+        """LE-normal right-hand sides b of the schema's rows at distribution d."""
+        atoms = self.atom_matrix @ entropy_vector(d, self.subsets)
+        atoms[(atoms >= -MI_CLAMP) & (atoms < 0.0)] = 0.0
+        return self.rhs_matrix @ atoms + self.rhs_offset
+
+    def support(self, b: np.ndarray, w1: float, w2: float):
+        """Maximize w1*R1 + w2*R2 over the region at rhs b.
+
+        Returns (R1, R2, value) at a maximizing vertex, or None when the
+        rate system is infeasible.  Among vertices within TIE_TOL of the
+        maximum (a tied optimal face), the one with the largest R1 + R2,
+        then the largest R1, is returned.
+        """
+        tol = FEAS_TOL * max(1.0, float(np.abs(b).max(initial=0.0)))
+        if (self._feas @ b < -tol).any():
+            return None
+        rhs = np.minimum.reduceat(self._mu @ b, self._starts)
+        i, j, det = self._pairs
+        a = self._normals
+        x = (rhs[i] * a[j, 1] - rhs[j] * a[i, 1]) / det
+        y = (a[i, 0] * rhs[j] - a[j, 0] * rhs[i]) / det
+        ok = (a @ np.stack((x, y)) <= rhs[:, None] + tol).all(axis=0)
+        if not ok.any():
+            return None
+        x, y = x[ok] + 0.0, y[ok] + 0.0
+        vals = w1 * x + w2 * y
+        best = float(vals.max())
+        tied = np.flatnonzero(vals >= best - TIE_TOL * max(1.0, abs(best)))
+        k = tied[np.lexsort((x[tied], x[tied] + y[tied]))[-1]]
+        return float(x[k]), float(y[k]), best
+
+
+def _unit_pivot(schema: RegionSchema, vec: list[int]) -> int:
+    for v, c in enumerate(vec):
+        if abs(c) == 1:
+            return v
+    raise InvalidParameter(f"{schema.id}: projection has no unit-coefficient rate to pivot on")
+
+
+def _substitute(vec: list[int], v: int, eq: list[int]) -> list[int]:
+    """Eliminate column v from vec using the equation eq . y = 0, |eq[v]| = 1."""
+    f = vec[v] * eq[v]  # eq[v] is its own inverse
+    return [a - f * e for a, e in zip(vec, eq)] if f else vec
+
+
+def _reduce_exact(coeffs: tuple[int, ...], mu: tuple[int, ...]):
+    g = math.gcd(*coeffs, *mu)
+    if g > 1:
+        return tuple(c // g for c in coeffs), tuple(m // g for m in mu)
+    return coeffs, mu
+
+
+def _eliminate_symbolic(rows, var: int, eliminated: int):
+    """One Fourier-Motzkin step on rows (coeffs, mu, history bitmask).
+
+    Chernikov's rule: after `eliminated` variables, a combination of more
+    than eliminated + 1 source rows is redundant.  Exact duplicates merge.
+    """
+    out = [r for r in rows if r[0][var] == 0]
+    pos = [r for r in rows if r[0][var] > 0]
+    neg = [r for r in rows if r[0][var] < 0]
+    for pc, pm, ph in pos:
+        for qc, qm, qh in neg:
+            hist = ph | qh
+            if bin(hist).count("1") > eliminated + 1:
+                continue
+            cp, cq = pc[var], -qc[var]
+            coeffs = tuple(cq * a + cp * b for a, b in zip(pc, qc))
+            mu = tuple(cq * a + cp * b for a, b in zip(pm, qm))
+            out.append((*_reduce_exact(coeffs, mu), hist))
+    best: dict = {}
+    for c, m, h in out:
+        cur = best.get((c, m))
+        if cur is None or bin(h).count("1") < bin(cur).count("1"):
+            best[(c, m)] = h
+    return [(c, m, h) for (c, m), h in best.items()]
+
+
+def _recession_free(normals: list[tuple[int, int]]) -> bool:
+    """True iff no nonzero d >= 0 has a . d <= 0 for every normal a.
+
+    The cone of such d is bounded by the quadrant axes and the lines
+    a . d = 0, so it is {0} iff every candidate ray on those lines is cut off.
+    """
+    rays = [(1, 0), (0, 1)] + [(abs(a2), abs(a1)) for a1, a2 in normals if a1 * a2 < 0]
+    return all(any(a1 * d1 + a2 * d2 > 0 for a1, a2 in normals) for d1, d2 in rays)
+
+
+def _compile_projection(schema: RegionSchema):
+    """Projected rows (a1, a2, mu) and feasibility rows mu of the schema."""
+    names = schema.rate_names()
+    n, m = len(names), len(schema.constraints)
+    index = {name: i for i, name in enumerate(names)}
+    # columns: the rates, then R1 and R2; a row is (coeffs, mu, history bitmask)
+    rows = []
+    for k, c in enumerate(schema.constraints):
+        sign = 1 if c.sense == LE else -1
+        vec = [0] * (n + 2)
+        for name, coeff in c.coeffs:
+            vec[index[name]] = sign * coeff
+        rows.append((vec, tuple(int(k == j) for j in range(m)), 1 << k))
+    for i in range(n):
+        vec = [0] * (n + 2)
+        vec[i] = -1
+        rows.append((vec, (0,) * m, 1 << (m + i)))
+    proj = []  # proj[t] . (x, R) = 0 states R_t = projection_t . x
+    for t, which in enumerate(("R1", "R2")):
+        vec = [0] * (n + 2)
+        for name, coeff in schema.projection_coeffs(which).items():
+            vec[index[name]] = coeff
+        vec[n + t] = -1
+        proj.append(vec)
+    remaining = list(range(n))
+    for t in range(2):
+        v = _unit_pivot(schema, proj[t][:n])
+        remaining.remove(v)
+        rows = [(_substitute(vec, v, proj[t]), mu, h) for vec, mu, h in rows]
+        proj = [_substitute(p, v, proj[t]) for p in proj]
+    work = [(tuple(vec), mu, h) for vec, mu, h in rows]
+    eliminated = 0
+    while remaining:
+        var = min(remaining, key=lambda v: (
+            sum(c[v] > 0 for c, _, _ in work) * sum(c[v] < 0 for c, _, _ in work), v))
+        eliminated += 1
+        work = _eliminate_symbolic(work, var, eliminated)
+        remaining.remove(var)
+    projected, feasibility = [], []
+    for coeffs, mu, _ in sorted(work):
+        a1, a2 = coeffs[n], coeffs[n + 1]
+        if a1 or a2:
+            projected.append((a1, a2, mu))
+        elif any(mu):
+            feasibility.append(mu)
+    return tuple(projected), tuple(feasibility)
+
+
+def _compile_rhs(schema: RegionSchema):
+    """Entropy subsets S, the h(S) -> atoms matrix and the atoms -> b matrix."""
+    subsets: dict[tuple[str, ...], int] = {}
+    atoms: dict = {}  # MI atom -> {subset column: weight}
+    rhs_rows, offset = [], []
+    for c in schema.constraints:
+        sign = 1 if c.sense == LE else -1
+        row: dict = {}
+        for s, t in c.rhs.terms:
+            if t not in atoms:
+                # I(A;B|C) = H(AC) + H(BC) - H(ABC) - H(C), with H(empty) = 0
+                ac, bc = set(t.left + t.given), set(t.right + t.given)
+                atoms[t] = {}
+                for part, w in ((ac, 1), (bc, 1), (ac | bc, -1), (set(t.given), -1)):
+                    if part:
+                        col = subsets.setdefault(tuple(sorted(part)), len(subsets))
+                        atoms[t][col] = atoms[t].get(col, 0) + w
+            row[t] = row.get(t, 0) + sign * s
+        rhs_rows.append(row)
+        offset.append(sign * c.rhs.constant)
+    atom_matrix = np.zeros((len(atoms), len(subsets)), dtype=np.int64)
+    rhs_matrix = np.zeros((len(rhs_rows), len(atoms)), dtype=np.int64)
+    for a, cols in enumerate(atoms.values()):
+        for col, w in cols.items():
+            atom_matrix[a, col] = w
+    column = {t: a for a, t in enumerate(atoms)}
+    for k, row in enumerate(rhs_rows):
+        for t, w in row.items():
+            rhs_matrix[k, column[t]] = w
+    return tuple(subsets), atom_matrix, rhs_matrix, np.asarray(offset, dtype=float)
+
+
+@lru_cache(maxsize=64)
+def compile_schema(schema: RegionSchema) -> CompiledSchema:
+    """Project a schema onto (R1, R2) once, keeping every rhs symbolic.
+
+    The R1/R2 equalities are substituted first, pivoting on a message rate
+    with a unit coefficient, which leaves a pure inequality system over the
+    remaining rates.  That system is eliminated with exact integers and
+    Chernikov's history rule only; nothing is pruned by the value of a
+    right-hand side, so the result holds at every distribution.  Raises
+    Unbounded when the projection has a nonzero recession direction (a
+    missing decoding constraint).
+    """
+    projected, feasibility = _compile_projection(schema)
+    normals = [(a1 // math.gcd(a1, a2), a2 // math.gcd(a1, a2)) for a1, a2, _ in projected]
+    if not _recession_free(normals + [(-1, 0), (0, -1)]):
+        raise Unbounded(f"{schema.id}: the projected region is unbounded; "
+                        "a decoding constraint is missing")
+    return CompiledSchema(*_compile_rhs(schema), projected, feasibility)
 
 
 # ---------------------------------------------------------------------------

@@ -430,6 +430,16 @@ def entropy(d: JointDistribution, names: Names, given: Names = ()) -> float:
     return val
 
 
+def entropy_vector(d: JointDistribution, subsets: Sequence[Sequence[str]]) -> np.ndarray:
+    """Joint entropies H(X_S) in bits, one per subset S, with exact 0*log 0 := 0."""
+    out = np.empty(len(subsets))
+    for k, names in enumerate(subsets):
+        p, _ = _marginal_tensor(d, tuple(names))
+        p = p[p > 0.0]
+        out[k] = -float(np.dot(p, np.log2(p)))
+    return out
+
+
 def evaluate_expr(d: JointDistribution, e: MIExpr) -> float:
     """Signed sum of the expression's terms plus its constant."""
     return sum(s * mutual_information(d, t) for s, t in e.terms) + e.constant

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .channel import Channel, random_channel
 from .errors import IdentityViolation, InvalidParameter
@@ -41,6 +40,7 @@ from .polytope import (
     to_linear_system,
     halfplane_violation,
     _distance_to_hull,
+    compile_schema,
 )
 from .regions import (
     InstantiatedRegion,
@@ -237,10 +237,14 @@ class CheckReport:
         return not self.failures
 
     def to_json(self) -> dict:
+        """Strict-JSON form: an infinite violation (a structural mismatch,
+        such as differing vertex sets) is written as null and flagged."""
+        structural = math.isinf(self.max_abs_violation)
         return {
             "id": self.check_id,
             "seeds_run": self.seeds_run,
-            "max_abs_violation": self.max_abs_violation,
+            "max_abs_violation": None if structural else self.max_abs_violation,
+            "structural_failure": structural,
             "worst_seed": self.worst_seed,
             "failures": self.failures,
             "details": self.details,
@@ -707,7 +711,7 @@ def sampled_region_containment(
                 check.details["oracle_downgrades"] = check.details.get("oracle_downgrades", 0) + 1
             continue
         check.record(s, max(margin, 0.0), tol=tol)
-    check.details["worst_margin"] = None if worst_margin == -math.inf else worst_margin
+    check.details["worst_margin"] = worst_margin if math.isfinite(worst_margin) else None
     check.details["nonempty_instances"] = nonempty
     report.checks.append(check)
     return report
@@ -834,6 +838,7 @@ class FrontierResult:
     schema_id: str
     points: tuple[tuple[float, float, float, int], ...]  # (lambda, R1, R2, seed)
     pareto: tuple[tuple[float, float], ...]
+    missing: tuple[float, ...] = ()  # lambdas whose search found no feasible point
 
     def to_csv(self) -> str:
         lines = ["lambda,R1,R2,seed"]
@@ -852,25 +857,6 @@ def frontier_points_from_csv(text: str) -> tuple[tuple[float, float, float, int]
         lam, r1, r2, s = ln.split(",")
         out.append((float(lam), float(r1), float(r2), int(s)))
     return tuple(out)
-
-
-def _support_point(system: LinearSystem, w1: float, w2: float):
-    """Maximize w1*R1 + w2*R2 over the system; None when infeasible."""
-    n = len(system.variables)
-    c = -(w1 * np.asarray(system.r1, dtype=float) + w2 * np.asarray(system.r2, dtype=float))
-    if not system.rows:
-        return None
-    a_ub = np.asarray([r.coeffs for r in system.rows], dtype=float)
-    b_ub = np.asarray([r.rhs for r in system.rows], dtype=float)
-    res = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=[(0, None)] * n, method="highs")
-    if not res.success:
-        return None
-    x = res.x
-    return (
-        float(np.dot(system.r1, x)),
-        float(np.dot(system.r2, x)),
-        float(-res.fun),
-    )
 
 
 class _FactorState:
@@ -969,22 +955,26 @@ def trace_frontier(
     For each lambda on the grid, maximizes lambda*R1 + (1-lambda)*R2 by
     derivative-free hill climbing on the factor blocks (Dirichlet mixing,
     occasional row sharpening and block restarts), spending up to `budget`
-    objective evaluations.  Deterministic in `seed`.
+    objective evaluations.  Each evaluation scores a distribution with the
+    schema's compiled projection (no linear program).  A lambda whose
+    search finds no feasible distribution is listed in `missing`.
+    Deterministic in `seed`.
     """
     schema = builtin_schema(schema_id)
+    compiled = compile_schema(schema)
     if isinstance(lambdas, int):
         lam_grid = np.linspace(0.0, 1.0, lambdas)
     else:
         lam_grid = np.asarray(list(lambdas), dtype=float)
     points: list[tuple[float, float, float, int]] = []
+    missing: list[float] = []
     for k, lam in enumerate(lam_grid):
         lam_seed = seed * 1_000_003 + k
         rng = np.random.default_rng(lam_seed)
 
         def objective(state_joint):
-            d = extend_through_channel(state_joint, channel)
-            system = to_linear_system(instantiate(schema, d, check=False))
-            return _support_point(system, lam, 1.0 - lam)
+            b = compiled.rhs(extend_through_channel(state_joint, channel))
+            return compiled.support(b, lam, 1.0 - lam)
 
         # a handful of random starts across sampling modes, then climb the best
         n_starts = max(1, min(6, budget // 40))
@@ -1028,10 +1018,12 @@ def trace_frontier(
             else:
                 state.set_block(idx, old)
                 stall += 1
-        if best is not None:
+        if best is None:
+            missing.append(float(lam))
+        else:
             points.append((float(lam), best[0], best[1], lam_seed))
     pareto = _pareto_filter([(r1, r2) for _, r1, r2, _ in points])
-    return FrontierResult(channel_id, schema_id, tuple(points), tuple(pareto))
+    return FrontierResult(channel_id, schema_id, tuple(points), tuple(pareto), tuple(missing))
 
 
 def _pareto_filter(points: list[tuple[float, float]]) -> list[tuple[float, float]]:

@@ -90,6 +90,80 @@ def test_frontier_deterministic(tmp_path, orth_channel):
     assert outs[0] == outs[1]
 
 
+def test_frontier_names_lambdas_without_a_feasible_point(tmp_path, orth_channel, capsys):
+    out = tmp_path / "front.csv"
+    rc = main([
+        "frontier", "--schema", "RTD", "--channel", str(orth_channel),
+        "--samples", "12", "--grid", "2", "--out", str(out),
+    ])
+    assert rc == 0
+    assert out.read_text() == "lambda,R1,R2,seed\n"
+    captured = capsys.readouterr()
+    assert "no feasible point for lambda 0, 1" in captured.out
+    assert "lambda 0, 1" in captured.err
+
+
+def test_frontier_unbounded_schema_exits_2(tmp_path, orth_channel, monkeypatch, capsys):
+    import dataclasses
+
+    import cifc.verify
+    from cifc.regions import builtin_schema
+
+    rtd = builtin_schema("RTD")
+    crippled = dataclasses.replace(
+        rtd, constraints=tuple(c for c in rtd.constraints if c.label not in ("1d", "1e", "1f"))
+    )
+    monkeypatch.setattr(cifc.verify, "builtin_schema", lambda sid: crippled)
+    rc = main([
+        "frontier", "--schema", "RTD", "--channel", str(orth_channel),
+        "--samples", "10", "--grid", "2", "--out", str(tmp_path / "front.csv"),
+    ])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: RTD: the projected region is unbounded")
+    assert "Traceback" not in err
+
+
+def test_cli_imports_no_scipy():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, cifc.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_report_with_structural_failure_is_strict_json(tmp_path):
+    import math
+
+    from cifc.cli import _dump_json
+    from cifc.verify import CheckReport, SuiteReport, reports_to_json
+
+    check = CheckReport("vertex sets identical")
+    check.record(3, 0.0)
+    check.record(4, math.inf, "seed 4: vertex sets differ")
+    out = tmp_path / "report.json"
+    _dump_json(reports_to_json([SuiteReport("demo", [check])]), str(out))
+
+    def reject(token):
+        raise ValueError(f"non-finite JSON token {token}")
+
+    report = json.loads(out.read_text(), parse_constant=reject)
+    payload = report["suites"][0]["checks"][0]
+    assert report["ok"] is False
+    assert payload["max_abs_violation"] is None
+    assert payload["structural_failure"] is True
+    assert payload["worst_seed"] == 4
+    with pytest.raises(ValueError):
+        _dump_json({"margin": math.inf}, str(out))
+
+
 def test_verify_suite_ok(tmp_path):
     out = tmp_path / "report.json"
     rc = main(["verify", "--suite", "maric", "--samples", "6", "--seed", "1",

@@ -9,6 +9,7 @@ from cifc.polytope import (
     EMPTY,
     LinearSystem,
     Row,
+    compile_schema,
     containment_margin,
     fme_project,
     halfplane_violation,
@@ -22,8 +23,8 @@ from cifc.polytope import (
     to_linear_system,
     vertices_csv,
 )
-from cifc.regions import builtin_schema, instantiate
-from cifc.verify import sample_instance
+from cifc.regions import SCHEMA_IDS, builtin_schema, instantiate
+from cifc.verify import SAMPLING_MODES, sample_instance
 
 
 def segment_system():
@@ -89,6 +90,76 @@ def test_unbounded_detected_when_decoding_rows_removed():
     crippled = inst.drop("1d", "1e", "1f")
     with pytest.raises(Unbounded):
         fme_project(to_linear_system(crippled))
+
+
+# -- compiled projection ---------------------------------------------------------
+
+
+def _support(vertices, lam):
+    return max(lam * x + (1.0 - lam) * y for x, y in vertices)
+
+
+@pytest.mark.parametrize("mode", SAMPLING_MODES)
+@pytest.mark.parametrize("sid", SCHEMA_IDS)
+def test_compiled_support_matches_eliminator_and_oracle(sid, mode):
+    schema = builtin_schema(sid)
+    compiled = compile_schema(schema)
+    sizes = (2, 4, 2, 2) if sid == "MARIC" else (2, 2, 2, 2)
+    for seed in range(40):
+        d = sample_instance(schema, random_channel(seed, sizes), seed, mode=mode)
+        system = to_linear_system(instantiate(schema, d))
+        poly = project_or_empty(system)
+        b = compiled.rhs(d)
+        for lam in (0.0, 0.3, 0.5, 1.0):
+            got = compiled.support(b, lam, 1.0 - lam)
+            # feasibility agrees with the eliminator's Infeasible
+            assert (got is None) == poly.is_empty, (seed, lam)
+            if got is None:
+                continue
+            r1, r2, value = got
+            assert value == pytest.approx(lam * r1 + (1.0 - lam) * r2, abs=1e-12)
+            eliminator = _support(poly.vertices, lam)
+            # The oracle decides every instance of the first seeds, and any
+            # instance where the eliminator disagrees: it merges vertices
+            # closer than its own tolerances (RTD_CC, seed 21, "det",
+            # lambda 1 loses 1.3e-9 bits that the oracle and compiled keep).
+            if seed < 4 or abs(value - eliminator) > 1e-9:
+                oracle = _support(oracle_polygon(system), lam)
+                assert value == pytest.approx(oracle, abs=1e-9), (seed, lam)
+            if seed < 4:
+                assert value == pytest.approx(eliminator, abs=1e-9), (seed, lam)
+
+
+def test_compiled_support_of_anchor_systems():
+    from helpers import degenerate_rtd_distribution, square_assignment
+
+    compiled = compile_schema(builtin_schema("RTD"))
+    b = compiled.rhs(square_assignment())
+    assert compiled.support(b, 0.5, 0.5) == pytest.approx((1.0, 1.0, 1.0), abs=1e-12)
+    assert compiled.support(b, 1.0, 0.0) == pytest.approx((1.0, 1.0, 1.0), abs=1e-12)
+    origin = compiled.support(compiled.rhs(degenerate_rtd_distribution()), 0.3, 0.7)
+    assert origin == (0.0, 0.0, 0.0)
+    assert all(str(v) == "0.0" for v in origin)  # no negative zeros
+
+
+@pytest.mark.parametrize("sid", SCHEMA_IDS)
+def test_every_catalog_schema_compiles_bounded(sid):
+    compiled = compile_schema(builtin_schema(sid))
+    assert compiled.projected
+    # the rhs matrices are exact integers over the schema's rows
+    assert compiled.rhs_matrix.shape[0] == len(builtin_schema(sid).constraints)
+    assert compiled.atom_matrix.dtype.kind == compiled.rhs_matrix.dtype.kind == "i"
+
+
+def test_compiled_unbounded_when_decoding_rows_removed():
+    import dataclasses
+
+    rtd = builtin_schema("RTD")
+    crippled = dataclasses.replace(
+        rtd, constraints=tuple(c for c in rtd.constraints if c.label not in ("1d", "1e", "1f"))
+    )
+    with pytest.raises(Unbounded, match="unbounded"):
+        compile_schema(crippled)
 
 
 # -- membership oracle ---------------------------------------------------------

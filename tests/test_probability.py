@@ -20,6 +20,7 @@ from cifc.probability import (
     chain,
     check_conditional_independence,
     entropy,
+    entropy_vector,
     evaluate_expr,
     extend_through_channel,
     joint_from_json,
@@ -270,6 +271,27 @@ def test_chain_rule_on_random_joints(seed):
     lhs = mutual_information(d, mi("A", "B C", "D"))
     rhs = mutual_information(d, mi("A", "B", "D")) + mutual_information(d, mi("A", "C", "B D"))
     assert lhs == pytest.approx(rhs, abs=1e-9)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_entropy_vector_matches_mutual_information(seed):
+    rvs = RandomVariableSet(("A", "B", "C", "D"), (2, 3, 2, 2))
+    d = sample_factored(rvs, chain(("A B",), ("C D", "A")), seed)
+    subsets = [("A", "C"), ("B", "C"), ("A", "B", "C"), ("C",), ("A", "B", "C", "D")]
+    h = entropy_vector(d, subsets)
+    assert h[3] == pytest.approx(entropy(d, "C"), abs=1e-12)
+    assert h[4] == pytest.approx(entropy(d, "A B C D"), abs=1e-12)
+    # I(A;B|C) = H(AC) + H(BC) - H(ABC) - H(C)
+    assert h[0] + h[1] - h[2] - h[3] == pytest.approx(
+        mutual_information(d, mi("A", "B", "C")), abs=1e-12)
+
+
+def test_entropy_vector_exact_on_deterministic_support():
+    prob = np.zeros((2, 2))
+    prob[0, 0] = prob[1, 1] = 0.5  # B = A, half the cells carry no mass
+    d = JointDistribution(RandomVariableSet(("A", "B"), (2, 2)), prob)
+    assert entropy_vector(d, [("A",), ("A", "B"), ("B",)]).tolist() == [1.0, 1.0, 1.0]
 
 
 @pytest.mark.parametrize("seed", range(25))

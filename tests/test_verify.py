@@ -215,6 +215,8 @@ def test_frontier_constant_channel_collapses_to_origin():
     ch = Channel(Alphabet("X1", 2), Alphabet("X2", 2), Alphabet("Y1", 2), Alphabet("Y2", 2), t)
     fr = trace_frontier("RTD", ch, budget=40, seed=0, lambdas=[0.3, 0.7])
     assert fr.pareto == ((0.0, 0.0),)
+    assert fr.missing == ()
+    assert "-0" not in fr.to_csv()  # canonical zeros
 
 
 def test_frontier_orthogonal_reaches_near_corner():
