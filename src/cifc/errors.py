@@ -57,7 +57,7 @@ class Infeasible(CifcError):
 
 
 class Unbounded(CifcError):
-    """The projected region escapes the guard box (transcription bug)."""
+    """The projected region is unbounded (a missing decoding constraint)."""
 
 
 class IdentityViolation(CifcError):

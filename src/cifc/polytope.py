@@ -1,9 +1,12 @@
 """Projection of rate constraint systems onto the (R1, R2) plane.
 
 Coefficients are held exactly (integers, reduced by gcd) throughout the
-elimination; right-hand sides are floats in bits.  The projector and the
-membership oracle are deliberately independent code paths: the first runs
-variable elimination, the second enumerates every basic solution of the
+elimination, and every right-hand side stays symbolic: a nonnegative
+integer multiplier vector over the system's rows.  Each coefficient
+structure is therefore eliminated once, and a system only evaluates its
+right-hand sides (floats in bits).  The projector and the membership oracle
+are deliberately independent code paths: the first runs variable
+elimination, the second enumerates every basic solution of the
 full-dimensional system and takes the convex hull of its projections.
 """
 
@@ -18,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import Infeasible, InvalidParameter, Unbounded
+from .errors import Infeasible, Unbounded
 from .probability import MI_CLAMP, JointDistribution, entropy_vector
 from .regions import GE, LE, InstantiatedRegion, RegionSchema
 
@@ -71,7 +74,6 @@ class Row:
 
     coeffs: tuple[int, ...]
     rhs: float
-    guard: bool = False
 
 
 @dataclass(frozen=True)
@@ -109,64 +111,8 @@ def to_linear_system(inst: InstantiatedRegion) -> LinearSystem:
 
 
 # ---------------------------------------------------------------------------
-# Fourier-Motzkin elimination
+# Fourier-Motzkin elimination with symbolic right-hand sides
 # ---------------------------------------------------------------------------
-
-
-def _reduce(coeffs: tuple[int, ...], rhs: float, guard: bool) -> Row:
-    g = 0
-    for c in coeffs:
-        g = math.gcd(g, abs(c))
-    if g > 1:
-        coeffs = tuple(c // g for c in coeffs)
-        rhs = rhs / g
-    return Row(coeffs, rhs, guard)
-
-
-def _dedupe(rows: list[Row], tol: float) -> list[Row]:
-    """Keep the tightest rhs per coefficient vector; drop trivial rows."""
-    best: dict[tuple[int, ...], Row] = {}
-    for r in rows:
-        if not any(r.coeffs):
-            if r.rhs < -tol:
-                raise Infeasible(f"contradictory row 0 <= {r.rhs:.3e}")
-            continue
-        cur = best.get(r.coeffs)
-        if cur is None or r.rhs < cur.rhs - 1e-15 or (
-            abs(r.rhs - cur.rhs) <= 1e-15 and cur.guard and not r.guard
-        ):
-            best[r.coeffs] = r
-    return list(best.values())
-
-
-def _eliminate(rows: list[Row], var: int, tol: float) -> list[Row]:
-    zero, pos, neg = [], [], []
-    for r in rows:
-        c = r.coeffs[var]
-        if c == 0:
-            zero.append(r)
-        elif c > 0:
-            pos.append(r)
-        else:
-            neg.append(r)
-    out = list(zero)
-    for p in pos:
-        cp = p.coeffs[var]
-        for q in neg:
-            cq = -q.coeffs[var]
-            coeffs = tuple(cq * a + cp * b for a, b in zip(p.coeffs, q.coeffs))
-            rhs = cq * p.rhs + cp * q.rhs
-            out.append(_reduce(coeffs, rhs, p.guard or q.guard))
-    return _dedupe(out, tol)
-
-
-def _cheapest_var(rows: list[Row], remaining: set[int]) -> int:
-    def cost(v: int) -> tuple[int, int]:
-        p = sum(1 for r in rows if r.coeffs[v] > 0)
-        q = sum(1 for r in rows if r.coeffs[v] < 0)
-        return (p * q, v)
-
-    return min(remaining, key=cost)
 
 
 def _convex_hull(
@@ -221,125 +167,49 @@ def _order_ccw(points: list[tuple[float, float]]) -> list[tuple[float, float]]:
     return sorted(points, key=lambda p: math.atan2(p[1] - cy, p[0] - cx))
 
 
-def fme_project(system: LinearSystem, feas_tol: float = FEAS_TOL) -> Polytope2D:
+def fme_project(system: LinearSystem) -> Polytope2D:
     """Project {x >= 0 : rows} onto (R1, R2) = (r1 . x, r2 . x).
 
-    Raises Infeasible when the system admits no nonnegative solution and
-    Unbounded when a guard-box facet survives pruning (which signals a
-    missing decoding constraint in the source schema).
+    The system's coefficients are eliminated once per structure (cached);
+    each call then only evaluates its right-hand sides.  Raises Infeasible
+    when the system admits no nonnegative solution and Unbounded when the
+    region is nonempty but unbounded (a missing decoding constraint).
     """
-    n = len(system.variables)
-    width = n + 2
-    rows: list[Row] = []
-    for r in system.rows:
-        rows.append(Row(r.coeffs + (0, 0), r.rhs, r.guard))
-    big = 1.0 + sum(max(r.rhs, 0.0) for r in system.rows)
-    for i in range(n):
-        nonneg = [0] * width
-        nonneg[i] = -1
-        rows.append(Row(tuple(nonneg), 0.0))
-        guard = [0] * width
-        guard[i] = 1
-        rows.append(Row(tuple(guard), big, guard=True))
-    for vec, pos in ((system.r1, n), (system.r2, n + 1)):
-        fwd = [-c for c in vec] + [0, 0]
-        fwd[pos] = 1
-        rows.append(Row(tuple(fwd), 0.0))
-        rows.append(Row(tuple(-c for c in fwd), 0.0))
-    rows = _dedupe(rows, feas_tol)
-    remaining = set(range(n))
-    while remaining:
-        var = _cheapest_var(rows, remaining)
-        rows = _eliminate(rows, var, feas_tol)
-        remaining.remove(var)
-    for vec in ((-1, 0), (0, -1)):
-        final = [0] * width
-        final[n], final[n + 1] = vec
-        rows.append(Row(tuple(final), 0.0))
-    rows = _dedupe(rows, feas_tol)
-    planes = [(r.coeffs[n], r.coeffs[n + 1], r.rhs, r.guard) for r in rows]
-    return _planes_to_polytope(planes, feas_tol)
+    compiled = _compile_structure(tuple(r.coeffs for r in system.rows), system.r1, system.r2)
+    return compiled.polytope(np.array([r.rhs for r in system.rows], dtype=float))
 
 
-def _planes_to_polytope(
-    planes: list[tuple[int, int, float, bool]], feas_tol: float
-) -> Polytope2D:
-    scale = max(1.0, max(abs(b) for _, _, b, _ in planes))
-    tol = feas_tol * scale
-    candidates: list[tuple[float, float]] = []
-    for (a1, a2, b1, _), (c1, c2, b2, _) in itertools.combinations(planes, 2):
-        det = a1 * c2 - a2 * c1
-        if det == 0:
-            continue
-        x = (b1 * c2 - b2 * a2) / det
-        y = (a1 * b2 - c1 * b1) / det
-        if all(p * x + q * y <= b + tol for p, q, b, _ in planes):
-            candidates.append((x, y))
-    if not candidates:
-        raise Infeasible("projected region is empty")
-    candidates = _merge_close(candidates, VERTEX_MERGE_TOL * scale)
-    hull = _order_ccw(_convex_hull(candidates, collinear_eps=1e-9))
-    tight = TIGHT_TOL * scale
-    kept = []
-    for a1, a2, b, guard in planes:
-        if min(abs(a1 * x + a2 * y - b) for x, y in hull) <= tight:
-            if guard:
-                raise Unbounded("guard facet survived pruning; system is unbounded")
-            kept.append((a1, a2, b))
-    kept_hp = []
-    for a1, a2, b in kept:
-        mx = max(abs(a1), abs(a2))
-        kept_hp.append(HalfPlane(Fraction(a1, mx), Fraction(a2, mx), b / mx))
-    kept_hp.sort(key=lambda h: math.atan2(float(h.a2), float(h.a1)))
-    verts = tuple((x + 0.0, y + 0.0) for x, y in _order_ccw(hull))
-    return Polytope2D(tuple(kept_hp), verts)
-
-
-def project_or_empty(system: LinearSystem, feas_tol: float = FEAS_TOL) -> Polytope2D:
+def project_or_empty(system: LinearSystem) -> Polytope2D:
     """fme_project, with the empty region returned as EMPTY instead of raised."""
     try:
-        return fme_project(system, feas_tol)
+        return fme_project(system)
     except Infeasible:
         return EMPTY
 
 
-# ---------------------------------------------------------------------------
-# Compiled projection: eliminate once per schema, evaluate per distribution
-# ---------------------------------------------------------------------------
-
-
 @dataclass(frozen=True, eq=False)
-class CompiledSchema:
-    """A schema's projection onto (R1, R2) with symbolic right-hand sides.
+class CompiledProjection:
+    """A rate system's projection onto (R1, R2) with symbolic right-hand sides.
 
-    Every right-hand side is mu . b, where mu is a nonnegative integer
-    multiplier vector over the schema's constraint rows and b holds their
-    LE-normal right-hand sides at one distribution d:
-
-        h     = entropy_vector(d, subsets)
-        atoms = atom_matrix @ h        (clamped as mutual_information clamps)
-        b     = rhs_matrix @ atoms + rhs_offset
-
-    The rate system is feasible iff mu . b >= 0 for every mu in
-    `feasibility` and the half-planes a1*R1 + a2*R2 <= mu . b of
-    `projected` meet the nonnegative quadrant; that intersection is the
-    projected region.
+    The system is {x >= 0 : A x <= b} with (R1, R2) = (r1 . x, r2 . x), a
+    fixed integer matrix A and a varying b.  Every projected right-hand side
+    is mu . b, where mu is a nonnegative integer multiplier vector over the
+    rows of A.  The system is feasible iff mu . b >= 0 for every mu in
+    `feasibility` and the half-planes a1*R1 + a2*R2 <= mu . b of `projected`
+    (the quadrant among them) meet; that intersection is the projected
+    region.  Its recession cone does not depend on b, so `bounded` (set on
+    construction) says once whether every nonempty instance is bounded.
     """
 
-    subsets: tuple[tuple[str, ...], ...]
-    atom_matrix: np.ndarray  # integer, (atoms, subsets)
-    rhs_matrix: np.ndarray  # integer, (constraint rows, atoms)
-    rhs_offset: np.ndarray  # constants of the rhs expressions, LE-normal
     projected: tuple[tuple[int, int, tuple[int, ...]], ...]  # (a1, a2, mu)
     feasibility: tuple[tuple[int, ...], ...]  # mu with 0 <= mu . b
 
     def __post_init__(self):
-        # Group the projected rows (plus the quadrant) by gcd-reduced normal:
-        # per distribution only the smallest rhs of each group matters.
-        width = self.rhs_matrix.shape[0]
-        rows = list(self.projected) + [(-1, 0, (0,) * width), (0, -1, (0,) * width)]
+        # Group the projected rows by gcd-reduced normal: per b only the
+        # smallest rhs of each group matters.
+        width = len(self.projected[0][2])
         groups: dict[tuple[int, int], list[np.ndarray]] = {}
-        for a1, a2, mu in rows:
+        for a1, a2, mu in self.projected:
             g = math.gcd(a1, a2)
             groups.setdefault((a1 // g, a2 // g), []).append(np.asarray(mu, dtype=float) / g)
         normals = sorted(groups)
@@ -349,17 +219,54 @@ class CompiledSchema:
         pairs = [(i, j) for i, j in itertools.combinations(range(len(normals)), 2)
                  if a[i, 0] * a[j, 1] != a[i, 1] * a[j, 0]]
         i, j = (np.asarray(ix, dtype=int) for ix in zip(*pairs))
+        object.__setattr__(self, "bounded", _recession_free(normals))
+        object.__setattr__(self, "_normals", normals)
         object.__setattr__(self, "_mu", np.array(mu_rows))
         object.__setattr__(self, "_starts", starts)
-        object.__setattr__(self, "_normals", a)
+        object.__setattr__(self, "_a", a)
         object.__setattr__(self, "_pairs", (i, j, a[i, 0] * a[j, 1] - a[i, 1] * a[j, 0]))
         object.__setattr__(self, "_feas", np.asarray(self.feasibility, dtype=float).reshape(-1, width))
 
-    def rhs(self, d: JointDistribution) -> np.ndarray:
-        """LE-normal right-hand sides b of the schema's rows at distribution d."""
-        atoms = self.atom_matrix @ entropy_vector(d, self.subsets)
-        atoms[(atoms >= -MI_CLAMP) & (atoms < 0.0)] = 0.0
-        return self.rhs_matrix @ atoms + self.rhs_offset
+    def _vertices(self, b: np.ndarray):
+        """The smallest rhs per normal at b and the candidate vertices x, y:
+        the pairwise intersections of the normals' lines that satisfy every
+        row within the feasibility slack.  None when the region is empty.
+        """
+        tol = FEAS_TOL * max(1.0, float(np.abs(b).max(initial=0.0)))
+        if (self._feas @ b < -tol).any():
+            return None
+        rhs = np.minimum.reduceat(self._mu @ b, self._starts)
+        i, j, det = self._pairs
+        a = self._a
+        x = (rhs[i] * a[j, 1] - rhs[j] * a[i, 1]) / det
+        y = (a[i, 0] * rhs[j] - a[j, 0] * rhs[i]) / det
+        ok = (a @ np.stack((x, y)) <= rhs[:, None] + tol).all(axis=0)
+        if not ok.any():
+            return None
+        return rhs, x[ok] + 0.0, y[ok] + 0.0
+
+    def polytope(self, b: np.ndarray) -> Polytope2D:
+        """The projected region at rhs b.
+
+        Raises Infeasible when it is empty and Unbounded when it is
+        nonempty but unbounded.
+        """
+        found = self._vertices(b)
+        if found is None:
+            raise Infeasible("projected region is empty")
+        rhs, x, y = found
+        scale = max(1.0, float(np.abs(rhs).max()))
+        points = _merge_close(list(zip(x.tolist(), y.tolist())), VERTEX_MERGE_TOL * scale)
+        hull = _order_ccw(_convex_hull(points, collinear_eps=1e-9))
+        halfplanes = []
+        for (a1, a2), r in zip(self._normals, rhs.tolist()):
+            if min(abs(a1 * u + a2 * v - r) for u, v in hull) <= TIGHT_TOL * scale:
+                mx = max(abs(a1), abs(a2))
+                halfplanes.append(HalfPlane(Fraction(a1, mx), Fraction(a2, mx), r / mx))
+        halfplanes.sort(key=lambda h: math.atan2(float(h.a2), float(h.a1)))
+        if not self.bounded:
+            raise Unbounded("the projected region is unbounded; a decoding constraint is missing")
+        return Polytope2D(tuple(halfplanes), tuple(hull))
 
     def support(self, b: np.ndarray, w1: float, w2: float):
         """Maximize w1*R1 + w2*R2 over the region at rhs b.
@@ -369,18 +276,10 @@ class CompiledSchema:
         maximum (a tied optimal face), the one with the largest R1 + R2,
         then the largest R1, is returned.
         """
-        tol = FEAS_TOL * max(1.0, float(np.abs(b).max(initial=0.0)))
-        if (self._feas @ b < -tol).any():
+        found = self._vertices(b)
+        if found is None:
             return None
-        rhs = np.minimum.reduceat(self._mu @ b, self._starts)
-        i, j, det = self._pairs
-        a = self._normals
-        x = (rhs[i] * a[j, 1] - rhs[j] * a[i, 1]) / det
-        y = (a[i, 0] * rhs[j] - a[j, 0] * rhs[i]) / det
-        ok = (a @ np.stack((x, y)) <= rhs[:, None] + tol).all(axis=0)
-        if not ok.any():
-            return None
-        x, y = x[ok] + 0.0, y[ok] + 0.0
+        _, x, y = found
         vals = w1 * x + w2 * y
         best = float(vals.max())
         tied = np.flatnonzero(vals >= best - TIE_TOL * max(1.0, abs(best)))
@@ -388,17 +287,41 @@ class CompiledSchema:
         return float(x[k]), float(y[k]), best
 
 
-def _unit_pivot(schema: RegionSchema, vec: list[int]) -> int:
-    for v, c in enumerate(vec):
-        if abs(c) == 1:
-            return v
-    raise InvalidParameter(f"{schema.id}: projection has no unit-coefficient rate to pivot on")
+@dataclass(frozen=True, eq=False)
+class CompiledSchema(CompiledProjection):
+    """A schema's CompiledProjection plus its right-hand sides as functions
+    of one distribution d:
+
+        h     = entropy_vector(d, subsets)
+        atoms = atom_matrix @ h        (clamped as mutual_information clamps)
+        b     = rhs_matrix @ atoms + rhs_offset
+    """
+
+    subsets: tuple[tuple[str, ...], ...]
+    atom_matrix: np.ndarray  # integer, (atoms, subsets)
+    rhs_matrix: np.ndarray  # integer, (constraint rows, atoms)
+    rhs_offset: np.ndarray  # constants of the rhs expressions, LE-normal
+
+    def rhs(self, d: JointDistribution) -> np.ndarray:
+        """LE-normal right-hand sides b of the schema's rows at distribution d."""
+        atoms = self.atom_matrix @ entropy_vector(d, self.subsets)
+        atoms[(atoms >= -MI_CLAMP) & (atoms < 0.0)] = 0.0
+        return self.rhs_matrix @ atoms + self.rhs_offset
 
 
-def _substitute(vec: list[int], v: int, eq: list[int]) -> list[int]:
-    """Eliminate column v from vec using the equation eq . y = 0, |eq[v]| = 1."""
-    f = vec[v] * eq[v]  # eq[v] is its own inverse
-    return [a - f * e for a, e in zip(vec, eq)] if f else vec
+def _substitute(vec: list[int], mu: tuple[int, ...], v: int, eq: list[int]):
+    """Eliminate column v from the row (vec, mu) using the equation eq . y = 0.
+
+    The row is first multiplied by |eq[v]| > 0, so it stays an integer
+    inequality with the same sense.
+    """
+    a, c = vec[v], eq[v]
+    if not a:
+        return vec, mu
+    s = 1 if c > 0 else -1
+    coeffs = tuple(abs(c) * x - s * a * e for x, e in zip(vec, eq))
+    vec, mu = _reduce_exact(coeffs, tuple(abs(c) * m for m in mu))
+    return list(vec), mu
 
 
 def _reduce_exact(coeffs: tuple[int, ...], mu: tuple[int, ...]):
@@ -444,37 +367,42 @@ def _recession_free(normals: list[tuple[int, int]]) -> bool:
     return all(any(a1 * d1 + a2 * d2 > 0 for a1, a2 in normals) for d1, d2 in rays)
 
 
-def _compile_projection(schema: RegionSchema):
-    """Projected rows (a1, a2, mu) and feasibility rows mu of the schema."""
-    names = schema.rate_names()
-    n, m = len(names), len(schema.constraints)
-    index = {name: i for i, name in enumerate(names)}
+@lru_cache(maxsize=256)
+def _compile_structure(
+    rows: tuple[tuple[int, ...], ...], r1: tuple[int, ...], r2: tuple[int, ...]
+) -> CompiledProjection:
+    """Eliminate {x >= 0 : rows . x <= b} onto (r1 . x, r2 . x) with b symbolic.
+
+    Each projection equation R_t = r_t . x is substituted first, pivoting on
+    its smallest nonzero rate coefficient; an equation with no rate left
+    becomes two explicit rows in (R1, R2).  The remaining pure inequality
+    system is eliminated with exact integers and Chernikov's history rule
+    only; nothing is pruned by the value of a right-hand side, so the result
+    holds at every b.
+    """
+    n, m = len(r1), len(rows)
+    zero = (0,) * m
     # columns: the rates, then R1 and R2; a row is (coeffs, mu, history bitmask)
-    rows = []
-    for k, c in enumerate(schema.constraints):
-        sign = 1 if c.sense == LE else -1
-        vec = [0] * (n + 2)
-        for name, coeff in c.coeffs:
-            vec[index[name]] = sign * coeff
-        rows.append((vec, tuple(int(k == j) for j in range(m)), 1 << k))
+    work = [(list(vec) + [0, 0], tuple(int(k == j) for j in range(m)), 1 << k)
+            for k, vec in enumerate(rows)]
     for i in range(n):
         vec = [0] * (n + 2)
         vec[i] = -1
-        rows.append((vec, (0,) * m, 1 << (m + i)))
-    proj = []  # proj[t] . (x, R) = 0 states R_t = projection_t . x
-    for t, which in enumerate(("R1", "R2")):
-        vec = [0] * (n + 2)
-        for name, coeff in schema.projection_coeffs(which).items():
-            vec[index[name]] = coeff
-        vec[n + t] = -1
-        proj.append(vec)
+        work.append((vec, zero, 1 << (m + i)))
+    # the quadrant, and any fixed R_t below, carry no rates: never combined
+    work += [([0] * n + [-1, 0], zero, 0), ([0] * n + [0, -1], zero, 0)]
+    proj = [list(r1) + [-1, 0], list(r2) + [0, -1]]  # proj[t] . (x, R) = 0
     remaining = list(range(n))
     for t in range(2):
-        v = _unit_pivot(schema, proj[t][:n])
+        pivots = [(abs(c), v) for v, c in enumerate(proj[t][:n]) if c]
+        if not pivots:
+            work += [(proj[t], zero, 0), ([-c for c in proj[t]], zero, 0)]
+            continue
+        v = min(pivots)[1]
         remaining.remove(v)
-        rows = [(_substitute(vec, v, proj[t]), mu, h) for vec, mu, h in rows]
-        proj = [_substitute(p, v, proj[t]) for p in proj]
-    work = [(tuple(vec), mu, h) for vec, mu, h in rows]
+        work = [(*_substitute(vec, mu, v, proj[t]), h) for vec, mu, h in work]
+        proj = [_substitute(p, zero, v, proj[t])[0] for p in proj]
+    work = [(tuple(vec), mu, h) for vec, mu, h in work]
     eliminated = 0
     while remaining:
         var = min(remaining, key=lambda v: (
@@ -489,7 +417,7 @@ def _compile_projection(schema: RegionSchema):
             projected.append((a1, a2, mu))
         elif any(mu):
             feasibility.append(mu)
-    return tuple(projected), tuple(feasibility)
+    return CompiledProjection(tuple(projected), tuple(feasibility))
 
 
 def _compile_rhs(schema: RegionSchema):
@@ -528,20 +456,27 @@ def _compile_rhs(schema: RegionSchema):
 def compile_schema(schema: RegionSchema) -> CompiledSchema:
     """Project a schema onto (R1, R2) once, keeping every rhs symbolic.
 
-    The R1/R2 equalities are substituted first, pivoting on a message rate
-    with a unit coefficient, which leaves a pure inequality system over the
-    remaining rates.  That system is eliminated with exact integers and
-    Chernikov's history rule only; nothing is pruned by the value of a
-    right-hand side, so the result holds at every distribution.  Raises
-    Unbounded when the projection has a nonzero recession direction (a
-    missing decoding constraint).
+    The schema's LE-normal rows go through the same elimination as
+    fme_project, so nothing is pruned by the value of a right-hand side and
+    the result holds at every distribution.  Raises Unbounded when the
+    projection has a nonzero recession direction (a missing decoding
+    constraint).
     """
-    projected, feasibility = _compile_projection(schema)
-    normals = [(a1 // math.gcd(a1, a2), a2 // math.gcd(a1, a2)) for a1, a2, _ in projected]
-    if not _recession_free(normals + [(-1, 0), (0, -1)]):
+    names = schema.rate_names()
+    index = {name: i for i, name in enumerate(names)}
+    rows = []
+    for c in schema.constraints:
+        sign = 1 if c.sense == LE else -1
+        vec = [0] * len(names)
+        for name, coeff in c.coeffs:
+            vec[index[name]] = sign * coeff
+        rows.append(tuple(vec))
+    r1, r2 = (tuple(schema.projection_coeffs(w).get(n, 0) for n in names) for w in ("R1", "R2"))
+    compiled = _compile_structure(tuple(rows), r1, r2)
+    if not compiled.bounded:
         raise Unbounded(f"{schema.id}: the projected region is unbounded; "
                         "a decoding constraint is missing")
-    return CompiledSchema(*_compile_rhs(schema), projected, feasibility)
+    return CompiledSchema(compiled.projected, compiled.feasibility, *_compile_rhs(schema))
 
 
 # ---------------------------------------------------------------------------

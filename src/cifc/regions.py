@@ -236,12 +236,14 @@ class InstantiatedRegion:
 
         A GE row with nonnegative coefficients and rhs <= tol, or any row
         left with no variables and a satisfied bound, carries no content.
+        A variable-free row with a violated bound is kept, so the region
+        still projects empty.
         """
         rows = []
         for r in self.rows:
-            if not r.coeffs:
-                continue
             if r.sense == GE and r.rhs <= tol and all(c >= 0 for _, c in r.coeffs):
+                continue
+            if r.sense == LE and r.rhs >= -tol and not r.coeffs:
                 continue
             rows.append(r)
         return InstantiatedRegion(self.schema_id, self.rate_vars, tuple(rows), self.projection)

@@ -530,11 +530,10 @@ def check_jiang_containment(
 def _active_labels(
     inst: InstantiatedRegion, poly: Polytope2D, labels: Iterable[str]
 ) -> list[str]:
-    """Labels among `labels` whose constraint is tight at some projected vertex.
+    """Labels among `labels` whose constraint shapes the projected region.
 
-    Tightness is measured on the full system via the membership oracle's
-    logic: a label is reported active when removing it changes the
-    projection.  Cheap variant used for reporting only.
+    A label is reported active when projecting the system again without
+    it changes the vertex set.  Used for reporting only.
     """
     out = []
     base = poly

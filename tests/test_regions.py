@@ -200,6 +200,26 @@ def test_pin_shifts_rhs():
     assert pinned.rhs("1f") == pytest.approx(inst.rhs("1f") - 0.25, abs=1e-12)
 
 
+def test_without_vacuous_keeps_violated_variable_free_rows():
+    from cifc.polytope import project_or_empty, to_linear_system
+    from cifc.regions import GE, LE, InstantiatedRegion, NumericConstraint
+
+    rows = (
+        NumericConstraint((("a", 1),), LE, 1.0, "cap"),
+        NumericConstraint((("a", 1),), GE, 0.0, "floor"),
+        NumericConstraint((), LE, 0.5, "le_ok"),
+        NumericConstraint((), GE, -0.5, "ge_ok"),
+        NumericConstraint((), LE, -0.25, "le_bad"),
+        NumericConstraint((), GE, 0.25, "ge_bad"),
+    )
+    inst = InstantiatedRegion("T", ("a",), rows, (("R1", (("a", 1),)), ("R2", ())))
+    kept = inst.without_vacuous()
+    assert [r.label for r in kept.rows] == ["cap", "le_bad", "ge_bad"]
+    assert project_or_empty(to_linear_system(kept)).is_empty
+    assert project_or_empty(to_linear_system(kept.drop("ge_bad"))).is_empty
+    assert not project_or_empty(to_linear_system(kept.drop("le_bad", "ge_bad"))).is_empty
+
+
 def test_same_system_detects_rhs_change():
     rtd = builtin_schema("RTD")
     a = instantiate(rtd, square_assignment())
