@@ -67,11 +67,3 @@ class IdentityViolation(CifcError):
         super().__init__(message)
         self.seed = seed
 
-
-class ContainmentViolation(CifcError):
-    """A sampled region containment failed; carries seed and vertex."""
-
-    def __init__(self, message: str, seed: int | None = None, vertex=None):
-        super().__init__(message)
-        self.seed = seed
-        self.vertex = vertex

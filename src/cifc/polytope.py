@@ -13,7 +13,6 @@ full-dimensional system and takes the convex hull of its projections.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -22,7 +21,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import Infeasible, Unbounded
-from .probability import MI_CLAMP, JointDistribution, entropy_vector
+from .probability import CompiledExprs, JointDistribution, compile_exprs
 from .regions import GE, LE, InstantiatedRegion, RegionSchema
 
 FEAS_TOL = 1e-9  # slack when testing a candidate point against a row
@@ -45,11 +44,14 @@ class HalfPlane:
 
 @dataclass(frozen=True)
 class Polytope2D:
-    """Irredundant half-planes plus counterclockwise vertices, in bits.
+    """Half-planes plus counterclockwise vertices, in bits.
 
     The region is the intersection of the half-planes with the nonnegative
     quadrant; quadrant facets appear explicitly whenever they support the
-    region.  Degenerate regions (segment, single point) are allowed.
+    region.  Every listed half-plane is tight at some vertex (within
+    TIGHT_TOL), but the list is not irredundant: a weakly redundant
+    half-plane that touches the region at a single vertex is kept too.
+    Degenerate regions (segment, single point) are allowed.
     """
 
     halfplanes: tuple[HalfPlane, ...]
@@ -289,24 +291,18 @@ class CompiledProjection:
 
 @dataclass(frozen=True, eq=False)
 class CompiledSchema(CompiledProjection):
-    """A schema's CompiledProjection plus its right-hand sides as functions
-    of one distribution d:
-
-        h     = entropy_vector(d, subsets)
-        atoms = atom_matrix @ h        (clamped as mutual_information clamps)
-        b     = rhs_matrix @ atoms + rhs_offset
+    """A schema's CompiledProjection plus its right-hand sides as one
+    function of a distribution: the compiled map of the rows' MI
+    expressions (see probability.compile_exprs), times the LE-normal sign
+    of each row.
     """
 
-    subsets: tuple[tuple[str, ...], ...]
-    atom_matrix: np.ndarray  # integer, (atoms, subsets)
-    rhs_matrix: np.ndarray  # integer, (constraint rows, atoms)
-    rhs_offset: np.ndarray  # constants of the rhs expressions, LE-normal
+    rhs_map: CompiledExprs
+    sign: np.ndarray  # +1 for an LE row, -1 for a GE row
 
     def rhs(self, d: JointDistribution) -> np.ndarray:
         """LE-normal right-hand sides b of the schema's rows at distribution d."""
-        atoms = self.atom_matrix @ entropy_vector(d, self.subsets)
-        atoms[(atoms >= -MI_CLAMP) & (atoms < 0.0)] = 0.0
-        return self.rhs_matrix @ atoms + self.rhs_offset
+        return self.sign * self.rhs_map(d)
 
 
 def _substitute(vec: list[int], mu: tuple[int, ...], v: int, eq: list[int]):
@@ -420,38 +416,6 @@ def _compile_structure(
     return CompiledProjection(tuple(projected), tuple(feasibility))
 
 
-def _compile_rhs(schema: RegionSchema):
-    """Entropy subsets S, the h(S) -> atoms matrix and the atoms -> b matrix."""
-    subsets: dict[tuple[str, ...], int] = {}
-    atoms: dict = {}  # MI atom -> {subset column: weight}
-    rhs_rows, offset = [], []
-    for c in schema.constraints:
-        sign = 1 if c.sense == LE else -1
-        row: dict = {}
-        for s, t in c.rhs.terms:
-            if t not in atoms:
-                # I(A;B|C) = H(AC) + H(BC) - H(ABC) - H(C), with H(empty) = 0
-                ac, bc = set(t.left + t.given), set(t.right + t.given)
-                atoms[t] = {}
-                for part, w in ((ac, 1), (bc, 1), (ac | bc, -1), (set(t.given), -1)):
-                    if part:
-                        col = subsets.setdefault(tuple(sorted(part)), len(subsets))
-                        atoms[t][col] = atoms[t].get(col, 0) + w
-            row[t] = row.get(t, 0) + sign * s
-        rhs_rows.append(row)
-        offset.append(sign * c.rhs.constant)
-    atom_matrix = np.zeros((len(atoms), len(subsets)), dtype=np.int64)
-    rhs_matrix = np.zeros((len(rhs_rows), len(atoms)), dtype=np.int64)
-    for a, cols in enumerate(atoms.values()):
-        for col, w in cols.items():
-            atom_matrix[a, col] = w
-    column = {t: a for a, t in enumerate(atoms)}
-    for k, row in enumerate(rhs_rows):
-        for t, w in row.items():
-            rhs_matrix[k, column[t]] = w
-    return tuple(subsets), atom_matrix, rhs_matrix, np.asarray(offset, dtype=float)
-
-
 @lru_cache(maxsize=64)
 def compile_schema(schema: RegionSchema) -> CompiledSchema:
     """Project a schema onto (R1, R2) once, keeping every rhs symbolic.
@@ -476,7 +440,9 @@ def compile_schema(schema: RegionSchema) -> CompiledSchema:
     if not compiled.bounded:
         raise Unbounded(f"{schema.id}: the projected region is unbounded; "
                         "a decoding constraint is missing")
-    return CompiledSchema(compiled.projected, compiled.feasibility, *_compile_rhs(schema))
+    sign = np.array([1.0 if c.sense == LE else -1.0 for c in schema.constraints])
+    rhs_map = compile_exprs(tuple(c.rhs for c in schema.constraints))
+    return CompiledSchema(compiled.projected, compiled.feasibility, rhs_map, sign)
 
 
 # ---------------------------------------------------------------------------
@@ -642,9 +608,3 @@ def vertices_csv(p: Polytope2D) -> str:
     for x, y in p.vertices:
         lines.append(f"{x:.12g},{y:.12g}")
     return "\n".join(lines) + "\n"
-
-
-def save_polytope(p: Polytope2D, path) -> None:
-    from pathlib import Path
-
-    Path(path).write_text(json.dumps(polytope_to_json(p), sort_keys=True))

@@ -2,9 +2,11 @@
 
 Dense probability tensors with named axes, factorized Dirichlet sampling,
 channel extension, and conditional mutual information in bits (log base 2
-throughout).  Conventions: 0*log 0 := 0, and a ratio p/0 is treated as a
-genuine singularity only when p > 1e-15 (it cannot arise from a valid
-joint, where every marginal dominates the joint cell).
+throughout).  There is one information kernel: `entropy_vector` is the
+only function that takes a logarithm (with 0*log 0 := 0), and every
+measure is a fixed integer combination of its joint entropies, compiled
+once per tuple of expressions by `compile_exprs`.  Roundoff negatives of
+an MI atom are clamped to zero in one place, `CompiledExprs.__call__`.
 
 All operations are pure functions of immutable inputs; callers may
 evaluate many distributions in parallel without synchronization.
@@ -14,6 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -31,7 +34,6 @@ from .errors import (
 
 MASS_TOL = 1e-12
 MI_CLAMP = 1e-12
-SUPPORT_EPS = 1e-15
 
 Names = Iterable[str] | str
 
@@ -257,6 +259,13 @@ def marginalize(d: JointDistribution, keep: Names) -> JointDistribution:
     return JointDistribution(rvs, prob)
 
 
+def _pairing_onehot(sizes: Sequence[int]) -> np.ndarray:
+    """Indicator tensor over (parts..., paired): 1 exactly where the paired
+    value is the row-major mixed-radix index of the part values."""
+    n = int(np.prod(sizes))
+    return np.eye(n).reshape(*sizes, n)
+
+
 def add_paired_variable(d: JointDistribution, name: str, parts: Names) -> JointDistribution:
     """Append a deterministic variable equal to the tuple of `parts`.
 
@@ -268,19 +277,13 @@ def add_paired_variable(d: JointDistribution, name: str, parts: Names) -> JointD
         raise InvalidParameter(f"variable {name!r} already present")
     axes = d.axes_of(parts_t)
     sizes = [d.rvs.sizes[a] for a in axes]
-    new_size = int(np.prod(sizes))
-    onehot = np.zeros(sizes + [new_size])
-    for cell in np.ndindex(*sizes):
-        code = 0
-        for v, s in zip(cell, sizes):
-            code = code * s + v
-        onehot[cell + (code,)] = 1.0
+    onehot = _pairing_onehot(sizes)
     n = len(d.names)
     letters = "abcdefghijklmnopqrstuv"[:n]
     part_letters = "".join(letters[a] for a in axes)
     sub = f"{letters},{part_letters}z->{letters}z"
     prob = np.einsum(sub, d.prob, onehot)
-    rvs = RandomVariableSet(d.names + (name,), d.rvs.sizes + (new_size,))
+    rvs = RandomVariableSet(d.names + (name,), d.rvs.sizes + (onehot.shape[-1],))
     return JointDistribution(rvs, prob)
 
 
@@ -376,73 +379,107 @@ class MIExpr:
 ZERO_EXPR = MIExpr()
 
 
-def _masked_xlogy(p: np.ndarray, ratio_logs: np.ndarray) -> float:
-    mask = p > SUPPORT_EPS
-    return float(np.sum(p[mask] * ratio_logs[mask]))
+class _SelfInformation(MITerm):
+    """I(A;A|C) = H(A|C): the one atom whose two sides coincide.
 
+    MITerm rejects overlapping sides, so entropies get this subclass; in
+    compile_exprs it expands to H(AC) - H(C) like any other atom.
+    """
 
-def _marginal_tensor(d: JointDistribution, names: tuple[str, ...]):
-    """Marginal over `names` (original axis order), without re-validation."""
-    keep = set(names)
-    for n in names:
-        if n not in d.names:
-            raise UnknownVariable(n)
-    drop = tuple(i for i, n in enumerate(d.names) if n not in keep)
-    p = d.prob.sum(axis=drop) if drop else d.prob
-    order = tuple(n for n in d.names if n in keep)
-    return p, order
-
-
-def mutual_information(d: JointDistribution, t: MITerm) -> float:
-    """I(A;B|C) in bits; tiny negatives (roundoff) are clamped to zero."""
-    p, order = _marginal_tensor(d, t.left + t.right + t.given)
-    axL = tuple(i for i, n in enumerate(order) if n in t.left)
-    axR = tuple(i for i, n in enumerate(order) if n in t.right)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logp = np.log2(np.where(p > 0, p, 1.0))
-        pac = p.sum(axis=axR, keepdims=True)
-        pbc = p.sum(axis=axL, keepdims=True)
-        pc = pac.sum(axis=axL, keepdims=True)
-        logs = (
-            logp
-            + np.log2(np.where(pc > 0, pc, 1.0))
-            - np.log2(np.where(pac > 0, pac, 1.0))
-            - np.log2(np.where(pbc > 0, pbc, 1.0))
-        )
-    val = _masked_xlogy(p, np.broadcast_to(logs, p.shape))
-    if -MI_CLAMP <= val < 0.0:
-        return 0.0
-    return val
-
-
-def entropy(d: JointDistribution, names: Names, given: Names = ()) -> float:
-    """H(A|C) in bits."""
-    a = _names(names)
-    g = tuple(n for n in _names(given) if n not in a)
-    p, order = _marginal_tensor(d, a + g)
-    axA = tuple(i for i, n in enumerate(order) if n in a)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        pc = p.sum(axis=axA, keepdims=True)
-        logs = np.log2(np.where(pc > 0, pc, 1.0)) - np.log2(np.where(p > 0, p, 1.0))
-    val = _masked_xlogy(p, np.broadcast_to(logs, p.shape))
-    if -MI_CLAMP <= val < 0.0:
-        return 0.0
-    return val
+    def __post_init__(self):
+        left = tuple(sorted(set(_names(self.left))))
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", left)
+        object.__setattr__(self, "given", tuple(sorted(set(_names(self.given)) - set(left))))
 
 
 def entropy_vector(d: JointDistribution, subsets: Sequence[Sequence[str]]) -> np.ndarray:
-    """Joint entropies H(X_S) in bits, one per subset S, with exact 0*log 0 := 0."""
+    """Joint entropies H(X_S) in bits, one per subset S, with exact 0*log 0 := 0.
+
+    The package's only logarithm: every other information measure is an
+    integer combination of these entropies (see compile_exprs).
+    """
     out = np.empty(len(subsets))
     for k, names in enumerate(subsets):
-        p, _ = _marginal_tensor(d, tuple(names))
+        axes = d.axes_of(names)
+        drop = tuple(i for i in range(len(d.names)) if i not in axes)
+        p = d.prob.sum(axis=drop) if drop else d.prob
         p = p[p > 0.0]
         out[k] = -float(np.dot(p, np.log2(p)))
     return out
 
 
+@dataclass(frozen=True, eq=False)
+class CompiledExprs:
+    """A tuple of MI expressions as one linear map of joint entropies:
+
+        h      = entropy_vector(d, subsets)
+        atoms  = atom_matrix @ h      I(A;B|C) = H(AC) + H(BC) - H(ABC) - H(C)
+        values = expr_matrix @ atoms + constants
+
+    An atom in [-MI_CLAMP, 0) is roundoff and counts as 0.
+    """
+
+    subsets: tuple[tuple[str, ...], ...]
+    atom_matrix: np.ndarray  # integer, (atoms, subsets)
+    expr_matrix: np.ndarray  # integer, (expressions, atoms)
+    constants: np.ndarray  # (expressions,)
+
+    def __call__(self, d: JointDistribution) -> np.ndarray:
+        """The expressions' values at distribution d, in bits."""
+        atoms = self.atom_matrix @ entropy_vector(d, self.subsets)
+        atoms[(atoms >= -MI_CLAMP) & (atoms < 0.0)] = 0.0
+        return self.expr_matrix @ atoms + self.constants
+
+
+@lru_cache(maxsize=1024)
+def compile_exprs(exprs: tuple[MIExpr, ...]) -> CompiledExprs:
+    """Compile expressions into their entropy subsets and integer matrices.
+
+    Subsets, atoms and expressions are numbered in order of first
+    appearance; H(empty) = 0 gets no subset.
+    """
+    subsets: dict[tuple[str, ...], int] = {}
+    atoms: dict[MITerm, dict[int, int]] = {}  # atom -> {subset column: weight}
+    rows = []
+    for e in exprs:
+        row: dict[MITerm, int] = {}
+        for s, t in e.terms:
+            if t not in atoms:
+                ac, bc = set(t.left + t.given), set(t.right + t.given)
+                atoms[t] = {}
+                for part, w in ((ac, 1), (bc, 1), (ac | bc, -1), (set(t.given), -1)):
+                    if part:
+                        col = subsets.setdefault(tuple(sorted(part)), len(subsets))
+                        atoms[t][col] = atoms[t].get(col, 0) + w
+            row[t] = row.get(t, 0) + s
+        rows.append(row)
+    atom_matrix = np.zeros((len(atoms), len(subsets)), dtype=np.int64)
+    for a, cols in enumerate(atoms.values()):
+        for col, w in cols.items():
+            atom_matrix[a, col] = w
+    column = {t: a for a, t in enumerate(atoms)}
+    expr_matrix = np.zeros((len(rows), len(atoms)), dtype=np.int64)
+    for k, row in enumerate(rows):
+        for t, w in row.items():
+            expr_matrix[k, column[t]] = w
+    constants = np.array([e.constant for e in exprs], dtype=float)
+    return CompiledExprs(tuple(subsets), atom_matrix, expr_matrix, constants)
+
+
 def evaluate_expr(d: JointDistribution, e: MIExpr) -> float:
     """Signed sum of the expression's terms plus its constant."""
-    return sum(s * mutual_information(d, t) for s, t in e.terms) + e.constant
+    return float(compile_exprs((e,))(d)[0])
+
+
+def mutual_information(d: JointDistribution, t: MITerm) -> float:
+    """I(A;B|C) in bits; tiny negatives (roundoff) are clamped to zero."""
+    return evaluate_expr(d, MIExpr.of(t))
+
+
+def entropy(d: JointDistribution, names: Names, given: Names = ()) -> float:
+    """H(A|C) in bits."""
+    return evaluate_expr(d, MIExpr.of(_SelfInformation(names, names, given)))
 
 
 def check_conditional_independence(
@@ -530,10 +567,6 @@ def joint_from_json(obj: dict) -> JointDistribution:
         raise InvalidParameter(f"field 'p' has length {len(flat)}, expected {expected}")
     rvs = RandomVariableSet(names, sizes)
     return JointDistribution(rvs, np.asarray(flat, dtype=float).reshape(sizes))
-
-
-def save_joint(d: JointDistribution, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(joint_to_json(d), sort_keys=True))
 
 
 def load_joint(path: str | Path) -> JointDistribution:

@@ -34,8 +34,8 @@ from .probability import (
     MIExpr,
     RandomVariableSet,
     chain,
+    compile_exprs,
     entropy,
-    evaluate_expr,
     mi,
     rename_expr,
     verify_factorization,
@@ -275,9 +275,10 @@ def instantiate(
                 raise FactorizationViolation(
                     f"{schema.id}: H({name}|{','.join(parts)}) = {h:.3e} > {tol:g}"
                 )
+    values = compile_exprs(tuple(c.rhs for c in schema.constraints))(d)
     rows = tuple(
-        NumericConstraint(c.coeffs, c.sense, evaluate_expr(d, c.rhs), c.label)
-        for c in schema.constraints
+        NumericConstraint(c.coeffs, c.sense, v, c.label)
+        for c, v in zip(schema.constraints, values.tolist())
     )
     return InstantiatedRegion(schema.id, schema.rate_names(), rows, schema.projection)
 

@@ -24,6 +24,7 @@ from .probability import (
     MITerm,
     _dirichlet_factor,
     _multiply_block,
+    _pairing_onehot,
     evaluate_expr,
     extend_through_channel,
     mi,
@@ -69,27 +70,13 @@ STRUCT_INPUT_DEPS: dict[str, dict[str, tuple[str, ...]]] = {
 # ---------------------------------------------------------------------------
 
 
-def _onehot_rows(rng: np.random.Generator, n_cells: int, k: int) -> np.ndarray:
-    rows = np.zeros((n_cells, k))
-    rows[np.arange(n_cells), rng.integers(0, k, size=n_cells)] = 1.0
-    return rows
-
-
 def _pairing_block(rvs, target: str, parts: Sequence[str]) -> tuple[np.ndarray, tuple[int, ...]]:
-    axes = sorted(rvs.axis(n) for n in (*parts, target))
-    t_axis = rvs.axis(target)
+    """The indicator block of target = (parts...), over ascending axes."""
     part_axes = [rvs.axis(p) for p in parts]
-    shape = [rvs.sizes[a] for a in axes]
-    block = np.zeros(shape)
-    part_sizes = [rvs.sizes[a] for a in part_axes]
-    for cell in np.ndindex(*part_sizes):
-        code = 0
-        for v, s in zip(cell, part_sizes):
-            code = code * s + v
-        pos = {a: c for a, c in zip(part_axes, cell)}
-        pos[t_axis] = code
-        block[tuple(pos[a] for a in axes)] = 1.0
-    return block, tuple(axes)
+    t_axis = rvs.axis(target)
+    axes = tuple(sorted((*part_axes, t_axis)))
+    onehot = _pairing_onehot([rvs.sizes[a] for a in part_axes])
+    return _reorder_block(onehot, part_axes, [t_axis], axes), axes
 
 
 def _factor_block(
@@ -175,6 +162,92 @@ def _reorder_block(block, g_axes, t_axes, all_axes):
     return np.transpose(block, perm)
 
 
+class _FactorState:
+    """One schema's factor blocks, drawn under a sampling mode.
+
+    The single sampler: sample_instance takes its joint once, and the
+    frontier search mutates the blocks while hill climbing.
+    """
+
+    def __init__(
+        self,
+        schema: RegionSchema,
+        size: int,
+        rng: np.random.Generator,
+        mode: str = "free",
+    ):
+        self.schema = schema
+        self.rvs = schema.rv_set(size)
+        self.det = dict(schema.deterministic)
+        struct_deps = STRUCT_INPUT_DEPS.get(schema.id, {})
+        self.blocks: list[tuple[np.ndarray, tuple[int, ...], bool]] = []
+        first = True
+        for f in schema.factorization.factors:
+            mutable = not (len(f.targets) == 1 and f.targets[0] in self.det)
+            block, axes = _factor_block(self.rvs, f, rng, mode, self.det, struct_deps, first)
+            self.blocks.append((np.ascontiguousarray(block, dtype=float), axes, mutable))
+            first = False
+        self.free = [i for i, (_, _, mut) in enumerate(self.blocks) if mut]
+        self.factors = list(schema.factorization.factors)
+
+    def joint(self) -> JointDistribution:
+        joint = np.ones(self.rvs.shape())
+        for block, axes, _ in self.blocks:
+            joint = _multiply_block(joint, self.rvs, block, axes)
+        return JointDistribution(self.rvs, joint)
+
+    def propose(self, rng: np.random.Generator):
+        """Return (index, new_block) for one derivative-free move.
+
+        Row moves: sharpen to the mode, flatten toward uniform, mix with a
+        fresh Dirichlet draw, or resample the block.  Multi-variable blocks
+        additionally get axis moves that sharpen or uniformize a single
+        variable's marginal while keeping the rest of the row intact.
+        """
+        idx = self.free[rng.integers(0, len(self.free))]
+        block, axes, _ = self.blocks[idx]
+        factor = self.factors[idx]
+        t_axes = sorted(self.rvs.axis(n) for n in factor.targets)
+        t_sizes = [self.rvs.sizes[a] for a in t_axes]
+        k = int(np.prod(t_sizes))
+        new = block.copy()
+        flat = new.reshape(-1, k)
+        move = rng.random()
+        if move < 0.06:
+            fresh, _ = _dirichlet_factor(self.rvs, factor, rng)
+            return idx, fresh
+        row = rng.integers(0, flat.shape[0])
+        if len(t_sizes) > 1 and move < 0.40:
+            row_nd = flat[row].reshape(t_sizes)
+            j = int(rng.integers(0, len(t_sizes)))
+            rest = row_nd.sum(axis=j, keepdims=True)
+            shape_j = [1] * len(t_sizes)
+            shape_j[j] = t_sizes[j]
+            if move < 0.23:
+                sum_axes = tuple(i for i in range(len(t_sizes)) if i != j)
+                marg = row_nd.sum(axis=sum_axes)
+                dist = np.zeros(t_sizes[j])
+                dist[np.argmax(marg)] = 1.0
+            else:
+                dist = np.full(t_sizes[j], 1.0 / t_sizes[j])
+            flat[row] = (rest * dist.reshape(shape_j)).reshape(-1)
+        elif move < 0.55:
+            peak = np.zeros(k)
+            peak[np.argmax(flat[row])] = 1.0
+            flat[row] = peak
+        elif move < 0.70:
+            alpha = float(rng.choice([1.0, 0.4]))
+            flat[row] = (1 - alpha) * flat[row] + alpha / k
+        else:
+            alpha = float(rng.choice([0.5, 0.15, 0.03]))
+            flat[row] = (1 - alpha) * flat[row] + alpha * rng.dirichlet(np.ones(k))
+        return idx, flat.reshape(block.shape)
+
+    def set_block(self, idx: int, block: np.ndarray) -> None:
+        _, axes, mut = self.blocks[idx]
+        self.blocks[idx] = (block, axes, mut)
+
+
 def sample_instance(
     schema: RegionSchema,
     channel: Channel,
@@ -191,18 +264,8 @@ def sample_instance(
     """
     if mode not in SAMPLING_MODES:
         raise InvalidParameter(f"unknown sampling mode {mode!r}")
-    rng = np.random.default_rng(seed)
-    rvs = schema.rv_set(size)
-    det_map = dict(schema.deterministic)
-    struct_deps = STRUCT_INPUT_DEPS.get(schema.id, {})
-    joint = np.ones(rvs.shape())
-    first = True
-    for f in schema.factorization.factors:
-        block, axes = _factor_block(rvs, f, rng, mode, det_map, struct_deps, first)
-        joint = _multiply_block(joint, rvs, block, axes)
-        first = False
-    d = JointDistribution(rvs, joint)
-    return extend_through_channel(d, channel)
+    state = _FactorState(schema, size, np.random.default_rng(seed), mode)
+    return extend_through_channel(state.joint(), channel)
 
 
 def _mode_for(seed: int) -> str:
@@ -856,88 +919,6 @@ def frontier_points_from_csv(text: str) -> tuple[tuple[float, float, float, int]
         lam, r1, r2, s = ln.split(",")
         out.append((float(lam), float(r1), float(r2), int(s)))
     return tuple(out)
-
-
-class _FactorState:
-    """Mutable factor blocks for hill climbing over one schema's chain."""
-
-    def __init__(
-        self,
-        schema: RegionSchema,
-        size: int,
-        rng: np.random.Generator,
-        mode: str = "free",
-    ):
-        self.schema = schema
-        self.rvs = schema.rv_set(size)
-        self.det = dict(schema.deterministic)
-        struct_deps = STRUCT_INPUT_DEPS.get(schema.id, {})
-        self.blocks: list[tuple[np.ndarray, tuple[int, ...], bool]] = []
-        first = True
-        for f in schema.factorization.factors:
-            mutable = not (len(f.targets) == 1 and f.targets[0] in self.det)
-            block, axes = _factor_block(self.rvs, f, rng, mode, self.det, struct_deps, first)
-            self.blocks.append((np.ascontiguousarray(block, dtype=float), axes, mutable))
-            first = False
-        self.free = [i for i, (_, _, mut) in enumerate(self.blocks) if mut]
-        self.factors = list(schema.factorization.factors)
-
-    def joint(self) -> JointDistribution:
-        joint = np.ones(self.rvs.shape())
-        for block, axes, _ in self.blocks:
-            joint = _multiply_block(joint, self.rvs, block, axes)
-        return JointDistribution(self.rvs, joint)
-
-    def propose(self, rng: np.random.Generator):
-        """Return (index, new_block) for one derivative-free move.
-
-        Row moves: sharpen to the mode, flatten toward uniform, mix with a
-        fresh Dirichlet draw, or resample the block.  Multi-variable blocks
-        additionally get axis moves that sharpen or uniformize a single
-        variable's marginal while keeping the rest of the row intact.
-        """
-        idx = self.free[rng.integers(0, len(self.free))]
-        block, axes, _ = self.blocks[idx]
-        factor = self.factors[idx]
-        t_axes = sorted(self.rvs.axis(n) for n in factor.targets)
-        t_sizes = [self.rvs.sizes[a] for a in t_axes]
-        k = int(np.prod(t_sizes))
-        new = block.copy()
-        flat = new.reshape(-1, k)
-        move = rng.random()
-        if move < 0.06:
-            fresh, _ = _dirichlet_factor(self.rvs, factor, rng)
-            return idx, fresh
-        row = rng.integers(0, flat.shape[0])
-        if len(t_sizes) > 1 and move < 0.40:
-            row_nd = flat[row].reshape(t_sizes)
-            j = int(rng.integers(0, len(t_sizes)))
-            rest = row_nd.sum(axis=j, keepdims=True)
-            shape_j = [1] * len(t_sizes)
-            shape_j[j] = t_sizes[j]
-            if move < 0.23:
-                sum_axes = tuple(i for i in range(len(t_sizes)) if i != j)
-                marg = row_nd.sum(axis=sum_axes)
-                dist = np.zeros(t_sizes[j])
-                dist[np.argmax(marg)] = 1.0
-            else:
-                dist = np.full(t_sizes[j], 1.0 / t_sizes[j])
-            flat[row] = (rest * dist.reshape(shape_j)).reshape(-1)
-        elif move < 0.55:
-            peak = np.zeros(k)
-            peak[np.argmax(flat[row])] = 1.0
-            flat[row] = peak
-        elif move < 0.70:
-            alpha = float(rng.choice([1.0, 0.4]))
-            flat[row] = (1 - alpha) * flat[row] + alpha / k
-        else:
-            alpha = float(rng.choice([0.5, 0.15, 0.03]))
-            flat[row] = (1 - alpha) * flat[row] + alpha * rng.dirichlet(np.ones(k))
-        return idx, flat.reshape(block.shape)
-
-    def set_block(self, idx: int, block: np.ndarray) -> None:
-        _, axes, mut = self.blocks[idx]
-        self.blocks[idx] = (block, axes, mut)
 
 
 def trace_frontier(

@@ -206,8 +206,20 @@ def test_every_catalog_schema_compiles_bounded(sid):
     compiled = compile_schema(builtin_schema(sid))
     assert compiled.projected
     # the rhs matrices are exact integers over the schema's rows
-    assert compiled.rhs_matrix.shape[0] == len(builtin_schema(sid).constraints)
-    assert compiled.atom_matrix.dtype.kind == compiled.rhs_matrix.dtype.kind == "i"
+    rhs_map = compiled.rhs_map
+    assert rhs_map.expr_matrix.shape[0] == len(builtin_schema(sid).constraints)
+    assert rhs_map.atom_matrix.dtype.kind == rhs_map.expr_matrix.dtype.kind == "i"
+
+
+@pytest.mark.parametrize("mode", SAMPLING_MODES)
+@pytest.mark.parametrize("sid", SCHEMA_IDS)
+def test_instantiated_rhs_equal_compiled_rhs_bit_for_bit(sid, mode):
+    schema = builtin_schema(sid)
+    sizes = (2, 4, 2, 2) if sid == "MARIC" else (2, 2, 2, 2)
+    for seed in range(10):
+        d = sample_instance(schema, random_channel(seed, sizes), seed, mode=mode)
+        system = to_linear_system(instantiate(schema, d))
+        assert [r.rhs for r in system.rows] == compile_schema(schema).rhs(d).tolist(), seed
 
 
 def test_compiled_unbounded_when_decoding_rows_removed():

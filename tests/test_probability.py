@@ -33,6 +33,9 @@ from cifc.probability import (
     sample_factored,
     verify_factorization,
 )
+from cifc.regions import SCHEMA_IDS, builtin_schema
+from cifc.verify import sample_instance
+from helpers import reference_entropy, reference_mutual_information
 
 
 def h2(eps: float) -> float:
@@ -280,11 +283,42 @@ def test_entropy_vector_matches_mutual_information(seed):
     d = sample_factored(rvs, chain(("A B",), ("C D", "A")), seed)
     subsets = [("A", "C"), ("B", "C"), ("A", "B", "C"), ("C",), ("A", "B", "C", "D")]
     h = entropy_vector(d, subsets)
-    assert h[3] == pytest.approx(entropy(d, "C"), abs=1e-12)
-    assert h[4] == pytest.approx(entropy(d, "A B C D"), abs=1e-12)
+    assert h[3] == pytest.approx(reference_entropy(d, "C"), abs=1e-12)
+    assert h[4] == pytest.approx(reference_entropy(d, "ABCD"), abs=1e-12)
     # I(A;B|C) = H(AC) + H(BC) - H(ABC) - H(C)
     assert h[0] + h[1] - h[2] - h[3] == pytest.approx(
-        mutual_information(d, mi("A", "B", "C")), abs=1e-12)
+        reference_mutual_information(d, "A", "B", "C"), abs=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(SCHEMA_IDS), st.integers(min_value=0, max_value=10**6))
+def test_measures_match_log_ratio_reference_with_zero_cells(sid, seed):
+    schema = builtin_schema(sid)
+    sizes = (2, 4, 2, 2) if sid == "MARIC" else (2, 2, 2, 2)
+    d = sample_instance(schema, random_channel(seed, sizes), seed, mode="det")
+    assert (d.prob == 0.0).any()
+    for c in schema.constraints:
+        expected = c.rhs.constant
+        for s, t in c.rhs.terms:
+            ref = reference_mutual_information(d, t.left, t.right, t.given)
+            assert mutual_information(d, t) == pytest.approx(ref, abs=1e-12), (c.label, str(t))
+            expected += s * ref
+            names = t.left + t.right
+            # a conditioning name that is also an entropy argument is dropped
+            assert entropy(d, names, t.given + t.left) == pytest.approx(
+                reference_entropy(d, names, t.given), abs=1e-12)
+        assert evaluate_expr(d, c.rhs) == pytest.approx(expected, abs=1e-12), c.label
+        assert evaluate_expr(d, c.rhs + 0.5) == pytest.approx(expected + 0.5, abs=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_roundoff_never_makes_mi_negative(seed):
+    # A, B independent and B independent of C: each entropy combination
+    # below is zero up to roundoff, which can fall on either side of 0
+    rvs = RandomVariableSet(("A", "B", "C"), (2, 3, 2))
+    d = sample_factored(rvs, chain(("A",), ("B",), ("C", "A")), seed)
+    for term in (mi("A", "B"), mi("A", "B", "C"), mi("B", "C")):
+        assert 0.0 <= mutual_information(d, term) <= 1e-12
 
 
 def test_entropy_vector_exact_on_deterministic_support():
