@@ -14,7 +14,7 @@ from cifc.channel import canonical_channel, random_channel
 from cifc.polytope import membership_oracle, project_or_empty, to_linear_system
 from cifc.probability import JointDistribution, RandomVariableSet, extend_through_channel
 from cifc.regions import builtin_schema, instantiate
-from cifc.verify import sample_instance
+from cifc.sampling import sample_instance
 
 rtd = builtin_schema("RTD")
 print(f"unified region: {len(rtd.constraints)} constraints over "

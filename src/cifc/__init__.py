@@ -27,7 +27,6 @@ from .probability import (  # noqa: F401
     marginalize,
     mi,
     mutual_information,
-    sample_factored,
 )
 from .regions import (  # noqa: F401
     RegionSchema,
@@ -36,6 +35,7 @@ from .regions import (  # noqa: F401
     instantiate,
     schema_manifest,
 )
+from .sampling import sample_factored  # noqa: F401
 from .verify import (  # noqa: F401
     check_cc_reduction,
     check_devroye_identities,

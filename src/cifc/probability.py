@@ -1,12 +1,13 @@
 """Joint distributions over named finite random variables.
 
-Dense probability tensors with named axes, factorized Dirichlet sampling,
-channel extension, and conditional mutual information in bits (log base 2
-throughout).  There is one information kernel: `entropy_vector` is the
-only function that takes a logarithm (with 0*log 0 := 0), and every
-measure is a fixed integer combination of its joint entropies, compiled
-once per tuple of expressions by `compile_exprs`.  Roundoff negatives of
-an MI atom are clamped to zero in one place, `CompiledExprs.__call__`.
+Dense probability tensors with named axes, factorization chains, channel
+extension, and conditional mutual information in bits (log base 2
+throughout).  Drawing a joint from a chain lives in `cifc.sampling`.
+There is one information kernel: `entropy_vector` is the only function
+that takes a logarithm (with 0*log 0 := 0), and every measure is a fixed
+integer combination of its joint entropies, compiled once per tuple of
+expressions by `compile_exprs`.  Roundoff negatives of an MI atom are
+clamped to zero in one place, `CompiledExprs.__call__`.
 
 All operations are pure functions of immutable inputs; callers may
 evaluate many distributions in parallel without synchronization.
@@ -28,7 +29,6 @@ from .errors import (
     FactorizationViolation,
     InvalidParameter,
     NegativeProbability,
-    SpecCoverageError,
     UnknownVariable,
 )
 
@@ -157,62 +157,23 @@ def chain(*factors: tuple) -> FactorizationSpec:
 
 
 # ---------------------------------------------------------------------------
-# Sampling and construction
+# Construction
 # ---------------------------------------------------------------------------
 
 
-def _multiply_block(
-    joint: np.ndarray, rvs: RandomVariableSet, block: np.ndarray, axes: tuple[int, ...]
-) -> np.ndarray:
-    """Multiply a factor living on `axes` (ascending order) into the full tensor."""
-    shape = [1] * len(rvs.names)
-    for ax, s in zip(axes, block.shape):
-        shape[ax] = s
-    return joint * block.reshape(shape)
+# einsum subscripts of a joint's axes; "w" and "z" label the appended ones
+_AXIS_LETTERS = "abcdefghijklmnopqrstuv"
 
 
-def _dirichlet_factor(
-    rvs: RandomVariableSet, factor: Factor, rng: np.random.Generator
-) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Draw p(targets | given) rows from Dirichlet(1), one per conditioning cell.
-
-    Returns the factor tensor over sorted(given+target axes) plus those axes.
-    """
-    g_axes = sorted(rvs.axis(n) for n in factor.given)
-    t_axes = sorted(rvs.axis(n) for n in factor.targets)
-    all_axes = tuple(sorted(g_axes + t_axes))
-    g_sizes = [rvs.sizes[a] for a in g_axes]
-    t_sizes = [rvs.sizes[a] for a in t_axes]
-    k = int(np.prod(t_sizes)) if t_sizes else 1
-    block = np.zeros([rvs.sizes[a] for a in all_axes])
-    for cell in np.ndindex(*g_sizes):
-        row = rng.dirichlet(np.ones(k)).reshape(t_sizes)
-        idx = []
-        gpos = {a: c for a, c in zip(g_axes, cell)}
-        for a in all_axes:
-            idx.append(gpos[a] if a in gpos else slice(None))
-        block[tuple(idx)] = row
-    return block, all_axes
-
-
-def sample_factored(rvs: RandomVariableSet, spec: FactorizationSpec, seed: int) -> JointDistribution:
-    """Sample a joint whose conditionals follow `spec`, deterministically in seed.
-
-    Every conditional row is an independent symmetric Dirichlet(1) draw.
-    """
-    if set(spec.targets) != set(rvs.names):
-        missing = set(rvs.names) - set(spec.targets)
-        extra = set(spec.targets) - set(rvs.names)
-        raise SpecCoverageError(
-            f"factorization does not cover variable set (missing {sorted(missing)}, "
-            f"extra {sorted(extra)})"
+def _axis_letters(d: JointDistribution) -> str:
+    """One einsum letter per variable of d, or InvalidParameter if too many."""
+    n = len(d.names)
+    if n > len(_AXIS_LETTERS):
+        raise InvalidParameter(
+            f"{n} variables exceed the limit of {len(_AXIS_LETTERS)} for channel "
+            "extension and pairing"
         )
-    rng = np.random.default_rng(seed)
-    joint = np.ones(rvs.shape())
-    for f in spec.factors:
-        block, axes = _dirichlet_factor(rvs, f, rng)
-        joint = _multiply_block(joint, rvs, block, axes)
-    return JointDistribution(rvs, joint)
+    return _AXIS_LETTERS[:n]
 
 
 def extend_through_channel(
@@ -235,8 +196,7 @@ def extend_through_channel(
             f"input sizes ({d.rvs.size(x1)},{d.rvs.size(x2)}) do not match channel "
             f"({c.x1.size},{c.x2.size})"
         )
-    n = len(d.names)
-    letters = "abcdefghijklmnopqrstuv"[:n]
+    letters = _axis_letters(d)
     ly1, ly2 = "w", "z"
     i1, i2 = d.rvs.axis(x1), d.rvs.axis(x2)
     sub = f"{letters},{ly1}{ly2}{letters[i1]}{letters[i2]}->{letters}{ly1}{ly2}"
@@ -259,7 +219,7 @@ def marginalize(d: JointDistribution, keep: Names) -> JointDistribution:
     return JointDistribution(rvs, prob)
 
 
-def _pairing_onehot(sizes: Sequence[int]) -> np.ndarray:
+def pairing_onehot(sizes: Sequence[int]) -> np.ndarray:
     """Indicator tensor over (parts..., paired): 1 exactly where the paired
     value is the row-major mixed-radix index of the part values."""
     n = int(np.prod(sizes))
@@ -277,9 +237,8 @@ def add_paired_variable(d: JointDistribution, name: str, parts: Names) -> JointD
         raise InvalidParameter(f"variable {name!r} already present")
     axes = d.axes_of(parts_t)
     sizes = [d.rvs.sizes[a] for a in axes]
-    onehot = _pairing_onehot(sizes)
-    n = len(d.names)
-    letters = "abcdefghijklmnopqrstuv"[:n]
+    onehot = pairing_onehot(sizes)
+    letters = _axis_letters(d)
     part_letters = "".join(letters[a] for a in axes)
     sub = f"{letters},{part_letters}z->{letters}z"
     prob = np.einsum(sub, d.prob, onehot)

@@ -1,18 +1,19 @@
 """Executable verification of the region relationships.
 
-Each check samples concrete small-alphabet distributions, evaluates both
-sides of an algebraic identity (or projects two regions), and reports the
-worst deviation together with the seed that produced it, so every verdict
-is reproducible.  Strictly positive claims are tested as >= -tol with the
-observed gaps logged; degenerate distributions legitimately achieve zero.
+Each check samples concrete small-alphabet distributions (through
+`cifc.sampling`), evaluates both sides of an algebraic identity (or
+projects two regions), and reports the worst deviation together with the
+seed that produced it, so every verdict is reproducible.  Strictly
+positive claims are tested as >= -tol with the observed gaps logged;
+degenerate distributions legitimately achieve zero.  The frontier search
+climbs on the sampler's factor blocks.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -22,9 +23,7 @@ from .probability import (
     JointDistribution,
     MIExpr,
     MITerm,
-    _dirichlet_factor,
-    _multiply_block,
-    _pairing_onehot,
+    RandomVariableSet,
     evaluate_expr,
     extend_through_channel,
     mi,
@@ -44,232 +43,18 @@ from .polytope import (
     compile_schema,
 )
 from .regions import (
+    DROPPABLE,
+    SCHEMA_IDS,
     InstantiatedRegion,
-    RegionSchema,
     builtin_schema,
     instantiate,
     maric_merged,
     same_system,
 )
+from .sampling import SAMPLING_MODES, _FactorState, _mode_for, sample_instance
 
 MI_TOL = 1e-9
 REGION_TOL = 1e-7
-
-SAMPLING_MODES = ("free", "det", "flat_det")
-
-# In structured mode the channel inputs become uniformly random
-# deterministic maps of their conditioning cells; for the unified region
-# the primary input may only look at the variables its encoder sees.
-STRUCT_INPUT_DEPS: dict[str, dict[str, tuple[str, ...]]] = {
-    "RTD": {"X2": ("U2c",)},
-}
-
-
-# ---------------------------------------------------------------------------
-# Structured instance sampling
-# ---------------------------------------------------------------------------
-
-
-def _pairing_block(rvs, target: str, parts: Sequence[str]) -> tuple[np.ndarray, tuple[int, ...]]:
-    """The indicator block of target = (parts...), over ascending axes."""
-    part_axes = [rvs.axis(p) for p in parts]
-    t_axis = rvs.axis(target)
-    axes = tuple(sorted((*part_axes, t_axis)))
-    onehot = _pairing_onehot([rvs.sizes[a] for a in part_axes])
-    return _reorder_block(onehot, part_axes, [t_axis], axes), axes
-
-
-def _factor_block(
-    rvs,
-    factor,
-    rng: np.random.Generator,
-    mode: str,
-    det_map: Mapping[str, tuple[str, ...]],
-    struct_deps: Mapping[str, tuple[str, ...]],
-    is_first: bool,
-):
-    """One conditional block under the requested sampling mode.
-
-    Factor targets that are declared deterministic (paired copies) are
-    always indicators.  In "det"/"flat_det" modes the channel-input factor
-    becomes a random deterministic map; "flat_det" additionally flattens
-    every other factor into independent per-variable marginals.
-    """
-    targets = factor.targets
-    if len(targets) == 1 and targets[0] in det_map:
-        return _pairing_block(rvs, targets[0], det_map[targets[0]])
-
-    g_axes = sorted(rvs.axis(n) for n in factor.given)
-    t_axes = sorted(rvs.axis(n) for n in targets)
-    all_axes = tuple(sorted(g_axes + t_axes))
-    g_sizes = [rvs.sizes[a] for a in g_axes]
-    t_sizes = [rvs.sizes[a] for a in t_axes]
-    n_cells = int(np.prod(g_sizes)) if g_sizes else 1
-    k = int(np.prod(t_sizes))
-    is_input = any(t in ("X1", "X2") for t in targets)
-
-    if mode in ("det", "flat_det") and is_input:
-        names_sorted = [rvs.names[a] for a in t_axes]
-        maps = []
-        for name in names_sorted:
-            deps = struct_deps.get(name)
-            size_t = rvs.size(name)
-            if deps is None:
-                maps.append((None, rng.integers(0, size_t, size=n_cells)))
-            else:
-                dep_axes = [g_axes.index(rvs.axis(d)) for d in deps]
-                dep_sizes = [rvs.sizes[rvs.axis(d)] for d in deps]
-                table = rng.integers(0, size_t, size=int(np.prod(dep_sizes)))
-                maps.append(((dep_axes, dep_sizes), table))
-        rows = np.zeros((n_cells, *t_sizes))
-        for flat, cell in enumerate(np.ndindex(*g_sizes)):
-            out = []
-            for spec, table in maps:
-                if spec is None:
-                    out.append(int(table[flat]))
-                else:
-                    dep_axes, dep_sizes = spec
-                    code = 0
-                    for a, s in zip(dep_axes, dep_sizes):
-                        code = code * s + cell[a]
-                    out.append(int(table[code]))
-            rows[(flat, *out)] = 1.0
-        block = rows.reshape(g_sizes + t_sizes)
-        return _reorder_block(block, g_axes, t_axes, all_axes), all_axes
-
-    if mode == "flat_det" and not is_first:
-        marginals = [rng.dirichlet(np.ones(rvs.sizes[a])) for a in t_axes]
-        flat = marginals[0]
-        for m in marginals[1:]:
-            flat = np.multiply.outer(flat, m)
-        block = np.broadcast_to(flat, g_sizes + t_sizes).copy()
-        return _reorder_block(block, g_axes, t_axes, all_axes), all_axes
-
-    if mode == "flat_det" and is_first and len(t_axes) > 1:
-        marginals = [rng.dirichlet(np.ones(rvs.sizes[a])) for a in t_axes]
-        flat = marginals[0]
-        for m in marginals[1:]:
-            flat = np.multiply.outer(flat, m)
-        return flat, tuple(t_axes)
-
-    return _dirichlet_factor(rvs, factor, rng)
-
-
-def _reorder_block(block, g_axes, t_axes, all_axes):
-    """Reorder a (given..., target...) block into ascending axis order."""
-    current = list(g_axes) + list(t_axes)
-    perm = [current.index(a) for a in all_axes]
-    return np.transpose(block, perm)
-
-
-class _FactorState:
-    """One schema's factor blocks, drawn under a sampling mode.
-
-    The single sampler: sample_instance takes its joint once, and the
-    frontier search mutates the blocks while hill climbing.
-    """
-
-    def __init__(
-        self,
-        schema: RegionSchema,
-        size: int,
-        rng: np.random.Generator,
-        mode: str = "free",
-    ):
-        self.schema = schema
-        self.rvs = schema.rv_set(size)
-        self.det = dict(schema.deterministic)
-        struct_deps = STRUCT_INPUT_DEPS.get(schema.id, {})
-        self.blocks: list[tuple[np.ndarray, tuple[int, ...], bool]] = []
-        first = True
-        for f in schema.factorization.factors:
-            mutable = not (len(f.targets) == 1 and f.targets[0] in self.det)
-            block, axes = _factor_block(self.rvs, f, rng, mode, self.det, struct_deps, first)
-            self.blocks.append((np.ascontiguousarray(block, dtype=float), axes, mutable))
-            first = False
-        self.free = [i for i, (_, _, mut) in enumerate(self.blocks) if mut]
-        self.factors = list(schema.factorization.factors)
-
-    def joint(self) -> JointDistribution:
-        joint = np.ones(self.rvs.shape())
-        for block, axes, _ in self.blocks:
-            joint = _multiply_block(joint, self.rvs, block, axes)
-        return JointDistribution(self.rvs, joint)
-
-    def propose(self, rng: np.random.Generator):
-        """Return (index, new_block) for one derivative-free move.
-
-        Row moves: sharpen to the mode, flatten toward uniform, mix with a
-        fresh Dirichlet draw, or resample the block.  Multi-variable blocks
-        additionally get axis moves that sharpen or uniformize a single
-        variable's marginal while keeping the rest of the row intact.
-        """
-        idx = self.free[rng.integers(0, len(self.free))]
-        block, axes, _ = self.blocks[idx]
-        factor = self.factors[idx]
-        t_axes = sorted(self.rvs.axis(n) for n in factor.targets)
-        t_sizes = [self.rvs.sizes[a] for a in t_axes]
-        k = int(np.prod(t_sizes))
-        new = block.copy()
-        flat = new.reshape(-1, k)
-        move = rng.random()
-        if move < 0.06:
-            fresh, _ = _dirichlet_factor(self.rvs, factor, rng)
-            return idx, fresh
-        row = rng.integers(0, flat.shape[0])
-        if len(t_sizes) > 1 and move < 0.40:
-            row_nd = flat[row].reshape(t_sizes)
-            j = int(rng.integers(0, len(t_sizes)))
-            rest = row_nd.sum(axis=j, keepdims=True)
-            shape_j = [1] * len(t_sizes)
-            shape_j[j] = t_sizes[j]
-            if move < 0.23:
-                sum_axes = tuple(i for i in range(len(t_sizes)) if i != j)
-                marg = row_nd.sum(axis=sum_axes)
-                dist = np.zeros(t_sizes[j])
-                dist[np.argmax(marg)] = 1.0
-            else:
-                dist = np.full(t_sizes[j], 1.0 / t_sizes[j])
-            flat[row] = (rest * dist.reshape(shape_j)).reshape(-1)
-        elif move < 0.55:
-            peak = np.zeros(k)
-            peak[np.argmax(flat[row])] = 1.0
-            flat[row] = peak
-        elif move < 0.70:
-            alpha = float(rng.choice([1.0, 0.4]))
-            flat[row] = (1 - alpha) * flat[row] + alpha / k
-        else:
-            alpha = float(rng.choice([0.5, 0.15, 0.03]))
-            flat[row] = (1 - alpha) * flat[row] + alpha * rng.dirichlet(np.ones(k))
-        return idx, flat.reshape(block.shape)
-
-    def set_block(self, idx: int, block: np.ndarray) -> None:
-        _, axes, mut = self.blocks[idx]
-        self.blocks[idx] = (block, axes, mut)
-
-
-def sample_instance(
-    schema: RegionSchema,
-    channel: Channel,
-    seed: int,
-    size: int = 2,
-    mode: str = "free",
-) -> JointDistribution:
-    """Sample a channel-extended joint satisfying the schema factorization.
-
-    Modes: "free" draws every conditional from Dirichlet(1); "det" makes
-    the channel inputs deterministic codeword maps; "flat_det" additionally
-    decouples the auxiliaries (independent marginals).  All modes are
-    special cases of the schema's factorization.
-    """
-    if mode not in SAMPLING_MODES:
-        raise InvalidParameter(f"unknown sampling mode {mode!r}")
-    state = _FactorState(schema, size, np.random.default_rng(seed), mode)
-    return extend_through_channel(state.joint(), channel)
-
-
-def _mode_for(seed: int) -> str:
-    return SAMPLING_MODES[seed % len(SAMPLING_MODES)]
 
 
 # ---------------------------------------------------------------------------
@@ -662,8 +447,6 @@ class CorrespondenceTable:
         new_names = tuple(m.get(n, n) for n in d.names)
         if len(set(new_names)) != len(new_names):
             raise InvalidParameter(f"renaming collides: {new_names}")
-        from .probability import RandomVariableSet
-
         return JointDistribution(RandomVariableSet(new_names, d.rvs.sizes), d.prob)
 
 
@@ -830,8 +613,6 @@ def check_fme_oracle(
     size: int = 2,
 ) -> SuiteReport:
     """Elimination vs exhaustive-enumeration oracle on a membership grid."""
-    from .regions import SCHEMA_IDS
-
     report = SuiteReport("fme_oracle")
     for sid in schema_ids or SCHEMA_IDS:
         schema = builtin_schema(sid)
@@ -864,8 +645,6 @@ def check_droppable(instances: int = 50, seed: int = 0, tol: float = 1e-9) -> Su
     chain, where pinning its rates to zero conflicts with the positive
     binning bound and the projection is empty either way.
     """
-    from .regions import DROPPABLE
-
     rtd = builtin_schema("RTD")
     report = SuiteReport("droppable")
     for label, zeroed in DROPPABLE:
@@ -940,12 +719,16 @@ def trace_frontier(
     search finds no feasible distribution is listed in `missing`.
     Deterministic in `seed`.
     """
-    schema = builtin_schema(schema_id)
-    compiled = compile_schema(schema)
+    if budget < 1:
+        raise InvalidParameter(f"budget must be at least 1 evaluation, got {budget}")
     if isinstance(lambdas, int):
-        lam_grid = np.linspace(0.0, 1.0, lambdas)
+        lam_grid = np.linspace(0.0, 1.0, max(lambdas, 0))
     else:
         lam_grid = np.asarray(list(lambdas), dtype=float)
+    if not lam_grid.size:
+        raise InvalidParameter(f"the lambda grid is empty ({lambdas!r})")
+    schema = builtin_schema(schema_id)
+    compiled = compile_schema(schema)
     points: list[tuple[float, float, float, int]] = []
     missing: list[float] = []
     for k, lam in enumerate(lam_grid):
@@ -960,7 +743,7 @@ def trace_frontier(
         n_starts = max(1, min(6, budget // 40))
         starts = []
         for j in range(n_starts):
-            st = _FactorState(schema, size, rng, mode=SAMPLING_MODES[j % len(SAMPLING_MODES)])
+            st = _FactorState.of_schema(schema, size, rng, SAMPLING_MODES[j % len(SAMPLING_MODES)])
             starts.append((objective(st.joint()), st))
         evals = len(starts)
         feasible = [(val, st) for val, st in starts if val is not None]
@@ -973,8 +756,8 @@ def trace_frontier(
         while evals < budget:
             if stall > 300 and budget - evals > 400:
                 # stuck basin: restart from a fresh random state
-                state = _FactorState(
-                    schema, size, rng, mode=SAMPLING_MODES[evals % len(SAMPLING_MODES)]
+                state = _FactorState.of_schema(
+                    schema, size, rng, SAMPLING_MODES[evals % len(SAMPLING_MODES)]
                 )
                 cand = objective(state.joint())
                 evals += 1
@@ -984,7 +767,7 @@ def trace_frontier(
                 climb_best = cand
                 continue
             idx, block = state.propose(rng)
-            old = state.blocks[idx][0]
+            old = state.blocks[idx]
             state.set_block(idx, block)
             cand = objective(state.joint())
             evals += 1
@@ -1036,6 +819,8 @@ def run_suite(
     tol_region: float = REGION_TOL,
 ) -> list[SuiteReport]:
     """Run one named verification suite (or all of them)."""
+    if samples < 1:
+        raise InvalidParameter(f"samples must be at least 1, got {samples}")
     containment_samples = min(samples, 100)
     if name == "devroye":
         return [check_devroye_identities(samples, seed, tol_mi)]

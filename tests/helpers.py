@@ -1,5 +1,8 @@
-"""Shared fixtures: canonical distributions used across test modules, and
-log-ratio references for the information measures."""
+"""Shared fixtures: canonical distributions used across test modules,
+log-ratio references for the information measures, and a cell-by-cell
+reference for the factorized sampler."""
+
+import itertools
 
 import numpy as np
 
@@ -62,3 +65,76 @@ def reference_entropy(d: JointDistribution, names, given=()) -> float:
     p, order = _marginal(d, (*names, *given))
     ax_a = tuple(i for i, n in enumerate(order) if n in names)
     return _xlogratio(p, [p.sum(axis=ax_a, keepdims=True)], [p])
+
+
+def reference_factored_joint(rvs, factors, rng, mode="free", det=(), struct_deps=()):
+    """A factor chain's joint drawn cell by cell, one generator call per row.
+
+    The per-cell loop that the vectorized sampler replaces: Dirichlet(1)
+    rows in row-major order of the sorted conditioning cells, per-variable
+    marginals in "flat_det", one integer per cell (or one table per
+    STRUCT_INPUT_DEPS entry) for the channel inputs in "det"/"flat_det",
+    and indicators for paired copies.  Each joint cell is the left-to-right
+    product of its factor values, starting from 1.
+    """
+    det, struct_deps = dict(det), dict(struct_deps)
+    tables = []  # (given names, target names, {(given cell, target cell): p})
+    for f in factors:
+        targets = sorted(f.targets, key=rvs.axis)
+        if len(targets) == 1 and targets[0] in det:
+            given = list(det[targets[0]])
+        else:
+            given = sorted(f.given, key=rvs.axis)
+        g_cells = list(itertools.product(*(range(rvs.size(n)) for n in given)))
+        t_cells = list(itertools.product(*(range(rvs.size(n)) for n in targets)))
+        table = {}
+        if len(targets) == 1 and targets[0] in det:
+            for g in g_cells:
+                code = 0
+                for n, v in zip(given, g):
+                    code = code * rvs.size(n) + v
+                for t in t_cells:
+                    table[g, t] = float(t[0] == code)
+        elif mode != "free" and any(n in ("X1", "X2") for n in targets):
+            maps = []
+            for n in targets:
+                deps = struct_deps.get(n)
+                if deps is None:
+                    maps.append((None, rng.integers(0, rvs.size(n), size=len(g_cells))))
+                else:
+                    size = int(np.prod([rvs.size(d) for d in deps]))
+                    maps.append((deps, rng.integers(0, rvs.size(n), size=size)))
+            for i, g in enumerate(g_cells):
+                value = []
+                for deps, draws in maps:
+                    code = i
+                    if deps is not None:
+                        code = 0
+                        for d in deps:
+                            code = code * rvs.size(d) + g[given.index(d)]
+                    value.append(int(draws[code]))
+                for t in t_cells:
+                    table[g, t] = float(list(t) == value)
+        elif mode == "flat_det":
+            marginals = [rng.dirichlet(np.ones(rvs.size(n))) for n in targets]
+            for g in g_cells:
+                for t in t_cells:
+                    p = float(marginals[0][t[0]])
+                    for m, v in zip(marginals[1:], t[1:]):
+                        p = p * float(m[v])
+                    table[g, t] = p
+        else:
+            for g in g_cells:
+                row = rng.dirichlet(np.ones(len(t_cells)))
+                for j, t in enumerate(t_cells):
+                    table[g, t] = float(row[j])
+        tables.append((given, targets, table))
+    joint = np.empty(rvs.sizes)
+    for cell in itertools.product(*(range(s) for s in rvs.sizes)):
+        value = 1.0
+        for given, targets, table in tables:
+            g = tuple(cell[rvs.axis(n)] for n in given)
+            t = tuple(cell[rvs.axis(n)] for n in targets)
+            value = value * table[g, t]
+        joint[cell] = value
+    return joint

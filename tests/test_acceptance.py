@@ -11,8 +11,9 @@ import pytest
 
 from cifc.channel import canonical_channel, random_channel
 from cifc.polytope import fme_project, to_linear_system
-from cifc.probability import extend_through_channel, sample_factored
+from cifc.probability import extend_through_channel
 from cifc.regions import SCHEMA_IDS, builtin_schema, instantiate, schema_manifest
+from cifc.sampling import sample_factored
 from cifc.verify import (
     check_cc_reduction,
     check_devroye_identities,

@@ -124,6 +124,45 @@ def test_frontier_unbounded_schema_exits_2(tmp_path, orth_channel, monkeypatch, 
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("flags", [
+    ["--grid", "-1"],
+    ["--grid", "0"],
+    ["--samples", "-3"],
+    ["--samples", "0"],
+])
+def test_frontier_rejects_nonsensical_counts(tmp_path, orth_channel, capsys, flags):
+    out = tmp_path / "front.csv"
+    rc = main(["frontier", "--schema", "RTD", "--channel", str(orth_channel),
+               "--samples", "10", "--grid", "2", *flags, "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("samples", ["-2", "0"])
+def test_verify_rejects_nonpositive_samples(tmp_path, capsys, samples):
+    out = tmp_path / "report.json"
+    rc = main(["verify", "--suite", "devroye", "--samples", samples, "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: samples must be at least 1")
+    assert not out.exists()
+
+
+def test_project_with_too_many_variables_exits_2(tmp_path, orth_channel, capsys):
+    # 21 singleton auxiliaries plus the two binary inputs: 23 variables
+    names = [f"A{i}" for i in range(21)] + ["X1", "X2"]
+    dist = tmp_path / "wide.json"
+    dist.write_text(json.dumps({
+        "names": names, "sizes": [1] * 21 + [2, 2], "p": [0.25] * 4,
+    }))
+    rc = main(["project", "--schema", "RTD", "--channel", str(orth_channel),
+               "--dist", str(dist), "--out", str(tmp_path / "poly.json")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: 23 variables exceed the limit of 22")
+
+
 def test_cli_imports_no_scipy():
     import os
     import subprocess

@@ -30,11 +30,10 @@ from cifc.probability import (
     mutual_information,
     rename_expr,
     rename_term,
-    sample_factored,
     verify_factorization,
 )
 from cifc.regions import SCHEMA_IDS, builtin_schema
-from cifc.verify import sample_instance
+from cifc.sampling import sample_factored, sample_instance
 from helpers import reference_entropy, reference_mutual_information
 
 
@@ -364,6 +363,18 @@ def test_add_paired_variable_is_deterministic_function():
     assert dp.rvs.size("P") == 6
     assert entropy(dp, "P", "A B") == pytest.approx(0.0, abs=1e-12)
     assert dp.prob.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def test_too_many_variables_for_the_einsum_letters_is_invalid():
+    # 22 variables fit the einsum letters; a 23rd is refused before indexing
+    names = tuple(f"A{i}" for i in range(21)) + ("X1",)
+    d22 = JointDistribution(RandomVariableSet(names, (1,) * 22), np.ones((1,) * 22))
+    assert add_paired_variable(d22, "P", ("A0", "X1")).rvs.size("P") == 1
+    d23 = add_paired_variable(d22, "X2", ("A0",))
+    with pytest.raises(InvalidParameter, match="23 variables exceed the limit of 22"):
+        add_paired_variable(d23, "P", ("A0",))
+    with pytest.raises(InvalidParameter, match="23 variables exceed the limit of 22"):
+        extend_through_channel(d23, random_channel(0, sizes=(1, 1, 2, 2)))
 
 
 def test_joint_json_roundtrip():

@@ -7,7 +7,6 @@ from cifc.probability import (
     extend_through_channel,
     mi,
     mutual_information,
-    sample_factored,
 )
 from cifc.regions import (
     SCHEMA_IDS,
@@ -20,6 +19,7 @@ from cifc.regions import (
     same_system,
     schema_manifest,
 )
+from cifc.sampling import sample_factored
 
 EXPECTED_SHAPES = {
     # schema id -> (constraints, rate variables)

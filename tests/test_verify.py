@@ -9,12 +9,14 @@ from cifc.errors import InvalidParameter
 from cifc.probability import (
     JointDistribution,
     RandomVariableSet,
+    chain,
     extend_through_channel,
     evaluate_expr,
     mutual_information,
     mi,
 )
 from cifc.regions import builtin_schema, instantiate
+from cifc.sampling import sample_factored
 from cifc.verify import (
     CorrespondenceTable,
     check_cc_reduction,
@@ -65,20 +67,67 @@ def test_sample_instance_deterministic():
     assert np.array_equal(a.prob, b.prob)
 
 
-@pytest.mark.parametrize("sid, seed, mode, digest", [
-    ("RTD", 0, "free", "f8a8546abfe30dfc5e51d30b4b027507adf5d236e6274e712a7ea132164cc774"),
-    ("RTD", 1, "det", "0ced1065e46d880e047d2c6b741210f4d5231e308676e5d0a194d98b32731529"),
-    ("CCP", 2, "flat_det", "c4d5fd5eddb2cf2f5aa78da63d1fb9ce9173450bf59f69620f94b6c9d046e71f"),
-    ("MARIC", 3, "det", "49b9dffbdd8c5f65f839492e3da152ea3845f3c7b2fc8d8758a50eea66cd12e0"),
-    ("JIANG", 4, "free", "78a295a087a17ca92b097cd340d599d72fc1ccd63e92f1f47a501b8943a8d37e"),
-    ("RTD_CC", 5, "flat_det", "f983136cef4fb96ba2b347eaf7e989143ed902c1a9dd64c7fae8b4370e5e7e0b"),
-])
-def test_sample_instance_draws_are_pinned(sid, seed, mode, digest):
+PINNED_DRAWS = [
+    ("RTD", 0, "free", 2, "f8a8546abfe30dfc5e51d30b4b027507adf5d236e6274e712a7ea132164cc774"),
+    ("RTD", 1, "det", 2, "0ced1065e46d880e047d2c6b741210f4d5231e308676e5d0a194d98b32731529"),
+    ("CCP", 2, "flat_det", 2, "c4d5fd5eddb2cf2f5aa78da63d1fb9ce9173450bf59f69620f94b6c9d046e71f"),
+    ("MARIC", 3, "det", 2, "49b9dffbdd8c5f65f839492e3da152ea3845f3c7b2fc8d8758a50eea66cd12e0"),
+    ("JIANG", 4, "free", 2, "78a295a087a17ca92b097cd340d599d72fc1ccd63e92f1f47a501b8943a8d37e"),
+    ("RTD_CC", 5, "flat_det", 2, "f983136cef4fb96ba2b347eaf7e989143ed902c1a9dd64c7fae8b4370e5e7e0b"),
+    # a first factor with several targets, flattened into marginals
+    ("RTD", 6, "flat_det", 2, "9bb2a1d7036b7955696e33f4d40f3b61c5cc07978b439fb0001f883f46559eb9"),
+    # a first factor with a single target
+    ("CC", 7, "flat_det", 2, "1c3711909370cc98450162b12d1f9accf09a72462fda50928786f292ef3192e8"),
+    # the X2 <- U2c table of STRUCT_INPUT_DEPS indexed beyond binary
+    ("RTD", 8, "det", 3, "9c1967d2753bbdf04be947c985879463bf182d1239213dea3b39793100fa547c"),
+]
+
+
+# the ids leave out the size, so the rows drawn before it was a column keep their names
+@pytest.mark.parametrize(
+    "sid, seed, mode, size, digest", PINNED_DRAWS,
+    ids=[f"{sid}-{seed}-{mode}-{digest}" for sid, seed, mode, _, digest in PINNED_DRAWS],
+)
+def test_sample_instance_draws_are_pinned(sid, seed, mode, size, digest):
     # Reported counts (e.g. the nonempty instances of the acceptance
     # criteria) stay comparable only while each seed draws the same joint.
-    sizes = (2, 4, 2, 2) if sid == "MARIC" else (2, 2, 2, 2)
-    d = sample_instance(builtin_schema(sid), random_channel(seed, sizes), seed, mode=mode)
+    schema = builtin_schema(sid)
+    rvs = schema.rv_set(size)
+    sizes = (rvs.size("X1"), rvs.size("X2"), 2, 2)
+    d = sample_instance(schema, random_channel(seed, sizes), seed, size=size, mode=mode)
     assert hashlib.sha256(d.prob.tobytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("sid, size, seed, digest", [
+    ("RTD", 2, 0, "9852f2d477b987cc35fb5f14d764a3e0a8cb7926c6a49e68345f5f77cd785836"),
+    ("CC", 3, 1, "2072a1c7a1be9d242b75838b1fbcd22df894fc2e655cf4465717430452125cf9"),
+    ("MARIC", 2, 2, "00318b0dffc6323cfd8ef9df09d22d8bea6622b30808002c2771bd77f1968eb2"),
+    ("JIANG", 3, 3, "e27439e9c8fe7d5e6d4ba893006f3b8eba44e2d348f5c12178bb60c030e7ceb2"),
+])
+def test_sample_factored_draws_are_pinned(sid, size, seed, digest):
+    schema = builtin_schema(sid)
+    d = sample_factored(schema.rv_set(size), schema.factorization, seed)
+    assert hashlib.sha256(d.prob.tobytes()).hexdigest() == digest
+
+
+def test_sample_factored_draw_with_unsorted_chain_is_pinned():
+    # targets and conditions out of axis order, with unequal cardinalities
+    rvs = RandomVariableSet(("A", "B", "C"), (2, 3, 4))
+    d = sample_factored(rvs, chain(("B",), ("C A", "B")), 5)
+    assert hashlib.sha256(d.prob.tobytes()).hexdigest() == (
+        "8c4b30078bccb3238cb53d83cb664be4cffde307a27c13cf14abbcc98741a230"
+    )
+
+
+def test_frontier_search_draws_are_pinned():
+    # the climb's moves, restarts and the paired X2 block all draw through
+    # the sampler; the CSV below was written before it was consolidated
+    result = trace_frontier("RTD_CC", BSC, budget=800, seed=3, lambdas=2)
+    assert result.to_csv() == (
+        "lambda,R1,R2,seed\n"
+        "0,0.00355225768378,0.531004406411,3000009\n"
+        "1,0.713603042884,0,3000010\n"
+    )
 
 
 # -- identity suites (small runs; full sizes live in the acceptance tests) ----
@@ -121,8 +170,6 @@ def test_cc_small_run_clean():
 
 def test_cc_degenerate_satellite_gap_vanishes():
     """U11 of cardinality one: the merge gap I(V22,V20;U11|U10) is zero."""
-    from cifc.probability import sample_factored
-
     cc = builtin_schema("CC")
     rvs = cc.rv_set(2, overrides={"U11": 1})
     d = sample_factored(rvs, cc.factorization, 7)
@@ -148,7 +195,6 @@ def test_maric_small_run_clean():
 def test_maric_degenerate_part_gives_zero_difference():
     """X2a of cardinality one: merged and original bounds coincide."""
     from cifc.regions import maric_merged
-    from cifc.probability import chain, sample_factored
 
     mar = builtin_schema("MARIC")
     merged = maric_merged()
