@@ -11,7 +11,7 @@ against the independent enumeration oracle.
 import numpy as np
 
 from cifc.channel import canonical_channel, random_channel
-from cifc.polytope import membership_oracle, project_or_empty, to_linear_system
+from cifc.polytope import membership_oracle, project_or_empty
 from cifc.probability import JointDistribution, RandomVariableSet, extend_through_channel
 from cifc.regions import builtin_schema, instantiate
 from cifc.sampling import sample_instance
@@ -33,8 +33,7 @@ for a in range(2):
         prob[0, 0, a, 0, a, c] = 0.25  # U1pb = X1 uniform, X2 uniform independent
 dist = extend_through_channel(JointDistribution(RandomVariableSet(names, sizes), prob), channel)
 
-inst = instantiate(rtd, dist)
-poly = project_or_empty(to_linear_system(inst))
+poly = project_or_empty(instantiate(rtd, dist))
 print("vertices:", [(round(x, 6), round(y, 6)) for x, y in poly.vertices])
 print("half-planes (a1, a2, b):")
 for h in poly.halfplanes:
@@ -45,7 +44,7 @@ print("\n== sampled instances on a random channel ==")
 channel = random_channel(7)
 for seed in range(4):
     d = sample_instance(rtd, channel, seed, mode=("free", "det", "flat_det")[seed % 3])
-    system = to_linear_system(instantiate(rtd, d))
+    system = instantiate(rtd, d)
     poly = project_or_empty(system)
     if poly.is_empty:
         print(f"seed {seed}: empty region (binning bounds exceed decoding capacity)")

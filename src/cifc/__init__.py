@@ -14,7 +14,6 @@ from .polytope import (  # noqa: F401
     membership_oracle,
     polytope_contains,
     polytope_equal,
-    to_linear_system,
 )
 from .probability import (  # noqa: F401
     FactorizationSpec,

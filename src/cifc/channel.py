@@ -8,6 +8,7 @@ are immutable after construction and safe to share across threads.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -78,7 +79,7 @@ def validate_channel(c: Channel) -> None:
             f"p[y1={iy1},y2={iy2}|x1={ix1},x2={ix2}] = {t[iy1, iy2, ix1, ix2]:.6g} < 0"
         )
     sums = t.sum(axis=(0, 1))
-    bad = np.argwhere(np.abs(sums - 1.0) > ROW_SUM_TOL)
+    bad = np.argwhere(~(np.abs(sums - 1.0) <= ROW_SUM_TOL))  # NaN and inf fail too
     if bad.size:
         ix1, ix2 = bad[0]
         residual = float(1.0 - sums[ix1, ix2])
@@ -155,26 +156,29 @@ def channel_to_json(c: Channel) -> dict:
     }
 
 
+def json_float_array(flat, shape: tuple[int, ...]) -> np.ndarray:
+    """JSON field 'p' as a float array of `shape`; InvalidParameter otherwise."""
+    expected = math.prod(shape)  # exact, where np.prod wraps around in int64
+    if not isinstance(flat, list) or len(flat) != expected:
+        got = f"length {len(flat)}" if isinstance(flat, list) else f"type {type(flat).__name__}"
+        raise InvalidParameter(
+            f"field 'p' has {got}, expected {expected} numbers for shape {shape}"
+        )
+    try:
+        return np.asarray(flat, dtype=float).reshape(shape)
+    except (TypeError, ValueError) as exc:
+        raise InvalidParameter(f"field 'p': {exc}") from exc
+
+
 def channel_from_json(obj: dict) -> Channel:
     try:
         sizes = {k: int(obj[k]) for k in ("x1", "x2", "y1", "y2")}
         flat = obj["p"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidParameter(f"malformed channel object: {exc}") from exc
-    shape = (sizes["y1"], sizes["y2"], sizes["x1"], sizes["x2"])
-    expected = int(np.prod(shape))
-    if len(flat) != expected:
-        raise InvalidParameter(
-            f"field 'p' has length {len(flat)}, expected {expected} for shape {shape}"
-        )
-    t = np.asarray(flat, dtype=float).reshape(shape)
-    return Channel(
-        Alphabet("X1", sizes["x1"]),
-        Alphabet("X2", sizes["x2"]),
-        Alphabet("Y1", sizes["y1"]),
-        Alphabet("Y2", sizes["y2"]),
-        t,
-    )
+    x1, x2, y1, y2 = (Alphabet(k.upper(), sizes[k]) for k in ("x1", "x2", "y1", "y2"))
+    t = json_float_array(flat, (y1.size, y2.size, x1.size, x2.size))
+    return Channel(x1, x2, y1, y2, t)
 
 
 def save_channel(c: Channel, path: str | Path) -> None:

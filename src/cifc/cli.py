@@ -15,8 +15,8 @@ import sys
 from pathlib import Path
 
 from .channel import load_channel, validate_channel
-from .errors import CifcError, Infeasible
-from .polytope import fme_project, polytope_to_json, to_linear_system, vertices_csv, EMPTY
+from .errors import CifcError
+from .polytope import polytope_to_json, project_or_empty, vertices_csv
 from .probability import extend_through_channel, load_joint
 from .regions import SCHEMA_IDS, builtin_schema, catalog_manifest, instantiate, schema_manifest
 from .verify import reports_to_json, run_suite, trace_frontier
@@ -45,11 +45,8 @@ def _cmd_project(args) -> int:
     schema = builtin_schema(args.schema)
     d = load_joint(args.dist)
     d = extend_through_channel(d, ch)
-    inst = instantiate(schema, d, tol=args.tol_mi)
-    try:
-        poly = fme_project(to_linear_system(inst))
-    except Infeasible:
-        poly = EMPTY
+    poly = project_or_empty(instantiate(schema, d, tol=args.tol_mi))
+    if poly.is_empty:
         print(f"note: {args.schema} region is empty at this distribution")
     out = args.out or "polytope.json"
     _dump_json(polytope_to_json(poly), out)

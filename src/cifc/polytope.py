@@ -1,5 +1,7 @@
 """Projection of rate constraint systems onto the (R1, R2) plane.
 
+Every system arrives in LE normal form: a `regions.LinearSystem` from
+`instantiate`, or a schema's `regions.le_structure` for `compile_schema`.
 Coefficients are held exactly (integers, reduced by gcd) throughout the
 elimination, and every right-hand side stays symbolic: a nonnegative
 integer multiplier vector over the system's rows.  Each coefficient
@@ -20,14 +22,17 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import Infeasible, Unbounded
+from .errors import Infeasible, InvalidParameter, Unbounded
 from .probability import CompiledExprs, JointDistribution, compile_exprs
-from .regions import GE, LE, InstantiatedRegion, RegionSchema
+from .regions import LinearSystem, RegionSchema, le_structure
 
 FEAS_TOL = 1e-9  # slack when testing a candidate point against a row
 TIGHT_TOL = 1e-8  # a half-plane must touch a vertex this closely to be kept
 VERTEX_MERGE_TOL = 1e-9
 TIE_TOL = 1e-13  # relative: support values this close count as one optimal face
+# Row subsets the enumeration oracle may solve; about 3x the catalog's
+# largest, RTD's C(19, 8) = 75,582, and checked before anything is allocated.
+MAX_ORACLE_SUBSETS = 250_000
 
 
 @dataclass(frozen=True)
@@ -68,48 +73,6 @@ class Polytope2D:
 
 
 EMPTY = Polytope2D((), ())
-
-
-@dataclass(frozen=True)
-class Row:
-    """Integer-coefficient inequality coeffs . x <= rhs."""
-
-    coeffs: tuple[int, ...]
-    rhs: float
-
-
-@dataclass(frozen=True)
-class LinearSystem:
-    """LE-normal numeric system with designated projection directions."""
-
-    variables: tuple[str, ...]
-    rows: tuple[Row, ...]
-    r1: tuple[int, ...]
-    r2: tuple[int, ...]
-
-
-def to_linear_system(inst: InstantiatedRegion) -> LinearSystem:
-    """Convert an instantiated region (GE/LE rows) to LE normal form."""
-    names = inst.rate_vars
-    index = {n: i for i, n in enumerate(names)}
-    rows = []
-    for r in inst.rows:
-        vec = [0] * len(names)
-        for n, c in r.coeffs:
-            vec[index[n]] = c
-        if r.sense == LE:
-            rows.append(Row(tuple(vec), float(r.rhs)))
-        elif r.sense == GE:
-            rows.append(Row(tuple(-v for v in vec), -float(r.rhs)))
-        else:  # pragma: no cover
-            raise ValueError(r.sense)
-    proj = {name: dict(coeffs) for name, coeffs in inst.projection}
-
-    def vec_of(which: str) -> tuple[int, ...]:
-        d = proj.get(which, {})
-        return tuple(d.get(n, 0) for n in names)
-
-    return LinearSystem(names, tuple(rows), vec_of("R1"), vec_of("R2"))
 
 
 # ---------------------------------------------------------------------------
@@ -420,27 +383,17 @@ def _compile_structure(
 def compile_schema(schema: RegionSchema) -> CompiledSchema:
     """Project a schema onto (R1, R2) once, keeping every rhs symbolic.
 
-    The schema's LE-normal rows go through the same elimination as
-    fme_project, so nothing is pruned by the value of a right-hand side and
-    the result holds at every distribution.  Raises Unbounded when the
+    The schema's LE-normal rows (regions.le_structure) go through the same
+    elimination as fme_project, so nothing is pruned by the value of a
+    right-hand side and the result holds at every distribution.  Raises Unbounded when the
     projection has a nonzero recession direction (a missing decoding
     constraint).
     """
-    names = schema.rate_names()
-    index = {name: i for i, name in enumerate(names)}
-    rows = []
-    for c in schema.constraints:
-        sign = 1 if c.sense == LE else -1
-        vec = [0] * len(names)
-        for name, coeff in c.coeffs:
-            vec[index[name]] = sign * coeff
-        rows.append(tuple(vec))
-    r1, r2 = (tuple(schema.projection_coeffs(w).get(n, 0) for n in names) for w in ("R1", "R2"))
-    compiled = _compile_structure(tuple(rows), r1, r2)
+    rows, r1, r2, sign = le_structure(schema)
+    compiled = _compile_structure(rows, r1, r2)
     if not compiled.bounded:
         raise Unbounded(f"{schema.id}: the projected region is unbounded; "
                         "a decoding constraint is missing")
-    sign = np.array([1.0 if c.sense == LE else -1.0 for c in schema.constraints])
     rhs_map = compile_exprs(tuple(c.rhs for c in schema.constraints))
     return CompiledSchema(compiled.projected, compiled.feasibility, rhs_map, sign)
 
@@ -458,9 +411,15 @@ def _oracle_hull(system: LinearSystem) -> tuple[tuple[float, float], ...]:
     nonnegativity facets), solves the square systems in a vectorized batch,
     and keeps the solutions satisfying the whole system.  The projection of
     the polytope equals the convex hull of the projected solutions because
-    the systems handled here are bounded.
+    the systems handled here are bounded.  Raises InvalidParameter when
+    the subset count exceeds MAX_ORACLE_SUBSETS.
     """
     n = len(system.variables)
+    m = len(system.rows) + n
+    subsets = math.comb(m, n)
+    if subsets > MAX_ORACLE_SUBSETS:
+        raise InvalidParameter(f"the oracle would solve C({m}, {n}) = {subsets} "
+                               f"row subsets, above the cap of {MAX_ORACLE_SUBSETS}")
     mats = [list(r.coeffs) for r in system.rows]
     rhs = [r.rhs for r in system.rows]
     for i in range(n):
@@ -470,7 +429,6 @@ def _oracle_hull(system: LinearSystem) -> tuple[tuple[float, float], ...]:
         rhs.append(0.0)
     a = np.asarray(mats, dtype=float)
     b = np.asarray(rhs, dtype=float)
-    m = len(mats)
     combos = np.asarray(list(itertools.combinations(range(m), n)), dtype=int)
     points: list[tuple[float, float]] = []
     chunk = 200_000

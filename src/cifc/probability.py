@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .channel import Channel
+from .channel import Channel, json_float_array
 from .errors import (
     AlphabetMismatch,
     FactorizationViolation,
@@ -92,7 +92,7 @@ class JointDistribution:
         if arr.size and arr.min() < -MASS_TOL:
             raise NegativeProbability(f"joint has entry {arr.min():.6g} < 0")
         total = float(arr.sum())
-        if abs(total - 1.0) > MASS_TOL:
+        if not abs(total - 1.0) <= MASS_TOL:  # NaN and inf fail too
             raise InvalidParameter(f"joint mass {total!r} differs from 1 beyond {MASS_TOL}")
         arr = np.clip(arr, 0.0, None)
         arr.setflags(write=False)
@@ -519,13 +519,10 @@ def joint_from_json(obj: dict) -> JointDistribution:
         names = tuple(obj["names"])
         sizes = tuple(int(s) for s in obj["sizes"])
         flat = obj["p"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidParameter(f"malformed distribution object: {exc}") from exc
-    expected = int(np.prod(sizes)) if sizes else 1
-    if len(flat) != expected:
-        raise InvalidParameter(f"field 'p' has length {len(flat)}, expected {expected}")
     rvs = RandomVariableSet(names, sizes)
-    return JointDistribution(rvs, np.asarray(flat, dtype=float).reshape(sizes))
+    return JointDistribution(rvs, json_float_array(flat, sizes))
 
 
 def load_joint(path: str | Path) -> JointDistribution:

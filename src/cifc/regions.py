@@ -20,14 +20,23 @@ transcribed inequality back to its source:
 
 Degenerate auxiliaries are modeled as cardinality-1 variables, never
 removed, so one variable set serves every schema of a family.
+
+A schema's coefficient structure is fixed; only its right-hand sides
+depend on the distribution.  `le_structure` writes the structure in LE
+normal form once (a GE row enters negated), and `instantiate` returns the
+schema at one distribution as a `LinearSystem` of labeled LE rows, the
+form that projection, the enumeration oracle and `compile_schema` read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Mapping
 
-from .errors import NotApplicable, UnknownSchema
+import numpy as np
+
+from .errors import FactorizationViolation, NotApplicable, UnknownSchema, UnknownVariable
 from .probability import (
     FactorizationSpec,
     JointDistribution,
@@ -184,69 +193,76 @@ class RegionSchema:
 
 
 # ---------------------------------------------------------------------------
-# Instantiation at a concrete joint distribution
+# Numeric rate systems: a schema instantiated at a joint distribution
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class NumericConstraint:
-    coeffs: tuple[tuple[str, int], ...]
-    sense: str
-    rhs: float
-    label: str
+class Row:
+    """Integer-coefficient inequality coeffs . x <= rhs, named by its source label."""
 
-    def coeff(self, name: str) -> int:
-        return dict(self.coeffs).get(name, 0)
+    coeffs: tuple[int, ...]
+    rhs: float
+    label: str = ""
 
 
 @dataclass(frozen=True)
-class InstantiatedRegion:
-    """A schema evaluated at one distribution: numeric linear system."""
+class LinearSystem:
+    """LE-normal numeric rate system {x >= 0 : rows} with the projection
+    directions R1 = r1 . x and R2 = r2 . x."""
 
-    schema_id: str
-    rate_vars: tuple[str, ...]
-    rows: tuple[NumericConstraint, ...]
-    projection: tuple[tuple[str, tuple[tuple[str, int], ...]], ...]
+    variables: tuple[str, ...]
+    rows: tuple[Row, ...]
+    r1: tuple[int, ...]
+    r2: tuple[int, ...]
 
     def rhs(self, label: str) -> float:
         for r in self.rows:
             if r.label == label:
                 return r.rhs
-        raise KeyError(f"{self.schema_id}: no constraint {label!r}")
+        raise KeyError(f"no constraint {label!r}")
 
-    def drop(self, *labels: str) -> "InstantiatedRegion":
-        keep = tuple(r for r in self.rows if r.label not in labels)
-        return InstantiatedRegion(self.schema_id, self.rate_vars, keep, self.projection)
+    def drop(self, *labels: str) -> "LinearSystem":
+        return replace(self, rows=tuple(r for r in self.rows if r.label not in labels))
 
-    def pin(self, values: Mapping[str, float]) -> "InstantiatedRegion":
+    def pin(self, values: Mapping[str, float]) -> "LinearSystem":
         """Fix some rate variables to constants and eliminate them."""
-        new_vars = tuple(v for v in self.rate_vars if v not in values)
-        rows = []
-        for r in self.rows:
-            shift = sum(c * values[n] for n, c in r.coeffs if n in values)
-            coeffs = tuple((n, c) for n, c in r.coeffs if n not in values)
-            rows.append(NumericConstraint(coeffs, r.sense, r.rhs - shift, r.label))
-        proj = []
-        for name, coeffs in self.projection:
-            proj.append((name, tuple((n, c) for n, c in coeffs if n not in values)))
-        return InstantiatedRegion(self.schema_id, new_vars, tuple(rows), tuple(proj))
+        keep = [i for i, n in enumerate(self.variables) if n not in values]
+        fixed = [(i, values[n]) for i, n in enumerate(self.variables) if n in values]
+        rows = tuple(Row(tuple(r.coeffs[i] for i in keep),
+                         r.rhs - sum(r.coeffs[i] * v for i, v in fixed), r.label)
+                     for r in self.rows)
+        return LinearSystem(tuple(self.variables[i] for i in keep), rows,
+                            tuple(self.r1[i] for i in keep), tuple(self.r2[i] for i in keep))
 
-    def without_vacuous(self, tol: float = 1e-9) -> "InstantiatedRegion":
+    def without_vacuous(self, tol: float = 1e-9) -> "LinearSystem":
         """Drop rows implied by rate nonnegativity alone.
 
-        A GE row with nonnegative coefficients and rhs <= tol, or any row
-        left with no variables and a satisfied bound, carries no content.
-        A variable-free row with a violated bound is kept, so the region
-        still projects empty.
+        A row with no positive coefficient and rhs >= -tol carries no
+        content.  One with a violated bound is kept, so a variable-free
+        row with rhs < -tol still makes the region project empty.
         """
-        rows = []
-        for r in self.rows:
-            if r.sense == GE and r.rhs <= tol and all(c >= 0 for _, c in r.coeffs):
-                continue
-            if r.sense == LE and r.rhs >= -tol and not r.coeffs:
-                continue
-            rows.append(r)
-        return InstantiatedRegion(self.schema_id, self.rate_vars, tuple(rows), self.projection)
+        return replace(self, rows=tuple(
+            r for r in self.rows if any(c > 0 for c in r.coeffs) or not r.rhs >= -tol
+        ))
+
+
+@lru_cache(maxsize=64)
+def le_structure(schema: RegionSchema):
+    """The schema's fixed LE-normal structure: (rows, r1, r2, sign).
+
+    `rows` are the integer coefficient rows over schema.rate_names(), r1
+    and r2 the projection vectors, and sign (+1 for LE, -1 for GE) turns
+    each constraint's MI value into its LE-normal rhs.  This is the one
+    place a constraint's sense becomes a sign.
+    """
+    names = schema.rate_names()
+    signs = tuple(1 if c.sense == LE else -1 for c in schema.constraints)
+    rows = tuple(tuple(s * c.coeff(n) for n in names) for s, c in zip(signs, schema.constraints))
+    r1, r2 = (tuple(schema.projection_coeffs(w).get(n, 0) for n in names) for w in ("R1", "R2"))
+    sign = np.array(signs, dtype=float)
+    sign.setflags(write=False)
+    return rows, r1, r2, sign
 
 
 def instantiate(
@@ -254,15 +270,14 @@ def instantiate(
     d: JointDistribution,
     tol: float = 1e-9,
     check: bool = True,
-) -> InstantiatedRegion:
-    """Evaluate every constraint rhs at `d` (already channel-extended).
+) -> LinearSystem:
+    """The schema's LE-normal rate system at `d` (already channel-extended).
 
-    With check=True the distribution must satisfy the schema's
-    factorization (conditional independencies) and determinism
-    requirements at tolerance `tol`.
+    Each rhs is sign * value of its constraint's MI expression, through the
+    same compiled map as compile_schema.  With check=True the distribution
+    must satisfy the schema's factorization (conditional independencies)
+    and determinism requirements at tolerance `tol`.
     """
-    from .errors import FactorizationViolation, UnknownVariable
-
     needed = set(schema.variables) | set(schema.outputs)
     missing = needed - set(d.names)
     if missing:
@@ -275,26 +290,32 @@ def instantiate(
                 raise FactorizationViolation(
                     f"{schema.id}: H({name}|{','.join(parts)}) = {h:.3e} > {tol:g}"
                 )
-    values = compile_exprs(tuple(c.rhs for c in schema.constraints))(d)
-    rows = tuple(
-        NumericConstraint(c.coeffs, c.sense, v, c.label)
-        for c, v in zip(schema.constraints, values.tolist())
+    rows, r1, r2, sign = le_structure(schema)
+    b = sign * compile_exprs(tuple(c.rhs for c in schema.constraints))(d)
+    return LinearSystem(
+        schema.rate_names(),
+        tuple(Row(c, v, lab) for c, v, lab in zip(rows, b.tolist(), schema.labels())),
+        r1,
+        r2,
     )
-    return InstantiatedRegion(schema.id, schema.rate_names(), rows, schema.projection)
 
 
-def same_system(a: InstantiatedRegion, b: InstantiatedRegion, tol: float = 1e-9) -> bool:
-    """Structural equality: same multiset of (coeffs, sense, rhs) rows."""
-    if set(a.rate_vars) != set(b.rate_vars):
+def same_system(a: LinearSystem, b: LinearSystem, tol: float = 1e-9) -> bool:
+    """Structural equality: the same multiset of LE-normal rows, each
+    matched on its named coefficients, with rhs equal within tol."""
+    if set(a.variables) != set(b.variables):
         return False
-    ka = sorted((r.coeffs, r.sense, r.rhs) for r in a.rows)
-    kb = sorted((r.coeffs, r.sense, r.rhs) for r in b.rows)
-    if len(ka) != len(kb):
-        return False
-    for (ca, sa, ra), (cb, sb, rb) in zip(ka, kb):
-        if ca != cb or sa != sb or abs(ra - rb) > tol:
-            return False
-    return True
+
+    def keys(s: LinearSystem):
+        return sorted(
+            (tuple(sorted((n, c) for n, c in zip(s.variables, r.coeffs) if c)), r.rhs)
+            for r in s.rows
+        )
+
+    ka, kb = keys(a), keys(b)
+    return len(ka) == len(kb) and all(
+        ca == cb and abs(ra - rb) <= tol for (ca, ra), (cb, rb) in zip(ka, kb)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -30,14 +30,12 @@ from .probability import (
     mutual_information,
 )
 from .polytope import (
-    LinearSystem,
     Polytope2D,
     containment_margin,
     membership_oracle,
     oracle_polygon,
     polytope_equal,
     project_or_empty,
-    to_linear_system,
     halfplane_violation,
     _distance_to_hull,
     compile_schema,
@@ -45,7 +43,7 @@ from .polytope import (
 from .regions import (
     DROPPABLE,
     SCHEMA_IDS,
-    InstantiatedRegion,
+    LinearSystem,
     builtin_schema,
     instantiate,
     maric_merged,
@@ -299,8 +297,8 @@ def check_cc_reduction(
             structural.record(s, 0.0, tol=tol)
         else:
             structural.record(s, math.inf, f"seed {s}: systems differ", tol=tol)
-        pa = project_or_empty(to_linear_system(ia))
-        pb = project_or_empty(to_linear_system(ib))
+        pa = project_or_empty(ia)
+        pb = project_or_empty(ib)
         if polytope_equal(pa, pb, tol):
             projected.record(s, 0.0, tol=tol)
         else:
@@ -358,8 +356,8 @@ def check_jiang_containment(
         d = sample_instance(jg, random_channel(s), s, size=size, mode=_mode_for(i))
         ij = instantiate(jg, d)
         iu = instantiate(uj, d)
-        pj = project_or_empty(to_linear_system(ij))
-        pu = project_or_empty(to_linear_system(iu))
+        pj = project_or_empty(ij)
+        pu = project_or_empty(iu)
         if pj.is_empty:
             contain.record(s, 0.0, tol=tol_region)
             continue
@@ -376,7 +374,7 @@ def check_jiang_containment(
 
 
 def _active_labels(
-    inst: InstantiatedRegion, poly: Polytope2D, labels: Iterable[str]
+    inst: LinearSystem, poly: Polytope2D, labels: Iterable[str]
 ) -> list[str]:
     """Labels among `labels` whose constraint shapes the projected region.
 
@@ -386,7 +384,7 @@ def _active_labels(
     out = []
     base = poly
     for label in labels:
-        reduced = project_or_empty(to_linear_system(inst.drop(label)))
+        reduced = project_or_empty(inst.drop(label))
         if not polytope_equal(base, reduced, 1e-9):
             out.append(label)
     return out
@@ -528,8 +526,9 @@ def sampled_region_containment(
         ch = channel or random_channel(s)
         d_inner = sample_instance(inner, ch, s, size=size, mode=_mode_for(i))
         d_outer = table.rename_distribution(d_inner)
-        pi = project_or_empty(to_linear_system(instantiate(inner, d_inner)))
-        po = project_or_empty(to_linear_system(instantiate(outer, d_outer)))
+        pi = project_or_empty(instantiate(inner, d_inner))
+        out_sys = instantiate(outer, d_outer)
+        po = project_or_empty(out_sys)
         if pi.is_empty:
             check.record(s, 0.0, tol=tol)
             continue
@@ -537,7 +536,6 @@ def sampled_region_containment(
         margin = containment_margin(po, pi)
         worst_margin = max(worst_margin, margin)
         if margin > tol:
-            out_sys = to_linear_system(instantiate(outer, d_outer))
             bad = [
                 v
                 for v in pi.vertices
@@ -623,7 +621,7 @@ def check_fme_oracle(
             sizes = (2, 4, 2, 2) if sid == "MARIC" else (2, 2, 2, 2)
             ch = random_channel(s, sizes=sizes)
             d = sample_instance(schema, ch, s, size=size, mode=_mode_for(i))
-            system = to_linear_system(instantiate(schema, d))
+            system = instantiate(schema, d)
             poly = project_or_empty(system)
             nonempty += not poly.is_empty
             bad, worst = grid_agreement(system, poly, grid=grid, boundary_tol=boundary_tol)
@@ -656,8 +654,8 @@ def check_droppable(instances: int = 50, seed: int = 0, tol: float = 1e-9) -> Su
             ch = random_channel(s)
             d = sample_instance(rtd, ch, s, mode=mode)
             inst = instantiate(rtd, d).pin({v: 0.0 for v in zeroed})
-            pa = project_or_empty(to_linear_system(inst))
-            pb = project_or_empty(to_linear_system(inst.drop(label)))
+            pa = project_or_empty(inst)
+            pb = project_or_empty(inst.drop(label))
             empties += pa.is_empty
             if polytope_equal(pa, pb, tol):
                 check.record(s, 0.0, tol=tol)

@@ -1,14 +1,20 @@
 """Shared fixtures: canonical distributions used across test modules,
-log-ratio references for the information measures, and a cell-by-cell
-reference for the factorized sampler."""
+log-ratio references for the information measures, a cell-by-cell
+reference for the factorized sampler, and a sense-by-sense reference for
+the LE normal form of an instantiated schema."""
 
 import itertools
 
 import numpy as np
 
 from cifc.channel import canonical_channel, random_channel
-from cifc.probability import JointDistribution, RandomVariableSet, extend_through_channel
-from cifc.regions import builtin_schema
+from cifc.probability import (
+    JointDistribution,
+    RandomVariableSet,
+    compile_exprs,
+    extend_through_channel,
+)
+from cifc.regions import GE, LE, LinearSystem, Row, builtin_schema
 
 
 def square_assignment() -> JointDistribution:
@@ -138,3 +144,38 @@ def reference_factored_joint(rvs, factors, rng, mode="free", det=(), struct_deps
             value = value * table[g, t]
         joint[cell] = value
     return joint
+
+
+def reference_le_system(schema, d, pin=None, vacuous=False, drop=()) -> LinearSystem:
+    """A schema's LE-normal system at d, transcribed from the conversion
+    that ran before `instantiate` returned LE rows itself.
+
+    Each constraint keeps its sense and schema-oriented rhs while it is
+    pinned (shift summed over its name-sorted coefficients), pruned (a GE
+    row with nonnegative coefficients and rhs <= tol, or a variable-free
+    LE row with rhs >= -tol) and dropped; only then are its coefficients
+    laid out over the remaining rate names, a GE row negated.
+    """
+    tol = 1e-9
+    pin = pin or {}
+    values = compile_exprs(tuple(c.rhs for c in schema.constraints))(d).tolist()
+    names = tuple(n for n in schema.rate_names() if n not in pin)
+    rows = []
+    for c, value in zip(schema.constraints, values):
+        coeffs = dict(c.coeffs)
+        shift = sum(k * pin[n] for n, k in coeffs.items() if n in pin)
+        coeffs = {n: k for n, k in coeffs.items() if n not in pin}
+        rhs = value - shift
+        if vacuous and c.sense == GE and rhs <= tol and all(k >= 0 for k in coeffs.values()):
+            continue
+        if vacuous and c.sense == LE and rhs >= -tol and not coeffs:
+            continue
+        if c.label in drop:
+            continue
+        vec = [coeffs.get(n, 0) for n in names]
+        if c.sense == LE:
+            rows.append(Row(tuple(vec), float(rhs), c.label))
+        else:
+            rows.append(Row(tuple(-v for v in vec), -float(rhs), c.label))
+    r1, r2 = (tuple(schema.projection_coeffs(w).get(n, 0) for n in names) for w in ("R1", "R2"))
+    return LinearSystem(names, tuple(rows), r1, r2)

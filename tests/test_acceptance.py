@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 
 from cifc.channel import canonical_channel, random_channel
-from cifc.polytope import fme_project, to_linear_system
+from cifc.polytope import fme_project
 from cifc.probability import extend_through_channel
-from cifc.regions import SCHEMA_IDS, builtin_schema, instantiate, schema_manifest
+from cifc.regions import SCHEMA_IDS, builtin_schema, instantiate, le_structure, schema_manifest
 from cifc.sampling import sample_factored
 from cifc.verify import (
     check_cc_reduction,
@@ -43,11 +43,12 @@ def test_criterion_1_rtd_transcription_audit():
     labels = [c["label"] for c in manifest["constraints"]]
     ok &= labels == ["1a", "1b", "1c", "1d", "1e", "1f", "1g", "1h", "1i", "1j", "1k"]
     worst = 0.0
+    sign = le_structure(rtd)[3]  # LE-normal rhs = sign * MI value
     for seed in range(1000):
         d = sample_factored(rtd.rv_set(2), rtd.factorization, seed)
         d = extend_through_channel(d, random_channel(seed))
         inst = instantiate(rtd, d, check=False)
-        worst = min(worst, min(r.rhs for r in inst.rows))
+        worst = min(worst, float((sign * [r.rhs for r in inst.rows]).min()))
     ok &= worst >= -1e-9
     elapsed = time.monotonic() - t0
     ok &= elapsed < 30.0
@@ -126,13 +127,11 @@ def test_criterion_6_maric_suite():
 def test_criterion_7_anchors_and_frontier():
     t0 = time.monotonic()
     # all-constant auxiliaries collapse to the origin, exactly
-    poly0 = fme_project(to_linear_system(instantiate(builtin_schema("RTD"),
-                                                     degenerate_rtd_distribution())))
+    poly0 = fme_project(instantiate(builtin_schema("RTD"), degenerate_rtd_distribution()))
     ok = poly0.vertices == ((0.0, 0.0),)
 
     # the stated assignment on the clean channel reaches (1,1) within 1e-6
-    poly1 = fme_project(to_linear_system(instantiate(builtin_schema("RTD"),
-                                                     square_assignment())))
+    poly1 = fme_project(instantiate(builtin_schema("RTD"), square_assignment()))
     corner = min(max(abs(x - 1.0), abs(y - 1.0)) for x, y in poly1.vertices)
     ok &= corner <= 1e-6
 

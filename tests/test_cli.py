@@ -163,6 +163,46 @@ def test_project_with_too_many_variables_exits_2(tmp_path, orth_channel, capsys)
     assert err.startswith("error: 23 variables exceed the limit of 22")
 
 
+NAN, INF = float("nan"), float("inf")
+RTD_INPUTS = {"names": ["U1c", "U2c", "U1pb", "U2pb", "X1", "X2"], "sizes": [1, 1, 1, 1, 2, 2]}
+
+
+@pytest.mark.parametrize("body", [
+    {"x1": 2, "x2": 2, "y1": 2, "y2": 2, "p": [NAN] * 16},  # every slice sums to NaN
+    {"x1": 1, "x2": 1, "y1": 1, "y2": 2, "p": [1.0, NAN]},
+    {"x1": 1, "x2": 1, "y1": 1, "y2": 2, "p": [1.0, INF]},
+    {"x1": 2**32, "x2": 2**32, "y1": 1, "y2": 1, "p": []},  # np.prod wraps to 0
+    {"x1": 1, "x2": 1, "y1": 1, "y2": 1, "p": ["x"]},
+    {"x1": 1, "x2": 1, "y1": 1, "y2": 1, "p": 1.0},
+    {"x1": 1, "x2": 1, "y1": 1, "y2": INF, "p": [1.0]},
+], ids=["all_nan", "one_nan", "inf", "overflowing_sizes", "non_numeric", "scalar_p", "inf_size"])
+def test_validate_rejects_bad_channel_with_exit_2(tmp_path, capsys, body):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(body))
+    assert main(["validate", "--channel", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("body", [
+    dict(RTD_INPUTS, p=[NAN, 0.0, 0.0, 1.0]),
+    dict(RTD_INPUTS, p=[INF, 0.0, 0.0, 1.0]),
+    {"names": ["X1", "X2"], "sizes": [2**32, 2**32], "p": []},  # np.prod wraps to 0
+    dict(RTD_INPUTS, p=["x", 0.0, 0.0, 1.0]),
+    dict(RTD_INPUTS, sizes=[1, 1, 1, 1, 2, INF], p=[1.0]),
+], ids=["nan", "inf", "overflowing_sizes", "non_numeric", "inf_size"])
+def test_project_rejects_bad_joint_with_exit_2(tmp_path, orth_channel, capsys, body):
+    dist = tmp_path / "bad.json"
+    dist.write_text(json.dumps(body))
+    out = tmp_path / "poly.json"
+    rc = main(["project", "--schema", "RTD", "--channel", str(orth_channel),
+               "--dist", str(dist), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_cli_imports_no_scipy():
     import os
     import subprocess

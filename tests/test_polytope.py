@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -7,12 +8,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cifc.channel import canonical_channel, random_channel
-from cifc.errors import Infeasible, Unbounded
+from cifc.errors import Infeasible, InvalidParameter, Unbounded
 from cifc.polytope import (
     EMPTY,
-    LinearSystem,
+    MAX_ORACLE_SUBSETS,
     Polytope2D,
-    Row,
     compile_schema,
     containment_margin,
     fme_project,
@@ -24,10 +24,9 @@ from cifc.polytope import (
     polytope_from_json,
     polytope_to_json,
     project_or_empty,
-    to_linear_system,
     vertices_csv,
 )
-from cifc.regions import SCHEMA_IDS, builtin_schema, instantiate
+from cifc.regions import SCHEMA_IDS, LinearSystem, Row, builtin_schema, instantiate
 from cifc.verify import SAMPLING_MODES, sample_instance
 
 
@@ -44,7 +43,7 @@ def orthogonal_square_system():
     from helpers import square_assignment
 
     rtd = builtin_schema("RTD")
-    return to_linear_system(instantiate(rtd, square_assignment()))
+    return instantiate(rtd, square_assignment())
 
 
 def test_segment_projection():
@@ -93,7 +92,7 @@ def test_unbounded_detected_when_decoding_rows_removed():
     # strip every row bounding R2pa: the region is unbounded along it
     crippled = inst.drop("1d", "1e", "1f")
     with pytest.raises(Unbounded):
-        fme_project(to_linear_system(crippled))
+        fme_project(crippled)
 
 
 def test_unbounded_reported_only_for_nonempty_regions():
@@ -122,7 +121,7 @@ def test_projection_keeps_close_vertices_of_a_catalog_region():
     # within 1e-9 lost 1.26e-9 bits of the lambda = 1 maximum here
     schema = builtin_schema("RTD_CC")
     d = sample_instance(schema, random_channel(21), 21, mode="det")
-    system = to_linear_system(instantiate(schema, d))
+    system = instantiate(schema, d)
     got = _support(fme_project(system).vertices, 1.0)
     assert got == pytest.approx(_support(oracle_polygon(system), 1.0), abs=1e-12)
 
@@ -172,7 +171,7 @@ def test_compiled_support_matches_eliminator_and_oracle(sid, mode):
     sizes = (2, 4, 2, 2) if sid == "MARIC" else (2, 2, 2, 2)
     for seed in range(40):
         d = sample_instance(schema, random_channel(seed, sizes), seed, mode=mode)
-        system = to_linear_system(instantiate(schema, d))
+        system = instantiate(schema, d)
         poly = project_or_empty(system)
         b = compiled.rhs(d)
         for lam in (0.0, 0.3, 0.5, 1.0):
@@ -218,13 +217,11 @@ def test_instantiated_rhs_equal_compiled_rhs_bit_for_bit(sid, mode):
     sizes = (2, 4, 2, 2) if sid == "MARIC" else (2, 2, 2, 2)
     for seed in range(10):
         d = sample_instance(schema, random_channel(seed, sizes), seed, mode=mode)
-        system = to_linear_system(instantiate(schema, d))
+        system = instantiate(schema, d)
         assert [r.rhs for r in system.rows] == compile_schema(schema).rhs(d).tolist(), seed
 
 
 def test_compiled_unbounded_when_decoding_rows_removed():
-    import dataclasses
-
     rtd = builtin_schema("RTD")
     crippled = dataclasses.replace(
         rtd, constraints=tuple(c for c in rtd.constraints if c.label not in ("1d", "1e", "1f"))
@@ -240,7 +237,7 @@ def test_oracle_origin_of_zero_system():
     rtd = builtin_schema("RTD")
     from helpers import degenerate_rtd_distribution
 
-    system = to_linear_system(instantiate(rtd, degenerate_rtd_distribution()))
+    system = instantiate(rtd, degenerate_rtd_distribution())
     assert membership_oracle(system, (0.0, 0.0))
     assert not membership_oracle(system, (0.1, 0.0))
 
@@ -264,6 +261,19 @@ def test_oracle_square_grid_agreement():
     assert disagreements == 0
 
 
+def test_oracle_refuses_too_many_subsets():
+    # 40 rates and one row: C(41, 40) = 41 subsets is fine, C(80, 40) is not
+    n = 40
+    small = LinearSystem(tuple(f"x{i}" for i in range(n)), (Row((1,) * n, 1.0),),
+                         (1,) + (0,) * (n - 1), (0, 1) + (0,) * (n - 2))
+    assert math.comb(41, 40) <= MAX_ORACLE_SUBSETS < math.comb(80, 40)
+    big = dataclasses.replace(small, rows=tuple(
+        Row(tuple(int(i == k) for i in range(n)), 1.0) for k in range(n)))
+    with pytest.raises(InvalidParameter, match="C\\(80, 40\\)"):
+        oracle_polygon(big)
+    assert len(oracle_polygon(small)) == 3  # the triangle R1 + R2 <= 1
+
+
 @pytest.mark.parametrize("sid", ["RTD", "JIANG", "CCP"])
 def test_oracle_full_agreement_sampled(sid):
     schema = builtin_schema(sid)
@@ -272,7 +282,7 @@ def test_oracle_full_agreement_sampled(sid):
     for i, seed in enumerate(range(6)):
         ch = random_channel(seed)
         d = sample_instance(schema, ch, seed, mode=["free", "det", "flat_det"][i % 3])
-        system = to_linear_system(instantiate(schema, d))
+        system = instantiate(schema, d)
         poly = project_or_empty(system)
         bad, worst = grid_agreement(system, poly, grid=15, boundary_tol=1e-7)
         assert bad == 0, f"seed {seed}: worst {worst}"
@@ -317,15 +327,12 @@ def test_relaxing_rhs_never_shrinks(seed):
     d = sample_instance(rtd, canonical_channel("bsc_pair", eps1=0.05, eps2=0.1), seed,
                         mode="flat_det")
     inst = instantiate(rtd, d)
-    base = project_or_empty(to_linear_system(inst))
+    base = project_or_empty(inst)
     for k, row in enumerate(inst.rows):
-        from cifc.regions import InstantiatedRegion, NumericConstraint
-
-        delta = 0.1 if row.sense == "LE" else -0.1
+        # an LE-normal row relaxes by raising its rhs, whatever its sense
         rows = list(inst.rows)
-        rows[k] = NumericConstraint(row.coeffs, row.sense, row.rhs + delta, row.label)
-        relaxed = InstantiatedRegion(inst.schema_id, inst.rate_vars, tuple(rows), inst.projection)
-        bigger = project_or_empty(to_linear_system(relaxed))
+        rows[k] = dataclasses.replace(row, rhs=row.rhs + 0.1)
+        bigger = project_or_empty(dataclasses.replace(inst, rows=tuple(rows)))
         if base.is_empty:
             continue
         assert polytope_contains(bigger, base, tol=1e-9), row.label
@@ -336,7 +343,7 @@ def test_projection_downward_closed(seed):
     rtd = builtin_schema("RTD")
     d = sample_instance(rtd, canonical_channel("bsc_pair", eps1=0.05, eps2=0.1), seed,
                         mode="flat_det")
-    poly = project_or_empty(to_linear_system(instantiate(rtd, d)))
+    poly = project_or_empty(instantiate(rtd, d))
     if poly.is_empty:
         return
     rng = np.random.default_rng(seed)

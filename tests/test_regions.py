@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from cifc.channel import random_channel
@@ -11,6 +13,8 @@ from cifc.probability import (
 from cifc.regions import (
     SCHEMA_IDS,
     LinearRateConstraint,
+    LinearSystem,
+    Row,
     builtin_schema,
     catalog_manifest,
     droppable_constraints,
@@ -19,7 +23,7 @@ from cifc.regions import (
     same_system,
     schema_manifest,
 )
-from cifc.sampling import sample_factored
+from cifc.sampling import SAMPLING_MODES, sample_factored, sample_instance
 
 EXPECTED_SHAPES = {
     # schema id -> (constraints, rate variables)
@@ -104,7 +108,7 @@ def test_droppable_other_schema_rejected():
 # -- instantiation -------------------------------------------------------------
 
 
-from helpers import degenerate_rtd_distribution, square_assignment
+from helpers import degenerate_rtd_distribution, reference_le_system, square_assignment
 
 
 def test_instantiate_degenerate_all_rhs_zero():
@@ -119,11 +123,8 @@ def test_instantiate_orthogonal_assignment_admits_one_one():
     # R1pb = R2pa = 1, everything else 0 satisfies all rows
     rates = {"R1pb": 1.0, "R2pa": 1.0}
     for row in inst.rows:
-        lhs = sum(c * rates.get(n, 0.0) for n, c in row.coeffs)
-        if row.sense == "LE":
-            assert lhs <= row.rhs + 1e-9, row.label
-        else:
-            assert lhs >= row.rhs - 1e-9, row.label
+        lhs = sum(c * rates.get(n, 0.0) for n, c in zip(inst.variables, row.coeffs))
+        assert lhs <= row.rhs + 1e-9, row.label
 
 
 def test_instantiate_rhs_matches_direct_mi():
@@ -131,7 +132,8 @@ def test_instantiate_rhs_matches_direct_mi():
     d = sample_factored(rtd.rv_set(2), rtd.factorization, 13)
     d = extend_through_channel(d, random_channel(13))
     inst = instantiate(rtd, d)
-    assert inst.rhs("1a") == pytest.approx(
+    # 1a is a GE row: its LE-normal rhs is the negated MI value
+    assert -inst.rhs("1a") == pytest.approx(
         mutual_information(d, mi("U1c", "X2", "U2c")), abs=1e-15
     )
     assert inst.rhs("1k") == pytest.approx(
@@ -184,9 +186,9 @@ def test_pin_and_drop():
     rtd = builtin_schema("RTD")
     inst = instantiate(rtd, square_assignment())
     pinned = inst.pin({"R2pb": 0.0, "R2pb'": 0.0})
-    assert "R2pb" not in pinned.rate_vars
+    assert "R2pb" not in pinned.variables and "R2pb'" not in pinned.variables
     for row in pinned.rows:
-        assert all(n not in ("R2pb", "R2pb'") for n, _ in row.coeffs)
+        assert len(row.coeffs) == len(pinned.variables) == len(inst.variables) - 2
     dropped = pinned.drop("1g")
     assert len(dropped.rows) == len(pinned.rows) - 1
     with pytest.raises(KeyError):
@@ -201,23 +203,22 @@ def test_pin_shifts_rhs():
 
 
 def test_without_vacuous_keeps_violated_variable_free_rows():
-    from cifc.polytope import project_or_empty, to_linear_system
-    from cifc.regions import GE, LE, InstantiatedRegion, NumericConstraint
+    from cifc.polytope import project_or_empty
 
     rows = (
-        NumericConstraint((("a", 1),), LE, 1.0, "cap"),
-        NumericConstraint((("a", 1),), GE, 0.0, "floor"),
-        NumericConstraint((), LE, 0.5, "le_ok"),
-        NumericConstraint((), GE, -0.5, "ge_ok"),
-        NumericConstraint((), LE, -0.25, "le_bad"),
-        NumericConstraint((), GE, 0.25, "ge_bad"),
+        Row((1,), 1.0, "cap"),  # a <= 1
+        Row((-1,), -0.0, "floor"),  # a >= 0
+        Row((0,), 0.5, "le_ok"),  # 0 <= 0.5
+        Row((0,), 0.5, "ge_ok"),  # 0 >= -0.5
+        Row((0,), -0.25, "le_bad"),  # 0 <= -0.25
+        Row((0,), -0.25, "ge_bad"),  # 0 >= 0.25
     )
-    inst = InstantiatedRegion("T", ("a",), rows, (("R1", (("a", 1),)), ("R2", ())))
+    inst = LinearSystem(("a",), rows, (1,), (0,))
     kept = inst.without_vacuous()
     assert [r.label for r in kept.rows] == ["cap", "le_bad", "ge_bad"]
-    assert project_or_empty(to_linear_system(kept)).is_empty
-    assert project_or_empty(to_linear_system(kept.drop("ge_bad"))).is_empty
-    assert not project_or_empty(to_linear_system(kept.drop("le_bad", "ge_bad"))).is_empty
+    assert project_or_empty(kept).is_empty
+    assert project_or_empty(kept.drop("ge_bad")).is_empty
+    assert not project_or_empty(kept.drop("le_bad", "ge_bad")).is_empty
 
 
 def test_same_system_detects_rhs_change():
@@ -226,13 +227,31 @@ def test_same_system_detects_rhs_change():
     assert same_system(a, a)
     b = a.pin({})  # copy
     rows = list(b.rows)
-    from cifc.regions import NumericConstraint
-
-    rows[0] = NumericConstraint(rows[0].coeffs, rows[0].sense, rows[0].rhs + 1e-6, rows[0].label)
-    from cifc.regions import InstantiatedRegion
-
-    b2 = InstantiatedRegion(b.schema_id, b.rate_vars, tuple(rows), b.projection)
+    rows[0] = dataclasses.replace(rows[0], rhs=rows[0].rhs + 1e-6)
+    b2 = dataclasses.replace(b, rows=tuple(rows))
     assert not same_system(a, b2)
+
+
+def _bits(system: LinearSystem):
+    """Every field of a system, each rhs by its exact bits (sign of zero too)."""
+    rows = [(r.coeffs, r.rhs.hex(), r.label) for r in system.rows]
+    return system.variables, system.r1, system.r2, rows
+
+
+@pytest.mark.parametrize("mode", SAMPLING_MODES)
+@pytest.mark.parametrize("sid", SCHEMA_IDS)
+def test_instantiate_matches_reference_le_normal_form_bit_for_bit(sid, mode):
+    schema = builtin_schema(sid)
+    sizes = (2, 4, 2, 2) if sid == "MARIC" else (2, 2, 2, 2)
+    zeroed = {n: 0.0 for n in schema.rate_names()[1::2]}
+    for seed in range(10):
+        d = sample_instance(schema, random_channel(seed, sizes), seed, mode=mode)
+        inst = instantiate(schema, d)
+        label = schema.labels()[seed % len(schema.constraints)]
+        assert _bits(inst) == _bits(reference_le_system(schema, d)), seed
+        assert _bits(inst.pin(zeroed).without_vacuous()) == _bits(
+            reference_le_system(schema, d, pin=zeroed, vacuous=True)), seed
+        assert _bits(inst.drop(label)) == _bits(reference_le_system(schema, d, drop=(label,))), seed
 
 
 # -- merged comparator forms ---------------------------------------------------
