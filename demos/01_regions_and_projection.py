@@ -37,7 +37,7 @@ poly = project_or_empty(instantiate(rtd, dist))
 print("vertices:", [(round(x, 6), round(y, 6)) for x, y in poly.vertices])
 print("half-planes (a1, a2, b):")
 for h in poly.halfplanes:
-    print(f"  {float(h.a1):+.3f} R1 {float(h.a2):+.3f} R2 <= {h.b:.6f}")
+    print(f"  {h.a1:+.3f} R1 {h.a2:+.3f} R2 <= {h.b:.6f}")
 
 # --- sampled distributions and the oracle cross-check --------------------------
 print("\n== sampled instances on a random channel ==")

@@ -1,16 +1,15 @@
 """Run the comparator verification suites at desk scale and print verdicts.
 
 Each suite samples distributions under the factorization the comparison
-requires, evaluates both sides of the claimed identities, and projects the
-regions to check containment.  Everything is reproducible from the seeds
-shown in the reports.
+requires, evaluates its table of identity expressions through one compiled
+map per distribution, and projects the regions to check containment.
+Everything is reproducible from the seeds shown in the reports.
 """
 
 from cifc.verify import (
     check_cc_reduction,
-    check_devroye_identities,
     check_jiang_containment,
-    check_maric_wlog,
+    run_suite,
     sampled_region_containment,
 )
 from cifc.channel import random_channel
@@ -25,7 +24,7 @@ def show(report):
 
 
 print("equation-by-equation comparison of the enlarged regions")
-show(check_devroye_identities(samples=60, seed=0))
+show(*run_suite("devroye", samples=60, seed=0))
 
 print("\nmerged-satellite reduction and pinned-region equality")
 show(check_cc_reduction(samples=60, seed=0, proj_instances=30))
@@ -34,7 +33,7 @@ print("\nindependent-common-messages comparator")
 show(check_jiang_containment(samples=60, seed=0, containment_instances=30))
 
 print("\nsplit-primary-input merge")
-show(check_maric_wlog(samples=60, seed=0))
+show(*run_suite("maric", samples=60, seed=0))
 
 print("\nsampled containment: enlarged comparator inside restricted unified region")
 show(sampled_region_containment("RTD_IN", "DMT_OUT", channel=random_channel(7),

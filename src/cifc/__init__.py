@@ -37,9 +37,9 @@ from .regions import (  # noqa: F401
 from .sampling import sample_factored  # noqa: F401
 from .verify import (  # noqa: F401
     check_cc_reduction,
-    check_devroye_identities,
+    check_identities,
     check_jiang_containment,
-    check_maric_wlog,
+    run_suite,
     sampled_region_containment,
     trace_frontier,
 )

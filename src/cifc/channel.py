@@ -156,6 +156,13 @@ def channel_to_json(c: Channel) -> dict:
     }
 
 
+def json_size(value, name: str) -> int:
+    """A JSON alphabet size: an integer, not a boolean; InvalidParameter otherwise."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InvalidParameter(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def json_float_array(flat, shape: tuple[int, ...]) -> np.ndarray:
     """JSON field 'p' as a float array of `shape`; InvalidParameter otherwise."""
     expected = math.prod(shape)  # exact, where np.prod wraps around in int64
@@ -172,9 +179,9 @@ def json_float_array(flat, shape: tuple[int, ...]) -> np.ndarray:
 
 def channel_from_json(obj: dict) -> Channel:
     try:
-        sizes = {k: int(obj[k]) for k in ("x1", "x2", "y1", "y2")}
+        sizes = {k: json_size(obj[k], k) for k in ("x1", "x2", "y1", "y2")}
         flat = obj["p"]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError) as exc:
         raise InvalidParameter(f"malformed channel object: {exc}") from exc
     x1, x2, y1, y2 = (Alphabet(k.upper(), sizes[k]) for k in ("x1", "x2", "y1", "y2"))
     t = json_float_array(flat, (y1.size, y2.size, x1.size, x2.size))

@@ -58,12 +58,3 @@ class Infeasible(CifcError):
 
 class Unbounded(CifcError):
     """The projected region is unbounded (a missing decoding constraint)."""
-
-
-class IdentityViolation(CifcError):
-    """A per-distribution algebraic identity failed; carries the seed."""
-
-    def __init__(self, message: str, seed: int | None = None):
-        super().__init__(message)
-        self.seed = seed
-

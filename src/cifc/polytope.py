@@ -17,7 +17,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -39,12 +38,12 @@ MAX_ORACLE_SUBSETS = 250_000
 class HalfPlane:
     """a1*R1 + a2*R2 <= b with max(|a1|, |a2|) = 1."""
 
-    a1: Fraction
-    a2: Fraction
+    a1: float
+    a2: float
     b: float
 
     def value(self, r1: float, r2: float) -> float:
-        return float(self.a1) * r1 + float(self.a2) * r2 - self.b
+        return self.a1 * r1 + self.a2 * r2 - self.b
 
 
 @dataclass(frozen=True)
@@ -227,8 +226,8 @@ class CompiledProjection:
         for (a1, a2), r in zip(self._normals, rhs.tolist()):
             if min(abs(a1 * u + a2 * v - r) for u, v in hull) <= TIGHT_TOL * scale:
                 mx = max(abs(a1), abs(a2))
-                halfplanes.append(HalfPlane(Fraction(a1, mx), Fraction(a2, mx), r / mx))
-        halfplanes.sort(key=lambda h: math.atan2(float(h.a2), float(h.a1)))
+                halfplanes.append(HalfPlane(a1 / mx, a2 / mx, r / mx))
+        halfplanes.sort(key=lambda h: math.atan2(h.a2, h.a1))
         if not self.bounded:
             raise Unbounded("the projected region is unbounded; a decoding constraint is missing")
         return Polytope2D(tuple(halfplanes), tuple(hull))
@@ -548,14 +547,13 @@ def polytope_equal(a: Polytope2D, b: Polytope2D, tol: float = 1e-9) -> bool:
 def polytope_to_json(p: Polytope2D) -> dict:
     return {
         "vertices": [[float(x), float(y)] for x, y in p.vertices],
-        "halfplanes": [[float(h.a1), float(h.a2), float(h.b)] for h in p.halfplanes],
+        "halfplanes": [[h.a1, h.a2, h.b] for h in p.halfplanes],
     }
 
 
 def polytope_from_json(obj: dict) -> Polytope2D:
     hps = tuple(
-        HalfPlane(Fraction(a1).limit_denominator(10**9), Fraction(a2).limit_denominator(10**9), float(b))
-        for a1, a2, b in obj["halfplanes"]
+        HalfPlane(float(a1), float(a2), float(b)) for a1, a2, b in obj["halfplanes"]
     )
     verts = tuple((float(x), float(y)) for x, y in obj["vertices"])
     return Polytope2D(hps, verts)

@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .channel import Channel, json_float_array
+from .channel import Channel, json_float_array, json_size
 from .errors import (
     AlphabetMismatch,
     FactorizationViolation,
@@ -335,9 +335,6 @@ class MIExpr:
         return " ".join(parts)
 
 
-ZERO_EXPR = MIExpr()
-
-
 class _SelfInformation(MITerm):
     """I(A;A|C) = H(A|C): the one atom whose two sides coincide.
 
@@ -517,9 +514,9 @@ def joint_to_json(d: JointDistribution) -> dict:
 def joint_from_json(obj: dict) -> JointDistribution:
     try:
         names = tuple(obj["names"])
-        sizes = tuple(int(s) for s in obj["sizes"])
+        sizes = tuple(json_size(s, f"sizes[{i}]") for i, s in enumerate(obj["sizes"]))
         flat = obj["p"]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError) as exc:
         raise InvalidParameter(f"malformed distribution object: {exc}") from exc
     rvs = RandomVariableSet(names, sizes)
     return JointDistribution(rvs, json_float_array(flat, sizes))

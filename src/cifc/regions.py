@@ -26,17 +26,28 @@ depend on the distribution.  `le_structure` writes the structure in LE
 normal form once (a GE row enters negated), and `instantiate` returns the
 schema at one distribution as a `LinearSystem` of labeled LE rows, the
 form that projection, the enumeration oracle and `compile_schema` read.
+`check_distribution` tests a distribution against the schema's
+factorization and determinism requirements; `instantiate` calls it, and
+the identity suites of `cifc.verify` call it once per sampled
+distribution.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Mapping
 
 import numpy as np
 
-from .errors import FactorizationViolation, NotApplicable, UnknownSchema, UnknownVariable
+from .errors import (
+    FactorizationViolation,
+    InvalidParameter,
+    NotApplicable,
+    UnknownSchema,
+    UnknownVariable,
+)
 from .probability import (
     FactorizationSpec,
     JointDistribution,
@@ -265,6 +276,26 @@ def le_structure(schema: RegionSchema):
     return rows, r1, r2, sign
 
 
+def check_tolerance(name: str, tol: float) -> None:
+    """InvalidParameter unless `tol` is finite and >= 0 (a NaN compares
+    false and would let every check pass)."""
+    if not 0.0 <= tol < math.inf:
+        raise InvalidParameter(f"{name} must be finite and >= 0, got {tol!r}")
+
+
+def check_distribution(schema: RegionSchema, d: JointDistribution, tol: float = 1e-9) -> None:
+    """Require `d` to satisfy the schema's factorization (conditional
+    independencies) and determinism requirements at tolerance `tol`."""
+    check_tolerance("tol", tol)
+    verify_factorization(d, schema.factorization, tol)
+    for name, parts in schema.deterministic:
+        h = entropy(d, name, parts)
+        if h > tol:
+            raise FactorizationViolation(
+                f"{schema.id}: H({name}|{','.join(parts)}) = {h:.3e} > {tol:g}"
+            )
+
+
 def instantiate(
     schema: RegionSchema,
     d: JointDistribution,
@@ -274,22 +305,14 @@ def instantiate(
     """The schema's LE-normal rate system at `d` (already channel-extended).
 
     Each rhs is sign * value of its constraint's MI expression, through the
-    same compiled map as compile_schema.  With check=True the distribution
-    must satisfy the schema's factorization (conditional independencies)
-    and determinism requirements at tolerance `tol`.
+    same compiled map as compile_schema.  With check=True, `d` must pass
+    check_distribution at tolerance `tol`.
     """
-    needed = set(schema.variables) | set(schema.outputs)
-    missing = needed - set(d.names)
+    missing = (set(schema.variables) | set(schema.outputs)) - set(d.names)
     if missing:
         raise UnknownVariable(f"distribution lacks {sorted(missing)}")
     if check:
-        verify_factorization(d, schema.factorization, tol)
-        for name, parts in schema.deterministic:
-            h = entropy(d, name, parts)
-            if h > tol:
-                raise FactorizationViolation(
-                    f"{schema.id}: H({name}|{','.join(parts)}) = {h:.3e} > {tol:g}"
-                )
+        check_distribution(schema, d, tol)
     rows, r1, r2, sign = le_structure(schema)
     b = sign * compile_exprs(tuple(c.rhs for c in schema.constraints))(d)
     return LinearSystem(

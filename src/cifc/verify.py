@@ -1,34 +1,29 @@
 """Executable verification of the region relationships.
 
 Each check samples concrete small-alphabet distributions (through
-`cifc.sampling`), evaluates both sides of an algebraic identity (or
-projects two regions), and reports the worst deviation together with the
-seed that produced it, so every verdict is reproducible.  Strictly
-positive claims are tested as >= -tol with the observed gaps logged;
-degenerate distributions legitimately achieve zero.  The frontier search
-climbs on the sampler's factor blocks.
+`cifc.sampling`), evaluates an algebraic identity (or projects two
+regions), and reports the worst deviation together with the seed that
+produced it, so every verdict is reproducible.  The per-distribution
+identities are data: each comparator has a table of `IdentityCheck`s,
+MI expressions that must vanish or be nonnegative, and one runner,
+`check_identities`, evaluates a table through one compiled map per
+distribution.  Strictly positive claims are tested as >= -tol with the
+observed gaps logged; degenerate distributions legitimately achieve
+zero.  The frontier search climbs on the sampler's factor blocks.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .channel import Channel, random_channel
-from .errors import IdentityViolation, InvalidParameter
-from .probability import (
-    JointDistribution,
-    MIExpr,
-    MITerm,
-    RandomVariableSet,
-    evaluate_expr,
-    extend_through_channel,
-    mi,
-    mutual_information,
-)
+from .errors import InvalidParameter
+from .probability import MIExpr, compile_exprs, extend_through_channel, mi
 from .polytope import (
     Polytope2D,
     containment_margin,
@@ -45,6 +40,8 @@ from .regions import (
     SCHEMA_IDS,
     LinearSystem,
     builtin_schema,
+    check_distribution,
+    check_tolerance,
     instantiate,
     maric_merged,
     same_system,
@@ -75,7 +72,7 @@ class CheckReport:
         if v > self.max_abs_violation:
             self.max_abs_violation = v
             self.worst_seed = seed
-        if v > tol:
+        if not v <= tol:  # a NaN violation fails too
             self.failures.append(message or f"seed {seed}: |violation| = {v:.3e} > {tol:g}")
 
     @property
@@ -116,13 +113,6 @@ class SuiteReport:
     def to_json(self) -> dict:
         return {"suite": self.suite, "ok": self.ok, "checks": [c.to_json() for c in self.checks]}
 
-    def raise_on_failure(self) -> None:
-        for c in self.checks:
-            if not c.ok:
-                raise IdentityViolation(
-                    f"{self.suite}/{c.check_id}: {c.failures[0]}", seed=c.worst_seed
-                )
-
 
 # ---------------------------------------------------------------------------
 # Identity checks (per-distribution algebra)
@@ -131,12 +121,54 @@ class SuiteReport:
 
 @dataclass(frozen=True)
 class IdentityCheck:
-    """lhs evaluated per distribution, expected Zero or a single MI atom."""
+    """A per-distribution claim: every `zero` expression vanishes and every
+    `nonneg` expression is nonnegative."""
 
     check_id: str
-    lhs: MIExpr
-    expected: MITerm | None = None  # None means Zero
-    expected_zero_under_factorization: bool = False
+    zero: tuple[MIExpr, ...] = ()
+    nonneg: tuple[MIExpr, ...] = ()
+
+
+def check_identities(
+    suite: str,
+    schema_id: str,
+    checks: Sequence[IdentityCheck],
+    samples: int = 200,
+    seed: int = 0,
+    tol: float = MI_TOL,
+) -> SuiteReport:
+    """Run identity claims on `samples` distributions of one schema.
+
+    All expressions are compiled into one map, and each seed's
+    distribution (sampled in "free" mode, factorization and determinism
+    checked) is evaluated once.  Each check records one violation per
+    seed, max(|zero|..., -nonneg..., 0); a check with `nonneg` expressions
+    also reports the histogram of its per-seed smallest gap.
+    """
+    schema = builtin_schema(schema_id)
+    rvs = schema.rv_set(2)
+    channel_sizes = (rvs.size("X1"), rvs.size("X2"), 2, 2)
+    compiled = compile_exprs(tuple(e for c in checks for e in c.zero + c.nonneg))
+    # the compiled values split into each check's zero part, then its nonneg part
+    ends = np.cumsum([n for c in checks for n in (len(c.zero), len(c.nonneg))])[:-1]
+    reports = [CheckReport(c.check_id) for c in checks]
+    gaps: list[list[float]] = [[] for _ in checks]
+    for s in range(seed, seed + samples):
+        d = sample_instance(schema, random_channel(s, channel_sizes), s, mode="free")
+        check_distribution(schema, d)
+        parts = np.split(compiled(d), ends)
+        for rep, gap, zero, nonneg in zip(reports, gaps, parts[::2], parts[1::2]):
+            violation = np.maximum(np.abs(zero).max(initial=0.0), -nonneg.min(initial=0.0))
+            rep.record(s, float(violation), tol=tol)
+            if nonneg.size:
+                gap.append(float(nonneg.min()))
+    for rep, gap in zip(reports, gaps):
+        if gap:
+            counts, edges = np.histogram(gap, bins=8)
+            rep.details["gap_histogram"] = {
+                "counts": counts.tolist(), "edges": edges.tolist(), "min": min(gap), "max": max(gap)
+            }
+    return SuiteReport(suite, reports)
 
 
 def _rhs(schema_id: str, label: str) -> MIExpr:
@@ -145,83 +177,26 @@ def _rhs(schema_id: str, label: str) -> MIExpr:
 
 def devroye_identity_checks() -> tuple[IdentityCheck, ...]:
     """Differences between the restricted unified region rows (e1x) and the
-    enlarged comparator rows (e2x), after cancelling the binning rates."""
-    r, d = "RTD_IN", "DMT_OUT"
-    return (
-        IdentityCheck(
-            "e13_e23", (_rhs(r, "e13") - _rhs(r, "e10")) - (_rhs(d, "e23") - _rhs(d, "e20"))
-        ),
-        IdentityCheck(
-            "e14_e24",
-            (_rhs(r, "e14") - _rhs(r, "e10")) - (_rhs(d, "e24") - _rhs(d, "e20")),
-            expected=mi("U2c", "U1c", "X2"),
-            expected_zero_under_factorization=True,
-        ),
-        IdentityCheck(
-            "e15_e25", (_rhs(r, "e15") - _rhs(r, "e10")) - (_rhs(d, "e25") - _rhs(d, "e20"))
-        ),
-        IdentityCheck("e16_e26", _rhs(r, "e16") - _rhs(d, "e26")),
-        IdentityCheck(
-            "e17_e27",
-            (_rhs(r, "e17") - _rhs(r, "e12"))
-            - (_rhs(d, "e27") - _rhs(d, "e21") - _rhs(d, "e20")),
-            expected=mi("U1c", "U1pb"),
-        ),
-        IdentityCheck(
-            "e18_e28",
-            (_rhs(r, "e18") - _rhs(r, "e12"))
-            - (_rhs(d, "e28") - _rhs(d, "e21") - _rhs(d, "e20")),
-        ),
-        IdentityCheck(
-            "e19_e29",
-            (_rhs(r, "e19") - _rhs(r, "e12") + _rhs(r, "e10"))
-            - (_rhs(d, "e29") - _rhs(d, "e21")),
-        ),
-    )
+    enlarged comparator rows (e2x), after cancelling the binning rates.
 
-
-def check_devroye_identities(
-    samples: int = 200, seed: int = 0, tol: float = MI_TOL, size: int = 2
-) -> SuiteReport:
-    """Equation-by-equation comparison of the two enlarged regions.
-
-    Four differences vanish identically, the e14 case equals I(U2c;U1c|X2)
-    (zero under the sampling chain), and the e17 case equals I(U1c;U1pb),
-    which is nonnegative; its observed gap histogram is reported.
+    Four differences vanish identically, the e14 case equals I(U2c;U1c|X2),
+    which vanishes under the sampling chain, and the e17 case equals the
+    nonnegative I(U1c;U1pb).
     """
-    schema = builtin_schema("RTD_IN")
-    checks = devroye_identity_checks()
-    report = SuiteReport("devroye")
-    table = {c.check_id: CheckReport(c.check_id) for c in checks}
-    gaps = []
-    for i in range(samples):
-        s = seed + i
-        d = sample_instance(schema, random_channel(s), s, size=size, mode="free")
-        for c in checks:
-            value = evaluate_expr(d, c.lhs)
-            if c.expected is None:
-                table[c.check_id].record(s, value, tol=tol)
-                continue
-            expected = mutual_information(d, c.expected)
-            table[c.check_id].record(s, value - expected, tol=tol)
-            if c.expected_zero_under_factorization:
-                table[c.check_id].record(s, expected, tol=tol)
-            else:
-                gaps.append(expected)
-                if expected < -tol:
-                    table[c.check_id].failures.append(
-                        f"seed {s}: gap {expected:.3e} negative"
-                    )
-    if gaps:
-        hist, edges = np.histogram(gaps, bins=8)
-        table["e17_e27"].details["gap_histogram"] = {
-            "counts": hist.tolist(),
-            "edges": [float(e) for e in edges],
-            "min": float(min(gaps)),
-            "max": float(max(gaps)),
-        }
-    report.checks.extend(table.values())
-    return report
+    u, c = partial(_rhs, "RTD_IN"), partial(_rhs, "DMT_OUT")
+    e14 = u("e14") - u("e10") - (c("e24") - c("e20"))
+    e14_gap = MIExpr.of(mi("U2c", "U1c", "X2"))
+    e17 = u("e17") - u("e12") - (c("e27") - c("e21") - c("e20"))
+    e17_gap = MIExpr.of(mi("U1c", "U1pb"))
+    return (
+        IdentityCheck("e13_e23", (u("e13") - u("e10") - (c("e23") - c("e20")),)),
+        IdentityCheck("e14_e24", (e14 - e14_gap, e14_gap)),
+        IdentityCheck("e15_e25", (u("e15") - u("e10") - (c("e25") - c("e20")),)),
+        IdentityCheck("e16_e26", (u("e16") - c("e26"),)),
+        IdentityCheck("e17_e27", (e17 - e17_gap,), (e17_gap,)),
+        IdentityCheck("e18_e28", (u("e18") - u("e12") - (c("e28") - c("e21") - c("e20")),)),
+        IdentityCheck("e19_e29", (u("e19") - u("e12") + u("e10") - (c("e29") - c("e21")),)),
+    )
 
 
 # -- comparator reduction (merged satellite) --------------------------------
@@ -248,41 +223,33 @@ def cc_primed_expressions() -> dict[str, MIExpr]:
 CC_GAP = mi("V22 V20", "U11", "U10")
 
 
+def cc_identity_checks() -> tuple[IdentityCheck, ...]:
+    """Merging the satellite auxiliary leaves bounds 37/39/40 unchanged and
+    relaxes 38/41 by exactly the nonnegative I(V22,V20;U11|U10)."""
+    primed = cc_primed_expressions()
+    delta = {lab: primed[lab + "p"] - _rhs("CC", lab) for lab in ("37", "38", "39", "40", "41")}
+    return tuple(
+        IdentityCheck(f"37..41 vs primed: {lab}", (delta[lab],)) for lab in ("37", "39", "40")
+    ) + tuple(
+        IdentityCheck(f"{lab}p minus {lab} equals merge gap", (delta[lab] - CC_GAP,), (delta[lab],))
+        for lab in ("38", "41")
+    )
+
+
 def check_cc_reduction(
     samples: int = 200,
     seed: int = 0,
     tol: float = MI_TOL,
-    size: int = 2,
     proj_instances: int = 100,
 ) -> SuiteReport:
     """Two sub-checks for the sequential-binning comparator.
 
-    (i) merging the satellite auxiliary leaves bounds 37/39/40 unchanged
-    and relaxes 38/41 by exactly I(V22,V20;U11|U10) >= 0; (ii) with the
-    variable correspondence and the first binning rate pinned to zero, the
-    merged comparator and the specialized unified region are the same
-    constraint system, hence project to identical vertex sets.
+    (i) the identities of cc_identity_checks; (ii) with the variable
+    correspondence and the first binning rate pinned to zero, the merged
+    comparator and the specialized unified region are the same constraint
+    system, hence project to identical vertex sets.
     """
-    cc = builtin_schema("CC")
-    primed = cc_primed_expressions()
-    report = SuiteReport("cc")
-    eq_checks = {lab: CheckReport(f"37..41 vs primed: {lab}") for lab in ("37", "39", "40")}
-    gap_checks = {lab: CheckReport(f"{lab}p minus {lab} equals merge gap") for lab in ("38", "41")}
-    for i in range(samples):
-        s = seed + i
-        d = sample_instance(cc, random_channel(s), s, size=size, mode="free")
-        gap = mutual_information(d, CC_GAP)
-        for lab in ("37", "39", "40"):
-            delta = evaluate_expr(d, primed[lab + "p"]) - evaluate_expr(d, cc.constraint(lab).rhs)
-            eq_checks[lab].record(s, delta, tol=tol)
-        for lab in ("38", "41"):
-            delta = evaluate_expr(d, primed[lab + "p"]) - evaluate_expr(d, cc.constraint(lab).rhs)
-            gap_checks[lab].record(s, delta - gap, tol=tol)
-            if delta < -tol:
-                gap_checks[lab].failures.append(f"seed {s}: {lab}p < {lab} by {delta:.3e}")
-    report.checks.extend(eq_checks.values())
-    report.checks.extend(gap_checks.values())
-
+    report = check_identities("cc", "CC", cc_identity_checks(), samples, seed, tol)
     ccp = builtin_schema("CCP")
     rtdcc = builtin_schema("RTD_CC")
     structural = CheckReport("pinned systems structurally identical")
@@ -290,7 +257,7 @@ def check_cc_reduction(
     nonempty = 0
     for i in range(proj_instances):
         s = seed + 10_000 + i
-        d = sample_instance(ccp, random_channel(s), s, size=size, mode=_mode_for(i))
+        d = sample_instance(ccp, random_channel(s), s, mode=_mode_for(i))
         ia = instantiate(ccp, d).pin({"R1c'": 0.0}).without_vacuous()
         ib = instantiate(rtdcc, d).pin({"R1c'": 0.0}).without_vacuous()
         if same_system(ia, ib, tol):
@@ -325,35 +292,37 @@ JIANG_PAIRS = (
 )
 
 
+def jiang_identity_checks() -> tuple[IdentityCheck, ...]:
+    """The paired bounds agree, and the pinned binning rate vanishes."""
+    return (
+        IdentityCheck(
+            "eight paired bounds equal",
+            tuple(_rhs("RTD_JIANG", u) - _rhs("JIANG", j) for u, j in JIANG_PAIRS),
+        ),
+        IdentityCheck(
+            "I(U1c;X2|U2c) vanishes under the chain", (MIExpr.of(mi("U1c", "X2", "U2c")),)
+        ),
+    )
+
+
 def check_jiang_containment(
     samples: int = 200,
     seed: int = 0,
     tol: float = MI_TOL,
-    size: int = 2,
     containment_instances: int = 100,
     tol_region: float = REGION_TOL,
 ) -> SuiteReport:
-    """Paired bounds agree, the pinned binning rate vanishes, and the
-    comparator region (two extra bounds) projects inside the unified one."""
+    """The identities of jiang_identity_checks, and the comparator region
+    (two extra bounds) projects inside the unified one."""
     jg = builtin_schema("JIANG")
     uj = builtin_schema("RTD_JIANG")
-    report = SuiteReport("jiang")
-    paired = CheckReport("eight paired bounds equal")
-    pinned = CheckReport("I(U1c;X2|U2c) vanishes under the chain")
-    for i in range(samples):
-        s = seed + i
-        d = sample_instance(jg, random_channel(s), s, size=size, mode="free")
-        ij = instantiate(jg, d)
-        iu = instantiate(uj, d)
-        worst = max(abs(iu.rhs(u) - ij.rhs(j)) for u, j in JIANG_PAIRS)
-        paired.record(s, worst, tol=tol)
-        pinned.record(s, mutual_information(d, mi("U1c", "X2", "U2c")), tol=tol)
+    report = check_identities("jiang", "JIANG", jiang_identity_checks(), samples, seed, tol)
     contain = CheckReport("comparator region inside unified region")
     strict = 0
     extra_active = 0
     for i in range(containment_instances):
         s = seed + 20_000 + i
-        d = sample_instance(jg, random_channel(s), s, size=size, mode=_mode_for(i))
+        d = sample_instance(jg, random_channel(s), s, mode=_mode_for(i))
         ij = instantiate(jg, d)
         iu = instantiate(uj, d)
         pj = project_or_empty(ij)
@@ -369,7 +338,7 @@ def check_jiang_containment(
             extra_active += bool(tight)
     contain.details["strictly_smaller"] = strict
     contain.details["extra_bound_active_when_strict"] = extra_active
-    report.checks.extend([paired, pinned, contain])
+    report.checks.append(contain)
     return report
 
 
@@ -393,31 +362,23 @@ def _active_labels(
 # -- split-primary-input comparator ------------------------------------------
 
 
-def check_maric_wlog(
-    samples: int = 200, seed: int = 0, tol: float = MI_TOL, size: int = 2
-) -> SuiteReport:
+def maric_identity_checks() -> tuple[IdentityCheck, ...]:
     """Merging the decoded part of the split primary input raises the first
     bound by exactly I(X2a;Y2|Q) and leaves the other four unchanged."""
     mar = builtin_schema("MARIC")
     merged = maric_merged()
-    report = SuiteReport("maric")
-    unchanged = CheckReport("bounds m2..m5 unchanged under merge")
-    gap = CheckReport("merged m1 exceeds m1 by I(X2a;Y2|Q)")
-    nonneg = CheckReport("merge gap nonnegative")
-    for i in range(samples):
-        s = seed + i
-        ch = random_channel(s, sizes=(2, size * size, 2, 2))
-        d = sample_instance(mar, ch, s, size=size, mode="free")
-        io = instantiate(mar, d)
-        im = instantiate(merged, d)
-        worst = max(abs(im.rhs(lab + "'") - io.rhs(lab)) for lab in ("m2", "m3", "m4", "m5"))
-        unchanged.record(s, worst, tol=tol)
-        diff = im.rhs("m1'") - io.rhs("m1")
-        expected = mutual_information(d, mi("X2a", "Y2", "Q"))
-        gap.record(s, diff - expected, tol=tol)
-        nonneg.record(s, min(diff, 0.0), tol=tol)
-    report.checks.extend([unchanged, gap, nonneg])
-    return report
+
+    def delta(lab: str) -> MIExpr:
+        return merged.constraint(lab + "'").rhs - mar.constraint(lab).rhs
+
+    return (
+        IdentityCheck(
+            "bounds m2..m5 unchanged under merge",
+            tuple(delta(lab) for lab in ("m2", "m3", "m4", "m5")),
+        ),
+        IdentityCheck("merged m1 exceeds m1 by I(X2a;Y2|Q)", (delta("m1") - mi("X2a", "Y2", "Q"),)),
+        IdentityCheck("merge gap nonnegative", nonneg=(delta("m1"),)),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -425,98 +386,21 @@ def check_maric_wlog(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CorrespondenceTable:
-    """Variable/rate correspondence between a comparator and the unified region."""
-
-    pairs: tuple[tuple[str, str], ...]
-    notes: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        sources = [a for a, _ in self.pairs]
-        if len(sources) != len(set(sources)):
-            raise InvalidParameter("correspondence table maps a name twice")
-
-    def mapping(self) -> dict[str, str]:
-        return dict(self.pairs)
-
-    def rename_distribution(self, d: JointDistribution) -> JointDistribution:
-        m = self.mapping()
-        new_names = tuple(m.get(n, n) for n in d.names)
-        if len(set(new_names)) != len(new_names):
-            raise InvalidParameter(f"renaming collides: {new_names}")
-        return JointDistribution(RandomVariableSet(new_names, d.rvs.sizes), d.prob)
-
-
-IDENTITY_TABLE = CorrespondenceTable((), notes=("schemas share one variable set",))
-
-# Documented correspondences with the comparator schemes' own symbols.
-TABLE_DMT = CorrespondenceTable(
-    (
-        ("V12", "U2c"),
-        ("V21", "U1c"),
-        ("V22", "U1pb"),
-        ("X1'", "X2"),
-        ("X2", "X1"),
-    ),
-    notes=(
-        "comparator indices are user-swapped",
-        "R12->R2c, R21->R1c, R22->R1pb, R11->R2pa",
-        "L21-R21 -> R1c', L22-R22 -> R1pb'; broadcast auxiliary absent (R2pb'=0)",
-    ),
-)
-
-TABLE_CC = CorrespondenceTable(
-    (
-        ("U10", "U2c"),
-        ("V20", "U1c"),
-        ("V22", "U1pb"),
-        ("V11", "U2pb"),
-        ("X1", "X2"),
-        ("X2", "X1"),
-    ),
-    notes=(
-        "merged satellite: U11 degenerate, R11 = 0, X2 = U2c, R2pa = 0",
-        "R10->R2c, R20->R1c, R22->R1pb; binning L20-R20 -> R1c', "
-        "L22-R22 -> R1pb', L11-R11 -> R2pb'",
-    ),
-)
-
-TABLE_JIANG = CorrespondenceTable(
-    (
-        ("U1", "U2c"),
-        ("V1'", "X2"),
-        ("U2", "U1c"),
-        ("W2", "U1pb"),
-        ("W1", "U2pb"),
-        ("X0", "X1"),
-    ),
-    notes=(
-        "comparator indices are user-swapped; R12->R2c, R21->R1c, "
-        "R11->R2pa, R22->R1pb",
-        "R22'->R1pb', R11'->R2pb'; R2pb = 0",
-    ),
-)
-
-BUILTIN_TABLES = {"DMT": TABLE_DMT, "CC": TABLE_CC, "JIANG": TABLE_JIANG}
-
-
 def sampled_region_containment(
     outer_id: str,
     inner_id: str,
-    table: CorrespondenceTable | None = None,
     channel: Channel | None = None,
     samples: int = 100,
     seed: int = 0,
     tol: float = REGION_TOL,
     size: int = 2,
 ) -> SuiteReport:
-    """Sample inner-schema distributions, map them to the outer schema, and
-    assert the projected containment; violations are retried against the
-    enumeration oracle before being reported (projection noise filter)."""
+    """Sample inner-schema distributions, instantiate both schemas on them
+    (the two share one variable set), and assert the projected
+    containment; violations are retried against the enumeration oracle
+    before being reported (projection noise filter)."""
     outer = builtin_schema(outer_id)
     inner = builtin_schema(inner_id)
-    table = table or IDENTITY_TABLE
     report = SuiteReport(f"containment:{inner_id}->in->{outer_id}")
     check = CheckReport(f"{inner_id} inside {outer_id}")
     worst_margin = -math.inf
@@ -524,10 +408,9 @@ def sampled_region_containment(
     for i in range(samples):
         s = seed + i
         ch = channel or random_channel(s)
-        d_inner = sample_instance(inner, ch, s, size=size, mode=_mode_for(i))
-        d_outer = table.rename_distribution(d_inner)
-        pi = project_or_empty(instantiate(inner, d_inner))
-        out_sys = instantiate(outer, d_outer)
+        d = sample_instance(inner, ch, s, size=size, mode=_mode_for(i))
+        pi = project_or_empty(instantiate(inner, d))
+        out_sys = instantiate(outer, d)
         po = project_or_empty(out_sys)
         if pi.is_empty:
             check.record(s, 0.0, tol=tol)
@@ -819,9 +702,11 @@ def run_suite(
     """Run one named verification suite (or all of them)."""
     if samples < 1:
         raise InvalidParameter(f"samples must be at least 1, got {samples}")
+    check_tolerance("tol_mi", tol_mi)
+    check_tolerance("tol_region", tol_region)
     containment_samples = min(samples, 100)
     if name == "devroye":
-        return [check_devroye_identities(samples, seed, tol_mi)]
+        return [check_identities(name, "RTD_IN", devroye_identity_checks(), samples, seed, tol_mi)]
     if name == "cc":
         return [check_cc_reduction(samples, seed, tol_mi, proj_instances=containment_samples)]
     if name == "jiang":
@@ -835,7 +720,7 @@ def run_suite(
             )
         ]
     if name == "maric":
-        return [check_maric_wlog(samples, seed, tol_mi)]
+        return [check_identities(name, "MARIC", maric_identity_checks(), samples, seed, tol_mi)]
     if name == "containment":
         return [
             sampled_region_containment(

@@ -16,11 +16,10 @@ from cifc.regions import SCHEMA_IDS, builtin_schema, instantiate, le_structure, 
 from cifc.sampling import sample_factored
 from cifc.verify import (
     check_cc_reduction,
-    check_devroye_identities,
     check_droppable,
     check_fme_oracle,
     check_jiang_containment,
-    check_maric_wlog,
+    run_suite,
     sampled_region_containment,
     trace_frontier,
 )
@@ -68,7 +67,7 @@ def test_criterion_2_fme_oracle_equivalence():
 
 def test_criterion_3_devroye_suite():
     t0 = time.monotonic()
-    rep = check_devroye_identities(samples=200, seed=0, tol=1e-9)
+    rep, = run_suite("devroye", samples=200, seed=0, tol_mi=1e-9)
     contain = sampled_region_containment(
         "RTD_IN", "DMT_OUT", channel=random_channel(7), samples=100, seed=0, tol=1e-7
     )
@@ -115,7 +114,7 @@ def test_criterion_5_jiang_suite():
 
 def test_criterion_6_maric_suite():
     t0 = time.monotonic()
-    rep = check_maric_wlog(samples=200, seed=0, tol=1e-9)
+    rep, = run_suite("maric", samples=200, seed=0, tol_mi=1e-9)
     detail = (
         f"(m2-m5 unchanged <= {rep.check('bounds m2..m5 unchanged under merge').max_abs_violation:.1e}; "
         f"m1 gap matches I(X2a;Y2|Q) <= "

@@ -203,6 +203,55 @@ def test_project_rejects_bad_joint_with_exit_2(tmp_path, orth_channel, capsys, b
     assert not out.exists()
 
 
+@pytest.mark.parametrize("body, bad", [
+    (dict(RTD_INPUTS, sizes=[1, 1, 1, 1, 2, 2.9], p=[0.25] * 4), "2.9"),
+    (dict(RTD_INPUTS, sizes=[1, 1, 1, 1, 2, True], p=[0.5, 0.5]), "True"),
+], ids=["fractional", "boolean"])
+def test_project_rejects_non_integer_joint_sizes(tmp_path, orth_channel, capsys, body, bad):
+    # int() would truncate 2.9 to a binary variable and read true as 1
+    dist = tmp_path / "bad.json"
+    dist.write_text(json.dumps(body))
+    rc = main(["project", "--schema", "RTD", "--channel", str(orth_channel),
+               "--dist", str(dist), "--out", str(tmp_path / "poly.json")])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: sizes[5] must be an integer, got {bad}\n"
+
+
+@pytest.mark.parametrize("body", [
+    {"x1": True, "x2": 1.7, "y1": 1, "y2": 1, "p": [1.0]},
+    {"x1": 2, "x2": 2, "y1": 2, "y2": 2.0, "p": [0.5] * 16},
+    {"x1": 2, "x2": "2", "y1": 2, "y2": 2, "p": [0.5] * 16},
+], ids=["boolean_and_fractional", "integral_float", "string"])
+def test_validate_rejects_non_integer_channel_sizes(tmp_path, capsys, body):
+    path = tmp_path / "ch.json"
+    path.write_text(json.dumps(body))
+    assert main(["validate", "--channel", str(path)]) == 2
+    assert "must be an integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--tol-mi", "--tol-region"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+def test_verify_rejects_bad_tolerance(tmp_path, capsys, flag, value):
+    # a NaN tolerance made every comparison false, so every check passed
+    out = tmp_path / "report.json"
+    rc = main(["verify", "--suite", "maric", "--samples", "3", flag, value, "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: {flag[2:].replace('-', '_')} must be finite and >= 0"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+def test_project_rejects_bad_tolerance(tmp_path, orth_channel, square_dist, capsys, value):
+    out = tmp_path / "poly.json"
+    rc = main(["project", "--schema", "RTD", "--channel", str(orth_channel),
+               "--dist", str(square_dist), "--out", str(out), "--tol-mi", value])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: tol must be finite and >= 0")
+    assert not out.exists()
+
+
 def test_cli_imports_no_scipy():
     import os
     import subprocess

@@ -360,6 +360,15 @@ def test_polytope_json_roundtrip():
     back = polytope_from_json(json.loads(json.dumps(polytope_to_json(p))))
     assert polytope_equal(p, back, 1e-12)
     assert len(back.halfplanes) == len(p.halfplanes)
+    # the round trip is exact: normals and offsets are stored as floats
+    for sid in SCHEMA_IDS:
+        schema = builtin_schema(sid)
+        rvs = schema.rv_set(2)
+        for seed in range(6):
+            ch = random_channel(seed, (rvs.size("X1"), rvs.size("X2"), 2, 2))
+            d = sample_instance(schema, ch, seed, mode=SAMPLING_MODES[seed % 3])
+            p = project_or_empty(instantiate(schema, d))
+            assert polytope_from_json(json.loads(json.dumps(polytope_to_json(p)))) == p
 
 
 def test_vertices_csv_format():

@@ -8,6 +8,7 @@ from cifc.channel import Channel, Alphabet, canonical_channel, random_channel
 from cifc.errors import InvalidParameter
 from cifc.probability import (
     JointDistribution,
+    MIExpr,
     RandomVariableSet,
     chain,
     extend_through_channel,
@@ -18,15 +19,15 @@ from cifc.probability import (
 from cifc.regions import builtin_schema, instantiate
 from cifc.sampling import sample_factored
 from cifc.verify import (
-    CorrespondenceTable,
+    IdentityCheck,
     check_cc_reduction,
-    check_devroye_identities,
     check_droppable,
     check_fme_oracle,
+    check_identities,
     check_jiang_containment,
-    check_maric_wlog,
     cc_primed_expressions,
     devroye_identity_checks,
+    maric_identity_checks,
     reports_to_json,
     run_suite,
     sample_instance,
@@ -134,7 +135,7 @@ def test_frontier_search_draws_are_pinned():
 
 
 def test_devroye_small_run_clean():
-    report = check_devroye_identities(samples=25, seed=0)
+    report, = run_suite("devroye", samples=25, seed=0)
     assert report.ok
     ids = {c.check_id for c in report.checks}
     assert ids == {"e13_e23", "e14_e24", "e15_e25", "e16_e26", "e17_e27", "e18_e28", "e19_e29"}
@@ -153,11 +154,10 @@ def test_devroye_product_distribution_gap_zero():
     d = JointDistribution(schema.rv_set(2), prob)
     d = extend_through_channel(d, random_channel(3))
     for check in devroye_identity_checks():
-        value = evaluate_expr(d, check.lhs)
-        if check.expected is None:
-            assert abs(value) < 1e-9
-        else:
-            assert abs(value - mutual_information(d, check.expected)) < 1e-9
+        for e in check.zero:
+            assert abs(evaluate_expr(d, e)) < 1e-9
+        for e in check.nonneg:
+            assert evaluate_expr(d, e) > -1e-9
     assert mutual_information(d, mi("U1c", "U1pb")) == pytest.approx(0.0, abs=1e-12)
 
 
@@ -188,8 +188,28 @@ def test_jiang_small_run_clean():
 
 
 def test_maric_small_run_clean():
-    report = check_maric_wlog(samples=15, seed=0)
+    report, = run_suite("maric", samples=15, seed=0)
     assert report.ok
+
+
+def test_every_identity_check_records_each_seed_once():
+    for report in run_suite("all", samples=5, seed=0):
+        for check in report.checks:
+            assert check.seeds_run == 5, (report.suite, check.check_id)
+
+
+@pytest.mark.parametrize("claim", [
+    IdentityCheck("false zero", zero=(MIExpr.of(mi("Y1", "U1c")),)),
+    IdentityCheck("negated gap", nonneg=(-mi("U1c", "U1pb"),)),
+], ids=["zero", "nonneg"])
+def test_identity_runner_fails_a_false_claim(claim):
+    # both claims are false on a generic RTD_IN draw; a vacuous runner would pass them
+    report = check_identities("demo", "RTD_IN", [claim], samples=4, seed=0)
+    check, = report.checks
+    assert not report.ok and check.seeds_run == 4
+    assert check.worst_seed in range(4) and check.max_abs_violation > 1e-3
+    assert len(check.failures) == 4
+    assert any(f.startswith(f"seed {check.worst_seed}: ") for f in check.failures)
 
 
 def test_maric_degenerate_part_gives_zero_difference():
@@ -237,20 +257,6 @@ def test_containment_dmt_pair():
 def test_containment_jiang_pair():
     report = sampled_region_containment("RTD_JIANG", "JIANG", samples=20, seed=0)
     assert report.ok
-
-
-def test_correspondence_table_rename():
-    t = CorrespondenceTable((("A", "B"), ("B", "A")))
-    d = JointDistribution(
-        RandomVariableSet(("A", "B"), (2, 3)), np.full((2, 3), 1 / 6)
-    )
-    r = t.rename_distribution(d)
-    assert r.names == ("B", "A")
-    with pytest.raises(InvalidParameter):
-        CorrespondenceTable((("A", "B"), ("A", "C")))
-    bad = CorrespondenceTable((("A", "B"),))
-    with pytest.raises(InvalidParameter):
-        bad.rename_distribution(d)
 
 
 # -- equivalence and droppability (small) -----------------------------------------
@@ -318,8 +324,8 @@ def test_frontier_pareto_filter_nondominated():
 
 
 def test_reports_reproducible_and_serializable():
-    a = check_maric_wlog(samples=8, seed=3)
-    b = check_maric_wlog(samples=8, seed=3)
+    a = check_identities("maric", "MARIC", maric_identity_checks(), samples=8, seed=3)
+    b = check_identities("maric", "MARIC", maric_identity_checks(), samples=8, seed=3)
     ja = json.dumps(reports_to_json([a]), sort_keys=True)
     jb = json.dumps(reports_to_json([b]), sort_keys=True)
     assert ja == jb
