@@ -35,9 +35,10 @@ dist = extend_through_channel(JointDistribution(RandomVariableSet(names, sizes),
 
 poly = project_or_empty(instantiate(rtd, dist))
 print("vertices:", [(round(x, 6), round(y, 6)) for x, y in poly.vertices])
-print("half-planes (a1, a2, b):")
+print("half-planes a1 R1 + a2 R2 <= b, each with the constraints it comes from:")
 for h in poly.halfplanes:
-    print(f"  {h.a1:+.3f} R1 {h.a2:+.3f} R2 <= {h.b:.6f}")
+    source = "+".join(f"[{lab}]" for lab in h.labels) or "rates >= 0"
+    print(f"  {h.a1:+.3f} R1 {h.a2:+.3f} R2 <= {h.b:.6f}   from {source}")
 
 # --- sampled distributions and the oracle cross-check --------------------------
 print("\n== sampled instances on a random channel ==")

@@ -6,9 +6,11 @@ Coefficients are held exactly (integers, reduced by gcd) throughout the
 elimination, and every right-hand side stays symbolic: a nonnegative
 integer multiplier vector over the system's rows.  Each coefficient
 structure is therefore eliminated once, and a system only evaluates its
-right-hand sides (floats in bits).  The projector and the membership oracle
-are deliberately independent code paths: the first runs variable
-elimination, the second enumerates every basic solution of the
+right-hand sides (floats in bits).  The support of a multiplier names the
+rows a projected half-plane comes from, so every half-plane of a
+projection carries the labels of its source rows.  The projector and the
+membership oracle are deliberately independent code paths: the first runs
+variable elimination, the second enumerates every basic solution of the
 full-dimensional system and takes the convex hull of its projections.
 """
 
@@ -36,11 +38,13 @@ MAX_ORACLE_SUBSETS = 250_000
 
 @dataclass(frozen=True)
 class HalfPlane:
-    """a1*R1 + a2*R2 <= b with max(|a1|, |a2|) = 1."""
+    """a1*R1 + a2*R2 <= b with max(|a1|, |a2|) = 1, and the labels of the
+    system rows it is derived from (see Polytope2D)."""
 
     a1: float
     a2: float
     b: float
+    labels: tuple[str, ...]
 
     def value(self, r1: float, r2: float) -> float:
         return self.a1 * r1 + self.a2 * r2 - self.b
@@ -56,6 +60,15 @@ class Polytope2D:
     TIGHT_TOL), but the list is not irredundant: a weakly redundant
     half-plane that touches the region at a single vertex is kept too.
     Degenerate regions (segment, single point) are allowed.
+
+    Each half-plane's `labels` name, in system row order, the rows of the
+    nonnegative combination that gives its smallest offset (the union
+    over combinations tied within TIGHT_TOL); a facet of rate
+    nonnegativity alone, such as a quadrant axis, names none.  Dropping
+    every row that no half-plane names leaves the region unchanged.  The
+    converse does not hold: the rows named by a weakly redundant
+    half-plane touch the region without shaping it, and a row named in a
+    tie can be replaced by the other combination.
     """
 
     halfplanes: tuple[HalfPlane, ...]
@@ -140,7 +153,8 @@ def fme_project(system: LinearSystem) -> Polytope2D:
     region is nonempty but unbounded (a missing decoding constraint).
     """
     compiled = _compile_structure(tuple(r.coeffs for r in system.rows), system.r1, system.r2)
-    return compiled.polytope(np.array([r.rhs for r in system.rows], dtype=float))
+    return compiled.polytope(np.array([r.rhs for r in system.rows], dtype=float),
+                             tuple(r.label for r in system.rows))
 
 
 def project_or_empty(system: LinearSystem) -> Polytope2D:
@@ -178,7 +192,8 @@ class CompiledProjection:
             groups.setdefault((a1 // g, a2 // g), []).append(np.asarray(mu, dtype=float) / g)
         normals = sorted(groups)
         mu_rows = [m for n in normals for m in groups[n]]
-        starts = np.cumsum([0] + [len(groups[n]) for n in normals[:-1]])
+        counts = [len(groups[n]) for n in normals]
+        starts = np.cumsum([0] + counts[:-1])
         a = np.asarray(normals, dtype=float)
         pairs = [(i, j) for i, j in itertools.combinations(range(len(normals)), 2)
                  if a[i, 0] * a[j, 1] != a[i, 1] * a[j, 0]]
@@ -186,20 +201,24 @@ class CompiledProjection:
         object.__setattr__(self, "bounded", _recession_free(normals))
         object.__setattr__(self, "_normals", normals)
         object.__setattr__(self, "_mu", np.array(mu_rows))
+        object.__setattr__(self, "_support", self._mu != 0)
         object.__setattr__(self, "_starts", starts)
+        object.__setattr__(self, "_group", np.repeat(np.arange(len(normals)), counts))
         object.__setattr__(self, "_a", a)
         object.__setattr__(self, "_pairs", (i, j, a[i, 0] * a[j, 1] - a[i, 1] * a[j, 0]))
         object.__setattr__(self, "_feas", np.asarray(self.feasibility, dtype=float).reshape(-1, width))
 
     def _vertices(self, b: np.ndarray):
-        """The smallest rhs per normal at b and the candidate vertices x, y:
-        the pairwise intersections of the normals' lines that satisfy every
-        row within the feasibility slack.  None when the region is empty.
+        """The rhs of every projected row at b, the smallest per normal, and
+        the candidate vertices x, y: the pairwise intersections of the
+        normals' lines that satisfy every row within the feasibility slack.
+        None when the region is empty.
         """
         tol = FEAS_TOL * max(1.0, float(np.abs(b).max(initial=0.0)))
         if (self._feas @ b < -tol).any():
             return None
-        rhs = np.minimum.reduceat(self._mu @ b, self._starts)
+        row_rhs = self._mu @ b
+        rhs = np.minimum.reduceat(row_rhs, self._starts)
         i, j, det = self._pairs
         a = self._a
         x = (rhs[i] * a[j, 1] - rhs[j] * a[i, 1]) / det
@@ -207,10 +226,11 @@ class CompiledProjection:
         ok = (a @ np.stack((x, y)) <= rhs[:, None] + tol).all(axis=0)
         if not ok.any():
             return None
-        return rhs, x[ok] + 0.0, y[ok] + 0.0
+        return row_rhs, rhs, x[ok] + 0.0, y[ok] + 0.0
 
-    def polytope(self, b: np.ndarray) -> Polytope2D:
-        """The projected region at rhs b.
+    def polytope(self, b: np.ndarray, labels: tuple[str, ...]) -> Polytope2D:
+        """The projected region at rhs b, each half-plane named by the
+        `labels` of the rows of A that give it (see Polytope2D).
 
         Raises Infeasible when it is empty and Unbounded when it is
         nonempty but unbounded.
@@ -218,15 +238,20 @@ class CompiledProjection:
         found = self._vertices(b)
         if found is None:
             raise Infeasible("projected region is empty")
-        rhs, x, y = found
+        row_rhs, rhs, x, y = found
         scale = max(1.0, float(np.abs(rhs).max()))
+        tight = TIGHT_TOL * scale
         points = _merge_close(list(zip(x.tolist(), y.tolist())), VERTEX_MERGE_TOL * scale)
         hull = _order_ccw(_convex_hull(points, collinear_eps=1e-9))
+        # per normal, the union of the supports of its rows tied at the minimum
+        tied = (row_rhs <= rhs[self._group] + tight)[:, None] & self._support
+        sources = np.logical_or.reduceat(tied, self._starts).tolist()
         halfplanes = []
-        for (a1, a2), r in zip(self._normals, rhs.tolist()):
-            if min(abs(a1 * u + a2 * v - r) for u, v in hull) <= TIGHT_TOL * scale:
+        for (a1, a2), r, used in zip(self._normals, rhs.tolist(), sources):
+            if min(abs(a1 * u + a2 * v - r) for u, v in hull) <= tight:
+                names = dict.fromkeys(lab for lab, u in zip(labels, used) if u)
                 mx = max(abs(a1), abs(a2))
-                halfplanes.append(HalfPlane(a1 / mx, a2 / mx, r / mx))
+                halfplanes.append(HalfPlane(a1 / mx, a2 / mx, r / mx, tuple(names)))
         halfplanes.sort(key=lambda h: math.atan2(h.a2, h.a1))
         if not self.bounded:
             raise Unbounded("the projected region is unbounded; a decoding constraint is missing")
@@ -243,7 +268,7 @@ class CompiledProjection:
         found = self._vertices(b)
         if found is None:
             return None
-        _, x, y = found
+        _, _, x, y = found
         vals = w1 * x + w2 * y
         best = float(vals.max())
         tied = np.flatnonzero(vals >= best - TIE_TOL * max(1.0, abs(best)))
@@ -547,13 +572,14 @@ def polytope_equal(a: Polytope2D, b: Polytope2D, tol: float = 1e-9) -> bool:
 def polytope_to_json(p: Polytope2D) -> dict:
     return {
         "vertices": [[float(x), float(y)] for x, y in p.vertices],
-        "halfplanes": [[h.a1, h.a2, h.b] for h in p.halfplanes],
+        "halfplanes": [[h.a1, h.a2, h.b, list(h.labels)] for h in p.halfplanes],
     }
 
 
 def polytope_from_json(obj: dict) -> Polytope2D:
     hps = tuple(
-        HalfPlane(float(a1), float(a2), float(b)) for a1, a2, b in obj["halfplanes"]
+        HalfPlane(float(a1), float(a2), float(b), tuple(labels))
+        for a1, a2, b, labels in obj["halfplanes"]
     )
     verts = tuple((float(x), float(y)) for x, y in obj["vertices"])
     return Polytope2D(hps, verts)

@@ -300,19 +300,17 @@ def instantiate(
     schema: RegionSchema,
     d: JointDistribution,
     tol: float = 1e-9,
-    check: bool = True,
 ) -> LinearSystem:
     """The schema's LE-normal rate system at `d` (already channel-extended).
 
     Each rhs is sign * value of its constraint's MI expression, through the
-    same compiled map as compile_schema.  With check=True, `d` must pass
-    check_distribution at tolerance `tol`.
+    same compiled map as compile_schema.  `d` must pass check_distribution
+    at tolerance `tol`.
     """
     missing = (set(schema.variables) | set(schema.outputs)) - set(d.names)
     if missing:
         raise UnknownVariable(f"distribution lacks {sorted(missing)}")
-    if check:
-        check_distribution(schema, d, tol)
+    check_distribution(schema, d, tol)
     rows, r1, r2, sign = le_structure(schema)
     b = sign * compile_exprs(tuple(c.rhs for c in schema.constraints))(d)
     return LinearSystem(

@@ -56,6 +56,19 @@ def test_project_square(tmp_path, orth_channel, square_dist):
     assert csv_lines[0] == "R1,R2" and len(csv_lines) == 5
 
 
+def test_project_names_the_source_rows_of_each_halfplane(tmp_path, orth_channel, square_dist):
+    out = tmp_path / "poly.json"
+    main([
+        "project", "--schema", "RTD", "--channel", str(orth_channel),
+        "--dist", str(square_dist), "--out", str(out),
+    ])
+    halfplanes = json.loads(out.read_text())["halfplanes"]
+    rtd_labels = {f"1{c}" for c in "abcdefghijk"}
+    assert halfplanes and all(len(h) == 4 and isinstance(h[3], list) for h in halfplanes)
+    assert all(set(h[3]) <= rtd_labels for h in halfplanes)
+    assert any(h[3] for h in halfplanes)
+
+
 def test_project_artifacts_roundtrip_and_deterministic(tmp_path, orth_channel, square_dist):
     out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
     for out in (out1, out2):

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import math
 
@@ -221,6 +222,26 @@ def test_instantiated_rhs_equal_compiled_rhs_bit_for_bit(sid, mode):
         assert [r.rhs for r in system.rows] == compile_schema(schema).rhs(d).tolist(), seed
 
 
+@pytest.mark.parametrize("sid", SCHEMA_IDS)
+def test_facet_labels_name_rows_that_suffice(sid):
+    # a row no half-plane names never touches the polygon, so it does not shape it
+    schema = builtin_schema(sid)
+    sizes = (2, 4, 2, 2) if sid == "MARIC" else (2, 2, 2, 2)
+    nonempty = 0
+    for mode, seed in itertools.product(SAMPLING_MODES, range(6)):
+        d = sample_instance(schema, random_channel(seed, sizes), seed, mode=mode)
+        system = instantiate(schema, d)
+        poly = project_or_empty(system)
+        rows = {r.label for r in system.rows}
+        named = {lab for h in poly.halfplanes for lab in h.labels}
+        assert named <= rows, (mode, seed)
+        if not poly.is_empty:
+            nonempty += 1
+            reduced = fme_project(system.drop(*(rows - named)))
+            assert polytope_equal(reduced, poly, 1e-9), (mode, seed, sorted(rows - named))
+    assert nonempty
+
+
 def test_compiled_unbounded_when_decoding_rows_removed():
     rtd = builtin_schema("RTD")
     crippled = dataclasses.replace(
@@ -284,7 +305,7 @@ def test_oracle_full_agreement_sampled(sid):
         d = sample_instance(schema, ch, seed, mode=["free", "det", "flat_det"][i % 3])
         system = instantiate(schema, d)
         poly = project_or_empty(system)
-        bad, worst = grid_agreement(system, poly, grid=15, boundary_tol=1e-7)
+        bad, worst = grid_agreement(system, poly, grid=15)
         assert bad == 0, f"seed {seed}: worst {worst}"
 
 
@@ -360,7 +381,9 @@ def test_polytope_json_roundtrip():
     back = polytope_from_json(json.loads(json.dumps(polytope_to_json(p))))
     assert polytope_equal(p, back, 1e-12)
     assert len(back.halfplanes) == len(p.halfplanes)
-    # the round trip is exact: normals and offsets are stored as floats
+    # the round trip is exact: normals and offsets are stored as floats, and
+    # HalfPlane equality compares each facet's labels too
+    assert back == p and any(h.labels for h in back.halfplanes)
     for sid in SCHEMA_IDS:
         schema = builtin_schema(sid)
         rvs = schema.rv_set(2)

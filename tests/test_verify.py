@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 
@@ -16,9 +17,12 @@ from cifc.probability import (
     mutual_information,
     mi,
 )
+from cifc.polytope import containment_margin, halfplane_violation, polytope_equal, project_or_empty
 from cifc.regions import builtin_schema, instantiate
-from cifc.sampling import sample_factored
+from cifc.sampling import _mode_for, sample_factored
 from cifc.verify import (
+    JIANG_EXTRA,
+    REGION_TOL,
     IdentityCheck,
     check_cc_reduction,
     check_droppable,
@@ -46,7 +50,7 @@ BSC = canonical_channel("bsc_pair", eps1=0.05, eps2=0.1)
 def test_sample_instance_obeys_factorization(sid, mode):
     schema = builtin_schema(sid)
     d = sample_instance(schema, random_channel(5), 5, mode=mode)
-    instantiate(schema, d, check=True)  # raises on violation
+    instantiate(schema, d)  # raises on violation
 
 
 def test_sample_instance_maric_pairing():
@@ -187,6 +191,32 @@ def test_jiang_small_run_clean():
     assert contain.details["strictly_smaller"] >= 0
 
 
+@pytest.mark.parametrize("seed", [0, 1])
+def test_jiang_extra_bounds_named_iff_dropping_them_reshapes(seed):
+    # reference: a bound is active when re-projecting without it changes the
+    # region; the check reads the same fact from the facet labels
+    jg, uj = builtin_schema("JIANG"), builtin_schema("RTD_JIANG")
+    strict = active = 0
+    for i in range(100):
+        s = seed + 20_000 + i
+        d = sample_instance(jg, random_channel(s), s, mode=_mode_for(i))
+        system = instantiate(jg, d)
+        pj = project_or_empty(system)
+        pu = project_or_empty(instantiate(uj, d))
+        if pj.is_empty or pu.is_empty or polytope_equal(pu, pj, 1e-9):
+            continue
+        strict += 1
+        named = {lab for h in pj.halfplanes for lab in h.labels} & set(JIANG_EXTRA)
+        reshaping = {lab for lab in JIANG_EXTRA
+                     if not polytope_equal(pj, project_or_empty(system.drop(lab)), 1e-9)}
+        assert named == reshaping, s
+        active += bool(reshaping)
+    contain = check_jiang_containment(samples=1, seed=seed).check(
+        "comparator region inside unified region")
+    assert contain.details["strictly_smaller"] == strict > 0
+    assert contain.details["extra_bound_active_when_strict"] == active
+
+
 def test_maric_small_run_clean():
     report, = run_suite("maric", samples=15, seed=0)
     assert report.ok
@@ -252,6 +282,21 @@ def test_containment_dmt_pair():
     )
     assert report.ok
     assert report.checks[0].details["nonempty_instances"] > 0
+
+
+def test_reversed_containment_fails_at_the_most_violating_vertex():
+    # the unified region is the larger one, so JIANG cannot contain it
+    check = sampled_region_containment("JIANG", "RTD_JIANG", samples=20, seed=0).checks[0]
+    assert check.failures and set(check.details) == {"worst_margin", "nonempty_instances"}
+    for message in check.failures:
+        head, rest = message.split(": vertex ")
+        s = int(head.removeprefix("seed "))
+        vertex = ast.literal_eval(rest.split(" outside")[0])
+        d = sample_instance(builtin_schema("RTD_JIANG"), random_channel(s), s, mode=_mode_for(s))
+        po = project_or_empty(instantiate(builtin_schema("JIANG"), d))
+        pi = project_or_empty(instantiate(builtin_schema("RTD_JIANG"), d))
+        assert vertex in pi.vertices
+        assert halfplane_violation(po, vertex) == containment_margin(po, pi) > REGION_TOL
 
 
 def test_containment_jiang_pair():
