@@ -19,9 +19,7 @@ from .errors import CifcError
 from .polytope import polytope_to_json, project_or_empty, vertices_csv
 from .probability import extend_through_channel, load_joint
 from .regions import SCHEMA_IDS, builtin_schema, catalog_manifest, instantiate, schema_manifest
-from .verify import reports_to_json, run_suite, trace_frontier
-
-SUITES = ("devroye", "cc", "jiang", "maric", "containment", "all")
+from .verify import SUITE_NAMES, reports_to_json, run_suite, trace_frontier
 
 
 def _dump_json(obj: dict, path: str | None) -> None:
@@ -136,7 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
     fr.set_defaults(func=_cmd_frontier)
 
     ve = sub.add_parser("verify", help="run a verification suite")
-    ve.add_argument("--suite", required=True, choices=SUITES)
+    ve.add_argument("--suite", required=True, choices=SUITE_NAMES)
     ve.add_argument("--samples", type=int, default=200)
     ve.add_argument("--seed", type=int, default=0)
     ve.add_argument("--out", default=None, help="report JSON path")

@@ -484,16 +484,36 @@ def oracle_polygon(system: LinearSystem) -> tuple[tuple[float, float], ...]:
     return _oracle_hull(system)
 
 
-def _distance_to_hull(hull, point) -> float:
-    """Signed distance: <= 0 inside, > 0 outside (degenerate hulls allowed)."""
-    x, y = point
+def _points(points) -> tuple[np.ndarray, np.ndarray]:
+    """The x and y columns of an (n, 2) array-like of points."""
+    return np.asarray(points, dtype=float).reshape(-1, 2).T
+
+
+# CPython's correctly rounded hypot, elementwise; the C library's, which
+# np.hypot calls, is one ulp off on about 0.1% of inputs
+_hypot = np.frompyfunc(math.hypot, 2, 1)
+
+
+def _distance_to_hull(hull, points) -> np.ndarray:
+    """Signed distance of each point to the hull: <= 0 inside, > 0 outside.
+
+    A hull of one or two vertices is a point or a segment, whose distance
+    is Euclidean; with no hull every point is at +inf.
+    """
+    x, y = _points(points)
     if not hull:
-        return math.inf
-    if len(hull) == 1:
-        return math.hypot(x - hull[0][0], y - hull[0][1])
-    if len(hull) == 2:
-        return _segment_distance(hull[0], hull[1], point)
-    worst = -math.inf
+        return np.full(x.shape, math.inf)
+    if len(hull) <= 2:
+        (px, py), (qx, qy) = hull[0], hull[-1]
+        ex, ey = qx - px, qy - py
+        denom = ex * ex + ey * ey
+        if denom < 1e-300:
+            return _hypot(x - px, y - py).astype(float)
+        t = ((x - px) * ex + (y - py) * ey) / denom
+        t = np.where(t < 1.0, t, 1.0)
+        t = np.where(t > 0.0, t, 0.0)
+        return _hypot(x - (px + t * ex), y - (py + t * ey)).astype(float)
+    worst = np.full(x.shape, -math.inf)
     for (px, py), (qx, qy) in zip(hull, hull[1:] + hull[:1]):
         ex, ey = qx - px, qy - py
         norm = math.hypot(ex, ey)
@@ -501,27 +521,14 @@ def _distance_to_hull(hull, point) -> float:
             continue
         # outward normal for CCW orientation
         d = ((ey) * (x - px) - (ex) * (y - py)) / norm
-        worst = max(worst, d)
+        worst = np.where(d > worst, d, worst)
     return worst
-
-
-def _segment_distance(p, q, point) -> float:
-    px, py = p
-    qx, qy = q
-    x, y = point
-    ex, ey = qx - px, qy - py
-    denom = ex * ex + ey * ey
-    if denom < 1e-300:
-        return math.hypot(x - px, y - py)
-    t = max(0.0, min(1.0, ((x - px) * ex + (y - py) * ey) / denom))
-    cx, cy = px + t * ex, py + t * ey
-    return math.hypot(x - cx, y - cy)
 
 
 def membership_oracle(system: LinearSystem, point: tuple[float, float], tol: float = FEAS_TOL) -> bool:
     """True iff some nonnegative rate vector satisfies the system and
     projects to `point` (within tol), decided by basic-solution enumeration."""
-    return _distance_to_hull(_oracle_hull(system), point) <= tol
+    return bool(_distance_to_hull(_oracle_hull(system), [point])[0] <= tol)
 
 
 # ---------------------------------------------------------------------------
@@ -529,11 +536,16 @@ def membership_oracle(system: LinearSystem, point: tuple[float, float], tol: flo
 # ---------------------------------------------------------------------------
 
 
-def halfplane_violation(poly: Polytope2D, point: tuple[float, float]) -> float:
-    """Max violation of `point` against the half-planes and the quadrant."""
-    worst = max(-point[0], -point[1])
+def halfplane_violation(poly: Polytope2D, points) -> np.ndarray:
+    """Each point's max violation of the half-planes and the quadrant; the
+    empty region contains no point, so every violation is +inf there."""
+    x, y = _points(points)
+    if poly.is_empty:
+        return np.full(x.shape, math.inf)
+    worst = np.where(-y > -x, -y, -x)
     for h in poly.halfplanes:
-        worst = max(worst, h.value(point[0], point[1]))
+        v = h.value(x, y)
+        worst = np.where(v > worst, v, worst)
     return worst
 
 
@@ -541,9 +553,8 @@ def containment_margin(outer: Polytope2D, inner: Polytope2D) -> float:
     """Worst violation of inner's vertices against outer (<= 0 means contained)."""
     if inner.is_empty:
         return -math.inf
-    if outer.is_empty:
-        return math.inf
-    return max(halfplane_violation(outer, v) for v in inner.vertices)
+    violation = halfplane_violation(outer, inner.vertices)
+    return float(violation[violation.argmax()])
 
 
 def polytope_contains(outer: Polytope2D, inner: Polytope2D, tol: float = 1e-7) -> bool:

@@ -464,18 +464,12 @@ def _rtd_in() -> RegionSchema:
 
 
 def _dmt_out() -> RegionSchema:
+    base = _rtd_in()
     return RegionSchema(
         id="DMT_OUT",
-        variables=("U2c", "X2", "U1c", "U1pb", "X1"),
-        factorization=chain(("U2c X2",), ("U1c", "X2"), ("U1pb", "X2"), ("X1", "X2 U1c U1pb")),
-        rate_vars=(
-            RateVariable("R1c", MESSAGE),
-            RateVariable("R1pb", MESSAGE),
-            RateVariable("R2c", MESSAGE),
-            RateVariable("R2pa", MESSAGE),
-            RateVariable("R1c'", BINNING),
-            RateVariable("R1pb'", BINNING),
-        ),
+        variables=base.variables,
+        factorization=base.factorization,
+        rate_vars=base.rate_vars,
         constraints=(
             _con({"R1c'": 1}, GE, mi("U1c", "X2 U2c"), "e20"),
             _con({"R1pb'": 1}, GE, mi("U1pb", "X2 U2c"), "e21"),
@@ -512,10 +506,7 @@ def _dmt_out() -> RegionSchema:
             ),
             _con({"R1pb": 1, "R1pb'": 1}, LE, mi("Y1 U2c U1c", "U1pb"), "e29"),
         ),
-        projection=(
-            ("R1", (("R1c", 1), ("R1pb", 1))),
-            ("R2", (("R2c", 1), ("R2pa", 1))),
-        ),
+        projection=base.projection,
         notes=(
             "binning rows e20/e21 are stated as equalities; encoded GE, equality is WLOG",
             "rhs forms are the deterministic-input variants; the pre-insertion forms "

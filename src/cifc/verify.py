@@ -334,12 +334,8 @@ def check_jiang_containment(
         d = sample_instance(jg, random_channel(s), s, mode=_mode_for(i))
         pj = project_or_empty(instantiate(jg, d))
         pu = project_or_empty(instantiate(uj, d))
-        if pj.is_empty:
-            contain.record(s, 0.0, tol=tol_region)
-            continue
-        margin = containment_margin(pu, pj)
-        contain.record(s, max(margin, 0.0), tol=tol_region)
-        if not pu.is_empty and not polytope_equal(pu, pj, 1e-9):
+        contain.record(s, max(containment_margin(pu, pj), 0.0), tol=tol_region)
+        if not (pj.is_empty or pu.is_empty or polytope_equal(pu, pj, 1e-9)):
             strict += 1
             extra_active += any(lab in JIANG_EXTRA for h in pj.halfplanes for lab in h.labels)
     contain.details["strictly_smaller"] = strict
@@ -399,15 +395,12 @@ def sampled_region_containment(
         d = sample_instance(inner, ch, s, mode=_mode_for(i))
         pi = project_or_empty(instantiate(inner, d))
         po = project_or_empty(instantiate(outer, d))
-        if pi.is_empty:
-            check.record(s, 0.0, tol=tol)
-            continue
-        nonempty += 1
+        nonempty += not pi.is_empty
         margin = containment_margin(po, pi)
         worst_margin = max(worst_margin, margin)
         message = None
         if margin > tol:
-            v = max(pi.vertices, key=partial(halfplane_violation, po))
+            v = pi.vertices[halfplane_violation(po, pi.vertices).argmax()]
             message = f"seed {s}: vertex {v} outside {outer_id} by {margin:.3e}"
         check.record(s, max(margin, 0.0), message, tol=tol)
     check.details["worst_margin"] = worst_margin if math.isfinite(worst_margin) else None
@@ -433,28 +426,19 @@ def grid_agreement(
     vertex sets are additionally probed against the opposite method, which
     catches boundary defects a coarse grid can step over.
     """
-    hull = list(oracle_polygon(system))
+    hull = oracle_polygon(system)
     rmax = max(poly.max_coord(), max((max(p) for p in hull), default=0.0), 1e-6) + 0.25
-    bad = 0
-    worst = 0.0
-    probes = [
-        (gx, gy)
-        for gx in np.linspace(0.0, rmax, grid)
-        for gy in np.linspace(0.0, rmax, grid)
-    ]
-    probes.extend(poly.vertices)
-    probes.extend(hull)
-    for gx, gy in probes:
-        vf = halfplane_violation(poly, (gx, gy)) if not poly.is_empty else math.inf
-        vo = _distance_to_hull(hull, (gx, gy))
-        in_f = vf <= REGION_TOL
-        in_o = vo <= REGION_TOL
-        if in_f != in_o:
-            dist = min(abs(vf), abs(vo))
-            if dist > REGION_TOL:
-                bad += 1
-                worst = max(worst, dist)
-    return bad, worst
+    axis = np.linspace(0.0, rmax, grid)
+    probes = np.concatenate((
+        np.column_stack((np.repeat(axis, grid), np.tile(axis, grid))),
+        np.reshape(poly.vertices, (-1, 2)),
+        np.reshape(hull, (-1, 2)),
+    ))
+    vf = halfplane_violation(poly, probes)
+    vo = _distance_to_hull(hull, probes)
+    dist = np.minimum(np.abs(vf), np.abs(vo))
+    bad = ((vf <= REGION_TOL) != (vo <= REGION_TOL)) & (dist > REGION_TOL)
+    return int(bad.sum()), float(dist[bad].max(initial=0.0))
 
 
 def check_fme_oracle(
@@ -661,6 +645,28 @@ def _pareto_filter(points: list[tuple[float, float]]) -> list[tuple[float, float
 # ---------------------------------------------------------------------------
 
 
+# name -> runner(samples, projected, seed, tol_mi, tol_region), where
+# `projected` caps the instances each projecting check draws; "all" runs
+# every suite in this order
+SUITES = {
+    "devroye": lambda n, k, seed, tol_mi, tol_region: [
+        check_identities("devroye", "RTD_IN", devroye_identity_checks(), n, seed, tol_mi)],
+    "cc": lambda n, k, seed, tol_mi, tol_region: [
+        check_cc_reduction(n, seed, tol_mi, proj_instances=k)],
+    "jiang": lambda n, k, seed, tol_mi, tol_region: [
+        check_jiang_containment(n, seed, tol_mi, containment_instances=k, tol_region=tol_region)],
+    "maric": lambda n, k, seed, tol_mi, tol_region: [
+        check_identities("maric", "MARIC", maric_identity_checks(), n, seed, tol_mi)],
+    "containment": lambda n, k, seed, tol_mi, tol_region: [
+        sampled_region_containment(
+            "RTD_IN", "DMT_OUT", channel=random_channel(7), samples=k, seed=seed, tol=tol_region),
+        sampled_region_containment("RTD_JIANG", "JIANG", samples=k, seed=seed, tol=tol_region),
+        sampled_region_containment("RTD_CC", "CCP", samples=k, seed=seed, tol=tol_region),
+    ],
+}
+SUITE_NAMES = (*SUITES, "all")
+
+
 def run_suite(
     name: str,
     samples: int = 200,
@@ -673,44 +679,10 @@ def run_suite(
         raise InvalidParameter(f"samples must be at least 1, got {samples}")
     check_tolerance("tol_mi", tol_mi)
     check_tolerance("tol_region", tol_region)
-    containment_samples = min(samples, 100)
-    if name == "devroye":
-        return [check_identities(name, "RTD_IN", devroye_identity_checks(), samples, seed, tol_mi)]
-    if name == "cc":
-        return [check_cc_reduction(samples, seed, tol_mi, proj_instances=containment_samples)]
-    if name == "jiang":
-        return [
-            check_jiang_containment(
-                samples,
-                seed,
-                tol_mi,
-                containment_instances=containment_samples,
-                tol_region=tol_region,
-            )
-        ]
-    if name == "maric":
-        return [check_identities(name, "MARIC", maric_identity_checks(), samples, seed, tol_mi)]
-    if name == "containment":
-        return [
-            sampled_region_containment(
-                "RTD_IN", "DMT_OUT", channel=random_channel(7), samples=containment_samples,
-                seed=seed, tol=tol_region,
-            ),
-            sampled_region_containment(
-                "RTD_JIANG", "JIANG", samples=containment_samples, seed=seed, tol=tol_region
-            ),
-            sampled_region_containment(
-                "RTD_CC", "CCP", samples=containment_samples, seed=seed, tol=tol_region
-            ),
-        ]
-    if name == "all":
-        out: list[SuiteReport] = []
-        for sub in ("devroye", "cc", "jiang", "maric", "containment"):
-            out.extend(run_suite(sub, samples, seed, tol_mi, tol_region))
-        return out
-    raise InvalidParameter(
-        f"unknown suite {name!r}; choose devroye, cc, jiang, maric, containment, all"
-    )
+    if name not in SUITE_NAMES:
+        raise InvalidParameter(f"unknown suite {name!r}; choose {', '.join(SUITE_NAMES)}")
+    runners = SUITES.values() if name == "all" else (SUITES[name],)
+    return [r for run in runners for r in run(samples, min(samples, 100), seed, tol_mi, tol_region)]
 
 
 def reports_to_json(reports: list[SuiteReport]) -> dict:

@@ -1,9 +1,11 @@
 """Shared fixtures: canonical distributions used across test modules,
 log-ratio references for the information measures, a cell-by-cell
-reference for the factorized sampler, and a sense-by-sense reference for
-the LE normal form of an instantiated schema."""
+reference for the factorized sampler, a sense-by-sense reference for
+the LE normal form of an instantiated schema, and point-by-point
+references for the region membership tests."""
 
 import itertools
+import math
 
 import numpy as np
 
@@ -179,3 +181,49 @@ def reference_le_system(schema, d, pin=None, vacuous=False, drop=()) -> LinearSy
             rows.append(Row(tuple(-v for v in vec), -float(rhs), c.label))
     r1, r2 = (tuple(schema.projection_coeffs(w).get(n, 0) for n in names) for w in ("R1", "R2"))
     return LinearSystem(names, tuple(rows), r1, r2)
+
+
+def reference_halfplane_violation(poly, point) -> float:
+    """Max violation of one point against the half-planes and the quadrant,
+    one half-plane at a time; the first maximum wins, as in `max`.  Meant
+    for nonempty regions: on EMPTY it checks only the quadrant."""
+    worst = max(-point[0], -point[1])
+    for h in poly.halfplanes:
+        worst = max(worst, h.value(point[0], point[1]))
+    return worst
+
+
+def reference_distance_to_hull(hull, point) -> float:
+    """Signed distance of one point: <= 0 inside, > 0 outside (degenerate
+    hulls allowed), +inf with no hull."""
+    x, y = point
+    if not hull:
+        return math.inf
+    if len(hull) == 1:
+        return math.hypot(x - hull[0][0], y - hull[0][1])
+    if len(hull) == 2:
+        return reference_segment_distance(hull[0], hull[1], point)
+    hull = list(hull)
+    worst = -math.inf
+    for (px, py), (qx, qy) in zip(hull, hull[1:] + hull[:1]):
+        ex, ey = qx - px, qy - py
+        norm = math.hypot(ex, ey)
+        if norm < 1e-300:
+            continue
+        # outward normal for CCW orientation
+        d = ((ey) * (x - px) - (ex) * (y - py)) / norm
+        worst = max(worst, d)
+    return worst
+
+
+def reference_segment_distance(p, q, point) -> float:
+    px, py = p
+    qx, qy = q
+    x, y = point
+    ex, ey = qx - px, qy - py
+    denom = ex * ex + ey * ey
+    if denom < 1e-300:
+        return math.hypot(x - px, y - py)
+    t = max(0.0, min(1.0, ((x - px) * ex + (y - py) * ey) / denom))
+    cx, cy = px + t * ex, py + t * ey
+    return math.hypot(x - cx, y - cy)

@@ -14,6 +14,7 @@ from cifc.polytope import (
     EMPTY,
     MAX_ORACLE_SUBSETS,
     Polytope2D,
+    _distance_to_hull,
     compile_schema,
     containment_margin,
     fme_project,
@@ -28,7 +29,12 @@ from cifc.polytope import (
     vertices_csv,
 )
 from cifc.regions import SCHEMA_IDS, LinearSystem, Row, builtin_schema, instantiate
-from cifc.verify import SAMPLING_MODES, sample_instance
+from cifc.verify import SAMPLING_MODES, grid_agreement, sample_instance
+from helpers import (
+    degenerate_rtd_distribution,
+    reference_distance_to_hull,
+    reference_halfplane_violation,
+)
 
 
 def segment_system():
@@ -256,8 +262,6 @@ def test_compiled_unbounded_when_decoding_rows_removed():
 
 def test_oracle_origin_of_zero_system():
     rtd = builtin_schema("RTD")
-    from helpers import degenerate_rtd_distribution
-
     system = instantiate(rtd, degenerate_rtd_distribution())
     assert membership_oracle(system, (0.0, 0.0))
     assert not membership_oracle(system, (0.1, 0.0))
@@ -272,14 +276,10 @@ def test_oracle_square_grid_agreement():
     system = orthogonal_square_system()
     poly = fme_project(system)
     assert len(oracle_polygon(system)) == 4
-    disagreements = 0
-    for gx in np.linspace(0.0, 1.25, 21):
-        for gy in np.linspace(0.0, 1.25, 21):
-            in_f = halfplane_violation(poly, (gx, gy)) <= 0
-            in_o = membership_oracle(system, (gx, gy), tol=0.0)
-            if in_f != in_o:
-                disagreements += 1
-    assert disagreements == 0
+    probes = list(itertools.product(np.linspace(0.0, 1.25, 21), repeat=2))
+    in_f = halfplane_violation(poly, probes) <= 0
+    in_o = [membership_oracle(system, p, tol=0.0) for p in probes]
+    assert in_f.tolist() == in_o
 
 
 def test_oracle_refuses_too_many_subsets():
@@ -298,8 +298,6 @@ def test_oracle_refuses_too_many_subsets():
 @pytest.mark.parametrize("sid", ["RTD", "JIANG", "CCP"])
 def test_oracle_full_agreement_sampled(sid):
     schema = builtin_schema(sid)
-    from cifc.verify import grid_agreement
-
     for i, seed in enumerate(range(6)):
         ch = random_channel(seed)
         d = sample_instance(schema, ch, seed, mode=["free", "det", "flat_det"][i % 3])
@@ -307,6 +305,80 @@ def test_oracle_full_agreement_sampled(sid):
         poly = project_or_empty(system)
         bad, worst = grid_agreement(system, poly, grid=15)
         assert bad == 0, f"seed {seed}: worst {worst}"
+
+
+def empty_system():
+    # the unit square plus the variable-free row 0 <= -1
+    return dataclasses.replace(unit_square(), rows=unit_square().rows + (Row((0, 0), -1.0),))
+
+
+@pytest.mark.parametrize("system", [
+    pytest.param(lambda: instantiate(builtin_schema("RTD"), degenerate_rtd_distribution()),
+                 id="point"),
+    pytest.param(segment_system, id="segment"),
+    pytest.param(empty_system, id="empty"),
+])
+def test_grid_agreement_on_degenerate_regions(system):
+    system = system()
+    poly = project_or_empty(system)
+    hull = oracle_polygon(system)
+    assert len(hull) == len(poly.vertices) <= 2
+    assert grid_agreement(system, poly) == (0, 0.0)
+
+
+def _hex(values) -> list[str]:
+    return [float(v).hex() for v in values]
+
+
+def _assert_matches_reference(poly, hulls, probes):
+    """The array membership tests equal the point-by-point references bit
+    for bit, the sign of zero included."""
+    if not poly.is_empty:
+        got = halfplane_violation(poly, probes)
+        assert _hex(got) == _hex(reference_halfplane_violation(poly, p) for p in probes)
+    for hull in hulls:
+        got = _distance_to_hull(hull, probes)
+        assert _hex(got) == _hex(reference_distance_to_hull(hull, p) for p in probes), hull
+
+
+@pytest.mark.parametrize("sid", SCHEMA_IDS)
+def test_array_membership_matches_pointwise_reference(sid):
+    schema = builtin_schema(sid)
+    sizes = (2, 4, 2, 2) if sid == "MARIC" else (2, 2, 2, 2)
+    nonempty = 0
+    for mode, seed in itertools.product(SAMPLING_MODES, range(3)):
+        d = sample_instance(schema, random_channel(seed, sizes), seed, mode=mode)
+        system = instantiate(schema, d)
+        poly = project_or_empty(system)
+        hull = oracle_polygon(system)
+        axis = np.linspace(0.0, max(poly.max_coord(), 1e-6) + 0.25, 21).tolist()
+        probes = [*itertools.product(axis, repeat=2), *poly.vertices, *hull]
+        _assert_matches_reference(poly, (hull, poly.vertices), probes)
+        nonempty += not poly.is_empty
+    assert nonempty
+
+
+def test_array_membership_matches_reference_on_degenerate_hulls():
+    triangle = ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0))
+    hulls = [(), ((0.25, 0.5),), ((0.0, 0.0), (1.0, 0.0)), ((0.1, 0.2), (0.7, 0.4)),
+             ((0.3, 0.3), (0.3, 0.3)), triangle]
+    # the grid, signed zeros, and points exactly on every hull edge
+    probes = [*itertools.product(np.linspace(-0.5, 1.5, 9).tolist(), repeat=2),
+              (-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0), (-0.0, 0.5)]
+    for hull in hulls:
+        for (px, py), (qx, qy) in zip(hull, hull[1:] + hull[:1]):
+            probes += [(px + t * (qx - px), py + t * (qy - py)) for t in (0.0, 0.25, 0.5, 1.0)]
+    assert all(0.0 in (x, y) or x + y == 1.0 for x, y in probes[-12:])  # on the triangle
+    for poly in (fme_project(segment_system()), fme_project(unit_square()),
+                 project_or_empty(instantiate(builtin_schema("RTD"), degenerate_rtd_distribution()))):
+        _assert_matches_reference(poly, hulls, probes)
+
+
+def test_empty_region_contains_no_point():
+    assert halfplane_violation(EMPTY, [(0.5, 0.5)]).tolist() == [math.inf]
+    assert halfplane_violation(EMPTY, []).shape == (0,)
+    assert containment_margin(EMPTY, fme_project(unit_square())) == math.inf
+    assert _distance_to_hull((), [(0.0, 0.0), (1.0, 2.0)]).tolist() == [math.inf, math.inf]
 
 
 # -- containment and equality ----------------------------------------------------
@@ -370,7 +442,7 @@ def test_projection_downward_closed(seed):
     rng = np.random.default_rng(seed)
     for x, y in poly.vertices:
         t, s = rng.random(2)
-        assert halfplane_violation(poly, (x * t, y * s)) <= 1e-9
+        assert halfplane_violation(poly, [(x * t, y * s)])[0] <= 1e-9
 
 
 # -- serialization -----------------------------------------------------------------

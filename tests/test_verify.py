@@ -296,7 +296,7 @@ def test_reversed_containment_fails_at_the_most_violating_vertex():
         po = project_or_empty(instantiate(builtin_schema("JIANG"), d))
         pi = project_or_empty(instantiate(builtin_schema("RTD_JIANG"), d))
         assert vertex in pi.vertices
-        assert halfplane_violation(po, vertex) == containment_margin(po, pi) > REGION_TOL
+        assert halfplane_violation(po, [vertex])[0] == containment_margin(po, pi) > REGION_TOL
 
 
 def test_containment_jiang_pair():
