@@ -12,6 +12,9 @@ projection carries the labels of its source rows.  The projector and the
 membership oracle are deliberately independent code paths: the first runs
 variable elimination, the second enumerates every basic solution of the
 full-dimensional system and takes the convex hull of its projections.
+The oracle, too, does once per coefficient structure what does not depend
+on the right-hand side: it finds the nonsingular bases, and a system then
+only solves for its basic solutions.
 """
 
 from __future__ import annotations
@@ -428,53 +431,60 @@ def compile_schema(schema: RegionSchema) -> CompiledSchema:
 
 
 @lru_cache(maxsize=256)
-def _oracle_hull(system: LinearSystem) -> tuple[tuple[float, float], ...]:
-    """All basic feasible solutions of the full system, projected and hulled.
+def _oracle_bases(
+    coeffs: tuple[tuple[int, ...], ...], n: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every nonsingular basis of {x >= 0 : coeffs . x <= b}, for any b.
 
-    Enumerates every n-subset of rows (original constraints plus the
-    nonnegativity facets), solves the square systems in a vectorized batch,
-    and keeps the solutions satisfying the whole system.  The projection of
-    the polytope equals the convex hull of the projected solutions because
-    the systems handled here are bounded.  Raises InvalidParameter when
-    the subset count exceeds MAX_ORACLE_SUBSETS.
+    A basis is an n-subset of the m = rows + n constraint rows (the system's
+    rows, then the nonnegativity facets -x_i <= 0) whose square matrix is
+    nonsingular; which subsets those are depends on the coefficients only,
+    so each structure enumerates its C(m, n) subsets and takes their
+    determinants once.  Returns the full (m, n) row matrix, the (k, n) row
+    indices of the k nonsingular subsets and their (k, n, n) matrices.
+    Raises InvalidParameter, before anything is allocated, when the subset
+    count exceeds MAX_ORACLE_SUBSETS.
     """
-    n = len(system.variables)
-    m = len(system.rows) + n
+    m = len(coeffs) + n
     subsets = math.comb(m, n)
     if subsets > MAX_ORACLE_SUBSETS:
         raise InvalidParameter(f"the oracle would solve C({m}, {n}) = {subsets} "
                                f"row subsets, above the cap of {MAX_ORACLE_SUBSETS}")
-    mats = [list(r.coeffs) for r in system.rows]
-    rhs = [r.rhs for r in system.rows]
-    for i in range(n):
-        e = [0] * n
-        e[i] = -1
-        mats.append(e)
-        rhs.append(0.0)
-    a = np.asarray(mats, dtype=float)
-    b = np.asarray(rhs, dtype=float)
-    combos = np.asarray(list(itertools.combinations(range(m), n)), dtype=int)
-    points: list[tuple[float, float]] = []
-    chunk = 200_000
+    a = np.vstack([np.asarray(coeffs, dtype=float).reshape(len(coeffs), n), -np.eye(n)])
+    combos = np.fromiter(itertools.chain.from_iterable(itertools.combinations(range(m), n)),
+                         dtype=np.intp, count=subsets * n).reshape(subsets, n)
+    mats = a[combos]
+    # integer coefficient matrices: nonsingular iff |det| >= 1
+    keep = np.abs(np.linalg.det(mats)) > 0.5
+    return a, combos[keep], mats[keep]
+
+
+@lru_cache(maxsize=256)
+def _oracle_hull(system: LinearSystem) -> tuple[tuple[float, float], ...]:
+    """All basic feasible solutions of the full system, projected and hulled.
+
+    The nonsingular bases come from _oracle_bases, once per coefficient
+    structure; per system only the basic solutions change, so they are one
+    batched solve against the rhs.  The solutions satisfying the whole
+    system within FEAS_TOL are clipped to x >= 0 (the slack also admits a
+    rate of -FEAS_TOL) and projected.  The projection of the polytope is
+    the convex hull of the projected solutions because the systems handled
+    here are bounded.  This path shares no code with the elimination: no
+    multipliers, no Chernikov rule, no CompiledProjection.  Raises
+    InvalidParameter when the subset count exceeds MAX_ORACLE_SUBSETS.
+    """
+    n = len(system.variables)
+    a, idx, mats = _oracle_bases(tuple(r.coeffs for r in system.rows), n)
+    b = np.array([r.rhs for r in system.rows] + [0.0] * n)
+    sols = np.linalg.solve(mats, b[idx][..., None])[..., 0]
+    feas = (a @ sols.T <= b[:, None] + FEAS_TOL).all(axis=0)
+    good = np.maximum(sols[feas], 0.0)
     r1 = np.asarray(system.r1, dtype=float)
     r2 = np.asarray(system.r2, dtype=float)
-    for start in range(0, len(combos), chunk):
-        idx = combos[start : start + chunk]
-        sub_a = a[idx]
-        sub_b = b[idx]
-        dets = np.linalg.det(sub_a)
-        # integer coefficient matrices: nonsingular iff |det| >= 1
-        mask = np.abs(dets) > 0.5
-        if not mask.any():
-            continue
-        sols = np.linalg.solve(sub_a[mask], sub_b[mask][..., None])[..., 0]
-        feas = (a @ sols.T <= b[:, None] + FEAS_TOL).all(axis=0)
-        good = sols[feas]
-        if good.size:
-            for x, y in zip(good @ r1, good @ r2):
-                # snap away ulp jitter between repeated basic solutions so
-                # the hull sees one clean coordinate per geometric vertex
-                points.append((round(float(x), 12) + 0.0, round(float(y), 12) + 0.0))
+    # snap away ulp jitter between repeated basic solutions so the hull
+    # sees one clean coordinate per geometric vertex
+    points = [(round(float(x), 12) + 0.0, round(float(y), 12) + 0.0)
+              for x, y in zip(good @ r1, good @ r2)]
     hull = _convex_hull(_merge_close(points, 1e-12), collinear_eps=1e-12)
     return tuple(_order_ccw(hull))
 

@@ -1,8 +1,9 @@
 """Shared fixtures: canonical distributions used across test modules,
 log-ratio references for the information measures, a cell-by-cell
 reference for the factorized sampler, a sense-by-sense reference for
-the LE normal form of an instantiated schema, and point-by-point
-references for the region membership tests."""
+the LE normal form of an instantiated schema, point-by-point
+references for the region membership tests, and the uncompiled
+enumeration oracle."""
 
 import itertools
 import math
@@ -10,6 +11,7 @@ import math
 import numpy as np
 
 from cifc.channel import canonical_channel, random_channel
+from cifc.polytope import FEAS_TOL, _convex_hull, _merge_close, _order_ccw
 from cifc.probability import (
     JointDistribution,
     RandomVariableSet,
@@ -227,3 +229,41 @@ def reference_segment_distance(p, q, point) -> float:
     t = max(0.0, min(1.0, ((x - px) * ex + (y - py) * ey) / denom))
     cx, cy = px + t * ex, py + t * ey
     return math.hypot(x - cx, y - cy)
+
+
+def reference_oracle_hull(system: LinearSystem) -> tuple[tuple[float, float], ...]:
+    """The enumeration oracle with nothing cached: every n-subset of rows is
+    built, tested for a nonzero determinant and solved afresh for this
+    system, and the feasible basic solutions are projected unclipped."""
+    n = len(system.variables)
+    m = len(system.rows) + n
+    mats = [list(r.coeffs) for r in system.rows]
+    rhs = [r.rhs for r in system.rows]
+    for i in range(n):
+        e = [0] * n
+        e[i] = -1
+        mats.append(e)
+        rhs.append(0.0)
+    a = np.asarray(mats, dtype=float)
+    b = np.asarray(rhs, dtype=float)
+    combos = np.asarray(list(itertools.combinations(range(m), n)), dtype=int)
+    points: list[tuple[float, float]] = []
+    chunk = 200_000
+    r1 = np.asarray(system.r1, dtype=float)
+    r2 = np.asarray(system.r2, dtype=float)
+    for start in range(0, len(combos), chunk):
+        idx = combos[start : start + chunk]
+        sub_a = a[idx]
+        sub_b = b[idx]
+        dets = np.linalg.det(sub_a)
+        mask = np.abs(dets) > 0.5
+        if not mask.any():
+            continue
+        sols = np.linalg.solve(sub_a[mask], sub_b[mask][..., None])[..., 0]
+        feas = (a @ sols.T <= b[:, None] + FEAS_TOL).all(axis=0)
+        good = sols[feas]
+        if good.size:
+            for x, y in zip(good @ r1, good @ r2):
+                points.append((round(float(x), 12) + 0.0, round(float(y), 12) + 0.0))
+    hull = _convex_hull(_merge_close(points, 1e-12), collinear_eps=1e-12)
+    return tuple(_order_ccw(hull))

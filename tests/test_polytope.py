@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,8 @@ from cifc.polytope import (
     MAX_ORACLE_SUBSETS,
     Polytope2D,
     _distance_to_hull,
+    _oracle_bases,
+    _oracle_hull,
     compile_schema,
     containment_margin,
     fme_project,
@@ -34,6 +37,7 @@ from helpers import (
     degenerate_rtd_distribution,
     reference_distance_to_hull,
     reference_halfplane_violation,
+    reference_oracle_hull,
 )
 
 
@@ -290,9 +294,51 @@ def test_oracle_refuses_too_many_subsets():
     assert math.comb(41, 40) <= MAX_ORACLE_SUBSETS < math.comb(80, 40)
     big = dataclasses.replace(small, rows=tuple(
         Row(tuple(int(i == k) for i in range(n)), 1.0) for k in range(n)))
-    with pytest.raises(InvalidParameter, match="C\\(80, 40\\)"):
-        oracle_polygon(big)
+    _oracle_bases.cache_clear()
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidParameter, match="C\\(80, 40\\)"):
+            oracle_polygon(big)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # refused before the 80 x 40 row matrix (25.6 kB) is built, and not cached
+    assert peak < 16_000
+    assert _oracle_bases.cache_info().currsize == 0
     assert len(oracle_polygon(small)) == 3  # the triangle R1 + R2 <= 1
+    assert _oracle_bases.cache_info().currsize == 1
+
+
+@pytest.mark.parametrize("sid", SCHEMA_IDS)
+def test_compiled_oracle_matches_uncompiled_reference(sid):
+    """The cached bases give the same hulls as enumerating every subset
+    afresh, and a schema's instances share one structure, compiled once."""
+    schema = builtin_schema(sid)
+    sizes = (2, 4, 2, 2) if sid == "MARIC" else (2, 2, 2, 2)
+    _oracle_hull.cache_clear()
+    _oracle_bases.cache_clear()
+    for mode, seed in itertools.product(SAMPLING_MODES, range(10)):
+        d = sample_instance(schema, random_channel(seed, sizes), seed, mode=mode)
+        system = instantiate(schema, d)
+        assert oracle_polygon(system) == reference_oracle_hull(system), (mode, seed)
+    # one enumeration for the schema; every other hull reused its bases
+    info = _oracle_bases.cache_info()
+    assert info.misses == 1
+    assert info.hits == _oracle_hull.cache_info().misses - 1 > 0
+
+
+def test_oracle_hull_stays_in_the_quadrant():
+    # a basic solution with x1 = x2 = -1e-9 passes every row within the 1e-9
+    # slack, the nonnegativity rows included; it is clipped onto the origin
+    system = LinearSystem(
+        ("x0", "x1", "x2"),
+        (Row((2, -1, -1), 1e-9), Row((2, 2, 0), 1.771), Row((0, 0, 2), 1.964)),
+        (0, 1, 0), (1, 1, 0))
+    assert (-1e-9, -1e-9) in reference_oracle_hull(system)
+    hull = oracle_polygon(system)
+    assert (0.0, 0.0) in hull
+    assert min(min(p) for p in hull) == 0.0
+    assert (0.0, 0.0) in fme_project(system).vertices
 
 
 @pytest.mark.parametrize("sid", ["RTD", "JIANG", "CCP"])
