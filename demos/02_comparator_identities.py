@@ -6,12 +6,7 @@ map per distribution, and projects the regions to check containment.
 Everything is reproducible from the seeds shown in the reports.
 """
 
-from cifc.verify import (
-    check_cc_reduction,
-    check_jiang_containment,
-    run_suite,
-    sampled_region_containment,
-)
+from cifc.verify import check_cc_reduction, run_suite, sampled_region_containment
 from cifc.channel import random_channel
 
 
@@ -30,7 +25,8 @@ print("\nmerged-satellite reduction and pinned-region equality")
 show(check_cc_reduction(samples=60, seed=0, proj_instances=30))
 
 print("\nindependent-common-messages comparator")
-show(check_jiang_containment(samples=60, seed=0, containment_instances=30))
+show(*run_suite("jiang", samples=60, seed=0))
+show(sampled_region_containment("RTD_JIANG", "JIANG", samples=30, seed=20_000))
 
 print("\nsplit-primary-input merge")
 show(*run_suite("maric", samples=60, seed=0))

@@ -4,6 +4,9 @@ The package computes, for finite-alphabet channels and explicitly sampled
 input distributions, the unified achievable rate region and the prior
 comparator regions, projects them onto the (R1, R2) plane, and runs the
 per-distribution identity and containment suites that connect them.
+Each identity suite is a table that `check_identities` runs (`run_suite`
+names them), and each comparator's projected containment in its unified
+counterpart is checked once, by `sampled_region_containment`.
 """
 
 from .channel import Alphabet, Channel, canonical_channel, validate_channel  # noqa: F401
@@ -12,7 +15,6 @@ from .polytope import (  # noqa: F401
     Polytope2D,
     fme_project,
     membership_oracle,
-    polytope_contains,
     polytope_equal,
 )
 from .probability import (  # noqa: F401
@@ -23,14 +25,12 @@ from .probability import (  # noqa: F401
     RandomVariableSet,
     evaluate_expr,
     extend_through_channel,
-    marginalize,
     mi,
     mutual_information,
 )
 from .regions import (  # noqa: F401
     RegionSchema,
     builtin_schema,
-    droppable_constraints,
     instantiate,
     schema_manifest,
 )
@@ -38,7 +38,6 @@ from .sampling import sample_factored  # noqa: F401
 from .verify import (  # noqa: F401
     check_cc_reduction,
     check_identities,
-    check_jiang_containment,
     run_suite,
     sampled_region_containment,
     trace_frontier,

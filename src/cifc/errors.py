@@ -48,10 +48,6 @@ class FactorizationViolation(CifcError):
     """A distribution fails a conditional-independence requirement."""
 
 
-class NotApplicable(CifcError):
-    """The operation is defined only for a different schema."""
-
-
 class Infeasible(CifcError):
     """The instantiated rate system admits no nonnegative solution."""
 

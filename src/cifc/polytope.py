@@ -567,11 +567,6 @@ def containment_margin(outer: Polytope2D, inner: Polytope2D) -> float:
     return float(violation[violation.argmax()])
 
 
-def polytope_contains(outer: Polytope2D, inner: Polytope2D, tol: float = 1e-7) -> bool:
-    """True iff every vertex of inner satisfies every half-plane of outer."""
-    return containment_margin(outer, inner) <= tol
-
-
 def polytope_equal(a: Polytope2D, b: Polytope2D, tol: float = 1e-9) -> bool:
     """Vertex sets match within tol (in both directions)."""
     if a.is_empty or b.is_empty:

@@ -161,7 +161,7 @@ def chain(*factors: tuple) -> FactorizationSpec:
 # ---------------------------------------------------------------------------
 
 
-# einsum subscripts of a joint's axes; "w" and "z" label the appended ones
+# einsum subscripts of a joint's axes; "w" and "z" label the appended outputs
 _AXIS_LETTERS = "abcdefghijklmnopqrstuv"
 
 
@@ -170,52 +170,29 @@ def _axis_letters(d: JointDistribution) -> str:
     n = len(d.names)
     if n > len(_AXIS_LETTERS):
         raise InvalidParameter(
-            f"{n} variables exceed the limit of {len(_AXIS_LETTERS)} for channel "
-            "extension and pairing"
+            f"{n} variables exceed the limit of {len(_AXIS_LETTERS)} for channel extension"
         )
     return _AXIS_LETTERS[:n]
 
 
-def extend_through_channel(
-    d: JointDistribution,
-    c: Channel,
-    x1: str = "X1",
-    x2: str = "X2",
-    y1: str = "Y1",
-    y2: str = "Y2",
-) -> JointDistribution:
-    """Append channel outputs: p(all, y1, y2) = p(all) p(y1, y2 | x1, x2)."""
-    for name in (x1, x2):
+def extend_through_channel(d: JointDistribution, c: Channel) -> JointDistribution:
+    """Append channel outputs: p(all, Y1, Y2) = p(all) p(Y1, Y2 | X1, X2)."""
+    for name in ("X1", "X2"):
         if name not in d.names:
             raise AlphabetMismatch(f"distribution lacks channel input {name!r}")
-    for name in (y1, y2):
+    for name in ("Y1", "Y2"):
         if name in d.names:
             raise AlphabetMismatch(f"output name {name!r} already present")
-    if d.rvs.size(x1) != c.x1.size or d.rvs.size(x2) != c.x2.size:
+    if d.rvs.size("X1") != c.x1.size or d.rvs.size("X2") != c.x2.size:
         raise AlphabetMismatch(
-            f"input sizes ({d.rvs.size(x1)},{d.rvs.size(x2)}) do not match channel "
+            f"input sizes ({d.rvs.size('X1')},{d.rvs.size('X2')}) do not match channel "
             f"({c.x1.size},{c.x2.size})"
         )
     letters = _axis_letters(d)
-    ly1, ly2 = "w", "z"
-    i1, i2 = d.rvs.axis(x1), d.rvs.axis(x2)
-    sub = f"{letters},{ly1}{ly2}{letters[i1]}{letters[i2]}->{letters}{ly1}{ly2}"
+    i1, i2 = d.rvs.axis("X1"), d.rvs.axis("X2")
+    sub = f"{letters},wz{letters[i1]}{letters[i2]}->{letters}wz"
     prob = np.einsum(sub, d.prob, c.transition)
-    rvs = RandomVariableSet(d.names + (y1, y2), d.rvs.sizes + (c.y1.size, c.y2.size))
-    return JointDistribution(rvs, prob)
-
-
-def marginalize(d: JointDistribution, keep: Names) -> JointDistribution:
-    """Sum out every variable not in `keep`; order of kept axes is preserved."""
-    keep_t = _names(keep)
-    for name in keep_t:
-        if name not in d.names:
-            raise UnknownVariable(name)
-    keep_set = set(keep_t)
-    drop = tuple(i for i, n in enumerate(d.names) if n not in keep_set)
-    prob = d.prob.sum(axis=drop) if drop else d.prob
-    kept = [(n, s) for n, s in zip(d.names, d.rvs.sizes) if n in keep_set]
-    rvs = RandomVariableSet(tuple(n for n, _ in kept), tuple(s for _, s in kept))
+    rvs = RandomVariableSet(d.names + ("Y1", "Y2"), d.rvs.sizes + (c.y1.size, c.y2.size))
     return JointDistribution(rvs, prob)
 
 
@@ -224,26 +201,6 @@ def pairing_onehot(sizes: Sequence[int]) -> np.ndarray:
     value is the row-major mixed-radix index of the part values."""
     n = int(np.prod(sizes))
     return np.eye(n).reshape(*sizes, n)
-
-
-def add_paired_variable(d: JointDistribution, name: str, parts: Names) -> JointDistribution:
-    """Append a deterministic variable equal to the tuple of `parts`.
-
-    The new variable has cardinality prod(|part|) and value equal to the
-    row-major mixed-radix index of the part values.
-    """
-    parts_t = _names(parts)
-    if name in d.names:
-        raise InvalidParameter(f"variable {name!r} already present")
-    axes = d.axes_of(parts_t)
-    sizes = [d.rvs.sizes[a] for a in axes]
-    onehot = pairing_onehot(sizes)
-    letters = _axis_letters(d)
-    part_letters = "".join(letters[a] for a in axes)
-    sub = f"{letters},{part_letters}z->{letters}z"
-    prob = np.einsum(sub, d.prob, onehot)
-    rvs = RandomVariableSet(d.names + (name,), d.rvs.sizes + (onehot.shape[-1],))
-    return JointDistribution(rvs, prob)
 
 
 # ---------------------------------------------------------------------------
@@ -436,13 +393,6 @@ def mutual_information(d: JointDistribution, t: MITerm) -> float:
 def entropy(d: JointDistribution, names: Names, given: Names = ()) -> float:
     """H(A|C) in bits."""
     return evaluate_expr(d, MIExpr.of(_SelfInformation(names, names, given)))
-
-
-def check_conditional_independence(
-    d: JointDistribution, a: Names, b: Names, given: Names = (), tol: float = 1e-9
-) -> bool:
-    """True iff I(A;B|C) <= tol."""
-    return mutual_information(d, mi(a, b, given)) <= tol
 
 
 def verify_factorization(d: JointDistribution, spec: FactorizationSpec, tol: float = 1e-9) -> None:

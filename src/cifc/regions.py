@@ -44,7 +44,6 @@ import numpy as np
 from .errors import (
     FactorizationViolation,
     InvalidParameter,
-    NotApplicable,
     UnknownSchema,
     UnknownVariable,
 )
@@ -878,21 +877,6 @@ DROPPABLE = (
     ("1g", frozenset({"R2pb", "R2pb'"})),
     ("1i", frozenset({"R1c", "R1c'", "R1pb", "R1pb'"})),
 )
-
-
-def droppable_constraints(schema: RegionSchema, zeroed: set[str]) -> tuple[int, ...]:
-    """Indices of constraints droppable when all rates in `zeroed` are zero.
-
-    Defined for the RTD schema only; raises NotApplicable otherwise.
-    """
-    if schema.id != "RTD":
-        raise NotApplicable(f"droppable_constraints applies to RTD, not {schema.id}")
-    labels = schema.labels()
-    out = []
-    for label, required in DROPPABLE:
-        if required <= set(zeroed):
-            out.append(labels.index(label))
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

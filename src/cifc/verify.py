@@ -9,7 +9,9 @@ MI expressions that must vanish or be nonnegative, and one runner,
 `check_identities`, evaluates a table through one compiled map per
 distribution.  Strictly positive claims are tested as >= -tol with the
 observed gaps logged; degenerate distributions legitimately achieve
-zero.  The frontier search climbs on the sampler's factor blocks.
+zero.  Each comparator's projected region is checked against its unified
+counterpart once, by `sampled_region_containment` in the containment
+suite.  The frontier search climbs on the sampler's factor blocks.
 """
 
 from __future__ import annotations
@@ -286,7 +288,6 @@ def check_cc_reduction(
 # -- independent-common-messages comparator ----------------------------------
 
 
-JIANG_EXTRA = ("j3", "j8")  # the comparator's two bounds with no unified counterpart
 JIANG_PAIRS = (
     ("u0", "j0"),
     ("u1", "j1"),
@@ -310,38 +311,6 @@ def jiang_identity_checks() -> tuple[IdentityCheck, ...]:
             "I(U1c;X2|U2c) vanishes under the chain", (MIExpr.of(mi("U1c", "X2", "U2c")),)
         ),
     )
-
-
-def check_jiang_containment(
-    samples: int = 200,
-    seed: int = 0,
-    tol: float = MI_TOL,
-    containment_instances: int = 100,
-    tol_region: float = REGION_TOL,
-) -> SuiteReport:
-    """The identities of jiang_identity_checks, and the comparator region
-    (two extra bounds) projects inside the unified one.  Where it is
-    strictly smaller, the report counts the instances whose projection
-    names an extra bound on some half-plane."""
-    jg = builtin_schema("JIANG")
-    uj = builtin_schema("RTD_JIANG")
-    report = check_identities("jiang", "JIANG", jiang_identity_checks(), samples, seed, tol)
-    contain = CheckReport("comparator region inside unified region")
-    strict = 0
-    extra_active = 0
-    for i in range(containment_instances):
-        s = seed + 20_000 + i
-        d = sample_instance(jg, random_channel(s), s, mode=_mode_for(i))
-        pj = project_or_empty(instantiate(jg, d))
-        pu = project_or_empty(instantiate(uj, d))
-        contain.record(s, max(containment_margin(pu, pj), 0.0), tol=tol_region)
-        if not (pj.is_empty or pu.is_empty or polytope_equal(pu, pj, 1e-9)):
-            strict += 1
-            extra_active += any(lab in JIANG_EXTRA for h in pj.halfplanes for lab in h.labels)
-    contain.details["strictly_smaller"] = strict
-    contain.details["extra_bound_active_when_strict"] = extra_active
-    report.checks.append(contain)
-    return report
 
 
 # -- split-primary-input comparator ------------------------------------------
@@ -382,13 +351,15 @@ def sampled_region_containment(
     """Sample inner-schema distributions, instantiate both schemas on them
     (the two share one variable set), and assert the projected
     containment; a failure names the inner vertex that violates the outer
-    region most."""
+    region most.  The details count the nonempty inner regions and, of
+    those, the ones whose vertex set differs from the outer one at 1e-9
+    (`strictly_smaller`)."""
     outer = builtin_schema(outer_id)
     inner = builtin_schema(inner_id)
     report = SuiteReport(f"containment:{inner_id}->in->{outer_id}")
     check = CheckReport(f"{inner_id} inside {outer_id}")
     worst_margin = -math.inf
-    nonempty = 0
+    nonempty = strict = 0
     for i in range(samples):
         s = seed + i
         ch = channel or random_channel(s)
@@ -396,6 +367,7 @@ def sampled_region_containment(
         pi = project_or_empty(instantiate(inner, d))
         po = project_or_empty(instantiate(outer, d))
         nonempty += not pi.is_empty
+        strict += not (pi.is_empty or polytope_equal(po, pi, 1e-9))
         margin = containment_margin(po, pi)
         worst_margin = max(worst_margin, margin)
         message = None
@@ -405,6 +377,7 @@ def sampled_region_containment(
         check.record(s, max(margin, 0.0), message, tol=tol)
     check.details["worst_margin"] = worst_margin if math.isfinite(worst_margin) else None
     check.details["nonempty_instances"] = nonempty
+    check.details["strictly_smaller"] = strict
     report.checks.append(check)
     return report
 
@@ -522,18 +495,6 @@ class FrontierResult:
         return "\n".join(lines) + "\n"
 
 
-def frontier_points_from_csv(text: str) -> tuple[tuple[float, float, float, int], ...]:
-    """Parse the CSV written by FrontierResult.to_csv."""
-    lines = [ln for ln in text.strip().splitlines() if ln]
-    if not lines or lines[0] != "lambda,R1,R2,seed":
-        raise InvalidParameter("not a frontier CSV (missing header)")
-    out = []
-    for ln in lines[1:]:
-        lam, r1, r2, s = ln.split(",")
-        out.append((float(lam), float(r1), float(r2), int(s)))
-    return tuple(out)
-
-
 def trace_frontier(
     schema_id: str,
     channel: Channel,
@@ -561,6 +522,9 @@ def trace_frontier(
         lam_grid = np.asarray(list(lambdas), dtype=float)
     if not lam_grid.size:
         raise InvalidParameter(f"the lambda grid is empty ({lambdas!r})")
+    outside = lam_grid[~((lam_grid >= 0.0) & (lam_grid <= 1.0))]  # NaN is outside too
+    if outside.size:
+        raise InvalidParameter(f"lambda is a Pareto weight in [0, 1], got {float(outside[0])!r}")
     schema = builtin_schema(schema_id)
     compiled = compile_schema(schema)
     points: list[tuple[float, float, float, int]] = []
@@ -654,7 +618,7 @@ SUITES = {
     "cc": lambda n, k, seed, tol_mi, tol_region: [
         check_cc_reduction(n, seed, tol_mi, proj_instances=k)],
     "jiang": lambda n, k, seed, tol_mi, tol_region: [
-        check_jiang_containment(n, seed, tol_mi, containment_instances=k, tol_region=tol_region)],
+        check_identities("jiang", "JIANG", jiang_identity_checks(), n, seed, tol_mi)],
     "maric": lambda n, k, seed, tol_mi, tol_region: [
         check_identities("maric", "MARIC", maric_identity_checks(), n, seed, tol_mi)],
     "containment": lambda n, k, seed, tol_mi, tol_region: [

@@ -18,7 +18,6 @@ from cifc.verify import (
     check_cc_reduction,
     check_droppable,
     check_fme_oracle,
-    check_jiang_containment,
     run_suite,
     sampled_region_containment,
     trace_frontier,
@@ -99,15 +98,15 @@ def test_criterion_4_cc_suite():
 
 def test_criterion_5_jiang_suite():
     t0 = time.monotonic()
-    rep = check_jiang_containment(
-        samples=200, seed=0, tol=1e-9, containment_instances=100, tol_region=1e-7
-    )
-    ok = rep.ok
-    contain = rep.check("comparator region inside unified region")
+    rep, = run_suite("jiang", samples=200, seed=0, tol_mi=1e-9)
+    contain, = sampled_region_containment(
+        "RTD_JIANG", "JIANG", samples=100, seed=20_000, tol=1e-7).checks
+    ok = rep.ok and contain.ok
     detail = (
         f"(paired bounds <= {rep.check('eight paired bounds equal').max_abs_violation:.1e}; "
         f"pinned binning <= {rep.check('I(U1c;X2|U2c) vanishes under the chain').max_abs_violation:.1e}; "
-        f"containment 100/100, {contain.details['strictly_smaller']} strict)"
+        f"containment 100/100 <= {contain.max_abs_violation:.1e}, "
+        f"{contain.details['strictly_smaller']} strict)"
     )
     report(5, "independent-common-messages suite", ok, detail, time.monotonic() - t0)
 

@@ -4,10 +4,10 @@ import pytest
 
 from cifc.channel import canonical_channel, save_channel
 from cifc.cli import main
-from cifc.probability import joint_to_json
+from cifc.probability import JointDistribution, RandomVariableSet, joint_to_json
 from cifc.polytope import polytope_from_json
 
-from helpers import square_assignment
+from helpers import _marginal, square_assignment
 
 
 @pytest.fixture()
@@ -19,10 +19,8 @@ def orth_channel(tmp_path):
 
 @pytest.fixture()
 def square_dist(tmp_path):
-    from cifc.probability import marginalize
-
-    d = square_assignment()
-    pre = marginalize(d, ("U1c", "U2c", "U1pb", "U2pb", "X1", "X2"))
+    p, order = _marginal(square_assignment(), ("U1c", "U2c", "U1pb", "U2pb", "X1", "X2"))
+    pre = JointDistribution(RandomVariableSet(order, p.shape), p)
     path = tmp_path / "square.json"
     path.write_text(json.dumps(joint_to_json(pre)))
     return path

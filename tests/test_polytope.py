@@ -24,7 +24,6 @@ from cifc.polytope import (
     halfplane_violation,
     membership_oracle,
     oracle_polygon,
-    polytope_contains,
     polytope_equal,
     polytope_from_json,
     polytope_to_json,
@@ -135,6 +134,19 @@ def test_projection_keeps_close_vertices_of_a_catalog_region():
     system = instantiate(schema, d)
     got = _support(fme_project(system).vertices, 1.0)
     assert got == pytest.approx(_support(oracle_polygon(system), 1.0), abs=1e-12)
+
+
+def test_projection_keeps_the_top_of_a_near_vertical_edge():
+    # the basic solution on rows b, c, d is feasible and projects to
+    # (1.6975, 1.38522); the region's right edge is 1e-12 wide in R1, where
+    # a collinearity test at 1e-12 drops the top vertex of the hull
+    system = LinearSystem(
+        ("x0", "x1", "x2"),
+        (Row((-2, 1, -1), 0.2198, "a"), Row((-1, 1, 0), 1e-12, "b"),
+         Row((2, 2, -1), 0.6112, "c"), Row((2, -1, 1), 1.6975, "d")),
+        (1, 0, 1), (1, 2, 0))
+    vertices = np.asarray(fme_project(system).vertices)
+    assert np.abs(vertices - (1.6975, 1.38522)).max(axis=1).min() <= 1e-9
 
 
 @st.composite
@@ -432,11 +444,11 @@ def test_empty_region_contains_no_point():
 
 def test_contains_self_and_origin():
     p = fme_project(orthogonal_square_system())
-    assert polytope_contains(p, p, tol=0.0)
+    assert containment_margin(p, p) <= 0.0
     point = fme_project(
         LinearSystem(("a", "b"), (Row((1, 0), 0.0), Row((0, 1), 0.0)), (1, 0), (0, 1))
     )
-    assert polytope_contains(p, point)
+    assert containment_margin(p, point) <= 1e-7
 
 
 def test_scaled_square_not_contained():
@@ -444,15 +456,15 @@ def test_scaled_square_not_contained():
     outer = fme_project(
         LinearSystem(("a", "b"), (Row((1, 0), 1.1), Row((0, 1), 1.1)), (1, 0), (0, 1))
     )
-    assert polytope_contains(outer, inner)
-    assert not polytope_contains(inner, outer, tol=1e-7)
+    assert containment_margin(outer, inner) <= 1e-7
+    assert not containment_margin(inner, outer) <= 1e-7
     assert containment_margin(inner, outer) == pytest.approx(0.1, abs=1e-9)
 
 
 def test_empty_containment_rules():
     p = fme_project(unit_square())
-    assert polytope_contains(p, EMPTY)
-    assert not polytope_contains(EMPTY, p)
+    assert containment_margin(p, EMPTY) <= 1e-7
+    assert not containment_margin(EMPTY, p) <= 1e-7
     assert polytope_equal(EMPTY, EMPTY)
     assert not polytope_equal(p, EMPTY)
 
@@ -474,7 +486,7 @@ def test_relaxing_rhs_never_shrinks(seed):
         bigger = project_or_empty(dataclasses.replace(inst, rows=tuple(rows)))
         if base.is_empty:
             continue
-        assert polytope_contains(bigger, base, tol=1e-9), row.label
+        assert containment_margin(bigger, base) <= 1e-9, row.label
 
 
 @pytest.mark.parametrize("seed", range(8))

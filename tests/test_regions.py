@@ -3,7 +3,7 @@ import dataclasses
 import pytest
 
 from cifc.channel import random_channel
-from cifc.errors import FactorizationViolation, NotApplicable, UnknownSchema, UnknownVariable
+from cifc.errors import FactorizationViolation, UnknownSchema, UnknownVariable
 from cifc.probability import (
     chain,
     extend_through_channel,
@@ -11,13 +11,13 @@ from cifc.probability import (
     mutual_information,
 )
 from cifc.regions import (
+    DROPPABLE,
     SCHEMA_IDS,
     LinearRateConstraint,
     LinearSystem,
     Row,
     builtin_schema,
     catalog_manifest,
-    droppable_constraints,
     instantiate,
     maric_merged,
     same_system,
@@ -87,10 +87,11 @@ def test_constraint_requires_nonzero_coeff():
 
 def test_droppable_full_mapping():
     rtd = builtin_schema("RTD")
-    labels = rtd.labels()
+    assert {label for label, _ in DROPPABLE} <= set(rtd.labels())
+    assert set().union(*(zeroed for _, zeroed in DROPPABLE)) <= set(rtd.rate_names())
 
     def drop(zeroed):
-        return {labels[i] for i in droppable_constraints(rtd, zeroed)}
+        return {label for label, required in DROPPABLE if required <= zeroed}
 
     assert drop({"R2c", "R2pa", "R2pb", "R2pb'"}) == {"1d", "1e", "1g"}
     assert drop({"R2pa", "R2pb", "R2pb'"}) == {"1e", "1g"}
@@ -98,11 +99,6 @@ def test_droppable_full_mapping():
     assert drop({"R1c", "R1c'", "R1pb", "R1pb'"}) == {"1i"}
     assert drop(set()) == set()
     assert drop({"R2pb"}) == set()
-
-
-def test_droppable_other_schema_rejected():
-    with pytest.raises(NotApplicable):
-        droppable_constraints(builtin_schema("CC"), {"R1"})
 
 
 # -- instantiation -------------------------------------------------------------

@@ -19,16 +19,14 @@ from cifc.probability import (
 )
 from cifc.polytope import containment_margin, halfplane_violation, polytope_equal, project_or_empty
 from cifc.regions import builtin_schema, instantiate
-from cifc.sampling import _mode_for, sample_factored
+from cifc.sampling import _FactorState, _mode_for, sample_factored
 from cifc.verify import (
-    JIANG_EXTRA,
     REGION_TOL,
     IdentityCheck,
     check_cc_reduction,
     check_droppable,
     check_fme_oracle,
     check_identities,
-    check_jiang_containment,
     cc_primed_expressions,
     devroye_identity_checks,
     maric_identity_checks,
@@ -185,16 +183,20 @@ def test_cc_degenerate_satellite_gap_vanishes():
 
 
 def test_jiang_small_run_clean():
-    report = check_jiang_containment(samples=20, seed=0, containment_instances=12)
+    report, = run_suite("jiang", samples=20, seed=0)
     assert report.ok
-    contain = report.check("comparator region inside unified region")
-    assert contain.details["strictly_smaller"] >= 0
+    assert [c.check_id for c in report.checks] == [
+        "eight paired bounds equal", "I(U1c;X2|U2c) vanishes under the chain"]
+
+
+JIANG_EXTRA = ("j3", "j8")  # the comparator's two bounds with no unified counterpart
 
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_jiang_extra_bounds_named_iff_dropping_them_reshapes(seed):
     # reference: a bound is active when re-projecting without it changes the
-    # region; the check reads the same fact from the facet labels
+    # region; the facet labels name the same bounds.  Every strictly smaller
+    # comparator region is cut by an extra bound.
     jg, uj = builtin_schema("JIANG"), builtin_schema("RTD_JIANG")
     strict = active = 0
     for i in range(100):
@@ -211,10 +213,9 @@ def test_jiang_extra_bounds_named_iff_dropping_them_reshapes(seed):
                      if not polytope_equal(pj, project_or_empty(system.drop(lab)), 1e-9)}
         assert named == reshaping, s
         active += bool(reshaping)
-    contain = check_jiang_containment(samples=1, seed=seed).check(
-        "comparator region inside unified region")
+    contain, = sampled_region_containment("RTD_JIANG", "JIANG", seed=seed + 20_000).checks
     assert contain.details["strictly_smaller"] == strict > 0
-    assert contain.details["extra_bound_active_when_strict"] == active
+    assert active == strict
 
 
 def test_maric_small_run_clean():
@@ -249,18 +250,9 @@ def test_maric_degenerate_part_gives_zero_difference():
     mar = builtin_schema("MARIC")
     merged = maric_merged()
     rvs = mar.rv_set(2, overrides={"X2a": 1})
-    spec = chain(
-        ("Q",), ("U1c", "Q"), ("U1a", "Q U1c"), ("X2a", "Q U1c U1a"),
-        ("X2b", "Q U1c U1a X2a"), ("X1", "Q U1c U1a X2a X2b"),
-    )
-    names = tuple(n for n in mar.variables if n != "X2")
-    base = sample_factored(
-        RandomVariableSet(names, tuple(rvs.size(n) for n in names)), spec, 11
-    )
-    from cifc.probability import add_paired_variable
-
-    d = add_paired_variable(base, "X2", ("X2a", "X2b"))
-    d = extend_through_channel(d, random_channel(11, sizes=(2, 2, 2, 2)))
+    state = _FactorState(rvs, mar.factorization.factors, np.random.default_rng(11),
+                         det=dict(mar.deterministic))
+    d = extend_through_channel(state.joint(), random_channel(11, sizes=(2, 2, 2, 2)))
     io = instantiate(mar, d)
     im = instantiate(merged, d)
     assert im.rhs("m1'") - io.rhs("m1") == pytest.approx(0.0, abs=1e-12)
@@ -272,8 +264,10 @@ def test_maric_degenerate_part_gives_zero_difference():
 def test_containment_self_margin_zero():
     report = sampled_region_containment("RTD_IN", "RTD_IN", samples=10, seed=0)
     assert report.ok
-    worst = report.checks[0].details["worst_margin"]
-    assert worst is None or worst <= 1e-12
+    details = report.checks[0].details
+    assert details["worst_margin"] is None or details["worst_margin"] <= 1e-12
+    # a region is never strictly smaller than itself
+    assert details["nonempty_instances"] > 0 and details["strictly_smaller"] == 0
 
 
 def test_containment_dmt_pair():
@@ -287,7 +281,8 @@ def test_containment_dmt_pair():
 def test_reversed_containment_fails_at_the_most_violating_vertex():
     # the unified region is the larger one, so JIANG cannot contain it
     check = sampled_region_containment("JIANG", "RTD_JIANG", samples=20, seed=0).checks[0]
-    assert check.failures and set(check.details) == {"worst_margin", "nonempty_instances"}
+    assert check.failures
+    assert set(check.details) == {"worst_margin", "nonempty_instances", "strictly_smaller"}
     for message in check.failures:
         head, rest = message.split(": vertex ")
         s = int(head.removeprefix("seed "))
@@ -341,15 +336,20 @@ def test_frontier_orthogonal_reaches_near_corner():
     assert r1 >= 0.95 and r2 >= 0.95
 
 
-def test_frontier_deterministic_and_csv():
-    from cifc.verify import frontier_points_from_csv
+@pytest.mark.parametrize("lam", [float("nan"), float("inf"), 1.5, -0.5])
+def test_frontier_rejects_a_lambda_outside_the_unit_interval(lam):
+    with pytest.raises(InvalidParameter, match=r"lambda is a Pareto weight in \[0, 1\]"):
+        trace_frontier("RTD", BSC, budget=10, seed=0, lambdas=[0.5, lam])
 
+
+def test_frontier_deterministic_and_csv():
     fr1 = trace_frontier("RTD", BSC, budget=50, seed=4, lambdas=[0.4])
     fr2 = trace_frontier("RTD", BSC, budget=50, seed=4, lambdas=[0.4])
     assert fr1.points == fr2.points
     text = fr1.to_csv()
     assert text.splitlines()[0] == "lambda,R1,R2,seed"
-    parsed = frontier_points_from_csv(text)
+    parsed = [tuple(map(float, line.split(","))) for line in text.splitlines()[1:]]
+    assert len(parsed) == len(fr1.points)
     assert all(
         a == pytest.approx(b, abs=1e-12)
         for row, orig in zip(parsed, fr1.points)
