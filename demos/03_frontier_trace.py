@@ -17,7 +17,7 @@ for label, channel, budget in (
 ):
     t0 = time.time()
     result = trace_frontier("RTD", channel, budget=budget, seed=1,
-                            lambdas=[0.0, 0.25, 0.5, 0.75, 1.0], channel_id=label)
+                            lambdas=[0.0, 0.25, 0.5, 0.75, 1.0])
     print(f"\n== {label} (budget {budget}/lambda, {time.time()-t0:.0f}s) ==")
     print("lambda   R1       R2")
     for lam, r1, r2, _ in result.points:

@@ -9,7 +9,7 @@ names them), and each comparator's projected containment in its unified
 counterpart is checked once, by `sampled_region_containment`.
 """
 
-from .channel import Alphabet, Channel, canonical_channel, validate_channel  # noqa: F401
+from .channel import Channel, canonical_channel  # noqa: F401
 from .polytope import (  # noqa: F401
     HalfPlane,
     Polytope2D,

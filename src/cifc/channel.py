@@ -1,8 +1,11 @@
 """Discrete memoryless channels with two inputs and two outputs.
 
 A channel is a stochastic map p(y1, y2 | x1, x2) over finite alphabets,
-stored densely as a 4-index tensor indexed ``[y1, y2, x1, x2]``.  Values
-are immutable after construction and safe to share across threads.
+stored densely as a 4-index tensor indexed ``[y1, y2, x1, x2]``; the
+tensor's shape is the only record of the alphabet sizes.  Constructing a
+`Channel` validates it (size cap, nonnegativity, per-input normalization),
+so no separate validation step exists.  Values are immutable after
+construction and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -23,70 +26,64 @@ ROW_SUM_TOL = 1e-12
 MAX_ALPHABET_SIZE = 8
 
 
-@dataclass(frozen=True)
-class Alphabet:
-    """A named finite alphabet; symbols are the indices ``0..size-1``."""
+INPUTS = ("X1", "X2")
+OUTPUTS = ("Y1", "Y2")
+AXES = OUTPUTS + INPUTS  # the transition tensor's axes, in storage order
 
-    name: str
-    size: int
 
-    def __post_init__(self):
-        if self.size < 1:
-            raise InvalidParameter(f"alphabet {self.name!r}: size must be >= 1, got {self.size}")
-        if self.size > MAX_ALPHABET_SIZE:
+def _check_sizes(sizes: dict[str, int]) -> None:
+    """InvalidParameter unless every named alphabet size lies in [1, MAX_ALPHABET_SIZE]."""
+    for name, size in sizes.items():
+        if size < 1:
+            raise InvalidParameter(f"alphabet {name!r}: size must be >= 1, got {size}")
+        if size > MAX_ALPHABET_SIZE:
             raise InvalidParameter(
-                f"alphabet {self.name!r}: size {self.size} exceeds cap {MAX_ALPHABET_SIZE}"
+                f"alphabet {name!r}: size {size} exceeds cap {MAX_ALPHABET_SIZE}"
             )
 
 
 @dataclass(frozen=True)
 class Channel:
-    """Transition law p(y1, y2 | x1, x2) over four alphabets."""
+    """Transition law p(y1, y2 | x1, x2), a tensor indexed ``[y1, y2, x1, x2]``.
 
-    x1: Alphabet
-    x2: Alphabet
-    y1: Alphabet
-    y2: Alphabet
+    Construction stores a read-only C-ordered copy and checks it: four
+    axes of sizes in [1, MAX_ALPHABET_SIZE] (InvalidParameter), no
+    negative entry (NegativeProbability) and every (x1, x2) slice summing
+    to one within ROW_SUM_TOL (RowSumMismatch with the residual).  Each
+    error names the first offending entry or slice, so every Channel that
+    exists is valid.
+    """
+
     transition: np.ndarray  # shape (|y1|, |y2|, |x1|, |x2|)
 
     def __post_init__(self):
-        expected = (self.y1.size, self.y2.size, self.x1.size, self.x2.size)
-        arr = np.asarray(self.transition, dtype=float)
-        if arr.shape != expected:
+        t = np.array(self.transition, dtype=float, order="C")
+        if t.ndim != len(AXES):
             raise InvalidParameter(
-                f"transition tensor shape {arr.shape} does not match alphabets {expected}"
+                f"transition tensor must have axes {AXES}, got shape {t.shape}"
             )
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "transition", arr)
+        _check_sizes(dict(zip(AXES, t.shape)))
+        if (t < 0.0).any():
+            iy1, iy2, ix1, ix2 = np.argwhere(t < 0.0)[0]
+            raise NegativeProbability(
+                f"p[y1={iy1},y2={iy2}|x1={ix1},x2={ix2}] = {t[iy1, iy2, ix1, ix2]:.6g} < 0"
+            )
+        sums = t.sum(axis=(0, 1))
+        ok = np.abs(sums - 1.0) <= ROW_SUM_TOL  # NaN and inf fail too
+        if not ok.all():
+            ix1, ix2 = np.argwhere(~ok)[0]
+            residual = float(1.0 - sums[ix1, ix2])
+            raise RowSumMismatch(
+                f"slice (x1={ix1},x2={ix2}) sums to {sums[ix1, ix2]:.12g} "
+                f"(residual {residual:.6g})",
+                residual=residual,
+            )
+        t.setflags(write=False)
+        object.__setattr__(self, "transition", t)
 
     @property
     def shape(self) -> tuple[int, int, int, int]:
         return self.transition.shape
-
-
-def validate_channel(c: Channel) -> None:
-    """Check nonnegativity and per-input normalization of the transition law.
-
-    Raises ``NegativeProbability`` or ``RowSumMismatch`` naming the first
-    offending (x1, x2) slice; returns None when the channel is valid.
-    """
-    t = c.transition
-    neg = np.argwhere(t < 0.0)
-    if neg.size:
-        iy1, iy2, ix1, ix2 = neg[0]
-        raise NegativeProbability(
-            f"p[y1={iy1},y2={iy2}|x1={ix1},x2={ix2}] = {t[iy1, iy2, ix1, ix2]:.6g} < 0"
-        )
-    sums = t.sum(axis=(0, 1))
-    bad = np.argwhere(~(np.abs(sums - 1.0) <= ROW_SUM_TOL))  # NaN and inf fail too
-    if bad.size:
-        ix1, ix2 = bad[0]
-        residual = float(1.0 - sums[ix1, ix2])
-        raise RowSumMismatch(
-            f"slice (x1={ix1},x2={ix2}) sums to {sums[ix1, ix2]:.12g} (residual {residual:.6g})",
-            residual=residual,
-        )
 
 
 def canonical_channel(kind: str, **params) -> Channel:
@@ -119,41 +116,24 @@ def bsc_pair(eps1: float, eps2: float) -> Channel:
     for name, eps in (("eps1", eps1), ("eps2", eps2)):
         if not 0.0 <= eps <= 0.5:
             raise InvalidParameter(f"{name} must lie in [0, 1/2], got {eps}")
-    t = np.zeros((2, 2, 2, 2))
-    for x1 in range(2):
-        for x2 in range(2):
-            for y1 in range(2):
-                for y2 in range(2):
-                    p1 = eps1 if y1 != x1 else 1.0 - eps1
-                    p2 = eps2 if y2 != x2 else 1.0 - eps2
-                    t[y1, y2, x1, x2] = p1 * p2
-    return Channel(
-        Alphabet("X1", 2), Alphabet("X2", 2), Alphabet("Y1", 2), Alphabet("Y2", 2), t
-    )
+    b1, b2 = (np.array([[1.0 - eps, eps], [eps, 1.0 - eps]]) for eps in (eps1, eps2))
+    return Channel(np.einsum("ac,bd->abcd", b1, b2))  # b[y, x] = p(y | x)
 
 
 def random_channel(seed: int, sizes: tuple[int, int, int, int] = (2, 2, 2, 2)) -> Channel:
     """Valid random transition tensor, bitwise reproducible from ``seed``."""
     n1, n2, m1, m2 = sizes
-    rng = np.random.default_rng(seed)
-    t = np.zeros((m1, m2, n1, n2))
-    for x1 in range(n1):
-        for x2 in range(n2):
-            t[:, :, x1, x2] = rng.dirichlet(np.ones(m1 * m2)).reshape(m1, m2)
-    return Channel(
-        Alphabet("X1", n1), Alphabet("X2", n2), Alphabet("Y1", m1), Alphabet("Y2", m2), t
-    )
+    _check_sizes({"X1": n1, "X2": n2, "Y1": m1, "Y2": m2})
+    # one (x1, x2)-major draw of the rows, then moved onto the [y1, y2, x1, x2] axes
+    rows = np.random.default_rng(seed).dirichlet(np.ones(m1 * m2), size=(n1, n2))
+    return Channel(rows.reshape(n1, n2, m1, m2).transpose(2, 3, 0, 1))
 
 
 def channel_to_json(c: Channel) -> dict:
     """Serialize as ``{"x1":n,...,"p":[...]}`` with p row-major over (y1,y2,x1,x2)."""
-    return {
-        "x1": c.x1.size,
-        "x2": c.x2.size,
-        "y1": c.y1.size,
-        "y2": c.y2.size,
-        "p": [float(v) for v in c.transition.reshape(-1)],
-    }
+    out = {name.lower(): size for name, size in zip(AXES, c.shape)}
+    out["p"] = [float(v) for v in c.transition.reshape(-1)]
+    return out
 
 
 def json_size(value, name: str) -> int:
@@ -179,13 +159,12 @@ def json_float_array(flat, shape: tuple[int, ...]) -> np.ndarray:
 
 def channel_from_json(obj: dict) -> Channel:
     try:
-        sizes = {k: json_size(obj[k], k) for k in ("x1", "x2", "y1", "y2")}
+        sizes = {k.upper(): json_size(obj[k], k) for k in ("x1", "x2", "y1", "y2")}
         flat = obj["p"]
     except (KeyError, TypeError) as exc:
         raise InvalidParameter(f"malformed channel object: {exc}") from exc
-    x1, x2, y1, y2 = (Alphabet(k.upper(), sizes[k]) for k in ("x1", "x2", "y1", "y2"))
-    t = json_float_array(flat, (y1.size, y2.size, x1.size, x2.size))
-    return Channel(x1, x2, y1, y2, t)
+    _check_sizes(sizes)
+    return Channel(json_float_array(flat, tuple(sizes[name] for name in AXES)))
 
 
 def save_channel(c: Channel, path: str | Path) -> None:

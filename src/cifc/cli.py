@@ -14,7 +14,7 @@ import json
 import sys
 from pathlib import Path
 
-from .channel import load_channel, validate_channel
+from .channel import load_channel
 from .errors import CifcError
 from .polytope import polytope_to_json, project_or_empty, vertices_csv
 from .probability import extend_through_channel, load_joint
@@ -32,14 +32,12 @@ def _dump_json(obj: dict, path: str | None) -> None:
 
 def _cmd_validate(args) -> int:
     ch = load_channel(args.channel)
-    validate_channel(ch)
     print(f"{args.channel}: valid channel {ch.shape}")
     return 0
 
 
 def _cmd_project(args) -> int:
     ch = load_channel(args.channel)
-    validate_channel(ch)
     schema = builtin_schema(args.schema)
     d = load_joint(args.dist)
     d = extend_through_channel(d, ch)
@@ -56,15 +54,7 @@ def _cmd_project(args) -> int:
 
 def _cmd_frontier(args) -> int:
     ch = load_channel(args.channel)
-    validate_channel(ch)
-    result = trace_frontier(
-        args.schema,
-        ch,
-        budget=args.samples,
-        seed=args.seed,
-        lambdas=args.grid,
-        channel_id=str(args.channel),
-    )
+    result = trace_frontier(args.schema, ch, budget=args.samples, seed=args.seed, lambdas=args.grid)
     out = args.out or "frontier.csv"
     Path(out).write_text(result.to_csv())
     summary = f"{len(result.points)} points, {len(result.pareto)} on the frontier"

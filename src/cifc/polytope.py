@@ -564,7 +564,7 @@ def containment_margin(outer: Polytope2D, inner: Polytope2D) -> float:
     if inner.is_empty:
         return -math.inf
     violation = halfplane_violation(outer, inner.vertices)
-    return float(violation[violation.argmax()])
+    return float(violation[violation.argmax()]) + 0.0  # a -0.0 on an axis reads as 0.0
 
 
 def polytope_equal(a: Polytope2D, b: Polytope2D, tol: float = 1e-9) -> bool:

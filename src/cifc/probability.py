@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .channel import Channel, json_float_array, json_size
+from .channel import INPUTS, OUTPUTS, Channel, json_float_array, json_size
 from .errors import (
     AlphabetMismatch,
     FactorizationViolation,
@@ -177,22 +177,22 @@ def _axis_letters(d: JointDistribution) -> str:
 
 def extend_through_channel(d: JointDistribution, c: Channel) -> JointDistribution:
     """Append channel outputs: p(all, Y1, Y2) = p(all) p(Y1, Y2 | X1, X2)."""
-    for name in ("X1", "X2"):
+    for name in INPUTS:
         if name not in d.names:
             raise AlphabetMismatch(f"distribution lacks channel input {name!r}")
-    for name in ("Y1", "Y2"):
+    for name in OUTPUTS:
         if name in d.names:
             raise AlphabetMismatch(f"output name {name!r} already present")
-    if d.rvs.size("X1") != c.x1.size or d.rvs.size("X2") != c.x2.size:
+    m1, m2, n1, n2 = c.shape
+    if d.rvs.size("X1") != n1 or d.rvs.size("X2") != n2:
         raise AlphabetMismatch(
-            f"input sizes ({d.rvs.size('X1')},{d.rvs.size('X2')}) do not match channel "
-            f"({c.x1.size},{c.x2.size})"
+            f"input sizes ({d.rvs.size('X1')},{d.rvs.size('X2')}) do not match channel ({n1},{n2})"
         )
     letters = _axis_letters(d)
     i1, i2 = d.rvs.axis("X1"), d.rvs.axis("X2")
     sub = f"{letters},wz{letters[i1]}{letters[i2]}->{letters}wz"
     prob = np.einsum(sub, d.prob, c.transition)
-    rvs = RandomVariableSet(d.names + ("Y1", "Y2"), d.rvs.sizes + (c.y1.size, c.y2.size))
+    rvs = RandomVariableSet(d.names + OUTPUTS, d.rvs.sizes + (m1, m2))
     return JointDistribution(rvs, prob)
 
 

@@ -1,9 +1,12 @@
 """Catalog of achievable rate regions as declarative schemas.
 
-Each schema lists rate variables (message and binning roles), linear
-constraints whose right-hand sides are mutual-information expressions,
-the projection onto (R1, R2), and the input-distribution factorization
-the region is defined over.  Constraint labels follow the equation
+Each schema lists its rate variables, linear constraints whose
+right-hand sides are mutual-information expressions, the projection onto
+(R1, R2), and the input-distribution factorization the region is defined
+over.  Nothing is stated twice: the schema's random variables are the
+factorization's targets (plus the channel outputs Y1, Y2), and a rate's
+role follows from the projection (message if the projection uses it,
+binning otherwise).  Constraint labels follow the equation
 labels of the originating derivations so the audit manifest can map every
 transcribed inequality back to its source:
 
@@ -41,6 +44,7 @@ from typing import Mapping
 
 import numpy as np
 
+from .channel import OUTPUTS
 from .errors import (
     FactorizationViolation,
     InvalidParameter,
@@ -60,23 +64,8 @@ from .probability import (
     verify_factorization,
 )
 
-MESSAGE = "message"
-BINNING = "binning"
-
 LE = "LE"
 GE = "GE"
-
-
-@dataclass(frozen=True)
-class RateVariable:
-    """A nonnegative rate: either a message split or a binning rate."""
-
-    name: str
-    role: str
-
-    def __post_init__(self):
-        if self.role not in (MESSAGE, BINNING):
-            raise ValueError(f"role must be message|binning, got {self.role!r}")
 
 
 def _coeff_items(coeffs: Mapping[str, int]) -> tuple[tuple[str, int], ...]:
@@ -119,23 +108,27 @@ def _con(coeffs: Mapping[str, int], sense: str, rhs, label: str) -> LinearRateCo
 
 @dataclass(frozen=True)
 class RegionSchema:
-    """Declarative description of one rate region."""
+    """Declarative description of one rate region.
+
+    The random variables are the factorization's targets (auxiliaries and
+    channel inputs) plus the channel outputs.  Every rate variable is
+    nonnegative; those the projection uses are message rates, the rest
+    binning rates.
+    """
 
     id: str
-    variables: tuple[str, ...]  # auxiliaries and channel inputs (outputs excluded)
     factorization: FactorizationSpec
-    rate_vars: tuple[RateVariable, ...]
+    rate_vars: tuple[str, ...]
     constraints: tuple[LinearRateConstraint, ...]
     projection: tuple[tuple[str, tuple[tuple[str, int], ...]], ...]  # R1/R2 -> coeffs
-    outputs: tuple[str, str] = ("Y1", "Y2")
     deterministic: tuple[tuple[str, tuple[str, ...]], ...] = ()
     default_sizes: tuple[tuple[str, int], ...] = ()
     pinned: tuple[tuple[str, str], ...] = ()
     notes: tuple[str, ...] = ()
 
     def __post_init__(self):
-        declared = set(self.variables) | set(self.outputs)
-        rate_names = {rv.name for rv in self.rate_vars}
+        declared = set(self.variables) | set(OUTPUTS)
+        rates = set(self.rate_vars)
         labels = [c.label for c in self.constraints]
         if len(labels) != len(set(labels)):
             raise ValueError(f"{self.id}: duplicate constraint labels")
@@ -143,18 +136,20 @@ class RegionSchema:
             bad = c.rhs.variables() - declared
             if bad:
                 raise ValueError(f"{self.id}/{c.label}: undeclared variables {sorted(bad)}")
-            bad_rates = {n for n, _ in c.coeffs} - rate_names
+            bad_rates = {n for n, _ in c.coeffs} - rates
             if bad_rates:
                 raise ValueError(f"{self.id}/{c.label}: unknown rate vars {sorted(bad_rates)}")
-        proj_cover: set[str] = set()
-        for _, coeffs in self.projection:
-            proj_cover.update(n for n, _ in coeffs)
-        messages = {rv.name for rv in self.rate_vars if rv.role == MESSAGE}
-        if proj_cover != messages:
-            raise ValueError(
-                f"{self.id}: projection covers {sorted(proj_cover)}, "
-                f"message variables are {sorted(messages)}"
-            )
+        bad_rates = self.message_rates() - rates
+        if bad_rates:
+            raise ValueError(f"{self.id}: projection uses unknown rate vars {sorted(bad_rates)}")
+
+    @property
+    def variables(self) -> tuple[str, ...]:
+        return self.factorization.targets
+
+    def message_rates(self) -> set[str]:
+        """The rate variables the projection onto (R1, R2) uses."""
+        return {n for _, coeffs in self.projection for n, _ in coeffs}
 
     # -- lookup helpers ----------------------------------------------------
 
@@ -166,9 +161,6 @@ class RegionSchema:
 
     def labels(self) -> tuple[str, ...]:
         return tuple(c.label for c in self.constraints)
-
-    def rate_names(self) -> tuple[str, ...]:
-        return tuple(rv.name for rv in self.rate_vars)
 
     def projection_coeffs(self, which: str) -> dict[str, int]:
         for name, coeffs in self.projection:
@@ -199,7 +191,7 @@ class RegionSchema:
                 sizes[name] = prod
             else:
                 sizes[name] = size
-        return RandomVariableSet(tuple(self.variables), tuple(sizes[n] for n in self.variables))
+        return RandomVariableSet(self.variables, tuple(sizes[n] for n in self.variables))
 
 
 # ---------------------------------------------------------------------------
@@ -261,12 +253,12 @@ class LinearSystem:
 def le_structure(schema: RegionSchema):
     """The schema's fixed LE-normal structure: (rows, r1, r2, sign).
 
-    `rows` are the integer coefficient rows over schema.rate_names(), r1
+    `rows` are the integer coefficient rows over schema.rate_vars, r1
     and r2 the projection vectors, and sign (+1 for LE, -1 for GE) turns
     each constraint's MI value into its LE-normal rhs.  This is the one
     place a constraint's sense becomes a sign.
     """
-    names = schema.rate_names()
+    names = schema.rate_vars
     signs = tuple(1 if c.sense == LE else -1 for c in schema.constraints)
     rows = tuple(tuple(s * c.coeff(n) for n in names) for s, c in zip(signs, schema.constraints))
     r1, r2 = (tuple(schema.projection_coeffs(w).get(n, 0) for n in names) for w in ("R1", "R2"))
@@ -306,14 +298,14 @@ def instantiate(
     same compiled map as compile_schema.  `d` must pass check_distribution
     at tolerance `tol`.
     """
-    missing = (set(schema.variables) | set(schema.outputs)) - set(d.names)
+    missing = (set(schema.variables) | set(OUTPUTS)) - set(d.names)
     if missing:
         raise UnknownVariable(f"distribution lacks {sorted(missing)}")
     check_distribution(schema, d, tol)
     rows, r1, r2, sign = le_structure(schema)
     b = sign * compile_exprs(tuple(c.rhs for c in schema.constraints))(d)
     return LinearSystem(
-        schema.rate_names(),
+        schema.rate_vars,
         tuple(Row(c, v, lab) for c, v, lab in zip(rows, b.tolist(), schema.labels())),
         r1,
         r2,
@@ -347,18 +339,8 @@ def _rtd() -> RegionSchema:
     a = mi("U1c", "X2", "U2c")
     return RegionSchema(
         id="RTD",
-        variables=("U1c", "U2c", "U1pb", "U2pb", "X1", "X2"),
         factorization=chain(("U1c U2c U1pb U2pb",), ("X1 X2", "U1c U2c U1pb U2pb")),
-        rate_vars=(
-            RateVariable("R1c", MESSAGE),
-            RateVariable("R1pb", MESSAGE),
-            RateVariable("R2c", MESSAGE),
-            RateVariable("R2pa", MESSAGE),
-            RateVariable("R2pb", MESSAGE),
-            RateVariable("R1c'", BINNING),
-            RateVariable("R1pb'", BINNING),
-            RateVariable("R2pb'", BINNING),
-        ),
+        rate_vars=("R1c", "R1pb", "R2c", "R2pa", "R2pb", "R1c'", "R1pb'", "R2pb'"),
         constraints=(
             _con({"R1c'": 1}, GE, a, "1a"),
             _con({"R1c'": 1, "R1pb'": 1}, GE, mi("U1pb U1c", "X2", "U2c"), "1b"),
@@ -418,16 +400,8 @@ def _rtd_in() -> RegionSchema:
     a = mi("U1c", "X2", "U2c")
     return RegionSchema(
         id="RTD_IN",
-        variables=("U2c", "X2", "U1c", "U1pb", "X1"),
         factorization=chain(("U2c X2",), ("U1c", "X2"), ("U1pb", "X2"), ("X1", "X2 U1c U1pb")),
-        rate_vars=(
-            RateVariable("R1c", MESSAGE),
-            RateVariable("R1pb", MESSAGE),
-            RateVariable("R2c", MESSAGE),
-            RateVariable("R2pa", MESSAGE),
-            RateVariable("R1c'", BINNING),
-            RateVariable("R1pb'", BINNING),
-        ),
+        rate_vars=("R1c", "R1pb", "R2c", "R2pa", "R1c'", "R1pb'"),
         constraints=(
             _con({"R1c'": 1}, GE, a, "e10"),
             _con({"R1c'": 1, "R1pb'": 1}, GE, mi("X2", "U1c U1pb", "U2c"), "e12"),
@@ -466,7 +440,6 @@ def _dmt_out() -> RegionSchema:
     base = _rtd_in()
     return RegionSchema(
         id="DMT_OUT",
-        variables=base.variables,
         factorization=base.factorization,
         rate_vars=base.rate_vars,
         constraints=(
@@ -517,7 +490,6 @@ def _dmt_out() -> RegionSchema:
 def _cc() -> RegionSchema:
     return RegionSchema(
         id="CC",
-        variables=("U10", "U11", "V11", "V20", "V22", "X1", "X2"),
         factorization=chain(
             ("U10",),
             ("U11", "U10"),
@@ -527,7 +499,7 @@ def _cc() -> RegionSchema:
             ("X1", "U10 U11 V11 V20 V22"),
             ("X2", "U10 U11 V11 V20 V22 X1"),
         ),
-        rate_vars=(RateVariable("R1", MESSAGE), RateVariable("R2", MESSAGE)),
+        rate_vars=("R1", "R2"),
         constraints=(
             _con({"R1": 1}, LE, mi("Y1", "V11 U11 V20 U10"), "37"),
             _con(
@@ -571,7 +543,6 @@ def _cc() -> RegionSchema:
 def _ccp() -> RegionSchema:
     return RegionSchema(
         id="CCP",
-        variables=("U2c", "U1c", "U1pb", "U2pb", "X2", "X1"),
         factorization=chain(
             ("U2c",),
             ("U1c", "U2c"),
@@ -580,15 +551,7 @@ def _ccp() -> RegionSchema:
             ("X1", "U2c U1c U1pb U2pb X2"),
         ),
         deterministic=(("X2", ("U2c",)),),
-        rate_vars=(
-            RateVariable("R1c", MESSAGE),
-            RateVariable("R1pb", MESSAGE),
-            RateVariable("R2c", MESSAGE),
-            RateVariable("R2pb", MESSAGE),
-            RateVariable("R1c'", BINNING),
-            RateVariable("R1pb'", BINNING),
-            RateVariable("R2pb'", BINNING),
-        ),
+        rate_vars=("R1c", "R1pb", "R2c", "R2pb", "R1c'", "R1pb'", "R2pb'"),
         constraints=(
             _con({"R1c'": 1}, GE, MIExpr(), "cp1"),
             _con({"R1pb'": 1, "R2pb'": 1}, GE, mi("U1pb", "U2pb", "U2c U1c"), "cp2"),
@@ -633,7 +596,6 @@ def _rtd_cc() -> RegionSchema:
     base = _ccp()
     return RegionSchema(
         id="RTD_CC",
-        variables=base.variables,
         factorization=base.factorization,
         deterministic=base.deterministic,
         rate_vars=base.rate_vars,
@@ -681,7 +643,6 @@ def _rtd_cc() -> RegionSchema:
 def _jiang() -> RegionSchema:
     return RegionSchema(
         id="JIANG",
-        variables=("U1c", "U2c", "X2", "U1pb", "U2pb", "X1"),
         factorization=chain(
             ("U1c",),
             ("U2c",),
@@ -689,14 +650,7 @@ def _jiang() -> RegionSchema:
             ("U1pb U2pb", "U1c U2c X2"),
             ("X1", "U2c U1c U1pb U2pb"),
         ),
-        rate_vars=(
-            RateVariable("R1c", MESSAGE),
-            RateVariable("R1pb", MESSAGE),
-            RateVariable("R2c", MESSAGE),
-            RateVariable("R2pa", MESSAGE),
-            RateVariable("R1pb'", BINNING),
-            RateVariable("R2pb'", BINNING),
-        ),
+        rate_vars=("R1c", "R1pb", "R2c", "R2pa", "R1pb'", "R2pb'"),
         constraints=(
             _con({"R1pb'": 1}, GE, mi("U1pb", "X2", "U2c U1c"), "j0"),
             _con({"R1pb'": 1, "R2pb'": 1}, GE, mi("U1pb", "U2pb X2", "U2c U1c"), "j1"),
@@ -733,7 +687,6 @@ def _rtd_jiang() -> RegionSchema:
     base = _jiang()
     return RegionSchema(
         id="RTD_JIANG",
-        variables=base.variables,
         factorization=base.factorization,
         rate_vars=base.rate_vars,
         constraints=(
@@ -777,7 +730,6 @@ def _maric() -> RegionSchema:
     head = mi("U1a", "Y1", "U1c Q") - mi("U1a", "X2a X2b", "U1c Q")
     return RegionSchema(
         id="MARIC",
-        variables=("Q", "U1c", "U1a", "X2a", "X2b", "X2", "X1"),
         factorization=chain(
             ("Q",),
             ("U1c", "Q"),
@@ -789,7 +741,7 @@ def _maric() -> RegionSchema:
         ),
         deterministic=(("X2", ("X2a", "X2b")),),
         default_sizes=(("Q", 1),),
-        rate_vars=(RateVariable("R1", MESSAGE), RateVariable("R2", MESSAGE)),
+        rate_vars=("R1", "R2"),
         constraints=(
             _con({"R1": 1}, LE, head + mi("X2b U1c", "Y2", "X2a Q"), "m1"),
             _con(
@@ -826,7 +778,6 @@ def maric_merged() -> RegionSchema:
     )
     return RegionSchema(
         id="MARIC_MERGED",
-        variables=base.variables,
         factorization=base.factorization,
         deterministic=base.deterministic,
         default_sizes=base.default_sizes,
@@ -900,11 +851,14 @@ _DMT_OUT_SUPERSEDED = {
 
 def schema_manifest(schema: RegionSchema) -> dict:
     """Audit map: every constraint with its label, coefficients and rhs."""
+    messages = schema.message_rates()
     out = {
         "id": schema.id,
         "variables": list(schema.variables),
-        "outputs": list(schema.outputs),
-        "rate_variables": [{"name": rv.name, "role": rv.role} for rv in schema.rate_vars],
+        "outputs": list(OUTPUTS),
+        "rate_variables": [
+            {"name": n, "role": "message" if n in messages else "binning"} for n in schema.rate_vars
+        ],
         "projection": {
             name: {n: c for n, c in coeffs} for name, coeffs in schema.projection
         },

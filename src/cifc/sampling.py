@@ -100,7 +100,7 @@ class _FactorState:
     """The factor blocks of one chain, each drawn once by `_block`.
 
     `joint` multiplies them into the distribution; the frontier search
-    replaces single blocks through `propose` and `set_block` while hill
+    replaces single entries of `blocks` with `propose`'s moves while hill
     climbing.  Deterministic (paired) blocks are never proposed.
     """
 
@@ -185,9 +185,6 @@ class _FactorState:
             alpha = float(rng.choice([0.5, 0.15, 0.03]))
             flat[row] = (1 - alpha) * flat[row] + alpha * rng.dirichlet(np.ones(k))
         return idx, new
-
-    def set_block(self, idx: int, block: np.ndarray) -> None:
-        self.blocks[idx] = block
 
 
 def sample_factored(

@@ -482,8 +482,6 @@ def check_droppable(instances: int = 50, seed: int = 0, tol: float = 1e-9) -> Su
 
 @dataclass(frozen=True)
 class FrontierResult:
-    channel_id: str
-    schema_id: str
     points: tuple[tuple[float, float, float, int], ...]  # (lambda, R1, R2, seed)
     pareto: tuple[tuple[float, float], ...]
     missing: tuple[float, ...] = ()  # lambdas whose search found no feasible point
@@ -501,15 +499,14 @@ def trace_frontier(
     budget: int = 2000,
     seed: int = 0,
     lambdas: Sequence[float] | int = 21,
-    size: int = 2,
-    channel_id: str = "",
 ) -> FrontierResult:
     """Trace the Pareto frontier over input distributions.
 
     For each lambda on the grid, maximizes lambda*R1 + (1-lambda)*R2 by
     derivative-free hill climbing on the factor blocks (Dirichlet mixing,
     occasional row sharpening and block restarts), spending up to `budget`
-    objective evaluations.  Each evaluation scores a distribution with the
+    objective evaluations.  The variables take the schema's `rv_set(2)`
+    cardinalities.  Each evaluation scores a distribution with the
     schema's compiled projection (no linear program).  A lambda whose
     search finds no feasible distribution is listed in `missing`.
     Deterministic in `seed`.
@@ -541,7 +538,7 @@ def trace_frontier(
         n_starts = max(1, min(6, budget // 40))
         starts = []
         for j in range(n_starts):
-            st = _FactorState.of_schema(schema, size, rng, SAMPLING_MODES[j % len(SAMPLING_MODES)])
+            st = _FactorState.of_schema(schema, 2, rng, SAMPLING_MODES[j % len(SAMPLING_MODES)])
             starts.append((objective(st.joint()), st))
         evals = len(starts)
         feasible = [(val, st) for val, st in starts if val is not None]
@@ -555,7 +552,7 @@ def trace_frontier(
             if stall > 300 and budget - evals > 400:
                 # stuck basin: restart from a fresh random state
                 state = _FactorState.of_schema(
-                    schema, size, rng, SAMPLING_MODES[evals % len(SAMPLING_MODES)]
+                    schema, 2, rng, SAMPLING_MODES[evals % len(SAMPLING_MODES)]
                 )
                 cand = objective(state.joint())
                 evals += 1
@@ -566,7 +563,7 @@ def trace_frontier(
                 continue
             idx, block = state.propose(rng)
             old = state.blocks[idx]
-            state.set_block(idx, block)
+            state.blocks[idx] = block
             cand = objective(state.joint())
             evals += 1
             if cand is not None and (
@@ -577,14 +574,14 @@ def trace_frontier(
                 if best is None or cand[2] > best[2] + 1e-12:
                     best = cand
             else:
-                state.set_block(idx, old)
+                state.blocks[idx] = old
                 stall += 1
         if best is None:
             missing.append(float(lam))
         else:
             points.append((float(lam), best[0], best[1], lam_seed))
     pareto = _pareto_filter([(r1, r2) for _, r1, r2, _ in points])
-    return FrontierResult(channel_id, schema_id, tuple(points), tuple(pareto), tuple(missing))
+    return FrontierResult(tuple(points), tuple(pareto), tuple(missing))
 
 
 def _pareto_filter(points: list[tuple[float, float]]) -> list[tuple[float, float]]:

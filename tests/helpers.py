@@ -167,7 +167,7 @@ def reference_le_system(schema, d, pin=None, vacuous=False, drop=()) -> LinearSy
     tol = 1e-9
     pin = pin or {}
     values = compile_exprs(tuple(c.rhs for c in schema.constraints))(d).tolist()
-    names = tuple(n for n in schema.rate_names() if n not in pin)
+    names = tuple(n for n in schema.rate_vars if n not in pin)
     rows = []
     for c, value in zip(schema.constraints, values):
         coeffs = dict(c.coeffs)

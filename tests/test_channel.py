@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from cifc.channel import (
-    Alphabet,
     Channel,
     bsc_pair,
     canonical_channel,
@@ -13,14 +12,12 @@ from cifc.channel import (
     load_channel,
     random_channel,
     save_channel,
-    validate_channel,
 )
 from cifc.errors import InvalidParameter, NegativeProbability, RowSumMismatch
 
 
 def test_orthogonal_noiseless_is_deterministic_and_valid():
     ch = canonical_channel("orthogonal_noiseless")
-    validate_channel(ch)
     assert set(np.unique(ch.transition)) <= {0.0, 1.0}
     # Y1 = X1, Y2 = X2
     for x1 in range(2):
@@ -29,23 +26,39 @@ def test_orthogonal_noiseless_is_deterministic_and_valid():
 
 
 def test_negative_entry_rejected():
-    ch = bsc_pair(0.1, 0.2)
-    t = ch.transition.copy()
+    t = bsc_pair(0.1, 0.2).transition.copy()
     t[0, 0, 0, 0] = -0.1
-    bad = Channel(ch.x1, ch.x2, ch.y1, ch.y2, t)
     with pytest.raises(NegativeProbability):
-        validate_channel(bad)
+        Channel(t)
 
 
 def test_scaled_row_reports_residual():
-    ch = bsc_pair(0.1, 0.2)
-    t = ch.transition.copy()
+    t = bsc_pair(0.1, 0.2).transition.copy()
     t[:, :, 1, 0] *= 0.5
-    bad = Channel(ch.x1, ch.x2, ch.y1, ch.y2, t)
     with pytest.raises(RowSumMismatch) as err:
-        validate_channel(bad)
+        Channel(t)
     assert err.value.residual == pytest.approx(0.5, abs=1e-12)
     assert "x1=1" in str(err.value) and "x2=0" in str(err.value)
+
+
+def test_balanced_row_sums_rejected():
+    # the two slice errors cancel over a uniform input, so nothing
+    # downstream of the channel notices them
+    t = canonical_channel("orthogonal_noiseless").transition.copy()
+    t[:, :, 0, 0] *= 1.5
+    t[:, :, 1, 1] *= 0.5
+    with pytest.raises(RowSumMismatch) as err:
+        Channel(t)
+    assert err.value.residual == pytest.approx(-0.5, abs=1e-12)
+    assert "x1=0" in str(err.value) and "x2=0" in str(err.value)
+
+
+def test_nan_entry_rejected():
+    t = bsc_pair(0.1, 0.2).transition.copy()
+    t[1, 0, 0, 1] = np.nan
+    with pytest.raises(RowSumMismatch) as err:
+        Channel(t)
+    assert "x1=0" in str(err.value) and "x2=1" in str(err.value)
 
 
 def test_bsc_zero_noise_equals_orthogonal():
@@ -74,12 +87,14 @@ def test_random_channel_deterministic_in_seed():
     ],
 )
 def test_canonical_channels_validate(kind, params):
-    validate_channel(canonical_channel(kind, **params))
+    t = canonical_channel(kind, **params).transition
+    assert (t >= 0).all()
+    assert np.abs(t.sum(axis=(0, 1)) - 1.0).max() <= 1e-12
 
 
 def test_random_channels_validate_many_seeds():
     for seed in range(1000):
-        validate_channel(random_channel(seed))
+        random_channel(seed)  # raises if the drawn tensor is not a valid channel
 
 
 @pytest.mark.parametrize("eps", [-0.01, 0.51, 1.2])
@@ -94,10 +109,16 @@ def test_unknown_kind():
 
 
 def test_alphabet_bounds():
-    with pytest.raises(InvalidParameter):
-        Alphabet("X", 0)
-    with pytest.raises(InvalidParameter):
-        Alphabet("X", 9)  # above the default cap
+    with pytest.raises(InvalidParameter, match="axes"):
+        Channel(np.full((2, 2, 2), 0.25))
+    with pytest.raises(InvalidParameter, match="'Y2': size must be >= 1"):
+        Channel(np.ones((2, 0, 2, 2)))
+    with pytest.raises(InvalidParameter, match="'Y1': size 9 exceeds cap"):  # the default cap
+        Channel(np.full((9, 1, 1, 1), 1 / 9))
+    with pytest.raises(InvalidParameter, match="'Y1': size 9 exceeds cap"):
+        random_channel(0, sizes=(1, 1, 9, 1))
+    with pytest.raises(InvalidParameter, match="'X2': size must be >= 1"):
+        channel_from_json({"x1": 1, "x2": 0, "y1": 1, "y2": 1, "p": []})
 
 
 def test_json_roundtrip(tmp_path):

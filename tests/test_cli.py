@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -333,6 +334,14 @@ def test_verify_deterministic_bytes(tmp_path):
     assert outs[0] == outs[1]
 
 
+def test_verify_report_writes_no_negative_zero(tmp_path):
+    # seed 1 has a containment margin of zero from a vertex on an axis
+    out = tmp_path / "r.json"
+    assert main(["verify", "--suite", "all", "--samples", "100", "--seed", "1",
+                 "--out", str(out)]) == 0
+    assert "-0.0" not in out.read_text()
+
+
 def test_manifest_full_catalog(tmp_path):
     out = tmp_path / "manifest.json"
     assert main(["manifest", "--out", str(out)]) == 0
@@ -341,6 +350,9 @@ def test_manifest_full_catalog(tmp_path):
         "RTD", "RTD_IN", "DMT_OUT", "CC", "CCP", "RTD_CC", "JIANG", "RTD_JIANG", "MARIC"
     }
     assert [c["label"] for c in man["RTD"]["constraints"]][:3] == ["1a", "1b", "1c"]
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "0e2ca6f6ea37c85f2147c0384c35d2bb1eb19f46046287e315e794f6d89210d2"
+    )
 
 
 def test_manifest_single_schema(tmp_path):

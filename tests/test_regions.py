@@ -68,7 +68,7 @@ def test_rtd_jiang_pins():
     pins = dict(uj.pinned)
     assert pins["R2pb"] == "0"
     assert pins["R1c'"] == "I(U1c;X2|U2c)"
-    names = uj.rate_names()
+    names = uj.rate_vars
     assert "R2pb" not in names and "R1c'" not in names
 
 
@@ -88,7 +88,7 @@ def test_constraint_requires_nonzero_coeff():
 def test_droppable_full_mapping():
     rtd = builtin_schema("RTD")
     assert {label for label, _ in DROPPABLE} <= set(rtd.labels())
-    assert set().union(*(zeroed for _, zeroed in DROPPABLE)) <= set(rtd.rate_names())
+    assert set().union(*(zeroed for _, zeroed in DROPPABLE)) <= set(rtd.rate_vars)
 
     def drop(zeroed):
         return {label for label, required in DROPPABLE if required <= zeroed}
@@ -239,7 +239,7 @@ def _bits(system: LinearSystem):
 def test_instantiate_matches_reference_le_normal_form_bit_for_bit(sid, mode):
     schema = builtin_schema(sid)
     sizes = (2, 4, 2, 2) if sid == "MARIC" else (2, 2, 2, 2)
-    zeroed = {n: 0.0 for n in schema.rate_names()[1::2]}
+    zeroed = {n: 0.0 for n in schema.rate_vars[1::2]}
     for seed in range(10):
         d = sample_instance(schema, random_channel(seed, sizes), seed, mode=mode)
         inst = instantiate(schema, d)

@@ -1,11 +1,12 @@
 import ast
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
 
-from cifc.channel import Channel, Alphabet, canonical_channel, random_channel
+from cifc.channel import Channel, canonical_channel, random_channel
 from cifc.errors import InvalidParameter
 from cifc.probability import (
     JointDistribution,
@@ -17,11 +18,19 @@ from cifc.probability import (
     mutual_information,
     mi,
 )
-from cifc.polytope import containment_margin, halfplane_violation, polytope_equal, project_or_empty
-from cifc.regions import builtin_schema, instantiate
+from cifc.polytope import (
+    compile_schema,
+    containment_margin,
+    halfplane_violation,
+    polytope_equal,
+    project_or_empty,
+)
+from cifc.regions import SCHEMA_IDS, builtin_schema, instantiate
 from cifc.sampling import _FactorState, _mode_for, sample_factored
 from cifc.verify import (
     REGION_TOL,
+    SAMPLING_MODES,
+    _channel_sizes,
     IdentityCheck,
     check_cc_reduction,
     check_droppable,
@@ -120,6 +129,21 @@ def test_sample_factored_draw_with_unsorted_chain_is_pinned():
     assert hashlib.sha256(d.prob.tobytes()).hexdigest() == (
         "8c4b30078bccb3238cb53d83cb664be4cffde307a27c13cf14abbcc98741a230"
     )
+
+
+def test_compiled_rhs_of_sampled_instances_is_pinned():
+    # The channel tensor's memory layout sets the summation order of the
+    # channel-extended joint, so a layout change moves these last bits
+    # while every stored channel value stays the same.
+    h = hashlib.sha256()
+    for sid in SCHEMA_IDS:
+        schema = builtin_schema(sid)
+        compiled = compile_schema(schema)
+        for mode in SAMPLING_MODES:
+            for seed in range(10):
+                ch = random_channel(seed, _channel_sizes(schema))
+                h.update(compiled.rhs(sample_instance(schema, ch, seed, mode=mode)).tobytes())
+    assert h.hexdigest() == "400538af9e200e73bfd2d64912ddf9f9fb8ee94e8e82b8e23c2a0b5ceaecc276"
 
 
 def test_frontier_search_draws_are_pinned():
@@ -265,7 +289,8 @@ def test_containment_self_margin_zero():
     report = sampled_region_containment("RTD_IN", "RTD_IN", samples=10, seed=0)
     assert report.ok
     details = report.checks[0].details
-    assert details["worst_margin"] is None or details["worst_margin"] <= 1e-12
+    # the vertices on an axis give a margin of +0.0, never -0.0
+    assert details["worst_margin"] == 0.0 and math.copysign(1.0, details["worst_margin"]) == 1.0
     # a region is never strictly smaller than itself
     assert details["nonempty_instances"] > 0 and details["strictly_smaller"] == 0
 
@@ -321,7 +346,7 @@ def test_droppable_small():
 def test_frontier_constant_channel_collapses_to_origin():
     t = np.zeros((2, 2, 2, 2))
     t[1, 0, :, :] = 1.0
-    ch = Channel(Alphabet("X1", 2), Alphabet("X2", 2), Alphabet("Y1", 2), Alphabet("Y2", 2), t)
+    ch = Channel(t)
     fr = trace_frontier("RTD", ch, budget=40, seed=0, lambdas=[0.3, 0.7])
     assert fr.pareto == ((0.0, 0.0),)
     assert fr.missing == ()
