@@ -42,7 +42,7 @@ def _check_sizes(sizes: dict[str, int]) -> None:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Channel:
     """Transition law p(y1, y2 | x1, x2), a tensor indexed ``[y1, y2, x1, x2]``.
 
@@ -51,7 +51,8 @@ class Channel:
     negative entry (NegativeProbability) and every (x1, x2) slice summing
     to one within ROW_SUM_TOL (RowSumMismatch with the residual).  Each
     error names the first offending entry or slice, so every Channel that
-    exists is valid.
+    exists is valid.  Two channels are equal when their tensors are, and
+    equal channels hash alike, so a channel can key a dict or a cache.
     """
 
     transition: np.ndarray  # shape (|y1|, |y2|, |x1|, |x2|)
@@ -80,6 +81,15 @@ class Channel:
             )
         t.setflags(write=False)
         object.__setattr__(self, "transition", t)
+
+    def __eq__(self, other):
+        if not isinstance(other, Channel):
+            return NotImplemented
+        return self.shape == other.shape and np.array_equal(self.transition, other.transition)
+
+    def __hash__(self):
+        # + 0.0 turns a -0.0 entry into +0.0, which compares equal to it
+        return hash((self.shape, (self.transition + 0.0).tobytes()))
 
     @property
     def shape(self) -> tuple[int, int, int, int]:

@@ -6,8 +6,11 @@ throughout).  Drawing a joint from a chain lives in `cifc.sampling`.
 There is one information kernel: `entropy_vector` is the only function
 that takes a logarithm (with 0*log 0 := 0), and every measure is a fixed
 integer combination of its joint entropies, compiled once per tuple of
-expressions by `compile_exprs`.  Roundoff negatives of an MI atom are
-clamped to zero in one place, `CompiledExprs.__call__`.
+expressions by `compile_exprs`.  The kernel takes all marginals of a call
+with one `np.bincount` over a marginal plan cached per variable set and
+subset list; a plan above MAX_MARGINAL_LABELS labels is refused.
+Roundoff negatives of an MI atom are clamped to zero in one place,
+`CompiledExprs.__call__`.
 
 All operations are pure functions of immutable inputs; callers may
 evaluate many distributions in parallel without synchronization.
@@ -16,6 +19,7 @@ evaluate many distributions in parallel without synchronization.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
@@ -34,6 +38,11 @@ from .errors import (
 
 MASS_TOL = 1e-12
 MI_CLAMP = 1e-12
+
+# An entropy plan holds one label per (subset, joint cell), and each call
+# tiles the joint as many times; at 8 bytes an entry, this cap bounds each
+# at 128 MiB.  Raise it deliberately if needed.
+MAX_MARGINAL_LABELS = 1 << 24
 
 Names = Iterable[str] | str
 
@@ -101,9 +110,6 @@ class JointDistribution:
     @property
     def names(self) -> tuple[str, ...]:
         return self.rvs.names
-
-    def axes_of(self, names: Sequence[str]) -> tuple[int, ...]:
-        return tuple(self.rvs.axis(n) for n in names)
 
 
 @dataclass(frozen=True)
@@ -306,20 +312,56 @@ class _SelfInformation(MITerm):
         object.__setattr__(self, "given", tuple(sorted(set(_names(self.given)) - set(left))))
 
 
+@lru_cache(maxsize=256)
+def _marginal_plan(
+    rvs: RandomVariableSet, subsets: tuple[tuple[str, ...], ...]
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """(labels, starts, total): joint cell -> marginal cell, once per subset.
+
+    labels[k * cells + c] is the marginal cell of joint cell c (row-major)
+    under subsets[k], offset so that all subsets share one index space of
+    `total` marginal cells; subset k owns the segment from starts[k].
+    Refused with InvalidParameter above MAX_MARGINAL_LABELS labels, before
+    anything is allocated.
+    """
+    axes = [sorted({rvs.axis(n) for n in names}) for names in subsets]
+    cells = math.prod(rvs.sizes)
+    if len(subsets) * cells > MAX_MARGINAL_LABELS:
+        raise InvalidParameter(
+            f"{len(subsets)} entropy subsets x {cells} joint cells exceed the "
+            f"marginal-plan cap of {MAX_MARGINAL_LABELS} labels"
+        )
+    labels = np.empty((len(subsets), *rvs.sizes), dtype=np.intp)
+    starts = np.empty(len(subsets), dtype=np.intp)
+    total = 0
+    for k, ax in enumerate(axes):
+        starts[k] = labels[k] = total
+        stride = 1  # row-major over the subset's axes: the last varies fastest
+        for a in reversed(ax):
+            shape = [1] * len(rvs.sizes)
+            shape[a] = rvs.sizes[a]
+            labels[k] += stride * np.arange(rvs.sizes[a]).reshape(shape)
+            stride *= rvs.sizes[a]
+        total += stride
+    labels = labels.reshape(-1)
+    labels.setflags(write=False)
+    starts.setflags(write=False)
+    return labels, starts, total
+
+
 def entropy_vector(d: JointDistribution, subsets: Sequence[Sequence[str]]) -> np.ndarray:
     """Joint entropies H(X_S) in bits, one per subset S, with exact 0*log 0 := 0.
 
     The package's only logarithm: every other information measure is an
-    integer combination of these entropies (see compile_exprs).
+    integer combination of these entropies (see compile_exprs).  All
+    marginals come from one bincount over the cached _marginal_plan.
     """
-    out = np.empty(len(subsets))
-    for k, names in enumerate(subsets):
-        axes = d.axes_of(names)
-        drop = tuple(i for i in range(len(d.names)) if i not in axes)
-        p = d.prob.sum(axis=drop) if drop else d.prob
-        p = p[p > 0.0]
-        out[k] = -float(np.dot(p, np.log2(p)))
-    return out
+    labels, starts, total = _marginal_plan(d.rvs, tuple(tuple(s) for s in subsets))
+    p = np.bincount(labels, weights=np.tile(d.prob.ravel(), len(starts)), minlength=total)
+    terms = np.zeros(total)
+    mass = p > 0.0
+    terms[mass] = p[mass] * np.log2(p[mass])
+    return -np.add.reduceat(terms, starts)
 
 
 @dataclass(frozen=True, eq=False)

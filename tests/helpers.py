@@ -45,7 +45,8 @@ def _marginal(d: JointDistribution, names) -> tuple[np.ndarray, tuple[str, ...]]
     """p over `names` (a string is one name), axes in d's order; an unknown
     name raises UnknownVariable."""
     names = (names,) if isinstance(names, str) else tuple(names)
-    d.axes_of(names)
+    for n in names:
+        d.rvs.axis(n)
     keep = set(names)
     drop = tuple(i for i, n in enumerate(d.names) if n not in keep)
     return d.prob.sum(axis=drop), tuple(n for n in d.names if n in keep)

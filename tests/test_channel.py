@@ -154,3 +154,22 @@ def test_transition_is_immutable():
     ch = bsc_pair(0.1, 0.1)
     with pytest.raises(ValueError):
         ch.transition[0, 0, 0, 0] = 0.5
+
+
+def test_equal_channels_compare_and_hash_alike():
+    a, b = bsc_pair(0.1, 0.2), bsc_pair(0.1, 0.2)
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+    assert {a: "bsc"}[b] == "bsc"
+    assert a != bsc_pair(0.1, 0.3)
+    assert random_channel(0) != random_channel(0, sizes=(2, 3, 2, 2))
+    assert a.__eq__(a.transition) is NotImplemented
+    assert a != "bsc"
+
+
+def test_negative_zero_entries_compare_and_hash_as_zero():
+    t = canonical_channel("orthogonal_noiseless").transition
+    negative = Channel(np.where(t == 0.0, -0.0, t))
+    assert np.signbit(negative.transition).any()  # the -0.0 entries survive construction
+    positive = Channel(t)
+    assert negative == positive and hash(negative) == hash(positive)

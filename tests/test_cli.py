@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from cifc import probability
 from cifc.channel import canonical_channel, save_channel
 from cifc.cli import main
 from cifc.probability import JointDistribution, RandomVariableSet, joint_to_json
@@ -53,6 +54,17 @@ def test_project_square(tmp_path, orth_channel, square_dist):
     assert any(abs(x - 1) < 1e-9 and abs(y - 1) < 1e-9 for x, y in poly.vertices)
     csv_lines = (tmp_path / "poly.csv").read_text().strip().splitlines()
     assert csv_lines[0] == "R1,R2" and len(csv_lines) == 5
+
+
+def test_project_above_the_marginal_plan_cap_exits_2(
+    tmp_path, orth_channel, square_dist, capsys, monkeypatch
+):
+    monkeypatch.setattr(probability, "MAX_MARGINAL_LABELS", 10)
+    probability._marginal_plan.cache_clear()
+    rc = main(["project", "--schema", "RTD", "--channel", str(orth_channel),
+               "--dist", str(square_dist), "--out", str(tmp_path / "poly.json")])
+    assert rc == 2
+    assert "marginal-plan cap of 10" in capsys.readouterr().err
 
 
 def test_project_names_the_source_rows_of_each_halfplane(tmp_path, orth_channel, square_dist):

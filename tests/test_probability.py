@@ -11,6 +11,7 @@ from cifc.errors import (
     SpecCoverageError,
     UnknownVariable,
 )
+from cifc import probability
 from cifc.probability import (
     FactorizationSpec,
     Factor,
@@ -324,6 +325,34 @@ def test_entropy_vector_exact_on_deterministic_support():
     prob[0, 0] = prob[1, 1] = 0.5  # B = A, half the cells carry no mass
     d = JointDistribution(RandomVariableSet(("A", "B"), (2, 2)), prob)
     assert entropy_vector(d, [("A",), ("A", "B"), ("B",)]).tolist() == [1.0, 1.0, 1.0]
+
+
+def _small_joint() -> JointDistribution:
+    return sample_factored(RandomVariableSet(("A", "B"), (2, 3)), chain(("A B",)), 4)
+
+
+def test_entropy_vector_unknown_variable_leaves_the_kernel_usable():
+    d = _small_joint()
+    with pytest.raises(UnknownVariable):
+        entropy_vector(d, [("A",), ("Z",)])
+    assert entropy_vector(d, [("A",)])[0] == pytest.approx(reference_entropy(d, "A"), abs=1e-12)
+
+
+def test_entropy_vector_of_empty_and_repeated_subsets():
+    d = _small_joint()
+    h = entropy_vector(d, [(), ("A", "A"), ("B", "A", "B")])
+    assert h[0] == pytest.approx(0.0, abs=1e-12)
+    assert h[1] == pytest.approx(reference_entropy(d, "A"), abs=1e-12)
+    assert h[2] == pytest.approx(reference_entropy(d, "AB"), abs=1e-12)
+
+
+def test_marginal_plan_above_the_cap_is_refused(monkeypatch):
+    monkeypatch.setattr(probability, "MAX_MARGINAL_LABELS", 10)
+    probability._marginal_plan.cache_clear()  # a plan cached under the real cap skips the check
+    d = _small_joint()
+    assert entropy_vector(d, [("A", "B")])[0] > 0.0  # 1 subset x 6 cells fits
+    with pytest.raises(InvalidParameter, match="2 entropy subsets x 6 joint cells .* cap of 10"):
+        entropy_vector(d, [("A",), ("B",)])
 
 
 @pytest.mark.parametrize("seed", range(25))

@@ -12,6 +12,7 @@ from cifc.probability import (
     JointDistribution,
     MIExpr,
     RandomVariableSet,
+    _marginal_plan,
     chain,
     extend_through_channel,
     evaluate_expr,
@@ -45,6 +46,7 @@ from cifc.verify import (
     sampled_region_containment,
     trace_frontier,
 )
+from helpers import reference_mutual_information
 
 BSC = canonical_channel("bsc_pair", eps1=0.05, eps2=0.1)
 
@@ -133,8 +135,9 @@ def test_sample_factored_draw_with_unsorted_chain_is_pinned():
 
 def test_compiled_rhs_of_sampled_instances_is_pinned():
     # The channel tensor's memory layout sets the summation order of the
-    # channel-extended joint, so a layout change moves these last bits
-    # while every stored channel value stays the same.
+    # channel-extended joint, and the entropy kernel's marginal plan sets
+    # the order of each marginal's sum, so a change to either moves these
+    # last bits while every stored value stays the same.
     h = hashlib.sha256()
     for sid in SCHEMA_IDS:
         schema = builtin_schema(sid)
@@ -143,17 +146,40 @@ def test_compiled_rhs_of_sampled_instances_is_pinned():
             for seed in range(10):
                 ch = random_channel(seed, _channel_sizes(schema))
                 h.update(compiled.rhs(sample_instance(schema, ch, seed, mode=mode)).tobytes())
-    assert h.hexdigest() == "400538af9e200e73bfd2d64912ddf9f9fb8ee94e8e82b8e23c2a0b5ceaecc276"
+    assert h.hexdigest() == "6b007d94c613ae1ce5a0a7cc019b68fe95bbeef33a86e3cc4da3dc0433342560"
+
+
+def test_compiled_rhs_of_sampled_instances_matches_log_ratio_reference():
+    # the same instances as the digest above, held to a tolerance instead
+    for sid in SCHEMA_IDS:
+        schema = builtin_schema(sid)
+        compiled = compile_schema(schema)
+        for mode in SAMPLING_MODES:
+            for seed in range(10):
+                ch = random_channel(seed, _channel_sizes(schema))
+                d = sample_instance(schema, ch, seed, mode=mode)
+                expected = [
+                    c.rhs.constant + sum(
+                        s * reference_mutual_information(d, t.left, t.right, t.given)
+                        for s, t in c.rhs.terms
+                    )
+                    for c in schema.constraints
+                ]
+                np.testing.assert_allclose(
+                    compiled.rhs(d), compiled.sign * expected, rtol=0, atol=1e-12,
+                    err_msg=f"{sid} {mode} seed {seed}",
+                )
 
 
 def test_frontier_search_draws_are_pinned():
     # the climb's moves, restarts and the paired X2 block all draw through
-    # the sampler; the CSV below was written before it was consolidated
+    # the sampler; the CSV below was written before it was consolidated,
+    # and its R2 at lambda = 1 is roundoff of the entropy kernel's sums
     result = trace_frontier("RTD_CC", BSC, budget=800, seed=3, lambdas=2)
     assert result.to_csv() == (
         "lambda,R1,R2,seed\n"
         "0,0.00355225768378,0.531004406411,3000009\n"
-        "1,0.713603042884,0,3000010\n"
+        "1,0.713603042884,2.22044604925e-16,3000010\n"
     )
 
 
@@ -365,6 +391,12 @@ def test_frontier_orthogonal_reaches_near_corner():
 def test_frontier_rejects_a_lambda_outside_the_unit_interval(lam):
     with pytest.raises(InvalidParameter, match=r"lambda is a Pareto weight in \[0, 1\]"):
         trace_frontier("RTD", BSC, budget=10, seed=0, lambdas=[0.5, lam])
+
+
+def test_one_frontier_builds_one_marginal_plan():
+    _marginal_plan.cache_clear()
+    trace_frontier("RTD", canonical_channel("orthogonal_noiseless"), budget=40, seed=1, lambdas=2)
+    assert _marginal_plan.cache_info().misses == 1
 
 
 def test_frontier_deterministic_and_csv():
