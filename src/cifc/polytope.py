@@ -13,8 +13,9 @@ membership oracle are deliberately independent code paths: the first runs
 variable elimination, the second enumerates every basic solution of the
 full-dimensional system and takes the convex hull of its projections.
 The oracle, too, does once per coefficient structure what does not depend
-on the right-hand side: it finds the nonsingular bases, and a system then
-only solves for its basic solutions.
+on the right-hand side: it finds the nonsingular bases and caches each as an
+exact integer adjugate and determinant, so a system's basic solutions are
+Cramer's rule, one `einsum` and one division, with no factorization.
 """
 
 from __future__ import annotations
@@ -37,6 +38,8 @@ TIE_TOL = 1e-13  # relative: support values this close count as one optimal face
 # Row subsets the enumeration oracle may solve; about 3x the catalog's
 # largest, RTD's C(19, 8) = 75,582, and checked before anything is allocated.
 MAX_ORACLE_SUBSETS = 250_000
+# Row subsets per batch while the oracle builds a structure's bases
+_ORACLE_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -433,17 +436,22 @@ def compile_schema(schema: RegionSchema) -> CompiledSchema:
 @lru_cache(maxsize=256)
 def _oracle_bases(
     coeffs: tuple[tuple[int, ...], ...], n: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Every nonsingular basis of {x >= 0 : coeffs . x <= b}, for any b.
 
     A basis is an n-subset of the m = rows + n constraint rows (the system's
     rows, then the nonnegativity facets -x_i <= 0) whose square matrix is
     nonsingular; which subsets those are depends on the coefficients only,
-    so each structure enumerates its C(m, n) subsets and takes their
-    determinants once.  Returns the full (m, n) row matrix, the (k, n) row
-    indices of the k nonsingular subsets and their (k, n, n) matrices.
-    Raises InvalidParameter, before anything is allocated, when the subset
-    count exceeds MAX_ORACLE_SUBSETS.
+    so each structure enumerates its C(m, n) subsets once, _ORACLE_CHUNK at
+    a time to bound the memory of the batched determinants and inverses.
+    The matrices are integer, so each kept basis B is stored as its exact
+    adjugate and determinant, checked exactly by B . adj(B) = det(B) I
+    (float products of integers are exact below 2**53).  Returns the full
+    (m, n) row matrix, the (k, n) row indices of the k nonsingular subsets,
+    their (k, n, n) adjugates and their (k,) determinants, all integer
+    valued.  Raises InvalidParameter, before anything is allocated, when
+    the subset count exceeds MAX_ORACLE_SUBSETS, and, caching nothing, when
+    an adjugate is not exact in float64.
     """
     m = len(coeffs) + n
     subsets = math.comb(m, n)
@@ -453,10 +461,22 @@ def _oracle_bases(
     a = np.vstack([np.asarray(coeffs, dtype=float).reshape(len(coeffs), n), -np.eye(n)])
     combos = np.fromiter(itertools.chain.from_iterable(itertools.combinations(range(m), n)),
                          dtype=np.intp, count=subsets * n).reshape(subsets, n)
-    mats = a[combos]
-    # integer coefficient matrices: nonsingular iff |det| >= 1
-    keep = np.abs(np.linalg.det(mats)) > 0.5
-    return a, combos[keep], mats[keep]
+    idx, adj, det = [], [], []
+    for start in range(0, subsets, _ORACLE_CHUNK):
+        chunk = combos[start:start + _ORACLE_CHUNK]
+        mats = a[chunk]
+        d = np.rint(np.linalg.det(mats))
+        # integer coefficient matrices: nonsingular iff det != 0
+        keep = d != 0
+        mats, d = mats[keep], d[keep]
+        c = np.rint(np.linalg.inv(mats) * d[:, None, None])
+        if not (mats @ c == d[:, None, None] * np.eye(n)).all():
+            raise InvalidParameter(f"the oracle's C({m}, {n}) row subsets include a basis "
+                                   f"whose adjugate is not exact in float64")
+        idx.append(chunk[keep])
+        adj.append(c)
+        det.append(d)
+    return a, np.concatenate(idx), np.concatenate(adj), np.concatenate(det)
 
 
 @lru_cache(maxsize=256)
@@ -464,19 +484,21 @@ def _oracle_hull(system: LinearSystem) -> tuple[tuple[float, float], ...]:
     """All basic feasible solutions of the full system, projected and hulled.
 
     The nonsingular bases come from _oracle_bases, once per coefficient
-    structure; per system only the basic solutions change, so they are one
-    batched solve against the rhs.  The solutions satisfying the whole
-    system within FEAS_TOL are clipped to x >= 0 (the slack also admits a
-    rate of -FEAS_TOL) and projected.  The projection of the polytope is
-    the convex hull of the projected solutions because the systems handled
-    here are bounded.  This path shares no code with the elimination: no
+    structure, as exact adjugates and determinants; per system only the
+    basic solutions change, and Cramer's rule gives them as one `einsum`
+    and one division.  The solutions satisfying the whole system within
+    FEAS_TOL are clipped to x >= 0 (the slack also admits a rate of
+    -FEAS_TOL) and projected.  The projection of the polytope is the convex
+    hull of the projected solutions because the systems handled here are
+    bounded.  This path shares no code with the elimination: no
     multipliers, no Chernikov rule, no CompiledProjection.  Raises
-    InvalidParameter when the subset count exceeds MAX_ORACLE_SUBSETS.
+    InvalidParameter when the subset count exceeds MAX_ORACLE_SUBSETS or a
+    basis is not exact in float64.
     """
     n = len(system.variables)
-    a, idx, mats = _oracle_bases(tuple(r.coeffs for r in system.rows), n)
+    a, idx, adj, det = _oracle_bases(tuple(r.coeffs for r in system.rows), n)
     b = np.array([r.rhs for r in system.rows] + [0.0] * n)
-    sols = np.linalg.solve(mats, b[idx][..., None])[..., 0]
+    sols = np.einsum("kij,kj->ki", adj, b[idx]) / det[:, None]
     feas = (a @ sols.T <= b[:, None] + FEAS_TOL).all(axis=0)
     good = np.maximum(sols[feas], 0.0)
     r1 = np.asarray(system.r1, dtype=float)

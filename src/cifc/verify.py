@@ -71,11 +71,13 @@ class CheckReport:
     def record(self, seed: int, violation: float, message: str | None = None, tol: float = MI_TOL):
         self.seeds_run += 1
         v = abs(violation)
+        if not v <= tol:  # a NaN violation fails too
+            # only a failure names a seed, so roundoff never moves worst_seed
+            if self.worst_seed is None or v > self.max_abs_violation:
+                self.worst_seed = seed
+            self.failures.append(message or f"seed {seed}: |violation| = {v:.3e} > {tol:g}")
         if v > self.max_abs_violation:
             self.max_abs_violation = v
-            self.worst_seed = seed
-        if not v <= tol:  # a NaN violation fails too
-            self.failures.append(message or f"seed {seed}: |violation| = {v:.3e} > {tol:g}")
 
     @property
     def ok(self) -> bool:

@@ -15,6 +15,7 @@ from cifc.polytope import (
     EMPTY,
     MAX_ORACLE_SUBSETS,
     Polytope2D,
+    _ORACLE_CHUNK,
     _distance_to_hull,
     _oracle_bases,
     _oracle_hull,
@@ -337,6 +338,53 @@ def test_compiled_oracle_matches_uncompiled_reference(sid):
     info = _oracle_bases.cache_info()
     assert info.misses == 1
     assert info.hits == _oracle_hull.cache_info().misses - 1 > 0
+
+
+def _catalog_system(sid):
+    schema = builtin_schema(sid)
+    sizes = (2, 4, 2, 2) if sid == "MARIC" else (2, 2, 2, 2)
+    return instantiate(schema, sample_instance(schema, random_channel(0, sizes), 0))
+
+
+@pytest.mark.parametrize("sid", SCHEMA_IDS)
+def test_oracle_bases_are_exact_across_chunks(sid):
+    """The chunked bases are exactly the subsets a fresh enumeration finds
+    nonsingular, each with its exact integer adjugate and determinant."""
+    system = _catalog_system(sid)
+    n = len(system.variables)
+    m = len(system.rows) + n
+    a, idx, adj, det = _oracle_bases(tuple(r.coeffs for r in system.rows), n)
+    combos = np.asarray(list(itertools.combinations(range(m), n)), dtype=np.intp)
+    assert np.array_equal(idx, combos[np.abs(np.linalg.det(a[combos])) > 0.5])
+    assert (adj == np.rint(adj)).all() and (det == np.rint(det)).all() and (det != 0).all()
+    assert (a[idx] @ adj == det[:, None, None] * np.eye(n)).all()
+    if sid == "RTD":
+        # 19 chunks, the last one partial: an off-by-one at a chunk edge shows
+        assert (len(combos) - 1) // _ORACLE_CHUNK == 18 and len(combos) % _ORACLE_CHUNK
+
+
+def test_oracle_refuses_a_basis_not_exact_in_float64():
+    # det = (2**27 + 1)**2 - 1: the products in B . adj(B) pass 2**53
+    k = 2**27 + 1
+    system = LinearSystem(("a", "b"), (Row((k, 1), 1.0), Row((1, k), 1.0)), (1, 0), (0, 1))
+    _oracle_bases.cache_clear()
+    with pytest.raises(InvalidParameter, match="C\\(4, 2\\)"):
+        oracle_polygon(system)
+    assert _oracle_bases.cache_info().currsize == 0
+
+
+def test_oracle_bases_build_in_bounded_memory():
+    # all 75,582 RTD matrices at once took 49.1 MiB; chunked, about 20 MiB
+    system = _catalog_system("RTD")
+    coeffs = tuple(r.coeffs for r in system.rows)
+    _oracle_bases.cache_clear()
+    tracemalloc.start()
+    try:
+        _oracle_bases(coeffs, len(system.variables))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2**20
 
 
 def test_oracle_hull_stays_in_the_quadrant():

@@ -32,6 +32,7 @@ from cifc.verify import (
     REGION_TOL,
     SAMPLING_MODES,
     _channel_sizes,
+    CheckReport,
     IdentityCheck,
     check_cc_reduction,
     check_droppable,
@@ -291,6 +292,21 @@ def test_identity_runner_fails_a_false_claim(claim):
     assert check.worst_seed in range(4) and check.max_abs_violation > 1e-3
     assert len(check.failures) == 4
     assert any(f.startswith(f"seed {check.worst_seed}: ") for f in check.failures)
+
+
+def test_roundoff_violations_name_no_worst_seed():
+    # a passing check reports the size of its roundoff but no seed, so a
+    # change of summation order cannot move worst_seed
+    check = CheckReport("roundoff")
+    check.record(0, 4.4e-16)
+    check.record(1, -8.9e-16)
+    check.record(2, 0.0)
+    assert check.ok and check.worst_seed is None
+    assert check.max_abs_violation == 8.9e-16
+    assert check.to_json()["worst_seed"] is None
+    check.record(3, 2e-3)
+    check.record(4, 5e-4)
+    assert check.worst_seed == 3 and check.max_abs_violation == 2e-3
 
 
 def test_maric_degenerate_part_gives_zero_difference():
