@@ -9,8 +9,10 @@ integer combination of its joint entropies, compiled once per tuple of
 expressions by `compile_exprs`.  The kernel takes all marginals of a call
 with one `np.bincount` over a marginal plan cached per variable set and
 subset list; a plan above MAX_MARGINAL_LABELS labels is refused.
-Roundoff negatives of an MI atom are clamped to zero in one place,
-`CompiledExprs.__call__`.
+`compile_checked` puts a leading map and a list of zero checks (such as
+a chain's conditional independencies) into one such call per
+distribution.  Roundoff negatives of an MI atom are clamped to zero in
+one place, `CompiledExprs.of_entropies`.
 
 All operations are pure functions of immutable inputs; callers may
 evaluate many distributions in parallel without synchronization.
@@ -382,7 +384,12 @@ class CompiledExprs:
 
     def __call__(self, d: JointDistribution) -> np.ndarray:
         """The expressions' values at distribution d, in bits."""
-        atoms = self.atom_matrix @ entropy_vector(d, self.subsets)
+        return self.of_entropies(entropy_vector(d, self.subsets))
+
+    def of_entropies(self, h: np.ndarray) -> np.ndarray:
+        """The values from entropies whose first len(subsets) entries are
+        H(subsets), in order; later entries are ignored."""
+        atoms = self.atom_matrix @ h[: len(self.subsets)]
         atoms[(atoms >= -MI_CLAMP) & (atoms < 0.0)] = 0.0
         return self.expr_matrix @ atoms + self.constants
 
@@ -432,29 +439,83 @@ def mutual_information(d: JointDistribution, t: MITerm) -> float:
     return evaluate_expr(d, MIExpr.of(t))
 
 
+def entropy_term(names: Names, given: Names = ()) -> MITerm:
+    """The atom H(A|C), written I(A;A|C)."""
+    return _SelfInformation(names, names, given)
+
+
 def entropy(d: JointDistribution, names: Names, given: Names = ()) -> float:
     """H(A|C) in bits."""
-    return evaluate_expr(d, MIExpr.of(_SelfInformation(names, names, given)))
+    return evaluate_expr(d, MIExpr.of(entropy_term(names, given)))
 
 
-def verify_factorization(d: JointDistribution, spec: FactorizationSpec, tol: float = 1e-9) -> None:
-    """Check every conditional independence implied by the factor chain.
+@dataclass(frozen=True, eq=False)
+class CheckedExprs:
+    """A leading expression map and a list of checks in one entropy pass:
 
-    Factor k with targets T and conditioning G implies T independent of the
-    earlier targets outside G, given G.  Raises FactorizationViolation
-    naming the first violated triple.
+        h      = entropy_vector(d, subsets)   subsets = lead.subsets + the checks' others
+        checks = check_matrix @ h             each must be <= tol, in order
+        values = lead.of_entropies(h)         the leading map's own matrices
+
+    Every joint entropy is the same number in any subset list, so `values`
+    equals lead(d) bit for bit.
     """
+
+    lead: CompiledExprs
+    subsets: tuple[tuple[str, ...], ...]
+    check_matrix: np.ndarray  # integer, (checks, subsets)
+    check_names: tuple[str, ...]
+
+    def __call__(self, d: JointDistribution, tol: float = 1e-9) -> np.ndarray:
+        """The leading values at d, or FactorizationViolation naming the
+        first check above `tol`."""
+        h = entropy_vector(d, self.subsets)
+        checks = self.check_matrix @ h
+        bad = np.flatnonzero(checks > tol)
+        if bad.size:
+            k = bad[0]
+            raise FactorizationViolation(f"{self.check_names[k]} = {checks[k]:.3e} > {tol:g}")
+        return self.lead.of_entropies(h)
+
+
+@lru_cache(maxsize=256)
+def compile_checked(
+    leading: tuple[MIExpr, ...], checks: tuple[tuple[str, MITerm], ...]
+) -> CheckedExprs:
+    """Compile `leading` and the named check atoms into one entropy pass;
+    the leading map's subsets come first, in their own order."""
+    lead = compile_exprs(leading)
+    inner = compile_exprs(tuple(MIExpr.of(t) for _, t in checks))
+    subsets = lead.subsets + tuple(s for s in inner.subsets if s not in lead.subsets)
+    column = {s: i for i, s in enumerate(subsets)}
+    check_matrix = np.zeros((len(checks), len(subsets)), dtype=np.int64)
+    check_matrix[:, [column[s] for s in inner.subsets]] = inner.expr_matrix @ inner.atom_matrix
+    check_matrix.setflags(write=False)
+    return CheckedExprs(lead, subsets, check_matrix, tuple(name for name, _ in checks))
+
+
+def factorization_checks(spec: FactorizationSpec) -> tuple[tuple[str, MITerm], ...]:
+    """Every conditional independence implied by the factor chain, in order.
+
+    Factor k with targets T and conditioning G implies T independent of
+    the earlier targets outside G, given G: the atom I(T;rest|G), named
+    as its FactorizationViolation names it.
+    """
+    out = []
     earlier: list[str] = []
     for f in spec.factors:
         rest = [n for n in earlier if n not in f.given]
         if rest:
-            value = mutual_information(d, mi(f.targets, rest, f.given))
-            if value > tol:
-                raise FactorizationViolation(
-                    f"I({','.join(f.targets)};{','.join(rest)}"
-                    f"|{','.join(f.given)}) = {value:.3e} > {tol:g}"
-                )
+            name = f"I({','.join(f.targets)};{','.join(rest)}|{','.join(f.given)})"
+            out.append((name, mi(f.targets, rest, f.given)))
         earlier.extend(f.targets)
+    return tuple(out)
+
+
+def verify_factorization(d: JointDistribution, spec: FactorizationSpec, tol: float = 1e-9) -> None:
+    """Check every conditional independence implied by the factor chain;
+    raises FactorizationViolation naming the first violated triple."""
+    compile_checked((), factorization_checks(spec))(d, tol)
 
 
 # ---------------------------------------------------------------------------

@@ -30,38 +30,40 @@ normal form once (a GE row enters negated), and `instantiate` returns the
 schema at one distribution as a `LinearSystem` of labeled LE rows, the
 form that projection, the enumeration oracle and `compile_schema` read.
 `check_distribution` tests a distribution against the schema's
-factorization and determinism requirements; `instantiate` calls it, and
-the identity suites of `cifc.verify` call it once per sampled
-distribution.
+factorization and determinism requirements.  `checked_exprs` compiles
+those checks, after a leading expression map, into one entropy pass per
+distribution: `instantiate` leads with the constraints' rhs, and the
+identity suites of `cifc.verify` lead with their claim tables.  A schema
+hashes its fields once, so these per-schema caches cost a lookup.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from functools import lru_cache
+from dataclasses import dataclass, fields, replace
+from functools import cached_property, lru_cache
 from typing import Mapping
 
 import numpy as np
 
 from .channel import OUTPUTS
 from .errors import (
-    FactorizationViolation,
     InvalidParameter,
     UnknownSchema,
     UnknownVariable,
 )
 from .probability import (
+    CheckedExprs,
     FactorizationSpec,
     JointDistribution,
     MIExpr,
     RandomVariableSet,
     chain,
-    compile_exprs,
-    entropy,
+    compile_checked,
+    entropy_term,
+    factorization_checks,
     mi,
     rename_expr,
-    verify_factorization,
 )
 
 LE = "LE"
@@ -142,6 +144,22 @@ class RegionSchema:
         bad_rates = self.message_rates() - rates
         if bad_rates:
             raise ValueError(f"{self.id}: projection uses unknown rate vars {sorted(bad_rates)}")
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, f.name) for f in fields(self))
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash(self._fields())
+
+    def __hash__(self) -> int:
+        # per-schema compiled objects are looked up by schema once per
+        # sampled distribution, so the fields are hashed on first use only
+        return self._hash
+
+    def __reduce__(self):
+        # rebuild through __init__: string hashes differ between processes
+        return type(self), self._fields()
 
     @property
     def variables(self) -> tuple[str, ...]:
@@ -274,17 +292,36 @@ def check_tolerance(name: str, tol: float) -> None:
         raise InvalidParameter(f"{name} must be finite and >= 0, got {tol!r}")
 
 
+@lru_cache(maxsize=256)
+def checked_exprs(schema: RegionSchema, leading: tuple[MIExpr, ...] = ()) -> CheckedExprs:
+    """`leading` and the schema's requirements in one entropy pass per
+    distribution.
+
+    The checks, in order: each factor's I(T;earlier-G|G) in chain order
+    (probability.factorization_checks), then each deterministic
+    variable's H(X|parts).  The call raises FactorizationViolation on
+    the first one above its tolerance, and otherwise returns the values
+    of `leading`.
+    """
+    determinism = tuple(
+        (f"{schema.id}: H({name}|{','.join(parts)})", entropy_term(name, parts))
+        for name, parts in schema.deterministic
+    )
+    return compile_checked(leading, factorization_checks(schema.factorization) + determinism)
+
+
+@lru_cache(maxsize=64)
+def _rhs_checked(schema: RegionSchema) -> CheckedExprs:
+    """The constraints' rhs expressions with the schema's checks, looked
+    up by the schema alone."""
+    return checked_exprs(schema, tuple(c.rhs for c in schema.constraints))
+
+
 def check_distribution(schema: RegionSchema, d: JointDistribution, tol: float = 1e-9) -> None:
     """Require `d` to satisfy the schema's factorization (conditional
     independencies) and determinism requirements at tolerance `tol`."""
     check_tolerance("tol", tol)
-    verify_factorization(d, schema.factorization, tol)
-    for name, parts in schema.deterministic:
-        h = entropy(d, name, parts)
-        if h > tol:
-            raise FactorizationViolation(
-                f"{schema.id}: H({name}|{','.join(parts)}) = {h:.3e} > {tol:g}"
-            )
+    checked_exprs(schema)(d, tol)
 
 
 def instantiate(
@@ -296,14 +333,14 @@ def instantiate(
 
     Each rhs is sign * value of its constraint's MI expression, through the
     same compiled map as compile_schema.  `d` must pass check_distribution
-    at tolerance `tol`.
+    at tolerance `tol`; both come from one entropy pass.
     """
     missing = (set(schema.variables) | set(OUTPUTS)) - set(d.names)
     if missing:
         raise UnknownVariable(f"distribution lacks {sorted(missing)}")
-    check_distribution(schema, d, tol)
+    check_tolerance("tol", tol)
     rows, r1, r2, sign = le_structure(schema)
-    b = sign * compile_exprs(tuple(c.rhs for c in schema.constraints))(d)
+    b = sign * _rhs_checked(schema)(d, tol)
     return LinearSystem(
         schema.rate_vars,
         tuple(Row(c, v, lab) for c, v, lab in zip(rows, b.tolist(), schema.labels())),

@@ -1,26 +1,33 @@
 """Factorized sampling of joint distributions.
 
-The only module that knows how a factor block is drawn and laid out.  One
-routine, `_block`, draws a conditional p(targets | given) as a
-(given..., target...) array in a single call and transposes it once onto
-the joint's ascending axes; `_FactorState` holds one such block per factor
-of a chain and multiplies them into the joint.  `sample_factored`,
-`sample_instance` and the frontier search all draw through it.
+The only module that knows how a factor block is drawn and laid out.  A
+chain is compiled once per (variable set, factors, mode, paired copies,
+input dependencies) into a `_ChainPlan`: for each factor a `_BlockPlan`
+that has resolved the block's axes, sizes, transpose and broadcast shape,
+the paired-copy indicator and the lookup tables of the structured
+channel inputs.  A draw then makes only the generator calls and one
+reshape and transpose onto the joint's ascending axes.  `_FactorState`
+holds one drawn block per factor and multiplies them into the joint;
+`sample_factored`, `sample_instance` and the frontier search all draw
+through it.
 
 Every draw is a pure function of the generator passed in, so a seed fixes
-the joint bit for bit.
+the joint bit for bit.  A joint of more than MAX_MARGINAL_LABELS cells is
+refused before anything is allocated: no entropy plan could take it.
 """
 
 from __future__ import annotations
 
-from functools import reduce
-from typing import TYPE_CHECKING, Mapping, Sequence
+import math
+from functools import lru_cache, reduce
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 from .channel import Channel
 from .errors import InvalidParameter, SpecCoverageError
 from .probability import (
+    MAX_MARGINAL_LABELS,
     Factor,
     FactorizationSpec,
     JointDistribution,
@@ -41,100 +48,186 @@ STRUCT_INPUT_DEPS: dict[str, dict[str, tuple[str, ...]]] = {
     "RTD": {"X2": ("U2c",)},
 }
 
+# (name, names) pairs, as in RegionSchema.deterministic, so that a chain plan is hashable
+Pairs = tuple[tuple[str, tuple[str, ...]], ...]
 
-def _block(
+
+class _BlockPlan(NamedTuple):
+    """One factor's block p(targets | given), resolved up to its random numbers.
+
+    `kind` is how the block is drawn:
+      "paired"     a single target declared deterministic (a paired copy):
+                   the indicator, built once and never drawn;
+      "struct"     in "det"/"flat_det" modes, a channel-input factor: a
+                   uniformly random deterministic map of the conditioning
+                   cell, or of the cell's `STRUCT_INPUT_DEPS` variables;
+      "flat"       in "flat_det" mode, every other factor: a product of
+                   per-variable Dirichlet(1) marginals, the same in every
+                   conditioning cell;
+      "dirichlet"  otherwise: each conditioning cell its own Dirichlet(1)
+                   row over the joint target cells.
+    """
+
+    kind: str
+    n_cells: int  # conditioning cells
+    t_sizes: tuple[int, ...]  # target sizes, in axis order
+    layout: tuple[int, ...]  # the drawn block's shape: given sizes, then target sizes
+    perm: tuple[int, ...]  # its axes onto the joint's ascending axes
+    shape: tuple[int, ...]  # the joint's shape with 1 on the axes it leaves out
+    # "struct": per target, (size, values drawn, conditioning cell -> value
+    # index, or None when each cell draws its own value)
+    inputs: tuple[tuple[int, int, np.ndarray | None], ...] = ()
+    indicator: np.ndarray | None = None  # "paired"
+
+    def draw(self, rng: np.random.Generator) -> np.ndarray:
+        """The block shaped to broadcast against the joint."""
+        if self.kind == "paired":
+            return self.indicator
+        if self.kind == "struct":
+            block = np.zeros((self.n_cells, *self.t_sizes))
+            values = []
+            for size, count, index in self.inputs:
+                drawn = rng.integers(0, size, size=count)
+                values.append(drawn if index is None else drawn[index])
+            block[(np.arange(self.n_cells), *values)] = 1.0
+        elif self.kind == "flat":
+            marginals = [rng.dirichlet(np.ones(s)) for s in self.t_sizes]
+            block = np.broadcast_to(
+                reduce(np.multiply.outer, marginals), (self.n_cells, *self.t_sizes)
+            )
+        else:
+            block = rng.dirichlet(np.ones(math.prod(self.t_sizes)), size=self.n_cells)
+        return _onto_joint(block, self.layout, self.perm, self.shape)
+
+
+def _onto_joint(block: np.ndarray, layout, perm, shape) -> np.ndarray:
+    """One reshape to `layout` and one transpose onto the joint's axes."""
+    return np.ascontiguousarray(np.transpose(block.reshape(layout), perm)).reshape(shape)
+
+
+def _block_plan(
     rvs: RandomVariableSet,
     factor: Factor,
-    rng: np.random.Generator,
     mode: str,
-    det: Mapping[str, tuple[str, ...]],
-    struct_deps: Mapping[str, tuple[str, ...]],
-) -> np.ndarray:
-    """Draw p(targets | given) under `mode`, shaped to broadcast against the joint.
-
-    A single target declared deterministic (a paired copy) is always an
-    indicator.  In "det"/"flat_det" modes a channel-input factor becomes a
-    uniformly random deterministic map, and "flat_det" draws every other
-    factor as a product of per-variable Dirichlet(1) marginals, the same
-    for every conditioning cell.  Otherwise each conditioning cell gets
-    its own Dirichlet(1) row.
-    """
+    det: dict[str, tuple[str, ...]],
+    struct_deps: dict[str, tuple[str, ...]],
+) -> _BlockPlan:
+    """Resolve one factor's draw under `mode` (see _BlockPlan)."""
     targets = factor.targets
     if len(targets) == 1 and targets[0] in det:
+        kind = "paired"
         g_axes = [rvs.axis(p) for p in det[targets[0]]]
         t_axes = [rvs.axis(targets[0])]
-        block = pairing_onehot([rvs.sizes[a] for a in g_axes])
     else:
+        if mode != "free" and any(t in ("X1", "X2") for t in targets):
+            kind = "struct"
+        elif mode == "flat_det":
+            kind = "flat"
+        else:
+            kind = "dirichlet"
         g_axes = sorted(rvs.axis(n) for n in factor.given)
         t_axes = sorted(rvs.axis(n) for n in targets)
-        g_sizes = [rvs.sizes[a] for a in g_axes]
-        t_sizes = [rvs.sizes[a] for a in t_axes]
-        n_cells = int(np.prod(g_sizes))
-        if mode != "free" and any(t in ("X1", "X2") for t in targets):
-            values = []
-            for a in t_axes:
-                deps = struct_deps.get(rvs.names[a])
-                if deps is None:
-                    values.append(rng.integers(0, rvs.sizes[a], size=n_cells))
-                    continue
-                dep_sizes = [rvs.size(d) for d in deps]
-                table = rng.integers(0, rvs.sizes[a], size=int(np.prod(dep_sizes)))
-                cells = np.unravel_index(np.arange(n_cells), g_sizes)
-                dep_cells = [cells[g_axes.index(rvs.axis(d))] for d in deps]
-                values.append(table[np.ravel_multi_index(dep_cells, dep_sizes)])
-            block = np.zeros((n_cells, *t_sizes))
-            block[(np.arange(n_cells), *values)] = 1.0
-        elif mode == "flat_det":
-            marginals = [rng.dirichlet(np.ones(s)) for s in t_sizes]
-            block = np.broadcast_to(reduce(np.multiply.outer, marginals), (n_cells, *t_sizes))
-        else:
-            block = rng.dirichlet(np.ones(int(np.prod(t_sizes))), size=n_cells)
-        block = block.reshape(g_sizes + t_sizes)
+    g_sizes = [rvs.sizes[a] for a in g_axes]
+    t_sizes = tuple(rvs.sizes[a] for a in t_axes)
+    n_cells = math.prod(g_sizes)
+    inputs = []
+    if kind == "struct":
+        for a in t_axes:
+            deps = struct_deps.get(rvs.names[a])
+            if deps is None:
+                inputs.append((rvs.sizes[a], n_cells, None))
+                continue
+            dep_sizes = [rvs.size(d) for d in deps]
+            cells = np.unravel_index(np.arange(n_cells), g_sizes)
+            dep_cells = [cells[g_axes.index(rvs.axis(d))] for d in deps]
+            index = np.ravel_multi_index(dep_cells, dep_sizes)
+            index.setflags(write=False)
+            inputs.append((rvs.sizes[a], math.prod(dep_sizes), index))
     current = g_axes + t_axes
-    block = np.transpose(block, [current.index(a) for a in sorted(current)])
-    shape = [s if a in current else 1 for a, s in enumerate(rvs.sizes)]
-    return np.ascontiguousarray(block).reshape(shape)
+    layout = tuple(g_sizes) + t_sizes
+    perm = tuple(current.index(a) for a in sorted(current))
+    shape = tuple(s if a in current else 1 for a, s in enumerate(rvs.sizes))
+    indicator = None
+    if kind == "paired":
+        indicator = _onto_joint(pairing_onehot(g_sizes), layout, perm, shape)
+        indicator.setflags(write=False)
+    return _BlockPlan(kind, n_cells, t_sizes, layout, perm, shape, tuple(inputs), indicator)
+
+
+class _ChainPlan(NamedTuple):
+    """A factor chain's block plans, and `propose`'s fresh-block plans.
+
+    `free` lists the factors the frontier search may move: all but the
+    paired copies.  `fresh[i]` redraws factor i as a "free" Dirichlet
+    block with no paired copies (None for a paired copy).
+    """
+
+    rvs: RandomVariableSet
+    blocks: tuple[_BlockPlan, ...]
+    fresh: tuple[_BlockPlan | None, ...]
+    free: tuple[int, ...]
+
+
+@lru_cache(maxsize=256)
+def _chain_plan(
+    rvs: RandomVariableSet,
+    factors: tuple[Factor, ...],
+    mode: str = "free",
+    det: Pairs = (),
+    struct_deps: Pairs = (),
+) -> _ChainPlan:
+    """Compile a chain's draw once.  `det` maps paired copies to their
+    parts and `struct_deps` names the variables a structured channel
+    input may look at, both as (name, names) pairs.  Refused with
+    InvalidParameter, before any allocation, when the joint has more
+    than MAX_MARGINAL_LABELS cells."""
+    cells = math.prod(rvs.sizes)
+    if cells > MAX_MARGINAL_LABELS:
+        raise InvalidParameter(
+            f"the joint over {', '.join(rvs.names)} has {cells} cells, above the "
+            f"cap of {MAX_MARGINAL_LABELS} cells"
+        )
+    det_map, deps_map = dict(det), dict(struct_deps)
+    blocks = tuple(_block_plan(rvs, f, mode, det_map, deps_map) for f in factors)
+    fresh = tuple(
+        None if b.kind == "paired" else _block_plan(rvs, f, "free", {}, {})
+        for f, b in zip(factors, blocks)
+    )
+    free = tuple(i for i, b in enumerate(blocks) if b.kind != "paired")
+    return _ChainPlan(rvs, blocks, fresh, free)
+
+
+@lru_cache(maxsize=64)
+def _schema_plan(schema: RegionSchema, size: int, mode: str) -> _ChainPlan:
+    """The schema's chain at default cardinality `size`, looked up by schema."""
+    return _chain_plan(
+        schema.rv_set(size),
+        schema.factorization.factors,
+        mode,
+        schema.deterministic,
+        tuple(STRUCT_INPUT_DEPS.get(schema.id, {}).items()),
+    )
 
 
 class _FactorState:
-    """The factor blocks of one chain, each drawn once by `_block`.
+    """The factor blocks of one chain, each drawn once through its plan.
 
     `joint` multiplies them into the distribution; the frontier search
     replaces single entries of `blocks` with `propose`'s moves while hill
     climbing.  Deterministic (paired) blocks are never proposed.
     """
 
-    def __init__(
-        self,
-        rvs: RandomVariableSet,
-        factors: Sequence[Factor],
-        rng: np.random.Generator,
-        mode: str = "free",
-        det: Mapping[str, tuple[str, ...]] | None = None,
-        struct_deps: Mapping[str, tuple[str, ...]] | None = None,
-    ):
-        det, struct_deps = det or {}, struct_deps or {}
-        self.rvs = rvs
-        self.factors = list(factors)
-        self.blocks = [_block(rvs, f, rng, mode, det, struct_deps) for f in self.factors]
-        self.free = [
-            i for i, f in enumerate(self.factors)
-            if not (len(f.targets) == 1 and f.targets[0] in det)
-        ]
+    def __init__(self, plan: _ChainPlan, rng: np.random.Generator):
+        self.plan = plan
+        self.rvs = plan.rvs
+        self.blocks = [b.draw(rng) for b in plan.blocks]
 
     @classmethod
     def of_schema(
         cls, schema: RegionSchema, size: int, rng: np.random.Generator, mode: str = "free"
     ) -> _FactorState:
         """The schema's factorization at default cardinality `size`."""
-        return cls(
-            schema.rv_set(size),
-            schema.factorization.factors,
-            rng,
-            mode,
-            dict(schema.deterministic),
-            STRUCT_INPUT_DEPS.get(schema.id, {}),
-        )
+        return cls(_schema_plan(schema, size, mode), rng)
 
     def joint(self) -> JointDistribution:
         joint = np.ones(self.rvs.shape())
@@ -150,13 +243,14 @@ class _FactorState:
         additionally get axis moves that sharpen or uniformize a single
         variable's marginal while keeping the rest of the row intact.
         """
-        idx = self.free[rng.integers(0, len(self.free))]
-        factor = self.factors[idx]
-        t_sizes = [self.rvs.size(n) for n in sorted(factor.targets, key=self.rvs.axis)]
-        k = int(np.prod(t_sizes))
+        free = self.plan.free
+        idx = free[rng.integers(0, len(free))]
+        fresh = self.plan.fresh[idx]
+        t_sizes = fresh.t_sizes
+        k = math.prod(t_sizes)
         move = rng.random()
         if move < 0.06:
-            return idx, _block(self.rvs, factor, rng, "free", {}, {})
+            return idx, fresh.draw(rng)
         new = self.blocks[idx].copy()
         flat = new.reshape(-1, k)
         row = rng.integers(0, flat.shape[0])
@@ -201,7 +295,7 @@ def sample_factored(
             f"factorization does not cover variable set (missing {sorted(missing)}, "
             f"extra {sorted(extra)})"
         )
-    return _FactorState(rvs, spec.factors, np.random.default_rng(seed)).joint()
+    return _FactorState(_chain_plan(rvs, spec.factors), np.random.default_rng(seed)).joint()
 
 
 def sample_instance(

@@ -25,7 +25,7 @@ import numpy as np
 
 from .channel import Channel, random_channel
 from .errors import InvalidParameter
-from .probability import MIExpr, compile_exprs, extend_through_channel, mi
+from .probability import MIExpr, extend_through_channel, mi
 from .polytope import (
     Polytope2D,
     containment_margin,
@@ -42,8 +42,8 @@ from .regions import (
     LinearSystem,
     RegionSchema,
     builtin_schema,
-    check_distribution,
     check_tolerance,
+    checked_exprs,
     instantiate,
     maric_merged,
     same_system,
@@ -143,22 +143,22 @@ def check_identities(
 ) -> SuiteReport:
     """Run identity claims on `samples` distributions of one schema.
 
-    All expressions are compiled into one map, and each seed's
-    distribution (sampled in "free" mode, factorization and determinism
-    checked) is evaluated once.  Each check records one violation per
+    All expressions are compiled into one map that leads the schema's
+    factorization and determinism checks (regions.checked_exprs), so each
+    seed's distribution, sampled in "free" mode, is checked and evaluated
+    in one entropy pass.  Each check records one violation per
     seed, max(|zero|..., -nonneg..., 0); a check with `nonneg` expressions
     also reports the histogram of its per-seed smallest gap.
     """
     schema = builtin_schema(schema_id)
     channel_sizes = _channel_sizes(schema)
-    compiled = compile_exprs(tuple(e for c in checks for e in c.zero + c.nonneg))
+    compiled = checked_exprs(schema, tuple(e for c in checks for e in c.zero + c.nonneg))
     # the compiled values split into each check's zero part, then its nonneg part
     ends = np.cumsum([n for c in checks for n in (len(c.zero), len(c.nonneg))])[:-1]
     reports = [CheckReport(c.check_id) for c in checks]
     gaps: list[list[float]] = [[] for _ in checks]
     for s in range(seed, seed + samples):
         d = sample_instance(schema, random_channel(s, channel_sizes), s, mode="free")
-        check_distribution(schema, d)
         parts = np.split(compiled(d), ends)
         for rep, gap, zero, nonneg in zip(reports, gaps, parts[::2], parts[1::2]):
             violation = np.maximum(np.abs(zero).max(initial=0.0), -nonneg.min(initial=0.0))

@@ -354,6 +354,17 @@ def test_verify_report_writes_no_negative_zero(tmp_path):
     assert "-0.0" not in out.read_text()
 
 
+def test_verify_all_report_is_pinned(tmp_path):
+    # taken before the per-instance checks and the sampler were compiled
+    # once per schema; any change to a draw or a reported value moves it
+    out = tmp_path / "r.json"
+    assert main(["verify", "--suite", "all", "--samples", "100", "--seed", "1",
+                 "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "4bf26c2225f752f21bf9531749c4d991c628a5990d0693733cadfbae542e09f0"
+    )
+
+
 def test_manifest_full_catalog(tmp_path):
     out = tmp_path / "manifest.json"
     assert main(["manifest", "--out", str(out)]) == 0

@@ -1,11 +1,14 @@
 import dataclasses
 
+import numpy as np
 import pytest
 
+import cifc.probability
 from cifc.channel import random_channel
 from cifc.errors import FactorizationViolation, UnknownSchema, UnknownVariable
 from cifc.probability import (
     chain,
+    compile_exprs,
     extend_through_channel,
     mi,
     mutual_information,
@@ -18,12 +21,22 @@ from cifc.regions import (
     Row,
     builtin_schema,
     catalog_manifest,
+    check_distribution,
+    checked_exprs,
     instantiate,
+    le_structure,
     maric_merged,
     same_system,
     schema_manifest,
 )
-from cifc.sampling import SAMPLING_MODES, sample_factored, sample_instance
+from cifc.sampling import (
+    SAMPLING_MODES,
+    _chain_plan,
+    _FactorState,
+    sample_factored,
+    sample_instance,
+)
+from cifc.verify import _channel_sizes
 
 EXPECTED_SHAPES = {
     # schema id -> (constraints, rate variables)
@@ -173,6 +186,61 @@ def test_instantiate_checks_determinism():
     d = extend_through_channel(d, random_channel(4))
     with pytest.raises(FactorizationViolation):
         instantiate(ccp, d)
+
+
+# The messages are pinned as the check-by-check implementation wrote them.
+@pytest.mark.parametrize("check", [instantiate, check_distribution])
+def test_violations_name_the_first_failed_check_as_pinned(check):
+    # chain order: an RTD draw couples U1c with U2c given X2, RTD_IN's second factor
+    d = sample_instance(builtin_schema("RTD"), random_channel(0), 0, mode="free")
+    with pytest.raises(FactorizationViolation) as err:
+        check(builtin_schema("RTD_IN"), d)
+    assert str(err.value) == "I(U1c;U2c|X2) = 9.813e-02 > 1e-09"
+    # a paired copy drawn as a free block: MARIC's X2 is no copy of (X2a, X2b)
+    mar = builtin_schema("MARIC")
+    state = _FactorState(_chain_plan(mar.rv_set(2), mar.factorization.factors),
+                         np.random.default_rng(0))
+    d = extend_through_channel(state.joint(), random_channel(0, sizes=(2, 4, 2, 2)))
+    with pytest.raises(FactorizationViolation) as err:
+        check(mar, d)
+    assert str(err.value) == "MARIC: H(X2|X2a,X2b) = 1.845e+00 > 1e-09"
+
+
+@pytest.mark.parametrize("sid", SCHEMA_IDS)
+def test_checked_leading_values_equal_their_own_map_bit_for_bit(sid):
+    schema = builtin_schema(sid)
+    leading = tuple(c.rhs for c in schema.constraints)
+    checked, own = checked_exprs(schema, leading), compile_exprs(leading)
+    assert checked.subsets[: len(own.subsets)] == own.subsets
+    sign = le_structure(schema)[3]
+    for mode in SAMPLING_MODES:
+        for seed in range(10):
+            ch = random_channel(seed, _channel_sizes(schema))
+            d = sample_instance(schema, ch, seed, mode=mode)
+            expected = own(d)
+            assert np.array_equal(checked(d), expected), (mode, seed)
+            rhs = [r.rhs for r in instantiate(schema, d).rows]
+            assert np.array_equal(rhs, sign * expected), (mode, seed)
+
+
+def test_instantiate_makes_one_entropy_pass(monkeypatch):
+    calls = []
+    kernel = cifc.probability.entropy_vector
+
+    def counted(d, subsets):
+        calls.append(len(subsets))
+        return kernel(d, subsets)
+
+    monkeypatch.setattr(cifc.probability, "entropy_vector", counted)
+    for sid in SCHEMA_IDS:
+        schema = builtin_schema(sid)
+        leading = tuple(c.rhs for c in schema.constraints)
+        d = sample_instance(schema, random_channel(1, _channel_sizes(schema)), 1)
+        instantiate(schema, d)
+        assert calls == [len(checked_exprs(schema, leading).subsets)], sid
+        check_distribution(schema, d)
+        assert len(calls) == 2, sid
+        calls.clear()
 
 
 # -- pin/drop/system comparison ------------------------------------------------

@@ -1,9 +1,19 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from cifc.probability import RandomVariableSet, chain
+from cifc.errors import InvalidParameter
+from cifc.probability import MAX_MARGINAL_LABELS, RandomVariableSet, chain
 from cifc.regions import SCHEMA_IDS, builtin_schema
-from cifc.sampling import SAMPLING_MODES, STRUCT_INPUT_DEPS, _FactorState, sample_factored
+from cifc.sampling import (
+    SAMPLING_MODES,
+    STRUCT_INPUT_DEPS,
+    _chain_plan,
+    _FactorState,
+    sample_factored,
+)
 
 from helpers import reference_factored_joint
 
@@ -41,9 +51,35 @@ def test_paired_copy_indexes_parts_in_declared_order():
     # P = (B, A), parts listed against the axis order
     rvs = RandomVariableSet(("A", "B", "P"), (2, 3, 6))
     factors = chain(("A",), ("B", "A"), ("P", "B A")).factors
-    det = {"P": ("B", "A")}
-    joint = _FactorState(rvs, factors, np.random.default_rng(2), "free", det).joint().prob
+    det = (("P", ("B", "A")),)
+    plan = _chain_plan(rvs, factors, "free", det)
+    joint = _FactorState(plan, np.random.default_rng(2)).joint().prob
     expected = reference_factored_joint(rvs, factors, np.random.default_rng(2), "free", det)
     assert np.array_equal(joint, expected)
     # A = 1, B = 0: P = 0 * 2 + 1, not 1 * 3 + 0
     assert joint[1, 0, 1] > 0 and joint[1, 0, 3] == 0
+
+
+def test_sampling_plan_refuses_a_joint_above_the_cell_cap():
+    # 2^12 + 1 by 2^12 cells is 2^12 more than the cap; refused before any
+    # block is allocated (a drawn block of that joint alone is 128 MiB)
+    rvs = RandomVariableSet(("A", "B"), (2**12 + 1, 2**12))
+    cells = math.prod(rvs.sizes)
+    assert cells == MAX_MARGINAL_LABELS + 2**12
+    rtd = builtin_schema("RTD")
+    size = round(MAX_MARGINAL_LABELS ** (1 / len(rtd.variables))) + 1  # 17 for 6 variables
+    rtd_cells = math.prod(rtd.rv_set(size).sizes)
+    assert rtd_cells > MAX_MARGINAL_LABELS
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidParameter) as err:
+            sample_factored(rvs, chain(("A",), ("B", "A")), 0)
+        assert f"{cells} cells" in str(err.value)
+        assert f"cap of {MAX_MARGINAL_LABELS}" in str(err.value)
+        with pytest.raises(InvalidParameter) as err:
+            _FactorState.of_schema(rtd, size, np.random.default_rng(0), "det")
+        assert f"{rtd_cells} cells" in str(err.value)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

@@ -27,7 +27,7 @@ from cifc.polytope import (
     project_or_empty,
 )
 from cifc.regions import SCHEMA_IDS, builtin_schema, instantiate
-from cifc.sampling import _FactorState, _mode_for, sample_factored
+from cifc.sampling import _chain_plan, _FactorState, _mode_for, sample_factored
 from cifc.verify import (
     REGION_TOL,
     SAMPLING_MODES,
@@ -95,6 +95,35 @@ PINNED_DRAWS = [
     ("CC", 7, "flat_det", 2, "1c3711909370cc98450162b12d1f9accf09a72462fda50928786f292ef3192e8"),
     # the X2 <- U2c table of STRUCT_INPUT_DEPS indexed beyond binary
     ("RTD", 8, "det", 3, "9c1967d2753bbdf04be947c985879463bf182d1239213dea3b39793100fa547c"),
+    # every catalog schema in every mode at one seed, taken before the
+    # sampler drew through a compiled plan
+    ("RTD", 11, "free", 2, "05b511ef194700ab9ab5e54db9ee1fba4ed27f618c8f7547d2129255b085a14e"),
+    ("RTD", 11, "det", 2, "421bb4d39e4f9966149d0199edebb51631191c860c68ad67ab7838a7efec5b0a"),
+    ("RTD", 11, "flat_det", 2, "57e4527ac4656285bd2022b0ffd01f9f2157969c2dac5bcd367406352b5cc242"),
+    ("RTD_IN", 11, "free", 2, "ea18fd6aec0eef937084847cffe497a48e489a8148ff4fd17e1f156f4918fdca"),
+    ("RTD_IN", 11, "det", 2, "92f998bb6eac5f0c52dab54ae42709e66271a0be812f1f5496f7d02747a45e98"),
+    ("RTD_IN", 11, "flat_det", 2, "c8f0ff0fa417cbb9f0c6f3dfe91f6d5398fe465098944572ebf98b12ba617573"),
+    ("DMT_OUT", 11, "free", 2, "ea18fd6aec0eef937084847cffe497a48e489a8148ff4fd17e1f156f4918fdca"),
+    ("DMT_OUT", 11, "det", 2, "92f998bb6eac5f0c52dab54ae42709e66271a0be812f1f5496f7d02747a45e98"),
+    ("DMT_OUT", 11, "flat_det", 2, "c8f0ff0fa417cbb9f0c6f3dfe91f6d5398fe465098944572ebf98b12ba617573"),
+    ("CC", 11, "free", 2, "a5aeb27c722a88bca36dcf7d47d1b6457ecc5eb86a39dff7c9d543d9f090ddce"),
+    ("CC", 11, "det", 2, "946c0f358cd9857862d9de859ad33b8d3a0b0ebfef7d9960d9f1c568d53c7ec2"),
+    ("CC", 11, "flat_det", 2, "c59dca5a253f3e2a0f6254cf5d043212a3e8972e7c9ab74eb5b1945a827b7188"),
+    ("CCP", 11, "free", 2, "eb99e041a73c7352ad16548a922182d052f0d48083ec098af96e730a52d97fe2"),
+    ("CCP", 11, "det", 2, "5621636568042fb408e7b82a47ef929e57d783018f06975509dd7d279c24d466"),
+    ("CCP", 11, "flat_det", 2, "beeb495a19f81468f6d3566cd409f435392df22560bd0c1b839025310b337528"),
+    ("RTD_CC", 11, "free", 2, "eb99e041a73c7352ad16548a922182d052f0d48083ec098af96e730a52d97fe2"),
+    ("RTD_CC", 11, "det", 2, "5621636568042fb408e7b82a47ef929e57d783018f06975509dd7d279c24d466"),
+    ("RTD_CC", 11, "flat_det", 2, "beeb495a19f81468f6d3566cd409f435392df22560bd0c1b839025310b337528"),
+    ("JIANG", 11, "free", 2, "587faf4e6eae94f845ade590b63ecfba6d4747dae48f29a43edc96e0418d6c93"),
+    ("JIANG", 11, "det", 2, "d2d0765f508dc124312f64886df97070f4da39f6dc5c1fad7fef62ae2b7d5083"),
+    ("JIANG", 11, "flat_det", 2, "3bb42d968e58a8ce3e8dc6d47d7339da30c0ec7d74ba2f853c5bf20e70f80076"),
+    ("RTD_JIANG", 11, "free", 2, "587faf4e6eae94f845ade590b63ecfba6d4747dae48f29a43edc96e0418d6c93"),
+    ("RTD_JIANG", 11, "det", 2, "d2d0765f508dc124312f64886df97070f4da39f6dc5c1fad7fef62ae2b7d5083"),
+    ("RTD_JIANG", 11, "flat_det", 2, "3bb42d968e58a8ce3e8dc6d47d7339da30c0ec7d74ba2f853c5bf20e70f80076"),
+    ("MARIC", 11, "free", 2, "0eb0e4ccf77440069cd0117110d6e48dde9158d037395a480c31587b18b959f0"),
+    ("MARIC", 11, "det", 2, "99b7a381cbffb427c9d976fc52a4a8aea24818196fdfe58bb47701f8bf03934d"),
+    ("MARIC", 11, "flat_det", 2, "69547797d2ab7b82051355bd4915bc3b85e7c50903d87ea3e256045b97bc0f59"),
 ]
 
 
@@ -185,6 +214,26 @@ def test_frontier_search_draws_are_pinned():
 
 
 # -- identity suites (small runs; full sizes live in the acceptance tests) ----
+
+
+def test_identity_suite_makes_one_entropy_pass_per_sample(monkeypatch):
+    import cifc.probability
+
+    calls = []
+    kernel = cifc.probability.entropy_vector
+
+    def counted(d, subsets):
+        calls.append(len(subsets))
+        return kernel(d, subsets)
+
+    monkeypatch.setattr(cifc.probability, "entropy_vector", counted)
+    for suite, sid, checks in (
+        ("devroye", "RTD_IN", devroye_identity_checks()),
+        ("maric", "MARIC", maric_identity_checks()),
+    ):
+        report = check_identities(suite, sid, checks, samples=6, seed=2)
+        assert report.ok and len(calls) == 6, suite
+        calls.clear()
 
 
 def test_devroye_small_run_clean():
@@ -316,8 +365,8 @@ def test_maric_degenerate_part_gives_zero_difference():
     mar = builtin_schema("MARIC")
     merged = maric_merged()
     rvs = mar.rv_set(2, overrides={"X2a": 1})
-    state = _FactorState(rvs, mar.factorization.factors, np.random.default_rng(11),
-                         det=dict(mar.deterministic))
+    plan = _chain_plan(rvs, mar.factorization.factors, det=mar.deterministic)
+    state = _FactorState(plan, np.random.default_rng(11))
     d = extend_through_channel(state.joint(), random_channel(11, sizes=(2, 2, 2, 2)))
     io = instantiate(mar, d)
     im = instantiate(merged, d)
