@@ -1,21 +1,24 @@
 """Projection of rate constraint systems onto the (R1, R2) plane.
 
-Every system arrives in LE normal form: a `regions.LinearSystem` from
-`instantiate`, or a schema's `regions.le_structure` for `compile_schema`.
+Every system arrives in LE normal form as a `regions.LinearSystem`: a
+fixed `RateStructure` (integer rows, the projection vectors and the row
+labels) plus a right-hand side `b`, one vector or a batch of K.
 Coefficients are held exactly (integers, reduced by gcd) throughout the
 elimination, and every right-hand side stays symbolic: a nonnegative
 integer multiplier vector over the system's rows.  Each coefficient
 structure is therefore eliminated once, and a system only evaluates its
-right-hand sides (floats in bits).  The support of a multiplier names the
-rows a projected half-plane comes from, so every half-plane of a
-projection carries the labels of its source rows.  The projector and the
-membership oracle are deliberately independent code paths: the first runs
-variable elimination, the second enumerates every basic solution of the
-full-dimensional system and takes the convex hull of its projections.
-The oracle, too, does once per coefficient structure what does not depend
-on the right-hand side: it finds the nonsingular bases and caches each as an
-exact integer adjugate and determinant, so a system's basic solutions are
-Cramer's rule, one `einsum` and one division, with no factorization.
+right-hand sides (floats in bits), for a batch all K at once, row by
+row; only the hull of each region is built one at a time.  The support
+of a multiplier names the rows a projected half-plane comes from, so
+every half-plane of a projection carries the labels of its source rows.
+The projector and the membership oracle are deliberately independent
+code paths: the first runs variable elimination, the second enumerates
+every basic solution of the full-dimensional system and takes the convex
+hull of its projections.  The oracle, too, does once per coefficient
+structure what does not depend on the right-hand side: it finds the
+nonsingular bases and caches each as an exact integer adjugate and
+determinant, so a system's basic solutions are Cramer's rule, one
+`einsum` and one division, with no factorization.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import Infeasible, InvalidParameter, Unbounded
-from .probability import CompiledExprs, JointDistribution, compile_exprs
+from .probability import CompiledExprs, JointDistribution, compile_exprs, rowwise
 from .regions import LinearSystem, RegionSchema, le_structure
 
 FEAS_TOL = 1e-9  # slack when testing a candidate point against a row
@@ -158,17 +161,18 @@ def fme_project(system: LinearSystem) -> Polytope2D:
     when the system admits no nonnegative solution and Unbounded when the
     region is nonempty but unbounded (a missing decoding constraint).
     """
-    compiled = _compile_structure(tuple(r.coeffs for r in system.rows), system.r1, system.r2)
-    return compiled.polytope(np.array([r.rhs for r in system.rows], dtype=float),
-                             tuple(r.label for r in system.rows))
+    region = project_or_empty(system)
+    if region.is_empty:
+        raise Infeasible("projected region is empty")
+    return region
 
 
-def project_or_empty(system: LinearSystem) -> Polytope2D:
-    """fme_project, with the empty region returned as EMPTY instead of raised."""
-    try:
-        return fme_project(system)
-    except Infeasible:
-        return EMPTY
+def project_or_empty(system: LinearSystem) -> Polytope2D | list[Polytope2D]:
+    """fme_project, with the empty region returned as EMPTY instead of
+    raised; a batched system gives the list of its K regions."""
+    s = system.structure
+    regions = _compile_structure(s.rows, s.r1, s.r2).polytopes(np.atleast_2d(system.b), s.labels)
+    return regions if system.b.ndim == 2 else regions[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -211,43 +215,45 @@ class CompiledProjection:
         object.__setattr__(self, "_starts", starts)
         object.__setattr__(self, "_group", np.repeat(np.arange(len(normals)), counts))
         object.__setattr__(self, "_a", a)
-        object.__setattr__(self, "_pairs", (i, j, a[i, 0] * a[j, 1] - a[i, 1] * a[j, 0]))
+        # per pair of normals: both indices, both normals and their determinant
+        object.__setattr__(self, "_pairs", (i, j, a[i, 0], a[i, 1], a[j, 0], a[j, 1],
+                                            a[i, 0] * a[j, 1] - a[i, 1] * a[j, 0]))
         object.__setattr__(self, "_feas", np.asarray(self.feasibility, dtype=float).reshape(-1, width))
 
     def _vertices(self, b: np.ndarray):
-        """The rhs of every projected row at b, the smallest per normal, and
-        the candidate vertices x, y: the pairwise intersections of the
-        normals' lines that satisfy every row within the feasibility slack.
-        None when the region is empty.
+        """For rhs b, (m,) or (K, m): the rhs of every projected row, the
+        smallest per normal, the candidate vertices x, y, (P,) or (K, P),
+        the pairwise intersections of the normals' lines, and `ok`, which
+        of them satisfy every row within the feasibility slack (none when
+        the region is empty).
         """
-        tol = FEAS_TOL * max(1.0, float(np.abs(b).max(initial=0.0)))
-        if (self._feas @ b < -tol).any():
-            return None
-        row_rhs = self._mu @ b
-        rhs = np.minimum.reduceat(row_rhs, self._starts)
-        i, j, det = self._pairs
-        a = self._a
-        x = (rhs[i] * a[j, 1] - rhs[j] * a[i, 1]) / det
-        y = (a[i, 0] * rhs[j] - a[j, 0] * rhs[i]) / det
-        ok = (a @ np.stack((x, y)) <= rhs[:, None] + tol).all(axis=0)
+        tol = FEAS_TOL * np.maximum(1.0, np.abs(b).max(axis=-1, initial=0.0, keepdims=True))
+        feasible = ~(rowwise(self._feas, b) < -tol).any(axis=-1, keepdims=True)
+        row_rhs = rowwise(self._mu, b)
+        rhs = np.minimum.reduceat(row_rhs, self._starts, axis=-1)
+        i, j, ai0, ai1, aj0, aj1, det = self._pairs
+        ri, rj = rhs[..., i], rhs[..., j]
+        xy = np.empty((*rhs.shape[:-1], 2, len(det)))  # the (x, y) of each candidate
+        np.divide(ri * aj1 - rj * ai1, det, out=xy[..., 0, :])
+        np.divide(ai0 * rj - aj0 * ri, det, out=xy[..., 1, :])
+        xy += 0.0
+        ok = (self._a @ xy <= (rhs + tol)[..., None]).all(axis=-2)
+        return row_rhs, rhs, xy[..., 0, :], xy[..., 1, :], ok & feasible
+
+    def polytopes(self, b: np.ndarray, labels: tuple[str, ...]) -> list[Polytope2D]:
+        """The projected region at each row of b, (K, m), each half-plane
+        named by the `labels` of the rows of A that give it (see
+        Polytope2D); EMPTY for an empty region.  Raises Unbounded when a
+        region is nonempty but unbounded.
+        """
+        return [self._region(*found, labels) for found in zip(*self._vertices(b))]
+
+    def _region(self, row_rhs, rhs, x, y, ok, labels) -> Polytope2D:
         if not ok.any():
-            return None
-        return row_rhs, rhs, x[ok] + 0.0, y[ok] + 0.0
-
-    def polytope(self, b: np.ndarray, labels: tuple[str, ...]) -> Polytope2D:
-        """The projected region at rhs b, each half-plane named by the
-        `labels` of the rows of A that give it (see Polytope2D).
-
-        Raises Infeasible when it is empty and Unbounded when it is
-        nonempty but unbounded.
-        """
-        found = self._vertices(b)
-        if found is None:
-            raise Infeasible("projected region is empty")
-        row_rhs, rhs, x, y = found
+            return EMPTY
         scale = max(1.0, float(np.abs(rhs).max()))
         tight = TIGHT_TOL * scale
-        points = _merge_close(list(zip(x.tolist(), y.tolist())), VERTEX_MERGE_TOL * scale)
+        points = _merge_close(list(zip(x[ok].tolist(), y[ok].tolist())), VERTEX_MERGE_TOL * scale)
         hull = _order_ccw(_convex_hull(points, collinear_eps=1e-9))
         # per normal, the union of the supports of its rows tied at the minimum
         tied = (row_rhs <= rhs[self._group] + tight)[:, None] & self._support
@@ -267,19 +273,27 @@ class CompiledProjection:
         """Maximize w1*R1 + w2*R2 over the region at rhs b.
 
         Returns (R1, R2, value) at a maximizing vertex, or None when the
-        rate system is infeasible.  Among vertices within TIE_TOL of the
-        maximum (a tied optimal face), the one with the largest R1 + R2,
-        then the largest R1, is returned.
+        rate system is infeasible; for a batch b, (K, m), a list of K such
+        results.  Among vertices within TIE_TOL of the maximum (a tied
+        optimal face), the one with the largest R1 + R2, then the largest
+        R1, is returned.
         """
-        found = self._vertices(b)
-        if found is None:
-            return None
-        _, _, x, y = found
-        vals = w1 * x + w2 * y
-        best = float(vals.max())
-        tied = np.flatnonzero(vals >= best - TIE_TOL * max(1.0, abs(best)))
-        k = tied[np.lexsort((x[tied], x[tied] + y[tied]))[-1]]
-        return float(x[k]), float(y[k]), best
+        _, _, x, y, ok = self._vertices(b)
+        if np.ndim(b) == 2:
+            return [_best(*row, w1, w2) for row in zip(x, y, ok)]
+        return _best(x, y, ok, w1, w2)
+
+
+def _best(x: np.ndarray, y: np.ndarray, ok: np.ndarray, w1: float, w2: float):
+    """CompiledProjection.support at one rhs, from its candidate vertices."""
+    if not ok.any():
+        return None
+    x, y = x[ok], y[ok]
+    vals = w1 * x + w2 * y
+    best = float(vals.max())
+    tied = np.flatnonzero(vals >= best - TIE_TOL * max(1.0, abs(best)))
+    k = tied[np.lexsort((x[tied], x[tied] + y[tied]))[-1]]
+    return float(x[k]), float(y[k]), best
 
 
 @dataclass(frozen=True, eq=False)
@@ -294,7 +308,8 @@ class CompiledSchema(CompiledProjection):
     sign: np.ndarray  # +1 for an LE row, -1 for a GE row
 
     def rhs(self, d: JointDistribution) -> np.ndarray:
-        """LE-normal right-hand sides b of the schema's rows at distribution d."""
+        """LE-normal right-hand sides b of the schema's rows at distribution
+        d, one row per distribution of a batch."""
         return self.sign * self.rhs_map(d)
 
 
@@ -419,8 +434,8 @@ def compile_schema(schema: RegionSchema) -> CompiledSchema:
     projection has a nonzero recession direction (a missing decoding
     constraint).
     """
-    rows, r1, r2, sign = le_structure(schema)
-    compiled = _compile_structure(rows, r1, r2)
+    structure, sign = le_structure(schema)
+    compiled = _compile_structure(structure.rows, structure.r1, structure.r2)
     if not compiled.bounded:
         raise Unbounded(f"{schema.id}: the projected region is unbounded; "
                         "a decoding constraint is missing")
@@ -496,8 +511,8 @@ def _oracle_hull(system: LinearSystem) -> tuple[tuple[float, float], ...]:
     basis is not exact in float64.
     """
     n = len(system.variables)
-    a, idx, adj, det = _oracle_bases(tuple(r.coeffs for r in system.rows), n)
-    b = np.array([r.rhs for r in system.rows] + [0.0] * n)
+    a, idx, adj, det = _oracle_bases(system.rows, n)
+    b = np.concatenate((system.b, np.zeros(n)))
     sols = np.einsum("kij,kj->ki", adj, b[idx]) / det[:, None]
     feas = (a @ sols.T <= b[:, None] + FEAS_TOL).all(axis=0)
     good = np.maximum(sols[feas], 0.0)

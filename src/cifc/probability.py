@@ -2,17 +2,20 @@
 
 Dense probability tensors with named axes, factorization chains, channel
 extension, and conditional mutual information in bits (log base 2
-throughout).  Drawing a joint from a chain lives in `cifc.sampling`.
-There is one information kernel: `entropy_vector` is the only function
-that takes a logarithm (with 0*log 0 := 0), and every measure is a fixed
-integer combination of its joint entropies, compiled once per tuple of
-expressions by `compile_exprs`.  The kernel takes all marginals of a call
-with one `np.bincount` over a marginal plan cached per variable set and
-subset list; a plan above MAX_MARGINAL_LABELS labels is refused.
-`compile_checked` puts a leading map and a list of zero checks (such as
-a chain's conditional independencies) into one such call per
-distribution.  Roundoff negatives of an MI atom are clamped to zero in
-one place, `CompiledExprs.of_entropies`.
+throughout).  Drawing a joint from a chain lives in `cifc.sampling`.  A
+`JointDistribution` is one distribution or a batch of K along a leading
+axis, and every stage keeps that axis, computing each row alone: a batch
+gives bit for bit what its members give one by one.  There is one
+information kernel: `entropy_vector` is the only function that takes a
+logarithm (with 0*log 0 := 0), and every measure is a fixed integer
+combination of its joint entropies, compiled once per tuple of
+expressions by `compile_exprs`.  The kernel takes each distribution's
+marginals with one `np.bincount` over a marginal plan cached per
+variable set and subset list; a plan above MAX_MARGINAL_LABELS labels is
+refused.  `compile_checked` adds zero checks (such as a chain's
+conditional independencies) to a compiled map, in the same pass.
+Roundoff negatives of an MI atom are clamped to zero in one place,
+`CompiledExprs.of_entropies`.
 
 All operations are pure functions of immutable inputs; callers may
 evaluate many distributions in parallel without synchronization.
@@ -22,7 +25,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -41,9 +44,10 @@ from .errors import (
 MASS_TOL = 1e-12
 MI_CLAMP = 1e-12
 
-# An entropy plan holds one label per (subset, joint cell), and each call
+# An entropy plan holds one label per (subset, joint cell), and a bincount
 # tiles the joint as many times; at 8 bytes an entry, this cap bounds each
-# at 128 MiB.  Raise it deliberately if needed.
+# at 128 MiB, and it bounds a batch's channel-extended joints alike.  Raise
+# it deliberately if needed.
 MAX_MARGINAL_LABELS = 1 << 24
 
 Names = Iterable[str] | str
@@ -89,22 +93,31 @@ class RandomVariableSet:
 
 @dataclass(frozen=True)
 class JointDistribution:
-    """Dense probability tensor over a RandomVariableSet."""
+    """Dense probability tensor over a RandomVariableSet, or a batch of K
+    such tensors stacked along a leading axis, shape (K, *rvs.sizes).
+
+    Construction checks each distribution's entries and mass and names
+    the first one that fails; `d[k]` is the k-th of a batch.
+    """
 
     rvs: RandomVariableSet
     prob: np.ndarray
 
     def __post_init__(self):
         arr = np.asarray(self.prob, dtype=float)
-        if arr.shape != self.rvs.shape():
+        if self.rvs.shape() not in (arr.shape, arr.shape[1:]):
             raise InvalidParameter(
                 f"tensor shape {arr.shape} does not match variable sizes {self.rvs.shape()}"
             )
-        if arr.size and arr.min() < -MASS_TOL:
-            raise NegativeProbability(f"joint has entry {arr.min():.6g} < 0")
-        total = float(arr.sum())
-        if not abs(total - 1.0) <= MASS_TOL:  # NaN and inf fail too
-            raise InvalidParameter(f"joint mass {total!r} differs from 1 beyond {MASS_TOL}")
+        flat = arr.reshape(-1, math.prod(self.rvs.sizes))
+        low, total = flat.min(axis=1, initial=np.inf), flat.sum(axis=1)
+        bad = (low < -MASS_TOL) | ~(np.abs(total - 1.0) <= MASS_TOL)  # NaN and inf fail too
+        if bad.any():
+            k = bad.argmax()
+            if low[k] < -MASS_TOL:
+                raise NegativeProbability(f"joint has entry {low[k]:.6g} < 0")
+            raise InvalidParameter(
+                f"joint mass {float(total[k])!r} differs from 1 beyond {MASS_TOL}")
         arr = np.clip(arr, 0.0, None)
         arr.setflags(write=False)
         object.__setattr__(self, "prob", arr)
@@ -112,6 +125,24 @@ class JointDistribution:
     @property
     def names(self) -> tuple[str, ...]:
         return self.rvs.names
+
+    @property
+    def batched(self) -> bool:
+        return self.prob.ndim > len(self.rvs.sizes)
+
+    def __getitem__(self, k: int) -> JointDistribution:
+        if not self.batched:
+            raise InvalidParameter("only a batch of distributions has members")
+        return _unchecked(self.rvs, self.prob[k])
+
+
+def _unchecked(rvs: RandomVariableSet, prob: np.ndarray) -> JointDistribution:
+    """A JointDistribution built without its checks: a checked batch's
+    member, or a sampler's product, which extend_through_channel checks."""
+    d = object.__new__(JointDistribution)
+    object.__setattr__(d, "rvs", rvs)
+    object.__setattr__(d, "prob", prob)
+    return d
 
 
 @dataclass(frozen=True)
@@ -173,34 +204,60 @@ def chain(*factors: tuple) -> FactorizationSpec:
 _AXIS_LETTERS = "abcdefghijklmnopqrstuv"
 
 
-def _axis_letters(d: JointDistribution) -> str:
-    """One einsum letter per variable of d, or InvalidParameter if too many."""
-    n = len(d.names)
+@lru_cache(maxsize=64)
+def _extension(rvs: RandomVariableSet, shape: tuple[int, int, int, int]):
+    """The einsum subscripts that extend a joint over `rvs` (or a batch)
+    through a channel of `shape`, and the extended variables; checked once
+    per pair."""
+    for name in INPUTS:
+        if name not in rvs.names:
+            raise AlphabetMismatch(f"distribution lacks channel input {name!r}")
+    for name in OUTPUTS:
+        if name in rvs.names:
+            raise AlphabetMismatch(f"output name {name!r} already present")
+    m1, m2, n1, n2 = shape
+    if rvs.size("X1") != n1 or rvs.size("X2") != n2:
+        raise AlphabetMismatch(
+            f"input sizes ({rvs.size('X1')},{rvs.size('X2')}) do not match channel ({n1},{n2})"
+        )
+    n = len(rvs.names)
     if n > len(_AXIS_LETTERS):
         raise InvalidParameter(
             f"{n} variables exceed the limit of {len(_AXIS_LETTERS)} for channel extension"
         )
-    return _AXIS_LETTERS[:n]
+    a = _AXIS_LETTERS[:n]
+    subscripts = f"...{a},...wz{a[rvs.axis('X1')]}{a[rvs.axis('X2')]}->...{a}wz"
+    return subscripts, RandomVariableSet(rvs.names + OUTPUTS, rvs.sizes + (m1, m2))
 
 
-def extend_through_channel(d: JointDistribution, c: Channel) -> JointDistribution:
-    """Append channel outputs: p(all, Y1, Y2) = p(all) p(Y1, Y2 | X1, X2)."""
-    for name in INPUTS:
-        if name not in d.names:
-            raise AlphabetMismatch(f"distribution lacks channel input {name!r}")
-    for name in OUTPUTS:
-        if name in d.names:
-            raise AlphabetMismatch(f"output name {name!r} already present")
-    m1, m2, n1, n2 = c.shape
-    if d.rvs.size("X1") != n1 or d.rvs.size("X2") != n2:
-        raise AlphabetMismatch(
-            f"input sizes ({d.rvs.size('X1')},{d.rvs.size('X2')}) do not match channel ({n1},{n2})"
+def extend_through_channel(
+    d: JointDistribution, c: Channel | Sequence[Channel]
+) -> JointDistribution:
+    """Append channel outputs: p(all, Y1, Y2) = p(all) p(Y1, Y2 | X1, X2).
+
+    A batch takes one channel for every joint or a sequence of one channel
+    per joint.  Each output cell is one product, so a batch extends bit
+    for bit as its members would one by one.  The result is checked as a
+    JointDistribution, the one check of a sampled joint, after a batch
+    above MAX_MARGINAL_LABELS output cells is refused unallocated.
+    """
+    single = isinstance(c, Channel)
+    channels = (c,) if single else tuple(c)
+    count = len(d.prob) if d.batched else 1
+    if not single and (not d.batched or len(channels) != count):
+        raise InvalidParameter(f"{len(channels)} channels for a batch of {count} joints")
+    shape = channels[0].shape
+    if not single and any(ch.shape != shape for ch in channels):
+        raise AlphabetMismatch("the channels of a batch differ in shape")
+    subscripts, rvs = _extension(d.rvs, shape)
+    cells = count * math.prod(rvs.sizes)
+    if cells > MAX_MARGINAL_LABELS:
+        raise InvalidParameter(
+            f"{count} extended joints of {cells // count} cells exceed the "
+            f"marginal-plan cap of {MAX_MARGINAL_LABELS} labels"
         )
-    letters = _axis_letters(d)
-    i1, i2 = d.rvs.axis("X1"), d.rvs.axis("X2")
-    sub = f"{letters},wz{letters[i1]}{letters[i2]}->{letters}wz"
-    prob = np.einsum(sub, d.prob, c.transition)
-    rvs = RandomVariableSet(d.names + OUTPUTS, d.rvs.sizes + (m1, m2))
+    t = c.transition if single else np.stack([ch.transition for ch in channels])
+    prob = np.einsum(subscripts, d.prob, t)
     return JointDistribution(rvs, prob)
 
 
@@ -352,46 +409,87 @@ def _marginal_plan(
 
 
 def entropy_vector(d: JointDistribution, subsets: Sequence[Sequence[str]]) -> np.ndarray:
-    """Joint entropies H(X_S) in bits, one per subset S, with exact 0*log 0 := 0.
+    """Joint entropies H(X_S) in bits, one per subset S, with exact 0*log 0 := 0;
+    for a batch, one row per distribution.
 
     The package's only logarithm: every other information measure is an
-    integer combination of these entropies (see compile_exprs).  All
-    marginals come from one bincount over the cached _marginal_plan.
+    integer combination of these entropies (see compile_exprs).  Each
+    distribution's marginals come from one bincount over the cached
+    _marginal_plan, which sums every marginal cell in joint-cell order: a
+    distribution's entropies do not depend on the other subsets of the
+    call or on the other distributions of the batch.
     """
-    labels, starts, total = _marginal_plan(d.rvs, tuple(tuple(s) for s in subsets))
-    p = np.bincount(labels, weights=np.tile(d.prob.ravel(), len(starts)), minlength=total)
-    terms = np.zeros(total)
-    mass = p > 0.0
-    terms[mass] = p[mass] * np.log2(p[mass])
-    return -np.add.reduceat(terms, starts)
+    labels, starts, total = _marginal_plan(d.rvs, tuple(map(tuple, subsets)))
+
+    def marginals(q: np.ndarray) -> np.ndarray:
+        return np.bincount(labels, weights=np.tile(q.ravel(), len(starts)), minlength=total)
+
+    marg = np.array([marginals(q) for q in d.prob]) if d.batched else marginals(d.prob)
+    terms = marg * np.log2(marg, out=np.zeros(marg.shape), where=marg > 0.0)
+    return -np.add.reduceat(terms, starts, axis=-1) if len(starts) else terms
+
+
+def rowwise(matrix: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """matrix @ x for one vector x, or for each row of a batch x: one
+    matrix-vector product per row, so a row maps bit for bit the same alone
+    or in a batch, which a matrix-matrix product does not promise."""
+    if x.ndim == 1:
+        return matrix @ x
+    out = np.empty((len(x), len(matrix)))
+    for k, row in enumerate(x):
+        out[k] = matrix @ row
+    return out
 
 
 @dataclass(frozen=True, eq=False)
 class CompiledExprs:
-    """A tuple of MI expressions as one linear map of joint entropies:
+    """A tuple of MI expressions as one linear map of joint entropies, and
+    the named checks (see compile_checked) evaluated in the same pass:
 
         h      = entropy_vector(d, subsets)
-        atoms  = atom_matrix @ h      I(A;B|C) = H(AC) + H(BC) - H(ABC) - H(C)
+        checks = check_matrix @ h       each must be <= tol, in order
+        atoms  = atom_matrix @ h        I(A;B|C) = H(AC) + H(BC) - H(ABC) - H(C)
         values = expr_matrix @ atoms + constants
 
-    An atom in [-MI_CLAMP, 0) is roundoff and counts as 0.
+    The atoms read the leading atom_matrix.shape[1] subsets, whose
+    entropies do not depend on the later ones, so checks leave the values
+    the same bit for bit.  An atom in [-MI_CLAMP, 0) is roundoff and
+    counts as 0.  A batch of distributions gives one row per distribution.
     """
 
     subsets: tuple[tuple[str, ...], ...]
-    atom_matrix: np.ndarray  # integer, (atoms, subsets)
+    atom_matrix: np.ndarray  # integer, (atoms, leading subsets)
     expr_matrix: np.ndarray  # integer, (expressions, atoms)
     constants: np.ndarray  # (expressions,)
+    check_matrix: np.ndarray | None = None  # integer, (checks, subsets)
+    check_names: tuple[str, ...] = ()
 
-    def __call__(self, d: JointDistribution) -> np.ndarray:
-        """The expressions' values at distribution d, in bits."""
-        return self.of_entropies(entropy_vector(d, self.subsets))
+    def __post_init__(self):
+        # float copies, so that no product converts a matrix on every call
+        for name in ("atom_matrix", "expr_matrix", "check_matrix"):
+            matrix = getattr(self, name)
+            object.__setattr__(self, "_" + name, None if matrix is None else matrix.astype(float))
+
+    def __call__(self, d: JointDistribution, tol: float = 1e-9) -> np.ndarray:
+        """The expressions' values at d, in bits, or FactorizationViolation
+        naming the first check above `tol` of the first distribution that
+        has one."""
+        h = entropy_vector(d, self.subsets)
+        if self.check_names:
+            checks = np.atleast_2d(rowwise(self._check_matrix, h))
+            bad = np.argwhere(checks > tol)
+            if bad.size:
+                k, j = bad[0]
+                raise FactorizationViolation(
+                    f"{self.check_names[j]} = {checks[k, j]:.3e} > {tol:g}")
+        return self.of_entropies(h)
 
     def of_entropies(self, h: np.ndarray) -> np.ndarray:
-        """The values from entropies whose first len(subsets) entries are
-        H(subsets), in order; later entries are ignored."""
-        atoms = self.atom_matrix @ h[: len(self.subsets)]
+        """The values from entropies whose leading entries (per row) are
+        those of the leading subsets, in order; later entries are ignored."""
+        atoms = rowwise(self._atom_matrix, h[..., : self.atom_matrix.shape[1]])
         atoms[(atoms >= -MI_CLAMP) & (atoms < 0.0)] = 0.0
-        return self.expr_matrix @ atoms + self.constants
+        return rowwise(self._expr_matrix, atoms) + self.constants
 
 
 @lru_cache(maxsize=1024)
@@ -449,39 +547,10 @@ def entropy(d: JointDistribution, names: Names, given: Names = ()) -> float:
     return evaluate_expr(d, MIExpr.of(entropy_term(names, given)))
 
 
-@dataclass(frozen=True, eq=False)
-class CheckedExprs:
-    """A leading expression map and a list of checks in one entropy pass:
-
-        h      = entropy_vector(d, subsets)   subsets = lead.subsets + the checks' others
-        checks = check_matrix @ h             each must be <= tol, in order
-        values = lead.of_entropies(h)         the leading map's own matrices
-
-    Every joint entropy is the same number in any subset list, so `values`
-    equals lead(d) bit for bit.
-    """
-
-    lead: CompiledExprs
-    subsets: tuple[tuple[str, ...], ...]
-    check_matrix: np.ndarray  # integer, (checks, subsets)
-    check_names: tuple[str, ...]
-
-    def __call__(self, d: JointDistribution, tol: float = 1e-9) -> np.ndarray:
-        """The leading values at d, or FactorizationViolation naming the
-        first check above `tol`."""
-        h = entropy_vector(d, self.subsets)
-        checks = self.check_matrix @ h
-        bad = np.flatnonzero(checks > tol)
-        if bad.size:
-            k = bad[0]
-            raise FactorizationViolation(f"{self.check_names[k]} = {checks[k]:.3e} > {tol:g}")
-        return self.lead.of_entropies(h)
-
-
 @lru_cache(maxsize=256)
 def compile_checked(
     leading: tuple[MIExpr, ...], checks: tuple[tuple[str, MITerm], ...]
-) -> CheckedExprs:
+) -> CompiledExprs:
     """Compile `leading` and the named check atoms into one entropy pass;
     the leading map's subsets come first, in their own order."""
     lead = compile_exprs(leading)
@@ -491,7 +560,8 @@ def compile_checked(
     check_matrix = np.zeros((len(checks), len(subsets)), dtype=np.int64)
     check_matrix[:, [column[s] for s in inner.subsets]] = inner.expr_matrix @ inner.atom_matrix
     check_matrix.setflags(write=False)
-    return CheckedExprs(lead, subsets, check_matrix, tuple(name for name, _ in checks))
+    return replace(lead, subsets=subsets, check_matrix=check_matrix,
+                   check_names=tuple(name for name, _ in checks))
 
 
 def factorization_checks(spec: FactorizationSpec) -> tuple[tuple[str, MITerm], ...]:

@@ -26,21 +26,24 @@ removed, so one variable set serves every schema of a family.
 
 A schema's coefficient structure is fixed; only its right-hand sides
 depend on the distribution.  `le_structure` writes the structure in LE
-normal form once (a GE row enters negated), and `instantiate` returns the
-schema at one distribution as a `LinearSystem` of labeled LE rows, the
-form that projection, the enumeration oracle and `compile_schema` read.
+normal form once (a GE row enters negated) as a `RateStructure`: the
+rate names, the integer rows, the projection vectors and the row
+labels.  A `LinearSystem` is that structure plus a right-hand side `b`,
+one vector or a batch of K along a leading axis; `instantiate` returns
+the schema at a distribution (or a batch of them) in that form, which
+projection and the enumeration oracle read.  Pinning, dropping and
+pruning rows select from the structure and shift `b`.
 `check_distribution` tests a distribution against the schema's
 factorization and determinism requirements.  `checked_exprs` compiles
 those checks, after a leading expression map, into one entropy pass per
-distribution: `instantiate` leads with the constraints' rhs, and the
-identity suites of `cifc.verify` lead with their claim tables.  A schema
-hashes its fields once, so these per-schema caches cost a lookup.
+batch: `instantiate` leads with the constraints' rhs, and the identity
+suites of `cifc.verify` lead with their claim tables.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Mapping
 
@@ -53,7 +56,7 @@ from .errors import (
     UnknownVariable,
 )
 from .probability import (
-    CheckedExprs,
+    CompiledExprs,
     FactorizationSpec,
     JointDistribution,
     MIExpr,
@@ -145,22 +148,6 @@ class RegionSchema:
         if bad_rates:
             raise ValueError(f"{self.id}: projection uses unknown rate vars {sorted(bad_rates)}")
 
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, f.name) for f in fields(self))
-
-    @cached_property
-    def _hash(self) -> int:
-        return hash(self._fields())
-
-    def __hash__(self) -> int:
-        # per-schema compiled objects are looked up by schema once per
-        # sampled distribution, so the fields are hashed on first use only
-        return self._hash
-
-    def __reduce__(self):
-        # rebuild through __init__: string hashes differ between processes
-        return type(self), self._fields()
-
     @property
     def variables(self) -> tuple[str, ...]:
         return self.factorization.targets
@@ -218,63 +205,115 @@ class RegionSchema:
 
 
 @dataclass(frozen=True)
-class Row:
-    """Integer-coefficient inequality coeffs . x <= rhs, named by its source label."""
-
-    coeffs: tuple[int, ...]
-    rhs: float
-    label: str = ""
-
-
-@dataclass(frozen=True)
-class LinearSystem:
-    """LE-normal numeric rate system {x >= 0 : rows} with the projection
+class RateStructure:
+    """The fixed part of an LE-normal rate system {x >= 0 : rows . x <= b}:
+    the rate names, the integer rows (one per label) and the projection
     directions R1 = r1 . x and R2 = r2 . x."""
 
     variables: tuple[str, ...]
-    rows: tuple[Row, ...]
+    rows: tuple[tuple[int, ...], ...]
     r1: tuple[int, ...]
     r2: tuple[int, ...]
+    labels: tuple[str, ...]
 
-    def rhs(self, label: str) -> float:
-        for r in self.rows:
-            if r.label == label:
-                return r.rhs
-        raise KeyError(f"no constraint {label!r}")
+    def __post_init__(self):
+        rows = tuple(tuple(int(c) for c in row) for row in self.rows)
+        if len(rows) != len(self.labels) or any(len(r) != len(self.variables) for r in rows):
+            raise InvalidParameter("need one row per label and one coefficient per rate")
+        object.__setattr__(self, "rows", rows)
 
-    def drop(self, *labels: str) -> "LinearSystem":
-        return replace(self, rows=tuple(r for r in self.rows if r.label not in labels))
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """The rows as a read-only integer array."""
+        m = np.array(self.rows, dtype=np.int64).reshape(len(self.labels), len(self.variables))
+        m.setflags(write=False)
+        return m
 
-    def pin(self, values: Mapping[str, float]) -> "LinearSystem":
+    def select(self, rows, cols) -> RateStructure:
+        """The structure on the given row and rate-column indices."""
+
+        def pick(v, ix):
+            return tuple(v[i] for i in ix)
+
+        return RateStructure(pick(self.variables, cols),
+                             tuple(pick(self.rows[i], cols) for i in rows),
+                             pick(self.r1, cols), pick(self.r2, cols), pick(self.labels, rows))
+
+
+@dataclass(frozen=True, eq=False)
+class LinearSystem:
+    """A RateStructure with its right-hand side b: one vector, or a batch
+    of K along a leading axis (`system[k]` is the k-th system)."""
+
+    structure: RateStructure
+    b: np.ndarray
+
+    def __post_init__(self):
+        b = np.array(self.b, dtype=float)
+        if b.ndim not in (1, 2) or b.shape[-1] != len(self.labels):
+            raise InvalidParameter(f"rhs of shape {b.shape} for {len(self.labels)} rows")
+        b.setflags(write=False)
+        object.__setattr__(self, "b", b)
+
+    variables = property(lambda self: self.structure.variables)
+    rows = property(lambda self: self.structure.rows)
+    r1 = property(lambda self: self.structure.r1)
+    r2 = property(lambda self: self.structure.r2)
+    labels = property(lambda self: self.structure.labels)
+
+    def __eq__(self, other):
+        return (isinstance(other, LinearSystem) and self.structure == other.structure
+                and self.b.shape == other.b.shape and bool((self.b == other.b).all()))
+
+    def __hash__(self) -> int:
+        # + 0.0 turns a -0.0 into +0.0, which compares equal to it
+        return hash((self.structure, self.b.shape, (self.b + 0.0).tobytes()))
+
+    def __getitem__(self, k: int) -> LinearSystem:
+        return LinearSystem(self.structure, self.b[k])
+
+    def rhs(self, label: str):
+        """The rhs of the row labeled `label` (one per system of a batch)."""
+        if label not in self.labels:
+            raise KeyError(f"no constraint {label!r}")
+        return self.b[..., self.labels.index(label)]
+
+    def _select(self, rows, cols, b) -> LinearSystem:
+        return LinearSystem(self.structure.select(rows, cols), b[..., list(rows)])
+
+    def drop(self, *labels: str) -> LinearSystem:
+        keep = [i for i, lab in enumerate(self.labels) if lab not in labels]
+        return self._select(keep, range(len(self.variables)), self.b)
+
+    def pin(self, values: Mapping[str, float]) -> LinearSystem:
         """Fix some rate variables to constants and eliminate them."""
         keep = [i for i, n in enumerate(self.variables) if n not in values]
-        fixed = [(i, values[n]) for i, n in enumerate(self.variables) if n in values]
-        rows = tuple(Row(tuple(r.coeffs[i] for i in keep),
-                         r.rhs - sum(r.coeffs[i] * v for i, v in fixed), r.label)
-                     for r in self.rows)
-        return LinearSystem(tuple(self.variables[i] for i in keep), rows,
-                            tuple(self.r1[i] for i in keep), tuple(self.r2[i] for i in keep))
+        fixed = [i for i, n in enumerate(self.variables) if n in values]
+        vals = np.array([values[self.variables[i]] for i in fixed], dtype=float)
+        # summed left to right from +0.0; the shift is subtracted on the
+        # LE-normal row, so a -0.0 rhs stays -0.0
+        shift = (self.structure.matrix[:, fixed] * vals).sum(axis=1) + 0.0
+        return self._select(range(len(self.labels)), keep, self.b - shift)
 
-    def without_vacuous(self, tol: float = 1e-9) -> "LinearSystem":
-        """Drop rows implied by rate nonnegativity alone.
+    def without_vacuous(self, tol: float = 1e-9) -> LinearSystem:
+        """Drop rows implied by rate nonnegativity alone, from one system.
 
         A row with no positive coefficient and rhs >= -tol carries no
         content.  One with a violated bound is kept, so a variable-free
         row with rhs < -tol still makes the region project empty.
         """
-        return replace(self, rows=tuple(
-            r for r in self.rows if any(c > 0 for c in r.coeffs) or not r.rhs >= -tol
-        ))
+        keep = (self.structure.matrix > 0).any(axis=1) | ~(self.b >= -tol)
+        return self._select(np.flatnonzero(keep).tolist(), range(len(self.variables)), self.b)
 
 
 @lru_cache(maxsize=64)
-def le_structure(schema: RegionSchema):
-    """The schema's fixed LE-normal structure: (rows, r1, r2, sign).
+def le_structure(schema: RegionSchema) -> tuple[RateStructure, np.ndarray]:
+    """The schema's fixed LE-normal structure and the sign of each row.
 
-    `rows` are the integer coefficient rows over schema.rate_vars, r1
-    and r2 the projection vectors, and sign (+1 for LE, -1 for GE) turns
-    each constraint's MI value into its LE-normal rhs.  This is the one
-    place a constraint's sense becomes a sign.
+    The structure's rows are the integer coefficient rows over
+    schema.rate_vars, and sign (+1 for LE, -1 for GE) turns each
+    constraint's MI value into its LE-normal rhs.  This is the one place
+    a constraint's sense becomes a sign.
     """
     names = schema.rate_vars
     signs = tuple(1 if c.sense == LE else -1 for c in schema.constraints)
@@ -282,7 +321,7 @@ def le_structure(schema: RegionSchema):
     r1, r2 = (tuple(schema.projection_coeffs(w).get(n, 0) for n in names) for w in ("R1", "R2"))
     sign = np.array(signs, dtype=float)
     sign.setflags(write=False)
-    return rows, r1, r2, sign
+    return RateStructure(names, rows, r1, r2, schema.labels()), sign
 
 
 def check_tolerance(name: str, tol: float) -> None:
@@ -293,7 +332,7 @@ def check_tolerance(name: str, tol: float) -> None:
 
 
 @lru_cache(maxsize=256)
-def checked_exprs(schema: RegionSchema, leading: tuple[MIExpr, ...] = ()) -> CheckedExprs:
+def checked_exprs(schema: RegionSchema, leading: tuple[MIExpr, ...] = ()) -> CompiledExprs:
     """`leading` and the schema's requirements in one entropy pass per
     distribution.
 
@@ -310,13 +349,6 @@ def checked_exprs(schema: RegionSchema, leading: tuple[MIExpr, ...] = ()) -> Che
     return compile_checked(leading, factorization_checks(schema.factorization) + determinism)
 
 
-@lru_cache(maxsize=64)
-def _rhs_checked(schema: RegionSchema) -> CheckedExprs:
-    """The constraints' rhs expressions with the schema's checks, looked
-    up by the schema alone."""
-    return checked_exprs(schema, tuple(c.rhs for c in schema.constraints))
-
-
 def check_distribution(schema: RegionSchema, d: JointDistribution, tol: float = 1e-9) -> None:
     """Require `d` to satisfy the schema's factorization (conditional
     independencies) and determinism requirements at tolerance `tol`."""
@@ -329,7 +361,8 @@ def instantiate(
     d: JointDistribution,
     tol: float = 1e-9,
 ) -> LinearSystem:
-    """The schema's LE-normal rate system at `d` (already channel-extended).
+    """The schema's LE-normal rate system at `d` (already channel-extended;
+    a batch of distributions gives a batched system).
 
     Each rhs is sign * value of its constraint's MI expression, through the
     same compiled map as compile_schema.  `d` must pass check_distribution
@@ -339,29 +372,19 @@ def instantiate(
     if missing:
         raise UnknownVariable(f"distribution lacks {sorted(missing)}")
     check_tolerance("tol", tol)
-    rows, r1, r2, sign = le_structure(schema)
-    b = sign * _rhs_checked(schema)(d, tol)
-    return LinearSystem(
-        schema.rate_vars,
-        tuple(Row(c, v, lab) for c, v, lab in zip(rows, b.tolist(), schema.labels())),
-        r1,
-        r2,
-    )
+    structure, sign = le_structure(schema)
+    rhs = checked_exprs(schema, tuple(c.rhs for c in schema.constraints))
+    return LinearSystem(structure, sign * rhs(d, tol))
 
 
 def same_system(a: LinearSystem, b: LinearSystem, tol: float = 1e-9) -> bool:
-    """Structural equality: the same multiset of LE-normal rows, each
-    matched on its named coefficients, with rhs equal within tol."""
+    """Structural equality of two systems: the same multiset of LE-normal
+    rows, each matched on its named coefficients, with rhs equal within tol."""
     if set(a.variables) != set(b.variables):
         return False
-
-    def keys(s: LinearSystem):
-        return sorted(
-            (tuple(sorted((n, c) for n, c in zip(s.variables, r.coeffs) if c)), r.rhs)
-            for r in s.rows
-        )
-
-    ka, kb = keys(a), keys(b)
+    order = [b.variables.index(n) for n in a.variables]
+    ka = sorted(zip(a.rows, a.b.tolist()))
+    kb = sorted(zip((tuple(r[i] for i in order) for r in b.rows), b.b.tolist()))
     return len(ka) == len(kb) and all(
         ca == cb and abs(ra - rb) <= tol for (ca, ra), (cb, rb) in zip(ka, kb)
     )

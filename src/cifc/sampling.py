@@ -7,9 +7,10 @@ that has resolved the block's axes, sizes, transpose and broadcast shape,
 the paired-copy indicator and the lookup tables of the structured
 channel inputs.  A draw then makes only the generator calls and one
 reshape and transpose onto the joint's ascending axes.  `_FactorState`
-holds one drawn block per factor and multiplies them into the joint;
-`sample_factored`, `sample_instance` and the frontier search all draw
-through it.
+holds one drawn block per factor; `_joints` multiplies the blocks of K
+states into a batch of joints, left unchecked for the channel extension
+to check once.  `sample_factored`, `sample_instances` and the frontier
+search all draw through it.
 
 Every draw is a pure function of the generator passed in, so a seed fixes
 the joint bit for bit.  A joint of more than MAX_MARGINAL_LABELS cells is
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache, reduce
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 
@@ -32,6 +33,7 @@ from .probability import (
     FactorizationSpec,
     JointDistribution,
     RandomVariableSet,
+    _unchecked,
     extend_through_channel,
     pairing_onehot,
 )
@@ -230,10 +232,7 @@ class _FactorState:
         return cls(_schema_plan(schema, size, mode), rng)
 
     def joint(self) -> JointDistribution:
-        joint = np.ones(self.rvs.shape())
-        for block in self.blocks:
-            joint = joint * block
-        return JointDistribution(self.rvs, joint)
+        return JointDistribution(self.rvs, _joints([self]).prob[0])
 
     def propose(self, rng: np.random.Generator):
         """Return (index, new_block) for one derivative-free move.
@@ -281,6 +280,16 @@ class _FactorState:
         return idx, new
 
 
+def _joints(states: Sequence[_FactorState]) -> JointDistribution:
+    """The joints of K states of one chain as an unchecked batch, each the
+    product of its blocks in chain order."""
+    joint = np.ones((len(states), *states[0].rvs.shape()))
+    for k, state in enumerate(states):
+        for block in state.blocks:
+            joint[k] *= block
+    return _unchecked(states[0].rvs, joint)
+
+
 def sample_factored(
     rvs: RandomVariableSet, spec: FactorizationSpec, seed: int
 ) -> JointDistribution:
@@ -298,6 +307,26 @@ def sample_factored(
     return _FactorState(_chain_plan(rvs, spec.factors), np.random.default_rng(seed)).joint()
 
 
+def sample_instances(
+    schema: RegionSchema,
+    channels: Sequence[Channel],
+    seeds: Sequence[int],
+    modes: Sequence[str],
+    size: int = 2,
+) -> JointDistribution:
+    """sample_instance at each seeds[k], in modes[k] and through
+    channels[k], as one batch: the draws are made seed by seed, the
+    product and the extension once."""
+    if not len(seeds):
+        raise InvalidParameter("a batch needs at least one seed")
+    unknown = [mode for mode in modes if mode not in SAMPLING_MODES]
+    if unknown:
+        raise InvalidParameter(f"unknown sampling mode {unknown[0]!r}")
+    plans = {mode: _schema_plan(schema, size, mode) for mode in set(modes)}
+    states = [_FactorState(plans[mode], np.random.default_rng(s)) for s, mode in zip(seeds, modes)]
+    return extend_through_channel(_joints(states), channels)
+
+
 def sample_instance(
     schema: RegionSchema,
     channel: Channel,
@@ -312,10 +341,7 @@ def sample_instance(
     decouples the auxiliaries (independent marginals).  All modes are
     special cases of the schema's factorization.
     """
-    if mode not in SAMPLING_MODES:
-        raise InvalidParameter(f"unknown sampling mode {mode!r}")
-    state = _FactorState.of_schema(schema, size, np.random.default_rng(seed), mode)
-    return extend_through_channel(state.joint(), channel)
+    return sample_instances(schema, [channel], [seed], [mode], size)[0]
 
 
 def _mode_for(seed: int) -> str:

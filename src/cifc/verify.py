@@ -3,11 +3,14 @@
 Each check samples concrete small-alphabet distributions (through
 `cifc.sampling`), evaluates an algebraic identity (or projects two
 regions), and reports the worst deviation together with the seed that
-produced it, so every verdict is reproducible.  The per-distribution
-identities are data: each comparator has a table of `IdentityCheck`s,
-MI expressions that must vanish or be nonnegative, and one runner,
-`check_identities`, evaluates a table through one compiled map per
-distribution.  Strictly positive claims are tested as >= -tol with the
+produced it, so every verdict is reproducible.  The draws are made seed
+by seed, and every stage after them takes all of a check's samples as
+one batch of distributions, which gives bit for bit what each sample
+gives alone; the hulls, the oracle and the report go one by one.  The
+per-distribution identities are data: each comparator has a table of
+`IdentityCheck`s, MI expressions that must vanish or be nonnegative, and
+one runner, `check_identities`, evaluates a table through one compiled
+map.  Strictly positive claims are tested as >= -tol with the
 observed gaps logged; degenerate distributions legitimately achieve
 zero.  Each comparator's projected region is checked against its unified
 counterpart once, by `sampled_region_containment` in the containment
@@ -37,7 +40,6 @@ from .polytope import (
     compile_schema,
 )
 from .regions import (
-    DROPPABLE,
     SCHEMA_IDS,
     LinearSystem,
     RegionSchema,
@@ -48,7 +50,7 @@ from .regions import (
     maric_merged,
     same_system,
 )
-from .sampling import SAMPLING_MODES, _FactorState, _mode_for, sample_instance
+from .sampling import SAMPLING_MODES, _FactorState, _joints, _mode_for, sample_instances
 
 MI_TOL = 1e-9
 REGION_TOL = 1e-7
@@ -78,6 +80,11 @@ class CheckReport:
             self.failures.append(message or f"seed {seed}: |violation| = {v:.3e} > {tol:g}")
         if v > self.max_abs_violation:
             self.max_abs_violation = v
+
+    def record_match(self, seed: int, match: bool, mismatch: str, tol: float = MI_TOL):
+        """Record a structural comparison: 0 if it matched, else an infinite
+        violation with the message "seed {seed}: {mismatch}"."""
+        self.record(seed, 0.0 if match else math.inf, f"seed {seed}: {mismatch}", tol=tol)
 
     @property
     def ok(self) -> bool:
@@ -144,34 +151,42 @@ def check_identities(
     """Run identity claims on `samples` distributions of one schema.
 
     All expressions are compiled into one map that leads the schema's
-    factorization and determinism checks (regions.checked_exprs), so each
-    seed's distribution, sampled in "free" mode, is checked and evaluated
-    in one entropy pass.  Each check records one violation per
+    factorization and determinism checks (regions.checked_exprs), so the
+    seeds' distributions, sampled in "free" mode, are checked and
+    evaluated in one entropy pass.  Each check records one violation per
     seed, max(|zero|..., -nonneg..., 0); a check with `nonneg` expressions
     also reports the histogram of its per-seed smallest gap.
     """
     schema = builtin_schema(schema_id)
-    channel_sizes = _channel_sizes(schema)
     compiled = checked_exprs(schema, tuple(e for c in checks for e in c.zero + c.nonneg))
     # the compiled values split into each check's zero part, then its nonneg part
     ends = np.cumsum([n for c in checks for n in (len(c.zero), len(c.nonneg))])[:-1]
-    reports = [CheckReport(c.check_id) for c in checks]
-    gaps: list[list[float]] = [[] for _ in checks]
-    for s in range(seed, seed + samples):
-        d = sample_instance(schema, random_channel(s, channel_sizes), s, mode="free")
-        parts = np.split(compiled(d), ends)
-        for rep, gap, zero, nonneg in zip(reports, gaps, parts[::2], parts[1::2]):
-            violation = np.maximum(np.abs(zero).max(initial=0.0), -nonneg.min(initial=0.0))
-            rep.record(s, float(violation), tol=tol)
-            if nonneg.size:
-                gap.append(float(nonneg.min()))
-    for rep, gap in zip(reports, gaps):
-        if gap:
+    seeds = range(seed, seed + samples)
+    parts = np.split(compiled(_sample_batch(schema, seeds, modes=["free"] * samples)), ends, axis=1)
+    reports = []
+    for c, zero, nonneg in zip(checks, parts[::2], parts[1::2]):
+        rep = CheckReport(c.check_id)
+        violation = np.maximum(np.abs(zero).max(axis=1, initial=0.0),
+                               -nonneg.min(axis=1, initial=0.0))
+        for s, v in zip(seeds, violation.tolist()):
+            rep.record(s, v, tol=tol)
+        if nonneg.size:
+            gap = nonneg.min(axis=1)
             counts, edges = np.histogram(gap, bins=8)
-            rep.details["gap_histogram"] = {
-                "counts": counts.tolist(), "edges": edges.tolist(), "min": min(gap), "max": max(gap)
-            }
+            rep.details["gap_histogram"] = {"counts": counts.tolist(), "edges": edges.tolist(),
+                                            "min": float(gap.min()), "max": float(gap.max())}
+        reports.append(rep)
     return SuiteReport(suite, reports)
+
+
+def _sample_batch(schema: RegionSchema, seeds: Sequence[int], channel: Channel | None = None,
+                  modes: Sequence[str] | None = None):
+    """The schema's instances at `seeds` as one batch: the i-th in modes[i]
+    (by default _mode_for(i)), through `channel` or its seed's random channel."""
+    sizes = _channel_sizes(schema)
+    channels = [channel or random_channel(s, sizes) for s in seeds]
+    modes = modes or [_mode_for(i) for i in range(len(seeds))]
+    return sample_instances(schema, channels, seeds, modes)
 
 
 def _channel_sizes(schema: RegionSchema) -> tuple[int, int, int, int]:
@@ -265,21 +280,15 @@ def check_cc_reduction(
     structural = CheckReport("pinned systems structurally identical")
     projected = CheckReport("pinned projections vertex-identical")
     nonempty = 0
-    for i in range(proj_instances):
-        s = seed + 10_000 + i
-        d = sample_instance(ccp, random_channel(s), s, mode=_mode_for(i))
-        ia = instantiate(ccp, d).pin({"R1c'": 0.0}).without_vacuous()
-        ib = instantiate(rtdcc, d).pin({"R1c'": 0.0}).without_vacuous()
-        if same_system(ia, ib, tol):
-            structural.record(s, 0.0, tol=tol)
-        else:
-            structural.record(s, math.inf, f"seed {s}: systems differ", tol=tol)
+    seeds = [seed + 10_000 + i for i in range(proj_instances)]
+    d = _sample_batch(ccp, seeds)
+    pinned = [instantiate(schema, d).pin({"R1c'": 0.0}) for schema in (ccp, rtdcc)]
+    for k, s in enumerate(seeds):
+        ia, ib = (system[k].without_vacuous() for system in pinned)
+        structural.record_match(s, same_system(ia, ib, tol), "systems differ", tol)
         pa = project_or_empty(ia)
-        pb = project_or_empty(ib)
-        if polytope_equal(pa, pb, tol):
-            projected.record(s, 0.0, tol=tol)
-        else:
-            projected.record(s, math.inf, f"seed {s}: vertex sets differ", tol=tol)
+        projected.record_match(s, polytope_equal(pa, project_or_empty(ib), tol),
+                               "vertex sets differ", tol)
         nonempty += not pa.is_empty
     projected.details["nonempty_instances"] = nonempty
     report.checks.append(structural)
@@ -362,12 +371,10 @@ def sampled_region_containment(
     check = CheckReport(f"{inner_id} inside {outer_id}")
     worst_margin = -math.inf
     nonempty = strict = 0
-    for i in range(samples):
-        s = seed + i
-        ch = channel or random_channel(s)
-        d = sample_instance(inner, ch, s, mode=_mode_for(i))
-        pi = project_or_empty(instantiate(inner, d))
-        po = project_or_empty(instantiate(outer, d))
+    seeds = [seed + i for i in range(samples)]
+    d = _sample_batch(inner, seeds, channel)
+    regions = zip(project_or_empty(instantiate(inner, d)), project_or_empty(instantiate(outer, d)))
+    for s, (pi, po) in zip(seeds, regions):
         nonempty += not pi.is_empty
         strict += not (pi.is_empty or polytope_equal(po, pi, 1e-9))
         margin = containment_margin(po, pi)
@@ -426,53 +433,17 @@ def check_fme_oracle(
     report = SuiteReport("fme_oracle")
     for sid in schema_ids or SCHEMA_IDS:
         schema = builtin_schema(sid)
-        channel_sizes = _channel_sizes(schema)
         check = CheckReport(f"{sid}: projection agrees with enumeration oracle")
-        nonempty = 0
-        for i in range(instances):
-            s = seed + i
-            d = sample_instance(schema, random_channel(s, channel_sizes), s, mode=_mode_for(i))
-            system = instantiate(schema, d)
-            poly = project_or_empty(system)
-            nonempty += not poly.is_empty
-            bad, worst = grid_agreement(system, poly, grid=grid)
+        seeds = [seed + i for i in range(instances)]
+        systems = instantiate(schema, _sample_batch(schema, seeds))
+        polys = project_or_empty(systems)
+        for k, (s, poly) in enumerate(zip(seeds, polys)):
+            bad, worst = grid_agreement(systems[k], poly, grid=grid)
             if bad:
                 check.record(s, worst, f"seed {s}: {bad} grid disagreements", tol=REGION_TOL)
             else:
                 check.record(s, 0.0, tol=REGION_TOL)
-        check.details["nonempty_instances"] = nonempty
-        report.checks.append(check)
-    return report
-
-
-def check_droppable(instances: int = 50, seed: int = 0, tol: float = 1e-9) -> SuiteReport:
-    """Projections with and without each droppable constraint coincide.
-
-    The three bounds whose removal is polyhedrally neutral under their
-    zeroed rates are exercised on structured (nonempty) instances; the
-    decode-nothing bound (1i) is exercised at the schema's own sampling
-    chain, where pinning its rates to zero conflicts with the positive
-    binning bound and the projection is empty either way.
-    """
-    rtd = builtin_schema("RTD")
-    report = SuiteReport("droppable")
-    for label, zeroed in DROPPABLE:
-        mode = "free" if label == "1i" else "flat_det"
-        check = CheckReport(f"drop {label} when {','.join(sorted(zeroed))} = 0")
-        empties = 0
-        for i in range(instances):
-            s = seed + i
-            ch = random_channel(s)
-            d = sample_instance(rtd, ch, s, mode=mode)
-            inst = instantiate(rtd, d).pin({v: 0.0 for v in zeroed})
-            pa = project_or_empty(inst)
-            pb = project_or_empty(inst.drop(label))
-            empties += pa.is_empty
-            if polytope_equal(pa, pb, tol):
-                check.record(s, 0.0, tol=tol)
-            else:
-                check.record(s, math.inf, f"seed {s}: projections differ", tol=tol)
-        check.details["empty_instances"] = empties
+        check.details["nonempty_instances"] = sum(not poly.is_empty for poly in polys)
         report.checks.append(check)
     return report
 
@@ -532,22 +503,21 @@ def trace_frontier(
         lam_seed = seed * 1_000_003 + k
         rng = np.random.default_rng(lam_seed)
 
-        def objective(state_joint):
-            b = compiled.rhs(extend_through_channel(state_joint, channel))
+        def objective(joints):
+            b = compiled.rhs(extend_through_channel(joints, channel))
             return compiled.support(b, lam, 1.0 - lam)
 
         # a handful of random starts across sampling modes, then climb the best
         n_starts = max(1, min(6, budget // 40))
-        starts = []
-        for j in range(n_starts):
-            st = _FactorState.of_schema(schema, 2, rng, SAMPLING_MODES[j % len(SAMPLING_MODES)])
-            starts.append((objective(st.joint()), st))
-        evals = len(starts)
-        feasible = [(val, st) for val, st in starts if val is not None]
+        starts = [_FactorState.of_schema(schema, 2, rng, SAMPLING_MODES[j % len(SAMPLING_MODES)])
+                  for j in range(n_starts)]
+        values = objective(_joints(starts))
+        evals = n_starts
+        feasible = [(val, st) for val, st in zip(values, starts) if val is not None]
         if feasible:
             best, state = max(feasible, key=lambda t: t[0][2])
         else:
-            best, state = starts[0]
+            best, state = values[0], starts[0]
         climb_best = best
         stall = 0
         while evals < budget:
@@ -556,7 +526,7 @@ def trace_frontier(
                 state = _FactorState.of_schema(
                     schema, 2, rng, SAMPLING_MODES[evals % len(SAMPLING_MODES)]
                 )
-                cand = objective(state.joint())
+                cand = objective(_joints([state])[0])
                 evals += 1
                 stall = 0
                 if cand is not None and (best is None or cand[2] > best[2] + 1e-12):
@@ -566,7 +536,7 @@ def trace_frontier(
             idx, block = state.propose(rng)
             old = state.blocks[idx]
             state.blocks[idx] = block
-            cand = objective(state.joint())
+            cand = objective(_joints([state])[0])
             evals += 1
             if cand is not None and (
                 climb_best is None or cand[2] > climb_best[2] + 1e-12

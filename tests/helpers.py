@@ -1,9 +1,10 @@
 """Shared fixtures: canonical distributions used across test modules,
 log-ratio references for the information measures, a cell-by-cell
-reference for the factorized sampler, a sense-by-sense reference for
-the LE normal form of an instantiated schema, point-by-point
-references for the region membership tests, and the uncompiled
-enumeration oracle."""
+reference for the factorized sampler, a builder of rate systems from
+plain rows, a sense-by-sense reference for the LE normal form of an
+instantiated schema, point-by-point references for the region
+membership tests, the uncompiled enumeration oracle, and the
+droppable-constraint check of the unified region's remark."""
 
 import itertools
 import math
@@ -11,14 +12,31 @@ import math
 import numpy as np
 
 from cifc.channel import canonical_channel, random_channel
-from cifc.polytope import FEAS_TOL, _convex_hull, _merge_close, _order_ccw
+from cifc.polytope import (
+    FEAS_TOL,
+    _convex_hull,
+    _merge_close,
+    _order_ccw,
+    polytope_equal,
+    project_or_empty,
+)
 from cifc.probability import (
     JointDistribution,
     RandomVariableSet,
     compile_exprs,
     extend_through_channel,
 )
-from cifc.regions import GE, LE, LinearSystem, Row, builtin_schema
+from cifc.regions import (
+    DROPPABLE,
+    GE,
+    LE,
+    LinearSystem,
+    RateStructure,
+    builtin_schema,
+    instantiate,
+)
+from cifc.sampling import sample_instance
+from cifc.verify import CheckReport, SuiteReport
 
 
 def square_assignment() -> JointDistribution:
@@ -155,6 +173,14 @@ def reference_factored_joint(rvs, factors, rng, mode="free", det=(), struct_deps
     return joint
 
 
+def make_system(variables, rows, b, r1, r2, labels=None) -> LinearSystem:
+    """A rate system from plain lists: integer rows over `variables`, one
+    rhs per row, the projection vectors, and the row labels ("" each
+    unless given)."""
+    labels = ("",) * len(rows) if labels is None else tuple(labels)
+    return LinearSystem(RateStructure(tuple(variables), rows, tuple(r1), tuple(r2), labels), b)
+
+
 def reference_le_system(schema, d, pin=None, vacuous=False, drop=()) -> LinearSystem:
     """A schema's LE-normal system at d, transcribed from the conversion
     that ran before `instantiate` returned LE rows itself.
@@ -169,7 +195,7 @@ def reference_le_system(schema, d, pin=None, vacuous=False, drop=()) -> LinearSy
     pin = pin or {}
     values = compile_exprs(tuple(c.rhs for c in schema.constraints))(d).tolist()
     names = tuple(n for n in schema.rate_vars if n not in pin)
-    rows = []
+    rows, b, labels = [], [], []
     for c, value in zip(schema.constraints, values):
         coeffs = dict(c.coeffs)
         shift = sum(k * pin[n] for n, k in coeffs.items() if n in pin)
@@ -183,11 +209,14 @@ def reference_le_system(schema, d, pin=None, vacuous=False, drop=()) -> LinearSy
             continue
         vec = [coeffs.get(n, 0) for n in names]
         if c.sense == LE:
-            rows.append(Row(tuple(vec), float(rhs), c.label))
+            rows.append(vec)
+            b.append(float(rhs))
         else:
-            rows.append(Row(tuple(-v for v in vec), -float(rhs), c.label))
+            rows.append([-v for v in vec])
+            b.append(-float(rhs))
+        labels.append(c.label)
     r1, r2 = (tuple(schema.projection_coeffs(w).get(n, 0) for n in names) for w in ("R1", "R2"))
-    return LinearSystem(names, tuple(rows), r1, r2)
+    return make_system(names, rows, b, r1, r2, labels)
 
 
 def reference_halfplane_violation(poly, point) -> float:
@@ -242,8 +271,8 @@ def reference_oracle_hull(system: LinearSystem) -> tuple[tuple[float, float], ..
     system, and the feasible basic solutions are projected unclipped."""
     n = len(system.variables)
     m = len(system.rows) + n
-    mats = [list(r.coeffs) for r in system.rows]
-    rhs = [r.rhs for r in system.rows]
+    mats = [list(r) for r in system.rows]
+    rhs = system.b.tolist()
     for i in range(n):
         e = [0] * n
         e[i] = -1
@@ -272,3 +301,31 @@ def reference_oracle_hull(system: LinearSystem) -> tuple[tuple[float, float], ..
                 points.append((round(float(x), 12) + 0.0, round(float(y), 12) + 0.0))
     hull = _convex_hull(_merge_close(points, 1e-12), collinear_eps=1e-12)
     return tuple(_order_ccw(hull))
+
+
+def check_droppable(instances: int = 50, seed: int = 0, tol: float = 1e-9) -> SuiteReport:
+    """Projections with and without each droppable constraint coincide.
+
+    The three bounds whose removal is polyhedrally neutral under their
+    zeroed rates are exercised on structured (nonempty) instances; the
+    decode-nothing bound (1i) is exercised at the schema's own sampling
+    chain, where pinning its rates to zero conflicts with the positive
+    binning bound and the projection is empty either way.
+    """
+    rtd = builtin_schema("RTD")
+    report = SuiteReport("droppable")
+    for label, zeroed in DROPPABLE:
+        mode = "free" if label == "1i" else "flat_det"
+        check = CheckReport(f"drop {label} when {','.join(sorted(zeroed))} = 0")
+        empties = 0
+        for i in range(instances):
+            s = seed + i
+            d = sample_instance(rtd, random_channel(s), s, mode=mode)
+            inst = instantiate(rtd, d).pin({v: 0.0 for v in zeroed})
+            pa = project_or_empty(inst)
+            pb = project_or_empty(inst.drop(label))
+            empties += pa.is_empty
+            check.record_match(s, polytope_equal(pa, pb, tol), "projections differ", tol)
+        check.details["empty_instances"] = empties
+        report.checks.append(check)
+    return report

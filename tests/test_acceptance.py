@@ -16,14 +16,13 @@ from cifc.regions import SCHEMA_IDS, builtin_schema, instantiate, le_structure, 
 from cifc.sampling import sample_factored
 from cifc.verify import (
     check_cc_reduction,
-    check_droppable,
     check_fme_oracle,
     run_suite,
     sampled_region_containment,
     trace_frontier,
 )
 
-from helpers import degenerate_rtd_distribution, square_assignment
+from helpers import check_droppable, degenerate_rtd_distribution, square_assignment
 
 
 def report(num: int, name: str, ok: bool, detail: str = "", elapsed: float | None = None):
@@ -41,12 +40,12 @@ def test_criterion_1_rtd_transcription_audit():
     labels = [c["label"] for c in manifest["constraints"]]
     ok &= labels == ["1a", "1b", "1c", "1d", "1e", "1f", "1g", "1h", "1i", "1j", "1k"]
     worst = 0.0
-    sign = le_structure(rtd)[3]  # LE-normal rhs = sign * MI value
+    sign = le_structure(rtd)[1]  # LE-normal rhs = sign * MI value
     for seed in range(1000):
         d = sample_factored(rtd.rv_set(2), rtd.factorization, seed)
         d = extend_through_channel(d, random_channel(seed))
         inst = instantiate(rtd, d)
-        worst = min(worst, float((sign * [r.rhs for r in inst.rows]).min()))
+        worst = min(worst, float((sign * inst.b).min()))
     ok &= worst >= -1e-9
     elapsed = time.monotonic() - t0
     ok &= elapsed < 30.0

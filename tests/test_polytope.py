@@ -31,10 +31,12 @@ from cifc.polytope import (
     project_or_empty,
     vertices_csv,
 )
-from cifc.regions import SCHEMA_IDS, LinearSystem, Row, builtin_schema, instantiate
-from cifc.verify import SAMPLING_MODES, grid_agreement, sample_instance
+from cifc.regions import SCHEMA_IDS, LinearSystem, builtin_schema, instantiate
+from cifc.sampling import sample_instance
+from cifc.verify import SAMPLING_MODES, grid_agreement
 from helpers import (
     degenerate_rtd_distribution,
+    make_system,
     reference_distance_to_hull,
     reference_halfplane_violation,
     reference_oracle_hull,
@@ -43,11 +45,11 @@ from helpers import (
 
 def segment_system():
     # R1pb + R1pb' <= 1, rates nonnegative, R1 = R1pb, R2 = 0
-    return LinearSystem(("R1pb", "R1pb'"), (Row((1, 1), 1.0),), (1, 0), (0, 0))
+    return make_system(("R1pb", "R1pb'"), [(1, 1)], [1.0], (1, 0), (0, 0))
 
 
 def unit_square():
-    return LinearSystem(("a", "b"), (Row((1, 0), 1.0), Row((0, 1), 1.0)), (1, 0), (0, 1))
+    return make_system(("a", "b"), [(1, 0), (0, 1)], [1.0, 1.0], (1, 0), (0, 1))
 
 
 def orthogonal_square_system():
@@ -66,7 +68,7 @@ def test_segment_projection():
 
 
 def test_degenerate_point_projection():
-    sys0 = LinearSystem(("a", "b"), (Row((1, 0), 0.0), Row((0, 1), 0.0)), (1, 0), (0, 1))
+    sys0 = make_system(("a", "b"), [(1, 0), (0, 1)], [0.0, 0.0], (1, 0), (0, 1))
     p = fme_project(sys0)
     assert p.vertices == ((0.0, 0.0),)
 
@@ -89,7 +91,7 @@ def test_vertices_ccw_and_in_quadrant():
 
 
 def test_infeasible_raises():
-    sys_bad = LinearSystem(("a",), (Row((1,), -1.0),), (1,), (0,))
+    sys_bad = make_system(("a",), [(1,)], [-1.0], (1,), (0,))
     with pytest.raises(Infeasible):
         fme_project(sys_bad)
     assert project_or_empty(sys_bad).is_empty
@@ -109,7 +111,7 @@ def test_unbounded_detected_when_decoding_rows_removed():
 def test_unbounded_reported_only_for_nonempty_regions():
     # a >= 1 and b <= cap: unbounded in R1 when cap >= 0, empty otherwise
     def system(cap):
-        return LinearSystem(("a", "b"), (Row((-1, 0), -1.0), Row((0, 1), cap)), (1, 0), (0, 1))
+        return make_system(("a", "b"), [(-1, 0), (0, 1)], [-1.0, cap], (1, 0), (0, 1))
 
     with pytest.raises(Unbounded):
         fme_project(system(1.0))
@@ -120,7 +122,7 @@ def test_unbounded_reported_only_for_nonempty_regions():
 def test_bounded_system_with_a_vertex_far_beyond_its_rhs():
     # a - b <= 1 and 3b - 2a <= 1 meet at (4, 3): a reaches 4, beyond the
     # sum of the right-hand sides
-    system = LinearSystem(("a", "b"), (Row((1, -1), 1.0), Row((-2, 3), 1.0)), (1, 0), (0, 1))
+    system = make_system(("a", "b"), [(1, -1), (-2, 3)], [1.0, 1.0], (1, 0), (0, 1))
     p = fme_project(system)
     expected = Polytope2D((), ((0.0, 0.0), (1.0, 0.0), (4.0, 3.0), (0.0, 1.0 / 3.0)))
     assert polytope_equal(p, expected, 1e-12)
@@ -141,11 +143,10 @@ def test_projection_keeps_the_top_of_a_near_vertical_edge():
     # the basic solution on rows b, c, d is feasible and projects to
     # (1.6975, 1.38522); the region's right edge is 1e-12 wide in R1, where
     # a collinearity test at 1e-12 drops the top vertex of the hull
-    system = LinearSystem(
+    system = make_system(
         ("x0", "x1", "x2"),
-        (Row((-2, 1, -1), 0.2198, "a"), Row((-1, 1, 0), 1e-12, "b"),
-         Row((2, 2, -1), 0.6112, "c"), Row((2, -1, 1), 1.6975, "d")),
-        (1, 0, 1), (1, 2, 0))
+        [(-2, 1, -1), (-1, 1, 0), (2, 2, -1), (2, -1, 1)], [0.2198, 1e-12, 0.6112, 1.6975],
+        (1, 0, 1), (1, 2, 0), "abcd")
     vertices = np.asarray(fme_project(system).vertices)
     assert np.abs(vertices - (1.6975, 1.38522)).max(axis=1).min() <= 1e-9
 
@@ -158,9 +159,9 @@ def small_systems(draw):
     # slack, which the oracle applies per basic solution and the projector
     # per vertex, while ties and degenerate faces still occur exactly
     rhs = st.integers(-32, 128).map(lambda k: k / 64)
-    rows = draw(st.lists(st.builds(Row, coeffs, rhs), min_size=1, max_size=4))
+    rows = draw(st.lists(st.tuples(coeffs, rhs), min_size=1, max_size=4))
     proj = st.lists(st.integers(0, 2), min_size=n, max_size=n).map(tuple)
-    return LinearSystem(tuple(f"x{i}" for i in range(n)), tuple(rows), draw(proj), draw(proj))
+    return make_system([f"x{i}" for i in range(n)], *zip(*rows), draw(proj), draw(proj))
 
 
 @settings(max_examples=400, deadline=None)
@@ -242,7 +243,7 @@ def test_instantiated_rhs_equal_compiled_rhs_bit_for_bit(sid, mode):
     for seed in range(10):
         d = sample_instance(schema, random_channel(seed, sizes), seed, mode=mode)
         system = instantiate(schema, d)
-        assert [r.rhs for r in system.rows] == compile_schema(schema).rhs(d).tolist(), seed
+        assert system.b.tolist() == compile_schema(schema).rhs(d).tolist(), seed
 
 
 @pytest.mark.parametrize("sid", SCHEMA_IDS)
@@ -255,7 +256,7 @@ def test_facet_labels_name_rows_that_suffice(sid):
         d = sample_instance(schema, random_channel(seed, sizes), seed, mode=mode)
         system = instantiate(schema, d)
         poly = project_or_empty(system)
-        rows = {r.label for r in system.rows}
+        rows = set(system.labels)
         named = {lab for h in poly.halfplanes for lab in h.labels}
         assert named <= rows, (mode, seed)
         if not poly.is_empty:
@@ -302,11 +303,11 @@ def test_oracle_square_grid_agreement():
 def test_oracle_refuses_too_many_subsets():
     # 40 rates and one row: C(41, 40) = 41 subsets is fine, C(80, 40) is not
     n = 40
-    small = LinearSystem(tuple(f"x{i}" for i in range(n)), (Row((1,) * n, 1.0),),
-                         (1,) + (0,) * (n - 1), (0, 1) + (0,) * (n - 2))
+    names = [f"x{i}" for i in range(n)]
+    r1, r2 = (1,) + (0,) * (n - 1), (0, 1) + (0,) * (n - 2)
+    small = make_system(names, [(1,) * n], [1.0], r1, r2)
     assert math.comb(41, 40) <= MAX_ORACLE_SUBSETS < math.comb(80, 40)
-    big = dataclasses.replace(small, rows=tuple(
-        Row(tuple(int(i == k) for i in range(n)), 1.0) for k in range(n)))
+    big = make_system(names, np.eye(n, dtype=int), [1.0] * n, r1, r2)
     _oracle_bases.cache_clear()
     tracemalloc.start()
     try:
@@ -353,7 +354,7 @@ def test_oracle_bases_are_exact_across_chunks(sid):
     system = _catalog_system(sid)
     n = len(system.variables)
     m = len(system.rows) + n
-    a, idx, adj, det = _oracle_bases(tuple(r.coeffs for r in system.rows), n)
+    a, idx, adj, det = _oracle_bases(system.rows, n)
     combos = np.asarray(list(itertools.combinations(range(m), n)), dtype=np.intp)
     assert np.array_equal(idx, combos[np.abs(np.linalg.det(a[combos])) > 0.5])
     assert (adj == np.rint(adj)).all() and (det == np.rint(det)).all() and (det != 0).all()
@@ -366,7 +367,7 @@ def test_oracle_bases_are_exact_across_chunks(sid):
 def test_oracle_refuses_a_basis_not_exact_in_float64():
     # det = (2**27 + 1)**2 - 1: the products in B . adj(B) pass 2**53
     k = 2**27 + 1
-    system = LinearSystem(("a", "b"), (Row((k, 1), 1.0), Row((1, k), 1.0)), (1, 0), (0, 1))
+    system = make_system(("a", "b"), [(k, 1), (1, k)], [1.0, 1.0], (1, 0), (0, 1))
     _oracle_bases.cache_clear()
     with pytest.raises(InvalidParameter, match="C\\(4, 2\\)"):
         oracle_polygon(system)
@@ -376,7 +377,7 @@ def test_oracle_refuses_a_basis_not_exact_in_float64():
 def test_oracle_bases_build_in_bounded_memory():
     # all 75,582 RTD matrices at once took 49.1 MiB; chunked, about 20 MiB
     system = _catalog_system("RTD")
-    coeffs = tuple(r.coeffs for r in system.rows)
+    coeffs = system.rows
     _oracle_bases.cache_clear()
     tracemalloc.start()
     try:
@@ -390,9 +391,9 @@ def test_oracle_bases_build_in_bounded_memory():
 def test_oracle_hull_stays_in_the_quadrant():
     # a basic solution with x1 = x2 = -1e-9 passes every row within the 1e-9
     # slack, the nonnegativity rows included; it is clipped onto the origin
-    system = LinearSystem(
+    system = make_system(
         ("x0", "x1", "x2"),
-        (Row((2, -1, -1), 1e-9), Row((2, 2, 0), 1.771), Row((0, 0, 2), 1.964)),
+        [(2, -1, -1), (2, 2, 0), (0, 0, 2)], [1e-9, 1.771, 1.964],
         (0, 1, 0), (1, 1, 0))
     assert (-1e-9, -1e-9) in reference_oracle_hull(system)
     hull = oracle_polygon(system)
@@ -415,7 +416,7 @@ def test_oracle_full_agreement_sampled(sid):
 
 def empty_system():
     # the unit square plus the variable-free row 0 <= -1
-    return dataclasses.replace(unit_square(), rows=unit_square().rows + (Row((0, 0), -1.0),))
+    return make_system(("a", "b"), [(1, 0), (0, 1), (0, 0)], [1.0, 1.0, -1.0], (1, 0), (0, 1))
 
 
 @pytest.mark.parametrize("system", [
@@ -493,17 +494,13 @@ def test_empty_region_contains_no_point():
 def test_contains_self_and_origin():
     p = fme_project(orthogonal_square_system())
     assert containment_margin(p, p) <= 0.0
-    point = fme_project(
-        LinearSystem(("a", "b"), (Row((1, 0), 0.0), Row((0, 1), 0.0)), (1, 0), (0, 1))
-    )
+    point = fme_project(make_system(("a", "b"), [(1, 0), (0, 1)], [0.0, 0.0], (1, 0), (0, 1)))
     assert containment_margin(p, point) <= 1e-7
 
 
 def test_scaled_square_not_contained():
     inner = fme_project(unit_square())
-    outer = fme_project(
-        LinearSystem(("a", "b"), (Row((1, 0), 1.1), Row((0, 1), 1.1)), (1, 0), (0, 1))
-    )
+    outer = fme_project(make_system(("a", "b"), [(1, 0), (0, 1)], [1.1, 1.1], (1, 0), (0, 1)))
     assert containment_margin(outer, inner) <= 1e-7
     assert not containment_margin(inner, outer) <= 1e-7
     assert containment_margin(inner, outer) == pytest.approx(0.1, abs=1e-9)
@@ -527,14 +524,14 @@ def test_relaxing_rhs_never_shrinks(seed):
                         mode="flat_det")
     inst = instantiate(rtd, d)
     base = project_or_empty(inst)
-    for k, row in enumerate(inst.rows):
+    for k, label in enumerate(inst.labels):
         # an LE-normal row relaxes by raising its rhs, whatever its sense
-        rows = list(inst.rows)
-        rows[k] = dataclasses.replace(row, rhs=row.rhs + 0.1)
-        bigger = project_or_empty(dataclasses.replace(inst, rows=tuple(rows)))
+        rhs = inst.b.copy()
+        rhs[k] += 0.1
+        bigger = project_or_empty(LinearSystem(inst.structure, rhs))
         if base.is_empty:
             continue
-        assert containment_margin(bigger, base) <= 1e-9, row.label
+        assert containment_margin(bigger, base) <= 1e-9, label
 
 
 @pytest.mark.parametrize("seed", range(8))

@@ -16,6 +16,7 @@ from cifc.probability import (
     FactorizationSpec,
     Factor,
     JointDistribution,
+    MIExpr,
     RandomVariableSet,
     chain,
     entropy,
@@ -31,7 +32,7 @@ from cifc.probability import (
     verify_factorization,
 )
 from cifc.regions import SCHEMA_IDS, builtin_schema
-from cifc.sampling import sample_factored, sample_instance
+from cifc.sampling import _FactorState, _joints, sample_factored, sample_instance, sample_instances
 from helpers import _marginal, reference_entropy, reference_mutual_information
 
 
@@ -353,6 +354,49 @@ def test_marginal_plan_above_the_cap_is_refused(monkeypatch):
     assert entropy_vector(d, [("A", "B")])[0] > 0.0  # 1 subset x 6 cells fits
     with pytest.raises(InvalidParameter, match="2 entropy subsets x 6 joint cells .* cap of 10"):
         entropy_vector(d, [("A",), ("B",)])
+
+
+@pytest.mark.parametrize("count", [1, 7, 100])
+def test_batched_measures_match_log_ratio_references_with_zero_cells(count):
+    schema = builtin_schema("RTD")
+    seeds = range(count)
+    d = sample_instances(schema, [random_channel(s) for s in seeds], seeds, ["det"] * count)
+    assert d.batched and (d.prob == 0.0).any()
+    subsets = [("U1c", "X2"), ("Y1",), ("U2c", "U1pb", "Y2"), schema.variables + ("Y1", "Y2")]
+    h = entropy_vector(d, subsets)
+    term = mi("Y1", "U1pb", "U1c U2c")
+    values = probability.compile_exprs((MIExpr.of(term),))(d)
+    assert h.shape == (count, len(subsets)) and values.shape == (count, 1)
+    for k in range(count):
+        for names, value in zip(subsets, h[k]):
+            assert value == pytest.approx(reference_entropy(d[k], names), abs=1e-12)
+        ref = reference_mutual_information(d[k], term.left, term.right, term.given)
+        assert values[k, 0] == pytest.approx(ref, abs=1e-12)
+
+
+def test_only_a_batch_has_members():
+    with pytest.raises(InvalidParameter, match="only a batch"):
+        uniform_inputs()[0]
+    pair = JointDistribution(uniform_inputs().rvs, np.full((2, 2, 2), 0.25))
+    assert pair.batched and not pair[1].batched and pair[1].prob.tolist() == [[0.25] * 2] * 2
+
+
+def test_a_batch_above_the_marginal_plan_cap_is_refused_before_extension(monkeypatch):
+    schema = builtin_schema("RTD")
+    states = [_FactorState.of_schema(schema, 2, np.random.default_rng(s)) for s in range(4)]
+    joints = _joints(states)
+    channels = [random_channel(s) for s in range(4)]
+    # three extended joints of 64 x 4 cells fit the cap, four do not
+    monkeypatch.setattr(probability, "MAX_MARGINAL_LABELS", 3 * 256)
+    assert extend_through_channel(joints[:3], channels[:3]).prob.shape == (3, *(2,) * 8)
+
+    def einsum(*args, **kwargs):
+        raise AssertionError("the refused batch was extended")
+
+    monkeypatch.setattr(probability.np, "einsum", einsum)
+    with pytest.raises(InvalidParameter,
+                       match="4 extended joints of 256 cells exceed the marginal-plan cap of 768"):
+        extend_through_channel(joints, channels)
 
 
 @pytest.mark.parametrize("seed", range(25))

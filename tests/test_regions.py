@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -7,6 +5,7 @@ import cifc.probability
 from cifc.channel import random_channel
 from cifc.errors import FactorizationViolation, UnknownSchema, UnknownVariable
 from cifc.probability import (
+    JointDistribution,
     chain,
     compile_exprs,
     extend_through_channel,
@@ -18,7 +17,6 @@ from cifc.regions import (
     SCHEMA_IDS,
     LinearRateConstraint,
     LinearSystem,
-    Row,
     builtin_schema,
     catalog_manifest,
     check_distribution,
@@ -117,13 +115,18 @@ def test_droppable_full_mapping():
 # -- instantiation -------------------------------------------------------------
 
 
-from helpers import degenerate_rtd_distribution, reference_le_system, square_assignment
+from helpers import (
+    degenerate_rtd_distribution,
+    make_system,
+    reference_le_system,
+    square_assignment,
+)
 
 
 def test_instantiate_degenerate_all_rhs_zero():
     rtd = builtin_schema("RTD")
     inst = instantiate(rtd, degenerate_rtd_distribution())
-    assert all(r.rhs == 0.0 for r in inst.rows)
+    assert (inst.b == 0.0).all()
 
 
 def test_instantiate_orthogonal_assignment_admits_one_one():
@@ -131,9 +134,9 @@ def test_instantiate_orthogonal_assignment_admits_one_one():
     inst = instantiate(rtd, square_assignment())
     # R1pb = R2pa = 1, everything else 0 satisfies all rows
     rates = {"R1pb": 1.0, "R2pa": 1.0}
-    for row in inst.rows:
-        lhs = sum(c * rates.get(n, 0.0) for n, c in zip(inst.variables, row.coeffs))
-        assert lhs <= row.rhs + 1e-9, row.label
+    for coeffs, rhs, label in zip(inst.rows, inst.b, inst.labels):
+        lhs = sum(c * rates.get(n, 0.0) for n, c in zip(inst.variables, coeffs))
+        assert lhs <= rhs + 1e-9, label
 
 
 def test_instantiate_rhs_matches_direct_mi():
@@ -206,20 +209,43 @@ def test_violations_name_the_first_failed_check_as_pinned(check):
     assert str(err.value) == "MARIC: H(X2|X2a,X2b) = 1.845e+00 > 1e-09"
 
 
+def test_a_batch_names_its_first_violation_as_that_member_alone_would():
+    schema = builtin_schema("RTD_IN")
+    general = chain(
+        ("U2c",), ("X2", "U2c"), ("U1c", "U2c X2"), ("U1pb", "U2c X2 U1c"),
+        ("X1", "U2c X2 U1c U1pb"),
+    )
+    good = [sample_instance(schema, random_channel(s), s) for s in range(2)]
+    bad = [extend_through_channel(sample_factored(schema.rv_set(2), general, s), random_channel(s))
+           for s in (2, 3)]
+    messages = []
+    for d in bad:
+        with pytest.raises(FactorizationViolation) as err:
+            instantiate(schema, d)
+        messages.append(str(err.value))
+    assert messages[0] != messages[1]
+    members = (good[0], bad[0], good[1], bad[1])
+    batch = JointDistribution(good[0].rvs, np.stack([m.prob for m in members]))
+    for check in (instantiate, check_distribution):
+        with pytest.raises(FactorizationViolation) as err:
+            check(schema, batch)
+        assert str(err.value) == messages[0]
+
+
 @pytest.mark.parametrize("sid", SCHEMA_IDS)
 def test_checked_leading_values_equal_their_own_map_bit_for_bit(sid):
     schema = builtin_schema(sid)
     leading = tuple(c.rhs for c in schema.constraints)
     checked, own = checked_exprs(schema, leading), compile_exprs(leading)
     assert checked.subsets[: len(own.subsets)] == own.subsets
-    sign = le_structure(schema)[3]
+    sign = le_structure(schema)[1]
     for mode in SAMPLING_MODES:
         for seed in range(10):
             ch = random_channel(seed, _channel_sizes(schema))
             d = sample_instance(schema, ch, seed, mode=mode)
             expected = own(d)
             assert np.array_equal(checked(d), expected), (mode, seed)
-            rhs = [r.rhs for r in instantiate(schema, d).rows]
+            rhs = instantiate(schema, d).b
             assert np.array_equal(rhs, sign * expected), (mode, seed)
 
 
@@ -252,7 +278,7 @@ def test_pin_and_drop():
     pinned = inst.pin({"R2pb": 0.0, "R2pb'": 0.0})
     assert "R2pb" not in pinned.variables and "R2pb'" not in pinned.variables
     for row in pinned.rows:
-        assert len(row.coeffs) == len(pinned.variables) == len(inst.variables) - 2
+        assert len(row) == len(pinned.variables) == len(inst.variables) - 2
     dropped = pinned.drop("1g")
     assert len(dropped.rows) == len(pinned.rows) - 1
     with pytest.raises(KeyError):
@@ -270,16 +296,17 @@ def test_without_vacuous_keeps_violated_variable_free_rows():
     from cifc.polytope import project_or_empty
 
     rows = (
-        Row((1,), 1.0, "cap"),  # a <= 1
-        Row((-1,), -0.0, "floor"),  # a >= 0
-        Row((0,), 0.5, "le_ok"),  # 0 <= 0.5
-        Row((0,), 0.5, "ge_ok"),  # 0 >= -0.5
-        Row((0,), -0.25, "le_bad"),  # 0 <= -0.25
-        Row((0,), -0.25, "ge_bad"),  # 0 >= 0.25
+        ((1,), 1.0, "cap"),  # a <= 1
+        ((-1,), -0.0, "floor"),  # a >= 0
+        ((0,), 0.5, "le_ok"),  # 0 <= 0.5
+        ((0,), 0.5, "ge_ok"),  # 0 >= -0.5
+        ((0,), -0.25, "le_bad"),  # 0 <= -0.25
+        ((0,), -0.25, "ge_bad"),  # 0 >= 0.25
     )
-    inst = LinearSystem(("a",), rows, (1,), (0,))
+    coeffs, rhs, labels = zip(*rows)
+    inst = make_system(("a",), coeffs, rhs, (1,), (0,), labels)
     kept = inst.without_vacuous()
-    assert [r.label for r in kept.rows] == ["cap", "le_bad", "ge_bad"]
+    assert list(kept.labels) == ["cap", "le_bad", "ge_bad"]
     assert project_or_empty(kept).is_empty
     assert project_or_empty(kept.drop("ge_bad")).is_empty
     assert not project_or_empty(kept.drop("le_bad", "ge_bad")).is_empty
@@ -290,15 +317,16 @@ def test_same_system_detects_rhs_change():
     a = instantiate(rtd, square_assignment())
     assert same_system(a, a)
     b = a.pin({})  # copy
-    rows = list(b.rows)
-    rows[0] = dataclasses.replace(rows[0], rhs=rows[0].rhs + 1e-6)
-    b2 = dataclasses.replace(b, rows=tuple(rows))
+    rhs = b.b.copy()
+    rhs[0] += 1e-6
+    b2 = LinearSystem(b.structure, rhs)
     assert not same_system(a, b2)
 
 
 def _bits(system: LinearSystem):
     """Every field of a system, each rhs by its exact bits (sign of zero too)."""
-    rows = [(r.coeffs, r.rhs.hex(), r.label) for r in system.rows]
+    rows = [(tuple(c), float(r).hex(), lab)
+            for c, r, lab in zip(system.rows, system.b, system.labels)]
     return system.variables, system.r1, system.r2, rows
 
 

@@ -27,7 +27,14 @@ from cifc.polytope import (
     project_or_empty,
 )
 from cifc.regions import SCHEMA_IDS, builtin_schema, instantiate
-from cifc.sampling import _chain_plan, _FactorState, _mode_for, sample_factored
+from cifc.sampling import (
+    _chain_plan,
+    _FactorState,
+    _mode_for,
+    sample_factored,
+    sample_instance,
+    sample_instances,
+)
 from cifc.verify import (
     REGION_TOL,
     SAMPLING_MODES,
@@ -35,7 +42,6 @@ from cifc.verify import (
     CheckReport,
     IdentityCheck,
     check_cc_reduction,
-    check_droppable,
     check_fme_oracle,
     check_identities,
     cc_primed_expressions,
@@ -43,11 +49,10 @@ from cifc.verify import (
     maric_identity_checks,
     reports_to_json,
     run_suite,
-    sample_instance,
     sampled_region_containment,
     trace_frontier,
 )
-from helpers import reference_mutual_information
+from helpers import check_droppable, reference_mutual_information
 
 BSC = canonical_channel("bsc_pair", eps1=0.05, eps2=0.1)
 
@@ -213,17 +218,47 @@ def test_frontier_search_draws_are_pinned():
     )
 
 
+# -- batches ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("sid", SCHEMA_IDS)
+def test_a_batch_evaluates_bit_for_bit_as_its_members_one_by_one(sid):
+    # every stage after the draws keeps one row per distribution, so the
+    # joints, rhs, supports, systems and regions of a batch are those of its
+    # members taken one at a time
+    schema = builtin_schema(sid)
+    compiled = compile_schema(schema)
+    seeds = list(range(30))
+    modes = [_mode_for(s) for s in seeds]
+    channels = [random_channel(s, _channel_sizes(schema)) for s in seeds]
+    d = sample_instances(schema, channels, seeds, modes)
+    b = compiled.rhs(d)
+    supports = compiled.support(b, 0.3, 0.7)
+    systems = instantiate(schema, d)
+    regions = project_or_empty(systems)
+    assert b.shape == systems.b.shape == (30, len(schema.constraints)) and len(regions) == 30
+    for k, s in enumerate(seeds):
+        one = sample_instance(schema, channels[k], s, mode=modes[k])
+        assert d[k].prob.tobytes() == one.prob.tobytes()
+        assert b[k].tobytes() == compiled.rhs(one).tobytes()
+        assert supports[k] == compiled.support(compiled.rhs(one), 0.3, 0.7)
+        assert systems[k] == instantiate(schema, one)
+        region = project_or_empty(instantiate(schema, one))
+        assert regions[k] == region and polytope_equal(regions[k], region, 1e-9)
+
+
 # -- identity suites (small runs; full sizes live in the acceptance tests) ----
 
 
 def test_identity_suite_makes_one_entropy_pass_per_sample(monkeypatch):
+    # one kernel call takes every sample of the check, one row each
     import cifc.probability
 
     calls = []
     kernel = cifc.probability.entropy_vector
 
     def counted(d, subsets):
-        calls.append(len(subsets))
+        calls.append(d.prob.shape[0] if d.batched else None)
         return kernel(d, subsets)
 
     monkeypatch.setattr(cifc.probability, "entropy_vector", counted)
@@ -232,7 +267,7 @@ def test_identity_suite_makes_one_entropy_pass_per_sample(monkeypatch):
         ("maric", "MARIC", maric_identity_checks()),
     ):
         report = check_identities(suite, sid, checks, samples=6, seed=2)
-        assert report.ok and len(calls) == 6, suite
+        assert report.ok and calls == [6], suite
         calls.clear()
 
 
