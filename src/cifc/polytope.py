@@ -1,14 +1,13 @@
 """Projection of rate constraint systems onto the (R1, R2) plane.
 
 Every system arrives in LE normal form as a `regions.LinearSystem`: a
-fixed `RateStructure` (integer rows, the projection vectors and the row
-labels) plus a right-hand side `b`, one vector or a batch of K.
-Coefficients are held exactly (integers, reduced by gcd) throughout the
-elimination, and every right-hand side stays symbolic: a nonnegative
-integer multiplier vector over the system's rows.  Each coefficient
-structure is therefore eliminated once, and a system only evaluates its
-right-hand sides (floats in bits), for a batch all K at once, row by
-row; only the hull of each region is built one at a time.  The support
+fixed `RateStructure` plus a right-hand side `b`, one vector or a batch
+of K.  Coefficients are held exactly (integers, reduced by gcd)
+throughout the elimination, and every right-hand side stays symbolic: a
+nonnegative integer multiplier vector over the system's rows.  Each
+coefficient structure is therefore eliminated once, and a system only
+evaluates its right-hand sides (floats in bits), a batch's all at once;
+only the hull of each region is built one at a time.  The support
 of a multiplier names the rows a projected half-plane comes from, so
 every half-plane of a projection carries the labels of its source rows.
 The projector and the membership oracle are deliberately independent
@@ -222,10 +221,9 @@ class CompiledProjection:
 
     def _vertices(self, b: np.ndarray):
         """For rhs b, (m,) or (K, m): the rhs of every projected row, the
-        smallest per normal, the candidate vertices x, y, (P,) or (K, P),
-        the pairwise intersections of the normals' lines, and `ok`, which
-        of them satisfy every row within the feasibility slack (none when
-        the region is empty).
+        smallest per normal, the candidate vertices x, y (the pairwise
+        intersections of the normals' lines) and `ok`, which of them satisfy
+        every row within the feasibility slack (none for an empty region).
         """
         tol = FEAS_TOL * np.maximum(1.0, np.abs(b).max(axis=-1, initial=0.0, keepdims=True))
         feasible = ~(rowwise(self._feas, b) < -tol).any(axis=-1, keepdims=True)
@@ -241,10 +239,9 @@ class CompiledProjection:
         return row_rhs, rhs, xy[..., 0, :], xy[..., 1, :], ok & feasible
 
     def polytopes(self, b: np.ndarray, labels: tuple[str, ...]) -> list[Polytope2D]:
-        """The projected region at each row of b, (K, m), each half-plane
-        named by the `labels` of the rows of A that give it (see
-        Polytope2D); EMPTY for an empty region.  Raises Unbounded when a
-        region is nonempty but unbounded.
+        """The projected region at each row of b, (K, m), or EMPTY, each
+        half-plane named by the `labels` of the rows of A that give it (see
+        Polytope2D).  Raises Unbounded when a region is nonempty but unbounded.
         """
         return [self._region(*found, labels) for found in zip(*self._vertices(b))]
 
@@ -273,27 +270,19 @@ class CompiledProjection:
         """Maximize w1*R1 + w2*R2 over the region at rhs b.
 
         Returns (R1, R2, value) at a maximizing vertex, or None when the
-        rate system is infeasible; for a batch b, (K, m), a list of K such
-        results.  Among vertices within TIE_TOL of the maximum (a tied
-        optimal face), the one with the largest R1 + R2, then the largest
-        R1, is returned.
+        rate system is infeasible.  Among vertices within TIE_TOL of the
+        maximum (a tied optimal face), the one with the largest R1 + R2,
+        then the largest R1, is returned.
         """
         _, _, x, y, ok = self._vertices(b)
-        if np.ndim(b) == 2:
-            return [_best(*row, w1, w2) for row in zip(x, y, ok)]
-        return _best(x, y, ok, w1, w2)
-
-
-def _best(x: np.ndarray, y: np.ndarray, ok: np.ndarray, w1: float, w2: float):
-    """CompiledProjection.support at one rhs, from its candidate vertices."""
-    if not ok.any():
-        return None
-    x, y = x[ok], y[ok]
-    vals = w1 * x + w2 * y
-    best = float(vals.max())
-    tied = np.flatnonzero(vals >= best - TIE_TOL * max(1.0, abs(best)))
-    k = tied[np.lexsort((x[tied], x[tied] + y[tied]))[-1]]
-    return float(x[k]), float(y[k]), best
+        if not ok.any():
+            return None
+        x, y = x[ok], y[ok]
+        vals = w1 * x + w2 * y
+        best = float(vals.max())
+        tied = np.flatnonzero(vals >= best - TIE_TOL * max(1.0, abs(best)))
+        k = tied[np.lexsort((x[tied], x[tied] + y[tied]))[-1]]
+        return float(x[k]), float(y[k]), best
 
 
 @dataclass(frozen=True, eq=False)
@@ -507,12 +496,12 @@ def _oracle_hull(system: LinearSystem) -> tuple[tuple[float, float], ...]:
     hull of the projected solutions because the systems handled here are
     bounded.  This path shares no code with the elimination: no
     multipliers, no Chernikov rule, no CompiledProjection.  Raises
-    InvalidParameter when the subset count exceeds MAX_ORACLE_SUBSETS or a
-    basis is not exact in float64.
+    InvalidParameter for a batch of systems, when the subset count exceeds
+    MAX_ORACLE_SUBSETS, or when a basis is not exact in float64.
     """
     n = len(system.variables)
     a, idx, adj, det = _oracle_bases(system.rows, n)
-    b = np.concatenate((system.b, np.zeros(n)))
+    b = np.concatenate((system.one().b, np.zeros(n)))
     sols = np.einsum("kij,kj->ki", adj, b[idx]) / det[:, None]
     feas = (a @ sols.T <= b[:, None] + FEAS_TOL).all(axis=0)
     good = np.maximum(sols[feas], 0.0)

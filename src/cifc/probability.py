@@ -4,17 +4,17 @@ Dense probability tensors with named axes, factorization chains, channel
 extension, and conditional mutual information in bits (log base 2
 throughout).  Drawing a joint from a chain lives in `cifc.sampling`.  A
 `JointDistribution` is one distribution or a batch of K along a leading
-axis, and every stage keeps that axis, computing each row alone: a batch
-gives bit for bit what its members give one by one.  There is one
-information kernel: `entropy_vector` is the only function that takes a
-logarithm (with 0*log 0 := 0), and every measure is a fixed integer
-combination of its joint entropies, compiled once per tuple of
-expressions by `compile_exprs`.  The kernel takes each distribution's
-marginals with one `np.bincount` over a marginal plan cached per
-variable set and subset list; a plan above MAX_MARGINAL_LABELS labels is
-refused.  `compile_checked` adds zero checks (such as a chain's
-conditional independencies) to a compiled map, in the same pass.
-Roundoff negatives of an MI atom are clamped to zero in one place,
+axis, and every stage computes each of a batch's rows alone, bit for bit
+as for that distribution by itself.  There is one information kernel:
+`entropy_vector` is the only function that takes a logarithm (with
+0*log 0 := 0), and every measure is a fixed integer combination of its
+joint entropies, compiled once per tuple of expressions by
+`compile_exprs`.  The kernel takes each distribution's marginals with one
+`np.bincount` over a marginal plan cached per variable set and subset
+list; a plan above MAX_MARGINAL_LABELS labels is refused.
+`compile_checked` adds zero checks (such as a chain's conditional
+independencies) to a compiled map, in the same pass.  Roundoff negatives
+of an MI atom are clamped to zero in one place,
 `CompiledExprs.of_entropies`.
 
 All operations are pure functions of immutable inputs; callers may
@@ -45,9 +45,8 @@ MASS_TOL = 1e-12
 MI_CLAMP = 1e-12
 
 # An entropy plan holds one label per (subset, joint cell), and a bincount
-# tiles the joint as many times; at 8 bytes an entry, this cap bounds each
-# at 128 MiB, and it bounds a batch's channel-extended joints alike.  Raise
-# it deliberately if needed.
+# tiles the joint as many times; at 8 bytes an entry, this cap bounds each,
+# and a batch's channel-extended joints, at 128 MiB.  Raise it deliberately.
 MAX_MARGINAL_LABELS = 1 << 24
 
 Names = Iterable[str] | str
@@ -94,11 +93,8 @@ class RandomVariableSet:
 @dataclass(frozen=True)
 class JointDistribution:
     """Dense probability tensor over a RandomVariableSet, or a batch of K
-    such tensors stacked along a leading axis, shape (K, *rvs.sizes).
-
-    Construction checks each distribution's entries and mass and names
-    the first one that fails; `d[k]` is the k-th of a batch.
-    """
+    of them, shape (K, *rvs.sizes), whose k-th is `d[k]`.  Construction
+    checks each one's entries and mass and names the first that fails."""
 
     rvs: RandomVariableSet
     prob: np.ndarray
@@ -206,9 +202,8 @@ _AXIS_LETTERS = "abcdefghijklmnopqrstuv"
 
 @lru_cache(maxsize=64)
 def _extension(rvs: RandomVariableSet, shape: tuple[int, int, int, int]):
-    """The einsum subscripts that extend a joint over `rvs` (or a batch)
-    through a channel of `shape`, and the extended variables; checked once
-    per pair."""
+    """The einsum subscripts that extend a joint (or a batch) over `rvs`
+    through a channel of `shape`, and the extended variables."""
     for name in INPUTS:
         if name not in rvs.names:
             raise AlphabetMismatch(f"distribution lacks channel input {name!r}")
@@ -235,30 +230,25 @@ def extend_through_channel(
 ) -> JointDistribution:
     """Append channel outputs: p(all, Y1, Y2) = p(all) p(Y1, Y2 | X1, X2).
 
-    A batch takes one channel for every joint or a sequence of one channel
-    per joint.  Each output cell is one product, so a batch extends bit
-    for bit as its members would one by one.  The result is checked as a
-    JointDistribution, the one check of a sampled joint, after a batch
-    above MAX_MARGINAL_LABELS output cells is refused unallocated.
+    A batch of K joints takes K channels of one shape, and each output
+    cell is one product.  A batch above MAX_MARGINAL_LABELS output cells is
+    refused unallocated; the result is checked as a JointDistribution, the
+    one check of a sampled joint.
     """
-    single = isinstance(c, Channel)
-    channels = (c,) if single else tuple(c)
+    channels = (c,) if isinstance(c, Channel) else tuple(c)
     count = len(d.prob) if d.batched else 1
-    if not single and (not d.batched or len(channels) != count):
-        raise InvalidParameter(f"{len(channels)} channels for a batch of {count} joints")
+    if len(channels) != count:
+        raise InvalidParameter(f"{len(channels)} channels for {count} joints")
     shape = channels[0].shape
-    if not single and any(ch.shape != shape for ch in channels):
+    if any(ch.shape != shape for ch in channels):
         raise AlphabetMismatch("the channels of a batch differ in shape")
     subscripts, rvs = _extension(d.rvs, shape)
-    cells = count * math.prod(rvs.sizes)
-    if cells > MAX_MARGINAL_LABELS:
-        raise InvalidParameter(
-            f"{count} extended joints of {cells // count} cells exceed the "
-            f"marginal-plan cap of {MAX_MARGINAL_LABELS} labels"
-        )
-    t = c.transition if single else np.stack([ch.transition for ch in channels])
-    prob = np.einsum(subscripts, d.prob, t)
-    return JointDistribution(rvs, prob)
+    cells = math.prod(rvs.sizes)
+    if count * cells > MAX_MARGINAL_LABELS:
+        raise InvalidParameter(f"{count} extended joints of {cells} cells exceed the "
+                               f"marginal-plan cap of {MAX_MARGINAL_LABELS} labels")
+    t = np.stack([ch.transition for ch in channels]) if d.batched else channels[0].transition
+    return JointDistribution(rvs, np.einsum(subscripts, d.prob, t))
 
 
 def pairing_onehot(sizes: Sequence[int]) -> np.ndarray:
@@ -409,15 +399,14 @@ def _marginal_plan(
 
 
 def entropy_vector(d: JointDistribution, subsets: Sequence[Sequence[str]]) -> np.ndarray:
-    """Joint entropies H(X_S) in bits, one per subset S, with exact 0*log 0 := 0;
-    for a batch, one row per distribution.
+    """Joint entropies H(X_S) in bits, one per subset S (a row per
+    distribution of a batch), with exact 0*log 0 := 0.
 
     The package's only logarithm: every other information measure is an
     integer combination of these entropies (see compile_exprs).  Each
-    distribution's marginals come from one bincount over the cached
-    _marginal_plan, which sums every marginal cell in joint-cell order: a
-    distribution's entropies do not depend on the other subsets of the
-    call or on the other distributions of the batch.
+    distribution's marginals are one bincount over the cached
+    _marginal_plan, summed in joint-cell order, so they do not depend on
+    the call's other subsets or the batch's other distributions.
     """
     labels, starts, total = _marginal_plan(d.rvs, tuple(map(tuple, subsets)))
 
@@ -451,10 +440,9 @@ class CompiledExprs:
         atoms  = atom_matrix @ h        I(A;B|C) = H(AC) + H(BC) - H(ABC) - H(C)
         values = expr_matrix @ atoms + constants
 
-    The atoms read the leading atom_matrix.shape[1] subsets, whose
-    entropies do not depend on the later ones, so checks leave the values
-    the same bit for bit.  An atom in [-MI_CLAMP, 0) is roundoff and
-    counts as 0.  A batch of distributions gives one row per distribution.
+    The atoms read the leading atom_matrix.shape[1] subsets, so checks
+    leave the values the same bit for bit.  An atom in [-MI_CLAMP, 0) is
+    roundoff and counts as 0.  A batch gives one row per distribution.
     """
 
     subsets: tuple[tuple[str, ...], ...]
@@ -472,8 +460,7 @@ class CompiledExprs:
 
     def __call__(self, d: JointDistribution, tol: float = 1e-9) -> np.ndarray:
         """The expressions' values at d, in bits, or FactorizationViolation
-        naming the first check above `tol` of the first distribution that
-        has one."""
+        naming the first check above `tol` of the first violating member."""
         h = entropy_vector(d, self.subsets)
         if self.check_names:
             checks = np.atleast_2d(rowwise(self._check_matrix, h))

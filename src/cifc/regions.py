@@ -28,11 +28,9 @@ A schema's coefficient structure is fixed; only its right-hand sides
 depend on the distribution.  `le_structure` writes the structure in LE
 normal form once (a GE row enters negated) as a `RateStructure`: the
 rate names, the integer rows, the projection vectors and the row
-labels.  A `LinearSystem` is that structure plus a right-hand side `b`,
-one vector or a batch of K along a leading axis; `instantiate` returns
-the schema at a distribution (or a batch of them) in that form, which
-projection and the enumeration oracle read.  Pinning, dropping and
-pruning rows select from the structure and shift `b`.
+labels.  A `LinearSystem`, which `instantiate` returns, is that structure
+plus a right-hand side `b`, one vector or a batch of K along a leading
+axis; pinning, dropping and pruning rows select from both.
 `check_distribution` tests a distribution against the schema's
 factorization and determinism requirements.  `checked_exprs` compiles
 those checks, after a leading expression map, into one entropy pass per
@@ -207,20 +205,14 @@ class RegionSchema:
 @dataclass(frozen=True)
 class RateStructure:
     """The fixed part of an LE-normal rate system {x >= 0 : rows . x <= b}:
-    the rate names, the integer rows (one per label) and the projection
-    directions R1 = r1 . x and R2 = r2 . x."""
+    the rate names, the integer rows (one per label, a tuple of ints each)
+    and the projection directions R1 = r1 . x and R2 = r2 . x."""
 
     variables: tuple[str, ...]
     rows: tuple[tuple[int, ...], ...]
     r1: tuple[int, ...]
     r2: tuple[int, ...]
     labels: tuple[str, ...]
-
-    def __post_init__(self):
-        rows = tuple(tuple(int(c) for c in row) for row in self.rows)
-        if len(rows) != len(self.labels) or any(len(r) != len(self.variables) for r in rows):
-            raise InvalidParameter("need one row per label and one coefficient per rate")
-        object.__setattr__(self, "rows", rows)
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -272,6 +264,12 @@ class LinearSystem:
     def __getitem__(self, k: int) -> LinearSystem:
         return LinearSystem(self.structure, self.b[k])
 
+    def one(self) -> LinearSystem:
+        """This system, or InvalidParameter if it is a batch."""
+        if self.b.ndim == 2:
+            raise InvalidParameter(f"a batch of {len(self.b)} systems where one is needed")
+        return self
+
     def rhs(self, label: str):
         """The rhs of the row labeled `label` (one per system of a batch)."""
         if label not in self.labels:
@@ -302,7 +300,7 @@ class LinearSystem:
         content.  One with a violated bound is kept, so a variable-free
         row with rhs < -tol still makes the region project empty.
         """
-        keep = (self.structure.matrix > 0).any(axis=1) | ~(self.b >= -tol)
+        keep = (self.structure.matrix > 0).any(axis=1) | ~(self.one().b >= -tol)
         return self._select(np.flatnonzero(keep).tolist(), range(len(self.variables)), self.b)
 
 
@@ -361,8 +359,8 @@ def instantiate(
     d: JointDistribution,
     tol: float = 1e-9,
 ) -> LinearSystem:
-    """The schema's LE-normal rate system at `d` (already channel-extended;
-    a batch of distributions gives a batched system).
+    """The schema's LE-normal rate system at `d`, already channel-extended
+    (a batch of systems for a batch of distributions).
 
     Each rhs is sign * value of its constraint's MI expression, through the
     same compiled map as compile_schema.  `d` must pass check_distribution
@@ -378,8 +376,9 @@ def instantiate(
 
 
 def same_system(a: LinearSystem, b: LinearSystem, tol: float = 1e-9) -> bool:
-    """Structural equality of two systems: the same multiset of LE-normal
-    rows, each matched on its named coefficients, with rhs equal within tol."""
+    """Structural equality: the same multiset of LE-normal rows, each
+    matched on its named coefficients, with rhs equal within tol."""
+    a, b = a.one(), b.one()
     if set(a.variables) != set(b.variables):
         return False
     order = [b.variables.index(n) for n in a.variables]

@@ -7,9 +7,9 @@ that has resolved the block's axes, sizes, transpose and broadcast shape,
 the paired-copy indicator and the lookup tables of the structured
 channel inputs.  A draw then makes only the generator calls and one
 reshape and transpose onto the joint's ascending axes.  `_FactorState`
-holds one drawn block per factor; `_joints` multiplies the blocks of K
-states into a batch of joints, left unchecked for the channel extension
-to check once.  `sample_factored`, `sample_instances` and the frontier
+holds one drawn block per factor, and `_joints` multiplies the blocks of
+K states into a batch of joints, left unchecked: the channel extension
+checks it once.  `sample_factored`, `sample_instances` and the frontier
 search all draw through it.
 
 Every draw is a pure function of the generator passed in, so a seed fixes
@@ -232,7 +232,8 @@ class _FactorState:
         return cls(_schema_plan(schema, size, mode), rng)
 
     def joint(self) -> JointDistribution:
-        return JointDistribution(self.rvs, _joints([self]).prob[0])
+        """The product of the blocks, unchecked (see _joints)."""
+        return _joints([self])[0]
 
     def propose(self, rng: np.random.Generator):
         """Return (index, new_block) for one derivative-free move.
@@ -304,7 +305,8 @@ def sample_factored(
             f"factorization does not cover variable set (missing {sorted(missing)}, "
             f"extra {sorted(extra)})"
         )
-    return _FactorState(_chain_plan(rvs, spec.factors), np.random.default_rng(seed)).joint()
+    state = _FactorState(_chain_plan(rvs, spec.factors), np.random.default_rng(seed))
+    return JointDistribution(rvs, state.joint().prob)
 
 
 def sample_instances(
@@ -314,9 +316,8 @@ def sample_instances(
     modes: Sequence[str],
     size: int = 2,
 ) -> JointDistribution:
-    """sample_instance at each seeds[k], in modes[k] and through
-    channels[k], as one batch: the draws are made seed by seed, the
-    product and the extension once."""
+    """sample_instance at each seeds[k], in modes[k], through channels[k]:
+    drawn seed by seed, multiplied and extended as one batch."""
     if not len(seeds):
         raise InvalidParameter("a batch needs at least one seed")
     unknown = [mode for mode in modes if mode not in SAMPLING_MODES]

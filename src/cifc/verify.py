@@ -4,9 +4,9 @@ Each check samples concrete small-alphabet distributions (through
 `cifc.sampling`), evaluates an algebraic identity (or projects two
 regions), and reports the worst deviation together with the seed that
 produced it, so every verdict is reproducible.  The draws are made seed
-by seed, and every stage after them takes all of a check's samples as
-one batch of distributions, which gives bit for bit what each sample
-gives alone; the hulls, the oracle and the report go one by one.  The
+by seed, and every stage after them takes up to BATCH samples as one
+batch of distributions, which gives bit for bit what each sample gives
+alone; the hulls, the oracle and the report go one by one.  The
 per-distribution identities are data: each comparator has a table of
 `IdentityCheck`s, MI expressions that must vanish or be nonnegative, and
 one runner, `check_identities`, evaluates a table through one compiled
@@ -50,10 +50,11 @@ from .regions import (
     maric_merged,
     same_system,
 )
-from .sampling import SAMPLING_MODES, _FactorState, _joints, _mode_for, sample_instances
+from .sampling import SAMPLING_MODES, _FactorState, _mode_for, sample_instances
 
 MI_TOL = 1e-9
 REGION_TOL = 1e-7
+BATCH = 100  # samples per batch: a check's memory does not grow with its samples
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +163,9 @@ def check_identities(
     # the compiled values split into each check's zero part, then its nonneg part
     ends = np.cumsum([n for c in checks for n in (len(c.zero), len(c.nonneg))])[:-1]
     seeds = range(seed, seed + samples)
-    parts = np.split(compiled(_sample_batch(schema, seeds, modes=["free"] * samples)), ends, axis=1)
+    values = [np.empty((0, len(compiled.constants)))]  # so that no sample gives no rows
+    values += [compiled(d) for _, d in _batches(schema, seeds, mode="free")]
+    parts = np.split(np.concatenate(values), ends, axis=1)
     reports = []
     for c, zero, nonneg in zip(checks, parts[::2], parts[1::2]):
         rep = CheckReport(c.check_id)
@@ -179,14 +182,17 @@ def check_identities(
     return SuiteReport(suite, reports)
 
 
-def _sample_batch(schema: RegionSchema, seeds: Sequence[int], channel: Channel | None = None,
-                  modes: Sequence[str] | None = None):
-    """The schema's instances at `seeds` as one batch: the i-th in modes[i]
-    (by default _mode_for(i)), through `channel` or its seed's random channel."""
+def _batches(schema: RegionSchema, seeds: Sequence[int], channel: Channel | None = None,
+             mode: str | None = None):
+    """The schema's instances at `seeds`, BATCH at a time, as (seeds, batch)
+    pairs: the i-th in `mode` (by default _mode_for(i)), through `channel`
+    or its seed's random channel."""
     sizes = _channel_sizes(schema)
-    channels = [channel or random_channel(s, sizes) for s in seeds]
-    modes = modes or [_mode_for(i) for i in range(len(seeds))]
-    return sample_instances(schema, channels, seeds, modes)
+    for at in range(0, len(seeds), BATCH):
+        chunk = seeds[at:at + BATCH]
+        channels = [channel or random_channel(s, sizes) for s in chunk]
+        modes = [mode or _mode_for(i) for i in range(at, at + len(chunk))]
+        yield chunk, sample_instances(schema, channels, chunk, modes)
 
 
 def _channel_sizes(schema: RegionSchema) -> tuple[int, int, int, int]:
@@ -280,16 +286,15 @@ def check_cc_reduction(
     structural = CheckReport("pinned systems structurally identical")
     projected = CheckReport("pinned projections vertex-identical")
     nonempty = 0
-    seeds = [seed + 10_000 + i for i in range(proj_instances)]
-    d = _sample_batch(ccp, seeds)
-    pinned = [instantiate(schema, d).pin({"R1c'": 0.0}) for schema in (ccp, rtdcc)]
-    for k, s in enumerate(seeds):
-        ia, ib = (system[k].without_vacuous() for system in pinned)
-        structural.record_match(s, same_system(ia, ib, tol), "systems differ", tol)
-        pa = project_or_empty(ia)
-        projected.record_match(s, polytope_equal(pa, project_or_empty(ib), tol),
-                               "vertex sets differ", tol)
-        nonempty += not pa.is_empty
+    for seeds, d in _batches(ccp, range(seed + 10_000, seed + 10_000 + proj_instances)):
+        pinned = [instantiate(schema, d).pin({"R1c'": 0.0}) for schema in (ccp, rtdcc)]
+        for k, s in enumerate(seeds):
+            ia, ib = (system[k].without_vacuous() for system in pinned)
+            structural.record_match(s, same_system(ia, ib, tol), "systems differ", tol)
+            pa = project_or_empty(ia)
+            projected.record_match(s, polytope_equal(pa, project_or_empty(ib), tol),
+                                   "vertex sets differ", tol)
+            nonempty += not pa.is_empty
     projected.details["nonempty_instances"] = nonempty
     report.checks.append(structural)
     report.checks.append(projected)
@@ -371,19 +376,19 @@ def sampled_region_containment(
     check = CheckReport(f"{inner_id} inside {outer_id}")
     worst_margin = -math.inf
     nonempty = strict = 0
-    seeds = [seed + i for i in range(samples)]
-    d = _sample_batch(inner, seeds, channel)
-    regions = zip(project_or_empty(instantiate(inner, d)), project_or_empty(instantiate(outer, d)))
-    for s, (pi, po) in zip(seeds, regions):
-        nonempty += not pi.is_empty
-        strict += not (pi.is_empty or polytope_equal(po, pi, 1e-9))
-        margin = containment_margin(po, pi)
-        worst_margin = max(worst_margin, margin)
-        message = None
-        if margin > tol:
-            v = pi.vertices[halfplane_violation(po, pi.vertices).argmax()]
-            message = f"seed {s}: vertex {v} outside {outer_id} by {margin:.3e}"
-        check.record(s, max(margin, 0.0), message, tol=tol)
+    for seeds, d in _batches(inner, range(seed, seed + samples), channel):
+        regions = zip(project_or_empty(instantiate(inner, d)),
+                      project_or_empty(instantiate(outer, d)))
+        for s, (pi, po) in zip(seeds, regions):
+            nonempty += not pi.is_empty
+            strict += not (pi.is_empty or polytope_equal(po, pi, 1e-9))
+            margin = containment_margin(po, pi)
+            worst_margin = max(worst_margin, margin)
+            message = None
+            if margin > tol:
+                v = pi.vertices[halfplane_violation(po, pi.vertices).argmax()]
+                message = f"seed {s}: vertex {v} outside {outer_id} by {margin:.3e}"
+            check.record(s, max(margin, 0.0), message, tol=tol)
     check.details["worst_margin"] = worst_margin if math.isfinite(worst_margin) else None
     check.details["nonempty_instances"] = nonempty
     check.details["strictly_smaller"] = strict
@@ -434,16 +439,17 @@ def check_fme_oracle(
     for sid in schema_ids or SCHEMA_IDS:
         schema = builtin_schema(sid)
         check = CheckReport(f"{sid}: projection agrees with enumeration oracle")
-        seeds = [seed + i for i in range(instances)]
-        systems = instantiate(schema, _sample_batch(schema, seeds))
-        polys = project_or_empty(systems)
-        for k, (s, poly) in enumerate(zip(seeds, polys)):
-            bad, worst = grid_agreement(systems[k], poly, grid=grid)
-            if bad:
-                check.record(s, worst, f"seed {s}: {bad} grid disagreements", tol=REGION_TOL)
-            else:
-                check.record(s, 0.0, tol=REGION_TOL)
-        check.details["nonempty_instances"] = sum(not poly.is_empty for poly in polys)
+        nonempty = 0
+        for seeds, d in _batches(schema, range(seed, seed + instances)):
+            systems = instantiate(schema, d)
+            for k, (s, poly) in enumerate(zip(seeds, project_or_empty(systems))):
+                bad, worst = grid_agreement(systems[k], poly, grid=grid)
+                if bad:
+                    check.record(s, worst, f"seed {s}: {bad} grid disagreements", tol=REGION_TOL)
+                else:
+                    check.record(s, 0.0, tol=REGION_TOL)
+                nonempty += not poly.is_empty
+        check.details["nonempty_instances"] = nonempty
         report.checks.append(check)
     return report
 
@@ -503,21 +509,22 @@ def trace_frontier(
         lam_seed = seed * 1_000_003 + k
         rng = np.random.default_rng(lam_seed)
 
-        def objective(joints):
-            b = compiled.rhs(extend_through_channel(joints, channel))
+        def objective(state):
+            b = compiled.rhs(extend_through_channel(state.joint(), channel))
             return compiled.support(b, lam, 1.0 - lam)
 
         # a handful of random starts across sampling modes, then climb the best
         n_starts = max(1, min(6, budget // 40))
-        starts = [_FactorState.of_schema(schema, 2, rng, SAMPLING_MODES[j % len(SAMPLING_MODES)])
-                  for j in range(n_starts)]
-        values = objective(_joints(starts))
+        starts = []
+        for j in range(n_starts):
+            st = _FactorState.of_schema(schema, 2, rng, SAMPLING_MODES[j % len(SAMPLING_MODES)])
+            starts.append((objective(st), st))
         evals = n_starts
-        feasible = [(val, st) for val, st in zip(values, starts) if val is not None]
+        feasible = [(val, st) for val, st in starts if val is not None]
         if feasible:
             best, state = max(feasible, key=lambda t: t[0][2])
         else:
-            best, state = values[0], starts[0]
+            best, state = starts[0]
         climb_best = best
         stall = 0
         while evals < budget:
@@ -526,7 +533,7 @@ def trace_frontier(
                 state = _FactorState.of_schema(
                     schema, 2, rng, SAMPLING_MODES[evals % len(SAMPLING_MODES)]
                 )
-                cand = objective(_joints([state])[0])
+                cand = objective(state)
                 evals += 1
                 stall = 0
                 if cand is not None and (best is None or cand[2] > best[2] + 1e-12):
@@ -536,7 +543,7 @@ def trace_frontier(
             idx, block = state.propose(rng)
             old = state.blocks[idx]
             state.blocks[idx] = block
-            cand = objective(_joints([state])[0])
+            cand = objective(state)
             evals += 1
             if cand is not None and (
                 climb_best is None or cand[2] > climb_best[2] + 1e-12

@@ -178,6 +178,7 @@ def make_system(variables, rows, b, r1, r2, labels=None) -> LinearSystem:
     rhs per row, the projection vectors, and the row labels ("" each
     unless given)."""
     labels = ("",) * len(rows) if labels is None else tuple(labels)
+    rows = tuple(tuple(int(c) for c in row) for row in rows)
     return LinearSystem(RateStructure(tuple(variables), rows, tuple(r1), tuple(r2), labels), b)
 
 

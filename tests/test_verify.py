@@ -20,13 +20,15 @@ from cifc.probability import (
     mi,
 )
 from cifc.polytope import (
+    EMPTY,
     compile_schema,
     containment_margin,
     halfplane_violation,
+    oracle_polygon,
     polytope_equal,
     project_or_empty,
 )
-from cifc.regions import SCHEMA_IDS, builtin_schema, instantiate
+from cifc.regions import SCHEMA_IDS, builtin_schema, instantiate, same_system
 from cifc.sampling import (
     _chain_plan,
     _FactorState,
@@ -46,6 +48,7 @@ from cifc.verify import (
     check_identities,
     cc_primed_expressions,
     devroye_identity_checks,
+    grid_agreement,
     maric_identity_checks,
     reports_to_json,
     run_suite,
@@ -233,7 +236,7 @@ def test_a_batch_evaluates_bit_for_bit_as_its_members_one_by_one(sid):
     channels = [random_channel(s, _channel_sizes(schema)) for s in seeds]
     d = sample_instances(schema, channels, seeds, modes)
     b = compiled.rhs(d)
-    supports = compiled.support(b, 0.3, 0.7)
+    supports = [compiled.support(row, 0.3, 0.7) for row in b]
     systems = instantiate(schema, d)
     regions = project_or_empty(systems)
     assert b.shape == systems.b.shape == (30, len(schema.constraints)) and len(regions) == 30
@@ -245,6 +248,43 @@ def test_a_batch_evaluates_bit_for_bit_as_its_members_one_by_one(sid):
         assert systems[k] == instantiate(schema, one)
         region = project_or_empty(instantiate(schema, one))
         assert regions[k] == region and polytope_equal(regions[k], region, 1e-9)
+
+
+def test_a_check_beyond_one_batch_runs_under_a_cap_that_refuses_all_its_samples(monkeypatch):
+    # a check evaluates BATCH samples at a time, so its memory stays bounded
+    # and the extension cap holds for any sample count; the report is the same
+    import cifc.probability
+    import cifc.verify
+
+    batch, samples = 40, 110
+    expected = check_identities("maric", "MARIC", maric_identity_checks(), samples, seed=3)
+    schema = builtin_schema("MARIC")
+    cells = math.prod(schema.rv_set(2).sizes) * 4  # with the binary outputs
+    monkeypatch.setattr(cifc.verify, "BATCH", batch)
+    monkeypatch.setattr(cifc.probability, "MAX_MARGINAL_LABELS", batch * cells)
+    seeds = range(samples)
+    with pytest.raises(InvalidParameter, match=f"{samples} extended joints"):
+        sample_instances(schema, [random_channel(s, _channel_sizes(schema)) for s in seeds],
+                         seeds, ["free"] * samples)
+    report = check_identities("maric", "MARIC", maric_identity_checks(), samples, seed=3)
+    assert report.ok and report.to_json() == expected.to_json()
+    assert all(c.seeds_run == samples for c in report.checks)
+    assert "gap_histogram" in report.check("merge gap nonnegative").details
+
+
+def test_the_one_system_operations_refuse_a_batch():
+    schema = builtin_schema("CCP")
+    seeds = [0, 1]
+    d = sample_instances(schema, [random_channel(s, _channel_sizes(schema)) for s in seeds],
+                         seeds, ["free", "det"])
+    batch = instantiate(schema, d)
+    refused = (batch.without_vacuous, lambda: same_system(batch, batch),
+               lambda: oracle_polygon(batch), lambda: grid_agreement(batch, EMPTY))
+    for operation in refused:
+        with pytest.raises(InvalidParameter, match="a batch of 2 systems where one is needed"):
+            operation()
+    assert same_system(batch[1].without_vacuous(), batch[1].without_vacuous())
+    assert oracle_polygon(batch[0]) == oracle_polygon(instantiate(schema, d[0]))
 
 
 # -- identity suites (small runs; full sizes live in the acceptance tests) ----
