@@ -19,7 +19,7 @@ from .errors import CifcError
 from .polytope import polytope_to_json, project_or_empty, vertices_csv
 from .probability import extend_through_channel, load_joint
 from .regions import SCHEMA_IDS, builtin_schema, catalog_manifest, instantiate, schema_manifest
-from .verify import SUITE_NAMES, reports_to_json, run_suite, trace_frontier
+from .verify import MI_TOL, REGION_TOL, SUITE_NAMES, reports_to_json, run_suite, trace_frontier
 
 
 def _dump_json(obj: dict, path: str | None) -> None:
@@ -128,8 +128,8 @@ def build_parser() -> argparse.ArgumentParser:
     ve.add_argument("--samples", type=int, default=200)
     ve.add_argument("--seed", type=int, default=0)
     ve.add_argument("--out", default=None, help="report JSON path")
-    ve.add_argument("--tol-mi", type=float, default=1e-9)
-    ve.add_argument("--tol-region", type=float, default=1e-7)
+    ve.add_argument("--tol-mi", type=float, default=MI_TOL)
+    ve.add_argument("--tol-region", type=float, default=REGION_TOL)
     ve.set_defaults(func=_cmd_verify)
 
     ma = sub.add_parser("manifest", help="dump the constraint audit manifest")

@@ -2,10 +2,11 @@
 
 Every system arrives in LE normal form as a `regions.LinearSystem`: a
 fixed `RateStructure` plus a right-hand side `b`, one vector or a batch
-of K.  Coefficients are held exactly (integers, reduced by gcd)
-throughout the elimination, and every right-hand side stays symbolic: a
-nonnegative integer multiplier vector over the system's rows.  Each
-coefficient structure is therefore eliminated once, and a system only
+of K.  This module knows rate structures only, never schemas.
+Coefficients are held exactly (integers, reduced by gcd) throughout the
+elimination, and every right-hand side stays symbolic: a nonnegative
+integer multiplier vector over the system's rows.  Each structure is
+therefore eliminated once (`compile_projection`), and a system only
 evaluates its right-hand sides (floats in bits), a batch's all at once;
 only the hull of each region is built one at a time.  The support
 of a multiplier names the rows a projected half-plane comes from, so
@@ -30,8 +31,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import Infeasible, InvalidParameter, Unbounded
-from .probability import CompiledExprs, JointDistribution, compile_exprs, rowwise
-from .regions import LinearSystem, RegionSchema, le_structure
+from .probability import rowwise
+from .regions import LinearSystem, RateStructure
 
 FEAS_TOL = 1e-9  # slack when testing a candidate point against a row
 TIGHT_TOL = 1e-8  # a half-plane must touch a vertex this closely to be kept
@@ -137,8 +138,10 @@ def _convex_hull(
 
 
 def _merge_close(points: list[tuple[float, float]], tol: float) -> list[tuple[float, float]]:
+    """The points in order, each dropped if within tol of one kept before.
+    An exact repeat is skipped up front: it is never kept."""
     out: list[tuple[float, float]] = []
-    for p in points:
+    for p in dict.fromkeys(points):
         if all(abs(p[0] - q[0]) > tol or abs(p[1] - q[1]) > tol for q in out):
             out.append(p)
     return out
@@ -170,7 +173,7 @@ def project_or_empty(system: LinearSystem) -> Polytope2D | list[Polytope2D]:
     """fme_project, with the empty region returned as EMPTY instead of
     raised; a batched system gives the list of its K regions."""
     s = system.structure
-    regions = _compile_structure(s.rows, s.r1, s.r2).polytopes(np.atleast_2d(system.b), s.labels)
+    regions = compile_projection(s).polytopes(np.atleast_2d(system.b), s.labels)
     return regions if system.b.ndim == 2 else regions[0]
 
 
@@ -285,23 +288,6 @@ class CompiledProjection:
         return float(x[k]), float(y[k]), best
 
 
-@dataclass(frozen=True, eq=False)
-class CompiledSchema(CompiledProjection):
-    """A schema's CompiledProjection plus its right-hand sides as one
-    function of a distribution: the compiled map of the rows' MI
-    expressions (see probability.compile_exprs), times the LE-normal sign
-    of each row.
-    """
-
-    rhs_map: CompiledExprs
-    sign: np.ndarray  # +1 for an LE row, -1 for a GE row
-
-    def rhs(self, d: JointDistribution) -> np.ndarray:
-        """LE-normal right-hand sides b of the schema's rows at distribution
-        d, one row per distribution of a batch."""
-        return self.sign * self.rhs_map(d)
-
-
 def _substitute(vec: list[int], mu: tuple[int, ...], v: int, eq: list[int]):
     """Eliminate column v from the row (vec, mu) using the equation eq . y = 0.
 
@@ -361,9 +347,7 @@ def _recession_free(normals: list[tuple[int, int]]) -> bool:
 
 
 @lru_cache(maxsize=256)
-def _compile_structure(
-    rows: tuple[tuple[int, ...], ...], r1: tuple[int, ...], r2: tuple[int, ...]
-) -> CompiledProjection:
+def compile_projection(structure: RateStructure) -> CompiledProjection:
     """Eliminate {x >= 0 : rows . x <= b} onto (r1 . x, r2 . x) with b symbolic.
 
     Each projection equation R_t = r_t . x is substituted first, pivoting on
@@ -373,6 +357,7 @@ def _compile_structure(
     only; nothing is pruned by the value of a right-hand side, so the result
     holds at every b.
     """
+    rows, r1, r2 = structure.rows, structure.r1, structure.r2
     n, m = len(r1), len(rows)
     zero = (0,) * m
     # columns: the rates, then R1 and R2; a row is (coeffs, mu, history bitmask)
@@ -413,25 +398,6 @@ def _compile_structure(
     return CompiledProjection(tuple(projected), tuple(feasibility))
 
 
-@lru_cache(maxsize=64)
-def compile_schema(schema: RegionSchema) -> CompiledSchema:
-    """Project a schema onto (R1, R2) once, keeping every rhs symbolic.
-
-    The schema's LE-normal rows (regions.le_structure) go through the same
-    elimination as fme_project, so nothing is pruned by the value of a
-    right-hand side and the result holds at every distribution.  Raises Unbounded when the
-    projection has a nonzero recession direction (a missing decoding
-    constraint).
-    """
-    structure, sign = le_structure(schema)
-    compiled = _compile_structure(structure.rows, structure.r1, structure.r2)
-    if not compiled.bounded:
-        raise Unbounded(f"{schema.id}: the projected region is unbounded; "
-                        "a decoding constraint is missing")
-    rhs_map = compile_exprs(tuple(c.rhs for c in schema.constraints))
-    return CompiledSchema(compiled.projected, compiled.feasibility, rhs_map, sign)
-
-
 # ---------------------------------------------------------------------------
 # Independent membership oracle (no elimination code shared)
 # ---------------------------------------------------------------------------
@@ -453,9 +419,18 @@ def _oracle_bases(
     (float products of integers are exact below 2**53).  Returns the full
     (m, n) row matrix, the (k, n) row indices of the k nonsingular subsets,
     their (k, n, n) adjugates and their (k,) determinants, all integer
-    valued.  Raises InvalidParameter, before anything is allocated, when
-    the subset count exceeds MAX_ORACLE_SUBSETS, and, caching nothing, when
-    an adjugate is not exact in float64.
+    valued.  A subset is kept iff its float64 determinant rounds to a
+    nonzero integer, exact while the error stays below 1/4: every minor of
+    a basis is at most h, the product of the n largest row norms (Hadamard;
+    each is >= 1, as the unit facets are rows), and so is every entry of U
+    in its LU factors (a ratio of integer minors), so LU with partial
+    pivoting gives det(B + E) to a small relative error, each row of E no
+    longer than eta = sqrt(n) * n * gamma_n * h, and the error is at most
+    ((1 + eta)**n - 1) * h: below 1e-8 on the catalog, below 1/4 for any
+    coefficients in [-2, 2] on at most 8 rates.  Raises InvalidParameter,
+    before anything is allocated, when the subset count exceeds
+    MAX_ORACLE_SUBSETS or that bound reaches 1/4, and, caching nothing,
+    when an adjugate is not exact in float64.
     """
     m = len(coeffs) + n
     subsets = math.comb(m, n)
@@ -463,6 +438,12 @@ def _oracle_bases(
         raise InvalidParameter(f"the oracle would solve C({m}, {n}) = {subsets} "
                                f"row subsets, above the cap of {MAX_ORACLE_SUBSETS}")
     a = np.vstack([np.asarray(coeffs, dtype=float).reshape(len(coeffs), n), -np.eye(n)])
+    h = float(np.sort(np.linalg.norm(a, axis=1))[m - n:].prod())
+    gamma = n * 2.0**-53 / (1 - n * 2.0**-53)  # gamma_n at float64's unit roundoff
+    eta = math.sqrt(n) * n * gamma * h
+    if not math.expm1(n * math.log1p(eta)) * h < 0.25:
+        raise InvalidParameter(f"the oracle's C({m}, {n}) row subsets allow basis determinants "
+                               f"up to {h:.3g}, too large for float64 to tell one from 0")
     combos = np.fromiter(itertools.chain.from_iterable(itertools.combinations(range(m), n)),
                          dtype=np.intp, count=subsets * n).reshape(subsets, n)
     idx, adj, det = [], [], []

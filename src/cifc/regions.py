@@ -25,16 +25,16 @@ Degenerate auxiliaries are modeled as cardinality-1 variables, never
 removed, so one variable set serves every schema of a family.
 
 A schema's coefficient structure is fixed; only its right-hand sides
-depend on the distribution.  `le_structure` writes the structure in LE
-normal form once (a GE row enters negated) as a `RateStructure`: the
-rate names, the integer rows, the projection vectors and the row
-labels.  A `LinearSystem`, which `instantiate` returns, is that structure
-plus a right-hand side `b`, one vector or a batch of K along a leading
-axis; pinning, dropping and pruning rows select from both.
+depend on the distribution.  `compile_schema` compiles a schema once
+into its LE-normal `RateStructure` (rate names, integer rows, projection
+vectors, row labels), row signs and checked rhs map.  A `LinearSystem`,
+which `instantiate` returns, is that structure plus a right-hand side
+`b`, one vector or a batch of K along a leading axis; pinning, dropping
+and pruning rows select from both.
 `check_distribution` tests a distribution against the schema's
 factorization and determinism requirements.  `checked_exprs` compiles
 those checks, after a leading expression map, into one entropy pass per
-batch: `instantiate` leads with the constraints' rhs, and the identity
+batch: the rhs map leads with the constraints' rhs, and the identity
 suites of `cifc.verify` lead with their claim tables.
 """
 
@@ -43,7 +43,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -304,24 +304,6 @@ class LinearSystem:
         return self._select(np.flatnonzero(keep).tolist(), range(len(self.variables)), self.b)
 
 
-@lru_cache(maxsize=64)
-def le_structure(schema: RegionSchema) -> tuple[RateStructure, np.ndarray]:
-    """The schema's fixed LE-normal structure and the sign of each row.
-
-    The structure's rows are the integer coefficient rows over
-    schema.rate_vars, and sign (+1 for LE, -1 for GE) turns each
-    constraint's MI value into its LE-normal rhs.  This is the one place
-    a constraint's sense becomes a sign.
-    """
-    names = schema.rate_vars
-    signs = tuple(1 if c.sense == LE else -1 for c in schema.constraints)
-    rows = tuple(tuple(s * c.coeff(n) for n in names) for s, c in zip(signs, schema.constraints))
-    r1, r2 = (tuple(schema.projection_coeffs(w).get(n, 0) for n in names) for w in ("R1", "R2"))
-    sign = np.array(signs, dtype=float)
-    sign.setflags(write=False)
-    return RateStructure(names, rows, r1, r2, schema.labels()), sign
-
-
 def check_tolerance(name: str, tol: float) -> None:
     """InvalidParameter unless `tol` is finite and >= 0 (a NaN compares
     false and would let every check pass)."""
@@ -354,6 +336,29 @@ def check_distribution(schema: RegionSchema, d: JointDistribution, tol: float = 
     checked_exprs(schema)(d, tol)
 
 
+class CompiledSchema(NamedTuple):
+    """The LE-normal rhs at a distribution d is sign * rhs(d)."""
+
+    structure: RateStructure
+    sign: np.ndarray
+    rhs: CompiledExprs
+
+
+@lru_cache(maxsize=64)
+def compile_schema(schema: RegionSchema) -> CompiledSchema:
+    """The schema's integer rows over schema.rate_vars, each row's sign
+    (-1 for GE, the one place a sense becomes a sign) and the rhs map,
+    checked_exprs led by the constraints' rhs."""
+    names = schema.rate_vars
+    signs = tuple(1 if c.sense == LE else -1 for c in schema.constraints)
+    rows = tuple(tuple(s * c.coeff(n) for n in names) for s, c in zip(signs, schema.constraints))
+    r1, r2 = (tuple(schema.projection_coeffs(w).get(n, 0) for n in names) for w in ("R1", "R2"))
+    sign = np.array(signs, dtype=float)
+    sign.setflags(write=False)
+    return CompiledSchema(RateStructure(names, rows, r1, r2, schema.labels()), sign,
+                          checked_exprs(schema, tuple(c.rhs for c in schema.constraints)))
+
+
 def instantiate(
     schema: RegionSchema,
     d: JointDistribution,
@@ -362,16 +367,15 @@ def instantiate(
     """The schema's LE-normal rate system at `d`, already channel-extended
     (a batch of systems for a batch of distributions).
 
-    Each rhs is sign * value of its constraint's MI expression, through the
-    same compiled map as compile_schema.  `d` must pass check_distribution
-    at tolerance `tol`; both come from one entropy pass.
+    Each rhs is sign * value of its constraint's MI expression, through
+    the schema's compiled rhs map.  `d` must pass check_distribution at
+    tolerance `tol`; both come from one entropy pass.
     """
     missing = (set(schema.variables) | set(OUTPUTS)) - set(d.names)
     if missing:
         raise UnknownVariable(f"distribution lacks {sorted(missing)}")
     check_tolerance("tol", tol)
-    structure, sign = le_structure(schema)
-    rhs = checked_exprs(schema, tuple(c.rhs for c in schema.constraints))
+    structure, sign, rhs = compile_schema(schema)
     return LinearSystem(structure, sign * rhs(d, tol))
 
 

@@ -14,7 +14,8 @@ map.  Strictly positive claims are tested as >= -tol with the
 observed gaps logged; degenerate distributions legitimately achieve
 zero.  Each comparator's projected region is checked against its unified
 counterpart once, by `sampled_region_containment` in the containment
-suite.  The frontier search climbs on the sampler's factor blocks.
+suite.  The frontier search climbs on the sampler's factor blocks and
+scores each distribution through the schema's one checked rhs map.
 """
 
 from __future__ import annotations
@@ -27,17 +28,17 @@ from typing import Sequence
 import numpy as np
 
 from .channel import Channel, random_channel
-from .errors import InvalidParameter
+from .errors import InvalidParameter, Unbounded
 from .probability import MIExpr, extend_through_channel, mi
 from .polytope import (
     Polytope2D,
+    compile_projection,
     containment_margin,
     oracle_polygon,
     polytope_equal,
     project_or_empty,
     halfplane_violation,
     _distance_to_hull,
-    compile_schema,
 )
 from .regions import (
     SCHEMA_IDS,
@@ -46,6 +47,7 @@ from .regions import (
     builtin_schema,
     check_tolerance,
     checked_exprs,
+    compile_schema,
     instantiate,
     maric_merged,
     same_system,
@@ -485,10 +487,11 @@ def trace_frontier(
     derivative-free hill climbing on the factor blocks (Dirichlet mixing,
     occasional row sharpening and block restarts), spending up to `budget`
     objective evaluations.  The variables take the schema's `rv_set(2)`
-    cardinalities.  Each evaluation scores a distribution with the
-    schema's compiled projection (no linear program).  A lambda whose
-    search finds no feasible distribution is listed in `missing`.
-    Deterministic in `seed`.
+    cardinalities.  Each evaluation checks and scores a distribution with
+    the schema's compiled rhs map and projection (no linear program).  A
+    lambda whose search finds no feasible distribution is listed in
+    `missing`.  Deterministic in `seed`.  Raises Unbounded up front for a
+    schema whose projection is unbounded.
     """
     if budget < 1:
         raise InvalidParameter(f"budget must be at least 1 evaluation, got {budget}")
@@ -503,6 +506,10 @@ def trace_frontier(
         raise InvalidParameter(f"lambda is a Pareto weight in [0, 1], got {float(outside[0])!r}")
     schema = builtin_schema(schema_id)
     compiled = compile_schema(schema)
+    projection = compile_projection(compiled.structure)
+    if not projection.bounded:
+        raise Unbounded(f"{schema.id}: the projected region is unbounded; "
+                        "a decoding constraint is missing")
     points: list[tuple[float, float, float, int]] = []
     missing: list[float] = []
     for k, lam in enumerate(lam_grid):
@@ -510,8 +517,8 @@ def trace_frontier(
         rng = np.random.default_rng(lam_seed)
 
         def objective(state):
-            b = compiled.rhs(extend_through_channel(state.joint(), channel))
-            return compiled.support(b, lam, 1.0 - lam)
+            b = compiled.sign * compiled.rhs(extend_through_channel(state.joint(), channel))
+            return projection.support(b, lam, 1.0 - lam)
 
         # a handful of random starts across sampling modes, then climb the best
         n_starts = max(1, min(6, budget // 40))

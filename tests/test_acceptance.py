@@ -12,7 +12,7 @@ import pytest
 from cifc.channel import canonical_channel, random_channel
 from cifc.polytope import fme_project
 from cifc.probability import extend_through_channel
-from cifc.regions import SCHEMA_IDS, builtin_schema, instantiate, le_structure, schema_manifest
+from cifc.regions import SCHEMA_IDS, builtin_schema, compile_schema, instantiate, schema_manifest
 from cifc.sampling import sample_factored
 from cifc.verify import (
     check_cc_reduction,
@@ -40,7 +40,7 @@ def test_criterion_1_rtd_transcription_audit():
     labels = [c["label"] for c in manifest["constraints"]]
     ok &= labels == ["1a", "1b", "1c", "1d", "1e", "1f", "1g", "1h", "1i", "1j", "1k"]
     worst = 0.0
-    sign = le_structure(rtd)[1]  # LE-normal rhs = sign * MI value
+    sign = compile_schema(rtd).sign  # LE-normal rhs = sign * MI value
     for seed in range(1000):
         d = sample_factored(rtd.rv_set(2), rtd.factorization, seed)
         d = extend_through_channel(d, random_channel(seed))

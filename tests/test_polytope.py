@@ -17,9 +17,10 @@ from cifc.polytope import (
     Polytope2D,
     _ORACLE_CHUNK,
     _distance_to_hull,
+    _merge_close,
     _oracle_bases,
     _oracle_hull,
-    compile_schema,
+    compile_projection,
     containment_margin,
     fme_project,
     halfplane_violation,
@@ -31,7 +32,7 @@ from cifc.polytope import (
     project_or_empty,
     vertices_csv,
 )
-from cifc.regions import SCHEMA_IDS, LinearSystem, builtin_schema, instantiate
+from cifc.regions import SCHEMA_IDS, LinearSystem, builtin_schema, compile_schema, instantiate
 from cifc.sampling import sample_instance
 from cifc.verify import SAMPLING_MODES, grid_agreement
 from helpers import (
@@ -193,14 +194,15 @@ def _support(vertices, lam):
 def test_compiled_support_matches_eliminator_and_oracle(sid, mode):
     schema = builtin_schema(sid)
     compiled = compile_schema(schema)
+    projection = compile_projection(compiled.structure)
     sizes = (2, 4, 2, 2) if sid == "MARIC" else (2, 2, 2, 2)
     for seed in range(40):
         d = sample_instance(schema, random_channel(seed, sizes), seed, mode=mode)
         system = instantiate(schema, d)
         poly = project_or_empty(system)
-        b = compiled.rhs(d)
+        b = compiled.sign * compiled.rhs(d)
         for lam in (0.0, 0.3, 0.5, 1.0):
-            got = compiled.support(b, lam, 1.0 - lam)
+            got = projection.support(b, lam, 1.0 - lam)
             # feasibility agrees with fme_project's Infeasible
             assert (got is None) == poly.is_empty, (seed, lam)
             if got is None:
@@ -217,10 +219,12 @@ def test_compiled_support_of_anchor_systems():
     from helpers import degenerate_rtd_distribution, square_assignment
 
     compiled = compile_schema(builtin_schema("RTD"))
-    b = compiled.rhs(square_assignment())
-    assert compiled.support(b, 0.5, 0.5) == pytest.approx((1.0, 1.0, 1.0), abs=1e-12)
-    assert compiled.support(b, 1.0, 0.0) == pytest.approx((1.0, 1.0, 1.0), abs=1e-12)
-    origin = compiled.support(compiled.rhs(degenerate_rtd_distribution()), 0.3, 0.7)
+    projection = compile_projection(compiled.structure)
+    b = compiled.sign * compiled.rhs(square_assignment())
+    assert projection.support(b, 0.5, 0.5) == pytest.approx((1.0, 1.0, 1.0), abs=1e-12)
+    assert projection.support(b, 1.0, 0.0) == pytest.approx((1.0, 1.0, 1.0), abs=1e-12)
+    b = compiled.sign * compiled.rhs(degenerate_rtd_distribution())
+    origin = projection.support(b, 0.3, 0.7)
     assert origin == (0.0, 0.0, 0.0)
     assert all(str(v) == "0.0" for v in origin)  # no negative zeros
 
@@ -228,9 +232,10 @@ def test_compiled_support_of_anchor_systems():
 @pytest.mark.parametrize("sid", SCHEMA_IDS)
 def test_every_catalog_schema_compiles_bounded(sid):
     compiled = compile_schema(builtin_schema(sid))
-    assert compiled.projected
+    projection = compile_projection(compiled.structure)
+    assert projection.projected and projection.bounded
     # the rhs matrices are exact integers over the schema's rows
-    rhs_map = compiled.rhs_map
+    rhs_map = compiled.rhs
     assert rhs_map.expr_matrix.shape[0] == len(builtin_schema(sid).constraints)
     assert rhs_map.atom_matrix.dtype.kind == rhs_map.expr_matrix.dtype.kind == "i"
 
@@ -243,7 +248,8 @@ def test_instantiated_rhs_equal_compiled_rhs_bit_for_bit(sid, mode):
     for seed in range(10):
         d = sample_instance(schema, random_channel(seed, sizes), seed, mode=mode)
         system = instantiate(schema, d)
-        assert system.b.tolist() == compile_schema(schema).rhs(d).tolist(), seed
+        compiled = compile_schema(schema)
+        assert system.b.tolist() == (compiled.sign * compiled.rhs(d)).tolist(), seed
 
 
 @pytest.mark.parametrize("sid", SCHEMA_IDS)
@@ -271,8 +277,7 @@ def test_compiled_unbounded_when_decoding_rows_removed():
     crippled = dataclasses.replace(
         rtd, constraints=tuple(c for c in rtd.constraints if c.label not in ("1d", "1e", "1f"))
     )
-    with pytest.raises(Unbounded, match="unbounded"):
-        compile_schema(crippled)
+    assert not compile_projection(compile_schema(crippled).structure).bounded
 
 
 # -- membership oracle ---------------------------------------------------------
@@ -283,6 +288,28 @@ def test_oracle_origin_of_zero_system():
     system = instantiate(rtd, degenerate_rtd_distribution())
     assert membership_oracle(system, (0.0, 0.0))
     assert not membership_oracle(system, (0.1, 0.0))
+
+
+def test_oracle_refuses_bases_float64_cannot_decide():
+    # the determinant is -1, but float64 LU rounds it to 0, which would drop
+    # the basis as singular; the rows' Hadamard bound refuses them up front
+    big = 2**27
+    assert (big + 1) * (big - 1) - big * big == -1
+    with pytest.raises(InvalidParameter, match="too large for float64"):
+        _oracle_bases(((big + 1, big), (big, big - 1)), 2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from([0.0, -0.0, 1e-10, 0.5, 1.0]),
+                          st.sampled_from([0.0, 2e-10, 1.0])), max_size=12),
+       st.sampled_from([0.0, 1e-10, 1e-9]))
+def test_merge_close_matches_pairwise_reference(points, tol):
+    want: list[tuple[float, float]] = []
+    for p in points:
+        if all(abs(p[0] - q[0]) > tol or abs(p[1] - q[1]) > tol for q in want):
+            want.append(p)
+    got = _merge_close(points, tol)
+    assert got == want and [tuple(map(str, p)) for p in got] == [tuple(map(str, p)) for p in want]
 
 
 def test_oracle_rejects_point_beyond_cap():

@@ -5,6 +5,7 @@ import cifc.probability
 from cifc.channel import random_channel
 from cifc.errors import FactorizationViolation, UnknownSchema, UnknownVariable
 from cifc.probability import (
+    CompiledExprs,
     JointDistribution,
     chain,
     compile_exprs,
@@ -21,8 +22,8 @@ from cifc.regions import (
     catalog_manifest,
     check_distribution,
     checked_exprs,
+    compile_schema,
     instantiate,
-    le_structure,
     maric_merged,
     same_system,
     schema_manifest,
@@ -233,12 +234,26 @@ def test_a_batch_names_its_first_violation_as_that_member_alone_would():
 
 
 @pytest.mark.parametrize("sid", SCHEMA_IDS)
+def test_one_checked_rhs_map_per_schema(sid, monkeypatch):
+    schema = builtin_schema(sid)
+    rhs = compile_schema(schema).rhs
+    assert rhs is checked_exprs(schema, tuple(c.rhs for c in schema.constraints))
+    d = sample_instance(schema, random_channel(0, _channel_sizes(schema)), 0)
+    called = []
+    evaluate = CompiledExprs.__call__
+    monkeypatch.setattr(CompiledExprs, "__call__",
+                        lambda self, *args: called.append(self) or evaluate(self, *args))
+    instantiate(schema, d)
+    assert len(called) == 1 and called[0] is rhs
+
+
+@pytest.mark.parametrize("sid", SCHEMA_IDS)
 def test_checked_leading_values_equal_their_own_map_bit_for_bit(sid):
     schema = builtin_schema(sid)
     leading = tuple(c.rhs for c in schema.constraints)
     checked, own = checked_exprs(schema, leading), compile_exprs(leading)
     assert checked.subsets[: len(own.subsets)] == own.subsets
-    sign = le_structure(schema)[1]
+    sign = compile_schema(schema).sign
     for mode in SAMPLING_MODES:
         for seed in range(10):
             ch = random_channel(seed, _channel_sizes(schema))

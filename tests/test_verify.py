@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from cifc.channel import Channel, canonical_channel, random_channel
-from cifc.errors import InvalidParameter
+from cifc.errors import FactorizationViolation, InvalidParameter
 from cifc.probability import (
     JointDistribution,
     MIExpr,
@@ -21,14 +21,14 @@ from cifc.probability import (
 )
 from cifc.polytope import (
     EMPTY,
-    compile_schema,
+    compile_projection,
     containment_margin,
     halfplane_violation,
     oracle_polygon,
     polytope_equal,
     project_or_empty,
 )
-from cifc.regions import SCHEMA_IDS, builtin_schema, instantiate, same_system
+from cifc.regions import SCHEMA_IDS, builtin_schema, compile_schema, instantiate, same_system
 from cifc.sampling import (
     _chain_plan,
     _FactorState,
@@ -183,7 +183,8 @@ def test_compiled_rhs_of_sampled_instances_is_pinned():
         for mode in SAMPLING_MODES:
             for seed in range(10):
                 ch = random_channel(seed, _channel_sizes(schema))
-                h.update(compiled.rhs(sample_instance(schema, ch, seed, mode=mode)).tobytes())
+                d = sample_instance(schema, ch, seed, mode=mode)
+                h.update((compiled.sign * compiled.rhs(d)).tobytes())
     assert h.hexdigest() == "6b007d94c613ae1ce5a0a7cc019b68fe95bbeef33a86e3cc4da3dc0433342560"
 
 
@@ -204,7 +205,7 @@ def test_compiled_rhs_of_sampled_instances_matches_log_ratio_reference():
                     for c in schema.constraints
                 ]
                 np.testing.assert_allclose(
-                    compiled.rhs(d), compiled.sign * expected, rtol=0, atol=1e-12,
+                    compiled.sign * compiled.rhs(d), compiled.sign * expected, rtol=0, atol=1e-12,
                     err_msg=f"{sid} {mode} seed {seed}",
                 )
 
@@ -221,6 +222,15 @@ def test_frontier_search_draws_are_pinned():
     )
 
 
+def test_frontier_checks_the_distributions_it_scores(monkeypatch):
+    # RTD_CC requires X2 = U2c; a uniform joint has H(X2|U2c) = 1 bit
+    rvs = builtin_schema("RTD_CC").rv_set(2)
+    uniform = JointDistribution(rvs, np.full(rvs.shape(), 1.0 / math.prod(rvs.sizes)))
+    monkeypatch.setattr(_FactorState, "joint", lambda self: uniform)
+    with pytest.raises(FactorizationViolation, match=r"RTD_CC: H\(X2\|U2c\) = 1\.000e\+00"):
+        trace_frontier("RTD_CC", BSC, budget=10, seed=0, lambdas=2)
+
+
 # -- batches ----------------------------------------------------------------------
 
 
@@ -231,20 +241,21 @@ def test_a_batch_evaluates_bit_for_bit_as_its_members_one_by_one(sid):
     # members taken one at a time
     schema = builtin_schema(sid)
     compiled = compile_schema(schema)
+    projection = compile_projection(compiled.structure)
     seeds = list(range(30))
     modes = [_mode_for(s) for s in seeds]
     channels = [random_channel(s, _channel_sizes(schema)) for s in seeds]
     d = sample_instances(schema, channels, seeds, modes)
-    b = compiled.rhs(d)
-    supports = [compiled.support(row, 0.3, 0.7) for row in b]
+    b = compiled.sign * compiled.rhs(d)
+    supports = [projection.support(row, 0.3, 0.7) for row in b]
     systems = instantiate(schema, d)
     regions = project_or_empty(systems)
     assert b.shape == systems.b.shape == (30, len(schema.constraints)) and len(regions) == 30
     for k, s in enumerate(seeds):
         one = sample_instance(schema, channels[k], s, mode=modes[k])
         assert d[k].prob.tobytes() == one.prob.tobytes()
-        assert b[k].tobytes() == compiled.rhs(one).tobytes()
-        assert supports[k] == compiled.support(compiled.rhs(one), 0.3, 0.7)
+        assert b[k].tobytes() == (compiled.sign * compiled.rhs(one)).tobytes()
+        assert supports[k] == projection.support(compiled.sign * compiled.rhs(one), 0.3, 0.7)
         assert systems[k] == instantiate(schema, one)
         region = project_or_empty(instantiate(schema, one))
         assert regions[k] == region and polytope_equal(regions[k], region, 1e-9)
