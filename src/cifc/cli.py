@@ -17,9 +17,9 @@ from pathlib import Path
 from .channel import load_channel
 from .errors import CifcError
 from .polytope import polytope_to_json, project_or_empty, vertices_csv
-from .probability import extend_through_channel, load_joint
+from .probability import MI_TOL, extend_through_channel, load_joint
 from .regions import SCHEMA_IDS, builtin_schema, catalog_manifest, instantiate, schema_manifest
-from .verify import MI_TOL, REGION_TOL, SUITE_NAMES, reports_to_json, run_suite, trace_frontier
+from .verify import REGION_TOL, SUITE_NAMES, reports_to_json, run_suite, trace_frontier
 
 
 def _dump_json(obj: dict, path: str | None) -> None:
@@ -110,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--channel", required=True)
     pr.add_argument("--dist", required=True, help="joint distribution JSON (pre-channel)")
     pr.add_argument("--out", default=None, help="output JSON path (CSV written alongside)")
-    pr.add_argument("--tol-mi", type=float, default=1e-9)
+    pr.add_argument("--tol-mi", type=float, default=MI_TOL)
     pr.set_defaults(func=_cmd_project)
 
     fr = sub.add_parser("frontier", help="trace the Pareto frontier over distributions")

@@ -8,14 +8,15 @@ axis, and every stage computes each of a batch's rows alone, bit for bit
 as for that distribution by itself.  There is one information kernel:
 `entropy_vector` is the only function that takes a logarithm (with
 0*log 0 := 0), and every measure is a fixed integer combination of its
-joint entropies, compiled once per tuple of expressions by
-`compile_exprs`.  The kernel takes each distribution's marginals with one
-`np.bincount` over a marginal plan cached per variable set and subset
-list; a plan above MAX_MARGINAL_LABELS labels is refused.
-`compile_checked` adds zero checks (such as a chain's conditional
-independencies) to a compiled map, in the same pass.  Roundoff negatives
-of an MI atom are clamped to zero in one place,
-`CompiledExprs.of_entropies`.
+joint entropies.  An expression is a signed sum of MI atoms, with no
+constant term.  `compile_exprs` compiles a tuple of expressions once,
+together with named check atoms that must vanish (such as a chain's
+conditional independencies), into one map read in one entropy pass.  The
+kernel takes each distribution's marginals with one `np.bincount` over a
+marginal plan cached per variable set and subset list; a plan above
+MAX_MARGINAL_LABELS labels is refused.  Roundoff negatives of an MI atom
+are clamped to zero in one place, `CompiledExprs.of_entropies`, and a
+check passes at most MI_TOL bits.
 
 All operations are pure functions of immutable inputs; callers may
 evaluate many distributions in parallel without synchronization.
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -43,6 +44,7 @@ from .errors import (
 
 MASS_TOL = 1e-12
 MI_CLAMP = 1e-12
+MI_TOL = 1e-9  # bits; the default tolerance of every zero check
 
 # An entropy plan holds one label per (subset, joint cell), and a bincount
 # tiles the joint as many times; at 8 bytes an entry, this cap bounds each,
@@ -304,10 +306,9 @@ def mi(left: Names, right: Names, given: Names = ()) -> MITerm:
 
 @dataclass(frozen=True)
 class MIExpr:
-    """Signed sum of MI atoms plus a constant, in bits."""
+    """Signed sum of MI atoms, in bits; the empty sum is 0."""
 
     terms: tuple[tuple[int, MITerm], ...] = ()
-    constant: float = 0.0
 
     @staticmethod
     def of(x) -> "MIExpr":
@@ -315,19 +316,16 @@ class MIExpr:
             return x
         if isinstance(x, MITerm):
             return MIExpr(((1, x),))
-        return MIExpr((), float(x))
+        raise InvalidParameter(f"an MI expression has no constant term, got {x!r}")
 
     def __add__(self, other):
-        o = MIExpr.of(other)
-        return MIExpr(self.terms + o.terms, self.constant + o.constant)
+        return MIExpr(self.terms + MIExpr.of(other).terms)
 
     def __sub__(self, other):
-        o = MIExpr.of(other)
-        neg = tuple((-s, t) for s, t in o.terms)
-        return MIExpr(self.terms + neg, self.constant - o.constant)
+        return self + -MIExpr.of(other)
 
     def __neg__(self):
-        return MIExpr(tuple((-s, t) for s, t in self.terms), -self.constant)
+        return MIExpr(tuple((-s, t) for s, t in self.terms))
 
     def variables(self) -> set[str]:
         out: set[str] = set()
@@ -337,13 +335,11 @@ class MIExpr:
 
     def __str__(self) -> str:
         if not self.terms:
-            return f"{self.constant:g}"
+            return "0"
         parts = []
         for i, (s, t) in enumerate(self.terms):
             sign = "-" if s < 0 else ("+" if i else "")
             parts.append(f"{sign} {t}" if i else f"{sign}{t}")
-        if self.constant:
-            parts.append(f"+ {self.constant:g}")
         return " ".join(parts)
 
 
@@ -433,12 +429,12 @@ def rowwise(matrix: np.ndarray, x: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class CompiledExprs:
     """A tuple of MI expressions as one linear map of joint entropies, and
-    the named checks (see compile_checked) evaluated in the same pass:
+    named check atoms evaluated in the same pass (see compile_exprs):
 
         h      = entropy_vector(d, subsets)
         checks = check_matrix @ h       each must be <= tol, in order
         atoms  = atom_matrix @ h        I(A;B|C) = H(AC) + H(BC) - H(ABC) - H(C)
-        values = expr_matrix @ atoms + constants
+        values = expr_matrix @ atoms
 
     The atoms read the leading atom_matrix.shape[1] subsets, so checks
     leave the values the same bit for bit.  An atom in [-MI_CLAMP, 0) is
@@ -448,17 +444,15 @@ class CompiledExprs:
     subsets: tuple[tuple[str, ...], ...]
     atom_matrix: np.ndarray  # integer, (atoms, leading subsets)
     expr_matrix: np.ndarray  # integer, (expressions, atoms)
-    constants: np.ndarray  # (expressions,)
-    check_matrix: np.ndarray | None = None  # integer, (checks, subsets)
-    check_names: tuple[str, ...] = ()
+    check_matrix: np.ndarray  # integer, (checks, subsets)
+    check_names: tuple[str, ...]
 
     def __post_init__(self):
         # float copies, so that no product converts a matrix on every call
         for name in ("atom_matrix", "expr_matrix", "check_matrix"):
-            matrix = getattr(self, name)
-            object.__setattr__(self, "_" + name, None if matrix is None else matrix.astype(float))
+            object.__setattr__(self, "_" + name, getattr(self, name).astype(float))
 
-    def __call__(self, d: JointDistribution, tol: float = 1e-9) -> np.ndarray:
+    def __call__(self, d: JointDistribution, tol: float = MI_TOL) -> np.ndarray:
         """The expressions' values at d, in bits, or FactorizationViolation
         naming the first check above `tol` of the first violating member."""
         h = entropy_vector(d, self.subsets)
@@ -476,46 +470,61 @@ class CompiledExprs:
         those of the leading subsets, in order; later entries are ignored."""
         atoms = rowwise(self._atom_matrix, h[..., : self.atom_matrix.shape[1]])
         atoms[(atoms >= -MI_CLAMP) & (atoms < 0.0)] = 0.0
-        return rowwise(self._expr_matrix, atoms) + self.constants
+        return rowwise(self._expr_matrix, atoms) + 0.0  # + 0.0 turns a -0.0 into 0.0
+
+
+def _integer_matrix(rows: Sequence[dict[int, int]], width: int) -> np.ndarray:
+    """A read-only int64 matrix with one row per {column: weight} dict."""
+    matrix = np.zeros((len(rows), width), dtype=np.int64)
+    for k, row in enumerate(rows):
+        for col, w in row.items():
+            matrix[k, col] = w
+    matrix.setflags(write=False)
+    return matrix
 
 
 @lru_cache(maxsize=1024)
-def compile_exprs(exprs: tuple[MIExpr, ...]) -> CompiledExprs:
-    """Compile expressions into their entropy subsets and integer matrices.
+def compile_exprs(
+    exprs: tuple[MIExpr, ...], checks: tuple[tuple[str, MITerm], ...] = ()
+) -> CompiledExprs:
+    """Compile expressions and named check atoms into one entropy pass.
 
     Subsets, atoms and expressions are numbered in order of first
-    appearance; H(empty) = 0 gets no subset.
+    appearance, the expressions' subsets first and then those only the
+    checks read; H(empty) = 0 gets no subset.
     """
     subsets: dict[tuple[str, ...], int] = {}
-    atoms: dict[MITerm, dict[int, int]] = {}  # atom -> {subset column: weight}
-    rows = []
+
+    def columns(t: MITerm) -> dict[int, int]:
+        """The atom's {subset column: weight}: H(AC) + H(BC) - H(ABC) - H(C)."""
+        ac, bc = set(t.left + t.given), set(t.right + t.given)
+        out: dict[int, int] = {}
+        for part, w in ((ac, 1), (bc, 1), (ac | bc, -1), (set(t.given), -1)):
+            if part:
+                col = subsets.setdefault(tuple(sorted(part)), len(subsets))
+                out[col] = out.get(col, 0) + w
+        return out
+
+    atoms: dict[MITerm, int] = {}  # atom -> its row of atom_rows
+    atom_rows, expr_rows = [], []
     for e in exprs:
-        row: dict[MITerm, int] = {}
+        row: dict[int, int] = {}
         for s, t in e.terms:
             if t not in atoms:
-                ac, bc = set(t.left + t.given), set(t.right + t.given)
-                atoms[t] = {}
-                for part, w in ((ac, 1), (bc, 1), (ac | bc, -1), (set(t.given), -1)):
-                    if part:
-                        col = subsets.setdefault(tuple(sorted(part)), len(subsets))
-                        atoms[t][col] = atoms[t].get(col, 0) + w
-            row[t] = row.get(t, 0) + s
-        rows.append(row)
-    atom_matrix = np.zeros((len(atoms), len(subsets)), dtype=np.int64)
-    for a, cols in enumerate(atoms.values()):
-        for col, w in cols.items():
-            atom_matrix[a, col] = w
-    column = {t: a for a, t in enumerate(atoms)}
-    expr_matrix = np.zeros((len(rows), len(atoms)), dtype=np.int64)
-    for k, row in enumerate(rows):
-        for t, w in row.items():
-            expr_matrix[k, column[t]] = w
-    constants = np.array([e.constant for e in exprs], dtype=float)
-    return CompiledExprs(tuple(subsets), atom_matrix, expr_matrix, constants)
+                atoms[t] = len(atom_rows)
+                atom_rows.append(columns(t))
+            row[atoms[t]] = row.get(atoms[t], 0) + s
+        expr_rows.append(row)
+    leading = len(subsets)
+    check_rows = [columns(t) for _, t in checks]
+    return CompiledExprs(tuple(subsets), _integer_matrix(atom_rows, leading),
+                         _integer_matrix(expr_rows, len(atom_rows)),
+                         _integer_matrix(check_rows, len(subsets)),
+                         tuple(name for name, _ in checks))
 
 
 def evaluate_expr(d: JointDistribution, e: MIExpr) -> float:
-    """Signed sum of the expression's terms plus its constant."""
+    """Signed sum of the expression's terms."""
     return float(compile_exprs((e,))(d)[0])
 
 
@@ -532,23 +541,6 @@ def entropy_term(names: Names, given: Names = ()) -> MITerm:
 def entropy(d: JointDistribution, names: Names, given: Names = ()) -> float:
     """H(A|C) in bits."""
     return evaluate_expr(d, MIExpr.of(entropy_term(names, given)))
-
-
-@lru_cache(maxsize=256)
-def compile_checked(
-    leading: tuple[MIExpr, ...], checks: tuple[tuple[str, MITerm], ...]
-) -> CompiledExprs:
-    """Compile `leading` and the named check atoms into one entropy pass;
-    the leading map's subsets come first, in their own order."""
-    lead = compile_exprs(leading)
-    inner = compile_exprs(tuple(MIExpr.of(t) for _, t in checks))
-    subsets = lead.subsets + tuple(s for s in inner.subsets if s not in lead.subsets)
-    column = {s: i for i, s in enumerate(subsets)}
-    check_matrix = np.zeros((len(checks), len(subsets)), dtype=np.int64)
-    check_matrix[:, [column[s] for s in inner.subsets]] = inner.expr_matrix @ inner.atom_matrix
-    check_matrix.setflags(write=False)
-    return replace(lead, subsets=subsets, check_matrix=check_matrix,
-                   check_names=tuple(name for name, _ in checks))
 
 
 def factorization_checks(spec: FactorizationSpec) -> tuple[tuple[str, MITerm], ...]:
@@ -569,10 +561,10 @@ def factorization_checks(spec: FactorizationSpec) -> tuple[tuple[str, MITerm], .
     return tuple(out)
 
 
-def verify_factorization(d: JointDistribution, spec: FactorizationSpec, tol: float = 1e-9) -> None:
+def verify_factorization(d: JointDistribution, spec: FactorizationSpec, tol: float = MI_TOL) -> None:
     """Check every conditional independence implied by the factor chain;
     raises FactorizationViolation naming the first violated triple."""
-    compile_checked((), factorization_checks(spec))(d, tol)
+    compile_exprs((), factorization_checks(spec))(d, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -605,7 +597,7 @@ def rename_expr(e: MIExpr, mapping: dict[str, tuple[str, ...]]) -> MIExpr:
         rt = rename_term(t, mapping)
         if rt is not None:
             terms.append((s, rt))
-    return MIExpr(tuple(terms), e.constant)
+    return MIExpr(tuple(terms))
 
 
 # ---------------------------------------------------------------------------

@@ -31,11 +31,14 @@ vectors, row labels), row signs and checked rhs map.  A `LinearSystem`,
 which `instantiate` returns, is that structure plus a right-hand side
 `b`, one vector or a batch of K along a leading axis; pinning, dropping
 and pruning rows select from both.
-`check_distribution` tests a distribution against the schema's
-factorization and determinism requirements.  `checked_exprs` compiles
-those checks, after a leading expression map, into one entropy pass per
-batch: the rhs map leads with the constraints' rhs, and the identity
-suites of `cifc.verify` lead with their claim tables.
+A schema's `requirements` are the named MI atoms its input distribution
+must make vanish: the factorization's conditional independencies, then
+the paired copies' determinism.  Every map of a schema compiles them
+after its leading expressions (`compile_exprs(leading,
+schema.requirements)`), so one entropy pass per batch both checks and
+evaluates: the rhs map leads with the constraints' rhs, the identity
+suites of `cifc.verify` with their claim tables, and `check_distribution`
+with nothing.
 """
 
 from __future__ import annotations
@@ -54,13 +57,15 @@ from .errors import (
     UnknownVariable,
 )
 from .probability import (
+    MI_TOL,
     CompiledExprs,
     FactorizationSpec,
     JointDistribution,
     MIExpr,
+    MITerm,
     RandomVariableSet,
     chain,
-    compile_checked,
+    compile_exprs,
     entropy_term,
     factorization_checks,
     mi,
@@ -116,7 +121,9 @@ class RegionSchema:
     The random variables are the factorization's targets (auxiliaries and
     channel inputs) plus the channel outputs.  Every rate variable is
     nonnegative; those the projection uses are message rates, the rest
-    binning rates.
+    binning rates.  A `deterministic` variable is a paired copy of its
+    parts; an `input_deps` channel input, drawn as a deterministic map in
+    the structured sampling modes, reads only the listed variables.
     """
 
     id: str
@@ -125,6 +132,7 @@ class RegionSchema:
     constraints: tuple[LinearRateConstraint, ...]
     projection: tuple[tuple[str, tuple[tuple[str, int], ...]], ...]  # R1/R2 -> coeffs
     deterministic: tuple[tuple[str, tuple[str, ...]], ...] = ()
+    input_deps: tuple[tuple[str, tuple[str, ...]], ...] = ()
     default_sizes: tuple[tuple[str, int], ...] = ()
     pinned: tuple[tuple[str, str], ...] = ()
     notes: tuple[str, ...] = ()
@@ -153,6 +161,16 @@ class RegionSchema:
     def message_rates(self) -> set[str]:
         """The rate variables the projection onto (R1, R2) uses."""
         return {n for _, coeffs in self.projection for n, _ in coeffs}
+
+    @cached_property
+    def requirements(self) -> tuple[tuple[str, MITerm], ...]:
+        """The named atoms the region requires to be zero, in order: each
+        factor's I(T;earlier-G|G) in chain order (factorization_checks),
+        then each deterministic variable's H(X|parts)."""
+        return factorization_checks(self.factorization) + tuple(
+            (f"{self.id}: H({name}|{','.join(parts)})", entropy_term(name, parts))
+            for name, parts in self.deterministic
+        )
 
     # -- lookup helpers ----------------------------------------------------
 
@@ -311,29 +329,12 @@ def check_tolerance(name: str, tol: float) -> None:
         raise InvalidParameter(f"{name} must be finite and >= 0, got {tol!r}")
 
 
-@lru_cache(maxsize=256)
-def checked_exprs(schema: RegionSchema, leading: tuple[MIExpr, ...] = ()) -> CompiledExprs:
-    """`leading` and the schema's requirements in one entropy pass per
-    distribution.
-
-    The checks, in order: each factor's I(T;earlier-G|G) in chain order
-    (probability.factorization_checks), then each deterministic
-    variable's H(X|parts).  The call raises FactorizationViolation on
-    the first one above its tolerance, and otherwise returns the values
-    of `leading`.
-    """
-    determinism = tuple(
-        (f"{schema.id}: H({name}|{','.join(parts)})", entropy_term(name, parts))
-        for name, parts in schema.deterministic
-    )
-    return compile_checked(leading, factorization_checks(schema.factorization) + determinism)
-
-
-def check_distribution(schema: RegionSchema, d: JointDistribution, tol: float = 1e-9) -> None:
-    """Require `d` to satisfy the schema's factorization (conditional
-    independencies) and determinism requirements at tolerance `tol`."""
+def check_distribution(schema: RegionSchema, d: JointDistribution, tol: float = MI_TOL) -> None:
+    """Require `d` to satisfy the schema's requirements (conditional
+    independencies, then determinism) at tolerance `tol`; raises
+    FactorizationViolation naming the first one above it."""
     check_tolerance("tol", tol)
-    checked_exprs(schema)(d, tol)
+    compile_exprs((), schema.requirements)(d, tol)
 
 
 class CompiledSchema(NamedTuple):
@@ -347,22 +348,22 @@ class CompiledSchema(NamedTuple):
 @lru_cache(maxsize=64)
 def compile_schema(schema: RegionSchema) -> CompiledSchema:
     """The schema's integer rows over schema.rate_vars, each row's sign
-    (-1 for GE, the one place a sense becomes a sign) and the rhs map,
-    checked_exprs led by the constraints' rhs."""
+    (-1 for GE, the one place a sense becomes a sign) and the rhs map:
+    the constraints' rhs, checked against the schema's requirements."""
     names = schema.rate_vars
     signs = tuple(1 if c.sense == LE else -1 for c in schema.constraints)
     rows = tuple(tuple(s * c.coeff(n) for n in names) for s, c in zip(signs, schema.constraints))
     r1, r2 = (tuple(schema.projection_coeffs(w).get(n, 0) for n in names) for w in ("R1", "R2"))
     sign = np.array(signs, dtype=float)
     sign.setflags(write=False)
-    return CompiledSchema(RateStructure(names, rows, r1, r2, schema.labels()), sign,
-                          checked_exprs(schema, tuple(c.rhs for c in schema.constraints)))
+    rhs = compile_exprs(tuple(c.rhs for c in schema.constraints), schema.requirements)
+    return CompiledSchema(RateStructure(names, rows, r1, r2, schema.labels()), sign, rhs)
 
 
 def instantiate(
     schema: RegionSchema,
     d: JointDistribution,
-    tol: float = 1e-9,
+    tol: float = MI_TOL,
 ) -> LinearSystem:
     """The schema's LE-normal rate system at `d`, already channel-extended
     (a batch of systems for a batch of distributions).
@@ -456,6 +457,7 @@ def _rtd() -> RegionSchema:
             ("R1", (("R1c", 1), ("R1pb", 1))),
             ("R2", (("R2c", 1), ("R2pa", 1), ("R2pb", 1))),
         ),
+        input_deps=(("X2", ("U2c",)),),  # the primary encoder sees only U2c
     )
 
 

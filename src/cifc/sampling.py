@@ -43,14 +43,8 @@ if TYPE_CHECKING:
 
 SAMPLING_MODES = ("free", "det", "flat_det")
 
-# In structured mode the channel inputs become uniformly random
-# deterministic maps of their conditioning cells; for the unified region
-# the primary input may only look at the variables its encoder sees.
-STRUCT_INPUT_DEPS: dict[str, dict[str, tuple[str, ...]]] = {
-    "RTD": {"X2": ("U2c",)},
-}
-
-# (name, names) pairs, as in RegionSchema.deterministic, so that a chain plan is hashable
+# (name, names) pairs, as in RegionSchema.deterministic and
+# RegionSchema.input_deps, so that a chain plan is hashable
 Pairs = tuple[tuple[str, tuple[str, ...]], ...]
 
 
@@ -62,7 +56,7 @@ class _BlockPlan(NamedTuple):
                    the indicator, built once and never drawn;
       "struct"     in "det"/"flat_det" modes, a channel-input factor: a
                    uniformly random deterministic map of the conditioning
-                   cell, or of the cell's `STRUCT_INPUT_DEPS` variables;
+                   cell, or of the schema's `input_deps` variables;
       "flat"       in "flat_det" mode, every other factor: a product of
                    per-variable Dirichlet(1) marginals, the same in every
                    conditioning cell;
@@ -202,13 +196,8 @@ def _chain_plan(
 @lru_cache(maxsize=64)
 def _schema_plan(schema: RegionSchema, size: int, mode: str) -> _ChainPlan:
     """The schema's chain at default cardinality `size`, looked up by schema."""
-    return _chain_plan(
-        schema.rv_set(size),
-        schema.factorization.factors,
-        mode,
-        schema.deterministic,
-        tuple(STRUCT_INPUT_DEPS.get(schema.id, {}).items()),
-    )
+    return _chain_plan(schema.rv_set(size), schema.factorization.factors, mode,
+                       schema.deterministic, schema.input_deps)
 
 
 class _FactorState:

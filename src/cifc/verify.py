@@ -10,7 +10,7 @@ alone; the hulls, the oracle and the report go one by one.  The
 per-distribution identities are data: each comparator has a table of
 `IdentityCheck`s, MI expressions that must vanish or be nonnegative, and
 one runner, `check_identities`, evaluates a table through one compiled
-map.  Strictly positive claims are tested as >= -tol with the
+map, led by the table and checked against the schema's requirements.  Strictly positive claims are tested as >= -tol with the
 observed gaps logged; degenerate distributions legitimately achieve
 zero.  Each comparator's projected region is checked against its unified
 counterpart once, by `sampled_region_containment` in the containment
@@ -29,7 +29,7 @@ import numpy as np
 
 from .channel import Channel, random_channel
 from .errors import InvalidParameter, Unbounded
-from .probability import MIExpr, extend_through_channel, mi
+from .probability import MI_TOL, MIExpr, compile_exprs, extend_through_channel, mi
 from .polytope import (
     Polytope2D,
     compile_projection,
@@ -46,7 +46,6 @@ from .regions import (
     RegionSchema,
     builtin_schema,
     check_tolerance,
-    checked_exprs,
     compile_schema,
     instantiate,
     maric_merged,
@@ -54,7 +53,6 @@ from .regions import (
 )
 from .sampling import SAMPLING_MODES, _FactorState, _mode_for, sample_instances
 
-MI_TOL = 1e-9
 REGION_TOL = 1e-7
 BATCH = 100  # samples per batch: a check's memory does not grow with its samples
 
@@ -153,19 +151,19 @@ def check_identities(
 ) -> SuiteReport:
     """Run identity claims on `samples` distributions of one schema.
 
-    All expressions are compiled into one map that leads the schema's
-    factorization and determinism checks (regions.checked_exprs), so the
-    seeds' distributions, sampled in "free" mode, are checked and
-    evaluated in one entropy pass.  Each check records one violation per
+    All expressions are compiled into one map with the schema's
+    requirements as its checks, so the seeds' distributions, sampled in
+    "free" mode, are checked and evaluated in one entropy pass.  Each check records one violation per
     seed, max(|zero|..., -nonneg..., 0); a check with `nonneg` expressions
     also reports the histogram of its per-seed smallest gap.
     """
     schema = builtin_schema(schema_id)
-    compiled = checked_exprs(schema, tuple(e for c in checks for e in c.zero + c.nonneg))
+    compiled = compile_exprs(tuple(e for c in checks for e in c.zero + c.nonneg),
+                             schema.requirements)
     # the compiled values split into each check's zero part, then its nonneg part
     ends = np.cumsum([n for c in checks for n in (len(c.zero), len(c.nonneg))])[:-1]
     seeds = range(seed, seed + samples)
-    values = [np.empty((0, len(compiled.constants)))]  # so that no sample gives no rows
+    values = [np.empty((0, len(compiled.expr_matrix)))]  # so that no sample gives no rows
     values += [compiled(d) for _, d in _batches(schema, seeds, mode="free")]
     parts = np.split(np.concatenate(values), ends, axis=1)
     reports = []

@@ -106,7 +106,7 @@ def reference_factored_joint(rvs, factors, rng, mode="free", det=(), struct_deps
     The per-cell loop that the vectorized sampler replaces: Dirichlet(1)
     rows in row-major order of the sorted conditioning cells, per-variable
     marginals in "flat_det", one integer per cell (or one table per
-    STRUCT_INPUT_DEPS entry) for the channel inputs in "det"/"flat_det",
+    `struct_deps` entry) for the channel inputs in "det"/"flat_det",
     and indicators for paired copies.  Each joint cell is the left-to-right
     product of its factor values, starting from 1.
     """

@@ -187,6 +187,18 @@ def test_project_with_too_many_variables_exits_2(tmp_path, orth_channel, capsys)
     assert err.startswith("error: 23 variables exceed the limit of 22")
 
 
+def test_project_names_the_requirement_a_joint_breaks(tmp_path, orth_channel, capsys):
+    # uniform: every independence of CCP's chain holds, but X2 is no copy of U2c
+    names = ["U2c", "U1c", "U1pb", "U2pb", "X2", "X1"]
+    dist = tmp_path / "uniform.json"
+    dist.write_text(json.dumps({"names": names, "sizes": [2] * 6, "p": [1 / 64] * 64}))
+    rc = main(["project", "--schema", "CCP", "--channel", str(orth_channel),
+               "--dist", str(dist), "--out", str(tmp_path / "poly.json")])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: CCP: H(X2|U2c) = 1.000e+00 > 1e-09\n"
+    assert not (tmp_path / "poly.json").exists()
+
+
 NAN, INF = float("nan"), float("inf")
 RTD_INPUTS = {"names": ["U1c", "U2c", "U1pb", "U2pb", "X1", "X2"], "sizes": [1, 1, 1, 1, 2, 2]}
 

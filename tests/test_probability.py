@@ -218,10 +218,26 @@ def test_expr_chain_rule_identity(seed):
 
 
 def test_expr_constant_and_str():
-    e = mi("A", "B") - mi("A", "B", "C") + 0.5
-    assert e.constant == 0.5
+    # an expression is a signed sum of MI atoms: a number has no place in it
+    for build in (lambda: mi("A", "B") + 0.5, lambda: mi("A", "B") - MIExpr.of(mi("C", "D")) - 1,
+                  lambda: MIExpr.of(0.0)):
+        with pytest.raises(InvalidParameter):
+            build()
+    e = mi("A", "B") - mi("A", "B", "C")
     assert "I(A;B)" in str(e) and "I(A;B|C)" in str(e)
     assert e.variables() == {"A", "B", "C"}
+    assert str(MIExpr()) == "0"  # as the manifest prints cp1, rc1 and rc2
+
+
+def test_compiled_map_without_checks_has_an_empty_check_block():
+    compiled = probability.compile_exprs((mi("A", "B") + mi("A", "C", "B"),))
+    assert compiled.check_names == ()
+    assert compiled.check_matrix.shape == (0, len(compiled.subsets))
+    checked = probability.compile_exprs((MIExpr.of(mi("A", "B")),), (("I(A;D)", mi("A", "D")),))
+    # the check's subsets come after the expressions' own
+    assert checked.subsets == (("A",), ("B",), ("A", "B"), ("D",), ("A", "D"))
+    assert checked.check_matrix.tolist() == [[1, 0, 0, 1, -1]]
+    assert checked.check_names == ("I(A;D)",)
 
 
 # -- conditional independence ------------------------------------------------
@@ -298,7 +314,7 @@ def test_measures_match_log_ratio_reference_with_zero_cells(sid, seed):
     d = sample_instance(schema, random_channel(seed, sizes), seed, mode="det")
     assert (d.prob == 0.0).any()
     for c in schema.constraints:
-        expected = c.rhs.constant
+        expected = 0.0
         for s, t in c.rhs.terms:
             ref = reference_mutual_information(d, t.left, t.right, t.given)
             assert mutual_information(d, t) == pytest.approx(ref, abs=1e-12), (c.label, str(t))
@@ -308,7 +324,7 @@ def test_measures_match_log_ratio_reference_with_zero_cells(sid, seed):
             assert entropy(d, names, t.given + t.left) == pytest.approx(
                 reference_entropy(d, names, t.given), abs=1e-12)
         assert evaluate_expr(d, c.rhs) == pytest.approx(expected, abs=1e-12), c.label
-        assert evaluate_expr(d, c.rhs + 0.5) == pytest.approx(expected + 0.5, abs=1e-12)
+        assert evaluate_expr(d, -c.rhs) == pytest.approx(-expected, abs=1e-12)
 
 
 @pytest.mark.parametrize("seed", range(30))

@@ -9,6 +9,7 @@ from cifc.probability import (
     JointDistribution,
     chain,
     compile_exprs,
+    entropy_term,
     extend_through_channel,
     mi,
     mutual_information,
@@ -21,7 +22,6 @@ from cifc.regions import (
     builtin_schema,
     catalog_manifest,
     check_distribution,
-    checked_exprs,
     compile_schema,
     instantiate,
     maric_merged,
@@ -233,11 +233,43 @@ def test_a_batch_names_its_first_violation_as_that_member_alone_would():
         assert str(err.value) == messages[0]
 
 
+# each factor's I(T;earlier-G|G) in chain order, then each paired copy's
+# H(X|parts), named as the FactorizationViolation texts above name them
+REQUIREMENTS = {
+    "RTD": (),
+    "RTD_IN": ("I(U1c;U2c|X2)", "I(U1pb;U2c,U1c|X2)", "I(X1;U2c|X2,U1c,U1pb)"),
+    "DMT_OUT": ("I(U1c;U2c|X2)", "I(U1pb;U2c,U1c|X2)", "I(X1;U2c|X2,U1c,U1pb)"),
+    "CC": (),
+    "CCP": ("I(X2;U1c,U1pb,U2pb|U2c)", "CCP: H(X2|U2c)"),
+    "RTD_CC": ("I(X2;U1c,U1pb,U2pb|U2c)", "RTD_CC: H(X2|U2c)"),
+    "JIANG": ("I(U2c;U1c|)", "I(X2;U1c|U2c)", "I(X1;X2|U2c,U1c,U1pb,U2pb)"),
+    "RTD_JIANG": ("I(U2c;U1c|)", "I(X2;U1c|U2c)", "I(X1;X2|U2c,U1c,U1pb,U2pb)"),
+    "MARIC": ("I(X2;Q,U1c,U1a|X2a,X2b)", "MARIC: H(X2|X2a,X2b)"),
+}
+
+
+@pytest.mark.parametrize("sid", SCHEMA_IDS)
+def test_requirements_are_the_chain_independencies_then_determinism(sid):
+    schema = builtin_schema(sid)
+    assert tuple(name for name, _ in schema.requirements) == REQUIREMENTS[sid]
+    n = len(schema.requirements) - len(schema.deterministic)
+    earlier = []
+    independencies = []
+    for f in schema.factorization.factors:
+        rest = [v for v in earlier if v not in f.given]
+        if rest:
+            independencies.append(mi(f.targets, rest, f.given))
+        earlier += f.targets
+    assert [atom for _, atom in schema.requirements[:n]] == independencies
+    assert [atom for _, atom in schema.requirements[n:]] == [
+        entropy_term(name, parts) for name, parts in schema.deterministic]
+
+
 @pytest.mark.parametrize("sid", SCHEMA_IDS)
 def test_one_checked_rhs_map_per_schema(sid, monkeypatch):
     schema = builtin_schema(sid)
     rhs = compile_schema(schema).rhs
-    assert rhs is checked_exprs(schema, tuple(c.rhs for c in schema.constraints))
+    assert rhs is compile_exprs(tuple(c.rhs for c in schema.constraints), schema.requirements)
     d = sample_instance(schema, random_channel(0, _channel_sizes(schema)), 0)
     called = []
     evaluate = CompiledExprs.__call__
@@ -251,7 +283,7 @@ def test_one_checked_rhs_map_per_schema(sid, monkeypatch):
 def test_checked_leading_values_equal_their_own_map_bit_for_bit(sid):
     schema = builtin_schema(sid)
     leading = tuple(c.rhs for c in schema.constraints)
-    checked, own = checked_exprs(schema, leading), compile_exprs(leading)
+    checked, own = compile_exprs(leading, schema.requirements), compile_exprs(leading)
     assert checked.subsets[: len(own.subsets)] == own.subsets
     sign = compile_schema(schema).sign
     for mode in SAMPLING_MODES:
@@ -278,7 +310,7 @@ def test_instantiate_makes_one_entropy_pass(monkeypatch):
         leading = tuple(c.rhs for c in schema.constraints)
         d = sample_instance(schema, random_channel(1, _channel_sizes(schema)), 1)
         instantiate(schema, d)
-        assert calls == [len(checked_exprs(schema, leading).subsets)], sid
+        assert calls == [len(compile_exprs(leading, schema.requirements).subsets)], sid
         check_distribution(schema, d)
         assert len(calls) == 2, sid
         calls.clear()

@@ -9,7 +9,6 @@ from cifc.probability import MAX_MARGINAL_LABELS, RandomVariableSet, chain
 from cifc.regions import SCHEMA_IDS, builtin_schema
 from cifc.sampling import (
     SAMPLING_MODES,
-    STRUCT_INPUT_DEPS,
     _chain_plan,
     _FactorState,
     sample_factored,
@@ -30,7 +29,7 @@ def test_vectorized_blocks_match_cell_by_cell_reference(sid, size, mode):
         joint = _FactorState.of_schema(schema, size, rng, mode).joint().prob
         expected = reference_factored_joint(
             rvs, schema.factorization.factors, ref_rng, mode,
-            schema.deterministic, STRUCT_INPUT_DEPS.get(sid, {}),
+            schema.deterministic, schema.input_deps,
         )
         assert np.array_equal(joint, expected)
         assert rng.bit_generator.state == ref_rng.bit_generator.state

@@ -101,7 +101,7 @@ PINNED_DRAWS = [
     ("RTD", 6, "flat_det", 2, "9bb2a1d7036b7955696e33f4d40f3b61c5cc07978b439fb0001f883f46559eb9"),
     # a first factor with a single target
     ("CC", 7, "flat_det", 2, "1c3711909370cc98450162b12d1f9accf09a72462fda50928786f292ef3192e8"),
-    # the X2 <- U2c table of STRUCT_INPUT_DEPS indexed beyond binary
+    # the X2 <- U2c table of RTD's input_deps indexed beyond binary
     ("RTD", 8, "det", 3, "9c1967d2753bbdf04be947c985879463bf182d1239213dea3b39793100fa547c"),
     # every catalog schema in every mode at one seed, taken before the
     # sampler drew through a compiled plan
@@ -198,10 +198,8 @@ def test_compiled_rhs_of_sampled_instances_matches_log_ratio_reference():
                 ch = random_channel(seed, _channel_sizes(schema))
                 d = sample_instance(schema, ch, seed, mode=mode)
                 expected = [
-                    c.rhs.constant + sum(
-                        s * reference_mutual_information(d, t.left, t.right, t.given)
-                        for s, t in c.rhs.terms
-                    )
+                    sum(s * reference_mutual_information(d, t.left, t.right, t.given)
+                        for s, t in c.rhs.terms)
                     for c in schema.constraints
                 ]
                 np.testing.assert_allclose(
