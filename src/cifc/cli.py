@@ -17,9 +17,9 @@ from pathlib import Path
 from .channel import load_channel
 from .errors import CifcError
 from .polytope import polytope_to_json, project_or_empty, vertices_csv
-from .probability import MI_TOL, extend_through_channel, load_joint
+from .probability import extend_through_channel, load_joint
 from .regions import SCHEMA_IDS, builtin_schema, catalog_manifest, instantiate, schema_manifest
-from .verify import REGION_TOL, SUITE_NAMES, reports_to_json, run_suite, trace_frontier
+from .verify import SUITE_NAMES, reports_to_json, run_suite, trace_frontier
 
 
 def _dump_json(obj: dict, path: str | None) -> None:
@@ -41,7 +41,7 @@ def _cmd_project(args) -> int:
     schema = builtin_schema(args.schema)
     d = load_joint(args.dist)
     d = extend_through_channel(d, ch)
-    poly = project_or_empty(instantiate(schema, d, tol=args.tol_mi))
+    poly = project_or_empty(instantiate(schema, d))
     if poly.is_empty:
         print(f"note: {args.schema} region is empty at this distribution")
     out = args.out or "polytope.json"
@@ -68,13 +68,7 @@ def _cmd_frontier(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    reports = run_suite(
-        args.suite,
-        samples=args.samples,
-        seed=args.seed,
-        tol_mi=args.tol_mi,
-        tol_region=args.tol_region,
-    )
+    reports = run_suite(args.suite, samples=args.samples, seed=args.seed)
     payload = reports_to_json(reports)
     _dump_json(payload, args.out)
     for r in reports:
@@ -110,7 +104,6 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--channel", required=True)
     pr.add_argument("--dist", required=True, help="joint distribution JSON (pre-channel)")
     pr.add_argument("--out", default=None, help="output JSON path (CSV written alongside)")
-    pr.add_argument("--tol-mi", type=float, default=MI_TOL)
     pr.set_defaults(func=_cmd_project)
 
     fr = sub.add_parser("frontier", help="trace the Pareto frontier over distributions")
@@ -128,8 +121,6 @@ def build_parser() -> argparse.ArgumentParser:
     ve.add_argument("--samples", type=int, default=200)
     ve.add_argument("--seed", type=int, default=0)
     ve.add_argument("--out", default=None, help="report JSON path")
-    ve.add_argument("--tol-mi", type=float, default=MI_TOL)
-    ve.add_argument("--tol-region", type=float, default=REGION_TOL)
     ve.set_defaults(func=_cmd_verify)
 
     ma = sub.add_parser("manifest", help="dump the constraint audit manifest")

@@ -44,7 +44,7 @@ from .errors import (
 
 MASS_TOL = 1e-12
 MI_CLAMP = 1e-12
-MI_TOL = 1e-9  # bits; the default tolerance of every zero check
+MI_TOL = 1e-9  # bits; the fixed tolerance of every zero check
 
 # An entropy plan holds one label per (subset, joint cell), and a bincount
 # tiles the joint as many times; at 8 bytes an entry, this cap bounds each,
@@ -432,7 +432,7 @@ class CompiledExprs:
     named check atoms evaluated in the same pass (see compile_exprs):
 
         h      = entropy_vector(d, subsets)
-        checks = check_matrix @ h       each must be <= tol, in order
+        checks = check_matrix @ h       each must be <= MI_TOL, in order
         atoms  = atom_matrix @ h        I(A;B|C) = H(AC) + H(BC) - H(ABC) - H(C)
         values = expr_matrix @ atoms
 
@@ -452,17 +452,17 @@ class CompiledExprs:
         for name in ("atom_matrix", "expr_matrix", "check_matrix"):
             object.__setattr__(self, "_" + name, getattr(self, name).astype(float))
 
-    def __call__(self, d: JointDistribution, tol: float = MI_TOL) -> np.ndarray:
+    def __call__(self, d: JointDistribution) -> np.ndarray:
         """The expressions' values at d, in bits, or FactorizationViolation
-        naming the first check above `tol` of the first violating member."""
+        naming the first check above MI_TOL of the first violating member."""
         h = entropy_vector(d, self.subsets)
         if self.check_names:
             checks = np.atleast_2d(rowwise(self._check_matrix, h))
-            bad = np.argwhere(checks > tol)
+            bad = np.argwhere(checks > MI_TOL)
             if bad.size:
                 k, j = bad[0]
                 raise FactorizationViolation(
-                    f"{self.check_names[j]} = {checks[k, j]:.3e} > {tol:g}")
+                    f"{self.check_names[j]} = {checks[k, j]:.3e} > {MI_TOL:g}")
         return self.of_entropies(h)
 
     def of_entropies(self, h: np.ndarray) -> np.ndarray:
@@ -561,10 +561,10 @@ def factorization_checks(spec: FactorizationSpec) -> tuple[tuple[str, MITerm], .
     return tuple(out)
 
 
-def verify_factorization(d: JointDistribution, spec: FactorizationSpec, tol: float = MI_TOL) -> None:
+def verify_factorization(d: JointDistribution, spec: FactorizationSpec) -> None:
     """Check every conditional independence implied by the factor chain;
-    raises FactorizationViolation naming the first violated triple."""
-    compile_exprs((), factorization_checks(spec))(d, tol)
+    raises FactorizationViolation naming the first triple above MI_TOL."""
+    compile_exprs((), factorization_checks(spec))(d)
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,6 @@ with nothing.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Mapping, NamedTuple
@@ -57,7 +56,6 @@ from .errors import (
     UnknownVariable,
 )
 from .probability import (
-    MI_TOL,
     CompiledExprs,
     FactorizationSpec,
     JointDistribution,
@@ -322,19 +320,11 @@ class LinearSystem:
         return self._select(np.flatnonzero(keep).tolist(), range(len(self.variables)), self.b)
 
 
-def check_tolerance(name: str, tol: float) -> None:
-    """InvalidParameter unless `tol` is finite and >= 0 (a NaN compares
-    false and would let every check pass)."""
-    if not 0.0 <= tol < math.inf:
-        raise InvalidParameter(f"{name} must be finite and >= 0, got {tol!r}")
-
-
-def check_distribution(schema: RegionSchema, d: JointDistribution, tol: float = MI_TOL) -> None:
+def check_distribution(schema: RegionSchema, d: JointDistribution) -> None:
     """Require `d` to satisfy the schema's requirements (conditional
-    independencies, then determinism) at tolerance `tol`; raises
+    independencies, then determinism) at MI_TOL; raises
     FactorizationViolation naming the first one above it."""
-    check_tolerance("tol", tol)
-    compile_exprs((), schema.requirements)(d, tol)
+    compile_exprs((), schema.requirements)(d)
 
 
 class CompiledSchema(NamedTuple):
@@ -360,24 +350,19 @@ def compile_schema(schema: RegionSchema) -> CompiledSchema:
     return CompiledSchema(RateStructure(names, rows, r1, r2, schema.labels()), sign, rhs)
 
 
-def instantiate(
-    schema: RegionSchema,
-    d: JointDistribution,
-    tol: float = MI_TOL,
-) -> LinearSystem:
+def instantiate(schema: RegionSchema, d: JointDistribution) -> LinearSystem:
     """The schema's LE-normal rate system at `d`, already channel-extended
     (a batch of systems for a batch of distributions).
 
     Each rhs is sign * value of its constraint's MI expression, through
-    the schema's compiled rhs map.  `d` must pass check_distribution at
-    tolerance `tol`; both come from one entropy pass.
+    the schema's compiled rhs map.  `d` must pass check_distribution, whose
+    requirements the map checks at MI_TOL in the same entropy pass.
     """
     missing = (set(schema.variables) | set(OUTPUTS)) - set(d.names)
     if missing:
         raise UnknownVariable(f"distribution lacks {sorted(missing)}")
-    check_tolerance("tol", tol)
     structure, sign, rhs = compile_schema(schema)
-    return LinearSystem(structure, sign * rhs(d, tol))
+    return LinearSystem(structure, sign * rhs(d))
 
 
 def same_system(a: LinearSystem, b: LinearSystem, tol: float = 1e-9) -> bool:

@@ -154,13 +154,13 @@ class _ChainPlan(NamedTuple):
     """A factor chain's block plans, and `propose`'s fresh-block plans.
 
     `free` lists the factors the frontier search may move: all but the
-    paired copies.  `fresh[i]` redraws factor i as a "free" Dirichlet
-    block with no paired copies (None for a paired copy).
+    paired copies.  `fresh` is the chain's "free"-mode blocks, so
+    `fresh[i]` redraws a free factor i as a Dirichlet block.
     """
 
     rvs: RandomVariableSet
     blocks: tuple[_BlockPlan, ...]
-    fresh: tuple[_BlockPlan | None, ...]
+    fresh: tuple[_BlockPlan, ...]
     free: tuple[int, ...]
 
 
@@ -185,10 +185,8 @@ def _chain_plan(
         )
     det_map, deps_map = dict(det), dict(struct_deps)
     blocks = tuple(_block_plan(rvs, f, mode, det_map, deps_map) for f in factors)
-    fresh = tuple(
-        None if b.kind == "paired" else _block_plan(rvs, f, "free", {}, {})
-        for f, b in zip(factors, blocks)
-    )
+    fresh = (blocks if mode == "free"
+             else _chain_plan(rvs, factors, "free", det, struct_deps).blocks)
     free = tuple(i for i, b in enumerate(blocks) if b.kind != "paired")
     return _ChainPlan(rvs, blocks, fresh, free)
 

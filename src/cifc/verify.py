@@ -10,12 +10,15 @@ alone; the hulls, the oracle and the report go one by one.  The
 per-distribution identities are data: each comparator has a table of
 `IdentityCheck`s, MI expressions that must vanish or be nonnegative, and
 one runner, `check_identities`, evaluates a table through one compiled
-map, led by the table and checked against the schema's requirements.  Strictly positive claims are tested as >= -tol with the
-observed gaps logged; degenerate distributions legitimately achieve
-zero.  Each comparator's projected region is checked against its unified
+map, led by the table and checked against the schema's requirements.
+Strictly positive claims are tested as >= -MI_TOL with the observed
+gaps logged; degenerate distributions legitimately achieve zero.  Each
+comparator's projected region is checked against its unified
 counterpart once, by `sampled_region_containment` in the containment
-suite.  The frontier search climbs on the sampler's factor blocks and
-scores each distribution through the schema's one checked rhs map.
+suite.  The tolerances are fixed: MI_TOL for every identity and zero
+check, REGION_TOL for every containment and oracle comparison.  The
+frontier search climbs on the sampler's factor blocks and scores each
+distribution through the schema's one checked rhs map.
 """
 
 from __future__ import annotations
@@ -45,7 +48,6 @@ from .regions import (
     LinearSystem,
     RegionSchema,
     builtin_schema,
-    check_tolerance,
     compile_schema,
     instantiate,
     maric_merged,
@@ -82,10 +84,10 @@ class CheckReport:
         if v > self.max_abs_violation:
             self.max_abs_violation = v
 
-    def record_match(self, seed: int, match: bool, mismatch: str, tol: float = MI_TOL):
+    def record_match(self, seed: int, match: bool, mismatch: str):
         """Record a structural comparison: 0 if it matched, else an infinite
         violation with the message "seed {seed}: {mismatch}"."""
-        self.record(seed, 0.0 if match else math.inf, f"seed {seed}: {mismatch}", tol=tol)
+        self.record(seed, 0.0 if match else math.inf, f"seed {seed}: {mismatch}")
 
     @property
     def ok(self) -> bool:
@@ -147,15 +149,15 @@ def check_identities(
     checks: Sequence[IdentityCheck],
     samples: int = 200,
     seed: int = 0,
-    tol: float = MI_TOL,
 ) -> SuiteReport:
     """Run identity claims on `samples` distributions of one schema.
 
     All expressions are compiled into one map with the schema's
     requirements as its checks, so the seeds' distributions, sampled in
-    "free" mode, are checked and evaluated in one entropy pass.  Each check records one violation per
-    seed, max(|zero|..., -nonneg..., 0); a check with `nonneg` expressions
-    also reports the histogram of its per-seed smallest gap.
+    "free" mode, are checked and evaluated in one entropy pass.  Each
+    check records one violation per seed, max(|zero|..., -nonneg..., 0),
+    against MI_TOL; a check with `nonneg` expressions also reports the
+    histogram of its per-seed smallest gap.
     """
     schema = builtin_schema(schema_id)
     compiled = compile_exprs(tuple(e for c in checks for e in c.zero + c.nonneg),
@@ -172,7 +174,7 @@ def check_identities(
         violation = np.maximum(np.abs(zero).max(axis=1, initial=0.0),
                                -nonneg.min(axis=1, initial=0.0))
         for s, v in zip(seeds, violation.tolist()):
-            rep.record(s, v, tol=tol)
+            rep.record(s, v)
         if nonneg.size:
             gap = nonneg.min(axis=1)
             counts, edges = np.histogram(gap, bins=8)
@@ -270,7 +272,6 @@ def cc_identity_checks() -> tuple[IdentityCheck, ...]:
 def check_cc_reduction(
     samples: int = 200,
     seed: int = 0,
-    tol: float = MI_TOL,
     proj_instances: int = 100,
 ) -> SuiteReport:
     """Two sub-checks for the sequential-binning comparator.
@@ -280,7 +281,7 @@ def check_cc_reduction(
     comparator and the specialized unified region are the same constraint
     system, hence project to identical vertex sets.
     """
-    report = check_identities("cc", "CC", cc_identity_checks(), samples, seed, tol)
+    report = check_identities("cc", "CC", cc_identity_checks(), samples, seed)
     ccp = builtin_schema("CCP")
     rtdcc = builtin_schema("RTD_CC")
     structural = CheckReport("pinned systems structurally identical")
@@ -290,10 +291,10 @@ def check_cc_reduction(
         pinned = [instantiate(schema, d).pin({"R1c'": 0.0}) for schema in (ccp, rtdcc)]
         for k, s in enumerate(seeds):
             ia, ib = (system[k].without_vacuous() for system in pinned)
-            structural.record_match(s, same_system(ia, ib, tol), "systems differ", tol)
+            structural.record_match(s, same_system(ia, ib), "systems differ")
             pa = project_or_empty(ia)
-            projected.record_match(s, polytope_equal(pa, project_or_empty(ib), tol),
-                                   "vertex sets differ", tol)
+            projected.record_match(s, polytope_equal(pa, project_or_empty(ib)),
+                                   "vertex sets differ")
             nonempty += not pa.is_empty
     projected.details["nonempty_instances"] = nonempty
     report.checks.append(structural)
@@ -362,7 +363,6 @@ def sampled_region_containment(
     channel: Channel | None = None,
     samples: int = 100,
     seed: int = 0,
-    tol: float = REGION_TOL,
 ) -> SuiteReport:
     """Sample inner-schema distributions, instantiate both schemas on them
     (the two share one variable set), and assert the projected
@@ -385,10 +385,10 @@ def sampled_region_containment(
             margin = containment_margin(po, pi)
             worst_margin = max(worst_margin, margin)
             message = None
-            if margin > tol:
+            if margin > REGION_TOL:
                 v = pi.vertices[halfplane_violation(po, pi.vertices).argmax()]
                 message = f"seed {s}: vertex {v} outside {outer_id} by {margin:.3e}"
-            check.record(s, max(margin, 0.0), message, tol=tol)
+            check.record(s, max(margin, 0.0), message, tol=REGION_TOL)
     check.details["worst_margin"] = worst_margin if math.isfinite(worst_margin) else None
     check.details["nonempty_instances"] = nonempty
     check.details["strictly_smaller"] = strict
@@ -533,29 +533,23 @@ def trace_frontier(
         climb_best = best
         stall = 0
         while evals < budget:
-            if stall > 300 and budget - evals > 400:
-                # stuck basin: restart from a fresh random state
+            # a stuck basin restarts from a fresh random state, which is
+            # accepted whatever its value
+            restart = stall > 300 and budget - evals > 400
+            if restart:
                 state = _FactorState.of_schema(
                     schema, 2, rng, SAMPLING_MODES[evals % len(SAMPLING_MODES)]
                 )
-                cand = objective(state)
-                evals += 1
-                stall = 0
-                if cand is not None and (best is None or cand[2] > best[2] + 1e-12):
-                    best = cand
-                climb_best = cand
-                continue
-            idx, block = state.propose(rng)
-            old = state.blocks[idx]
-            state.blocks[idx] = block
+            else:
+                idx, block = state.propose(rng)
+                old = state.blocks[idx]
+                state.blocks[idx] = block
             cand = objective(state)
             evals += 1
-            if cand is not None and (
-                climb_best is None or cand[2] > climb_best[2] + 1e-12
-            ):
+            if restart or _improves(cand, climb_best):
                 climb_best = cand
                 stall = 0
-                if best is None or cand[2] > best[2] + 1e-12:
+                if _improves(cand, best):
                     best = cand
             else:
                 state.blocks[idx] = old
@@ -566,6 +560,11 @@ def trace_frontier(
             points.append((float(lam), best[0], best[1], lam_seed))
     pareto = _pareto_filter([(r1, r2) for _, r1, r2, _ in points])
     return FrontierResult(tuple(points), tuple(pareto), tuple(missing))
+
+
+def _improves(cand: tuple | None, ref: tuple | None) -> bool:
+    """A feasible `cand` whose objective beats `ref`'s by more than 1e-12."""
+    return cand is not None and (ref is None or cand[2] > ref[2] + 1e-12)
 
 
 def _pareto_filter(points: list[tuple[float, float]]) -> list[tuple[float, float]]:
@@ -590,44 +589,34 @@ def _pareto_filter(points: list[tuple[float, float]]) -> list[tuple[float, float
 # ---------------------------------------------------------------------------
 
 
-# name -> runner(samples, projected, seed, tol_mi, tol_region), where
-# `projected` caps the instances each projecting check draws; "all" runs
-# every suite in this order
+# name -> runner(samples, projected, seed), where `projected` caps the
+# instances each projecting check draws; "all" runs every suite in order
 SUITES = {
-    "devroye": lambda n, k, seed, tol_mi, tol_region: [
-        check_identities("devroye", "RTD_IN", devroye_identity_checks(), n, seed, tol_mi)],
-    "cc": lambda n, k, seed, tol_mi, tol_region: [
-        check_cc_reduction(n, seed, tol_mi, proj_instances=k)],
-    "jiang": lambda n, k, seed, tol_mi, tol_region: [
-        check_identities("jiang", "JIANG", jiang_identity_checks(), n, seed, tol_mi)],
-    "maric": lambda n, k, seed, tol_mi, tol_region: [
-        check_identities("maric", "MARIC", maric_identity_checks(), n, seed, tol_mi)],
-    "containment": lambda n, k, seed, tol_mi, tol_region: [
+    "devroye": lambda n, k, seed: [
+        check_identities("devroye", "RTD_IN", devroye_identity_checks(), n, seed)],
+    "cc": lambda n, k, seed: [check_cc_reduction(n, seed, proj_instances=k)],
+    "jiang": lambda n, k, seed: [
+        check_identities("jiang", "JIANG", jiang_identity_checks(), n, seed)],
+    "maric": lambda n, k, seed: [
+        check_identities("maric", "MARIC", maric_identity_checks(), n, seed)],
+    "containment": lambda n, k, seed: [
         sampled_region_containment(
-            "RTD_IN", "DMT_OUT", channel=random_channel(7), samples=k, seed=seed, tol=tol_region),
-        sampled_region_containment("RTD_JIANG", "JIANG", samples=k, seed=seed, tol=tol_region),
-        sampled_region_containment("RTD_CC", "CCP", samples=k, seed=seed, tol=tol_region),
+            "RTD_IN", "DMT_OUT", channel=random_channel(7), samples=k, seed=seed),
+        sampled_region_containment("RTD_JIANG", "JIANG", samples=k, seed=seed),
+        sampled_region_containment("RTD_CC", "CCP", samples=k, seed=seed),
     ],
 }
 SUITE_NAMES = (*SUITES, "all")
 
 
-def run_suite(
-    name: str,
-    samples: int = 200,
-    seed: int = 0,
-    tol_mi: float = MI_TOL,
-    tol_region: float = REGION_TOL,
-) -> list[SuiteReport]:
+def run_suite(name: str, samples: int = 200, seed: int = 0) -> list[SuiteReport]:
     """Run one named verification suite (or all of them)."""
     if samples < 1:
         raise InvalidParameter(f"samples must be at least 1, got {samples}")
-    check_tolerance("tol_mi", tol_mi)
-    check_tolerance("tol_region", tol_region)
     if name not in SUITE_NAMES:
         raise InvalidParameter(f"unknown suite {name!r}; choose {', '.join(SUITE_NAMES)}")
     runners = SUITES.values() if name == "all" else (SUITES[name],)
-    return [r for run in runners for r in run(samples, min(samples, 100), seed, tol_mi, tol_region)]
+    return [r for run in runners for r in run(samples, min(samples, 100), seed)]
 
 
 def reports_to_json(reports: list[SuiteReport]) -> dict:

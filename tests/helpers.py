@@ -326,7 +326,7 @@ def check_droppable(instances: int = 50, seed: int = 0, tol: float = 1e-9) -> Su
             pa = project_or_empty(inst)
             pb = project_or_empty(inst.drop(label))
             empties += pa.is_empty
-            check.record_match(s, polytope_equal(pa, pb, tol), "projections differ", tol)
+            check.record_match(s, polytope_equal(pa, pb, tol), "projections differ")
         check.details["empty_instances"] = empties
         report.checks.append(check)
     return report

@@ -65,9 +65,9 @@ def test_criterion_2_fme_oracle_equivalence():
 
 def test_criterion_3_devroye_suite():
     t0 = time.monotonic()
-    rep, = run_suite("devroye", samples=200, seed=0, tol_mi=1e-9)
+    rep, = run_suite("devroye", samples=200, seed=0)
     contain = sampled_region_containment(
-        "RTD_IN", "DMT_OUT", channel=random_channel(7), samples=100, seed=0, tol=1e-7
+        "RTD_IN", "DMT_OUT", channel=random_channel(7), samples=100, seed=0
     )
     ok = rep.ok and contain.ok
     zero_ids = ("e13_e23", "e15_e25", "e18_e28", "e19_e29")
@@ -84,7 +84,7 @@ def test_criterion_3_devroye_suite():
 
 def test_criterion_4_cc_suite():
     t0 = time.monotonic()
-    rep = check_cc_reduction(samples=200, seed=0, tol=1e-9, proj_instances=100)
+    rep = check_cc_reduction(samples=200, seed=0, proj_instances=100)
     ok = rep.ok
     proj = rep.check("pinned projections vertex-identical")
     detail = (
@@ -97,9 +97,9 @@ def test_criterion_4_cc_suite():
 
 def test_criterion_5_jiang_suite():
     t0 = time.monotonic()
-    rep, = run_suite("jiang", samples=200, seed=0, tol_mi=1e-9)
+    rep, = run_suite("jiang", samples=200, seed=0)
     contain, = sampled_region_containment(
-        "RTD_JIANG", "JIANG", samples=100, seed=20_000, tol=1e-7).checks
+        "RTD_JIANG", "JIANG", samples=100, seed=20_000).checks
     ok = rep.ok and contain.ok
     detail = (
         f"(paired bounds <= {rep.check('eight paired bounds equal').max_abs_violation:.1e}; "
@@ -112,7 +112,7 @@ def test_criterion_5_jiang_suite():
 
 def test_criterion_6_maric_suite():
     t0 = time.monotonic()
-    rep, = run_suite("maric", samples=200, seed=0, tol_mi=1e-9)
+    rep, = run_suite("maric", samples=200, seed=0)
     detail = (
         f"(m2-m5 unchanged <= {rep.check('bounds m2..m5 unchanged under merge').max_abs_violation:.1e}; "
         f"m1 gap matches I(X2a;Y2|Q) <= "

@@ -3,10 +3,10 @@ import json
 
 import pytest
 
-from cifc import probability
+from cifc import probability, verify
 from cifc.channel import canonical_channel, save_channel
 from cifc.cli import main
-from cifc.probability import JointDistribution, RandomVariableSet, joint_to_json
+from cifc.probability import JointDistribution, MIExpr, RandomVariableSet, joint_to_json, mi
 from cifc.polytope import polytope_from_json
 
 from helpers import _marginal, square_assignment
@@ -265,26 +265,20 @@ def test_validate_rejects_non_integer_channel_sizes(tmp_path, capsys, body):
     assert "must be an integer" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flag", ["--tol-mi", "--tol-region"])
-@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
-def test_verify_rejects_bad_tolerance(tmp_path, capsys, flag, value):
-    # a NaN tolerance made every comparison false, so every check passed
-    out = tmp_path / "report.json"
-    rc = main(["verify", "--suite", "maric", "--samples", "3", flag, value, "--out", str(out)])
-    assert rc == 2
-    assert capsys.readouterr().err.startswith(
-        f"error: {flag[2:].replace('-', '_')} must be finite and >= 0"
-    )
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
-def test_project_rejects_bad_tolerance(tmp_path, orth_channel, square_dist, capsys, value):
-    out = tmp_path / "poly.json"
-    rc = main(["project", "--schema", "RTD", "--channel", str(orth_channel),
-               "--dist", str(square_dist), "--out", str(out), "--tol-mi", value])
-    assert rc == 2
-    assert capsys.readouterr().err.startswith("error: tol must be finite and >= 0")
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "maric", "--samples", "3", "--tol-mi", "1e-3"],
+    ["verify", "--suite", "maric", "--samples", "3", "--tol-region", "1e-3"],
+    ["project", "--schema", "RTD", "--tol-mi", "1e-3"],
+], ids=["verify-tol-mi", "verify-tol-region", "project-tol-mi"])
+def test_tolerances_cannot_be_set_from_the_command_line(tmp_path, orth_channel, square_dist,
+                                                         argv):
+    # the acceptance tolerances are fixed by the code, so no flag loosens a check
+    out = tmp_path / "out.json"
+    if argv[0] == "project":
+        argv = [*argv, "--channel", str(orth_channel), "--dist", str(square_dist)]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", str(out)])
+    assert exc.value.code == 2
     assert not out.exists()
 
 
@@ -339,10 +333,13 @@ def test_verify_suite_ok(tmp_path):
     assert {"id", "seeds_run", "max_abs_violation", "worst_seed"} <= set(check)
 
 
-def test_verify_reports_violation_with_exit_1(tmp_path):
-    # an absurd tolerance turns roundoff into reported violations
+def test_verify_reports_violation_with_exit_1(tmp_path, monkeypatch):
+    # a false identity claim: X2 and Y2 are dependent given Q through the channel
+    false_claim = (verify.IdentityCheck("false claim", (MIExpr.of(mi("X2", "Y2", "Q")),)),)
+    monkeypatch.setitem(verify.SUITES, "maric", lambda n, k, seed: [
+        verify.check_identities("maric", "MARIC", false_claim, n, seed)])
     rc = main(["verify", "--suite", "maric", "--samples", "6", "--seed", "1",
-               "--tol-mi", "1e-30", "--out", str(tmp_path / "r.json")])
+               "--out", str(tmp_path / "r.json")])
     assert rc == 1
     report = json.loads((tmp_path / "r.json").read_text())
     assert report["ok"] is False
