@@ -13,9 +13,9 @@ from .channel import Channel, canonical_channel  # noqa: F401
 from .polytope import (  # noqa: F401
     HalfPlane,
     Polytope2D,
-    fme_project,
     membership_oracle,
     polytope_equal,
+    project_or_empty,
 )
 from .probability import (  # noqa: F401
     FactorizationSpec,
@@ -26,7 +26,6 @@ from .probability import (  # noqa: F401
     evaluate_expr,
     extend_through_channel,
     mi,
-    mutual_information,
 )
 from .regions import (  # noqa: F401
     RegionSchema,

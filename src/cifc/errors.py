@@ -48,9 +48,5 @@ class FactorizationViolation(CifcError):
     """A distribution fails a conditional-independence requirement."""
 
 
-class Infeasible(CifcError):
-    """The instantiated rate system admits no nonnegative solution."""
-
-
 class Unbounded(CifcError):
     """The projected region is unbounded (a missing decoding constraint)."""

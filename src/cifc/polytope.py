@@ -30,7 +30,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import Infeasible, InvalidParameter, Unbounded
+from .errors import InvalidParameter, Unbounded
 from .probability import rowwise
 from .regions import LinearSystem, RateStructure
 
@@ -106,9 +106,10 @@ def _convex_hull(
 ) -> list[tuple[float, float]]:
     """Monotone chain; handles 0/1/2 points.
 
-    `collinear_eps` is a relative turn threshold: a middle point is dropped
-    when its cross product is below eps times the product of the adjacent
-    edge lengths.  With 0 only exact non-left turns are dropped.
+    A middle point is dropped when the chain turns right there, or turns
+    left by less than `collinear_eps` times the product of the adjacent edge
+    lengths while going on forward; a near-collinear reversal (the tip of a
+    thin spike) is a vertex.  With 0 only exact non-left turns are dropped.
     """
     pts = sorted(set(points))
     if len(pts) <= 2:
@@ -124,7 +125,8 @@ def _convex_hull(
                 lim = collinear_eps * math.hypot(ax - ox, ay - oy) * math.hypot(
                     p[0] - ax, p[1] - ay
                 )
-                if cross <= lim:
+                forward = (ax - ox) * (p[0] - ax) + (ay - oy) * (p[1] - ay) > 0
+                if cross <= 0 or (cross <= lim and forward):
                     out.pop()
                 else:
                     break
@@ -155,23 +157,15 @@ def _order_ccw(points: list[tuple[float, float]]) -> list[tuple[float, float]]:
     return sorted(points, key=lambda p: math.atan2(p[1] - cy, p[0] - cx))
 
 
-def fme_project(system: LinearSystem) -> Polytope2D:
+def project_or_empty(system: LinearSystem) -> Polytope2D | list[Polytope2D]:
     """Project {x >= 0 : rows} onto (R1, R2) = (r1 . x, r2 . x).
 
     The system's coefficients are eliminated once per structure (cached);
-    each call then only evaluates its right-hand sides.  Raises Infeasible
-    when the system admits no nonnegative solution and Unbounded when the
-    region is nonempty but unbounded (a missing decoding constraint).
+    each call then only evaluates its right-hand sides.  One system gives
+    its region, or EMPTY when it admits no nonnegative solution; a batched
+    system gives the list of its K regions.  Raises Unbounded when a region
+    is nonempty but unbounded (a missing decoding constraint).
     """
-    region = project_or_empty(system)
-    if region.is_empty:
-        raise Infeasible("projected region is empty")
-    return region
-
-
-def project_or_empty(system: LinearSystem) -> Polytope2D | list[Polytope2D]:
-    """fme_project, with the empty region returned as EMPTY instead of
-    raised; a batched system gives the list of its K regions."""
     s = system.structure
     regions = compile_projection(s).polytopes(np.atleast_2d(system.b), s.labels)
     return regions if system.b.ndim == 2 else regions[0]

@@ -523,24 +523,15 @@ def compile_exprs(
                          tuple(name for name, _ in checks))
 
 
-def evaluate_expr(d: JointDistribution, e: MIExpr) -> float:
-    """Signed sum of the expression's terms."""
-    return float(compile_exprs((e,))(d)[0])
-
-
-def mutual_information(d: JointDistribution, t: MITerm) -> float:
-    """I(A;B|C) in bits; tiny negatives (roundoff) are clamped to zero."""
-    return evaluate_expr(d, MIExpr.of(t))
+def evaluate_expr(d: JointDistribution, e: MIExpr | MITerm) -> float:
+    """Signed sum of the expression's terms in bits; a single atom, such as
+    mi(...) or entropy_term(...), is read as the expression of that atom."""
+    return float(compile_exprs((MIExpr.of(e),))(d)[0])
 
 
 def entropy_term(names: Names, given: Names = ()) -> MITerm:
     """The atom H(A|C), written I(A;A|C)."""
     return _SelfInformation(names, names, given)
-
-
-def entropy(d: JointDistribution, names: Names, given: Names = ()) -> float:
-    """H(A|C) in bits."""
-    return evaluate_expr(d, MIExpr.of(entropy_term(names, given)))
 
 
 def factorization_checks(spec: FactorizationSpec) -> tuple[tuple[str, MITerm], ...]:

@@ -56,6 +56,7 @@ from .errors import (
     UnknownVariable,
 )
 from .probability import (
+    MI_TOL,
     CompiledExprs,
     FactorizationSpec,
     JointDistribution,
@@ -309,14 +310,14 @@ class LinearSystem:
         shift = (self.structure.matrix[:, fixed] * vals).sum(axis=1) + 0.0
         return self._select(range(len(self.labels)), keep, self.b - shift)
 
-    def without_vacuous(self, tol: float = 1e-9) -> LinearSystem:
+    def without_vacuous(self) -> LinearSystem:
         """Drop rows implied by rate nonnegativity alone, from one system.
 
-        A row with no positive coefficient and rhs >= -tol carries no
+        A row with no positive coefficient and rhs >= -MI_TOL carries no
         content.  One with a violated bound is kept, so a variable-free
-        row with rhs < -tol still makes the region project empty.
+        row with rhs < -MI_TOL still makes the region project empty.
         """
-        keep = (self.structure.matrix > 0).any(axis=1) | ~(self.one().b >= -tol)
+        keep = (self.structure.matrix > 0).any(axis=1) | ~(self.one().b >= -MI_TOL)
         return self._select(np.flatnonzero(keep).tolist(), range(len(self.variables)), self.b)
 
 
@@ -365,9 +366,9 @@ def instantiate(schema: RegionSchema, d: JointDistribution) -> LinearSystem:
     return LinearSystem(structure, sign * rhs(d))
 
 
-def same_system(a: LinearSystem, b: LinearSystem, tol: float = 1e-9) -> bool:
+def same_system(a: LinearSystem, b: LinearSystem) -> bool:
     """Structural equality: the same multiset of LE-normal rows, each
-    matched on its named coefficients, with rhs equal within tol."""
+    matched on its named coefficients, with rhs equal within MI_TOL."""
     a, b = a.one(), b.one()
     if set(a.variables) != set(b.variables):
         return False
@@ -375,7 +376,7 @@ def same_system(a: LinearSystem, b: LinearSystem, tol: float = 1e-9) -> bool:
     ka = sorted(zip(a.rows, a.b.tolist()))
     kb = sorted(zip((tuple(r[i] for i in order) for r in b.rows), b.b.tolist()))
     return len(ka) == len(kb) and all(
-        ca == cb and abs(ra - rb) <= tol for (ca, ra), (cb, rb) in zip(ka, kb)
+        ca == cb and abs(ra - rb) <= MI_TOL for (ca, ra), (cb, rb) in zip(ka, kb)
     )
 
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from cifc.channel import canonical_channel, random_channel
-from cifc.polytope import fme_project
+from cifc.polytope import project_or_empty
 from cifc.probability import extend_through_channel
 from cifc.regions import SCHEMA_IDS, builtin_schema, compile_schema, instantiate, schema_manifest
 from cifc.sampling import sample_factored
@@ -124,11 +124,11 @@ def test_criterion_6_maric_suite():
 def test_criterion_7_anchors_and_frontier():
     t0 = time.monotonic()
     # all-constant auxiliaries collapse to the origin, exactly
-    poly0 = fme_project(instantiate(builtin_schema("RTD"), degenerate_rtd_distribution()))
+    poly0 = project_or_empty(instantiate(builtin_schema("RTD"), degenerate_rtd_distribution()))
     ok = poly0.vertices == ((0.0, 0.0),)
 
     # the stated assignment on the clean channel reaches (1,1) within 1e-6
-    poly1 = fme_project(instantiate(builtin_schema("RTD"), square_assignment()))
+    poly1 = project_or_empty(instantiate(builtin_schema("RTD"), square_assignment()))
     corner = min(max(abs(x - 1.0), abs(y - 1.0)) for x, y in poly1.vertices)
     ok &= corner <= 1e-6
 

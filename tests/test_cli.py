@@ -4,10 +4,12 @@ import json
 import pytest
 
 from cifc import probability, verify
-from cifc.channel import canonical_channel, save_channel
+from cifc.channel import canonical_channel, random_channel, save_channel
 from cifc.cli import main
 from cifc.probability import JointDistribution, MIExpr, RandomVariableSet, joint_to_json, mi
 from cifc.polytope import polytope_from_json
+from cifc.regions import builtin_schema
+from cifc.sampling import sample_factored
 
 from helpers import _marginal, square_assignment
 
@@ -54,6 +56,20 @@ def test_project_square(tmp_path, orth_channel, square_dist):
     assert any(abs(x - 1) < 1e-9 and abs(y - 1) < 1e-9 for x, y in poly.vertices)
     csv_lines = (tmp_path / "poly.csv").read_text().strip().splitlines()
     assert csv_lines[0] == "R1,R2" and len(csv_lines) == 5
+
+
+def test_project_writes_an_empty_region_as_a_value(tmp_path, capsys):
+    # RTD's binning lower bounds exceed its decoding bounds at this draw
+    rtd = builtin_schema("RTD")
+    dist, channel, out = tmp_path / "joint.json", tmp_path / "ch.json", tmp_path / "poly.json"
+    dist.write_text(json.dumps(joint_to_json(sample_factored(rtd.rv_set(2), rtd.factorization, 0))))
+    save_channel(random_channel(0), channel)
+    rc = main(["project", "--schema", "RTD", "--channel", str(channel),
+               "--dist", str(dist), "--out", str(out)])
+    assert rc == 0
+    assert "note: RTD region is empty at this distribution" in capsys.readouterr().out.splitlines()
+    assert json.loads(out.read_text()) == {"halfplanes": [], "vertices": []}
+    assert (tmp_path / "poly.csv").read_text() == "R1,R2\n"
 
 
 def test_project_above_the_marginal_plan_cap_exits_2(

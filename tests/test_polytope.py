@@ -10,19 +10,19 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cifc.channel import canonical_channel, random_channel
-from cifc.errors import Infeasible, InvalidParameter, Unbounded
+from cifc.errors import InvalidParameter, Unbounded
 from cifc.polytope import (
     EMPTY,
     MAX_ORACLE_SUBSETS,
     Polytope2D,
     _ORACLE_CHUNK,
+    _convex_hull,
     _distance_to_hull,
     _merge_close,
     _oracle_bases,
     _oracle_hull,
     compile_projection,
     containment_margin,
-    fme_project,
     halfplane_violation,
     membership_oracle,
     oracle_polygon,
@@ -61,7 +61,7 @@ def orthogonal_square_system():
 
 
 def test_segment_projection():
-    p = fme_project(segment_system())
+    p = project_or_empty(segment_system())
     assert polytope_equal(p, type(p)(p.halfplanes, ((0.0, 0.0), (1.0, 0.0))), 1e-12)
     # every half-plane is tight somewhere on the segment
     for h in p.halfplanes:
@@ -70,19 +70,19 @@ def test_segment_projection():
 
 def test_degenerate_point_projection():
     sys0 = make_system(("a", "b"), [(1, 0), (0, 1)], [0.0, 0.0], (1, 0), (0, 1))
-    p = fme_project(sys0)
+    p = project_or_empty(sys0)
     assert p.vertices == ((0.0, 0.0),)
 
 
 def test_orthogonal_square_projection():
-    p = fme_project(orthogonal_square_system())
+    p = project_or_empty(orthogonal_square_system())
     expected = {(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)}
     got = {(round(x, 9), round(y, 9)) for x, y in p.vertices}
     assert got == expected
 
 
 def test_vertices_ccw_and_in_quadrant():
-    p = fme_project(orthogonal_square_system())
+    p = project_or_empty(orthogonal_square_system())
     assert all(x >= -1e-12 and y >= -1e-12 for x, y in p.vertices)
     area2 = 0.0
     vs = list(p.vertices)
@@ -91,11 +91,9 @@ def test_vertices_ccw_and_in_quadrant():
     assert area2 > 0  # counterclockwise
 
 
-def test_infeasible_raises():
+def test_infeasible_system_projects_empty():
     sys_bad = make_system(("a",), [(1,)], [-1.0], (1,), (0,))
-    with pytest.raises(Infeasible):
-        fme_project(sys_bad)
-    assert project_or_empty(sys_bad).is_empty
+    assert project_or_empty(sys_bad) is EMPTY
 
 
 def test_unbounded_detected_when_decoding_rows_removed():
@@ -106,7 +104,7 @@ def test_unbounded_detected_when_decoding_rows_removed():
     # strip every row bounding R2pa: the region is unbounded along it
     crippled = inst.drop("1d", "1e", "1f")
     with pytest.raises(Unbounded):
-        fme_project(crippled)
+        project_or_empty(crippled)
 
 
 def test_unbounded_reported_only_for_nonempty_regions():
@@ -115,16 +113,15 @@ def test_unbounded_reported_only_for_nonempty_regions():
         return make_system(("a", "b"), [(-1, 0), (0, 1)], [-1.0, cap], (1, 0), (0, 1))
 
     with pytest.raises(Unbounded):
-        fme_project(system(1.0))
-    with pytest.raises(Infeasible):
-        fme_project(system(-1.0))
+        project_or_empty(system(1.0))
+    assert project_or_empty(system(-1.0)) is EMPTY
 
 
 def test_bounded_system_with_a_vertex_far_beyond_its_rhs():
     # a - b <= 1 and 3b - 2a <= 1 meet at (4, 3): a reaches 4, beyond the
     # sum of the right-hand sides
     system = make_system(("a", "b"), [(1, -1), (-2, 3)], [1.0, 1.0], (1, 0), (0, 1))
-    p = fme_project(system)
+    p = project_or_empty(system)
     expected = Polytope2D((), ((0.0, 0.0), (1.0, 0.0), (4.0, 3.0), (0.0, 1.0 / 3.0)))
     assert polytope_equal(p, expected, 1e-12)
     assert polytope_equal(p, Polytope2D((), oracle_polygon(system)), 1e-9)
@@ -136,7 +133,7 @@ def test_projection_keeps_close_vertices_of_a_catalog_region():
     schema = builtin_schema("RTD_CC")
     d = sample_instance(schema, random_channel(21), 21, mode="det")
     system = instantiate(schema, d)
-    got = _support(fme_project(system).vertices, 1.0)
+    got = _support(project_or_empty(system).vertices, 1.0)
     assert got == pytest.approx(_support(oracle_polygon(system), 1.0), abs=1e-12)
 
 
@@ -148,8 +145,28 @@ def test_projection_keeps_the_top_of_a_near_vertical_edge():
         ("x0", "x1", "x2"),
         [(-2, 1, -1), (-1, 1, 0), (2, 2, -1), (2, -1, 1)], [0.2198, 1e-12, 0.6112, 1.6975],
         (1, 0, 1), (1, 2, 0), "abcd")
-    vertices = np.asarray(fme_project(system).vertices)
+    vertices = np.asarray(project_or_empty(system).vertices)
     assert np.abs(vertices - (1.6975, 1.38522)).max(axis=1).min() <= 1e-9
+
+
+def test_convex_hull_keeps_the_tip_of_a_near_vertical_spike():
+    # the chain reverses at (1 + 1e-12, 1): its turn is below eps times the
+    # edge lengths, but a reversal is a vertex, not a collinear point
+    hull = _convex_hull([(0, 0), (1, 0), (1 + 1e-12, 1), (1 + 2e-12, 1e-12)], collinear_eps=1e-9)
+    assert (1 + 1e-12, 1) in hull
+
+
+def test_oracle_keeps_the_top_of_a_near_vertical_edge():
+    # the system above: the oracle's hull must keep (1.6975, 1.38522) too
+    system = make_system(
+        ("x0", "x1", "x2"),
+        [(-2, 1, -1), (-1, 1, 0), (2, 2, -1), (2, -1, 1)], [0.2198, 1e-12, 0.6112, 1.6975],
+        (1, 0, 1), (1, 2, 0), "abcd")
+    oracle = np.asarray(oracle_polygon(system))
+    projected = np.asarray(project_or_empty(system).vertices)
+    for t in np.arange(16) * np.pi / 8:
+        w = (np.cos(t), np.sin(t))
+        assert (oracle @ w).max() == pytest.approx((projected @ w).max(), abs=1e-9), t
 
 
 @st.composite
@@ -203,7 +220,7 @@ def test_compiled_support_matches_eliminator_and_oracle(sid, mode):
         b = compiled.sign * compiled.rhs(d)
         for lam in (0.0, 0.3, 0.5, 1.0):
             got = projection.support(b, lam, 1.0 - lam)
-            # feasibility agrees with fme_project's Infeasible
+            # feasibility agrees with project_or_empty's EMPTY
             assert (got is None) == poly.is_empty, (seed, lam)
             if got is None:
                 continue
@@ -267,7 +284,7 @@ def test_facet_labels_name_rows_that_suffice(sid):
         assert named <= rows, (mode, seed)
         if not poly.is_empty:
             nonempty += 1
-            reduced = fme_project(system.drop(*(rows - named)))
+            reduced = project_or_empty(system.drop(*(rows - named)))
             assert polytope_equal(reduced, poly, 1e-9), (mode, seed, sorted(rows - named))
     assert nonempty
 
@@ -319,7 +336,7 @@ def test_oracle_rejects_point_beyond_cap():
 
 def test_oracle_square_grid_agreement():
     system = orthogonal_square_system()
-    poly = fme_project(system)
+    poly = project_or_empty(system)
     assert len(oracle_polygon(system)) == 4
     probes = list(itertools.product(np.linspace(0.0, 1.25, 21), repeat=2))
     in_f = halfplane_violation(poly, probes) <= 0
@@ -426,7 +443,7 @@ def test_oracle_hull_stays_in_the_quadrant():
     hull = oracle_polygon(system)
     assert (0.0, 0.0) in hull
     assert min(min(p) for p in hull) == 0.0
-    assert (0.0, 0.0) in fme_project(system).vertices
+    assert (0.0, 0.0) in project_or_empty(system).vertices
 
 
 @pytest.mark.parametrize("sid", ["RTD", "JIANG", "CCP"])
@@ -503,7 +520,7 @@ def test_array_membership_matches_reference_on_degenerate_hulls():
         for (px, py), (qx, qy) in zip(hull, hull[1:] + hull[:1]):
             probes += [(px + t * (qx - px), py + t * (qy - py)) for t in (0.0, 0.25, 0.5, 1.0)]
     assert all(0.0 in (x, y) or x + y == 1.0 for x, y in probes[-12:])  # on the triangle
-    for poly in (fme_project(segment_system()), fme_project(unit_square()),
+    for poly in (project_or_empty(segment_system()), project_or_empty(unit_square()),
                  project_or_empty(instantiate(builtin_schema("RTD"), degenerate_rtd_distribution()))):
         _assert_matches_reference(poly, hulls, probes)
 
@@ -511,7 +528,7 @@ def test_array_membership_matches_reference_on_degenerate_hulls():
 def test_empty_region_contains_no_point():
     assert halfplane_violation(EMPTY, [(0.5, 0.5)]).tolist() == [math.inf]
     assert halfplane_violation(EMPTY, []).shape == (0,)
-    assert containment_margin(EMPTY, fme_project(unit_square())) == math.inf
+    assert containment_margin(EMPTY, project_or_empty(unit_square())) == math.inf
     assert _distance_to_hull((), [(0.0, 0.0), (1.0, 2.0)]).tolist() == [math.inf, math.inf]
 
 
@@ -519,22 +536,22 @@ def test_empty_region_contains_no_point():
 
 
 def test_contains_self_and_origin():
-    p = fme_project(orthogonal_square_system())
+    p = project_or_empty(orthogonal_square_system())
     assert containment_margin(p, p) <= 0.0
-    point = fme_project(make_system(("a", "b"), [(1, 0), (0, 1)], [0.0, 0.0], (1, 0), (0, 1)))
+    point = project_or_empty(make_system(("a", "b"), [(1, 0), (0, 1)], [0.0, 0.0], (1, 0), (0, 1)))
     assert containment_margin(p, point) <= 1e-7
 
 
 def test_scaled_square_not_contained():
-    inner = fme_project(unit_square())
-    outer = fme_project(make_system(("a", "b"), [(1, 0), (0, 1)], [1.1, 1.1], (1, 0), (0, 1)))
+    inner = project_or_empty(unit_square())
+    outer = project_or_empty(make_system(("a", "b"), [(1, 0), (0, 1)], [1.1, 1.1], (1, 0), (0, 1)))
     assert containment_margin(outer, inner) <= 1e-7
     assert not containment_margin(inner, outer) <= 1e-7
     assert containment_margin(inner, outer) == pytest.approx(0.1, abs=1e-9)
 
 
 def test_empty_containment_rules():
-    p = fme_project(unit_square())
+    p = project_or_empty(unit_square())
     assert containment_margin(p, EMPTY) <= 1e-7
     assert not containment_margin(EMPTY, p) <= 1e-7
     assert polytope_equal(EMPTY, EMPTY)
@@ -579,7 +596,7 @@ def test_projection_downward_closed(seed):
 
 
 def test_polytope_json_roundtrip():
-    p = fme_project(orthogonal_square_system())
+    p = project_or_empty(orthogonal_square_system())
     back = polytope_from_json(json.loads(json.dumps(polytope_to_json(p))))
     assert polytope_equal(p, back, 1e-12)
     assert len(back.halfplanes) == len(p.halfplanes)
@@ -597,7 +614,7 @@ def test_polytope_json_roundtrip():
 
 
 def test_vertices_csv_format():
-    p = fme_project(segment_system())
+    p = project_or_empty(segment_system())
     text = vertices_csv(p)
     lines = text.strip().splitlines()
     assert lines[0] == "R1,R2"
