@@ -263,23 +263,26 @@ class CompiledProjection:
             raise Unbounded("the projected region is unbounded; a decoding constraint is missing")
         return Polytope2D(tuple(halfplanes), tuple(hull))
 
-    def support(self, b: np.ndarray, w1: float, w2: float):
+    def support(self, b: np.ndarray, w1: float | np.ndarray, w2: float | np.ndarray):
         """Maximize w1*R1 + w2*R2 over the region at rhs b.
 
         Returns (R1, R2, value) at a maximizing vertex, or None when the
         rate system is infeasible.  Among vertices within TIE_TOL of the
         maximum (a tied optimal face), the one with the largest R1 + R2,
-        then the largest R1, is returned.
+        then the largest R1, then the last candidate, is returned.  A
+        batch b of shape (K, m) takes one weight pair per row (or one for
+        all) and gives the list of its K results, each as its row alone.
         """
-        _, _, x, y, ok = self._vertices(b)
-        if not ok.any():
-            return None
-        x, y = x[ok], y[ok]
-        vals = w1 * x + w2 * y
-        best = float(vals.max())
-        tied = np.flatnonzero(vals >= best - TIE_TOL * max(1.0, abs(best)))
-        k = tied[np.lexsort((x[tied], x[tied] + y[tied]))[-1]]
-        return float(x[k]), float(y[k]), best
+        _, _, x, y, ok = self._vertices(np.atleast_2d(b))
+        vals = np.where(ok, np.reshape(w1, (-1, 1)) * x + np.reshape(w2, (-1, 1)) * y, -np.inf)
+        best = vals.max(axis=-1, keepdims=True)
+        top = ok & (vals >= best - TIE_TOL * np.maximum(1.0, np.abs(best)))
+        for key in (x + y, x, np.arange(x.shape[-1])):  # as a stable lexsort's last
+            key = np.where(top, key, -np.inf)
+            top &= key == key.max(axis=-1, keepdims=True)
+        found = [(float(x[k, j]), float(y[k, j]), float(best[k, 0])) if top[k, j] else None
+                 for k, j in enumerate(top.argmax(axis=-1))]
+        return found if np.ndim(b) == 2 else found[0]
 
 
 def _substitute(vec: list[int], mu: tuple[int, ...], v: int, eq: list[int]):

@@ -232,14 +232,15 @@ def extend_through_channel(
 ) -> JointDistribution:
     """Append channel outputs: p(all, Y1, Y2) = p(all) p(Y1, Y2 | X1, X2).
 
-    A batch of K joints takes K channels of one shape, and each output
-    cell is one product.  A batch above MAX_MARGINAL_LABELS output cells is
-    refused unallocated; the result is checked as a JointDistribution, the
-    one check of a sampled joint.
+    A batch of K joints takes one channel for all, or K of one shape, and
+    each output cell is one product.  A batch above MAX_MARGINAL_LABELS
+    output cells is refused unallocated; the result is checked as a
+    JointDistribution, the one check of a sampled joint.
     """
-    channels = (c,) if isinstance(c, Channel) else tuple(c)
+    broadcast = isinstance(c, Channel)
+    channels = (c,) if broadcast else tuple(c)
     count = len(d.prob) if d.batched else 1
-    if len(channels) != count:
+    if not broadcast and len(channels) != count:
         raise InvalidParameter(f"{len(channels)} channels for {count} joints")
     shape = channels[0].shape
     if any(ch.shape != shape for ch in channels):
@@ -249,7 +250,8 @@ def extend_through_channel(
     if count * cells > MAX_MARGINAL_LABELS:
         raise InvalidParameter(f"{count} extended joints of {cells} cells exceed the "
                                f"marginal-plan cap of {MAX_MARGINAL_LABELS} labels")
-    t = np.stack([ch.transition for ch in channels]) if d.batched else channels[0].transition
+    stacked = d.batched and not broadcast  # else one transition broadcasts over the batch
+    t = np.stack([ch.transition for ch in channels]) if stacked else channels[0].transition
     return JointDistribution(rvs, np.einsum(subscripts, d.prob, t))
 
 
@@ -550,12 +552,6 @@ def factorization_checks(spec: FactorizationSpec) -> tuple[tuple[str, MITerm], .
             out.append((name, mi(f.targets, rest, f.given)))
         earlier.extend(f.targets)
     return tuple(out)
-
-
-def verify_factorization(d: JointDistribution, spec: FactorizationSpec) -> None:
-    """Check every conditional independence implied by the factor chain;
-    raises FactorizationViolation naming the first triple above MI_TOL."""
-    compile_exprs((), factorization_checks(spec))(d)
 
 
 # ---------------------------------------------------------------------------

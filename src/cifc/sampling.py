@@ -298,13 +298,13 @@ def sample_factored(
 
 def sample_instances(
     schema: RegionSchema,
-    channels: Sequence[Channel],
+    channels: Channel | Sequence[Channel],
     seeds: Sequence[int],
     modes: Sequence[str],
     size: int = 2,
 ) -> JointDistribution:
-    """sample_instance at each seeds[k], in modes[k], through channels[k]:
-    drawn seed by seed, multiplied and extended as one batch."""
+    """sample_instance at each seeds[k], in modes[k], through channels[k] or
+    one channel for all: drawn seed by seed, multiplied and extended as one batch."""
     if not len(seeds):
         raise InvalidParameter("a batch needs at least one seed")
     unknown = [mode for mode in modes if mode not in SAMPLING_MODES]

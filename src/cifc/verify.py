@@ -17,8 +17,10 @@ comparator's projected region is checked against its unified
 counterpart once, by `sampled_region_containment` in the containment
 suite.  The tolerances are fixed: MI_TOL for every identity and zero
 check, REGION_TOL for every containment and oracle comparison.  The
-frontier search climbs on the sampler's factor blocks and scores each
-distribution through the schema's one checked rhs map.
+frontier search climbs on the sampler's factor blocks, every lambda in
+lockstep on its own generator, and scores each step's candidates as one
+batched evaluation through the schema's one checked rhs map: the output
+is identical to climbing each lambda alone.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import probability
 from .channel import Channel, random_channel
 from .errors import InvalidParameter, Unbounded
 from .probability import MI_TOL, MIExpr, compile_exprs, extend_through_channel, mi
@@ -53,7 +56,7 @@ from .regions import (
     maric_merged,
     same_system,
 )
-from .sampling import SAMPLING_MODES, _FactorState, _mode_for, sample_instances
+from .sampling import SAMPLING_MODES, _FactorState, _joints, _mode_for, sample_instances
 
 REGION_TOL = 1e-7
 BATCH = 100  # samples per batch: a check's memory does not grow with its samples
@@ -192,7 +195,7 @@ def _batches(schema: RegionSchema, seeds: Sequence[int], channel: Channel | None
     sizes = _channel_sizes(schema)
     for at in range(0, len(seeds), BATCH):
         chunk = seeds[at:at + BATCH]
-        channels = [channel or random_channel(s, sizes) for s in chunk]
+        channels = channel or [random_channel(s, sizes) for s in chunk]
         modes = [mode or _mode_for(i) for i in range(at, at + len(chunk))]
         yield chunk, sample_instances(schema, channels, chunk, modes)
 
@@ -484,12 +487,14 @@ def trace_frontier(
     For each lambda on the grid, maximizes lambda*R1 + (1-lambda)*R2 by
     derivative-free hill climbing on the factor blocks (Dirichlet mixing,
     occasional row sharpening and block restarts), spending up to `budget`
-    objective evaluations.  The variables take the schema's `rv_set(2)`
-    cardinalities.  Each evaluation checks and scores a distribution with
-    the schema's compiled rhs map and projection (no linear program).  A
-    lambda whose search finds no feasible distribution is listed in
-    `missing`.  Deterministic in `seed`.  Raises Unbounded up front for a
-    schema whose projection is unbounded.
+    objective evaluations; the variables take the schema's `rv_set(2)`
+    cardinalities.  Every lambda steps in lockstep on its own generator,
+    and each step checks and scores every lambda's candidate (the starts
+    likewise) as one batch through the compiled rhs map and projection,
+    so the result is identical to climbing each lambda alone.  A lambda
+    whose search finds no feasible point is listed in `missing`.
+    Deterministic in `seed`.  Raises Unbounded up front for a schema whose
+    projection is unbounded.
     """
     if budget < 1:
         raise InvalidParameter(f"budget must be at least 1 evaluation, got {budget}")
@@ -508,56 +513,52 @@ def trace_frontier(
     if not projection.bounded:
         raise Unbounded(f"{schema.id}: the projected region is unbounded; "
                         "a decoding constraint is missing")
-    points: list[tuple[float, float, float, int]] = []
-    missing: list[float] = []
-    for k, lam in enumerate(lam_grid):
-        lam_seed = seed * 1_000_003 + k
-        rng = np.random.default_rng(lam_seed)
+    cells = math.prod(schema.rv_set(2).sizes) * math.prod(channel.shape[:2])
+    chunk = max(1, probability.MAX_MARGINAL_LABELS // cells)  # read per call, as the extension does
 
-        def objective(state):
-            b = compiled.sign * compiled.rhs(extend_through_channel(state.joint(), channel))
-            return projection.support(b, lam, 1.0 - lam)
+    def scores(states: list[_FactorState], lams: np.ndarray):
+        """Each state's support at its lambda, one batched evaluation per
+        chunk of K states, K x cells within the channel extension's cap."""
+        for at in range(0, len(states), chunk):
+            d = extend_through_channel(_joints(states[at:at + chunk]), channel)
+            w = lams[at:at + chunk]
+            yield from projection.support(compiled.sign * compiled.rhs(d), w, 1.0 - w)
 
-        # a handful of random starts across sampling modes, then climb the best
-        n_starts = max(1, min(6, budget // 40))
-        starts = []
-        for j in range(n_starts):
-            st = _FactorState.of_schema(schema, 2, rng, SAMPLING_MODES[j % len(SAMPLING_MODES)])
-            starts.append((objective(st), st))
-        evals = n_starts
-        feasible = [(val, st) for val, st in starts if val is not None]
-        if feasible:
-            best, state = max(feasible, key=lambda t: t[0][2])
-        else:
-            best, state = starts[0]
-        climb_best = best
-        stall = 0
-        while evals < budget:
-            # a stuck basin restarts from a fresh random state, which is
-            # accepted whatever its value
-            restart = stall > 300 and budget - evals > 400
-            if restart:
-                state = _FactorState.of_schema(
-                    schema, 2, rng, SAMPLING_MODES[evals % len(SAMPLING_MODES)]
-                )
+    # a handful of random starts per lambda across sampling modes, then climb the best
+    n_starts = max(1, min(6, budget // 40))
+    rngs = [np.random.default_rng(seed * 1_000_003 + k) for k in range(len(lam_grid))]
+    starts = [_FactorState.of_schema(schema, 2, rng, SAMPLING_MODES[j % len(SAMPLING_MODES)])
+              for rng in rngs for j in range(n_starts)]
+    tried = list(zip(scores(starts, np.repeat(lam_grid, n_starts)), starts))
+    # per lambda: the best so far, the state, the best since a restart, and the stall
+    best, states = map(list, zip(*(
+        max(tried[at:at + n_starts], key=lambda t: t[0][2] if t[0] else -math.inf)
+        for at in range(0, len(tried), n_starts))))
+    climb_best, stall = list(best), [0] * len(rngs)
+    for evals in range(n_starts, budget):
+        moves = []  # per lambda, (block index, the block it replaced), or None
+        for k, rng in enumerate(rngs):
+            # a stuck basin restarts from a fresh state, accepted whatever its value
+            if stall[k] > 300 and budget - evals > 400:
+                mode = SAMPLING_MODES[evals % len(SAMPLING_MODES)]
+                states[k] = _FactorState.of_schema(schema, 2, rng, mode)
+                moves.append(None)
             else:
-                idx, block = state.propose(rng)
-                old = state.blocks[idx]
-                state.blocks[idx] = block
-            cand = objective(state)
-            evals += 1
-            if restart or _improves(cand, climb_best):
-                climb_best = cand
-                stall = 0
-                if _improves(cand, best):
-                    best = cand
+                idx, block = states[k].propose(rng)
+                moves.append((idx, states[k].blocks[idx]))
+                states[k].blocks[idx] = block
+        for k, cand in enumerate(scores(states, lam_grid)):
+            if moves[k] is None or _improves(cand, climb_best[k]):
+                climb_best[k], stall[k] = cand, 0
+                if _improves(cand, best[k]):
+                    best[k] = cand
             else:
-                state.blocks[idx] = old
-                stall += 1
-        if best is None:
-            missing.append(float(lam))
-        else:
-            points.append((float(lam), best[0], best[1], lam_seed))
+                idx, old = moves[k]
+                states[k].blocks[idx] = old
+                stall[k] += 1
+    points = [(float(lam), b[0], b[1], seed * 1_000_003 + k)
+              for k, (lam, b) in enumerate(zip(lam_grid, best)) if b is not None]
+    missing = [float(lam) for lam, b in zip(lam_grid, best) if b is None]
     pareto = _pareto_filter([(r1, r2) for _, r1, r2, _ in points])
     return FrontierResult(tuple(points), tuple(pareto), tuple(missing))
 

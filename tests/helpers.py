@@ -3,8 +3,9 @@ log-ratio references for the information measures, a cell-by-cell
 reference for the factorized sampler, a builder of rate systems from
 plain rows, a sense-by-sense reference for the LE normal form of an
 instantiated schema, point-by-point references for the region
-membership tests, the uncompiled enumeration oracle, and the
-droppable-constraint check of the unified region's remark."""
+membership tests, the uncompiled enumeration oracle, the
+droppable-constraint check of the unified region's remark, and the
+one-lambda-at-a-time frontier search."""
 
 import itertools
 import math
@@ -14,9 +15,11 @@ import numpy as np
 from cifc.channel import canonical_channel, random_channel
 from cifc.polytope import (
     FEAS_TOL,
+    TIE_TOL,
     _convex_hull,
     _merge_close,
     _order_ccw,
+    compile_projection,
     polytope_equal,
     project_or_empty,
 )
@@ -33,10 +36,11 @@ from cifc.regions import (
     LinearSystem,
     RateStructure,
     builtin_schema,
+    compile_schema,
     instantiate,
 )
-from cifc.sampling import sample_instance
-from cifc.verify import CheckReport, SuiteReport
+from cifc.sampling import SAMPLING_MODES, _FactorState, sample_instance
+from cifc.verify import CheckReport, FrontierResult, SuiteReport, _improves, _pareto_filter
 
 
 def square_assignment() -> JointDistribution:
@@ -330,3 +334,80 @@ def check_droppable(instances: int = 50, seed: int = 0, tol: float = 1e-9) -> Su
         check.details["empty_instances"] = empties
         report.checks.append(check)
     return report
+
+
+def sequential_frontier(schema_id, channel, budget=2000, seed=0, lambdas=21) -> FrontierResult:
+    """trace_frontier climbing one lambda after another, each state scored
+    alone: its own joint, channel extension, rhs map and support.
+
+    The support is the scalar rule on the unmasked feasible vertices: the
+    largest value, and among those within TIE_TOL of it the largest
+    R1 + R2, then the largest R1, then the last, by a stable lexsort.
+    """
+    if isinstance(lambdas, int):
+        lam_grid = np.linspace(0.0, 1.0, lambdas)
+    else:
+        lam_grid = np.asarray(list(lambdas), dtype=float)
+    schema = builtin_schema(schema_id)
+    compiled = compile_schema(schema)
+    projection = compile_projection(compiled.structure)
+
+    def support(b, w1, w2):
+        _, _, x, y, ok = projection._vertices(b)
+        if not ok.any():
+            return None
+        x, y = x[ok], y[ok]
+        vals = w1 * x + w2 * y
+        best = float(vals.max())
+        tied = np.flatnonzero(vals >= best - TIE_TOL * max(1.0, abs(best)))
+        k = tied[np.lexsort((x[tied], x[tied] + y[tied]))[-1]]
+        return float(x[k]), float(y[k]), best
+
+    points, missing = [], []
+    for k, lam in enumerate(lam_grid):
+        lam_seed = seed * 1_000_003 + k
+        rng = np.random.default_rng(lam_seed)
+
+        def objective(state):
+            b = compiled.sign * compiled.rhs(extend_through_channel(state.joint(), channel))
+            return support(b, lam, 1.0 - lam)
+
+        n_starts = max(1, min(6, budget // 40))
+        starts = []
+        for j in range(n_starts):
+            st = _FactorState.of_schema(schema, 2, rng, SAMPLING_MODES[j % len(SAMPLING_MODES)])
+            starts.append((objective(st), st))
+        evals = n_starts
+        feasible = [(val, st) for val, st in starts if val is not None]
+        if feasible:
+            best, state = max(feasible, key=lambda t: t[0][2])
+        else:
+            best, state = starts[0]
+        climb_best = best
+        stall = 0
+        while evals < budget:
+            restart = stall > 300 and budget - evals > 400
+            if restart:
+                state = _FactorState.of_schema(
+                    schema, 2, rng, SAMPLING_MODES[evals % len(SAMPLING_MODES)]
+                )
+            else:
+                idx, block = state.propose(rng)
+                old = state.blocks[idx]
+                state.blocks[idx] = block
+            cand = objective(state)
+            evals += 1
+            if restart or _improves(cand, climb_best):
+                climb_best = cand
+                stall = 0
+                if _improves(cand, best):
+                    best = cand
+            else:
+                state.blocks[idx] = old
+                stall += 1
+        if best is None:
+            missing.append(float(lam))
+        else:
+            points.append((float(lam), best[0], best[1], lam_seed))
+    pareto = _pareto_filter([(r1, r2) for _, r1, r2, _ in points])
+    return FrontierResult(tuple(points), tuple(pareto), tuple(missing))

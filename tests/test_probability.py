@@ -28,7 +28,6 @@ from cifc.probability import (
     mi,
     rename_expr,
     rename_term,
-    verify_factorization,
 )
 from cifc.regions import SCHEMA_IDS, builtin_schema
 from cifc.sampling import _FactorState, _joints, sample_factored, sample_instance, sample_instances
@@ -88,7 +87,7 @@ def test_sampled_chain_satisfies_declared_independencies(seed):
     rvs = RandomVariableSet(("X2", "U1c", "U1pb"), (2, 2, 2))
     spec = chain(("X2",), ("U1c", "X2"), ("U1pb", "X2"))
     d = sample_factored(rvs, spec, seed)
-    verify_factorization(d, spec)
+    probability.compile_exprs((), probability.factorization_checks(spec))(d)
     assert evaluate_expr(d, mi("U1c", "U1pb", "X2")) <= 1e-9
 
 
@@ -264,8 +263,9 @@ def test_verify_factorization_names_violation():
     p = np.zeros((2, 2))
     p[0, 0] = p[1, 1] = 0.5
     d = JointDistribution(RandomVariableSet(("A", "B"), (2, 2)), p)
+    checks = probability.factorization_checks(chain(("A",), ("B",)))
     with pytest.raises(FactorizationViolation) as err:
-        verify_factorization(d, chain(("A",), ("B",)))
+        probability.compile_exprs((), checks)(d)
     assert "I(B;A" in str(err.value).replace(" ", "")
 
 

@@ -55,7 +55,7 @@ from cifc.verify import (
     sampled_region_containment,
     trace_frontier,
 )
-from helpers import check_droppable, reference_mutual_information
+from helpers import check_droppable, reference_mutual_information, sequential_frontier
 
 BSC = canonical_channel("bsc_pair", eps1=0.05, eps2=0.1)
 
@@ -220,11 +220,72 @@ def test_frontier_search_draws_are_pinned():
 
 def test_frontier_checks_the_distributions_it_scores(monkeypatch):
     # RTD_CC requires X2 = U2c; a uniform joint has H(X2|U2c) = 1 bit
+    import cifc.verify
+
     rvs = builtin_schema("RTD_CC").rv_set(2)
-    uniform = JointDistribution(rvs, np.full(rvs.shape(), 1.0 / math.prod(rvs.sizes)))
-    monkeypatch.setattr(_FactorState, "joint", lambda self: uniform)
+    cells = math.prod(rvs.sizes)
+    monkeypatch.setattr(cifc.verify, "_joints", lambda states: JointDistribution(
+        rvs, np.full((len(states), *rvs.shape()), 1.0 / cells)))
     with pytest.raises(FactorizationViolation, match=r"RTD_CC: H\(X2\|U2c\) = 1\.000e\+00"):
         trace_frontier("RTD_CC", BSC, budget=10, seed=0, lambdas=2)
+
+
+_STUCK = np.zeros((2, 2, 2, 2))
+_STUCK[1, 0] = 1.0  # every input gives the same outputs
+
+
+@pytest.mark.parametrize("sid, channel, budget, seed, lambdas", [
+    ("RTD", canonical_channel("orthogonal_noiseless"), 200, 1, 5),
+    ("RTD_CC", BSC, 800, 3, 2),  # long enough for a restart
+    ("JIANG", random_channel(7), 300, 2, 4),
+    ("RTD", BSC, 500, 1, 21),
+    ("RTD", BSC, 120, 5, [0.3]),
+    ("RTD_IN", BSC, 100, 1, [0.4, 0.9, 0.4]),
+    ("RTD", Channel(_STUCK), 60, 0, [0.3, 0.7]),
+])
+def test_lockstep_frontier_is_the_sequential_search_byte_for_byte(sid, channel, budget, seed,
+                                                                  lambdas):
+    # each lambda keeps its own generator, and a batch scores each member
+    # as it scores alone, so stepping the climbs together changes nothing
+    expected = sequential_frontier(sid, channel, budget=budget, seed=seed, lambdas=lambdas)
+    result = trace_frontier(sid, channel, budget=budget, seed=seed, lambdas=lambdas)
+    assert result.to_csv() == expected.to_csv()
+    assert result == expected
+
+
+def test_lockstep_frontier_chunks_its_batches_under_the_extension_cap(monkeypatch):
+    # RTD's 18 entropy subsets of 256 extended cells fit under a cap of 20
+    # joints, so the marginal plan is allowed while a step of 21 lambdas,
+    # and the 42 starts, must be split
+    import cifc.probability
+    import cifc.verify
+
+    expected = sequential_frontier("RTD", BSC, budget=90, seed=2, lambdas=21)
+    sizes = []
+
+    def extend(d, c):
+        sizes.append(len(d.prob))
+        return extend_through_channel(d, c)
+
+    monkeypatch.setattr(cifc.probability, "MAX_MARGINAL_LABELS", 20 * 256)
+    monkeypatch.setattr(cifc.verify, "extend_through_channel", extend)
+    result = trace_frontier("RTD", BSC, budget=90, seed=2, lambdas=21)
+    assert result.to_csv() == expected.to_csv()
+    assert sizes[:3] == [20, 20, 2] and sizes[3:] == [20, 1] * (90 - 2)
+
+
+def test_frontier_rtd_workload_csv_is_pinned():
+    # the benchmark's frontier-rtd run, written before the climbs ran in lockstep
+    result = trace_frontier("RTD", canonical_channel("orthogonal_noiseless"), budget=200, seed=1,
+                            lambdas=5)
+    assert result.to_csv() == (
+        "lambda,R1,R2,seed\n"
+        "0,0.0070024787573,0.999999993031,1000003\n"
+        "0.25,0.311278124459,1,1000004\n"
+        "0.5,0,0.999546624338,1000005\n"
+        "0.75,0.976011544304,0.135345004215,1000006\n"
+        "1,1,0,1000007\n"
+    )
 
 
 # -- batches ----------------------------------------------------------------------
@@ -243,7 +304,9 @@ def test_a_batch_evaluates_bit_for_bit_as_its_members_one_by_one(sid):
     channels = [random_channel(s, _channel_sizes(schema)) for s in seeds]
     d = sample_instances(schema, channels, seeds, modes)
     b = compiled.sign * compiled.rhs(d)
-    supports = [projection.support(row, 0.3, 0.7) for row in b]
+    lams = np.linspace(0.0, 1.0, len(seeds))
+    supports = projection.support(b, lams, 1.0 - lams)
+    shared = sample_instances(schema, channels[0], seeds, modes)
     systems = instantiate(schema, d)
     regions = project_or_empty(systems)
     assert b.shape == systems.b.shape == (30, len(schema.constraints)) and len(regions) == 30
@@ -251,7 +314,10 @@ def test_a_batch_evaluates_bit_for_bit_as_its_members_one_by_one(sid):
         one = sample_instance(schema, channels[k], s, mode=modes[k])
         assert d[k].prob.tobytes() == one.prob.tobytes()
         assert b[k].tobytes() == (compiled.sign * compiled.rhs(one)).tobytes()
-        assert supports[k] == projection.support(compiled.sign * compiled.rhs(one), 0.3, 0.7)
+        assert supports[k] == projection.support(compiled.sign * compiled.rhs(one), lams[k],
+                                                 1.0 - lams[k])
+        alone = sample_instance(schema, channels[0], s, mode=modes[k])
+        assert shared[k].prob.tobytes() == alone.prob.tobytes()
         assert systems[k] == instantiate(schema, one)
         region = project_or_empty(instantiate(schema, one))
         assert regions[k] == region and polytope_equal(regions[k], region, 1e-9)
