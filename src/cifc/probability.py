@@ -3,9 +3,9 @@
 Dense probability tensors with named axes, factorization chains, channel
 extension, and conditional mutual information in bits (log base 2
 throughout).  Drawing a joint from a chain lives in `cifc.sampling`.  A
-`JointDistribution` is one distribution or a batch of K along a leading
-axis, and every stage computes each of a batch's rows alone, bit for bit
-as for that distribution by itself.  There is one information kernel:
+`JointDistribution` is one distribution or a batch of K >= 0 along a
+leading axis; both take one path, which computes each row alone, bit for
+bit as for that distribution by itself.  There is one information kernel:
 `entropy_vector` is the only function that takes a logarithm (with
 0*log 0 := 0), and every measure is a fixed integer combination of its
 joint entropies.  An expression is a signed sum of MI atoms, with no
@@ -240,6 +240,8 @@ def extend_through_channel(
     broadcast = isinstance(c, Channel)
     channels = (c,) if broadcast else tuple(c)
     count = len(d.prob) if d.batched else 1
+    if not channels:
+        raise InvalidParameter("an empty channel sequence extends nothing")
     if not broadcast and len(channels) != count:
         raise InvalidParameter(f"{len(channels)} channels for {count} joints")
     shape = channels[0].shape
@@ -401,31 +403,28 @@ def entropy_vector(d: JointDistribution, subsets: Sequence[Sequence[str]]) -> np
     distribution of a batch), with exact 0*log 0 := 0.
 
     The package's only logarithm: every other information measure is an
-    integer combination of these entropies (see compile_exprs).  Each
-    distribution's marginals are one bincount over the cached
-    _marginal_plan, summed in joint-cell order, so they do not depend on
-    the call's other subsets or the batch's other distributions.
+    integer combination of these entropies (see compile_exprs).  One
+    distribution and a batch take one path: a bincount per row over the
+    cached _marginal_plan, summed in joint-cell order, so a row's marginals
+    do not depend on the call's other subsets or the batch's other rows,
+    and the bincount's labels and weights stay one plan's size.
     """
     labels, starts, total = _marginal_plan(d.rvs, tuple(map(tuple, subsets)))
-
-    def marginals(q: np.ndarray) -> np.ndarray:
-        return np.bincount(labels, weights=np.tile(q.ravel(), len(starts)), minlength=total)
-
-    marg = np.array([marginals(q) for q in d.prob]) if d.batched else marginals(d.prob)
+    rows = d.prob.reshape(-1, math.prod(d.rvs.sizes))
+    marg = np.empty((len(rows), total))
+    for k, q in enumerate(rows):
+        marg[k] = np.bincount(labels, weights=np.tile(q, len(starts)), minlength=total)
     terms = marg * np.log2(marg, out=np.zeros(marg.shape), where=marg > 0.0)
-    return -np.add.reduceat(terms, starts, axis=-1) if len(starts) else terms
+    h = -np.add.reduceat(terms, starts, axis=1) if len(starts) else terms
+    return h.reshape(*d.prob.shape[:d.prob.ndim - len(d.rvs.sizes)], len(starts))
 
 
 def rowwise(matrix: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """matrix @ x for one vector x, or for each row of a batch x: one
-    matrix-vector product per row, so a row maps bit for bit the same alone
-    or in a batch, which a matrix-matrix product does not promise."""
-    if x.ndim == 1:
-        return matrix @ x
-    out = np.empty((len(x), len(matrix)))
-    for k, row in enumerate(x):
-        out[k] = matrix @ row
-    return out
+    """matrix @ x for one vector x, or for each row of a batch x, as one
+    stacked product: numpy computes each slice with the matrix-vector
+    product that `matrix @ x[k]` makes, so a row maps bit for bit the same
+    alone or in a batch, which a matrix-matrix product does not promise."""
+    return (matrix @ x[..., None])[..., 0]
 
 
 @dataclass(frozen=True, eq=False)

@@ -8,9 +8,10 @@ the paired-copy indicator and the lookup tables of the structured
 channel inputs.  A draw then makes only the generator calls and one
 reshape and transpose onto the joint's ascending axes.  `_FactorState`
 holds one drawn block per factor, and `_joints` multiplies the blocks of
-K states into a batch of joints, left unchecked: the channel extension
-checks it once.  `sample_factored`, `sample_instances` and the frontier
-search all draw through it.
+K states into a batch of joints, one stacked product per factor, left
+unchecked: the channel extension checks it once.  One joint is the batch
+of one state, `_joints([state])[0]`; `sample_factored`, `sample_instances`
+and the frontier search all draw through it.
 
 Every draw is a pure function of the generator passed in, so a seed fixes
 the joint bit for bit.  A joint of more than MAX_MARGINAL_LABELS cells is
@@ -201,9 +202,9 @@ def _schema_plan(schema: RegionSchema, size: int, mode: str) -> _ChainPlan:
 class _FactorState:
     """The factor blocks of one chain, each drawn once through its plan.
 
-    `joint` multiplies them into the distribution; the frontier search
-    replaces single entries of `blocks` with `propose`'s moves while hill
-    climbing.  Deterministic (paired) blocks are never proposed.
+    `_joints` multiplies the blocks of a batch of states into their joints;
+    the frontier search replaces single entries of `blocks` with `propose`'s
+    moves while hill climbing.  Deterministic (paired) blocks are never proposed.
     """
 
     def __init__(self, plan: _ChainPlan, rng: np.random.Generator):
@@ -217,10 +218,6 @@ class _FactorState:
     ) -> _FactorState:
         """The schema's factorization at default cardinality `size`."""
         return cls(_schema_plan(schema, size, mode), rng)
-
-    def joint(self) -> JointDistribution:
-        """The product of the blocks, unchecked (see _joints)."""
-        return _joints([self])[0]
 
     def propose(self, rng: np.random.Generator):
         """Return (index, new_block) for one derivative-free move.
@@ -269,12 +266,12 @@ class _FactorState:
 
 
 def _joints(states: Sequence[_FactorState]) -> JointDistribution:
-    """The joints of K states of one chain as an unchecked batch, each the
-    product of its blocks in chain order."""
+    """The joints of K states of one chain as an unchecked batch: each
+    factor's K blocks, stacked, multiply the batch in chain order, so each
+    joint is the product of its own blocks in that order."""
     joint = np.ones((len(states), *states[0].rvs.shape()))
-    for k, state in enumerate(states):
-        for block in state.blocks:
-            joint[k] *= block
+    for blocks in zip(*(s.blocks for s in states)):
+        joint *= np.stack(blocks)
     return _unchecked(states[0].rvs, joint)
 
 
@@ -293,7 +290,7 @@ def sample_factored(
             f"extra {sorted(extra)})"
         )
     state = _FactorState(_chain_plan(rvs, spec.factors), np.random.default_rng(seed))
-    return JointDistribution(rvs, state.joint().prob)
+    return JointDistribution(rvs, _joints([state])[0].prob)
 
 
 def sample_instances(

@@ -56,7 +56,7 @@ from .regions import (
     maric_merged,
     same_system,
 )
-from .sampling import SAMPLING_MODES, _FactorState, _joints, _mode_for, sample_instances
+from .sampling import _FactorState, _joints, _mode_for, sample_instances
 
 REGION_TOL = 1e-7
 BATCH = 100  # samples per batch: a check's memory does not grow with its samples
@@ -527,7 +527,7 @@ def trace_frontier(
     # a handful of random starts per lambda across sampling modes, then climb the best
     n_starts = max(1, min(6, budget // 40))
     rngs = [np.random.default_rng(seed * 1_000_003 + k) for k in range(len(lam_grid))]
-    starts = [_FactorState.of_schema(schema, 2, rng, SAMPLING_MODES[j % len(SAMPLING_MODES)])
+    starts = [_FactorState.of_schema(schema, 2, rng, _mode_for(j))
               for rng in rngs for j in range(n_starts)]
     tried = list(zip(scores(starts, np.repeat(lam_grid, n_starts)), starts))
     # per lambda: the best so far, the state, the best since a restart, and the stall
@@ -540,8 +540,7 @@ def trace_frontier(
         for k, rng in enumerate(rngs):
             # a stuck basin restarts from a fresh state, accepted whatever its value
             if stall[k] > 300 and budget - evals > 400:
-                mode = SAMPLING_MODES[evals % len(SAMPLING_MODES)]
-                states[k] = _FactorState.of_schema(schema, 2, rng, mode)
+                states[k] = _FactorState.of_schema(schema, 2, rng, _mode_for(evals))
                 moves.append(None)
             else:
                 idx, block = states[k].propose(rng)

@@ -39,7 +39,7 @@ from cifc.regions import (
     compile_schema,
     instantiate,
 )
-from cifc.sampling import SAMPLING_MODES, _FactorState, sample_instance
+from cifc.sampling import SAMPLING_MODES, _FactorState, _joints, sample_instance
 from cifc.verify import CheckReport, FrontierResult, SuiteReport, _improves, _pareto_filter
 
 
@@ -369,7 +369,7 @@ def sequential_frontier(schema_id, channel, budget=2000, seed=0, lambdas=21) -> 
         rng = np.random.default_rng(lam_seed)
 
         def objective(state):
-            b = compiled.sign * compiled.rhs(extend_through_channel(state.joint(), channel))
+            b = compiled.sign * compiled.rhs(extend_through_channel(_joints([state])[0], channel))
             return support(b, lam, 1.0 - lam)
 
         n_starts = max(1, min(6, budget // 40))

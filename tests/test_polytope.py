@@ -33,8 +33,8 @@ from cifc.polytope import (
     vertices_csv,
 )
 from cifc.regions import SCHEMA_IDS, LinearSystem, builtin_schema, compile_schema, instantiate
-from cifc.sampling import sample_instance
-from cifc.verify import SAMPLING_MODES, grid_agreement
+from cifc.sampling import SAMPLING_MODES, sample_instance
+from cifc.verify import grid_agreement
 from helpers import (
     degenerate_rtd_distribution,
     make_system,

@@ -414,6 +414,14 @@ def test_a_batch_above_the_marginal_plan_cap_is_refused_before_extension(monkeyp
         extend_through_channel(joints, channels)
 
 
+def test_an_empty_channel_sequence_is_refused_even_for_an_empty_batch():
+    rvs = builtin_schema("RTD").rv_set(2)
+    for count in (0, 2):
+        d = JointDistribution(rvs, np.full((count, *rvs.sizes), 1.0 / 64))
+        with pytest.raises(InvalidParameter, match="empty channel sequence"):
+            extend_through_channel(d, [])
+
+
 @pytest.mark.parametrize("seed", range(25))
 def test_data_processing_through_channel(seed):
     rvs = RandomVariableSet(("X1", "X2"), (2, 2))

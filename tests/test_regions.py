@@ -32,6 +32,7 @@ from cifc.sampling import (
     SAMPLING_MODES,
     _chain_plan,
     _FactorState,
+    _joints,
     sample_factored,
     sample_instance,
 )
@@ -204,7 +205,7 @@ def test_violations_name_the_first_failed_check_as_pinned(check):
     mar = builtin_schema("MARIC")
     state = _FactorState(_chain_plan(mar.rv_set(2), mar.factorization.factors),
                          np.random.default_rng(0))
-    d = extend_through_channel(state.joint(), random_channel(0, sizes=(2, 4, 2, 2)))
+    d = extend_through_channel(_joints([state])[0], random_channel(0, sizes=(2, 4, 2, 2)))
     with pytest.raises(FactorizationViolation) as err:
         check(mar, d)
     assert str(err.value) == "MARIC: H(X2|X2a,X2b) = 1.845e+00 > 1e-09"

@@ -11,6 +11,7 @@ from cifc.sampling import (
     SAMPLING_MODES,
     _chain_plan,
     _FactorState,
+    _joints,
     sample_factored,
 )
 
@@ -26,7 +27,7 @@ def test_vectorized_blocks_match_cell_by_cell_reference(sid, size, mode):
     rvs = schema.rv_set(size)
     for seed in range(4):
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        joint = _FactorState.of_schema(schema, size, rng, mode).joint().prob
+        joint = _joints([_FactorState.of_schema(schema, size, rng, mode)])[0].prob
         expected = reference_factored_joint(
             rvs, schema.factorization.factors, ref_rng, mode,
             schema.deterministic, schema.input_deps,
@@ -52,7 +53,7 @@ def test_paired_copy_indexes_parts_in_declared_order():
     factors = chain(("A",), ("B", "A"), ("P", "B A")).factors
     det = (("P", ("B", "A")),)
     plan = _chain_plan(rvs, factors, "free", det)
-    joint = _FactorState(plan, np.random.default_rng(2)).joint().prob
+    joint = _joints([_FactorState(plan, np.random.default_rng(2))])[0].prob
     expected = reference_factored_joint(rvs, factors, np.random.default_rng(2), "free", det)
     assert np.array_equal(joint, expected)
     # A = 1, B = 0: P = 0 * 2 + 1, not 1 * 3 + 0

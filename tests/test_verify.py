@@ -16,6 +16,7 @@ from cifc.probability import (
     chain,
     extend_through_channel,
     entropy_term,
+    entropy_vector,
     evaluate_expr,
     mi,
 )
@@ -30,8 +31,10 @@ from cifc.polytope import (
 )
 from cifc.regions import SCHEMA_IDS, builtin_schema, compile_schema, instantiate, same_system
 from cifc.sampling import (
+    SAMPLING_MODES,
     _chain_plan,
     _FactorState,
+    _joints,
     _mode_for,
     sample_factored,
     sample_instance,
@@ -39,7 +42,6 @@ from cifc.sampling import (
 )
 from cifc.verify import (
     REGION_TOL,
-    SAMPLING_MODES,
     _channel_sizes,
     CheckReport,
     IdentityCheck,
@@ -242,6 +244,7 @@ _STUCK[1, 0] = 1.0  # every input gives the same outputs
     ("RTD", BSC, 120, 5, [0.3]),
     ("RTD_IN", BSC, 100, 1, [0.4, 0.9, 0.4]),
     ("RTD", Channel(_STUCK), 60, 0, [0.3, 0.7]),
+    ("MARIC", random_channel(5, (2, 4, 2, 2)), 200, 2, 3),  # a paired X2 of four letters
 ])
 def test_lockstep_frontier_is_the_sequential_search_byte_for_byte(sid, channel, budget, seed,
                                                                   lambdas):
@@ -321,6 +324,24 @@ def test_a_batch_evaluates_bit_for_bit_as_its_members_one_by_one(sid):
         assert systems[k] == instantiate(schema, one)
         region = project_or_empty(instantiate(schema, one))
         assert regions[k] == region and polytope_equal(regions[k], region, 1e-9)
+
+
+@pytest.mark.parametrize("sid", ["RTD", "MARIC"])
+def test_an_empty_batch_is_a_value_at_every_stage(sid):
+    # K = 0 takes the same path as any K: each stage returns its empty result
+    schema = builtin_schema(sid)
+    compiled = compile_schema(schema)
+    rvs = schema.rv_set(2)
+    d = extend_through_channel(JointDistribution(rvs, np.empty((0, *rvs.sizes))),
+                               random_channel(0, _channel_sizes(schema)))
+    assert d.batched and len(d.prob) == 0
+    assert entropy_vector(d, compiled.rhs.subsets).shape == (0, len(compiled.rhs.subsets))
+    b = compiled.sign * compiled.rhs(d)
+    assert b.shape == instantiate(schema, d).b.shape == (0, len(schema.constraints))
+    assert project_or_empty(instantiate(schema, d)) == []
+    projection = compile_projection(compiled.structure)
+    assert projection.support(b, 0.5, 0.5) == []
+    assert projection.support(b, np.empty(0), np.empty(0)) == []
 
 
 def test_a_check_beyond_one_batch_runs_under_a_cap_that_refuses_all_its_samples(monkeypatch):
@@ -515,7 +536,7 @@ def test_maric_degenerate_part_gives_zero_difference():
     rvs = mar.rv_set(2, overrides={"X2a": 1})
     plan = _chain_plan(rvs, mar.factorization.factors, det=mar.deterministic)
     state = _FactorState(plan, np.random.default_rng(11))
-    d = extend_through_channel(state.joint(), random_channel(11, sizes=(2, 2, 2, 2)))
+    d = extend_through_channel(_joints([state])[0], random_channel(11, sizes=(2, 2, 2, 2)))
     io = instantiate(mar, d)
     im = instantiate(merged, d)
     assert im.rhs("m1'") - io.rhs("m1") == pytest.approx(0.0, abs=1e-12)
