@@ -154,16 +154,20 @@ def json_size(value, name: str) -> int:
 
 
 def json_float_array(flat, shape: tuple[int, ...]) -> np.ndarray:
-    """JSON field 'p' as a float array of `shape`; InvalidParameter otherwise."""
+    """JSON field 'p', a list of numbers (not booleans), as a float array of
+    `shape`; InvalidParameter naming the first bad entry otherwise."""
     expected = math.prod(shape)  # exact, where np.prod wraps around in int64
     if not isinstance(flat, list) or len(flat) != expected:
         got = f"length {len(flat)}" if isinstance(flat, list) else f"type {type(flat).__name__}"
         raise InvalidParameter(
             f"field 'p' has {got}, expected {expected} numbers for shape {shape}"
         )
+    for i, v in enumerate(flat):
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
+            raise InvalidParameter(f"field 'p': entry {i} must be a number, got {v!r}")
     try:
         return np.asarray(flat, dtype=float).reshape(shape)
-    except (TypeError, ValueError) as exc:
+    except OverflowError as exc:  # an integer beyond the float range
         raise InvalidParameter(f"field 'p': {exc}") from exc
 
 

@@ -15,7 +15,7 @@ conditional independencies), into one map read in one entropy pass.  The
 kernel takes each distribution's marginals with one `np.bincount` over a
 marginal plan cached per variable set and subset list; a plan above
 MAX_MARGINAL_LABELS labels is refused.  Roundoff negatives of an MI atom
-are clamped to zero in one place, `CompiledExprs.of_entropies`, and a
+are clamped to zero in one place, `CompiledExprs.__call__`, and a
 check passes at most MI_TOL bits.
 
 All operations are pure functions of immutable inputs; callers may
@@ -464,11 +464,6 @@ class CompiledExprs:
                 k, j = bad[0]
                 raise FactorizationViolation(
                     f"{self.check_names[j]} = {checks[k, j]:.3e} > {MI_TOL:g}")
-        return self.of_entropies(h)
-
-    def of_entropies(self, h: np.ndarray) -> np.ndarray:
-        """The values from entropies whose leading entries (per row) are
-        those of the leading subsets, in order; later entries are ignored."""
         atoms = rowwise(self._atom_matrix, h[..., : self.atom_matrix.shape[1]])
         atoms[(atoms >= -MI_CLAMP) & (atoms < 0.0)] = 0.0
         return rowwise(self._expr_matrix, atoms) + 0.0  # + 0.0 turns a -0.0 into 0.0

@@ -6,12 +6,12 @@ input dependencies) into a `_ChainPlan`: for each factor a `_BlockPlan`
 that has resolved the block's axes, sizes, transpose and broadcast shape,
 the paired-copy indicator and the lookup tables of the structured
 channel inputs.  A draw then makes only the generator calls and one
-reshape and transpose onto the joint's ascending axes.  `_FactorState`
-holds one drawn block per factor, and `_joints` multiplies the blocks of
-K states into a batch of joints, one stacked product per factor, left
-unchecked: the channel extension checks it once.  One joint is the batch
-of one state, `_joints([state])[0]`; `sample_factored`, `sample_instances`
-and the frontier search all draw through it.
+reshape and transpose onto the joint's ascending axes.  K states of one
+chain are one population, a list of one (K, *block shape) array per
+factor, and a state is a row.  `_draw` alone draws populations, for
+`sample_factored`, `sample_instances` and the frontier search; `_joints`
+multiplies one into an unchecked batch of joints (the channel extension
+checks it once); `_propose` returns a moved block for a row.
 
 Every draw is a pure function of the generator passed in, so a seed fixes
 the joint bit for bit.  A joint of more than MAX_MARGINAL_LABELS cells is
@@ -152,7 +152,7 @@ def _block_plan(
 
 
 class _ChainPlan(NamedTuple):
-    """A factor chain's block plans, and `propose`'s fresh-block plans.
+    """A factor chain's block plans, and `_propose`'s fresh-block plans.
 
     `free` lists the factors the frontier search may move: all but the
     paired copies.  `fresh` is the chain's "free"-mode blocks, so
@@ -199,80 +199,66 @@ def _schema_plan(schema: RegionSchema, size: int, mode: str) -> _ChainPlan:
                        schema.deterministic, schema.input_deps)
 
 
-class _FactorState:
-    """The factor blocks of one chain, each drawn once through its plan.
+def _draw(plans: Sequence[_ChainPlan], rngs: Sequence[np.random.Generator]) -> list[np.ndarray]:
+    """The population of state k drawn through plans[k] (of one chain, in
+    any modes) on rngs[k]: state by state, each state's blocks in chain
+    order, so each generator is consumed as if its state were drawn alone."""
+    drawn = [[b.draw(rng) for b in plan.blocks] for plan, rng in zip(plans, rngs)]
+    return [np.stack(factor) for factor in zip(*drawn)]
 
-    `_joints` multiplies the blocks of a batch of states into their joints;
-    the frontier search replaces single entries of `blocks` with `propose`'s
-    moves while hill climbing.  Deterministic (paired) blocks are never proposed.
+
+def _propose(plan: _ChainPlan, blocks: Sequence[np.ndarray], k: int,
+             rng: np.random.Generator) -> tuple[int, np.ndarray]:
+    """Return (index, new_block) for one derivative-free move of row k of
+    the population `blocks`, which is left as it is.
+
+    Row moves: sharpen to the mode, flatten toward uniform, mix with a
+    fresh Dirichlet draw, or resample the block.  Multi-variable blocks
+    additionally get axis moves that sharpen or uniformize a single
+    variable's marginal while keeping the rest of the row intact.
+    Deterministic (paired) blocks are never proposed.
     """
-
-    def __init__(self, plan: _ChainPlan, rng: np.random.Generator):
-        self.plan = plan
-        self.rvs = plan.rvs
-        self.blocks = [b.draw(rng) for b in plan.blocks]
-
-    @classmethod
-    def of_schema(
-        cls, schema: RegionSchema, size: int, rng: np.random.Generator, mode: str = "free"
-    ) -> _FactorState:
-        """The schema's factorization at default cardinality `size`."""
-        return cls(_schema_plan(schema, size, mode), rng)
-
-    def propose(self, rng: np.random.Generator):
-        """Return (index, new_block) for one derivative-free move.
-
-        Row moves: sharpen to the mode, flatten toward uniform, mix with a
-        fresh Dirichlet draw, or resample the block.  Multi-variable blocks
-        additionally get axis moves that sharpen or uniformize a single
-        variable's marginal while keeping the rest of the row intact.
-        """
-        free = self.plan.free
-        idx = free[rng.integers(0, len(free))]
-        fresh = self.plan.fresh[idx]
-        t_sizes = fresh.t_sizes
-        k = math.prod(t_sizes)
-        move = rng.random()
-        if move < 0.06:
-            return idx, fresh.draw(rng)
-        new = self.blocks[idx].copy()
-        flat = new.reshape(-1, k)
-        row = rng.integers(0, flat.shape[0])
-        if len(t_sizes) > 1 and move < 0.40:
-            row_nd = flat[row].reshape(t_sizes)
-            j = int(rng.integers(0, len(t_sizes)))
-            rest = row_nd.sum(axis=j, keepdims=True)
-            shape_j = [1] * len(t_sizes)
-            shape_j[j] = t_sizes[j]
-            if move < 0.23:
-                sum_axes = tuple(i for i in range(len(t_sizes)) if i != j)
-                marg = row_nd.sum(axis=sum_axes)
-                dist = np.zeros(t_sizes[j])
-                dist[np.argmax(marg)] = 1.0
-            else:
-                dist = np.full(t_sizes[j], 1.0 / t_sizes[j])
-            flat[row] = (rest * dist.reshape(shape_j)).reshape(-1)
-        elif move < 0.55:
-            peak = np.zeros(k)
-            peak[np.argmax(flat[row])] = 1.0
-            flat[row] = peak
-        elif move < 0.70:
-            alpha = float(rng.choice([1.0, 0.4]))
-            flat[row] = (1 - alpha) * flat[row] + alpha / k
+    idx = plan.free[rng.integers(0, len(plan.free))]
+    fresh = plan.fresh[idx]
+    t_sizes = fresh.t_sizes
+    n = math.prod(t_sizes)
+    move = rng.random()
+    if move < 0.06:
+        return idx, fresh.draw(rng)
+    new = blocks[idx][k].copy()
+    flat = new.reshape(-1, n)
+    row = rng.integers(0, flat.shape[0])
+    if len(t_sizes) > 1 and move < 0.40:
+        row_nd = flat[row].reshape(t_sizes)
+        j = int(rng.integers(0, len(t_sizes)))
+        rest = row_nd.sum(axis=j, keepdims=True)
+        others = tuple(i for i in range(len(t_sizes)) if i != j)
+        if move < 0.23:
+            dist = np.zeros(t_sizes[j])
+            dist[np.argmax(row_nd.sum(axis=others))] = 1.0
         else:
-            alpha = float(rng.choice([0.5, 0.15, 0.03]))
-            flat[row] = (1 - alpha) * flat[row] + alpha * rng.dirichlet(np.ones(k))
-        return idx, new
+            dist = np.full(t_sizes[j], 1.0 / t_sizes[j])
+        flat[row] = (rest * np.expand_dims(dist, others)).reshape(-1)
+    elif move < 0.55:
+        peak = np.zeros(n)
+        peak[np.argmax(flat[row])] = 1.0
+        flat[row] = peak
+    elif move < 0.70:
+        alpha = float(rng.choice([1.0, 0.4]))
+        flat[row] = (1 - alpha) * flat[row] + alpha / n
+    else:
+        alpha = float(rng.choice([0.5, 0.15, 0.03]))
+        flat[row] = (1 - alpha) * flat[row] + alpha * rng.dirichlet(np.ones(n))
+    return idx, new
 
 
-def _joints(states: Sequence[_FactorState]) -> JointDistribution:
-    """The joints of K states of one chain as an unchecked batch: each
-    factor's K blocks, stacked, multiply the batch in chain order, so each
-    joint is the product of its own blocks in that order."""
-    joint = np.ones((len(states), *states[0].rvs.shape()))
-    for blocks in zip(*(s.blocks for s in states)):
-        joint *= np.stack(blocks)
-    return _unchecked(states[0].rvs, joint)
+def _joints(rvs: RandomVariableSet, blocks: Sequence[np.ndarray]) -> JointDistribution:
+    """A population's joints as an unchecked batch: the stacked factors
+    multiply it in chain order, so each joint is its own blocks' product."""
+    joint = np.ones((len(blocks[0]), *rvs.shape()))
+    for stacked in blocks:
+        joint *= stacked
+    return _unchecked(rvs, joint)
 
 
 def sample_factored(
@@ -289,8 +275,8 @@ def sample_factored(
             f"factorization does not cover variable set (missing {sorted(missing)}, "
             f"extra {sorted(extra)})"
         )
-    state = _FactorState(_chain_plan(rvs, spec.factors), np.random.default_rng(seed))
-    return JointDistribution(rvs, _joints([state])[0].prob)
+    blocks = _draw([_chain_plan(rvs, spec.factors)], [np.random.default_rng(seed)])
+    return JointDistribution(rvs, _joints(rvs, blocks)[0].prob)
 
 
 def sample_instances(
@@ -304,12 +290,14 @@ def sample_instances(
     one channel for all: drawn seed by seed, multiplied and extended as one batch."""
     if not len(seeds):
         raise InvalidParameter("a batch needs at least one seed")
+    if len(modes) != len(seeds):
+        raise InvalidParameter(f"{len(seeds)} seeds but {len(modes)} sampling modes")
     unknown = [mode for mode in modes if mode not in SAMPLING_MODES]
     if unknown:
         raise InvalidParameter(f"unknown sampling mode {unknown[0]!r}")
     plans = {mode: _schema_plan(schema, size, mode) for mode in set(modes)}
-    states = [_FactorState(plans[mode], np.random.default_rng(s)) for s, mode in zip(seeds, modes)]
-    return extend_through_channel(_joints(states), channels)
+    blocks = _draw([plans[mode] for mode in modes], [np.random.default_rng(s) for s in seeds])
+    return extend_through_channel(_joints(plans[modes[0]].rvs, blocks), channels)
 
 
 def sample_instance(

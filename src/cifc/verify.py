@@ -17,10 +17,10 @@ comparator's projected region is checked against its unified
 counterpart once, by `sampled_region_containment` in the containment
 suite.  The tolerances are fixed: MI_TOL for every identity and zero
 check, REGION_TOL for every containment and oracle comparison.  The
-frontier search climbs on the sampler's factor blocks, every lambda in
-lockstep on its own generator, and scores each step's candidates as one
-batched evaluation through the schema's one checked rhs map: the output
-is identical to climbing each lambda alone.
+frontier search climbs on a population of factor blocks, one row per
+lambda, each in lockstep on its own generator, and scores each step's
+rows as one batched evaluation through the schema's one checked rhs
+map: the output is identical to climbing each lambda alone.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ from .regions import (
     maric_merged,
     same_system,
 )
-from .sampling import _FactorState, _joints, _mode_for, sample_instances
+from .sampling import _draw, _joints, _mode_for, _propose, _schema_plan, sample_instances
 
 REGION_TOL = 1e-7
 BATCH = 100  # samples per batch: a check's memory does not grow with its samples
@@ -488,11 +488,13 @@ def trace_frontier(
     derivative-free hill climbing on the factor blocks (Dirichlet mixing,
     occasional row sharpening and block restarts), spending up to `budget`
     objective evaluations; the variables take the schema's `rv_set(2)`
-    cardinalities.  Every lambda steps in lockstep on its own generator,
-    and each step checks and scores every lambda's candidate (the starts
-    likewise) as one batch through the compiled rhs map and projection,
-    so the result is identical to climbing each lambda alone.  A lambda
-    whose search finds no feasible point is listed in `missing`.
+    cardinalities.  The states are one population (see `cifc.sampling`)
+    with a row per lambda, gathered from the starts' rows; a move, a
+    revert or a restart writes the row.  Every lambda steps in lockstep
+    on its own generator, and each step checks and scores every row (the
+    starts likewise) as one batch through the compiled rhs map and
+    projection, so the result is identical to climbing each lambda alone.
+    A lambda whose search finds no feasible point is listed in `missing`.
     Deterministic in `seed`.  Raises Unbounded up front for a schema whose
     projection is unbounded.
     """
@@ -516,44 +518,49 @@ def trace_frontier(
     cells = math.prod(schema.rv_set(2).sizes) * math.prod(channel.shape[:2])
     chunk = max(1, probability.MAX_MARGINAL_LABELS // cells)  # read per call, as the extension does
 
-    def scores(states: list[_FactorState], lams: np.ndarray):
-        """Each state's support at its lambda, one batched evaluation per
-        chunk of K states, K x cells within the channel extension's cap."""
-        for at in range(0, len(states), chunk):
-            d = extend_through_channel(_joints(states[at:at + chunk]), channel)
+    plan = _schema_plan(schema, 2, "free")  # every mode's plan moves the same blocks
+
+    def scores(blocks: list[np.ndarray], lams: np.ndarray):
+        """Each row's support at its lambda, one batched evaluation per
+        chunk of K rows, K x cells within the channel extension's cap."""
+        for at in range(0, len(lams), chunk):
+            d = extend_through_channel(_joints(plan.rvs, [b[at:at + chunk] for b in blocks]),
+                                       channel)
             w = lams[at:at + chunk]
             yield from projection.support(compiled.sign * compiled.rhs(d), w, 1.0 - w)
 
     # a handful of random starts per lambda across sampling modes, then climb the best
     n_starts = max(1, min(6, budget // 40))
     rngs = [np.random.default_rng(seed * 1_000_003 + k) for k in range(len(lam_grid))]
-    starts = [_FactorState.of_schema(schema, 2, rng, _mode_for(j))
-              for rng in rngs for j in range(n_starts)]
-    tried = list(zip(scores(starts, np.repeat(lam_grid, n_starts)), starts))
-    # per lambda: the best so far, the state, the best since a restart, and the stall
-    best, states = map(list, zip(*(
-        max(tried[at:at + n_starts], key=lambda t: t[0][2] if t[0] else -math.inf)
-        for at in range(0, len(tried), n_starts))))
+    starts = _draw([_schema_plan(schema, 2, _mode_for(j)) for _ in rngs for j in range(n_starts)],
+                   [rng for rng in rngs for _ in range(n_starts)])
+    tried = list(scores(starts, np.repeat(lam_grid, n_starts)))
+    # per lambda: its row, the best so far, the best since a restart, and the stall
+    rows = [max(range(at, at + n_starts), key=lambda r: tried[r][2] if tried[r] else -math.inf)
+            for at in range(0, len(tried), n_starts)]
+    blocks, best = [b[rows] for b in starts], [tried[r] for r in rows]
     climb_best, stall = list(best), [0] * len(rngs)
     for evals in range(n_starts, budget):
-        moves = []  # per lambda, (block index, the block it replaced), or None
+        moves = []  # per lambda, (block index, the row it replaced), or None
         for k, rng in enumerate(rngs):
             # a stuck basin restarts from a fresh state, accepted whatever its value
             if stall[k] > 300 and budget - evals > 400:
-                states[k] = _FactorState.of_schema(schema, 2, rng, _mode_for(evals))
+                fresh = _draw([_schema_plan(schema, 2, _mode_for(evals))], [rng])
+                for b, row in zip(blocks, fresh):
+                    b[k] = row[0]
                 moves.append(None)
             else:
-                idx, block = states[k].propose(rng)
-                moves.append((idx, states[k].blocks[idx]))
-                states[k].blocks[idx] = block
-        for k, cand in enumerate(scores(states, lam_grid)):
+                idx, block = _propose(plan, blocks, k, rng)
+                moves.append((idx, blocks[idx][k].copy()))
+                blocks[idx][k] = block
+        for k, cand in enumerate(scores(blocks, lam_grid)):
             if moves[k] is None or _improves(cand, climb_best[k]):
                 climb_best[k], stall[k] = cand, 0
                 if _improves(cand, best[k]):
                     best[k] = cand
             else:
                 idx, old = moves[k]
-                states[k].blocks[idx] = old
+                blocks[idx][k] = old
                 stall[k] += 1
     points = [(float(lam), b[0], b[1], seed * 1_000_003 + k)
               for k, (lam, b) in enumerate(zip(lam_grid, best)) if b is not None]

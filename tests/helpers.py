@@ -39,7 +39,7 @@ from cifc.regions import (
     compile_schema,
     instantiate,
 )
-from cifc.sampling import SAMPLING_MODES, _FactorState, _joints, sample_instance
+from cifc.sampling import SAMPLING_MODES, _draw, _joints, _propose, _schema_plan, sample_instance
 from cifc.verify import CheckReport, FrontierResult, SuiteReport, _improves, _pareto_filter
 
 
@@ -351,6 +351,7 @@ def sequential_frontier(schema_id, channel, budget=2000, seed=0, lambdas=21) -> 
     schema = builtin_schema(schema_id)
     compiled = compile_schema(schema)
     projection = compile_projection(compiled.structure)
+    plan = _schema_plan(schema, 2, "free")
 
     def support(b, w1, w2):
         _, _, x, y, ok = projection._vertices(b)
@@ -369,13 +370,14 @@ def sequential_frontier(schema_id, channel, budget=2000, seed=0, lambdas=21) -> 
         rng = np.random.default_rng(lam_seed)
 
         def objective(state):
-            b = compiled.sign * compiled.rhs(extend_through_channel(_joints([state])[0], channel))
+            joint = _joints(plan.rvs, state)[0]
+            b = compiled.sign * compiled.rhs(extend_through_channel(joint, channel))
             return support(b, lam, 1.0 - lam)
 
         n_starts = max(1, min(6, budget // 40))
         starts = []
         for j in range(n_starts):
-            st = _FactorState.of_schema(schema, 2, rng, SAMPLING_MODES[j % len(SAMPLING_MODES)])
+            st = _draw([_schema_plan(schema, 2, SAMPLING_MODES[j % len(SAMPLING_MODES)])], [rng])
             starts.append((objective(st), st))
         evals = n_starts
         feasible = [(val, st) for val, st in starts if val is not None]
@@ -388,13 +390,13 @@ def sequential_frontier(schema_id, channel, budget=2000, seed=0, lambdas=21) -> 
         while evals < budget:
             restart = stall > 300 and budget - evals > 400
             if restart:
-                state = _FactorState.of_schema(
-                    schema, 2, rng, SAMPLING_MODES[evals % len(SAMPLING_MODES)]
+                state = _draw(
+                    [_schema_plan(schema, 2, SAMPLING_MODES[evals % len(SAMPLING_MODES)])], [rng]
                 )
             else:
-                idx, block = state.propose(rng)
-                old = state.blocks[idx]
-                state.blocks[idx] = block
+                idx, block = _propose(plan, state, 0, rng)
+                old = state[idx]
+                state[idx] = block[None]
             cand = objective(state)
             evals += 1
             if restart or _improves(cand, climb_best):
@@ -403,7 +405,7 @@ def sequential_frontier(schema_id, channel, budget=2000, seed=0, lambdas=21) -> 
                 if _improves(cand, best):
                     best = cand
             else:
-                state.blocks[idx] = old
+                state[idx] = old
                 stall += 1
         if best is None:
             missing.append(float(lam))

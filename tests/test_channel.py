@@ -136,6 +136,25 @@ def test_json_length_mismatch_rejected():
         channel_from_json(obj)
 
 
+@pytest.mark.parametrize("p, bad", [
+    (["0.5", "0.5"], "entry 0 must be a number, got '0.5'"),
+    ([0.5, "0.5"], "entry 1 must be a number, got '0.5'"),
+    ([True, False], "entry 0 must be a number, got True"),
+    ([1, None], "entry 1 must be a number, got None"),
+    ([[1.0], [0.0]], r"entry 0 must be a number, got \[1\.0\]"),
+    ([10**400, 0], "int too large to convert to float"),
+])
+def test_json_probabilities_are_json_numbers(p, bad):
+    # a string or a boolean used to pass as a probability
+    with pytest.raises(InvalidParameter, match=bad):
+        channel_from_json({"x1": 1, "x2": 1, "y1": 1, "y2": 2, "p": p})
+
+
+def test_json_integer_probabilities_are_numbers():
+    ch = channel_from_json({"x1": 1, "x2": 1, "y1": 1, "y2": 2, "p": [1, 0]})
+    assert ch.transition.dtype == float and ch.transition.reshape(-1).tolist() == [1.0, 0.0]
+
+
 def test_json_missing_field_rejected():
     obj = channel_to_json(bsc_pair(0.1, 0.1))
     del obj["y2"]

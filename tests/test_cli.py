@@ -41,6 +41,14 @@ def test_validate_malformed_exits_2(tmp_path, capsys):
     assert "p" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("p", ['["0.5","0.5"]', "[true,false]"])
+def test_validate_refuses_probabilities_that_are_not_numbers(tmp_path, capsys, p):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"x1":1,"x2":1,"y1":1,"y2":2,"p":%s}' % p)
+    assert main(["validate", "--channel", str(bad)]) == 2
+    assert "field 'p': entry 0 must be a number" in capsys.readouterr().err
+
+
 def test_validate_missing_file_exits_2(tmp_path):
     assert main(["validate", "--channel", str(tmp_path / "nope.json")]) == 2
 

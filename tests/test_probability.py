@@ -30,7 +30,14 @@ from cifc.probability import (
     rename_term,
 )
 from cifc.regions import SCHEMA_IDS, builtin_schema
-from cifc.sampling import _FactorState, _joints, sample_factored, sample_instance, sample_instances
+from cifc.sampling import (
+    _draw,
+    _joints,
+    _schema_plan,
+    sample_factored,
+    sample_instance,
+    sample_instances,
+)
 from helpers import _marginal, reference_entropy, reference_mutual_information
 
 
@@ -398,8 +405,8 @@ def test_only_a_batch_has_members():
 
 def test_a_batch_above_the_marginal_plan_cap_is_refused_before_extension(monkeypatch):
     schema = builtin_schema("RTD")
-    states = [_FactorState.of_schema(schema, 2, np.random.default_rng(s)) for s in range(4)]
-    joints = _joints(states)
+    plan = _schema_plan(schema, 2, "free")
+    joints = _joints(plan.rvs, _draw([plan] * 4, [np.random.default_rng(s) for s in range(4)]))
     channels = [random_channel(s) for s in range(4)]
     # three extended joints of 64 x 4 cells fit the cap, four do not
     monkeypatch.setattr(probability, "MAX_MARGINAL_LABELS", 3 * 256)
@@ -470,6 +477,15 @@ def test_joint_json_roundtrip():
     back = joint_from_json(joint_to_json(d))
     assert back.names == d.names
     assert np.array_equal(back.prob, d.prob)
+
+
+@pytest.mark.parametrize("p, bad", [
+    ([False, "1e0"], "entry 0 must be a number, got False"),
+    ([0.0, "1e0"], "entry 1 must be a number, got '1e0'"),
+])
+def test_joint_json_probabilities_are_json_numbers(p, bad):
+    with pytest.raises(InvalidParameter, match=bad):
+        joint_from_json({"names": ["A"], "sizes": [2], "p": p})
 
 
 def test_joint_json_rejects_bad_length():

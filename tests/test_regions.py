@@ -31,7 +31,7 @@ from cifc.regions import (
 from cifc.sampling import (
     SAMPLING_MODES,
     _chain_plan,
-    _FactorState,
+    _draw,
     _joints,
     sample_factored,
     sample_instance,
@@ -203,9 +203,9 @@ def test_violations_name_the_first_failed_check_as_pinned(check):
     assert str(err.value) == "I(U1c;U2c|X2) = 9.813e-02 > 1e-09"
     # a paired copy drawn as a free block: MARIC's X2 is no copy of (X2a, X2b)
     mar = builtin_schema("MARIC")
-    state = _FactorState(_chain_plan(mar.rv_set(2), mar.factorization.factors),
-                         np.random.default_rng(0))
-    d = extend_through_channel(_joints([state])[0], random_channel(0, sizes=(2, 4, 2, 2)))
+    plan = _chain_plan(mar.rv_set(2), mar.factorization.factors)
+    joint = _joints(plan.rvs, _draw([plan], [np.random.default_rng(0)]))[0]
+    d = extend_through_channel(joint, random_channel(0, sizes=(2, 4, 2, 2)))
     with pytest.raises(FactorizationViolation) as err:
         check(mar, d)
     assert str(err.value) == "MARIC: H(X2|X2a,X2b) = 1.845e+00 > 1e-09"

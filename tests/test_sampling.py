@@ -1,18 +1,24 @@
+import copy
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import cifc.sampling
+from cifc.channel import random_channel
 from cifc.errors import InvalidParameter
 from cifc.probability import MAX_MARGINAL_LABELS, RandomVariableSet, chain
 from cifc.regions import SCHEMA_IDS, builtin_schema
 from cifc.sampling import (
     SAMPLING_MODES,
     _chain_plan,
-    _FactorState,
+    _draw,
     _joints,
+    _propose,
+    _schema_plan,
     sample_factored,
+    sample_instances,
 )
 
 from helpers import reference_factored_joint
@@ -27,7 +33,7 @@ def test_vectorized_blocks_match_cell_by_cell_reference(sid, size, mode):
     rvs = schema.rv_set(size)
     for seed in range(4):
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        joint = _joints([_FactorState.of_schema(schema, size, rng, mode)])[0].prob
+        joint = _joints(rvs, _draw([_schema_plan(schema, size, mode)], [rng]))[0].prob
         expected = reference_factored_joint(
             rvs, schema.factorization.factors, ref_rng, mode,
             schema.deterministic, schema.input_deps,
@@ -53,7 +59,7 @@ def test_paired_copy_indexes_parts_in_declared_order():
     factors = chain(("A",), ("B", "A"), ("P", "B A")).factors
     det = (("P", ("B", "A")),)
     plan = _chain_plan(rvs, factors, "free", det)
-    joint = _joints([_FactorState(plan, np.random.default_rng(2))])[0].prob
+    joint = _joints(rvs, _draw([plan], [np.random.default_rng(2)]))[0].prob
     expected = reference_factored_joint(rvs, factors, np.random.default_rng(2), "free", det)
     assert np.array_equal(joint, expected)
     # A = 1, B = 0: P = 0 * 2 + 1, not 1 * 3 + 0
@@ -77,9 +83,85 @@ def test_sampling_plan_refuses_a_joint_above_the_cell_cap():
         assert f"{cells} cells" in str(err.value)
         assert f"cap of {MAX_MARGINAL_LABELS}" in str(err.value)
         with pytest.raises(InvalidParameter) as err:
-            _FactorState.of_schema(rtd, size, np.random.default_rng(0), "det")
+            _draw([_schema_plan(rtd, size, "det")], [np.random.default_rng(0)])
         assert f"{rtd_cells} cells" in str(err.value)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("sid", SCHEMA_IDS)
+def test_a_mixed_mode_population_is_its_one_state_draws(sid):
+    # state by state, each state's blocks in chain order: with a generator
+    # shared by consecutive states, as by a lambda's frontier starts, every
+    # row and every generator end as if the states were drawn one at a time
+    schema = builtin_schema(sid)
+    plans = [_schema_plan(schema, 2, SAMPLING_MODES[k % 3]) for k in range(7)]
+    owners = [0, 0, 0, 1, 2, 2, 2]
+    rngs = [np.random.default_rng(40 + i) for i in range(3)]
+    blocks = _draw(plans, [rngs[i] for i in owners])
+    assert [b.shape for b in blocks] == [(7, *b.shape) for b in plans[0].blocks]
+    alone = [np.random.default_rng(40 + i) for i in range(3)]
+    for k, plan in enumerate(plans):
+        one = _draw([plan], [alone[owners[k]]])
+        assert all(b[k].tobytes() == o[0].tobytes() for b, o in zip(blocks, one))
+        joint = _joints(plan.rvs, one)[0]
+        assert _joints(plan.rvs, blocks)[k].prob.tobytes() == joint.prob.tobytes()
+    assert [r.bit_generator.state for r in rngs] == [r.bit_generator.state for r in alone]
+
+
+def _move_kind(plan, rng) -> str:
+    """The move `_propose` is about to make with `rng`, read off a copy."""
+    peek = copy.deepcopy(rng)
+    idx = plan.free[peek.integers(0, len(plan.free))]
+    move = peek.random()
+    multi = len(plan.fresh[idx].t_sizes) > 1
+    for kind, below in (("resample", 0.06), ("axis sharpen", 0.23 if multi else 0.0),
+                        ("axis flatten", 0.40 if multi else 0.0), ("peak", 0.55),
+                        ("flatten", 0.70)):
+        if move < below:
+            return kind
+    return "mix"
+
+
+ROW_MOVES = {"resample", "peak", "flatten", "mix"}
+
+
+@pytest.mark.parametrize("sid, kinds_hit", [
+    ("RTD", ROW_MOVES | {"axis sharpen", "axis flatten"}),
+    ("MARIC", ROW_MOVES),  # one target per free block, and a paired X2
+])
+def test_propose_leaves_the_population_alone(sid, kinds_hit):
+    # a move returns a new block for one row; a view into the stacked
+    # arrays would change another lambda's state
+    schema = builtin_schema(sid)
+    plan = _schema_plan(schema, 2, "free")
+    blocks = _draw([_schema_plan(schema, 2, mode) for mode in SAMPLING_MODES],
+                   [np.random.default_rng(s) for s in range(3)])
+    before = [b.copy() for b in blocks]
+    rng = np.random.default_rng(7)
+    kinds = set()
+    for step in range(200):
+        k = step % 3
+        kinds.add(_move_kind(plan, rng))
+        idx, block = _propose(plan, blocks, k, rng)
+        assert idx in plan.free and block.shape == plan.blocks[idx].shape
+        assert not any(np.shares_memory(block, b) for b in blocks)
+        assert all(b.tobytes() == o.tobytes() for b, o in zip(blocks, before))
+    assert kinds == kinds_hit
+
+
+@pytest.mark.parametrize("seeds, modes", [
+    ([0, 1, 2], ["free"]),
+    ([0], ["free", "det", "flat_det"]),
+])
+def test_sample_instances_refuses_seeds_and_modes_of_different_lengths(monkeypatch, seeds, modes):
+    # one channel for all used to stop silently at the shorter list
+    def draw(*args):
+        raise AssertionError("a draw was made")
+
+    monkeypatch.setattr(cifc.sampling, "_draw", draw)
+    with pytest.raises(InvalidParameter,
+                       match=f"{len(seeds)} seeds but {len(modes)} sampling modes"):
+        sample_instances(builtin_schema("RTD"), random_channel(0), seeds, modes)

@@ -33,7 +33,7 @@ from cifc.regions import SCHEMA_IDS, builtin_schema, compile_schema, instantiate
 from cifc.sampling import (
     SAMPLING_MODES,
     _chain_plan,
-    _FactorState,
+    _draw,
     _joints,
     _mode_for,
     sample_factored,
@@ -226,8 +226,8 @@ def test_frontier_checks_the_distributions_it_scores(monkeypatch):
 
     rvs = builtin_schema("RTD_CC").rv_set(2)
     cells = math.prod(rvs.sizes)
-    monkeypatch.setattr(cifc.verify, "_joints", lambda states: JointDistribution(
-        rvs, np.full((len(states), *rvs.shape()), 1.0 / cells)))
+    monkeypatch.setattr(cifc.verify, "_joints", lambda rvs, blocks: JointDistribution(
+        rvs, np.full((len(blocks[0]), *rvs.shape()), 1.0 / cells)))
     with pytest.raises(FactorizationViolation, match=r"RTD_CC: H\(X2\|U2c\) = 1\.000e\+00"):
         trace_frontier("RTD_CC", BSC, budget=10, seed=0, lambdas=2)
 
@@ -535,8 +535,8 @@ def test_maric_degenerate_part_gives_zero_difference():
     merged = maric_merged()
     rvs = mar.rv_set(2, overrides={"X2a": 1})
     plan = _chain_plan(rvs, mar.factorization.factors, det=mar.deterministic)
-    state = _FactorState(plan, np.random.default_rng(11))
-    d = extend_through_channel(_joints([state])[0], random_channel(11, sizes=(2, 2, 2, 2)))
+    joint = _joints(rvs, _draw([plan], [np.random.default_rng(11)]))[0]
+    d = extend_through_channel(joint, random_channel(11, sizes=(2, 2, 2, 2)))
     io = instantiate(mar, d)
     im = instantiate(merged, d)
     assert im.rhs("m1'") - io.rhs("m1") == pytest.approx(0.0, abs=1e-12)
