@@ -15,10 +15,12 @@ The projector and the membership oracle are deliberately independent
 code paths: the first runs variable elimination, the second enumerates
 every basic solution of the full-dimensional system and takes the convex
 hull of its projections.  The oracle, too, does once per coefficient
-structure what does not depend on the right-hand side: it finds the
-nonsingular bases and caches each as an exact integer adjugate and
-determinant, so a system's basic solutions are Cramer's rule, one
-`einsum` and one division, with no factorization.
+structure what does not depend on the right-hand side: it builds every
+integer minor of the coefficients exactly in int64, level by level from
+the one below, and keeps each nonzero one as a basis with its adjugate,
+so a system's basic solutions are Cramer's rule, one `einsum` and one
+division per level, with no factorization.  It refuses a structure whose
+minors could overflow int64, or whose kept bases float64 cannot hold.
 """
 
 from __future__ import annotations
@@ -41,8 +43,6 @@ TIE_TOL = 1e-13  # relative: support values this close count as one optimal face
 # Row subsets the enumeration oracle may solve; about 3x the catalog's
 # largest, RTD's C(19, 8) = 75,582, and checked before anything is allocated.
 MAX_ORACLE_SUBSETS = 250_000
-# Row subsets per batch while the oracle builds a structure's bases
-_ORACLE_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -400,65 +400,79 @@ def compile_projection(structure: RateStructure) -> CompiledProjection:
 # ---------------------------------------------------------------------------
 
 
+def _colex(size: int, r: int, binom: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The r-subsets of range(size), (C(size, r), r), in colex order, so a
+    subset's index is its colex rank sum_i C(s_i, i + 1), and the rank of
+    each with its t-th element dropped, (C(size, r), r)."""
+    subs = np.array(list(itertools.combinations(range(size), r)), dtype=np.intp)
+    subs = subs.reshape(math.comb(size, r), r)
+    subs = subs[np.argsort(binom[subs, np.arange(1, r + 1)].sum(axis=1))]
+    # the terms before the t-th keep their place, those after it move down one
+    own, moved = binom[subs, np.arange(1, r + 1)], binom[subs, np.arange(r)]
+    drop = np.cumsum(own, axis=1) - own + moved.sum(axis=1, keepdims=True) - np.cumsum(moved, axis=1)
+    return subs, drop
+
+
 @lru_cache(maxsize=256)
-def _oracle_bases(
-    coeffs: tuple[tuple[int, ...], ...], n: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _oracle_bases(coeffs: tuple[tuple[int, ...], ...], n: int) -> tuple[np.ndarray, int, tuple]:
     """Every nonsingular basis of {x >= 0 : coeffs . x <= b}, for any b.
 
     A basis is an n-subset of the m = rows + n constraint rows (the system's
-    rows, then the nonnegativity facets -x_i <= 0) whose square matrix is
-    nonsingular; which subsets those are depends on the coefficients only,
-    so each structure enumerates its C(m, n) subsets once, _ORACLE_CHUNK at
-    a time to bound the memory of the batched determinants and inverses.
-    The matrices are integer, so each kept basis B is stored as its exact
-    adjugate and determinant, checked exactly by B . adj(B) = det(B) I
-    (float products of integers are exact below 2**53).  Returns the full
-    (m, n) row matrix, the (k, n) row indices of the k nonsingular subsets,
-    their (k, n, n) adjugates and their (k,) determinants, all integer
-    valued.  A subset is kept iff its float64 determinant rounds to a
-    nonzero integer, exact while the error stays below 1/4: every minor of
-    a basis is at most h, the product of the n largest row norms (Hadamard;
-    each is >= 1, as the unit facets are rows), and so is every entry of U
-    in its LU factors (a ratio of integer minors), so LU with partial
-    pivoting gives det(B + E) to a small relative error, each row of E no
-    longer than eta = sqrt(n) * n * gamma_n * h, and the error is at most
-    ((1 + eta)**n - 1) * h: below 1e-8 on the catalog, below 1/4 for any
-    coefficients in [-2, 2] on at most 8 rates.  Raises InvalidParameter,
-    before anything is allocated, when the subset count exceeds
-    MAX_ORACLE_SUBSETS or that bound reaches 1/4, and, caching nothing,
-    when an adjugate is not exact in float64.
+    rows, then the nonnegativity facets -x_i <= 0): r system rows S and the
+    facets of the rates outside an r-set J, with a nonzero integer minor
+    det C[S, J]; its basic solution is x_J = adj(C[S, J]) . b_S / det, every
+    other rate 0.  As sum_r C(rows, r) C(n, r) = C(m, n), the levels r = 0..n
+    hold every subset once.  Which are bases depends on the coefficients
+    only, so each structure builds, once and exactly in int64, every r x r
+    minor from level r - 1 by Laplace expansion along S's first row.  Row
+    and rate subsets are indexed by colex rank, so dropping an element is a
+    rank lookup and an adjugate a signed gather of the level below.  Returns
+    the (m, n) row matrix, the count k of bases and, per level r >= 1, the
+    kept (k_r, r) subsets S and J, their (k_r, r, r) adjugates and (k_r,)
+    determinants (exact floats), and the (k_r,) positions of their bases
+    among the k in lexicographic n-subset order (r = 0, the origin, needs no
+    solve).  Raises InvalidParameter, before anything is allocated, when the
+    subset count exceeds MAX_ORACLE_SUBSETS or a minor could overflow int64
+    (Hadamard: none exceeds the product of the largest row norms; int64
+    products and sums wrap modulo 2**64, so only the minors must fit), and,
+    caching nothing, when a kept determinant or adjugate entry reaches 2**53,
+    past which float64 does not hold every integer.
     """
-    m = len(coeffs) + n
+    rows = len(coeffs)
+    m = rows + n
     subsets = math.comb(m, n)
     if subsets > MAX_ORACLE_SUBSETS:
         raise InvalidParameter(f"the oracle would solve C({m}, {n}) = {subsets} "
                                f"row subsets, above the cap of {MAX_ORACLE_SUBSETS}")
-    a = np.vstack([np.asarray(coeffs, dtype=float).reshape(len(coeffs), n), -np.eye(n)])
-    h = float(np.sort(np.linalg.norm(a, axis=1))[m - n:].prod())
-    gamma = n * 2.0**-53 / (1 - n * 2.0**-53)  # gamma_n at float64's unit roundoff
-    eta = math.sqrt(n) * n * gamma * h
-    if not math.expm1(n * math.log1p(eta)) * h < 0.25:
-        raise InvalidParameter(f"the oracle's C({m}, {n}) row subsets allow basis determinants "
-                               f"up to {h:.3g}, too large for float64 to tell one from 0")
-    combos = np.fromiter(itertools.chain.from_iterable(itertools.combinations(range(m), n)),
-                         dtype=np.intp, count=subsets * n).reshape(subsets, n)
-    idx, adj, det = [], [], []
-    for start in range(0, subsets, _ORACLE_CHUNK):
-        chunk = combos[start:start + _ORACLE_CHUNK]
-        mats = a[chunk]
-        d = np.rint(np.linalg.det(mats))
-        # integer coefficient matrices: nonsingular iff det != 0
-        keep = d != 0
-        mats, d = mats[keep], d[keep]
-        c = np.rint(np.linalg.inv(mats) * d[:, None, None])
-        if not (mats @ c == d[:, None, None] * np.eye(n)).all():
+    top = min(rows, n)
+    squares = sorted((max(1, sum(c * c for c in row)) for row in coeffs), reverse=True)
+    if math.prod(squares[:top]) >= 2**126:
+        raise InvalidParameter(f"the oracle's C({m}, {n}) row subsets allow minors beyond "
+                               f"int64 by the rows' Hadamard bound")
+    c = np.asarray(coeffs, dtype=np.int64).reshape(rows, n)
+    # each C(i, k) is at most a term C(rows, k) C(n, k) of C(m, n), so fits
+    binom = np.array([[math.comb(i, k) for k in range(top + 1)] for i in range(max(rows, n))])
+    minors = np.ones((1, 1), dtype=np.int64)  # level 0: the empty minor
+    levels, full = [], [rows + np.arange(n)[None]]  # the origin: all n facets
+    for r in range(1, top + 1):
+        s, s_drop = _colex(rows, r, binom)
+        j, j_drop = _colex(n, r, binom)
+        sign, below = (-1) ** np.arange(r), minors
+        minors = (sign * c[s[:, :1, None], j] * below[s_drop[:, :1, None], j_drop]).sum(axis=2)
+        si, ji = np.nonzero(minors)
+        det = minors[si, ji]
+        adj = sign[:, None] * sign * below[s_drop[si][:, None, :], j_drop[ji][:, :, None]]
+        if (np.abs(det) >= 2**53).any() or (np.abs(adj) >= 2**53).any():
             raise InvalidParameter(f"the oracle's C({m}, {n}) row subsets include a basis "
-                                   f"whose adjugate is not exact in float64")
-        idx.append(chunk[keep])
-        adj.append(c)
-        det.append(d)
-    return a, np.concatenate(idx), np.concatenate(adj), np.concatenate(det)
+                                   f"whose determinant or adjugate is not exact in float64")
+        facets = np.ones((len(j), n), dtype=bool)  # the rates outside each J
+        facets[np.arange(len(j))[:, None], j] = False
+        full.append(np.hstack((s[si], rows + np.nonzero(facets)[1].reshape(len(j), n - r)[ji])))
+        levels.append((s[si], j[ji], adj.astype(float), det.astype(float)))
+    pos = np.argsort(np.lexsort(np.vstack(full).T[::-1]))  # the inverse of the sort
+    parts = np.split(pos, np.cumsum([len(f) for f in full])[:-1])[1:]
+    a = np.vstack([c.astype(float), -np.eye(n)])
+    return a, len(pos), tuple((*level, part) for level, part in zip(levels, parts))
 
 
 @lru_cache(maxsize=256)
@@ -466,21 +480,24 @@ def _oracle_hull(system: LinearSystem) -> tuple[tuple[float, float], ...]:
     """All basic feasible solutions of the full system, projected and hulled.
 
     The nonsingular bases come from _oracle_bases, once per coefficient
-    structure, as exact adjugates and determinants; per system only the
-    basic solutions change, and Cramer's rule gives them as one `einsum`
-    and one division.  The solutions satisfying the whole system within
-    FEAS_TOL are clipped to x >= 0 (the slack also admits a rate of
-    -FEAS_TOL) and projected.  The projection of the polytope is the convex
-    hull of the projected solutions because the systems handled here are
-    bounded.  This path shares no code with the elimination: no
-    multipliers, no Chernikov rule, no CompiledProjection.  Raises
-    InvalidParameter for a batch of systems, when the subset count exceeds
-    MAX_ORACLE_SUBSETS, or when a basis is not exact in float64.
+    structure, as exact integer minors; per system only the basic solutions
+    change, and Cramer's rule gives them as one `einsum` and one division
+    per level, scattered into the bases' lexicographic order.  The
+    solutions satisfying the whole system within FEAS_TOL are clipped to
+    x >= 0 (the slack also admits a rate of -FEAS_TOL) and projected.  The
+    projection of the polytope is the convex hull of the projected
+    solutions because the systems handled here are bounded.  This path
+    shares no code with the elimination: no multipliers, no Chernikov rule,
+    no CompiledProjection.  Raises InvalidParameter for a batch of systems
+    and when _oracle_bases refuses the structure.
     """
     n = len(system.variables)
-    a, idx, adj, det = _oracle_bases(system.rows, n)
-    b = np.concatenate((system.one().b, np.zeros(n)))
-    sols = np.einsum("kij,kj->ki", adj, b[idx]) / det[:, None]
+    a, count, levels = _oracle_bases(system.rows, n)
+    b = system.one().b
+    sols = np.zeros((count, n))
+    for s, j, adj, det, pos in levels:
+        sols[pos[:, None], j] = np.einsum("kij,kj->ki", adj, b[s]) / det[:, None]
+    b = np.concatenate((b, np.zeros(n)))
     feas = (a @ sols.T <= b[:, None] + FEAS_TOL).all(axis=0)
     good = np.maximum(sols[feas], 0.0)
     r1 = np.asarray(system.r1, dtype=float)

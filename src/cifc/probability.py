@@ -412,8 +412,11 @@ def entropy_vector(d: JointDistribution, subsets: Sequence[Sequence[str]]) -> np
     labels, starts, total = _marginal_plan(d.rvs, tuple(map(tuple, subsets)))
     rows = d.prob.reshape(-1, math.prod(d.rvs.sizes))
     marg = np.empty((len(rows), total))
+    weights = np.empty((len(starts), rows.shape[1]))  # the joint once per subset
     for k, q in enumerate(rows):
-        marg[k] = np.bincount(labels, weights=np.tile(q, len(starts)), minlength=total)
+        weights[:] = q
+        marg[k] = np.bincount(labels, weights=weights.reshape(-1), minlength=total)
+    del weights  # freed before the log pass, which can then reuse its memory
     terms = marg * np.log2(marg, out=np.zeros(marg.shape), where=marg > 0.0)
     h = -np.add.reduceat(terms, starts, axis=1) if len(starts) else terms
     return h.reshape(*d.prob.shape[:d.prob.ndim - len(d.rvs.sizes)], len(starts))

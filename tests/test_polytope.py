@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,14 +14,15 @@ from cifc.channel import canonical_channel, random_channel
 from cifc.errors import InvalidParameter, Unbounded
 from cifc.polytope import (
     EMPTY,
+    FEAS_TOL,
     MAX_ORACLE_SUBSETS,
     Polytope2D,
-    _ORACLE_CHUNK,
     _convex_hull,
     _distance_to_hull,
     _merge_close,
     _oracle_bases,
     _oracle_hull,
+    _order_ccw,
     compile_projection,
     containment_margin,
     halfplane_violation,
@@ -307,13 +309,54 @@ def test_oracle_origin_of_zero_system():
     assert not membership_oracle(system, (0.1, 0.0))
 
 
-def test_oracle_refuses_bases_float64_cannot_decide():
-    # the determinant is -1, but float64 LU rounds it to 0, which would drop
-    # the basis as singular; the rows' Hadamard bound refuses them up front
+def _exact_oracle_hull(system):
+    """The oracle's hull of a two-rate system from exact basic solutions:
+    every 2-subset of rows solved by Cramer's rule in Fractions and kept when
+    it satisfies every row within FEAS_TOL exactly, then clipped, projected,
+    snapped and hulled as the oracle does."""
+    rows = list(system.rows) + [(-1, 0), (0, -1)]
+    rhs = [Fraction(v) for v in system.b.tolist()] + [Fraction(0)] * 2
+    points = []
+    for i, k in itertools.combinations(range(len(rows)), 2):
+        (a, b), (c, d) = rows[i], rows[k]
+        if a * d - b * c == 0:
+            continue
+        x = ((rhs[i] * d - rhs[k] * b) / (a * d - b * c), (a * rhs[k] - c * rhs[i]) / (a * d - b * c))
+        if all(p * x[0] + q * x[1] <= r + Fraction(FEAS_TOL) for (p, q), r in zip(rows, rhs)):
+            x = [max(v, Fraction(0)) for v in x]
+            points.append(tuple(round(float(sum(w * v for w, v in zip(proj, x))), 12) + 0.0
+                                for proj in (system.r1, system.r2)))
+    return tuple(_order_ccw(_convex_hull(_merge_close(points, 1e-12), collinear_eps=1e-12)))
+
+
+def test_oracle_decides_a_basis_float64_would_round_to_singular():
+    # the determinant is -1, which float64 LU rounds to 0, dropping the basis
+    # as singular; the exact minors keep it, with its exact adjugate
     big = 2**27
     assert (big + 1) * (big - 1) - big * big == -1
-    with pytest.raises(InvalidParameter, match="too large for float64"):
-        _oracle_bases(((big + 1, big), (big, big - 1)), 2)
+    system = make_system(("a", "b"), [(big + 1, big), (big, big - 1)], [1.0, 1.0], (1, 0), (0, 1))
+    _, count, levels = _oracle_bases(system.rows, 2)
+    s, j, adj, det, _ = levels[1]
+    assert count == math.comb(4, 2)  # every subset is a basis
+    assert s.tolist() == j.tolist() == [[0, 1]] and det.tolist() == [-1.0]
+    assert adj.tolist() == [[[big - 1, -big], [-big, big + 1]]]
+    assert oracle_polygon(system) == _exact_oracle_hull(system)
+    assert len(oracle_polygon(system)) == 3
+
+
+def test_oracle_refuses_minors_beyond_int64_before_allocating():
+    # Hadamard: the 2 x 2 minors may reach about 2**80, past int64
+    system = make_system(("a", "b"), [(2**40, 1), (1, 2**40)], [1.0, 1.0], (1, 0), (0, 1))
+    _oracle_bases.cache_clear()
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidParameter, match="C\\(4, 2\\).*beyond int64"):
+            oracle_polygon(system)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16_000
+    assert _oracle_bases.cache_info().currsize == 0
 
 
 @settings(max_examples=200, deadline=None)
@@ -393,19 +436,24 @@ def _catalog_system(sid):
 
 @pytest.mark.parametrize("sid", SCHEMA_IDS)
 def test_oracle_bases_are_exact_across_chunks(sid):
-    """The chunked bases are exactly the subsets a fresh enumeration finds
-    nonsingular, each with its exact integer adjugate and determinant."""
+    """The bases, built in one chunk per level r of r x r minors, are
+    exactly the n-subsets a fresh float enumeration finds nonsingular, one
+    to one and scattered in their lexicographic order, each level's minor
+    C[S, J] with its exact integer adjugate and determinant."""
     system = _catalog_system(sid)
     n = len(system.variables)
-    m = len(system.rows) + n
-    a, idx, adj, det = _oracle_bases(system.rows, n)
-    combos = np.asarray(list(itertools.combinations(range(m), n)), dtype=np.intp)
-    assert np.array_equal(idx, combos[np.abs(np.linalg.det(a[combos])) > 0.5])
-    assert (adj == np.rint(adj)).all() and (det == np.rint(det)).all() and (det != 0).all()
-    assert (a[idx] @ adj == det[:, None, None] * np.eye(n)).all()
-    if sid == "RTD":
-        # 19 chunks, the last one partial: an off-by-one at a chunk edge shows
-        assert (len(combos) - 1) // _ORACLE_CHUNK == 18 and len(combos) % _ORACLE_CHUNK
+    rows = len(system.rows)
+    a, count, levels = _oracle_bases(system.rows, n)
+    combos = np.asarray(list(itertools.combinations(range(rows + n), n)), dtype=np.intp)
+    got = np.full((count, n), -1)
+    got[-1] = range(rows, rows + n)  # the origin: every facet, no minor
+    for r, (s, j, adj, det, pos) in enumerate(levels, start=1):
+        facets = [[rows + i for i in range(n) if i not in js] for js in j.tolist()]
+        got[pos] = np.hstack((s, np.asarray(facets, dtype=np.intp).reshape(len(j), n - r)))
+        assert (adj == np.rint(adj)).all() and (det == np.rint(det)).all() and (det != 0).all()
+        minor = a[s[:, :, None], j[:, None, :]]
+        assert (minor @ adj == det[:, None, None] * np.eye(r)).all()
+    assert np.array_equal(got, combos[np.abs(np.linalg.det(a[combos])) > 0.5])
 
 
 def test_oracle_refuses_a_basis_not_exact_in_float64():
@@ -419,7 +467,8 @@ def test_oracle_refuses_a_basis_not_exact_in_float64():
 
 
 def test_oracle_bases_build_in_bounded_memory():
-    # all 75,582 RTD matrices at once took 49.1 MiB; chunked, about 20 MiB
+    # all 75,582 RTD matrices at once took 49.1 MiB, float LU in chunks about
+    # 20 MiB; the exact minors, level by level, about 5.4 MiB
     system = _catalog_system("RTD")
     coeffs = system.rows
     _oracle_bases.cache_clear()
@@ -429,7 +478,7 @@ def test_oracle_bases_build_in_bounded_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 24 * 2**20
+    assert peak < 8 * 2**20
 
 
 def test_oracle_hull_stays_in_the_quadrant():
