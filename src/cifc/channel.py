@@ -96,6 +96,18 @@ class Channel:
         return self.transition.shape
 
 
+def check_seed(seed: int) -> None:
+    """InvalidParameter for a negative seed, before anything is drawn."""
+    if seed < 0:
+        raise InvalidParameter(f"seed must be a non-negative integer, got {seed}")
+
+
+def normalize_exponentials(e: np.ndarray) -> np.ndarray:
+    """Dirichlet(1) rows from Exp(1) variates on the last axis, by numpy's own
+    Generator.dirichlet arithmetic: times the reciprocal of the left-to-right sum."""
+    return e * (1.0 / np.cumsum(e, axis=-1)[..., -1:])
+
+
 def canonical_channel(kind: str, **params) -> Channel:
     """Build one of the canonical test channels.
 
@@ -134,8 +146,10 @@ def random_channel(seed: int, sizes: tuple[int, int, int, int] = (2, 2, 2, 2)) -
     """Valid random transition tensor, bitwise reproducible from ``seed``."""
     n1, n2, m1, m2 = sizes
     _check_sizes({"X1": n1, "X2": n2, "Y1": m1, "Y2": m2})
+    check_seed(seed)
     # one (x1, x2)-major draw of the rows, then moved onto the [y1, y2, x1, x2] axes
-    rows = np.random.default_rng(seed).dirichlet(np.ones(m1 * m2), size=(n1, n2))
+    exps = np.random.default_rng(seed).standard_exponential((n1, n2, m1 * m2))
+    rows = normalize_exponentials(exps)
     return Channel(rows.reshape(n1, n2, m1, m2).transpose(2, 3, 0, 1))
 
 

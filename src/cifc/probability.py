@@ -257,13 +257,6 @@ def extend_through_channel(
     return JointDistribution(rvs, np.einsum(subscripts, d.prob, t))
 
 
-def pairing_onehot(sizes: Sequence[int]) -> np.ndarray:
-    """Indicator tensor over (parts..., paired): 1 exactly where the paired
-    value is the row-major mixed-radix index of the part values."""
-    n = int(np.prod(sizes))
-    return np.eye(n).reshape(*sizes, n)
-
-
 # ---------------------------------------------------------------------------
 # Information measures
 # ---------------------------------------------------------------------------

@@ -2,31 +2,32 @@
 
 The only module that knows how a factor block is drawn and laid out.  A
 chain is compiled once per (variable set, factors, mode, paired copies,
-input dependencies) into a `_ChainPlan`: for each factor a `_BlockPlan`
-that has resolved the block's axes, sizes, transpose and broadcast shape,
-the paired-copy indicator and the lookup tables of the structured
-channel inputs.  A draw then makes only the generator calls and one
-reshape and transpose onto the joint's ascending axes.  K states of one
-chain are one population, a list of one (K, *block shape) array per
-factor, and a state is a row.  `_draw` alone draws populations, for
-`sample_factored`, `sample_instances` and the frontier search; `_joints`
-multiplies one into an unchecked batch of joints (the channel extension
-checks it once); `_propose` returns a moved block for a row.
+input dependencies) into a `_ChainPlan`: a state's generator calls in
+chain order, one run of exponential variates per stretch of Dirichlet(1)
+rows and flat marginals and one `integers` call per structured input,
+and per factor a `_BlockPlan` that fixes where its numbers lie in a
+state's row, its axes, transpose, paired-copy indicator and input lookup
+tables.  K states of one chain are one population, a list of one (K,
+*block shape) array per factor, and a state is a row.  `_draw` alone
+draws populations: the calls state by state, then each factor once per
+group of states that share a plan.  `_joints` multiplies a population
+into an unchecked batch of joints; `_propose` moves one block of a row.
 
-Every draw is a pure function of the generator passed in, so a seed fixes
-the joint bit for bit.  A joint of more than MAX_MARGINAL_LABELS cells is
-refused before anything is allocated: no entropy plan could take it.
+A seed fixes the joint bit for bit: a Dirichlet(1) row is normalized
+Exp(1) variates, numpy's own `Generator.dirichlet` arithmetic.  A joint
+of more than MAX_MARGINAL_LABELS cells is refused before anything is
+allocated: no entropy plan could take it.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache, reduce
+from functools import lru_cache
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 
-from .channel import Channel
+from .channel import Channel, check_seed, normalize_exponentials
 from .errors import InvalidParameter, SpecCoverageError
 from .probability import (
     MAX_MARGINAL_LABELS,
@@ -36,7 +37,6 @@ from .probability import (
     RandomVariableSet,
     _unchecked,
     extend_through_channel,
-    pairing_onehot,
 )
 
 if TYPE_CHECKING:
@@ -71,35 +71,37 @@ class _BlockPlan(NamedTuple):
     layout: tuple[int, ...]  # the drawn block's shape: given sizes, then target sizes
     perm: tuple[int, ...]  # its axes onto the joint's ascending axes
     shape: tuple[int, ...]  # the joint's shape with 1 on the axes it leaves out
-    # "struct": per target, (size, values drawn, conditioning cell -> value
-    # index, or None when each cell draws its own value)
-    inputs: tuple[tuple[int, int, np.ndarray | None], ...] = ()
-    indicator: np.ndarray | None = None  # "paired"
+    # its generator draws, from `at` on in a state's row: (the bound of an
+    # integers call, or None for Exp(1) variates; how many numbers; for
+    # "struct", a conditioning cell -> value index, or None when each cell
+    # draws its own value)
+    draws: tuple[tuple[int | None, int, np.ndarray | None], ...] = ()
+    indicator: np.ndarray | None = None  # "paired", in layout
+    at: int = 0
 
-    def draw(self, rng: np.random.Generator) -> np.ndarray:
-        """The block shaped to broadcast against the joint."""
+    def fill(self, rows: np.ndarray, out: np.ndarray, where=slice(None)) -> None:
+        """Write the blocks of K states' rows onto the joint's ascending axes
+        of out[where], out C-contiguous so that dropping its 1-axes is a view."""
+        k, at, ng = len(rows), self.at, len(self.layout) - len(self.t_sizes)
         if self.kind == "paired":
-            return self.indicator
-        if self.kind == "struct":
-            block = np.zeros((self.n_cells, *self.t_sizes))
-            values = []
-            for size, count, index in self.inputs:
-                drawn = rng.integers(0, size, size=count)
-                values.append(drawn if index is None else drawn[index])
-            block[(np.arange(self.n_cells), *values)] = 1.0
-        elif self.kind == "flat":
-            marginals = [rng.dirichlet(np.ones(s)) for s in self.t_sizes]
-            block = np.broadcast_to(
-                reduce(np.multiply.outer, marginals), (self.n_cells, *self.t_sizes)
-            )
-        else:
-            block = rng.dirichlet(np.ones(math.prod(self.t_sizes)), size=self.n_cells)
-        return _onto_joint(block, self.layout, self.perm, self.shape)
-
-
-def _onto_joint(block: np.ndarray, layout, perm, shape) -> np.ndarray:
-    """One reshape to `layout` and one transpose onto the joint's axes."""
-    return np.ascontiguousarray(np.transpose(block.reshape(layout), perm)).reshape(shape)
+            block = self.indicator[None]
+        elif self.kind == "dirichlet":
+            e = rows[:, at:at + self.draws[0][1]].reshape(k, self.n_cells, -1)
+            block = normalize_exponentials(e).reshape(k, *self.layout)
+        else:  # the outer product, left to right, of per-target marginals
+            # ("flat", alike in every cell) or one-hot maps of the cells ("struct")
+            cells = self.layout[:ng] if self.kind == "struct" else (1,) * ng
+            block = np.ones((k, *cells))
+            for size, count, index in self.draws:
+                drawn = rows[:, at:at + count]
+                if size is None:
+                    part = normalize_exponentials(drawn)
+                else:
+                    part = (drawn if index is None else drawn[:, index])[..., None] == np.arange(size)
+                block = block[..., None] * part.reshape(k, *cells, *(1,) * (block.ndim - 1 - ng), -1)
+                at += count
+        sizes = tuple(self.layout[p] for p in self.perm)
+        out.reshape(len(out), *sizes)[where] = block.transpose(0, *(p + 1 for p in self.perm))
 
 
 def _block_plan(
@@ -127,42 +129,45 @@ def _block_plan(
     g_sizes = [rvs.sizes[a] for a in g_axes]
     t_sizes = tuple(rvs.sizes[a] for a in t_axes)
     n_cells = math.prod(g_sizes)
-    inputs = []
+    draws = []
     if kind == "struct":
         for a in t_axes:
             deps = struct_deps.get(rvs.names[a])
             if deps is None:
-                inputs.append((rvs.sizes[a], n_cells, None))
+                draws.append((rvs.sizes[a], n_cells, None))
                 continue
             dep_sizes = [rvs.size(d) for d in deps]
             cells = np.unravel_index(np.arange(n_cells), g_sizes)
             dep_cells = [cells[g_axes.index(rvs.axis(d))] for d in deps]
             index = np.ravel_multi_index(dep_cells, dep_sizes)
             index.setflags(write=False)
-            inputs.append((rvs.sizes[a], math.prod(dep_sizes), index))
+            draws.append((rvs.sizes[a], math.prod(dep_sizes), index))
+    elif kind == "flat":
+        draws = [(None, s, None) for s in t_sizes]
+    elif kind == "dirichlet":
+        draws = [(None, n_cells * math.prod(t_sizes), None)]
     current = g_axes + t_axes
     layout = tuple(g_sizes) + t_sizes
     perm = tuple(current.index(a) for a in sorted(current))
     shape = tuple(s if a in current else 1 for a, s in enumerate(rvs.sizes))
-    indicator = None
-    if kind == "paired":
-        indicator = _onto_joint(pairing_onehot(g_sizes), layout, perm, shape)
-        indicator.setflags(write=False)
-    return _BlockPlan(kind, n_cells, t_sizes, layout, perm, shape, tuple(inputs), indicator)
+    indicator = np.eye(n_cells).reshape(layout) if kind == "paired" else None
+    return _BlockPlan(kind, n_cells, t_sizes, layout, perm, shape, tuple(draws), indicator)
 
 
 class _ChainPlan(NamedTuple):
-    """A factor chain's block plans, and `_propose`'s fresh-block plans.
+    """A factor chain's block plans and a state's generator calls.
 
-    `free` lists the factors the frontier search may move: all but the
-    paired copies.  `fresh` is the chain's "free"-mode blocks, so
-    `fresh[i]` redraws a free factor i as a Dirichlet block.
+    `calls` are (lo, hi, bound) in chain order: one call filling [lo, hi)
+    of a state's row of `width` numbers, Exp(1) variates if bound is None,
+    else integers below it.  `free` lists the factors the frontier search
+    may move: all but the paired copies.
     """
 
     rvs: RandomVariableSet
     blocks: tuple[_BlockPlan, ...]
-    fresh: tuple[_BlockPlan, ...]
     free: tuple[int, ...]
+    calls: tuple[tuple[int, int, int | None], ...]
+    width: int
 
 
 @lru_cache(maxsize=256)
@@ -185,11 +190,16 @@ def _chain_plan(
             f"cap of {MAX_MARGINAL_LABELS} cells"
         )
     det_map, deps_map = dict(det), dict(struct_deps)
-    blocks = tuple(_block_plan(rvs, f, mode, det_map, deps_map) for f in factors)
-    fresh = (blocks if mode == "free"
-             else _chain_plan(rvs, factors, "free", det, struct_deps).blocks)
+    blocks, calls, width = [], [], 0
+    for f in factors:
+        block = _block_plan(rvs, f, mode, det_map, deps_map)._replace(at=width)
+        for bound, count, _ in block.draws:  # consecutive runs of Exp(1) variates merge
+            lo = calls.pop()[0] if bound is None and calls and calls[-1][2] is None else width
+            width += count
+            calls.append((lo, width, bound))
+        blocks.append(block)
     free = tuple(i for i, b in enumerate(blocks) if b.kind != "paired")
-    return _ChainPlan(rvs, blocks, fresh, free)
+    return _ChainPlan(rvs, tuple(blocks), free, tuple(calls), width)
 
 
 @lru_cache(maxsize=64)
@@ -201,16 +211,30 @@ def _schema_plan(schema: RegionSchema, size: int, mode: str) -> _ChainPlan:
 
 def _draw(plans: Sequence[_ChainPlan], rngs: Sequence[np.random.Generator]) -> list[np.ndarray]:
     """The population of state k drawn through plans[k] (of one chain, in
-    any modes) on rngs[k]: state by state, each state's blocks in chain
-    order, so each generator is consumed as if its state were drawn alone."""
-    drawn = [[b.draw(rng) for b in plan.blocks] for plan, rng in zip(plans, rngs)]
-    return [np.stack(factor) for factor in zip(*drawn)]
+    any modes) on rngs[k]: the calls state by state, so each generator is
+    consumed as if its state were drawn alone, then each factor once per
+    group of states that share a plan."""
+    # a row of floats holds the integer draws exactly
+    rows = np.empty((len(plans), max(plan.width for plan in plans)))
+    for plan, rng, row in zip(plans, rngs, rows):
+        for lo, hi, bound in plan.calls:
+            if bound is None:
+                rng.standard_exponential(out=row[lo:hi])
+            else:
+                row[lo:hi] = rng.integers(0, bound, size=hi - lo)
+    population = [np.empty((len(plans), *b.shape)) for b in plans[0].blocks]
+    for plan in {id(p): p for p in plans}.values():
+        ks = [k for k, p in enumerate(plans) if p is plan]
+        group = rows[ks]
+        for out, b in zip(population, plan.blocks):
+            b.fill(group, out, ks)
+    return population
 
 
 def _propose(plan: _ChainPlan, blocks: Sequence[np.ndarray], k: int,
              rng: np.random.Generator) -> tuple[int, np.ndarray]:
     """Return (index, new_block) for one derivative-free move of row k of
-    the population `blocks`, which is left as it is.
+    the population `blocks` of the "free"-mode `plan`, which is left as it is.
 
     Row moves: sharpen to the mode, flatten toward uniform, mix with a
     fresh Dirichlet draw, or resample the block.  Multi-variable blocks
@@ -219,12 +243,14 @@ def _propose(plan: _ChainPlan, blocks: Sequence[np.ndarray], k: int,
     Deterministic (paired) blocks are never proposed.
     """
     idx = plan.free[rng.integers(0, len(plan.free))]
-    fresh = plan.fresh[idx]
-    t_sizes = fresh.t_sizes
+    b = plan.blocks[idx]
+    t_sizes = b.t_sizes
     n = math.prod(t_sizes)
     move = rng.random()
     if move < 0.06:
-        return idx, fresh.draw(rng)
+        new = np.empty((1, *b.shape))
+        b._replace(at=0).fill(rng.standard_exponential((1, b.n_cells * n)), new)
+        return idx, new[0]
     new = blocks[idx][k].copy()
     flat = new.reshape(-1, n)
     row = rng.integers(0, flat.shape[0])
@@ -248,7 +274,8 @@ def _propose(plan: _ChainPlan, blocks: Sequence[np.ndarray], k: int,
         flat[row] = (1 - alpha) * flat[row] + alpha / n
     else:
         alpha = float(rng.choice([0.5, 0.15, 0.03]))
-        flat[row] = (1 - alpha) * flat[row] + alpha * rng.dirichlet(np.ones(n))
+        fresh_row = normalize_exponentials(rng.standard_exponential(n))
+        flat[row] = (1 - alpha) * flat[row] + alpha * fresh_row
     return idx, new
 
 
@@ -275,6 +302,7 @@ def sample_factored(
             f"factorization does not cover variable set (missing {sorted(missing)}, "
             f"extra {sorted(extra)})"
         )
+    check_seed(seed)
     blocks = _draw([_chain_plan(rvs, spec.factors)], [np.random.default_rng(seed)])
     return JointDistribution(rvs, _joints(rvs, blocks)[0].prob)
 
@@ -295,6 +323,7 @@ def sample_instances(
     unknown = [mode for mode in modes if mode not in SAMPLING_MODES]
     if unknown:
         raise InvalidParameter(f"unknown sampling mode {unknown[0]!r}")
+    check_seed(min(seeds))
     plans = {mode: _schema_plan(schema, size, mode) for mode in set(modes)}
     blocks = _draw([plans[mode] for mode in modes], [np.random.default_rng(s) for s in seeds])
     return extend_through_channel(_joints(plans[modes[0]].rvs, blocks), channels)

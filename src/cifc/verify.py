@@ -33,7 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from . import probability
-from .channel import Channel, random_channel
+from .channel import Channel, check_seed, random_channel
 from .errors import InvalidParameter, Unbounded
 from .probability import MI_TOL, MIExpr, compile_exprs, extend_through_channel, mi
 from .polytope import (
@@ -500,6 +500,7 @@ def trace_frontier(
     """
     if budget < 1:
         raise InvalidParameter(f"budget must be at least 1 evaluation, got {budget}")
+    check_seed(seed)
     if isinstance(lambdas, int):
         lam_grid = np.linspace(0.0, 1.0, max(lambdas, 0))
     else:
@@ -620,6 +621,7 @@ def run_suite(name: str, samples: int = 200, seed: int = 0) -> list[SuiteReport]
     """Run one named verification suite (or all of them)."""
     if samples < 1:
         raise InvalidParameter(f"samples must be at least 1, got {samples}")
+    check_seed(seed)
     if name not in SUITE_NAMES:
         raise InvalidParameter(f"unknown suite {name!r}; choose {', '.join(SUITE_NAMES)}")
     runners = SUITES.values() if name == "all" else (SUITES[name],)

@@ -10,6 +10,7 @@ from cifc.channel import (
     channel_from_json,
     channel_to_json,
     load_channel,
+    normalize_exponentials,
     random_channel,
     save_channel,
 )
@@ -74,6 +75,38 @@ def test_random_channel_deterministic_in_seed():
     assert np.array_equal(a.transition, b.transition)
     c = canonical_channel("random", seed=43)
     assert not np.array_equal(a.transition, c.transition)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 8, 16])
+@pytest.mark.parametrize("lead", [(), (3,), (2, 5)])
+def test_normalized_exponentials_are_numpys_dirichlet(n, lead):
+    # Dirichlet(1) as normalized Exp(1) variates is numpy's own algorithm
+    # for all-ones alpha; a numpy release that changes it fails here
+    for seed in range(50):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        rows = normalize_exponentials(rng.standard_exponential((*lead, n)))
+        expected = ref.dirichlet(np.ones(n), size=lead or None)
+        assert rows.shape == expected.shape and rows.tobytes() == expected.tobytes()
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("n", [1, 3, 8])
+def test_one_run_of_exponentials_filled_across_an_integers_call(n):
+    # the sampler fills a state's row of exponential variates run by run,
+    # with the integer draws of structured inputs between the runs
+    for seed in range(50):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        row = np.empty(3 * n)
+        rng.standard_exponential(out=row[:n])
+        ints = rng.integers(0, 3, size=5)
+        rng.standard_exponential(out=row[n:])
+        rows = normalize_exponentials(row.reshape(3, n))
+        first = ref.dirichlet(np.ones(n))
+        expected_ints = ref.integers(0, 3, size=5)
+        expected = np.vstack([first, ref.dirichlet(np.ones(n), size=2)])
+        assert rows.tobytes() == expected.tobytes()
+        assert np.array_equal(ints, expected_ints)
+        assert rng.bit_generator.state == ref.bit_generator.state
 
 
 @pytest.mark.parametrize(

@@ -197,6 +197,23 @@ def test_verify_rejects_nonpositive_samples(tmp_path, capsys, samples):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", [
+    ["verify", "--suite", "maric", "--samples", "3"],
+    ["frontier", "--schema", "RTD", "--samples", "10", "--grid", "2"],
+])
+def test_negative_seed_exits_2_before_drawing(tmp_path, orth_channel, capsys, command):
+    # numpy refuses a negative seed with a ValueError, which would end in a
+    # traceback and exit 1, the code of a violation found
+    out = tmp_path / "out"
+    channel = ["--channel", str(orth_channel)] if command[0] == "frontier" else []
+    rc = main([*command, *channel, "--seed", "-1", "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: seed must be a non-negative integer, got -1")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_project_with_too_many_variables_exits_2(tmp_path, orth_channel, capsys):
     # 21 singleton auxiliaries plus the two binary inputs: 23 variables
     names = [f"A{i}" for i in range(21)] + ["X1", "X2"]

@@ -28,18 +28,27 @@ from helpers import reference_factored_joint
 @pytest.mark.parametrize("size", [2, 3])
 @pytest.mark.parametrize("mode", SAMPLING_MODES)
 def test_vectorized_blocks_match_cell_by_cell_reference(sid, size, mode):
-    # bit for bit, and the generator ends in the same state
+    # bit for bit, and every generator ends in the same state: a population
+    # of 7 states in modes cycling from `mode`, consecutive states sharing a
+    # generator as a lambda's frontier starts do, against each state's
+    # cell-by-cell joint drawn alone in the same order on its own generator
     schema = builtin_schema(sid)
     rvs = schema.rv_set(size)
-    for seed in range(4):
-        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        joint = _joints(rvs, _draw([_schema_plan(schema, size, mode)], [rng]))[0].prob
-        expected = reference_factored_joint(
-            rvs, schema.factorization.factors, ref_rng, mode,
-            schema.deterministic, schema.input_deps,
-        )
-        assert np.array_equal(joint, expected)
-        assert rng.bit_generator.state == ref_rng.bit_generator.state
+    first = SAMPLING_MODES.index(mode)
+    modes = [SAMPLING_MODES[(first + k) % 3] for k in range(7)]
+    owners = [0, 0, 0, 1, 2, 2, 2]
+    for seed in (0, 3):
+        rngs = [np.random.default_rng(seed + i) for i in range(3)]
+        ref_rngs = [np.random.default_rng(seed + i) for i in range(3)]
+        plans = [_schema_plan(schema, size, m) for m in modes]
+        joints = _joints(rvs, _draw(plans, [rngs[i] for i in owners])).prob
+        for k, m in enumerate(modes):
+            expected = reference_factored_joint(
+                rvs, schema.factorization.factors, ref_rngs[owners[k]], m,
+                schema.deterministic, schema.input_deps,
+            )
+            assert np.array_equal(joints[k], expected)
+        assert [r.bit_generator.state for r in rngs] == [r.bit_generator.state for r in ref_rngs]
 
 
 @pytest.mark.parametrize("sid", SCHEMA_IDS)
@@ -116,7 +125,7 @@ def _move_kind(plan, rng) -> str:
     peek = copy.deepcopy(rng)
     idx = plan.free[peek.integers(0, len(plan.free))]
     move = peek.random()
-    multi = len(plan.fresh[idx].t_sizes) > 1
+    multi = len(plan.blocks[idx].t_sizes) > 1
     for kind, below in (("resample", 0.06), ("axis sharpen", 0.23 if multi else 0.0),
                         ("axis flatten", 0.40 if multi else 0.0), ("peak", 0.55),
                         ("flatten", 0.70)):

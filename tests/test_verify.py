@@ -135,6 +135,23 @@ PINNED_DRAWS = [
 ]
 
 
+@pytest.mark.parametrize("draw", [
+    lambda: run_suite("maric", samples=3, seed=-1),
+    lambda: trace_frontier("RTD", canonical_channel("orthogonal_noiseless"), budget=10,
+                           seed=-1, lambdas=2),
+    lambda: sample_instances(builtin_schema("RTD"), canonical_channel("orthogonal_noiseless"),
+                             [0, -2], ["free"] * 2),
+    lambda: sample_factored(builtin_schema("RTD").rv_set(2),
+                            builtin_schema("RTD").factorization, -1),
+    lambda: random_channel(-3),
+], ids=["run_suite", "trace_frontier", "sample_instances", "sample_factored", "random_channel"])
+def test_a_negative_seed_is_refused_before_anything_is_drawn(monkeypatch, draw):
+    # numpy's own refusal is a ValueError naming no seed
+    monkeypatch.setattr(np.random, "default_rng", None)
+    with pytest.raises(InvalidParameter, match=r"seed must be a non-negative integer, got -\d"):
+        draw()
+
+
 # the ids leave out the size, so the rows drawn before it was a column keep their names
 @pytest.mark.parametrize(
     "sid, seed, mode, size, digest", PINNED_DRAWS,
