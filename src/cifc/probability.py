@@ -88,9 +88,6 @@ class RandomVariableSet:
     def size(self, name: str) -> int:
         return self.sizes[self.axis(name)]
 
-    def shape(self) -> tuple[int, ...]:
-        return self.sizes
-
 
 @dataclass(frozen=True)
 class JointDistribution:
@@ -103,9 +100,9 @@ class JointDistribution:
 
     def __post_init__(self):
         arr = np.asarray(self.prob, dtype=float)
-        if self.rvs.shape() not in (arr.shape, arr.shape[1:]):
+        if self.rvs.sizes not in (arr.shape, arr.shape[1:]):
             raise InvalidParameter(
-                f"tensor shape {arr.shape} does not match variable sizes {self.rvs.shape()}"
+                f"tensor shape {arr.shape} does not match variable sizes {self.rvs.sizes}"
             )
         flat = arr.reshape(-1, math.prod(self.rvs.sizes))
         low, total = flat.min(axis=1, initial=np.inf), flat.sum(axis=1)

@@ -870,18 +870,6 @@ def builtin_schema(schema_id: str) -> RegionSchema:
 
 
 # ---------------------------------------------------------------------------
-# Remark: constraints droppable when certain rates vanish
-# ---------------------------------------------------------------------------
-
-DROPPABLE = (
-    ("1d", frozenset({"R2c", "R2pa", "R2pb", "R2pb'"})),
-    ("1e", frozenset({"R2pa", "R2pb", "R2pb'"})),
-    ("1g", frozenset({"R2pb", "R2pb'"})),
-    ("1i", frozenset({"R1c", "R1c'", "R1pb", "R1pb'"})),
-)
-
-
-# ---------------------------------------------------------------------------
 # Audit manifest
 # ---------------------------------------------------------------------------
 

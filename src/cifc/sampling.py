@@ -3,15 +3,17 @@
 The only module that knows how a factor block is drawn and laid out.  A
 chain is compiled once per (variable set, factors, mode, paired copies,
 input dependencies) into a `_ChainPlan`: a state's generator calls in
-chain order, one run of exponential variates per stretch of Dirichlet(1)
-rows and flat marginals and one `integers` call per structured input,
-and per factor a `_BlockPlan` that fixes where its numbers lie in a
-state's row, its axes, transpose, paired-copy indicator and input lookup
-tables.  K states of one chain are one population, a list of one (K,
-*block shape) array per factor, and a state is a row.  `_draw` alone
-draws populations: the calls state by state, then each factor once per
-group of states that share a plan.  `_joints` multiplies a population
-into an unchecked batch of joints; `_propose` moves one block of a row.
+chain order, one call per run of consecutive draws of one kind (Exp(1)
+variates for Dirichlet(1) rows and flat marginals, or integers below one
+bound for structured inputs), and per factor a `_BlockPlan` that fixes
+where its numbers lie in a state's row, its axes, transpose, paired-copy
+indicator and input lookup tables.  K states of one chain are one
+population, a list of one (K, *block shape) array per factor, and a
+state is a row.  `_draw` alone draws populations: the calls state by
+state, then each factor once per group of states that share a plan.
+`_joints` multiplies a population into an unchecked batch of joints;
+`_propose` moves one block of a row; `climb`, the one hill climb, alone
+writes a row after its draw.
 
 A seed fixes the joint bit for bit: a Dirichlet(1) row is normalized
 Exp(1) variates, numpy's own `Generator.dirichlet` arithmetic.  A joint
@@ -23,7 +25,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -159,8 +161,8 @@ class _ChainPlan(NamedTuple):
 
     `calls` are (lo, hi, bound) in chain order: one call filling [lo, hi)
     of a state's row of `width` numbers, Exp(1) variates if bound is None,
-    else integers below it.  `free` lists the factors the frontier search
-    may move: all but the paired copies.
+    else integers below it.  `free` lists the factors `climb` may move:
+    all but the paired copies.
     """
 
     rvs: RandomVariableSet
@@ -193,8 +195,8 @@ def _chain_plan(
     blocks, calls, width = [], [], 0
     for f in factors:
         block = _block_plan(rvs, f, mode, det_map, deps_map)._replace(at=width)
-        for bound, count, _ in block.draws:  # consecutive runs of Exp(1) variates merge
-            lo = calls.pop()[0] if bound is None and calls and calls[-1][2] is None else width
+        for bound, count, _ in block.draws:  # consecutive draws of one kind merge
+            lo = calls.pop()[0] if calls and calls[-1][2] == bound else width
             width += count
             calls.append((lo, width, bound))
         blocks.append(block)
@@ -282,7 +284,7 @@ def _propose(plan: _ChainPlan, blocks: Sequence[np.ndarray], k: int,
 def _joints(rvs: RandomVariableSet, blocks: Sequence[np.ndarray]) -> JointDistribution:
     """A population's joints as an unchecked batch: the stacked factors
     multiply it in chain order, so each joint is its own blocks' product."""
-    joint = np.ones((len(blocks[0]), *rvs.shape()))
+    joint = np.ones((len(blocks[0]), *rvs.sizes))
     for stacked in blocks:
         joint *= stacked
     return _unchecked(rvs, joint)
@@ -348,3 +350,56 @@ def sample_instance(
 
 def _mode_for(seed: int) -> str:
     return SAMPLING_MODES[seed % len(SAMPLING_MODES)]
+
+
+def _improves(cand: tuple | None, ref: tuple | None) -> bool:
+    """A feasible `cand` whose value, its last entry, beats `ref`'s by more than 1e-12."""
+    return cand is not None and (ref is None or cand[-1] > ref[-1] + 1e-12)
+
+
+def climb(schema: RegionSchema, rngs: Sequence[np.random.Generator], budget: int,
+          score: Callable[[list[np.ndarray], np.ndarray], Iterable]) -> list[tuple | None]:
+    """Each generator's best score in `budget` evaluations of a hill climb
+    on the schema's chain at its `rv_set(2)` cardinalities, or None.
+
+    `score(blocks, owners)` scores each row r of a population, a state of
+    rngs[owners[r]]: None if infeasible, else a tuple whose last entry is
+    the value to maximize.  A climb starts from the best of a few draws
+    across the sampling modes; a step's move (`_propose`) is kept if it
+    improves on the best since the last restart, else reverted.  All climbs
+    step in lockstep, one `score` call per step, so each climbs as alone.
+    """
+    plan = _schema_plan(schema, 2, "free")  # every mode's plan moves the same blocks
+    n_starts = max(1, min(6, budget // 40))
+    starts = _draw([_schema_plan(schema, 2, _mode_for(j)) for _ in rngs for j in range(n_starts)],
+                   [rng for rng in rngs for _ in range(n_starts)])
+    owners = np.arange(len(rngs))
+    tried = list(score(starts, np.repeat(owners, n_starts)))
+    # per generator: its row, the best so far, the best since a restart, and the stall
+    rows = [max(range(at, at + n_starts), key=lambda r: tried[r][-1] if tried[r] else -math.inf)
+            for at in range(0, len(tried), n_starts)]
+    blocks, best = [b[rows] for b in starts], [tried[r] for r in rows]
+    climb_best, stall = list(best), [0] * len(rngs)
+    for evals in range(n_starts, budget):
+        moves = []  # per generator, (block index, the row it replaced), or None
+        for k, rng in enumerate(rngs):
+            # a stuck basin restarts from a fresh state, accepted whatever its value
+            if stall[k] > 300 and budget - evals > 400:
+                fresh = _draw([_schema_plan(schema, 2, _mode_for(evals))], [rng])
+                for b, row in zip(blocks, fresh):
+                    b[k] = row[0]
+                moves.append(None)
+            else:
+                idx, block = _propose(plan, blocks, k, rng)
+                moves.append((idx, blocks[idx][k].copy()))
+                blocks[idx][k] = block
+        for k, cand in enumerate(score(blocks, owners)):
+            if moves[k] is None or _improves(cand, climb_best[k]):
+                climb_best[k], stall[k] = cand, 0
+                if _improves(cand, best[k]):
+                    best[k] = cand
+            else:
+                idx, old = moves[k]
+                blocks[idx][k] = old
+                stall[k] += 1
+    return best

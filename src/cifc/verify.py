@@ -17,10 +17,10 @@ comparator's projected region is checked against its unified
 counterpart once, by `sampled_region_containment` in the containment
 suite.  The tolerances are fixed: MI_TOL for every identity and zero
 check, REGION_TOL for every containment and oracle comparison.  The
-frontier search climbs on a population of factor blocks, one row per
-lambda, each in lockstep on its own generator, and scores each step's
-rows as one batched evaluation through the schema's one checked rhs
-map: the output is identical to climbing each lambda alone.
+frontier is `cifc.sampling.climb` with a support objective: one row per
+lambda, each in lockstep on its own generator, each step's rows scored
+as one batched evaluation through the schema's one checked rhs map, so
+the output is identical to climbing each lambda alone.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ from .regions import (
     maric_merged,
     same_system,
 )
-from .sampling import _draw, _joints, _mode_for, _propose, _schema_plan, sample_instances
+from .sampling import _joints, _mode_for, climb, sample_instances
 
 REGION_TOL = 1e-7
 BATCH = 100  # samples per batch: a check's memory does not grow with its samples
@@ -465,8 +465,12 @@ def check_fme_oracle(
 @dataclass(frozen=True)
 class FrontierResult:
     points: tuple[tuple[float, float, float, int], ...]  # (lambda, R1, R2, seed)
-    pareto: tuple[tuple[float, float], ...]
     missing: tuple[float, ...] = ()  # lambdas whose search found no feasible point
+
+    @property
+    def pareto(self) -> tuple[tuple[float, float], ...]:
+        """The points' nondominated (R1, R2), sorted, near-duplicates merged."""
+        return tuple(_pareto_filter([(r1, r2) for _, r1, r2, _ in self.points]))
 
     def to_csv(self) -> str:
         lines = ["lambda,R1,R2,seed"]
@@ -485,15 +489,11 @@ def trace_frontier(
     """Trace the Pareto frontier over input distributions.
 
     For each lambda on the grid, maximizes lambda*R1 + (1-lambda)*R2 by
-    derivative-free hill climbing on the factor blocks (Dirichlet mixing,
-    occasional row sharpening and block restarts), spending up to `budget`
-    objective evaluations; the variables take the schema's `rv_set(2)`
-    cardinalities.  The states are one population (see `cifc.sampling`)
-    with a row per lambda, gathered from the starts' rows; a move, a
-    revert or a restart writes the row.  Every lambda steps in lockstep
-    on its own generator, and each step checks and scores every row (the
-    starts likewise) as one batch through the compiled rhs map and
-    projection, so the result is identical to climbing each lambda alone.
+    `cifc.sampling.climb` on the factor blocks, on its own generator,
+    spending up to `budget` objective evaluations.  The objective checks
+    and scores a step's rows as one batch through the compiled rhs map
+    and projection, chunked under the channel extension's cap, so the
+    result is identical to climbing each lambda alone.
     A lambda whose search finds no feasible point is listed in `missing`.
     Deterministic in `seed`.  Raises Unbounded up front for a schema whose
     projection is unbounded.
@@ -516,63 +516,23 @@ def trace_frontier(
     if not projection.bounded:
         raise Unbounded(f"{schema.id}: the projected region is unbounded; "
                         "a decoding constraint is missing")
-    cells = math.prod(schema.rv_set(2).sizes) * math.prod(channel.shape[:2])
+    rvs = schema.rv_set(2)
+    cells = math.prod(rvs.sizes) * math.prod(channel.shape[:2])
     chunk = max(1, probability.MAX_MARGINAL_LABELS // cells)  # read per call, as the extension does
+    lam_seeds = [seed * 1_000_003 + k for k in range(len(lam_grid))]
 
-    plan = _schema_plan(schema, 2, "free")  # every mode's plan moves the same blocks
-
-    def scores(blocks: list[np.ndarray], lams: np.ndarray):
-        """Each row's support at its lambda, one batched evaluation per
-        chunk of K rows, K x cells within the channel extension's cap."""
-        for at in range(0, len(lams), chunk):
-            d = extend_through_channel(_joints(plan.rvs, [b[at:at + chunk] for b in blocks]),
-                                       channel)
-            w = lams[at:at + chunk]
+    def support(blocks: list[np.ndarray], owners: np.ndarray):
+        """Each row's support at its owner's lambda, batched in chunks under the cap."""
+        for at in range(0, len(owners), chunk):
+            d = extend_through_channel(_joints(rvs, [b[at:at + chunk] for b in blocks]), channel)
+            w = lam_grid[owners[at:at + chunk]]
             yield from projection.support(compiled.sign * compiled.rhs(d), w, 1.0 - w)
 
-    # a handful of random starts per lambda across sampling modes, then climb the best
-    n_starts = max(1, min(6, budget // 40))
-    rngs = [np.random.default_rng(seed * 1_000_003 + k) for k in range(len(lam_grid))]
-    starts = _draw([_schema_plan(schema, 2, _mode_for(j)) for _ in rngs for j in range(n_starts)],
-                   [rng for rng in rngs for _ in range(n_starts)])
-    tried = list(scores(starts, np.repeat(lam_grid, n_starts)))
-    # per lambda: its row, the best so far, the best since a restart, and the stall
-    rows = [max(range(at, at + n_starts), key=lambda r: tried[r][2] if tried[r] else -math.inf)
-            for at in range(0, len(tried), n_starts)]
-    blocks, best = [b[rows] for b in starts], [tried[r] for r in rows]
-    climb_best, stall = list(best), [0] * len(rngs)
-    for evals in range(n_starts, budget):
-        moves = []  # per lambda, (block index, the row it replaced), or None
-        for k, rng in enumerate(rngs):
-            # a stuck basin restarts from a fresh state, accepted whatever its value
-            if stall[k] > 300 and budget - evals > 400:
-                fresh = _draw([_schema_plan(schema, 2, _mode_for(evals))], [rng])
-                for b, row in zip(blocks, fresh):
-                    b[k] = row[0]
-                moves.append(None)
-            else:
-                idx, block = _propose(plan, blocks, k, rng)
-                moves.append((idx, blocks[idx][k].copy()))
-                blocks[idx][k] = block
-        for k, cand in enumerate(scores(blocks, lam_grid)):
-            if moves[k] is None or _improves(cand, climb_best[k]):
-                climb_best[k], stall[k] = cand, 0
-                if _improves(cand, best[k]):
-                    best[k] = cand
-            else:
-                idx, old = moves[k]
-                blocks[idx][k] = old
-                stall[k] += 1
-    points = [(float(lam), b[0], b[1], seed * 1_000_003 + k)
-              for k, (lam, b) in enumerate(zip(lam_grid, best)) if b is not None]
+    best = climb(schema, [np.random.default_rng(s) for s in lam_seeds], budget, support)
+    points = [(float(lam), b[0], b[1], s)
+              for lam, b, s in zip(lam_grid, best, lam_seeds) if b is not None]
     missing = [float(lam) for lam, b in zip(lam_grid, best) if b is None]
-    pareto = _pareto_filter([(r1, r2) for _, r1, r2, _ in points])
-    return FrontierResult(tuple(points), tuple(pareto), tuple(missing))
-
-
-def _improves(cand: tuple | None, ref: tuple | None) -> bool:
-    """A feasible `cand` whose objective beats `ref`'s by more than 1e-12."""
-    return cand is not None and (ref is None or cand[2] > ref[2] + 1e-12)
+    return FrontierResult(tuple(points), tuple(missing))
 
 
 def _pareto_filter(points: list[tuple[float, float]]) -> list[tuple[float, float]]:

@@ -3,9 +3,9 @@ log-ratio references for the information measures, a cell-by-cell
 reference for the factorized sampler, a builder of rate systems from
 plain rows, a sense-by-sense reference for the LE normal form of an
 instantiated schema, point-by-point references for the region
-membership tests, the uncompiled enumeration oracle, the
-droppable-constraint check of the unified region's remark, and the
-one-lambda-at-a-time frontier search."""
+membership tests, the uncompiled enumeration oracle, the constraints
+the unified region's remark lets drop when certain rates vanish and
+their check, and the one-lambda-at-a-time frontier search."""
 
 import itertools
 import math
@@ -30,7 +30,6 @@ from cifc.probability import (
     extend_through_channel,
 )
 from cifc.regions import (
-    DROPPABLE,
     GE,
     LE,
     LinearSystem,
@@ -39,8 +38,16 @@ from cifc.regions import (
     compile_schema,
     instantiate,
 )
-from cifc.sampling import SAMPLING_MODES, _draw, _joints, _propose, _schema_plan, sample_instance
-from cifc.verify import CheckReport, FrontierResult, SuiteReport, _improves, _pareto_filter
+from cifc.sampling import (
+    SAMPLING_MODES,
+    _draw,
+    _improves,
+    _joints,
+    _propose,
+    _schema_plan,
+    sample_instance,
+)
+from cifc.verify import CheckReport, FrontierResult, SuiteReport
 
 
 def square_assignment() -> JointDistribution:
@@ -308,6 +315,15 @@ def reference_oracle_hull(system: LinearSystem) -> tuple[tuple[float, float], ..
     return tuple(_order_ccw(hull))
 
 
+# the remark's (label, rates) pairs: the constraint is droppable when the rates vanish
+DROPPABLE = (
+    ("1d", frozenset({"R2c", "R2pa", "R2pb", "R2pb'"})),
+    ("1e", frozenset({"R2pa", "R2pb", "R2pb'"})),
+    ("1g", frozenset({"R2pb", "R2pb'"})),
+    ("1i", frozenset({"R1c", "R1c'", "R1pb", "R1pb'"})),
+)
+
+
 def check_droppable(instances: int = 50, seed: int = 0, tol: float = 1e-9) -> SuiteReport:
     """Projections with and without each droppable constraint coincide.
 
@@ -411,5 +427,4 @@ def sequential_frontier(schema_id, channel, budget=2000, seed=0, lambdas=21) -> 
             missing.append(float(lam))
         else:
             points.append((float(lam), best[0], best[1], lam_seed))
-    pareto = _pareto_filter([(r1, r2) for _, r1, r2, _ in points])
-    return FrontierResult(tuple(points), tuple(pareto), tuple(missing))
+    return FrontierResult(tuple(points), tuple(missing))

@@ -15,6 +15,8 @@ from cifc.channel import (
     save_channel,
 )
 from cifc.errors import InvalidParameter, NegativeProbability, RowSumMismatch
+from cifc.regions import builtin_schema
+from cifc.sampling import _schema_plan
 
 
 def test_orthogonal_noiseless_is_deterministic_and_valid():
@@ -107,6 +109,21 @@ def test_one_run_of_exponentials_filled_across_an_integers_call(n):
         assert rows.tobytes() == expected.tobytes()
         assert np.array_equal(ints, expected_ints)
         assert rng.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("bound", [2, 3, 4])
+def test_consecutive_integers_calls_of_one_bound_are_one_call(bound):
+    # the sampler merges a structured input's integer draws into the next
+    # one's when the bounds agree, as it merges runs of exponential variates
+    for seed in range(50):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        split = np.concatenate([rng.integers(0, bound, size=4), rng.integers(0, bound, size=3)])
+        assert np.array_equal(split, ref.integers(0, bound, size=7))
+        assert rng.bit_generator.state == ref.bit_generator.state
+    # RTD in "det": one run of exponentials for its auxiliaries, then X1's
+    # and X2's maps below 2 as one call
+    assert [bound for _, _, bound in _schema_plan(builtin_schema("RTD"), 2, "det").calls] == [
+        None, 2]
 
 
 @pytest.mark.parametrize(

@@ -15,7 +15,6 @@ from cifc.probability import (
     mi,
 )
 from cifc.regions import (
-    DROPPABLE,
     SCHEMA_IDS,
     LinearRateConstraint,
     LinearSystem,
@@ -118,6 +117,7 @@ def test_droppable_full_mapping():
 
 
 from helpers import (
+    DROPPABLE,
     degenerate_rtd_distribution,
     make_system,
     reference_le_system,

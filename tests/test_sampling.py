@@ -17,6 +17,7 @@ from cifc.sampling import (
     _joints,
     _propose,
     _schema_plan,
+    climb,
     sample_factored,
     sample_instances,
 )
@@ -174,3 +175,56 @@ def test_sample_instances_refuses_seeds_and_modes_of_different_lengths(monkeypat
     with pytest.raises(InvalidParameter,
                        match=f"{len(seeds)} seeds but {len(modes)} sampling modes"):
         sample_instances(builtin_schema("RTD"), random_channel(0), seeds, modes)
+
+
+# -- climb, scored by a fake objective ------------------------------------------------
+
+
+@pytest.mark.parametrize("budget", [1, 40, 90, 300])
+def test_climb_scores_the_starts_then_a_row_per_generator_each_step(budget):
+    # every score is a new best, so each climb ends on the last step's
+    plan = _schema_plan(builtin_schema("RTD"), 2, "free")
+    calls = []
+
+    def score(blocks, owners):
+        assert [b.shape for b in blocks] == [(len(owners), *b.shape) for b in plan.blocks]
+        calls.append(owners.tolist())
+        return [(float(len(calls)),)] * len(owners)
+
+    best = climb(builtin_schema("RTD"), [np.random.default_rng(s) for s in range(3)], budget, score)
+    n_starts = max(1, min(6, budget // 40))
+    assert calls[0] == [k for k in range(3) for _ in range(n_starts)]
+    assert calls[1:] == [[0, 1, 2]] * (budget - n_starts)
+    assert [sum(c.count(k) for c in calls) for k in range(3)] == [budget] * 3
+    assert best == [(float(len(calls)),)] * 3
+
+
+def test_climb_restarts_a_stalled_climb_at_the_steps_the_rule_names(monkeypatch):
+    # a score that never beats the starts stalls every climb: a climb
+    # restarts once stalled for more than 300 steps while more than 400
+    # evaluations are left, at evaluations 307, 609 and 911 of 1613 (from
+    # 6 starts); at 1213 exactly 400 are left, one too few
+    draws, steps = [], []
+    draw = cifc.sampling._draw
+
+    def spy(plans, rngs):
+        draws.append((len(steps), len(plans)))
+        return draw(plans, rngs)
+
+    def score(blocks, owners):
+        steps.append(len(owners))
+        return [(0.0,)] * len(owners)
+
+    monkeypatch.setattr(cifc.sampling, "_draw", spy)
+    best = climb(builtin_schema("RTD"), [np.random.default_rng(s) for s in range(2)], 1613, score)
+    # (scores made so far, states drawn): the 2 x 6 starts, then one fresh
+    # state per generator at evaluation e, after the starts' score and e - 6 steps'
+    assert draws == [(0, 12)] + [(1 + e - 6, 1) for e in (307, 307, 609, 609, 911, 911)]
+    assert steps == [12] + [2] * (1613 - 6)
+    assert best == [(0.0,)] * 2
+
+
+def test_climb_with_no_feasible_row_has_no_best():
+    best = climb(builtin_schema("MARIC"), [np.random.default_rng(s) for s in range(3)], 60,
+                 lambda blocks, owners: [None] * len(owners))
+    assert best == [None] * 3

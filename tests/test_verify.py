@@ -244,7 +244,7 @@ def test_frontier_checks_the_distributions_it_scores(monkeypatch):
     rvs = builtin_schema("RTD_CC").rv_set(2)
     cells = math.prod(rvs.sizes)
     monkeypatch.setattr(cifc.verify, "_joints", lambda rvs, blocks: JointDistribution(
-        rvs, np.full((len(blocks[0]), *rvs.shape()), 1.0 / cells)))
+        rvs, np.full((len(blocks[0]), *rvs.sizes), 1.0 / cells)))
     with pytest.raises(FactorizationViolation, match=r"RTD_CC: H\(X2\|U2c\) = 1\.000e\+00"):
         trace_frontier("RTD_CC", BSC, budget=10, seed=0, lambdas=2)
 
