@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -143,10 +144,15 @@ def bsc_pair(eps1: float, eps2: float) -> Channel:
 
 
 def random_channel(seed: int, sizes: tuple[int, int, int, int] = (2, 2, 2, 2)) -> Channel:
-    """Valid random transition tensor, bitwise reproducible from ``seed``."""
+    """Valid random transition tensor, bitwise reproducible from ``seed``, drawn once."""
     n1, n2, m1, m2 = sizes
     _check_sizes({"X1": n1, "X2": n2, "Y1": m1, "Y2": m2})
     check_seed(seed)
+    return _random_channel(seed, n1, n2, m1, m2)
+
+
+@lru_cache(maxsize=1024)  # a few hundred bytes each; verify's default run draws 500
+def _random_channel(seed: int, n1: int, n2: int, m1: int, m2: int) -> Channel:
     # one (x1, x2)-major draw of the rows, then moved onto the [y1, y2, x1, x2] axes
     exps = np.random.default_rng(seed).standard_exponential((n1, n2, m1 * m2))
     rows = normalize_exponentials(exps)

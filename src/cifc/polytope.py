@@ -240,20 +240,22 @@ class CompiledProjection:
         half-plane named by the `labels` of the rows of A that give it (see
         Polytope2D).  Raises Unbounded when a region is nonempty but unbounded.
         """
-        return [self._region(*found, labels) for found in zip(*self._vertices(b))]
+        row_rhs, rhs, x, y, ok = self._vertices(b)
+        scale = np.maximum(1.0, np.abs(rhs).max(axis=-1))
+        tight = TIGHT_TOL * scale
+        # per normal, the union of the supports of its rows tied at the minimum
+        tied = (row_rhs <= rhs[:, self._group] + tight[:, None])[..., None] & self._support
+        sources = np.logical_or.reduceat(tied, self._starts, axis=1)
+        found = zip(rhs, x, y, ok, (VERTEX_MERGE_TOL * scale).tolist(), tight.tolist(), sources)
+        return [self._region(*region, labels) for region in found]
 
-    def _region(self, row_rhs, rhs, x, y, ok, labels) -> Polytope2D:
+    def _region(self, rhs, x, y, ok, merge, tight, sources, labels) -> Polytope2D:
         if not ok.any():
             return EMPTY
-        scale = max(1.0, float(np.abs(rhs).max()))
-        tight = TIGHT_TOL * scale
-        points = _merge_close(list(zip(x[ok].tolist(), y[ok].tolist())), VERTEX_MERGE_TOL * scale)
+        points = _merge_close(list(zip(x[ok].tolist(), y[ok].tolist())), merge)
         hull = _order_ccw(_convex_hull(points, collinear_eps=1e-9))
-        # per normal, the union of the supports of its rows tied at the minimum
-        tied = (row_rhs <= rhs[self._group] + tight)[:, None] & self._support
-        sources = np.logical_or.reduceat(tied, self._starts).tolist()
         halfplanes = []
-        for (a1, a2), r, used in zip(self._normals, rhs.tolist(), sources):
+        for (a1, a2), r, used in zip(self._normals, rhs.tolist(), sources.tolist()):
             if min(abs(a1 * u + a2 * v - r) for u, v in hull) <= tight:
                 names = dict.fromkeys(lab for lab, u in zip(labels, used) if u)
                 mx = max(abs(a1), abs(a2))
@@ -500,12 +502,12 @@ def _oracle_hull(system: LinearSystem) -> tuple[tuple[float, float], ...]:
     b = np.concatenate((b, np.zeros(n)))
     feas = (a @ sols.T <= b[:, None] + FEAS_TOL).all(axis=0)
     good = np.maximum(sols[feas], 0.0)
-    r1 = np.asarray(system.r1, dtype=float)
-    r2 = np.asarray(system.r2, dtype=float)
-    # snap away ulp jitter between repeated basic solutions so the hull
-    # sees one clean coordinate per geometric vertex
-    points = [(round(float(x), 12) + 0.0, round(float(y), 12) + 0.0)
-              for x, y in zip(good @ r1, good @ r2)]
+    x, y = (good @ np.asarray(r, dtype=float) for r in (system.r1, system.r2))
+    first = np.sort(np.unique(x + 1j * y, return_index=True)[1])
+    # snap away ulp jitter between repeated basic solutions (the first copy of
+    # each exact repeat) so the hull sees one clean coordinate per geometric vertex
+    points = [(round(u, 12) + 0.0, round(v, 12) + 0.0)
+              for u, v in zip(x[first].tolist(), y[first].tolist())]
     hull = _convex_hull(_merge_close(points, 1e-12), collinear_eps=1e-12)
     return tuple(_order_ccw(hull))
 

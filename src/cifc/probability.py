@@ -15,8 +15,8 @@ conditional independencies), into one map read in one entropy pass.  The
 kernel takes each distribution's marginals with one `np.bincount` over a
 marginal plan cached per variable set and subset list; a plan above
 MAX_MARGINAL_LABELS labels is refused.  Roundoff negatives of an MI atom
-are clamped to zero in one place, `CompiledExprs.__call__`, and a
-check passes at most MI_TOL bits.
+are clamped to zero in one place, `CompiledExprs.from_entropies`, and
+a check passes at most MI_TOL bits.
 
 All operations are pure functions of immutable inputs; callers may
 evaluate many distributions in parallel without synchronization.
@@ -449,7 +449,10 @@ class CompiledExprs:
     def __call__(self, d: JointDistribution) -> np.ndarray:
         """The expressions' values at d, in bits, or FactorizationViolation
         naming the first check above MI_TOL of the first violating member."""
-        h = entropy_vector(d, self.subsets)
+        return self.from_entropies(entropy_vector(d, self.subsets))
+
+    def from_entropies(self, h: np.ndarray) -> np.ndarray:
+        """__call__'s values from the entropies of `subsets`, a row per distribution."""
         if self.check_names:
             checks = np.atleast_2d(rowwise(self._check_matrix, h))
             bad = np.argwhere(checks > MI_TOL)
@@ -460,6 +463,14 @@ class CompiledExprs:
         atoms = rowwise(self._atom_matrix, h[..., : self.atom_matrix.shape[1]])
         atoms[(atoms >= -MI_CLAMP) & (atoms < 0.0)] = 0.0
         return rowwise(self._expr_matrix, atoms) + 0.0  # + 0.0 turns a -0.0 into 0.0
+
+
+def evaluate_shared(maps: Sequence[CompiledExprs], d: JointDistribution) -> list[np.ndarray]:
+    """Each map's values at d, bit for bit as map(d), from one entropy pass over
+    the union of their subsets, each map reading its own in its own order."""
+    column = {s: k for k, s in enumerate(dict.fromkeys(s for m in maps for s in m.subsets))}
+    h = entropy_vector(d, tuple(column))
+    return [m.from_entropies(h[..., [column[s] for s in m.subsets]]) for m in maps]
 
 
 def _integer_matrix(rows: Sequence[dict[int, int]], width: int) -> np.ndarray:

@@ -45,7 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Mapping, NamedTuple
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -66,6 +66,7 @@ from .probability import (
     chain,
     compile_exprs,
     entropy_term,
+    evaluate_shared,
     factorization_checks,
     mi,
     rename_expr,
@@ -310,14 +311,14 @@ class LinearSystem:
         shift = (self.structure.matrix[:, fixed] * vals).sum(axis=1) + 0.0
         return self._select(range(len(self.labels)), keep, self.b - shift)
 
-    def without_vacuous(self) -> LinearSystem:
-        """Drop rows implied by rate nonnegativity alone, from one system.
+    def nonvacuous(self) -> np.ndarray:
+        """Mask of the rows, per system of a batch, not implied by rate nonnegativity
+        alone: those with a positive coefficient or an rhs below -MI_TOL."""
+        return (self.structure.matrix > 0).any(axis=1) | ~(self.b >= -MI_TOL)
 
-        A row with no positive coefficient and rhs >= -MI_TOL carries no
-        content.  One with a violated bound is kept, so a variable-free
-        row with rhs < -MI_TOL still makes the region project empty.
-        """
-        keep = (self.structure.matrix > 0).any(axis=1) | ~(self.one().b >= -MI_TOL)
+    def without_vacuous(self) -> LinearSystem:
+        """Drop the rows that `nonvacuous` leaves out, from one system."""
+        keep = self.one().nonvacuous()
         return self._select(np.flatnonzero(keep).tolist(), range(len(self.variables)), self.b)
 
 
@@ -359,11 +360,18 @@ def instantiate(schema: RegionSchema, d: JointDistribution) -> LinearSystem:
     the schema's compiled rhs map.  `d` must pass check_distribution, whose
     requirements the map checks at MI_TOL in the same entropy pass.
     """
-    missing = (set(schema.variables) | set(OUTPUTS)) - set(d.names)
+    return instantiate_all((schema,), d)[0]
+
+
+def instantiate_all(schemas: Sequence[RegionSchema], d: JointDistribution) -> list[LinearSystem]:
+    """Each schema's system at `d`, bit for bit as `instantiate` gives it,
+    from one entropy pass (see evaluate_shared)."""
+    missing = set(OUTPUTS).union(*(s.variables for s in schemas)) - set(d.names)
     if missing:
         raise UnknownVariable(f"distribution lacks {sorted(missing)}")
-    structure, sign, rhs = compile_schema(schema)
-    return LinearSystem(structure, sign * rhs(d))
+    compiled = [compile_schema(schema) for schema in schemas]
+    values = evaluate_shared([c.rhs for c in compiled], d)
+    return [LinearSystem(c.structure, c.sign * v) for c, v in zip(compiled, values)]
 
 
 def same_system(a: LinearSystem, b: LinearSystem) -> bool:

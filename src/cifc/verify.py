@@ -4,23 +4,26 @@ Each check samples concrete small-alphabet distributions (through
 `cifc.sampling`), evaluates an algebraic identity (or projects two
 regions), and reports the worst deviation together with the seed that
 produced it, so every verdict is reproducible.  The draws are made seed
-by seed, and every stage after them takes up to BATCH samples as one
-batch of distributions, which gives bit for bit what each sample gives
-alone; the hulls, the oracle and the report go one by one.  The
-per-distribution identities are data: each comparator has a table of
-`IdentityCheck`s, MI expressions that must vanish or be nonnegative, and
-one runner, `check_identities`, evaluates a table through one compiled
-map, led by the table and checked against the schema's requirements.
-Strictly positive claims are tested as >= -MI_TOL with the observed
-gaps logged; degenerate distributions legitimately achieve zero.  Each
-comparator's projected region is checked against its unified
-counterpart once, by `sampled_region_containment` in the containment
-suite.  The tolerances are fixed: MI_TOL for every identity and zero
-check, REGION_TOL for every containment and oracle comparison.  The
-frontier is `cifc.sampling.climb` with a support objective: one row per
-lambda, each in lockstep on its own generator, each step's rows scored
-as one batched evaluation through the schema's one checked rhs map, so
-the output is identical to climbing each lambda alone.
+by seed, each seed's random channel once for every check, and every
+stage after them takes up to BATCH samples as one batch, which gives bit
+for bit what each sample gives alone: two schemas on one batch share one
+entropy pass, and a batch's regions are projected together (cc's once
+per kept-row mask); only the hulls, the comparisons of two regions, the
+oracle and the report go one by one.  The per-distribution identities
+are data: each comparator has a table of `IdentityCheck`s, MI
+expressions that must vanish or be nonnegative, and one runner,
+`check_identities`, evaluates a table through one compiled map, led by
+the table and checked against the schema's requirements.  Strictly
+positive claims are tested as >= -MI_TOL with the observed gaps logged;
+degenerate distributions legitimately achieve zero.  Each comparator's
+projected region is checked against its unified counterpart once, by
+`sampled_region_containment` in the containment suite.  The tolerances
+are fixed: MI_TOL for every identity and zero check, REGION_TOL for
+every containment and oracle comparison.  The frontier is
+`cifc.sampling.climb` with a support objective: one row per lambda, each
+in lockstep on its own generator, each step's rows scored as one batched
+evaluation through the schema's one checked rhs map, so the output is
+identical to climbing each lambda alone.
 """
 
 from __future__ import annotations
@@ -53,6 +56,7 @@ from .regions import (
     builtin_schema,
     compile_schema,
     instantiate,
+    instantiate_all,
     maric_merged,
     same_system,
 )
@@ -291,18 +295,28 @@ def check_cc_reduction(
     projected = CheckReport("pinned projections vertex-identical")
     nonempty = 0
     for seeds, d in _batches(ccp, range(seed + 10_000, seed + 10_000 + proj_instances)):
-        pinned = [instantiate(schema, d).pin({"R1c'": 0.0}) for schema in (ccp, rtdcc)]
-        for k, s in enumerate(seeds):
-            ia, ib = (system[k].without_vacuous() for system in pinned)
+        pinned = [system.pin({"R1c'": 0.0}) for system in instantiate_all((ccp, rtdcc), d)]
+        for s, (ia, pa), (ib, pb) in zip(seeds, *map(_nonvacuous_regions, pinned)):
             structural.record_match(s, same_system(ia, ib), "systems differ")
-            pa = project_or_empty(ia)
-            projected.record_match(s, polytope_equal(pa, project_or_empty(ib)),
-                                   "vertex sets differ")
+            projected.record_match(s, polytope_equal(pa, pb), "vertex sets differ")
             nonempty += not pa.is_empty
     projected.details["nonempty_instances"] = nonempty
     report.checks.append(structural)
     report.checks.append(projected)
     return report
+
+
+def _nonvacuous_regions(batch: LinearSystem) -> list[tuple[LinearSystem, Polytope2D]]:
+    """Each system of the batch without its vacuous rows, and its region:
+    the systems that keep the same rows are projected as one batch."""
+    masks = batch.nonvacuous()
+    out: list = [None] * len(masks)
+    for mask in {m.tobytes(): m for m in masks}.values():
+        ks = np.flatnonzero((masks == mask).all(axis=1))
+        group = batch[ks].drop(*(lab for lab, kept in zip(batch.labels, mask) if not kept))
+        for j, region in enumerate(project_or_empty(group)):
+            out[ks[j]] = group[j], region
+    return out
 
 
 # -- independent-common-messages comparator ----------------------------------
@@ -380,8 +394,7 @@ def sampled_region_containment(
     worst_margin = -math.inf
     nonempty = strict = 0
     for seeds, d in _batches(inner, range(seed, seed + samples), channel):
-        regions = zip(project_or_empty(instantiate(inner, d)),
-                      project_or_empty(instantiate(outer, d)))
+        regions = zip(*map(project_or_empty, instantiate_all((inner, outer), d)))
         for s, (pi, po) in zip(seeds, regions):
             nonempty += not pi.is_empty
             strict += not (pi.is_empty or polytope_equal(po, pi, 1e-9))

@@ -10,6 +10,7 @@ from cifc.channel import (
     channel_from_json,
     channel_to_json,
     load_channel,
+    _random_channel,
     normalize_exponentials,
     random_channel,
     save_channel,
@@ -92,6 +93,18 @@ def test_normalized_exponentials_are_numpys_dirichlet(n, lead):
         assert rng.bit_generator.state == ref.bit_generator.state
 
 
+@pytest.mark.parametrize("values", [(1.0, 0.4), (0.5, 0.15, 0.03)])
+def test_an_indexed_bounded_integer_is_numpys_choice(values):
+    # the climb's moves pick a weight as values[rng.integers(0, n)], which is
+    # numpy's own Generator.choice draw of one element; a release that
+    # changes it fails here
+    for seed in range(300):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(20):
+            assert values[rng.integers(0, len(values))] == ref.choice(list(values))
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
 @pytest.mark.parametrize("n", [1, 3, 8])
 def test_one_run_of_exponentials_filled_across_an_integers_call(n):
     # the sampler fills a state's row of exponential variates run by run,
@@ -140,6 +153,23 @@ def test_canonical_channels_validate(kind, params):
     t = canonical_channel(kind, **params).transition
     assert (t >= 0).all()
     assert np.abs(t.sum(axis=(0, 1)) - 1.0).max() <= 1e-12
+
+
+def test_a_random_channel_is_drawn_once_per_seed_and_sizes():
+    a = random_channel(11, [2, 4, 2, 2])  # any sequence of sizes
+    assert a is random_channel(11, (2, 4, 2, 2))
+    assert a == _random_channel.__wrapped__(11, 2, 4, 2, 2)  # a fresh draw
+    bound = _random_channel.cache_info().maxsize
+    assert bound is not None
+    for seed in range(bound + 1):
+        random_channel(50_000 + seed)
+    assert _random_channel.cache_info().currsize == bound
+    # a refused call draws nothing and caches nothing
+    _random_channel.cache_clear()
+    for refused in ((-1, (2, 2, 2, 2)), (1, (2, 2, 2, 9))):
+        with pytest.raises(InvalidParameter):
+            random_channel(*refused)
+    assert _random_channel.cache_info().currsize == 0
 
 
 def test_random_channels_validate_many_seeds():

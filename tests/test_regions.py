@@ -10,6 +10,7 @@ from cifc.probability import (
     chain,
     compile_exprs,
     entropy_term,
+    entropy_vector,
     evaluate_expr,
     extend_through_channel,
     mi,
@@ -23,6 +24,7 @@ from cifc.regions import (
     check_distribution,
     compile_schema,
     instantiate,
+    instantiate_all,
     maric_merged,
     same_system,
     schema_manifest,
@@ -34,6 +36,7 @@ from cifc.sampling import (
     _joints,
     sample_factored,
     sample_instance,
+    sample_instances,
 )
 from cifc.verify import _channel_sizes
 
@@ -273,8 +276,8 @@ def test_one_checked_rhs_map_per_schema(sid, monkeypatch):
     assert rhs is compile_exprs(tuple(c.rhs for c in schema.constraints), schema.requirements)
     d = sample_instance(schema, random_channel(0, _channel_sizes(schema)), 0)
     called = []
-    evaluate = CompiledExprs.__call__
-    monkeypatch.setattr(CompiledExprs, "__call__",
+    evaluate = CompiledExprs.from_entropies
+    monkeypatch.setattr(CompiledExprs, "from_entropies",
                         lambda self, *args: called.append(self) or evaluate(self, *args))
     instantiate(schema, d)
     assert len(called) == 1 and called[0] is rhs
@@ -315,6 +318,25 @@ def test_instantiate_makes_one_entropy_pass(monkeypatch):
         check_distribution(schema, d)
         assert len(calls) == 2, sid
         calls.clear()
+
+
+@pytest.mark.parametrize("outer, inner", [("RTD_IN", "DMT_OUT"), ("RTD_JIANG", "JIANG"),
+                                          ("RTD_CC", "CCP")])
+@pytest.mark.parametrize("mode", SAMPLING_MODES)
+def test_schemas_on_one_batch_share_one_entropy_pass_bit_for_bit(outer, inner, mode):
+    # the verify suites instantiate these pairs on the inner schema's draws
+    schemas = builtin_schema(inner), builtin_schema(outer)
+    seeds = range(12)
+    channels = [random_channel(s, _channel_sizes(schemas[0])) for s in seeds]
+    d = sample_instances(schemas[0], channels, seeds, [mode] * len(seeds))
+    compiled = [compile_schema(schema) for schema in schemas]
+    assert set(compiled[1].rhs.subsets) <= set(compiled[0].rhs.subsets)
+    union = compiled[0].rhs.subsets
+    shared = entropy_vector(d, union)
+    for c, system in zip(compiled, instantiate_all(schemas, d)):
+        own = entropy_vector(d, c.rhs.subsets)
+        assert shared[:, [union.index(s) for s in c.rhs.subsets]].tobytes() == own.tobytes()
+        assert system.b.tobytes() == (c.sign * c.rhs(d)).tobytes()
 
 
 # -- pin/drop/system comparison ------------------------------------------------

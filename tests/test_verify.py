@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from cifc.channel import Channel, canonical_channel, random_channel
+from cifc.channel import Channel, _random_channel, canonical_channel, random_channel
 from cifc.errors import FactorizationViolation, InvalidParameter
 from cifc.probability import (
     JointDistribution,
@@ -42,7 +42,9 @@ from cifc.sampling import (
 )
 from cifc.verify import (
     REGION_TOL,
+    SUITES,
     _channel_sizes,
+    _nonvacuous_regions,
     CheckReport,
     IdentityCheck,
     check_cc_reduction,
@@ -456,6 +458,20 @@ def test_cc_small_run_clean():
     assert projected.details["nonempty_instances"] > 0
 
 
+def test_cc_projects_each_kept_row_mask_as_one_batch():
+    # the batch of the cc check's projections, each system alone as reference
+    ccp = builtin_schema("CCP")
+    seeds = range(10_000, 10_006)
+    d = sample_instances(ccp, [random_channel(s, _channel_sizes(ccp)) for s in seeds], seeds,
+                         [_mode_for(i) for i in range(len(seeds))])
+    batch = instantiate(ccp, d).pin({"R1c'": 0.0})
+    assert len({mask.tobytes() for mask in batch.nonvacuous()}) == 2
+    for k, (system, region) in enumerate(_nonvacuous_regions(batch)):
+        alone = batch[k].without_vacuous()
+        assert system.structure == alone.structure and system.b.tobytes() == alone.b.tobytes()
+        assert region == project_or_empty(alone)
+
+
 def test_cc_degenerate_satellite_gap_vanishes():
     """U11 of cardinality one: the merge gap I(V22,V20;U11|U10) is zero."""
     cc = builtin_schema("CC")
@@ -685,6 +701,15 @@ def test_reports_reproducible_and_serializable():
     payload = json.loads(ja)
     check = payload["suites"][0]["checks"][0]
     assert {"id", "seeds_run", "max_abs_violation", "worst_seed"} <= set(check)
+
+
+def test_each_suite_reports_alone_what_it_reports_in_all():
+    # no memo may make a report depend on the suites that ran before it
+    _random_channel.cache_clear()
+    alone = {name: [r.to_json() for r in run_suite(name, samples=20, seed=1)]
+             for name in reversed(SUITES)}
+    together = [r.to_json() for r in run_suite("all", samples=20, seed=1)]
+    assert together == [r for name in SUITES for r in alone[name]]
 
 
 def test_run_suite_names():
