@@ -13,7 +13,8 @@ state is a row.  `_draw` alone draws populations: the calls state by
 state, then each factor once per group of states that share a plan.
 `_joints` multiplies a population into an unchecked batch of joints;
 `_propose` moves one block of a row; `climb`, the one hill climb, alone
-writes a row after its draw.
+writes a row after its draw.  It goes in speculative rounds: each climb's
+next few moves, drawn as if each were rejected, are scored in one batch.
 
 A seed fixes the joint bit for bit: a Dirichlet(1) row is normalized
 Exp(1) variates, numpy's own `Generator.dirichlet` arithmetic.  A joint
@@ -352,6 +353,34 @@ def _mode_for(seed: int) -> str:
     return SAMPLING_MODES[seed % len(SAMPLING_MODES)]
 
 
+# Rows scored per round of `climb`, over all running climbs.  A small
+# `score` call costs mostly a fixed amount, and most moves are rejected (61
+# of 975 at RTD 200 x 5 lambdas, 1,104 of 41,874 at 2000 x 21, 130 of 2,470
+# for JIANG 500 x 5), so a climb's next moves are mostly drawn from the
+# state it is in now.  A kept move drops the rows after it, and the deeper
+# the round the more: at 200 x 5 (seeds 1, 2), 12 rows, 3 moves a climb,
+# take 72 and 78 calls and drop 60 and 131 rows; 24 take 48 and 58 calls
+# but drop 160 and 386, and were slower.  At 21 lambdas a round is one step.
+ROUND_ROWS = 12
+
+
+def _n_starts(budget: int) -> int:
+    """The draws a climb of `budget` evaluations starts from."""
+    return max(1, min(6, budget // 40))
+
+
+def check_climbs(schema: RegionSchema, climbs: int, budget: int) -> None:
+    """Refuse with InvalidParameter, before anything is allocated, `climbs`
+    climbs whose starts would draw more than MAX_MARGINAL_LABELS numbers."""
+    starts, width = _n_starts(budget), _schema_plan(schema, 2, "free").width
+    numbers = climbs * starts * width
+    if numbers > MAX_MARGINAL_LABELS:
+        raise InvalidParameter(
+            f"{climbs} climbs of {starts} starts over {schema.id}'s chain of "
+            f"{width} numbers draw {numbers} numbers, above the cap of {MAX_MARGINAL_LABELS}"
+        )
+
+
 def _improves(cand: tuple | None, ref: tuple | None) -> bool:
     """A feasible `cand` whose value, its last entry, beats `ref`'s by more than 1e-12."""
     return cand is not None and (ref is None or cand[-1] > ref[-1] + 1e-12)
@@ -366,40 +395,65 @@ def climb(schema: RegionSchema, rngs: Sequence[np.random.Generator], budget: int
     rngs[owners[r]]: None if infeasible, else a tuple whose last entry is
     the value to maximize.  A climb starts from the best of a few draws
     across the sampling modes; a step's move (`_propose`) is kept if it
-    improves on the best since the last restart, else reverted.  All climbs
-    step in lockstep, one `score` call per step, so each climbs as alone.
+    improves on the best since the last restart, else reverted.  The climbs
+    go in speculative rounds, one `score` call each: each running climb
+    draws its next ceil(ROUND_ROWS / climbs running) moves from its state as
+    if each were rejected, within its budget and up to a restart, so `score`
+    may get several rows of one generator, in the order drawn.  Each climb
+    keeps at most its first improving row, drops the rest and sets its
+    generator back to just after that move, so a score that rates each row
+    as it rates it alone gives each climb its result alone.
     """
     plan = _schema_plan(schema, 2, "free")  # every mode's plan moves the same blocks
-    n_starts = max(1, min(6, budget // 40))
+    n_starts = _n_starts(budget)
     starts = _draw([_schema_plan(schema, 2, _mode_for(j)) for _ in rngs for j in range(n_starts)],
                    [rng for rng in rngs for _ in range(n_starts)])
-    owners = np.arange(len(rngs))
-    tried = list(score(starts, np.repeat(owners, n_starts)))
-    # per generator: its row, the best so far, the best since a restart, and the stall
+    tried = list(score(starts, np.repeat(np.arange(len(rngs)), n_starts)))
+    # per generator: its row, the best so far, the best since a restart, the
+    # stall and the evaluations made
     rows = [max(range(at, at + n_starts), key=lambda r: tried[r][-1] if tried[r] else -math.inf)
             for at in range(0, len(tried), n_starts)]
     blocks, best = [b[rows] for b in starts], [tried[r] for r in rows]
-    climb_best, stall = list(best), [0] * len(rngs)
-    for evals in range(n_starts, budget):
-        moves = []  # per generator, (block index, the row it replaced), or None
-        for k, rng in enumerate(rngs):
-            # a stuck basin restarts from a fresh state, accepted whatever its value
-            if stall[k] > 300 and budget - evals > 400:
-                fresh = _draw([_schema_plan(schema, 2, _mode_for(evals))], [rng])
-                for b, row in zip(blocks, fresh):
-                    b[k] = row[0]
-                moves.append(None)
+    climb_best, stall, evals = list(best), [0] * len(rngs), [n_starts] * len(rngs)
+    while running := [k for k in range(len(rngs)) if evals[k] < budget]:
+        depth = -(-ROUND_ROWS // len(running))
+        # per row, its owner and move, (block index, block) or (None, a fresh
+        # state); per climb, its generator's state after each row but the last
+        owners, moves, marks = [], [], []
+        for k in running:
+            rng, mark, first = rngs[k], [], evals[k]
+            for e in range(first, min(first + depth, budget)):
+                if e > first:
+                    mark.append(rng.bit_generator.state)
+                # a stuck basin restarts from a fresh state, accepted whatever its value
+                if stall[k] + e - first > 300 and budget - e > 400:
+                    moves.append((None, _draw([_schema_plan(schema, 2, _mode_for(e))], [rng])))
+                    break
+                moves.append(_propose(plan, blocks, k, rng))
+            marks.append(mark)
+            owners += [k] * (len(mark) + 1)
+        owners = np.array(owners)
+        population = [b[owners] for b in blocks]
+        for r, (idx, new) in enumerate(moves):
+            if idx is None:
+                for b, row in zip(population, new):
+                    b[r] = row[0]
             else:
-                idx, block = _propose(plan, blocks, k, rng)
-                moves.append((idx, blocks[idx][k].copy()))
-                blocks[idx][k] = block
-        for k, cand in enumerate(score(blocks, owners)):
-            if moves[k] is None or _improves(cand, climb_best[k]):
-                climb_best[k], stall[k] = cand, 0
-                if _improves(cand, best[k]):
-                    best[k] = cand
-            else:
-                idx, old = moves[k]
-                blocks[idx][k] = old
+                population[idx][r] = new
+        tried, at = list(score(population, owners)), 0
+        for k, mark in zip(running, marks):
+            for j in range(len(mark) + 1):
+                cand = tried[at + j]
+                if moves[at + j][0] is None or _improves(cand, climb_best[k]):
+                    for b, row in zip(blocks, population):
+                        b[k] = row[at + j]
+                    climb_best[k], stall[k] = cand, 0
+                    if _improves(cand, best[k]):
+                        best[k] = cand
+                    if j < len(mark):
+                        rngs[k].bit_generator.state = mark[j]
+                    break
                 stall[k] += 1
+            evals[k] += j + 1
+            at += len(mark) + 1
     return best

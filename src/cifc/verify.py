@@ -20,10 +20,12 @@ projected region is checked against its unified counterpart once, by
 `sampled_region_containment` in the containment suite.  The tolerances
 are fixed: MI_TOL for every identity and zero check, REGION_TOL for
 every containment and oracle comparison.  The frontier is
-`cifc.sampling.climb` with a support objective: one row per lambda, each
-in lockstep on its own generator, each step's rows scored as one batched
-evaluation through the schema's one checked rhs map, so the output is
-identical to climbing each lambda alone.
+`cifc.sampling.climb` with a support objective: one climb per lambda on
+its own generator, going in speculative rounds, each round's rows (the
+next few moves of every lambda, as if each were rejected) scored as one
+batched evaluation through the schema's one checked rhs map.  A row is
+scored as it is alone and a lambda keeps only moves up to its first
+improving one, so the output is identical to climbing each lambda alone.
 """
 
 from __future__ import annotations
@@ -60,7 +62,7 @@ from .regions import (
     maric_merged,
     same_system,
 )
-from .sampling import _joints, _mode_for, climb, sample_instances
+from .sampling import _joints, _mode_for, check_climbs, climb, sample_instances
 
 REGION_TOL = 1e-7
 BATCH = 100  # samples per batch: a check's memory does not grow with its samples
@@ -504,9 +506,11 @@ def trace_frontier(
     For each lambda on the grid, maximizes lambda*R1 + (1-lambda)*R2 by
     `cifc.sampling.climb` on the factor blocks, on its own generator,
     spending up to `budget` objective evaluations.  The objective checks
-    and scores a step's rows as one batch through the compiled rhs map
+    and scores a round's rows as one batch through the compiled rhs map
     and projection, chunked under the channel extension's cap, so the
-    result is identical to climbing each lambda alone.
+    result is identical to climbing each lambda alone.  A grid whose
+    climbs would draw more than MAX_MARGINAL_LABELS numbers is refused
+    before it is made.
     A lambda whose search finds no feasible point is listed in `missing`.
     Deterministic in `seed`.  Raises Unbounded up front for a schema whose
     projection is unbounded.
@@ -514,14 +518,12 @@ def trace_frontier(
     if budget < 1:
         raise InvalidParameter(f"budget must be at least 1 evaluation, got {budget}")
     check_seed(seed)
-    if isinstance(lambdas, int):
-        lam_grid = np.linspace(0.0, 1.0, max(lambdas, 0))
-    else:
-        lam_grid = np.asarray(list(lambdas), dtype=float)
-    if not lam_grid.size:
+    lam_grid = None if isinstance(lambdas, int) else np.asarray(list(lambdas), dtype=float)
+    count = lambdas if lam_grid is None else lam_grid.size
+    if count < 1:
         raise InvalidParameter(f"the lambda grid is empty ({lambdas!r})")
-    outside = lam_grid[~((lam_grid >= 0.0) & (lam_grid <= 1.0))]  # NaN is outside too
-    if outside.size:
+    outside = [] if lam_grid is None else lam_grid[~((lam_grid >= 0.0) & (lam_grid <= 1.0))]
+    if len(outside):  # NaN is outside too
         raise InvalidParameter(f"lambda is a Pareto weight in [0, 1], got {float(outside[0])!r}")
     schema = builtin_schema(schema_id)
     compiled = compile_schema(schema)
@@ -529,6 +531,9 @@ def trace_frontier(
     if not projection.bounded:
         raise Unbounded(f"{schema.id}: the projected region is unbounded; "
                         "a decoding constraint is missing")
+    check_climbs(schema, count, budget)  # before the grid and its generators are made
+    if lam_grid is None:
+        lam_grid = np.linspace(0.0, 1.0, count)
     rvs = schema.rv_set(2)
     cells = math.prod(rvs.sizes) * math.prod(channel.shape[:2])
     chunk = max(1, probability.MAX_MARGINAL_LABELS // cells)  # read per call, as the extension does

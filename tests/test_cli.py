@@ -177,6 +177,7 @@ def test_frontier_unbounded_schema_exits_2(tmp_path, orth_channel, monkeypatch, 
     ["--grid", "0"],
     ["--samples", "-3"],
     ["--samples", "0"],
+    ["--grid", "1000000000"],  # refused before a generator per lambda is made
 ])
 def test_frontier_rejects_nonsensical_counts(tmp_path, orth_channel, capsys, flags):
     out = tmp_path / "front.csv"

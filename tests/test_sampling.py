@@ -180,22 +180,43 @@ def test_sample_instances_refuses_seeds_and_modes_of_different_lengths(monkeypat
 # -- climb, scored by a fake objective ------------------------------------------------
 
 
+def _state_bytes(blocks, r):
+    return b"".join(b[r].tobytes() for b in blocks)
+
+
 @pytest.mark.parametrize("budget", [1, 40, 90, 300])
-def test_climb_scores_the_starts_then_a_row_per_generator_each_step(budget):
-    # every score is a new best, so each climb ends on the last step's
+def test_climb_scores_the_starts_then_a_row_per_generator_each_step(monkeypatch, budget):
+    # every score is a new best, so each climb keeps the first row of each
+    # round, one evaluation, and ends on the last round's; a round holds each
+    # generator's moves as rows, grouped and in the order they were drawn
     plan = _schema_plan(builtin_schema("RTD"), 2, "free")
-    calls = []
+    calls, moves = [], []
+    propose = cifc.sampling._propose
+
+    def spy(plan, blocks, k, rng):
+        idx, block = propose(plan, blocks, k, rng)
+        moves.append((k, idx, block))
+        return idx, block
 
     def score(blocks, owners):
         assert [b.shape for b in blocks] == [(len(owners), *b.shape) for b in plan.blocks]
+        if calls:
+            assert [k for k, _, _ in moves] == owners.tolist()
+            assert all(blocks[idx][r].tobytes() == block.tobytes()
+                       for r, (_, idx, block) in enumerate(moves))
+            moves.clear()
         calls.append(owners.tolist())
         return [(float(len(calls)),)] * len(owners)
 
+    monkeypatch.setattr(cifc.sampling, "_propose", spy)
     best = climb(builtin_schema("RTD"), [np.random.default_rng(s) for s in range(3)], budget, score)
     n_starts = max(1, min(6, budget // 40))
+    depth = min(-(-cifc.sampling.ROUND_ROWS // 3), budget - n_starts)
     assert calls[0] == [k for k in range(3) for _ in range(n_starts)]
-    assert calls[1:] == [[0, 1, 2]] * (budget - n_starts)
-    assert [sum(c.count(k) for c in calls) for k in range(3)] == [budget] * 3
+    for i, c in enumerate(calls[1:]):
+        assert c == sorted(c) and [c.count(k) for k in range(3)] == [min(depth, budget - n_starts - i)] * 3
+    # the starts, then one kept row per generator a round
+    assert [n_starts + sum(k in c for c in calls[1:]) for k in range(3)] == [budget] * 3
     assert best == [(float(len(calls)),)] * 3
 
 
@@ -203,25 +224,64 @@ def test_climb_restarts_a_stalled_climb_at_the_steps_the_rule_names(monkeypatch)
     # a score that never beats the starts stalls every climb: a climb
     # restarts once stalled for more than 300 steps while more than 400
     # evaluations are left, at evaluations 307, 609 and 911 of 1613 (from
-    # 6 starts); at 1213 exactly 400 are left, one too few
-    draws, steps = [], []
-    draw = cifc.sampling._draw
+    # 6 starts); at 1213 exactly 400 are left, one too few.  No row is
+    # kept but a restart, which ends its round, so every row scored is an
+    # evaluation, and a generator's evaluations are its moves and restarts
+    rngs = [np.random.default_rng(s) for s in range(2)]
+    evals, restarts, scored = [6, 6], [[], []], [0, 0]
+    draw, propose = cifc.sampling._draw, cifc.sampling._propose
 
-    def spy(plans, rngs):
-        draws.append((len(steps), len(plans)))
-        return draw(plans, rngs)
+    def draw_spy(plans, gens):
+        if len(plans) == 1:
+            k = next(k for k, rng in enumerate(rngs) if rng is gens[0])
+            restarts[k].append(evals[k])
+            evals[k] += 1
+        return draw(plans, gens)
+
+    def propose_spy(plan, blocks, k, rng):
+        evals[k] += 1
+        return propose(plan, blocks, k, rng)
 
     def score(blocks, owners):
-        steps.append(len(owners))
+        for k in owners.tolist():
+            scored[k] += 1
         return [(0.0,)] * len(owners)
 
-    monkeypatch.setattr(cifc.sampling, "_draw", spy)
-    best = climb(builtin_schema("RTD"), [np.random.default_rng(s) for s in range(2)], 1613, score)
-    # (scores made so far, states drawn): the 2 x 6 starts, then one fresh
-    # state per generator at evaluation e, after the starts' score and e - 6 steps'
-    assert draws == [(0, 12)] + [(1 + e - 6, 1) for e in (307, 307, 609, 609, 911, 911)]
-    assert steps == [12] + [2] * (1613 - 6)
+    monkeypatch.setattr(cifc.sampling, "_draw", draw_spy)
+    monkeypatch.setattr(cifc.sampling, "_propose", propose_spy)
+    best = climb(builtin_schema("RTD"), rngs, 1613, score)
+    assert restarts == [[307, 609, 911]] * 2
+    assert evals == scored == [1613] * 2
     assert best == [(0.0,)] * 2
+
+
+@pytest.mark.parametrize("keeps", ["every row", "no row"])
+def test_a_round_leaves_each_climb_as_stepping_one_row_at_a_time(monkeypatch, keeps):
+    # a score that beats every best makes each climb keep its round's first
+    # row and set its generator back; one that beats none drops nothing but
+    # at the restarts; either way each generator evaluates the same states
+    # and ends in the same state as at a round of one row
+    def run(round_rows):
+        monkeypatch.setattr(cifc.sampling, "ROUND_ROWS", round_rows)
+        rngs = [np.random.default_rng(s) for s in range(3)]
+        evaluated, calls = [[], [], []], []
+
+        def score(blocks, owners):
+            calls.append(None)
+            first = {r for r, k in enumerate(owners) if r == 0 or owners[r - 1] != k}
+            for r, k in enumerate(owners.tolist()):
+                if keeps == "no row" or r in first or len(calls) == 1:
+                    evaluated[k].append(_state_bytes(blocks, r))
+            value = float(len(calls)) if keeps == "every row" else 0.0
+            return [(_state_bytes(blocks, r), value) for r in range(len(owners))]
+
+        best = climb(builtin_schema("RTD_CC"), rngs, 1000, score)
+        return evaluated, best, [rng.bit_generator.state for rng in rngs], len(calls)
+
+    evaluated, best, states, calls = run(cifc.sampling.ROUND_ROWS)
+    assert (evaluated, best, states) == run(1)[:3]
+    assert all(len(e) == 1000 for e in evaluated)
+    assert calls < 1000 - 6 if keeps == "no row" else calls == 1000 - 6 + 1
 
 
 def test_climb_with_no_feasible_row_has_no_best():

@@ -264,6 +264,8 @@ _STUCK[1, 0] = 1.0  # every input gives the same outputs
     ("RTD_IN", BSC, 100, 1, [0.4, 0.9, 0.4]),
     ("RTD", Channel(_STUCK), 60, 0, [0.3, 0.7]),
     ("MARIC", random_channel(5, (2, 4, 2, 2)), 200, 2, 3),  # a paired X2 of four letters
+    ("RTD", random_channel(7), 1200, 1, [0.3]),  # rounds ROUND_ROWS deep, two restarts
+    ("RTD_IN", random_channel(3), 400, 4, 2),
 ])
 def test_lockstep_frontier_is_the_sequential_search_byte_for_byte(sid, channel, budget, seed,
                                                                   lambdas):
@@ -277,7 +279,7 @@ def test_lockstep_frontier_is_the_sequential_search_byte_for_byte(sid, channel, 
 
 def test_lockstep_frontier_chunks_its_batches_under_the_extension_cap(monkeypatch):
     # RTD's 18 entropy subsets of 256 extended cells fit under a cap of 20
-    # joints, so the marginal plan is allowed while a step of 21 lambdas,
+    # joints, so the marginal plan is allowed while a round of 21 lambdas,
     # and the 42 starts, must be split
     import cifc.probability
     import cifc.verify
@@ -293,7 +295,7 @@ def test_lockstep_frontier_chunks_its_batches_under_the_extension_cap(monkeypatc
     monkeypatch.setattr(cifc.verify, "extend_through_channel", extend)
     result = trace_frontier("RTD", BSC, budget=90, seed=2, lambdas=21)
     assert result.to_csv() == expected.to_csv()
-    assert sizes[:3] == [20, 20, 2] and sizes[3:] == [20, 1] * (90 - 2)
+    assert sizes[:3] == [20, 20, 2] and max(sizes) == 20
 
 
 def test_frontier_rtd_workload_csv_is_pinned():
@@ -658,6 +660,14 @@ def test_frontier_orthogonal_reaches_near_corner():
 def test_frontier_rejects_a_lambda_outside_the_unit_interval(lam):
     with pytest.raises(InvalidParameter, match=r"lambda is a Pareto weight in \[0, 1\]"):
         trace_frontier("RTD", BSC, budget=10, seed=0, lambdas=[0.5, lam])
+
+
+def test_frontier_refuses_a_lambda_grid_above_the_cap_at_once():
+    # 10**12 climbs of 6 starts over RTD's 80-number chain; neither the grid
+    # nor a generator per lambda may be made first
+    with pytest.raises(InvalidParameter, match=r"1000000000000 climbs of 6 starts over RTD's chain "
+                                               r"of 80 numbers draw .* above the cap of 16777216"):
+        trace_frontier("RTD", BSC, budget=2000, seed=0, lambdas=10**12)
 
 
 def test_one_frontier_builds_one_marginal_plan():
