@@ -10,8 +10,10 @@ construction and safe to share across threads.
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -33,8 +35,9 @@ AXES = OUTPUTS + INPUTS  # the transition tensor's axes, in storage order
 
 
 def _check_sizes(sizes: dict[str, int]) -> None:
-    """InvalidParameter unless every named alphabet size lies in [1, MAX_ALPHABET_SIZE]."""
+    """InvalidParameter unless each named alphabet size is an integer in [1, MAX_ALPHABET_SIZE]."""
     for name, size in sizes.items():
+        check_integer(size, name)
         if size < 1:
             raise InvalidParameter(f"alphabet {name!r}: size must be >= 1, got {size}")
         if size > MAX_ALPHABET_SIZE:
@@ -97,41 +100,23 @@ class Channel:
         return self.transition.shape
 
 
-def check_seed(seed: int) -> None:
-    """InvalidParameter for a negative seed, before anything is drawn."""
-    if seed < 0:
-        raise InvalidParameter(f"seed must be a non-negative integer, got {seed}")
+def check_integer(value, name: str, minimum: int = 0) -> int:
+    """`value` as an int, the one check of every seed and count: InvalidParameter
+    unless it is an integer (any numbers.Integral, numpy's too, but not a
+    bool) of at least `minimum`, before anything is drawn."""
+    # int first: a Python int, by far the most common, skips the slower ABC check
+    if isinstance(value, bool) or not isinstance(value, (int, numbers.Integral)):
+        raise InvalidParameter(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        bound = "a non-negative integer" if minimum == 0 else f"at least {minimum}"
+        raise InvalidParameter(f"{name} must be {bound}, got {value}")
+    return int(value)
 
 
 def normalize_exponentials(e: np.ndarray) -> np.ndarray:
     """Dirichlet(1) rows from Exp(1) variates on the last axis, by numpy's own
     Generator.dirichlet arithmetic: times the reciprocal of the left-to-right sum."""
     return e * (1.0 / np.cumsum(e, axis=-1)[..., -1:])
-
-
-def canonical_channel(kind: str, **params) -> Channel:
-    """Build one of the canonical test channels.
-
-    kind:
-      - ``orthogonal_noiseless``: Y1 = X1 and Y2 = X2 exactly (binary).
-      - ``bsc_pair``: independent binary symmetric corruptions with flip
-        probabilities ``eps1``, ``eps2`` in [0, 1/2].
-      - ``random``: Dirichlet(1)-sampled transition rows, reproducible from
-        ``seed``; alphabet sizes via ``sizes=(x1, x2, y1, y2)``.
-    """
-    if kind == "orthogonal_noiseless":
-        if params:
-            raise InvalidParameter(f"orthogonal_noiseless takes no parameters, got {params}")
-        return bsc_pair(0.0, 0.0)
-    if kind == "bsc_pair":
-        return bsc_pair(params.pop("eps1"), params.pop("eps2"))
-    if kind == "random":
-        seed = params.pop("seed")
-        sizes = params.pop("sizes", (2, 2, 2, 2))
-        if params:
-            raise InvalidParameter(f"unexpected parameters {params}")
-        return random_channel(seed, sizes=sizes)
-    raise InvalidParameter(f"unknown channel kind {kind!r}")
 
 
 def bsc_pair(eps1: float, eps2: float) -> Channel:
@@ -147,8 +132,7 @@ def random_channel(seed: int, sizes: tuple[int, int, int, int] = (2, 2, 2, 2)) -
     """Valid random transition tensor, bitwise reproducible from ``seed``, drawn once."""
     n1, n2, m1, m2 = sizes
     _check_sizes({"X1": n1, "X2": n2, "Y1": m1, "Y2": m2})
-    check_seed(seed)
-    return _random_channel(seed, n1, n2, m1, m2)
+    return _random_channel(check_integer(seed, "seed"), n1, n2, m1, m2)
 
 
 @lru_cache(maxsize=1024)  # a few hundred bytes each; verify's default run draws 500
@@ -159,18 +143,33 @@ def _random_channel(seed: int, n1: int, n2: int, m1: int, m2: int) -> Channel:
     return Channel(rows.reshape(n1, n2, m1, m2).transpose(2, 3, 0, 1))
 
 
+_CANONICAL = {
+    "orthogonal_noiseless": lambda: bsc_pair(0.0, 0.0),  # Y1 = X1 and Y2 = X2 exactly
+    "bsc_pair": bsc_pair,
+    "random": random_channel,
+}
+
+
+def canonical_channel(kind: str, **params) -> Channel:
+    """A canonical test channel: ``orthogonal_noiseless`` (Y1 = X1 and Y2 = X2
+    exactly, binary; no parameters), ``bsc_pair`` (`bsc_pair(eps1, eps2)`) or
+    ``random`` (`random_channel(seed, sizes=(2, 2, 2, 2))`).  `params` are
+    bound to the builder's signature: a missing or extra one is InvalidParameter."""
+    if kind not in _CANONICAL:
+        raise InvalidParameter(f"unknown channel kind {kind!r}")
+    builder = _CANONICAL[kind]
+    try:
+        inspect.signature(builder).bind(**params)
+    except TypeError as exc:
+        raise InvalidParameter(f"channel kind {kind!r}: {exc}") from None
+    return builder(**params)
+
+
 def channel_to_json(c: Channel) -> dict:
     """Serialize as ``{"x1":n,...,"p":[...]}`` with p row-major over (y1,y2,x1,x2)."""
     out = {name.lower(): size for name, size in zip(AXES, c.shape)}
     out["p"] = [float(v) for v in c.transition.reshape(-1)]
     return out
-
-
-def json_size(value, name: str) -> int:
-    """A JSON alphabet size: an integer, not a boolean; InvalidParameter otherwise."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise InvalidParameter(f"{name} must be an integer, got {value!r}")
-    return value
 
 
 def json_float_array(flat, shape: tuple[int, ...]) -> np.ndarray:
@@ -193,7 +192,7 @@ def json_float_array(flat, shape: tuple[int, ...]) -> np.ndarray:
 
 def channel_from_json(obj: dict) -> Channel:
     try:
-        sizes = {k.upper(): json_size(obj[k], k) for k in ("x1", "x2", "y1", "y2")}
+        sizes = {k.upper(): obj[k] for k in ("x1", "x2", "y1", "y2")}
         flat = obj["p"]
     except (KeyError, TypeError) as exc:
         raise InvalidParameter(f"malformed channel object: {exc}") from exc
@@ -205,9 +204,14 @@ def save_channel(c: Channel, path: str | Path) -> None:
     Path(path).write_text(json.dumps(channel_to_json(c), sort_keys=True))
 
 
-def load_channel(path: str | Path) -> Channel:
+def read_json(path: str | Path):
+    """The JSON value in the file at `path`: InvalidParameter if its text is
+    not UTF-8 or not JSON, or nests too deep to parse; OSError if unreadable."""
     try:
-        obj = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (ValueError, RecursionError) as exc:  # ValueError: JSONDecodeError, UnicodeDecodeError
         raise InvalidParameter(f"{path}: not valid JSON: {exc}") from exc
-    return channel_from_json(obj)
+
+
+def load_channel(path: str | Path) -> Channel:
+    return channel_from_json(read_json(path))

@@ -139,7 +139,7 @@ def main(argv: list[str] | None = None) -> int:
     except FileNotFoundError as exc:
         print(f"error: file not found: {exc.filename}", file=sys.stderr)
         return 2
-    except (CifcError, json.JSONDecodeError, OSError) as exc:
+    except (CifcError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -24,7 +24,6 @@ evaluate many distributions in parallel without synchronization.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -33,7 +32,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .channel import INPUTS, OUTPUTS, Channel, json_float_array, json_size
+from .channel import INPUTS, OUTPUTS, Channel, check_integer, json_float_array, read_json
 from .errors import (
     AlphabetMismatch,
     FactorizationViolation,
@@ -64,20 +63,19 @@ def _names(spec: Names) -> tuple[str, ...]:
 
 @dataclass(frozen=True)
 class RandomVariableSet:
-    """Ordered named variables with matching cardinalities."""
+    """Ordered named variables with matching cardinalities, integers >= 1."""
 
     names: tuple[str, ...]
     sizes: tuple[int, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "names", tuple(self.names))
-        object.__setattr__(self, "sizes", tuple(int(s) for s in self.sizes))
+        sizes = tuple(check_integer(s, f"sizes[{i}]", 1) for i, s in enumerate(self.sizes))
+        object.__setattr__(self, "sizes", sizes)
         if len(self.names) != len(set(self.names)):
             raise InvalidParameter(f"duplicate variable names in {self.names}")
         if len(self.names) != len(self.sizes):
             raise InvalidParameter("names and sizes must have equal length")
-        if any(s < 1 for s in self.sizes):
-            raise InvalidParameter(f"all cardinalities must be >= 1, got {self.sizes}")
 
     def axis(self, name: str) -> int:
         try:
@@ -600,18 +598,12 @@ def joint_to_json(d: JointDistribution) -> dict:
 
 def joint_from_json(obj: dict) -> JointDistribution:
     try:
-        names = tuple(obj["names"])
-        sizes = tuple(json_size(s, f"sizes[{i}]") for i, s in enumerate(obj["sizes"]))
+        rvs = RandomVariableSet(tuple(obj["names"]), tuple(obj["sizes"]))
         flat = obj["p"]
     except (KeyError, TypeError) as exc:
         raise InvalidParameter(f"malformed distribution object: {exc}") from exc
-    rvs = RandomVariableSet(names, sizes)
-    return JointDistribution(rvs, json_float_array(flat, sizes))
+    return JointDistribution(rvs, json_float_array(flat, rvs.sizes))
 
 
 def load_joint(path: str | Path) -> JointDistribution:
-    try:
-        obj = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise InvalidParameter(f"{path}: not valid JSON: {exc}") from exc
-    return joint_from_json(obj)
+    return joint_from_json(read_json(path))

@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .channel import Channel, check_seed, normalize_exponentials
+from .channel import Channel, check_integer, normalize_exponentials
 from .errors import InvalidParameter, SpecCoverageError
 from .probability import (
     MAX_MARGINAL_LABELS,
@@ -305,8 +305,8 @@ def sample_factored(
             f"factorization does not cover variable set (missing {sorted(missing)}, "
             f"extra {sorted(extra)})"
         )
-    check_seed(seed)
-    blocks = _draw([_chain_plan(rvs, spec.factors)], [np.random.default_rng(seed)])
+    blocks = _draw([_chain_plan(rvs, spec.factors)],
+                   [np.random.default_rng(check_integer(seed, "seed"))])
     return JointDistribution(rvs, _joints(rvs, blocks)[0].prob)
 
 
@@ -326,7 +326,7 @@ def sample_instances(
     unknown = [mode for mode in modes if mode not in SAMPLING_MODES]
     if unknown:
         raise InvalidParameter(f"unknown sampling mode {unknown[0]!r}")
-    check_seed(min(seeds))
+    seeds = [check_integer(s, "seed") for s in seeds]
     plans = {mode: _schema_plan(schema, size, mode) for mode in set(modes)}
     blocks = _draw([plans[mode] for mode in modes], [np.random.default_rng(s) for s in seeds])
     return extend_through_channel(_joints(plans[modes[0]].rvs, blocks), channels)

@@ -33,12 +33,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import partial
+from collections.abc import Iterable
 from typing import Sequence
 
 import numpy as np
 
 from . import probability
-from .channel import Channel, check_seed, random_channel
+from .channel import Channel, check_integer, random_channel
 from .errors import InvalidParameter, Unbounded
 from .probability import MI_TOL, MIExpr, compile_exprs, extend_through_channel, mi
 from .polytope import (
@@ -173,9 +174,8 @@ def check_identities(
                              schema.requirements)
     # the compiled values split into each check's zero part, then its nonneg part
     ends = np.cumsum([n for c in checks for n in (len(c.zero), len(c.nonneg))])[:-1]
-    seeds = range(seed, seed + samples)
-    values = [np.empty((0, len(compiled.expr_matrix)))]  # so that no sample gives no rows
-    values += [compiled(d) for _, d in _batches(schema, seeds, mode="free")]
+    values = [compiled(d) for _, d in _batches(schema, seed, samples, mode="free")]
+    seeds = range(seed, seed + samples)  # both checked by _batches
     parts = np.split(np.concatenate(values), ends, axis=1)
     reports = []
     for c, zero, nonneg in zip(checks, parts[::2], parts[1::2]):
@@ -193,11 +193,15 @@ def check_identities(
     return SuiteReport(suite, reports)
 
 
-def _batches(schema: RegionSchema, seeds: Sequence[int], channel: Channel | None = None,
+def _batches(schema: RegionSchema, seed: int, samples: int, channel: Channel | None = None,
              mode: str | None = None):
-    """The schema's instances at `seeds`, BATCH at a time, as (seeds, batch)
-    pairs: the i-th in `mode` (by default _mode_for(i)), through `channel`
-    or its seed's random channel."""
+    """The schema's instances at the `samples` seeds from `seed` on, BATCH at
+    a time, as (seeds, batch) pairs: the i-th in `mode` (by default
+    _mode_for(i)), through `channel` or its seed's random channel.  Every
+    check draws here, so none passes on zero samples: samples below 1, or a
+    seed or count that is not an integer, is InvalidParameter before a draw."""
+    samples, seed = check_integer(samples, "samples", 1), check_integer(seed, "seed")
+    seeds = range(seed, seed + samples)
     sizes = _channel_sizes(schema)
     for at in range(0, len(seeds), BATCH):
         chunk = seeds[at:at + BATCH]
@@ -296,7 +300,7 @@ def check_cc_reduction(
     structural = CheckReport("pinned systems structurally identical")
     projected = CheckReport("pinned projections vertex-identical")
     nonempty = 0
-    for seeds, d in _batches(ccp, range(seed + 10_000, seed + 10_000 + proj_instances)):
+    for seeds, d in _batches(ccp, seed + 10_000, proj_instances):
         pinned = [system.pin({"R1c'": 0.0}) for system in instantiate_all((ccp, rtdcc), d)]
         for s, (ia, pa), (ib, pb) in zip(seeds, *map(_nonvacuous_regions, pinned)):
             structural.record_match(s, same_system(ia, ib), "systems differ")
@@ -395,7 +399,7 @@ def sampled_region_containment(
     check = CheckReport(f"{inner_id} inside {outer_id}")
     worst_margin = -math.inf
     nonempty = strict = 0
-    for seeds, d in _batches(inner, range(seed, seed + samples), channel):
+    for seeds, d in _batches(inner, seed, samples, channel):
         regions = zip(*map(project_or_empty, instantiate_all((inner, outer), d)))
         for s, (pi, po) in zip(seeds, regions):
             nonempty += not pi.is_empty
@@ -458,7 +462,7 @@ def check_fme_oracle(
         schema = builtin_schema(sid)
         check = CheckReport(f"{sid}: projection agrees with enumeration oracle")
         nonempty = 0
-        for seeds, d in _batches(schema, range(seed, seed + instances)):
+        for seeds, d in _batches(schema, seed, instances):
             systems = instantiate(schema, d)
             for k, (s, poly) in enumerate(zip(seeds, project_or_empty(systems))):
                 bad, worst = grid_agreement(systems[k], poly, grid=grid)
@@ -499,10 +503,13 @@ def trace_frontier(
     channel: Channel,
     budget: int = 2000,
     seed: int = 0,
-    lambdas: Sequence[float] | int = 21,
+    lambdas: Iterable[float] | int = 21,
 ) -> FrontierResult:
     """Trace the Pareto frontier over input distributions.
 
+    `lambdas` is the grid: any integer size (numpy's too), spaced evenly on
+    [0, 1], or an iterable of weights in [0, 1].  The budget, seed and size
+    pass `cifc.channel.check_integer`, the budget and size at least 1.
     For each lambda on the grid, maximizes lambda*R1 + (1-lambda)*R2 by
     `cifc.sampling.climb` on the factor blocks, on its own generator,
     spending up to `budget` objective evaluations.  The objective checks
@@ -515,13 +522,9 @@ def trace_frontier(
     Deterministic in `seed`.  Raises Unbounded up front for a schema whose
     projection is unbounded.
     """
-    if budget < 1:
-        raise InvalidParameter(f"budget must be at least 1 evaluation, got {budget}")
-    check_seed(seed)
-    lam_grid = None if isinstance(lambdas, int) else np.asarray(list(lambdas), dtype=float)
-    count = lambdas if lam_grid is None else lam_grid.size
-    if count < 1:
-        raise InvalidParameter(f"the lambda grid is empty ({lambdas!r})")
+    budget, seed = check_integer(budget, "budget", 1), check_integer(seed, "seed")
+    lam_grid = np.asarray(list(lambdas), dtype=float) if isinstance(lambdas, Iterable) else None
+    count = check_integer(lambdas if lam_grid is None else lam_grid.size, "the lambda grid size", 1)
     outside = [] if lam_grid is None else lam_grid[~((lam_grid >= 0.0) & (lam_grid <= 1.0))]
     if len(outside):  # NaN is outside too
         raise InvalidParameter(f"lambda is a Pareto weight in [0, 1], got {float(outside[0])!r}")
@@ -596,10 +599,8 @@ SUITE_NAMES = (*SUITES, "all")
 
 
 def run_suite(name: str, samples: int = 200, seed: int = 0) -> list[SuiteReport]:
-    """Run one named verification suite (or all of them)."""
-    if samples < 1:
-        raise InvalidParameter(f"samples must be at least 1, got {samples}")
-    check_seed(seed)
+    """Run one named verification suite (or all of them).  Its checks refuse
+    a seed or sample count that `_batches` refuses, before drawing."""
     if name not in SUITE_NAMES:
         raise InvalidParameter(f"unknown suite {name!r}; choose {', '.join(SUITE_NAMES)}")
     runners = SUITES.values() if name == "all" else (SUITES[name],)

@@ -166,7 +166,8 @@ def test_a_random_channel_is_drawn_once_per_seed_and_sizes():
     assert _random_channel.cache_info().currsize == bound
     # a refused call draws nothing and caches nothing
     _random_channel.cache_clear()
-    for refused in ((-1, (2, 2, 2, 2)), (1, (2, 2, 2, 9))):
+    for refused in ((-1, (2, 2, 2, 2)), (1, (2, 2, 2, 9)), (1.5, (2, 2, 2, 2)),
+                    (True, (2, 2, 2, 2)), (1, (2, 2.5, 2, 2))):
         with pytest.raises(InvalidParameter):
             random_channel(*refused)
     assert _random_channel.cache_info().currsize == 0
@@ -186,6 +187,19 @@ def test_bsc_parameter_range(eps):
 def test_unknown_kind():
     with pytest.raises(InvalidParameter):
         canonical_channel("gaussian")
+
+
+@pytest.mark.parametrize("kind, params, bad", [
+    ("bsc_pair", {"eps1": 0.1}, "missing a required argument: 'eps2'"),
+    ("random", {}, "missing a required argument: 'seed'"),
+    ("bsc_pair", {"eps1": 0.1, "eps2": 0.1, "seed": 3}, "unexpected keyword argument 'seed'"),
+    ("orthogonal_noiseless", {"eps1": 0.0}, "unexpected keyword argument 'eps1'"),
+    ("random", {"seed": 1, "size": (2, 2, 2, 2)}, "unexpected keyword argument 'size'"),
+], ids=["missing", "missing_seed", "extra", "extra_for_none", "misspelt"])
+def test_a_channel_kind_takes_its_builders_parameters(kind, params, bad):
+    # a missing parameter was a KeyError, and bsc_pair ignored a seed
+    with pytest.raises(InvalidParameter, match=f"channel kind '{kind}': .*{bad}"):
+        canonical_channel(kind, **params)
 
 
 def test_alphabet_bounds():
@@ -245,7 +259,10 @@ def test_json_missing_field_rejected():
 def test_load_rejects_bad_json(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
-    with pytest.raises(InvalidParameter):
+    with pytest.raises(InvalidParameter, match="broken.json: not valid JSON"):
+        load_channel(path)
+    path.write_bytes(b'{"x1": "\xff"}')  # not UTF-8
+    with pytest.raises(InvalidParameter, match="broken.json: not valid JSON"):
         load_channel(path)
 
 

@@ -49,6 +49,20 @@ def test_validate_refuses_probabilities_that_are_not_numbers(tmp_path, capsys, p
     assert "field 'p': entry 0 must be a number" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("data", [b"{not json", b'{"x1": "\xff"}', b"[" * 10**5 + b"]" * 10**5],
+                         ids=["syntax", "not_utf8", "too_deep"])
+def test_a_file_that_is_not_json_exits_2(tmp_path, orth_channel, capsys, data):
+    # both loaders read through one reader, so the CLI need not catch a parser error
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(data)
+    assert main(["validate", "--channel", str(bad)]) == 2
+    rc = main(["project", "--schema", "RTD", "--channel", str(orth_channel),
+               "--dist", str(bad), "--out", str(tmp_path / "poly.json")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count(f"error: {bad}: not valid JSON") == 2 and "Traceback" not in err
+
+
 def test_validate_missing_file_exits_2(tmp_path):
     assert main(["validate", "--channel", str(tmp_path / "nope.json")]) == 2
 

@@ -8,6 +8,7 @@ from cifc.errors import (
     AlphabetMismatch,
     FactorizationViolation,
     InvalidParameter,
+    NegativeProbability,
     SpecCoverageError,
     UnknownVariable,
 )
@@ -25,6 +26,7 @@ from cifc.probability import (
     extend_through_channel,
     joint_from_json,
     joint_to_json,
+    load_joint,
     mi,
     rename_expr,
     rename_term,
@@ -82,6 +84,20 @@ def test_sample_deterministic_in_seed():
     assert np.array_equal(d1.prob, d2.prob)
 
 
+@pytest.mark.parametrize("names, sizes, bad", [
+    (("A", "A"), (2, 2), "duplicate variable names"),
+    (("A", "B"), (2,), "names and sizes must have equal length"),
+    (("A", "B"), (2, 0), r"sizes\[1\] must be at least 1, got 0"),
+    (("A",), (2.9,), r"sizes\[0\] must be an integer, got 2.9"),
+    (("A",), (True,), r"sizes\[0\] must be an integer, got True"),
+], ids=["duplicate", "lengths", "empty_alphabet", "fractional", "boolean"])
+def test_variable_set_validation(names, sizes, bad):
+    # a fractional size used to be truncated, and True read as 1
+    with pytest.raises(InvalidParameter, match=bad):
+        RandomVariableSet(names, sizes)
+    assert RandomVariableSet(("A",), (np.int64(3),)).sizes == (3,)
+
+
 def test_factorization_spec_validation():
     with pytest.raises(InvalidParameter):
         FactorizationSpec((Factor(("A",)), Factor(("A",))))
@@ -129,6 +145,13 @@ def test_extension_requires_matching_alphabets():
     d2 = JointDistribution(RandomVariableSet(("X1", "Z"), (2, 2)), np.full((2, 2), 0.25))
     with pytest.raises(AlphabetMismatch):
         extend_through_channel(d2, bsc_pair(0.1, 0.1))
+    batch = JointDistribution(d.rvs, np.full((2, 2, 2), 0.25))
+    with pytest.raises(InvalidParameter, match="3 channels for 2 joints"):
+        extend_through_channel(batch, [random_channel(s) for s in range(3)])
+    with pytest.raises(AlphabetMismatch, match="the channels of a batch differ in shape"):
+        extend_through_channel(batch, [random_channel(0), random_channel(1, sizes=(2, 2, 3, 2))])
+    with pytest.raises(AlphabetMismatch, match="output name 'Y1' already present"):
+        extend_through_channel(extend_through_channel(d, bsc_pair(0.1, 0.1)), bsc_pair(0.1, 0.1))
 
 
 def test_extension_marginal_is_channel_pushforward():
@@ -493,7 +516,29 @@ def test_joint_json_rejects_bad_length():
         joint_from_json({"names": ["A"], "sizes": [2], "p": [1.0]})
 
 
+@pytest.mark.parametrize("obj", [
+    {"names": ["A"], "p": [1.0]},
+    {"names": ["A"], "sizes": 2, "p": [0.5, 0.5]},
+    {"names": [["A"]], "sizes": [2], "p": [0.5, 0.5]},
+    ["A", 2],
+], ids=["no_sizes", "sizes_not_a_list", "unhashable_name", "not_an_object"])
+def test_joint_json_rejects_a_malformed_object(obj):
+    with pytest.raises(InvalidParameter, match="malformed distribution object"):
+        joint_from_json(obj)
+
+
+def test_load_joint_rejects_a_file_that_is_not_json(tmp_path):
+    path = tmp_path / "joint.json"
+    path.write_text('{"names": ["A"], "sizes": [2],')
+    with pytest.raises(InvalidParameter, match="joint.json: not valid JSON"):
+        load_joint(path)
+
+
 def test_joint_mass_validation():
     rvs = RandomVariableSet(("A",), (2,))
     with pytest.raises(InvalidParameter):
         JointDistribution(rvs, np.array([0.6, 0.6]))
+    with pytest.raises(InvalidParameter, match=r"tensor shape \(3,\) does not match"):
+        JointDistribution(rvs, np.full(3, 1 / 3))
+    with pytest.raises(NegativeProbability, match="joint has entry -0.5 < 0"):
+        JointDistribution(rvs, np.array([1.5, -0.5]))

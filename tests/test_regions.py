@@ -3,7 +3,7 @@ import pytest
 
 import cifc.probability
 from cifc.channel import random_channel
-from cifc.errors import FactorizationViolation, UnknownSchema, UnknownVariable
+from cifc.errors import FactorizationViolation, InvalidParameter, UnknownSchema, UnknownVariable
 from cifc.probability import (
     CompiledExprs,
     JointDistribution,
@@ -391,6 +391,9 @@ def test_same_system_detects_rhs_change():
     rhs[0] += 1e-6
     b2 = LinearSystem(b.structure, rhs)
     assert not same_system(a, b2)
+    assert not same_system(a, a.pin({"R2pb": 0.0}))  # over other variables
+    with pytest.raises(InvalidParameter, match=r"rhs of shape \(10,\) for 11 rows"):
+        LinearSystem(b.structure, rhs[:-1])
 
 
 def _bits(system: LinearSystem):

@@ -1,7 +1,9 @@
 import ast
+import dataclasses
 import hashlib
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -84,6 +86,8 @@ def test_sample_instance_maric_pairing():
 def test_sample_instance_unknown_mode():
     with pytest.raises(InvalidParameter):
         sample_instance(builtin_schema("RTD"), BSC, 0, mode="warm")
+    with pytest.raises(InvalidParameter, match="a batch needs at least one seed"):
+        sample_instances(builtin_schema("RTD"), BSC, [], [])
 
 
 def test_sample_instance_deterministic():
@@ -152,6 +156,56 @@ def test_a_negative_seed_is_refused_before_anything_is_drawn(monkeypatch, draw):
     monkeypatch.setattr(np.random, "default_rng", None)
     with pytest.raises(InvalidParameter, match=r"seed must be a non-negative integer, got -\d"):
         draw()
+
+
+def _frontier(**kwargs):
+    return lambda: trace_frontier("RTD", BSC, **{"budget": 10, "lambdas": 2, **kwargs})
+
+
+@pytest.mark.parametrize("draw, bad", [
+    (lambda: run_suite("maric", samples=3, seed=1.5), "seed must be an integer, got 1.5"),
+    (lambda: run_suite("maric", samples=3, seed=True), "seed must be an integer, got True"),
+    (lambda: run_suite("containment", samples=2.5), "samples must be an integer, got 2.5"),
+    (lambda: check_fme_oracle(["CC"], instances=True), "samples must be an integer, got True"),
+    (_frontier(seed=1.5), "seed must be an integer, got 1.5"),
+    (_frontier(seed=True), "seed must be an integer, got True"),
+    (_frontier(budget=2.5), "budget must be an integer, got 2.5"),
+    (_frontier(budget=True), "budget must be an integer, got True"),
+    (_frontier(budget=0), "budget must be at least 1, got 0"),
+    (_frontier(lambdas=3.0), "the lambda grid size must be an integer, got 3.0"),
+    (_frontier(lambdas=True), "the lambda grid size must be an integer, got True"),
+    (_frontier(lambdas=[]), "the lambda grid size must be at least 1, got 0"),
+    (lambda: sample_instances(builtin_schema("RTD"), BSC, [0, 1.0], ["free"] * 2),
+     "seed must be an integer, got 1.0"),
+    (lambda: sample_factored(builtin_schema("RTD").rv_set(2),
+                             builtin_schema("RTD").factorization, 2.0),
+     "seed must be an integer, got 2.0"),
+    (lambda: random_channel(False), "seed must be an integer, got False"),
+], ids=["run_suite_seed_float", "run_suite_seed_bool", "run_suite_samples_float",
+        "fme_oracle_instances_bool", "frontier_seed_float", "frontier_seed_bool",
+        "frontier_budget_float", "frontier_budget_bool", "frontier_budget_zero",
+        "frontier_grid_float", "frontier_grid_bool", "frontier_grid_empty",
+        "sample_instances_seed_float", "sample_factored_seed_float",
+        "random_channel_seed_bool"])
+def test_a_seed_or_count_that_is_not_an_integer_is_refused_before_anything_is_drawn(
+        monkeypatch, draw, bad):
+    # a float ended in numpy's TypeError, and True passed as 1
+    monkeypatch.setattr(np.random, "default_rng", None)
+    with pytest.raises(InvalidParameter, match=re.escape(bad)):
+        draw()
+
+
+@pytest.mark.parametrize("samples", [0, -1])
+@pytest.mark.parametrize("check", [
+    lambda n: check_identities("maric", "MARIC", maric_identity_checks(), samples=n),
+    lambda n: check_cc_reduction(samples=3, proj_instances=n),
+    lambda n: sampled_region_containment("RTD_JIANG", "JIANG", samples=n),
+    lambda n: check_fme_oracle(["CC", "RTD"], instances=n),
+], ids=["identities", "cc_pinned", "containment", "fme_oracle"])
+def test_no_check_passes_on_zero_samples(check, samples):
+    # each of these reported ok with every seeds_run at 0 when called directly
+    with pytest.raises(InvalidParameter, match=f"samples must be at least 1, got {samples}"):
+        check(samples)
 
 
 # the ids leave out the size, so the rows drawn before it was a column keep their names
@@ -627,6 +681,49 @@ def test_fme_oracle_small():
     assert report.ok
 
 
+@pytest.mark.parametrize("seed, digest", [
+    (1, "313497aadac9b619206d10dc0baa73d192f8b5ae5394ec7c174eacc80ab0fe5b"),
+    (2, "3e1ad973efdad21dba1aaaeb200a8372f8f0626faf45fca1d89e4f5d1ce098f0"),
+])
+def test_fme_oracle_reports_are_pinned(seed, digest):
+    # the oracle-grid benchmark workload's reports, strict JSON, byte for byte
+    report = check_fme_oracle(SCHEMA_IDS, instances=10, seed=seed, grid=21)
+    text = json.dumps(reports_to_json([report]), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def _moved_regions(system):
+    """Each projected region with its first labeled half-plane moved out by 0.01."""
+    out = []
+    for region in project_or_empty(system):
+        hps = list(region.halfplanes)
+        k = next((i for i, h in enumerate(hps) if h.labels), None)
+        if k is not None:
+            hps[k] = dataclasses.replace(hps[k], b=hps[k].b + 0.01)
+        out.append(dataclasses.replace(region, halfplanes=tuple(hps)))
+    return out
+
+
+def test_the_oracle_check_fails_a_region_moved_by_a_hundredth(monkeypatch):
+    import cifc.verify
+
+    schema = builtin_schema("MARIC")
+    assert check_fme_oracle(["MARIC"], instances=10, seed=1, grid=21).ok
+    (seeds, d), = cifc.verify._batches(schema, 1, 10)
+    systems = instantiate(schema, d)
+    k = seeds.index(6)
+    assert grid_agreement(systems[k], project_or_empty(systems)[k]) == (0, 0.0)
+    bad, worst = grid_agreement(systems[k], _moved_regions(systems)[k])
+    assert bad > 0 and 0.0 < worst <= 0.01
+    monkeypatch.setattr(cifc.verify, "project_or_empty", _moved_regions)
+    report = check_fme_oracle(["MARIC"], instances=10, seed=1, grid=21)
+    assert report.ok is False
+    (check,) = report.checks
+    assert check.seeds_run == 10 and 0.0 < check.max_abs_violation <= 0.01
+    assert check.failures == [f"seed 6: {bad} grid disagreements", "seed 9: 1 grid disagreements"]
+    assert check.worst_seed == 6 and check.max_abs_violation == worst
+
+
 def test_droppable_small():
     report = check_droppable(instances=10, seed=0)
     assert report.ok
@@ -668,6 +765,14 @@ def test_frontier_refuses_a_lambda_grid_above_the_cap_at_once():
     with pytest.raises(InvalidParameter, match=r"1000000000000 climbs of 6 starts over RTD's chain "
                                                r"of 80 numbers draw .* above the cap of 16777216"):
         trace_frontier("RTD", BSC, budget=2000, seed=0, lambdas=10**12)
+
+
+def test_a_numpy_integer_grid_size_is_the_same_grid():
+    # np.int64 used to be taken for an iterable of weights
+    expected = trace_frontier("RTD", BSC, budget=40, seed=1, lambdas=3).to_csv()
+    assert trace_frontier("RTD", BSC, budget=40, seed=1, lambdas=np.int64(3)).to_csv() == expected
+    assert trace_frontier("RTD", BSC, budget=np.int64(40), seed=np.int64(1),
+                          lambdas=[0.0, 0.5, 1.0]).to_csv() == expected
 
 
 def test_one_frontier_builds_one_marginal_plan():
