@@ -102,9 +102,10 @@ EMPTY = Polytope2D((), ())
 
 
 def _convex_hull(
-    points: list[tuple[float, float]], collinear_eps: float = 0.0
+    points: list[tuple[float, float]], collinear_eps: float
 ) -> list[tuple[float, float]]:
-    """Monotone chain; handles 0/1/2 points.
+    """Monotone chain; handles 0/1/2 points, and collinear points give
+    their two endpoints.
 
     A middle point is dropped when the chain turns right there, or turns
     left by less than `collinear_eps` times the product of the adjacent edge
@@ -135,8 +136,7 @@ def _convex_hull(
 
     lower = half(pts)
     upper = half(reversed(pts))
-    hull = lower[:-1] + upper[:-1]
-    return hull if len(hull) >= 3 else pts
+    return lower[:-1] + upper[:-1]
 
 
 def _merge_close(points: list[tuple[float, float]], tol: float) -> list[tuple[float, float]]:
@@ -416,7 +416,7 @@ def _colex(size: int, r: int, binom: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 
 @lru_cache(maxsize=256)
-def _oracle_bases(coeffs: tuple[tuple[int, ...], ...], n: int) -> tuple[np.ndarray, int, tuple]:
+def _oracle_bases(coeffs: tuple[tuple[int, ...], ...], n: int) -> tuple[np.ndarray, tuple]:
     """Every nonsingular basis of {x >= 0 : coeffs . x <= b}, for any b.
 
     A basis is an n-subset of the m = rows + n constraint rows (the system's
@@ -429,11 +429,10 @@ def _oracle_bases(coeffs: tuple[tuple[int, ...], ...], n: int) -> tuple[np.ndarr
     minor from level r - 1 by Laplace expansion along S's first row.  Row
     and rate subsets are indexed by colex rank, so dropping an element is a
     rank lookup and an adjugate a signed gather of the level below.  Returns
-    the (m, n) row matrix, the count k of bases and, per level r >= 1, the
-    kept (k_r, r) subsets S and J, their (k_r, r, r) adjugates and (k_r,)
-    determinants (exact floats), and the (k_r,) positions of their bases
-    among the k in lexicographic n-subset order (r = 0, the origin, needs no
-    solve).  Raises InvalidParameter, before anything is allocated, when the
+    the (m, n) row matrix and, per level r >= 1, the kept (k_r, r) subsets
+    S and J, in colex order of S and then of J, their (k_r, r, r) adjugates
+    and (k_r,) determinants (exact floats); r = 0, the origin, needs no
+    solve.  Raises InvalidParameter, before anything is allocated, when the
     subset count exceeds MAX_ORACLE_SUBSETS or a minor could overflow int64
     (Hadamard: none exceeds the product of the largest row norms; int64
     products and sums wrap modulo 2**64, so only the minors must fit), and,
@@ -455,7 +454,7 @@ def _oracle_bases(coeffs: tuple[tuple[int, ...], ...], n: int) -> tuple[np.ndarr
     # each C(i, k) is at most a term C(rows, k) C(n, k) of C(m, n), so fits
     binom = np.array([[math.comb(i, k) for k in range(top + 1)] for i in range(max(rows, n))])
     minors = np.ones((1, 1), dtype=np.int64)  # level 0: the empty minor
-    levels, full = [], [rows + np.arange(n)[None]]  # the origin: all n facets
+    levels = []
     for r in range(1, top + 1):
         s, s_drop = _colex(rows, r, binom)
         j, j_drop = _colex(n, r, binom)
@@ -467,14 +466,8 @@ def _oracle_bases(coeffs: tuple[tuple[int, ...], ...], n: int) -> tuple[np.ndarr
         if (np.abs(det) >= 2**53).any() or (np.abs(adj) >= 2**53).any():
             raise InvalidParameter(f"the oracle's C({m}, {n}) row subsets include a basis "
                                    f"whose determinant or adjugate is not exact in float64")
-        facets = np.ones((len(j), n), dtype=bool)  # the rates outside each J
-        facets[np.arange(len(j))[:, None], j] = False
-        full.append(np.hstack((s[si], rows + np.nonzero(facets)[1].reshape(len(j), n - r)[ji])))
         levels.append((s[si], j[ji], adj.astype(float), det.astype(float)))
-    pos = np.argsort(np.lexsort(np.vstack(full).T[::-1]))  # the inverse of the sort
-    parts = np.split(pos, np.cumsum([len(f) for f in full])[:-1])[1:]
-    a = np.vstack([c.astype(float), -np.eye(n)])
-    return a, len(pos), tuple((*level, part) for level, part in zip(levels, parts))
+    return np.vstack([c.astype(float), -np.eye(n)]), tuple(levels)
 
 
 @lru_cache(maxsize=256)
@@ -484,7 +477,7 @@ def _oracle_hull(system: LinearSystem) -> tuple[tuple[float, float], ...]:
     The nonsingular bases come from _oracle_bases, once per coefficient
     structure, as exact integer minors; per system only the basic solutions
     change, and Cramer's rule gives them as one `einsum` and one division
-    per level, scattered into the bases' lexicographic order.  The
+    per level, each level in its own block of rows after the origin.  The
     solutions satisfying the whole system within FEAS_TOL are clipped to
     x >= 0 (the slack also admits a rate of -FEAS_TOL) and projected.  The
     projection of the polytope is the convex hull of the projected
@@ -494,11 +487,12 @@ def _oracle_hull(system: LinearSystem) -> tuple[tuple[float, float], ...]:
     and when _oracle_bases refuses the structure.
     """
     n = len(system.variables)
-    a, count, levels = _oracle_bases(system.rows, n)
+    a, levels = _oracle_bases(system.rows, n)
     b = system.one().b
-    sols = np.zeros((count, n))
-    for s, j, adj, det, pos in levels:
-        sols[pos[:, None], j] = np.einsum("kij,kj->ki", adj, b[s]) / det[:, None]
+    ends = np.cumsum([1] + [len(det) for *_, det in levels])  # row 0: the origin
+    sols = np.zeros((ends[-1], n))
+    for (s, j, adj, det), lo, hi in zip(levels, ends, ends[1:]):
+        sols[np.arange(lo, hi)[:, None], j] = np.einsum("kij,kj->ki", adj, b[s]) / det[:, None]
     b = np.concatenate((b, np.zeros(n)))
     feas = (a @ sols.T <= b[:, None] + FEAS_TOL).all(axis=0)
     good = np.maximum(sols[feas], 0.0)

@@ -4,6 +4,7 @@ import json
 import math
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -335,9 +336,9 @@ def test_oracle_decides_a_basis_float64_would_round_to_singular():
     big = 2**27
     assert (big + 1) * (big - 1) - big * big == -1
     system = make_system(("a", "b"), [(big + 1, big), (big, big - 1)], [1.0, 1.0], (1, 0), (0, 1))
-    _, count, levels = _oracle_bases(system.rows, 2)
-    s, j, adj, det, _ = levels[1]
-    assert count == math.comb(4, 2)  # every subset is a basis
+    _, levels = _oracle_bases(system.rows, 2)
+    s, j, adj, det = levels[1]
+    assert 1 + sum(len(d) for *_, d in levels) == math.comb(4, 2)  # every subset is a basis
     assert s.tolist() == j.tolist() == [[0, 1]] and det.tolist() == [-1.0]
     assert adj.tolist() == [[[big - 1, -big], [-big, big + 1]]]
     assert oracle_polygon(system) == _exact_oracle_hull(system)
@@ -375,6 +376,48 @@ def test_merge_close_matches_pairwise_reference(points, tol):
 def test_oracle_rejects_point_beyond_cap():
     assert membership_oracle(segment_system(), (1.0, 0.0))
     assert not membership_oracle(segment_system(), (2.0, 0.0))
+
+
+def test_oracle_hulls_a_segment_by_its_two_endpoints():
+    # R1 = x1 + x2 with x1, x2 <= 0.5 and R2 = 0: the projected basic solutions
+    # (0, 0), (0.5, 0) and (1, 0) are collinear, and a hull of all three read
+    # as a zero-area polygon holds the whole line R2 = 0
+    system = make_system(("x1", "x2"), [(1, 0), (0, 1)], [0.5, 0.5], (1, 1), (0, 0))
+    assert sorted(oracle_polygon(system)) == [(0.0, 0.0), (1.0, 0.0)]
+    assert membership_oracle(system, (1.0, 0.0))
+    assert not membership_oracle(system, (2.0, 0.0))
+    assert not membership_oracle(system, (-1.0, 0.0))
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-12, 1e-9])
+def test_convex_hull_of_collinear_points_is_their_two_endpoints(eps):
+    line = [(0.25 * k, 1 - 0.5 * k) for k in range(5)]
+    points = [line[k] for k in (2, 4, 0, 3, 2, 1, 4, 0)]
+    assert sorted(_convex_hull(points, collinear_eps=eps)) == [line[0], line[4]]
+
+
+def test_bench_tracer_counts_oracle_calls_and_cache_hits(monkeypatch):
+    """The benchmark's tracer wraps the oracle's entry points and reads
+    _oracle_hull's LRU: a miss enumerates C(m, n) row subsets, a repeat hits."""
+    import cifc.polytope
+
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    from tracing import Tracer
+
+    system = unit_square()
+    _oracle_hull.cache_clear()
+    tracer = Tracer()
+    tracer.install()
+    try:
+        for _ in range(2):
+            cifc.polytope.oracle_polygon(system)
+    finally:
+        tracer.uninstall()
+    assert cifc.polytope.oracle_polygon is oracle_polygon
+    metrics = tracer.metrics()
+    assert metrics["polytope.oracle.calls"] == 2
+    assert metrics["polytope.oracle.cache_hit_frac"] == 0.5
+    assert metrics["polytope.oracle.subsets"] == math.comb(2 + 2, 2)
 
 
 def test_oracle_square_grid_agreement():
@@ -438,22 +481,21 @@ def _catalog_system(sid):
 def test_oracle_bases_are_exact_across_chunks(sid):
     """The bases, built in one chunk per level r of r x r minors, are
     exactly the n-subsets a fresh float enumeration finds nonsingular, one
-    to one and scattered in their lexicographic order, each level's minor
-    C[S, J] with its exact integer adjugate and determinant."""
+    to one, each level's minor C[S, J] with its exact integer adjugate and
+    determinant."""
     system = _catalog_system(sid)
     n = len(system.variables)
     rows = len(system.rows)
-    a, count, levels = _oracle_bases(system.rows, n)
+    a, levels = _oracle_bases(system.rows, n)
     combos = np.asarray(list(itertools.combinations(range(rows + n), n)), dtype=np.intp)
-    got = np.full((count, n), -1)
-    got[-1] = range(rows, rows + n)  # the origin: every facet, no minor
-    for r, (s, j, adj, det, pos) in enumerate(levels, start=1):
-        facets = [[rows + i for i in range(n) if i not in js] for js in j.tolist()]
-        got[pos] = np.hstack((s, np.asarray(facets, dtype=np.intp).reshape(len(j), n - r)))
+    got = [tuple(range(rows, rows + n))]  # the origin: every facet, no minor
+    for r, (s, j, adj, det) in enumerate(levels, start=1):
+        got += [tuple(si) + tuple(rows + i for i in range(n) if i not in js)
+                for si, js in zip(s.tolist(), j.tolist())]
         assert (adj == np.rint(adj)).all() and (det == np.rint(det)).all() and (det != 0).all()
         minor = a[s[:, :, None], j[:, None, :]]
         assert (minor @ adj == det[:, None, None] * np.eye(r)).all()
-    assert np.array_equal(got, combos[np.abs(np.linalg.det(a[combos])) > 0.5])
+    assert sorted(got) == list(map(tuple, combos[np.abs(np.linalg.det(a[combos])) > 0.5].tolist()))
 
 
 def test_oracle_refuses_a_basis_not_exact_in_float64():

@@ -684,6 +684,7 @@ def test_fme_oracle_small():
 @pytest.mark.parametrize("seed, digest", [
     (1, "313497aadac9b619206d10dc0baa73d192f8b5ae5394ec7c174eacc80ab0fe5b"),
     (2, "3e1ad973efdad21dba1aaaeb200a8372f8f0626faf45fca1d89e4f5d1ce098f0"),
+    (3, "ab572b2c30db0e58afc0444b9494d8980d29bb4d61ee2f0190c6d21801a71db3"),
 ])
 def test_fme_oracle_reports_are_pinned(seed, digest):
     # the oracle-grid benchmark workload's reports, strict JSON, byte for byte
