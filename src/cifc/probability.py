@@ -395,10 +395,18 @@ def entropy_vector(d: JointDistribution, subsets: Sequence[Sequence[str]]) -> np
     distribution and a batch take one path: a bincount per row over the
     cached _marginal_plan, summed in joint-cell order, so a row's marginals
     do not depend on the call's other subsets or the batch's other rows,
-    and the bincount's labels and weights stay one plan's size.
+    and the bincount's labels and weights are at most one plan's size.
+    The joint cells that are 0 in every row of the call, such as the
+    structural zeros of a deterministic channel, are left out of both: a
+    marginal cell is a sum from +0.0 of nonnegative weights, to which a
+    zero term adds nothing, so every marginal keeps its bits.
     """
     labels, starts, total = _marginal_plan(d.rvs, tuple(map(tuple, subsets)))
     rows = d.prob.reshape(-1, math.prod(d.rvs.sizes))
+    live = rows.any(axis=0)
+    if not live.all():
+        labels = labels.reshape(len(starts), rows.shape[1])[:, live].reshape(-1)
+        rows = rows[:, live]
     marg = np.empty((len(rows), total))
     weights = np.empty((len(starts), rows.shape[1]))  # the joint once per subset
     for k, q in enumerate(rows):

@@ -11,10 +11,15 @@ indicator and input lookup tables.  K states of one chain are one
 population, a list of one (K, *block shape) array per factor, and a
 state is a row.  `_draw` alone draws populations: the calls state by
 state, then each factor once per group of states that share a plan.
-`_joints` multiplies a population into an unchecked batch of joints;
-`_propose` moves one block of a row; `climb`, the one hill climb, alone
-writes a row after its draw.  It goes in speculative rounds: each climb's
-next few moves, drawn as if each were rejected, are scored in one batch.
+`_joints` multiplies a population into an unchecked batch of joints.
+A move of one block of a row goes in two passes: `_draw_move` makes its
+generator calls into a record and reads no block, and `_apply_move`
+writes the record into a population row in place.  `climb`, the one
+hill climb, alone writes a row after its draw.  It goes in speculative
+rounds: each climb's next few moves, drawn as if each were rejected, are
+applied to the round's population and scored in one batch.  An apply
+reads only the row it writes, so a round's moves are all drawn before
+any is applied, and a row's bits do not depend on the round around it.
 
 A seed fixes the joint bit for bit: a Dirichlet(1) row is normalized
 Exp(1) variates, numpy's own `Generator.dirichlet` arithmetic.  A joint
@@ -234,52 +239,67 @@ def _draw(plans: Sequence[_ChainPlan], rngs: Sequence[np.random.Generator]) -> l
     return population
 
 
-def _propose(plan: _ChainPlan, blocks: Sequence[np.ndarray], k: int,
-             rng: np.random.Generator) -> tuple[int, np.ndarray]:
-    """Return (index, new_block) for one derivative-free move of row k of
-    the population `blocks` of the "free"-mode `plan`, which is left as it is.
+def _draw_move(plan: _ChainPlan, rng: np.random.Generator) -> tuple:
+    """Draw one derivative-free move of a block of a "free"-mode `plan`'s
+    row as a record (block index, kind, row, argument), making every
+    generator call of the move and reading no block: `_apply_move` does
+    the arithmetic.
 
-    Row moves: sharpen to the mode, flatten toward uniform, mix with a
-    fresh Dirichlet draw, or resample the block.  Multi-variable blocks
-    additionally get axis moves that sharpen or uniformize a single
-    variable's marginal while keeping the rest of the row intact.
-    Deterministic (paired) blocks are never proposed.
+    Row moves: "peak" sharpens to the mode, "flatten" mixes toward uniform
+    by an α, "mix" mixes with a fresh Dirichlet row (α, Exp(1) variates),
+    and "resample" redraws the whole block (its Exp(1) variates).
+    Multi-variable blocks also get axis moves, "axis sharpen" and "axis
+    flatten", that act on a single variable's marginal (the axis) while
+    keeping the rest of the row intact.  Paired blocks are never moved.
     """
     idx = plan.free[rng.integers(0, len(plan.free))]
     b = plan.blocks[idx]
-    t_sizes = b.t_sizes
-    n = math.prod(t_sizes)
+    n = math.prod(b.t_sizes)
     move = rng.random()
     if move < 0.06:
-        new = np.empty((1, *b.shape))
-        b._replace(at=0).fill(rng.standard_exponential((1, b.n_cells * n)), new)
-        return idx, new[0]
-    new = blocks[idx][k].copy()
-    flat = new.reshape(-1, n)
-    row = rng.integers(0, flat.shape[0])
-    if len(t_sizes) > 1 and move < 0.40:
-        row_nd = flat[row].reshape(t_sizes)
-        j = int(rng.integers(0, len(t_sizes)))
-        rest = row_nd.sum(axis=j, keepdims=True)
-        others = tuple(i for i in range(len(t_sizes)) if i != j)
-        if move < 0.23:
-            dist = np.zeros(t_sizes[j])
-            dist[np.argmax(row_nd.sum(axis=others))] = 1.0
-        else:
-            dist = np.full(t_sizes[j], 1.0 / t_sizes[j])
-        flat[row] = (rest * np.expand_dims(dist, others)).reshape(-1)
-    elif move < 0.55:
-        peak = np.zeros(n)
-        peak[np.argmax(flat[row])] = 1.0
-        flat[row] = peak
-    elif move < 0.70:
-        alpha = (1.0, 0.4)[rng.integers(0, 2)]  # rng.choice's draw, at a third of its cost
-        flat[row] = (1 - alpha) * flat[row] + alpha / n
-    else:
-        alpha = (0.5, 0.15, 0.03)[rng.integers(0, 3)]
-        fresh_row = normalize_exponentials(rng.standard_exponential(n))
-        flat[row] = (1 - alpha) * flat[row] + alpha * fresh_row
-    return idx, new
+        return idx, "resample", None, rng.standard_exponential((1, b.n_cells * n))
+    row = rng.integers(0, b.n_cells)
+    if len(b.t_sizes) > 1 and move < 0.40:
+        kind = "axis sharpen" if move < 0.23 else "axis flatten"
+        return idx, kind, row, int(rng.integers(0, len(b.t_sizes)))
+    if move < 0.55:
+        return idx, "peak", row, None
+    if move < 0.70:
+        # rng.choice's draw, at a third of its cost
+        return idx, "flatten", row, (1.0, 0.4)[rng.integers(0, 2)]
+    alpha = (0.5, 0.15, 0.03)[rng.integers(0, 3)]
+    return idx, "mix", row, (alpha, rng.standard_exponential(n))
+
+
+def _apply_move(plan: _ChainPlan, move: tuple, population: list[np.ndarray], r: int) -> None:
+    """Write a `_draw_move` record into row r of `population`, in place:
+    only the moved conditional row of the moved block changes."""
+    idx, kind, row, arg = move
+    b = plan.blocks[idx]
+    if kind == "resample":
+        b._replace(at=0).fill(arg, population[idx], [r])
+        return
+    n = math.prod(b.t_sizes)
+    x = population[idx][r].reshape(-1, n)[row]  # a view: C-contiguous rows
+    if kind == "peak":
+        peak = x.argmax()
+        x[:] = 0.0
+        x[peak] = 1.0
+    elif kind == "flatten":
+        x *= 1 - arg
+        x += arg / n
+    elif kind == "mix":
+        x *= 1 - arg[0]
+        x += arg[0] * normalize_exponentials(arg[1])
+    else:  # an axis move: the rest of the row is the sum over the axis
+        x = x.reshape(b.t_sizes)
+        rest = x.sum(axis=arg, keepdims=True)
+        if kind == "axis flatten":
+            x[...] = rest * (1.0 / b.t_sizes[arg])
+        else:  # rest times a one-hot on the axis's marginal mode
+            peak = x.sum(axis=tuple(i for i in range(x.ndim) if i != arg)).argmax()
+            x[...] = 0.0
+            x.swapaxes(0, arg)[peak] = rest.swapaxes(0, arg)[0]
 
 
 def _joints(rvs: RandomVariableSet, blocks: Sequence[np.ndarray]) -> JointDistribution:
@@ -361,6 +381,8 @@ def _mode_for(seed: int) -> str:
 # the round the more: at 200 x 5 (seeds 1, 2), 12 rows, 3 moves a climb,
 # take 72 and 78 calls and drop 60 and 131 rows; 24 take 48 and 58 calls
 # but drop 160 and 386, and were slower.  At 21 lambdas a round is one step.
+# A round's moves are all drawn, then all applied: a draw reads no block
+# and an apply reads only its own row, so the depth moves no bit.
 ROUND_ROWS = 12
 
 
@@ -394,12 +416,14 @@ def climb(schema: RegionSchema, rngs: Sequence[np.random.Generator], budget: int
     `score(blocks, owners)` scores each row r of a population, a state of
     rngs[owners[r]]: None if infeasible, else a tuple whose last entry is
     the value to maximize.  A climb starts from the best of a few draws
-    across the sampling modes; a step's move (`_propose`) is kept if it
+    across the sampling modes; a step's move (`_draw_move`) is kept if it
     improves on the best since the last restart, else reverted.  The climbs
     go in speculative rounds, one `score` call each: each running climb
     draws its next ceil(ROUND_ROWS / climbs running) moves from its state as
     if each were rejected, within its budget and up to a restart, so `score`
-    may get several rows of one generator, in the order drawn.  Each climb
+    may get several rows of one generator, in the order drawn.  The round's
+    population is built once, a copy of its climb's state per row, and each
+    move is applied to its row in place (`_apply_move`).  Each climb
     keeps at most its first improving row, drops the rest and sets its
     generator back to just after that move, so a score that rates each row
     as it rates it alone gives each climb its result alone.
@@ -417,7 +441,7 @@ def climb(schema: RegionSchema, rngs: Sequence[np.random.Generator], budget: int
     climb_best, stall, evals = list(best), [0] * len(rngs), [n_starts] * len(rngs)
     while running := [k for k in range(len(rngs)) if evals[k] < budget]:
         depth = -(-ROUND_ROWS // len(running))
-        # per row, its owner and move, (block index, block) or (None, a fresh
+        # per row, its owner and move, a _draw_move record or (None, a fresh
         # state); per climb, its generator's state after each row but the last
         owners, moves, marks = [], [], []
         for k in running:
@@ -429,17 +453,17 @@ def climb(schema: RegionSchema, rngs: Sequence[np.random.Generator], budget: int
                 if stall[k] + e - first > 300 and budget - e > 400:
                     moves.append((None, _draw([_schema_plan(schema, 2, _mode_for(e))], [rng])))
                     break
-                moves.append(_propose(plan, blocks, k, rng))
+                moves.append(_draw_move(plan, rng))
             marks.append(mark)
             owners += [k] * (len(mark) + 1)
         owners = np.array(owners)
         population = [b[owners] for b in blocks]
-        for r, (idx, new) in enumerate(moves):
-            if idx is None:
-                for b, row in zip(population, new):
+        for r, move in enumerate(moves):
+            if move[0] is None:
+                for b, row in zip(population, move[1]):
                     b[r] = row[0]
             else:
-                population[idx][r] = new
+                _apply_move(plan, move, population, r)
         tried, at = list(score(population, owners)), 0
         for k, mark in zip(running, marks):
             for j in range(len(mark) + 1):

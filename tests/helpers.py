@@ -1,18 +1,20 @@
 """Shared fixtures: canonical distributions used across test modules,
-log-ratio references for the information measures, a cell-by-cell
-reference for the factorized sampler, a builder of rate systems from
-plain rows, a sense-by-sense reference for the LE normal form of an
-instantiated schema, point-by-point references for the region
-membership tests, the uncompiled enumeration oracle, the constraints
-the unified region's remark lets drop when certain rates vanish and
-their check, and the one-lambda-at-a-time frontier search."""
+log-ratio references for the information measures, a dense-bincount
+reference for the entropy pass, a cell-by-cell reference for the
+factorized sampler, the one-pass reference for a climb's move, a
+builder of rate systems from plain rows, a sense-by-sense reference
+for the LE normal form of an instantiated schema, point-by-point
+references for the region membership tests, the uncompiled
+enumeration oracle, the constraints the unified region's remark lets
+drop when certain rates vanish and their check, and the
+one-lambda-at-a-time frontier search."""
 
 import itertools
 import math
 
 import numpy as np
 
-from cifc.channel import canonical_channel, random_channel
+from cifc.channel import canonical_channel, normalize_exponentials, random_channel
 from cifc.polytope import (
     FEAS_TOL,
     TIE_TOL,
@@ -26,6 +28,7 @@ from cifc.polytope import (
 from cifc.probability import (
     JointDistribution,
     RandomVariableSet,
+    _marginal_plan,
     compile_exprs,
     extend_through_channel,
 )
@@ -43,7 +46,6 @@ from cifc.sampling import (
     _draw,
     _improves,
     _joints,
-    _propose,
     _schema_plan,
     sample_instance,
 )
@@ -182,6 +184,59 @@ def reference_factored_joint(rvs, factors, rng, mode="free", det=(), struct_deps
             value = value * table[g, t]
         joint[cell] = value
     return joint
+
+
+def reference_propose(plan, blocks, k, rng) -> tuple[int, np.ndarray]:
+    """(index, new block) for one move of row k of `blocks`, which is left
+    as it is: the one-pass move that `_draw_move` and `_apply_move` split
+    in two, frozen so that the sequential climb does not lean on them."""
+    idx = plan.free[rng.integers(0, len(plan.free))]
+    b = plan.blocks[idx]
+    t_sizes = b.t_sizes
+    n = math.prod(t_sizes)
+    move = rng.random()
+    if move < 0.06:
+        new = np.empty((1, *b.shape))
+        b._replace(at=0).fill(rng.standard_exponential((1, b.n_cells * n)), new)
+        return idx, new[0]
+    new = blocks[idx][k].copy()
+    flat = new.reshape(-1, n)
+    row = rng.integers(0, flat.shape[0])
+    if len(t_sizes) > 1 and move < 0.40:
+        row_nd = flat[row].reshape(t_sizes)
+        j = int(rng.integers(0, len(t_sizes)))
+        rest = row_nd.sum(axis=j, keepdims=True)
+        others = tuple(i for i in range(len(t_sizes)) if i != j)
+        if move < 0.23:
+            dist = np.zeros(t_sizes[j])
+            dist[np.argmax(row_nd.sum(axis=others))] = 1.0
+        else:
+            dist = np.full(t_sizes[j], 1.0 / t_sizes[j])
+        flat[row] = (rest * np.expand_dims(dist, others)).reshape(-1)
+    elif move < 0.55:
+        peak = np.zeros(n)
+        peak[np.argmax(flat[row])] = 1.0
+        flat[row] = peak
+    elif move < 0.70:
+        alpha = (1.0, 0.4)[rng.integers(0, 2)]
+        flat[row] = (1 - alpha) * flat[row] + alpha / n
+    else:
+        alpha = (0.5, 0.15, 0.03)[rng.integers(0, 3)]
+        fresh_row = normalize_exponentials(rng.standard_exponential(n))
+        flat[row] = (1 - alpha) * flat[row] + alpha * fresh_row
+    return idx, new
+
+
+def reference_entropy_vector(d: JointDistribution, subsets) -> np.ndarray:
+    """entropy_vector with no cell left out: a bincount per row over every
+    (subset, joint cell) label of the marginal plan."""
+    labels, starts, total = _marginal_plan(d.rvs, tuple(map(tuple, subsets)))
+    rows = d.prob.reshape(-1, math.prod(d.rvs.sizes))
+    marg = np.array([np.bincount(labels, weights=np.tile(q, len(starts)), minlength=total)
+                     for q in rows]).reshape(len(rows), total)
+    terms = marg * np.log2(marg, out=np.zeros(marg.shape), where=marg > 0.0)
+    h = -np.add.reduceat(terms, starts, axis=1) if len(starts) else terms
+    return h.reshape(*d.prob.shape[:d.prob.ndim - len(d.rvs.sizes)], len(starts))
 
 
 def make_system(variables, rows, b, r1, r2, labels=None) -> LinearSystem:
@@ -410,7 +465,7 @@ def sequential_frontier(schema_id, channel, budget=2000, seed=0, lambdas=21) -> 
                     [_schema_plan(schema, 2, SAMPLING_MODES[evals % len(SAMPLING_MODES)])], [rng]
                 )
             else:
-                idx, block = _propose(plan, state, 0, rng)
+                idx, block = reference_propose(plan, state, 0, rng)
                 old = state[idx]
                 state[idx] = block[None]
             cand = objective(state)

@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -40,7 +43,12 @@ from cifc.sampling import (
     sample_instance,
     sample_instances,
 )
-from helpers import _marginal, reference_entropy, reference_mutual_information
+from helpers import (
+    _marginal,
+    reference_entropy,
+    reference_entropy_vector,
+    reference_mutual_information,
+)
 
 
 def h2(eps: float) -> float:
@@ -390,6 +398,47 @@ def test_entropy_vector_of_empty_and_repeated_subsets():
     assert h[0] == pytest.approx(0.0, abs=1e-12)
     assert h[1] == pytest.approx(reference_entropy(d, "A"), abs=1e-12)
     assert h[2] == pytest.approx(reference_entropy(d, "AB"), abs=1e-12)
+
+
+def _all_subsets(names):
+    return [c for r in range(1, len(names) + 1) for c in itertools.combinations(names, r)]
+
+
+def _dead_cells(d) -> int:
+    return int((~d.prob.reshape(-1, math.prod(d.rvs.sizes)).any(axis=0)).sum())
+
+
+@pytest.mark.parametrize("case", ["noiseless RTD", "MARIC", "one-hot", "one-hot and dense",
+                                  "no rows", "odd subsets"])
+def test_entropy_vector_skipping_zero_cells_is_the_dense_pass_byte_for_byte(case):
+    # a joint cell that is 0 in every row of a call is left out of the
+    # bincounts; each marginal is a sum from +0.0 of nonnegative weights, so
+    # every entropy keeps its bits against a bincount over every cell
+    if case == "noiseless RTD":  # 64 of 256 extended cells live at most
+        rtd = builtin_schema("RTD")
+        d = sample_instances(rtd, canonical_channel("orthogonal_noiseless"), range(6),
+                             ["free", "det", "flat_det"] * 2)
+        assert _dead_cells(d) >= 192
+    elif case == "MARIC":  # the paired X2 is a function of its parts
+        d = sample_instances(builtin_schema("MARIC"), random_channel(5, (2, 4, 2, 2)),
+                             range(4), ["free"] * 4)
+        assert _dead_cells(d) > 0
+    else:
+        rvs = RandomVariableSet(("A", "B", "C"), (2, 3, 2))
+        one_hot = np.zeros(rvs.sizes)
+        one_hot[1, 2, 0] = 1.0
+        dense = sample_factored(rvs, chain(("A B C",)), 1).prob
+        prob = {"one-hot": one_hot, "one-hot and dense": np.stack([one_hot, dense]),
+                "no rows": np.empty((0, *rvs.sizes)), "odd subsets": np.stack([one_hot] * 2)}
+        d = probability._unchecked(rvs, prob[case])
+        assert _dead_cells(d) == {"one-hot and dense": 0}.get(case, 11 if len(d.prob) else 12)
+    subsets_list = [_all_subsets(d.rvs.names)]
+    if case in ("one-hot", "odd subsets"):
+        subsets_list += [[], [()], [(), ("A", "A"), ("C", "A", "C"), ()]]
+    for subsets in subsets_list:
+        h = entropy_vector(d, subsets)
+        expected = reference_entropy_vector(d, subsets)
+        assert h.shape == expected.shape and h.tobytes() == expected.tobytes()
 
 
 def test_marginal_plan_above_the_cap_is_refused(monkeypatch):

@@ -12,17 +12,18 @@ from cifc.probability import MAX_MARGINAL_LABELS, RandomVariableSet, chain
 from cifc.regions import SCHEMA_IDS, builtin_schema
 from cifc.sampling import (
     SAMPLING_MODES,
+    _apply_move,
     _chain_plan,
     _draw,
+    _draw_move,
     _joints,
-    _propose,
     _schema_plan,
     climb,
     sample_factored,
     sample_instances,
 )
 
-from helpers import reference_factored_joint
+from helpers import reference_factored_joint, reference_propose
 
 
 @pytest.mark.parametrize("sid", SCHEMA_IDS)
@@ -122,7 +123,7 @@ def test_a_mixed_mode_population_is_its_one_state_draws(sid):
 
 
 def _move_kind(plan, rng) -> str:
-    """The move `_propose` is about to make with `rng`, read off a copy."""
+    """The kind of move `_draw_move` is about to draw with `rng`, read off a copy."""
     peek = copy.deepcopy(rng)
     idx = plan.free[peek.integers(0, len(plan.free))]
     move = peek.random()
@@ -142,23 +143,30 @@ ROW_MOVES = {"resample", "peak", "flatten", "mix"}
     ("RTD", ROW_MOVES | {"axis sharpen", "axis flatten"}),
     ("MARIC", ROW_MOVES),  # one target per free block, and a paired X2
 ])
-def test_propose_leaves_the_population_alone(sid, kinds_hit):
-    # a move returns a new block for one row; a view into the stacked
-    # arrays would change another lambda's state
+def test_a_move_drawn_then_applied_is_the_reference_move(sid, kinds_hit):
+    # the draw pass makes the one-pass reference's generator calls and no
+    # other; the apply pass writes the reference's block, bit for bit, into
+    # its row of the population and leaves every other row and block alone
+    # (another row is another lambda's state).  The moves pile up on the
+    # rows, so later ones meet the zeros that earlier ones left
     schema = builtin_schema(sid)
     plan = _schema_plan(schema, 2, "free")
     blocks = _draw([_schema_plan(schema, 2, mode) for mode in SAMPLING_MODES],
                    [np.random.default_rng(s) for s in range(3)])
-    before = [b.copy() for b in blocks]
-    rng = np.random.default_rng(7)
+    rng, ref_rng = np.random.default_rng(7), np.random.default_rng(7)
     kinds = set()
     for step in range(200):
         k = step % 3
-        kinds.add(_move_kind(plan, rng))
-        idx, block = _propose(plan, blocks, k, rng)
-        assert idx in plan.free and block.shape == plan.blocks[idx].shape
-        assert not any(np.shares_memory(block, b) for b in blocks)
-        assert all(b.tobytes() == o.tobytes() for b, o in zip(blocks, before))
+        kind = _move_kind(plan, rng)
+        move = _draw_move(plan, rng)
+        idx, block = reference_propose(plan, blocks, k, ref_rng)
+        assert move[:2] == (idx, kind)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        expected = [b.copy() for b in blocks]
+        expected[idx][k] = block
+        _apply_move(plan, move, blocks, k)
+        assert all(b.tobytes() == e.tobytes() for b, e in zip(blocks, expected))
+        kinds.add(kind)
     assert kinds == kinds_hit
 
 
@@ -188,15 +196,18 @@ def _state_bytes(blocks, r):
 def test_climb_scores_the_starts_then_a_row_per_generator_each_step(monkeypatch, budget):
     # every score is a new best, so each climb keeps the first row of each
     # round, one evaluation, and ends on the last round's; a round holds each
-    # generator's moves as rows, grouped and in the order they were drawn
+    # generator's moves as rows, grouped and in the order they were drawn,
+    # each the block that the one-pass reference move makes from its climb's
+    # state, the climb's first row in the last call
     plan = _schema_plan(builtin_schema("RTD"), 2, "free")
-    calls, moves = [], []
-    propose = cifc.sampling._propose
+    rngs = [np.random.default_rng(s) for s in range(3)]
+    calls, moves, state = [], [], [np.empty((3, *b.shape)) for b in plan.blocks]
+    draw_move = cifc.sampling._draw_move
 
-    def spy(plan, blocks, k, rng):
-        idx, block = propose(plan, blocks, k, rng)
-        moves.append((k, idx, block))
-        return idx, block
+    def spy(plan, rng):
+        k = next(k for k, g in enumerate(rngs) if g is rng)
+        moves.append((k, *reference_propose(plan, state, k, copy.deepcopy(rng))))
+        return draw_move(plan, rng)
 
     def score(blocks, owners):
         assert [b.shape for b in blocks] == [(len(owners), *b.shape) for b in plan.blocks]
@@ -206,10 +217,13 @@ def test_climb_scores_the_starts_then_a_row_per_generator_each_step(monkeypatch,
                        for r, (_, idx, block) in enumerate(moves))
             moves.clear()
         calls.append(owners.tolist())
+        for k in set(calls[-1]):
+            for s, b in zip(state, blocks):
+                s[k] = b[calls[-1].index(k)]
         return [(float(len(calls)),)] * len(owners)
 
-    monkeypatch.setattr(cifc.sampling, "_propose", spy)
-    best = climb(builtin_schema("RTD"), [np.random.default_rng(s) for s in range(3)], budget, score)
+    monkeypatch.setattr(cifc.sampling, "_draw_move", spy)
+    best = climb(builtin_schema("RTD"), rngs, budget, score)
     n_starts = max(1, min(6, budget // 40))
     depth = min(-(-cifc.sampling.ROUND_ROWS // 3), budget - n_starts)
     assert calls[0] == [k for k in range(3) for _ in range(n_starts)]
@@ -229,7 +243,7 @@ def test_climb_restarts_a_stalled_climb_at_the_steps_the_rule_names(monkeypatch)
     # evaluation, and a generator's evaluations are its moves and restarts
     rngs = [np.random.default_rng(s) for s in range(2)]
     evals, restarts, scored = [6, 6], [[], []], [0, 0]
-    draw, propose = cifc.sampling._draw, cifc.sampling._propose
+    draw, draw_move = cifc.sampling._draw, cifc.sampling._draw_move
 
     def draw_spy(plans, gens):
         if len(plans) == 1:
@@ -238,9 +252,9 @@ def test_climb_restarts_a_stalled_climb_at_the_steps_the_rule_names(monkeypatch)
             evals[k] += 1
         return draw(plans, gens)
 
-    def propose_spy(plan, blocks, k, rng):
-        evals[k] += 1
-        return propose(plan, blocks, k, rng)
+    def draw_move_spy(plan, rng):
+        evals[next(k for k, g in enumerate(rngs) if g is rng)] += 1
+        return draw_move(plan, rng)
 
     def score(blocks, owners):
         for k in owners.tolist():
@@ -248,7 +262,7 @@ def test_climb_restarts_a_stalled_climb_at_the_steps_the_rule_names(monkeypatch)
         return [(0.0,)] * len(owners)
 
     monkeypatch.setattr(cifc.sampling, "_draw", draw_spy)
-    monkeypatch.setattr(cifc.sampling, "_propose", propose_spy)
+    monkeypatch.setattr(cifc.sampling, "_draw_move", draw_move_spy)
     best = climb(builtin_schema("RTD"), rngs, 1613, score)
     assert restarts == [[307, 609, 911]] * 2
     assert evals == scored == [1613] * 2
