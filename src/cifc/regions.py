@@ -1,28 +1,25 @@
 """Catalog of achievable rate regions as declarative schemas.
 
-Each schema lists its rate variables, linear constraints whose
-right-hand sides are mutual-information expressions, the projection onto
-(R1, R2), and the input-distribution factorization the region is defined
-over.  Nothing is stated twice: the schema's random variables are the
-factorization's targets (plus the channel outputs Y1, Y2), and a rate's
-role follows from the projection (message if the projection uses it,
-binning otherwise).  Constraint labels follow the equation
-labels of the originating derivations so the audit manifest can map every
-transcribed inequality back to its source:
+The catalog is one text table, `_CATALOG`, written in the notation the
+audit manifest prints and read once, at import, by `parse_schema`.  Each
+block states one schema, a fact per line; a projection or constraint
+names only the variables and rates declared above it:
 
-  RTD        1a-1k    unified inner bound (11 constraints, 8 rate vars)
-  RTD_IN     e10-e19  restricted unified region used in the DMT comparison
-  DMT_OUT    e20-e29  enlarged comparator region (same variable chain)
-  CC         37-41    sequential-binning comparator, post-elimination form
-  CCP        cp1-cp8  the CC region with its private satellite merged,
-                      rewritten over the unified region's variables
-  RTD_CC     rc1-rc9  unified region specialized to R2pa = 0, X2 = U2c
-  JIANG      j0-j9    independent-common-messages comparator, rewritten
-  RTD_JIANG  u0-u7    unified region specialized per the JIANG comparison
-  MARIC      m1-m5    post-elimination comparator with a split primary input
+  schema RTD                        the id, first
+  chain p(A) p(B,C|A) ...           the input factorization, in chain order
+  copy X2 = X2a,X2b                 a deterministic paired copy of its parts
+  rates R1c R1pb ...                the rate variables, in column order
+  R1 = R1c + R1pb                   the projection onto (R1, R2), one line each
+  input X2 reads U2c                a channel input's only parents
+  size Q = 1                        a default cardinality
+  pin R1c' = I(U1c;X2|U2c)          a variable the region fixes, as text
+  note ...                          a free-text note
+  1a: R1c' >= I(U1c;X2|U2c)         a constraint, as str() prints it (0: no rhs)
 
-Degenerate auxiliaries are modeled as cardinality-1 variables, never
-removed, so one variable set serves every schema of a family.
+Labels follow the source derivations' equation labels, so the audit
+manifest maps every inequality back to its source.  Degenerate
+auxiliaries are cardinality-1 variables, never removed, so one variable
+set serves a whole family of schemas.
 
 A schema's coefficient structure is fixed; only its right-hand sides
 depend on the distribution.  `compile_schema` compiles a schema once
@@ -43,6 +40,7 @@ with nothing.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Mapping, NamedTuple, Sequence
@@ -58,12 +56,12 @@ from .errors import (
 from .probability import (
     MI_TOL,
     CompiledExprs,
+    Factor,
     FactorizationSpec,
     JointDistribution,
     MIExpr,
     MITerm,
     RandomVariableSet,
-    chain,
     compile_exprs,
     entropy_term,
     evaluate_shared,
@@ -108,10 +106,6 @@ class LinearRateConstraint:
     def __str__(self) -> str:
         op = "<=" if self.sense == LE else ">="
         return f"{self.lhs_str()} {op} {self.rhs}"
-
-
-def _con(coeffs: Mapping[str, int], sense: str, rhs, label: str) -> LinearRateConstraint:
-    return LinearRateConstraint(_coeff_items(coeffs), sense, MIExpr.of(rhs), label)
 
 
 @dataclass(frozen=True)
@@ -389,434 +383,260 @@ def same_system(a: LinearSystem, b: LinearSystem) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Schema transcriptions
+# The catalog, one text block per schema
 # ---------------------------------------------------------------------------
 
+_CATALOG = """
+schema RTD
+chain p(U1c,U2c,U1pb,U2pb) p(X1,X2|U1c,U2c,U1pb,U2pb)
+rates R1c R1pb R2c R2pa R2pb R1c' R1pb' R2pb'
+R1 = R1c + R1pb
+R2 = R2c + R2pa + R2pb
+input X2 reads U2c
+1a: R1c' >= I(U1c;X2|U2c)
+1b: R1c' + R1pb' >= I(U1c,U1pb;X2|U2c)
+1c: R1c' + R1pb' + R2pb' >= I(U1c,U1pb;X2|U2c) + I(U2pb;U1pb|U1c,U2c,X2)
+1d: R1c + R1c' + R2c + R2pa + R2pb + R2pb' <= I(Y2;U1c,U2c,U2pb,X2) + I(U1c;X2|U2c)
+1e: R1c + R1c' + R2pa + R2pb + R2pb' <= I(Y2;U1c,U2pb,X2|U2c) + I(U1c;X2|U2c)
+1f: R2pa + R2pb + R2pb' <= I(Y2;U2pb,X2|U1c,U2c) + I(U1c;X2|U2c)
+1g: R1c + R1c' + R2pb + R2pb' <= I(Y2;U1c,U2pb|U2c,X2) + I(U1c;X2|U2c)
+1h: R2pb + R2pb' <= I(Y2;U2pb|U1c,U2c,X2)
+1i: R1c + R1c' + R1pb + R1pb' + R2c <= I(Y1;U1c,U1pb,U2c)
+1j: R1c + R1c' + R1pb + R1pb' <= I(Y1;U1c,U1pb|U2c)
+1k: R1pb + R1pb' <= I(Y1;U1pb|U1c,U2c)
 
-def _rtd() -> RegionSchema:
-    a = mi("U1c", "X2", "U2c")
-    return RegionSchema(
-        id="RTD",
-        factorization=chain(("U1c U2c U1pb U2pb",), ("X1 X2", "U1c U2c U1pb U2pb")),
-        rate_vars=("R1c", "R1pb", "R2c", "R2pa", "R2pb", "R1c'", "R1pb'", "R2pb'"),
-        constraints=(
-            _con({"R1c'": 1}, GE, a, "1a"),
-            _con({"R1c'": 1, "R1pb'": 1}, GE, mi("U1pb U1c", "X2", "U2c"), "1b"),
-            _con(
-                {"R1c'": 1, "R1pb'": 1, "R2pb'": 1},
-                GE,
-                mi("U1pb U1c", "X2", "U2c") + mi("U2pb", "U1pb", "U1c U2c X2"),
-                "1c",
-            ),
-            _con(
-                {"R2c": 1, "R2pa": 1, "R1c": 1, "R1c'": 1, "R2pb": 1, "R2pb'": 1},
-                LE,
-                mi("Y2", "U2pb U1c X2 U2c") + a,
-                "1d",
-            ),
-            _con(
-                {"R2pa": 1, "R1c": 1, "R1c'": 1, "R2pb": 1, "R2pb'": 1},
-                LE,
-                mi("Y2", "U2pb U1c X2", "U2c") + a,
-                "1e",
-            ),
-            _con(
-                {"R2pa": 1, "R2pb": 1, "R2pb'": 1},
-                LE,
-                mi("Y2", "U2pb X2", "U1c U2c") + a,
-                "1f",
-            ),
-            _con(
-                {"R1c": 1, "R1c'": 1, "R2pb": 1, "R2pb'": 1},
-                LE,
-                mi("Y2", "U2pb U1c", "X2 U2c") + a,
-                "1g",
-            ),
-            _con({"R2pb": 1, "R2pb'": 1}, LE, mi("Y2", "U2pb", "U1c X2 U2c"), "1h"),
-            _con(
-                {"R2c": 1, "R1c": 1, "R1c'": 1, "R1pb": 1, "R1pb'": 1},
-                LE,
-                mi("Y1", "U1pb U1c U2c"),
-                "1i",
-            ),
-            _con(
-                {"R1c": 1, "R1c'": 1, "R1pb": 1, "R1pb'": 1},
-                LE,
-                mi("Y1", "U1pb U1c", "U2c"),
-                "1j",
-            ),
-            _con({"R1pb": 1, "R1pb'": 1}, LE, mi("Y1", "U1pb", "U1c U2c"), "1k"),
-        ),
-        projection=(
-            ("R1", (("R1c", 1), ("R1pb", 1))),
-            ("R2", (("R2c", 1), ("R2pa", 1), ("R2pb", 1))),
-        ),
-        input_deps=(("X2", ("U2c",)),),  # the primary encoder sees only U2c
-    )
+schema RTD_IN
+chain p(U2c,X2) p(U1c|X2) p(U1pb|X2) p(X1|X2,U1c,U1pb)
+rates R1c R1pb R2c R2pa R1c' R1pb'
+R1 = R1c + R1pb
+R2 = R2c + R2pa
+pin R2pb = 0
+pin R2pb' = 0
+pin U2pb = degenerate
+e10: R1c' >= I(U1c;X2|U2c)
+e12: R1c' + R1pb' >= I(X2;U1c,U1pb|U2c)
+e13: R1c + R1c' + R2c + R2pa <= I(Y2;U1c,U2c,X2) + I(U1c;X2|U2c)
+e14: R1c + R1c' + R2pa <= I(Y2;U1c,X2|U2c) + I(U1c;X2|U2c)
+e15: R1c + R1c' <= I(Y2;U1c|U2c,X2) + I(U1c;X2|U2c)
+e16: R2pa <= I(Y2;X2|U1c,U2c) + I(U1c;X2|U2c)
+e17: R1c + R1c' + R1pb + R1pb' + R2c <= I(Y1;U1c,U1pb,U2c)
+e18: R1c + R1c' + R1pb + R1pb' <= I(Y1;U1c,U1pb|U2c)
+e19: R1pb + R1pb' <= I(Y1;U1pb|U1c,U2c)
 
+schema DMT_OUT
+chain p(U2c,X2) p(U1c|X2) p(U1pb|X2) p(X1|X2,U1c,U1pb)
+rates R1c R1pb R2c R2pa R1c' R1pb'
+R1 = R1c + R1pb
+R2 = R2c + R2pa
+note binning rows e20/e21 are stated as equalities; encoded GE, equality is WLOG
+note rhs forms are the deterministic-input variants; the pre-insertion forms appear in the audit manifest only
+e20: R1c' >= I(U1c;U2c,X2)
+e21: R1pb' >= I(U1pb;U2c,X2)
+e23: R1c + R1c' + R2c + R2pa <= I(Y2;U1c,U2c,X2) + I(U2c,X2;U1c)
+e24: R1c + R1c' + R2pa <= I(Y2;U1c,X2|U2c) + I(X2;U1c)
+e25: R1c + R1c' <= I(U2c,X2,Y2;U1c)
+e26: R2pa <= I(Y2;X2|U1c,U2c) + I(U1c;X2|U2c)
+e27: R1c + R1c' + R1pb + R1pb' + R2c <= I(Y1;U1c,U1pb,U2c) + I(U1c,U1pb;U2c)
+e28: R1c + R1c' + R1pb + R1pb' <= I(U2c,Y1;U1c,U1pb) + I(U1pb;U1c)
+e29: R1pb + R1pb' <= I(U1c,U2c,Y1;U1pb)
 
-def _rtd_in() -> RegionSchema:
-    a = mi("U1c", "X2", "U2c")
-    return RegionSchema(
-        id="RTD_IN",
-        factorization=chain(("U2c X2",), ("U1c", "X2"), ("U1pb", "X2"), ("X1", "X2 U1c U1pb")),
-        rate_vars=("R1c", "R1pb", "R2c", "R2pa", "R1c'", "R1pb'"),
-        constraints=(
-            _con({"R1c'": 1}, GE, a, "e10"),
-            _con({"R1c'": 1, "R1pb'": 1}, GE, mi("X2", "U1c U1pb", "U2c"), "e12"),
-            _con(
-                {"R2c": 1, "R1c": 1, "R2pa": 1, "R1c'": 1},
-                LE,
-                mi("Y2", "U2c U1c X2") + a,
-                "e13",
-            ),
-            _con({"R2pa": 1, "R1c": 1, "R1c'": 1}, LE, mi("Y2", "U1c X2", "U2c") + a, "e14"),
-            _con({"R1c": 1, "R1c'": 1}, LE, mi("Y2", "U1c", "U2c X2") + a, "e15"),
-            _con({"R2pa": 1}, LE, mi("Y2", "X2", "U2c U1c") + a, "e16"),
-            _con(
-                {"R1pb": 1, "R1pb'": 1, "R1c": 1, "R1c'": 1, "R2c": 1},
-                LE,
-                mi("Y1", "U2c U1c U1pb"),
-                "e17",
-            ),
-            _con(
-                {"R1c": 1, "R1pb": 1, "R1c'": 1, "R1pb'": 1},
-                LE,
-                mi("Y1", "U1c U1pb", "U2c"),
-                "e18",
-            ),
-            _con({"R1pb": 1, "R1pb'": 1}, LE, mi("Y1", "U1pb", "U2c U1c"), "e19"),
-        ),
-        projection=(
-            ("R1", (("R1c", 1), ("R1pb", 1))),
-            ("R2", (("R2c", 1), ("R2pa", 1))),
-        ),
-        pinned=(("R2pb", "0"), ("R2pb'", "0"), ("U2pb", "degenerate")),
-    )
+schema CC
+chain p(U10) p(U11|U10) p(V11|U10,U11) p(V20|U10,U11,V11) p(V22|U10,U11,V11,V20) p(X1|U10,U11,V11,V20,V22) p(X2|U10,U11,V11,V20,V22,X1)
+rates R1 R2
+R1 = R1
+R2 = R2
+note indices follow the comparator's own orientation (users swapped)
+37: R1 <= I(Y1;U10,U11,V11,V20)
+38: R2 <= I(Y2;V20,V22|U10) - I(V20,V22;U11|U10)
+39: R1 + R2 <= I(Y1;U11,V11|U10,V20) + I(Y2;U10,V20,V22) - I(V22;U11,V11|U10,V20)
+40: R1 + R2 <= I(Y1;U10,U11,V11,V20) + I(Y2;V22|U10,V20) - I(V22;U11,V11|U10,V20)
+41: R1 + 2 R2 <= I(Y1;U11,V11,V20|U10) + I(Y2;V22|U10,V20) + I(Y2;U10,V20,V22) - I(V22;U11,V11|U10,V20) - I(V20,V22;U11|U10)
 
+schema CCP
+chain p(U2c) p(U1c|U2c) p(U1pb,U2pb|U2c,U1c) p(X2|U2c) p(X1|U2c,U1c,U1pb,U2pb,X2)
+copy X2 = U2c
+rates R1c R1pb R2c R2pb R1c' R1pb' R2pb'
+R1 = R1c + R1pb
+R2 = R2c + R2pb
+pin R2pa = 0
+pin X2 = U2c
+note rewritten over the unified region's variables; labels cp1-cp8 correspond to the merged comparator's constraint list 37p-41p
+cp1: R1c' >= 0
+cp2: R1pb' + R2pb' >= I(U1pb;U2pb|U1c,U2c)
+cp3: R2pb + R2pb' <= I(Y2;U2pb|U1c,U2c)
+cp4: R1c + R1c' + R2pb + R2pb' <= I(Y2;U1c,U2pb|U2c)
+cp5: R1c + R1c' + R2c + R2pb + R2pb' <= I(Y2;U1c,U2c,U2pb)
+cp6: R1pb + R1pb' <= I(Y1;U1pb|U1c,U2c)
+cp7: R1c + R1c' + R1pb + R1pb' <= I(Y1;U1c,U1pb|U2c)
+cp8: R1c + R1c' + R1pb + R1pb' + R2c <= I(Y1;U1c,U1pb,U2c)
 
-def _dmt_out() -> RegionSchema:
-    base = _rtd_in()
-    return RegionSchema(
-        id="DMT_OUT",
-        factorization=base.factorization,
-        rate_vars=base.rate_vars,
-        constraints=(
-            _con({"R1c'": 1}, GE, mi("U1c", "X2 U2c"), "e20"),
-            _con({"R1pb'": 1}, GE, mi("U1pb", "X2 U2c"), "e21"),
-            _con(
-                {"R2pa": 1, "R1c": 1, "R1c'": 1, "R2c": 1},
-                LE,
-                mi("Y2", "U1c U2c X2") + mi("X2 U2c", "U1c"),
-                "e23",
-            ),
-            _con(
-                {"R2pa": 1, "R1c": 1, "R1c'": 1},
-                LE,
-                mi("Y2", "X2 U1c", "U2c") + mi("X2", "U1c"),
-                "e24",
-            ),
-            _con({"R1c": 1, "R1c'": 1}, LE, mi("Y2 X2 U2c", "U1c"), "e25"),
-            _con(
-                {"R2pa": 1},
-                LE,
-                mi("Y2", "X2", "U2c U1c") + mi("U1c", "X2", "U2c"),
-                "e26",
-            ),
-            _con(
-                {"R1pb": 1, "R1pb'": 1, "R1c": 1, "R1c'": 1, "R2c": 1},
-                LE,
-                mi("Y1", "U1pb U1c U2c") + mi("U1pb U1c", "U2c"),
-                "e27",
-            ),
-            _con(
-                {"R1c": 1, "R1pb": 1, "R1c'": 1, "R1pb'": 1},
-                LE,
-                mi("Y1 U2c", "U1pb U1c") + mi("U1pb", "U1c"),
-                "e28",
-            ),
-            _con({"R1pb": 1, "R1pb'": 1}, LE, mi("Y1 U2c U1c", "U1pb"), "e29"),
-        ),
-        projection=base.projection,
-        notes=(
-            "binning rows e20/e21 are stated as equalities; encoded GE, equality is WLOG",
-            "rhs forms are the deterministic-input variants; the pre-insertion forms "
-            "appear in the audit manifest only",
-        ),
-    )
+schema RTD_CC
+chain p(U2c) p(U1c|U2c) p(U1pb,U2pb|U2c,U1c) p(X2|U2c) p(X1|U2c,U1c,U1pb,U2pb,X2)
+copy X2 = U2c
+rates R1c R1pb R2c R2pb R1c' R1pb' R2pb'
+R1 = R1c + R1pb
+R2 = R2c + R2pb
+pin R2pa = 0
+pin X2 = U2c
+rc1: R1c' >= 0
+rc2: R1c' + R1pb' >= 0
+rc3: R1c' + R1pb' + R2pb' >= I(U1pb;U2pb|U1c,U2c)
+rc4: R2pb + R2pb' <= I(Y2;U2pb|U1c,U2c)
+rc5: R1c + R1c' + R2pb + R2pb' <= I(Y2;U1c,U2pb|U2c)
+rc6: R1c + R1c' + R2c + R2pb + R2pb' <= I(Y2;U1c,U2c,U2pb)
+rc7: R1pb + R1pb' <= I(Y1;U1pb|U1c,U2c)
+rc8: R1c + R1c' + R1pb + R1pb' <= I(Y1;U1c,U1pb|U2c)
+rc9: R1c + R1c' + R1pb + R1pb' + R2c <= I(Y1;U1c,U1pb,U2c)
 
+schema JIANG
+chain p(U1c) p(U2c) p(X2|U2c) p(U1pb,U2pb|U1c,U2c,X2) p(X1|U2c,U1c,U1pb,U2pb)
+rates R1c R1pb R2c R2pa R1pb' R2pb'
+R1 = R1c + R1pb
+R2 = R2c + R2pa
+pin R2pb = 0
+note j5 carries the broadcast auxiliary U2pb alongside U1c per the variable correspondence
+j0: R1pb' >= I(U1pb;X2|U1c,U2c)
+j1: R1pb' + R2pb' >= I(U1pb;U2pb,X2|U1c,U2c)
+j2: R2pa + R2pb' <= I(U2pb,X2;Y2|U1c,U2c)
+j3: R2c + R2pa + R2pb' <= I(U2c,U2pb,X2;Y2|U1c)
+j4: R1c + R2pa + R2pb' <= I(U1c,U2pb,X2;Y2|U2c)
+j5: R1c + R2c + R2pa + R2pb' <= I(U1c,U2c,U2pb,X2;Y2)
+j6: R1pb + R1pb' <= I(U1pb;Y1|U1c,U2c)
+j7: R1c + R1pb + R1pb' <= I(U1c,U1pb;Y1|U2c)
+j8: R1pb + R1pb' + R2c <= I(U1pb,U2c;Y1|U1c)
+j9: R1c + R1pb + R1pb' + R2c <= I(U1c,U1pb,U2c;Y1)
 
-def _cc() -> RegionSchema:
-    return RegionSchema(
-        id="CC",
-        factorization=chain(
-            ("U10",),
-            ("U11", "U10"),
-            ("V11", "U10 U11"),
-            ("V20", "U10 U11 V11"),
-            ("V22", "U10 U11 V11 V20"),
-            ("X1", "U10 U11 V11 V20 V22"),
-            ("X2", "U10 U11 V11 V20 V22 X1"),
-        ),
-        rate_vars=("R1", "R2"),
-        constraints=(
-            _con({"R1": 1}, LE, mi("Y1", "V11 U11 V20 U10"), "37"),
-            _con(
-                {"R2": 1},
-                LE,
-                mi("Y2", "V20 V22", "U10") - mi("V22 V20", "U11", "U10"),
-                "38",
-            ),
-            _con(
-                {"R1": 1, "R2": 1},
-                LE,
-                mi("Y1", "V11 U11", "V20 U10")
-                + mi("Y2", "V22 V20 U10")
-                - mi("V22", "U11 V11", "V20 U10"),
-                "39",
-            ),
-            _con(
-                {"R1": 1, "R2": 1},
-                LE,
-                mi("Y1", "V11 U11 V20 U10")
-                + mi("Y2", "V22", "V20 U10")
-                - mi("V22", "U11 V11", "V20 U10"),
-                "40",
-            ),
-            _con(
-                {"R1": 1, "R2": 2},
-                LE,
-                mi("Y1", "V11 U11 V20", "U10")
-                + mi("Y2", "V22", "V20 U10")
-                + mi("Y2", "V20 V22 U10")
-                - mi("V22", "U11 V11", "V20 U10")
-                - mi("V22 V20", "U11", "U10"),
-                "41",
-            ),
-        ),
-        projection=(("R1", (("R1", 1),)), ("R2", (("R2", 1),))),
-        notes=("indices follow the comparator's own orientation (users swapped)",),
-    )
+schema RTD_JIANG
+chain p(U1c) p(U2c) p(X2|U2c) p(U1pb,U2pb|U1c,U2c,X2) p(X1|U2c,U1c,U1pb,U2pb)
+rates R1c R1pb R2c R2pa R1pb' R2pb'
+R1 = R1c + R1pb
+R2 = R2c + R2pa
+pin R2pb = 0
+pin R1c' = I(U1c;X2|U2c)
+note R1c' is substituted at its pinned value, which vanishes under this factorization
+u0: R1pb' >= I(U1pb;X2|U1c,U2c)
+u1: R1pb' + R2pb' >= I(U1pb;U2pb,X2|U1c,U2c)
+u2: R2pa + R2pb' <= I(Y2;U2pb,X2|U1c,U2c) + I(U1c;X2|U2c)
+u3: R1c + R2pa + R2pb' <= I(Y2;U1c,U2pb,X2|U2c)
+u4: R1c + R2c + R2pa + R2pb' <= I(Y2;U1c,U2c,U2pb,X2)
+u5: R1pb + R1pb' <= I(Y1;U1pb|U1c,U2c)
+u6: R1c + R1pb + R1pb' <= I(Y1;U1c,U1pb|U2c)
+u7: R1c + R1pb + R1pb' + R2c <= I(Y1;U1c,U1pb,U2c)
+
+schema MARIC
+chain p(Q) p(U1c|Q) p(U1a|Q,U1c) p(X2a|Q,U1c,U1a) p(X2b|Q,U1c,U1a,X2a) p(X2|X2a,X2b) p(X1|Q,U1c,U1a,X2a,X2b,X2)
+copy X2 = X2a,X2b
+rates R1 R2
+R1 = R1
+R2 = R2
+size Q = 1
+note X2 is the deterministic pair (X2a, X2b); the time-sharing variable Q is degenerate by default
+m1: R1 <= I(U1a;Y1|Q,U1c) - I(U1a;X2a,X2b|Q,U1c) + I(U1c,X2b;Y2|Q,X2a)
+m2: R1 <= I(U1a,U1c;Y1|Q) - I(U1a,U1c;X2a,X2b|Q)
+m3: R2 <= I(U1c,X2;Y2|Q)
+m4: R2 <= I(X2;U1c,Y2|Q)
+m5: R1 + R2 <= I(U1a;Y1|Q,U1c) - I(U1a;X2a,X2b|Q,U1c) + I(U1c,X2;Y2|Q)
+"""
+
+_VARS = r"[A-Za-z]\w*(?:,[A-Za-z]\w*)*"
+_RATE = r"[A-Za-z]\w*'?"
+_ATOM = re.compile(rf"(-?)I\(({_VARS});({_VARS})(?:\|({_VARS}))?\)")
+_FACTOR = re.compile(rf"p\(({_VARS})(?:\|({_VARS}))?\)")
+_RATES = re.compile(rf"({_RATE}(?: {_RATE})*)")
+_TERM = re.compile(rf"(?:(-?\d+) )?({_RATE})")
+_CONSTRAINT = re.compile(r"([\w']+): (.+) ([<>]=) (.+)")
+_FACTS = {  # line kind -> (the text after the kind, the value's reader, the RegionSchema field)
+    "input": (re.compile(rf"(\w+) reads ({_VARS})"), lambda v: tuple(v.split(",")), "input_deps"),
+    "copy": (re.compile(rf"(\w+) = ({_VARS})"), lambda v: tuple(v.split(",")), "deterministic"),
+    "size": (re.compile(r"(\w+) = (\d+)"), int, "default_sizes"),
+    "pin": (re.compile(rf"({_RATE}) = (.+)"), str, "pinned"),
+}
 
 
-def _ccp() -> RegionSchema:
-    return RegionSchema(
-        id="CCP",
-        factorization=chain(
-            ("U2c",),
-            ("U1c", "U2c"),
-            ("U1pb U2pb", "U2c U1c"),
-            ("X2", "U2c"),
-            ("X1", "U2c U1c U1pb U2pb X2"),
-        ),
-        deterministic=(("X2", ("U2c",)),),
-        rate_vars=("R1c", "R1pb", "R2c", "R2pb", "R1c'", "R1pb'", "R2pb'"),
-        constraints=(
-            _con({"R1c'": 1}, GE, MIExpr(), "cp1"),
-            _con({"R1pb'": 1, "R2pb'": 1}, GE, mi("U1pb", "U2pb", "U2c U1c"), "cp2"),
-            _con({"R2pb": 1, "R2pb'": 1}, LE, mi("Y2", "U2pb", "U2c U1c"), "cp3"),
-            _con(
-                {"R2pb": 1, "R2pb'": 1, "R1c": 1, "R1c'": 1},
-                LE,
-                mi("Y2", "U1c U2pb", "U2c"),
-                "cp4",
-            ),
-            _con(
-                {"R2pb": 1, "R2pb'": 1, "R1c": 1, "R1c'": 1, "R2c": 1},
-                LE,
-                mi("Y2", "U1c U2c U2pb"),
-                "cp5",
-            ),
-            _con({"R1pb": 1, "R1pb'": 1}, LE, mi("Y1", "U1pb", "U2c U1c"), "cp6"),
-            _con(
-                {"R1pb": 1, "R1pb'": 1, "R1c": 1, "R1c'": 1},
-                LE,
-                mi("Y1", "U1pb U1c", "U2c"),
-                "cp7",
-            ),
-            _con(
-                {"R1pb": 1, "R1pb'": 1, "R1c": 1, "R1c'": 1, "R2c": 1},
-                LE,
-                mi("Y1", "U1pb U1c U2c"),
-                "cp8",
-            ),
-        ),
-        projection=(
-            ("R1", (("R1c", 1), ("R1pb", 1))),
-            ("R2", (("R2c", 1), ("R2pb", 1))),
-        ),
-        pinned=(("R2pa", "0"), ("X2", "U2c")),
-        notes=("rewritten over the unified region's variables; labels cp1-cp8 "
-               "correspond to the merged comparator's constraint list 37p-41p",),
-    )
+def _read(pattern: re.Pattern, text: str, what: str) -> tuple:
+    """The groups of `pattern` matched against the whole of `text`."""
+    m = pattern.fullmatch(text)
+    if m is None:
+        raise InvalidParameter(f"cannot read {text!r} as {what}")
+    return m.groups()
 
 
-def _rtd_cc() -> RegionSchema:
-    base = _ccp()
-    return RegionSchema(
-        id="RTD_CC",
-        factorization=base.factorization,
-        deterministic=base.deterministic,
-        rate_vars=base.rate_vars,
-        constraints=(
-            _con({"R1c'": 1}, GE, MIExpr(), "rc1"),
-            _con({"R1c'": 1, "R1pb'": 1}, GE, MIExpr(), "rc2"),
-            _con(
-                {"R1c'": 1, "R1pb'": 1, "R2pb'": 1},
-                GE,
-                mi("U1pb", "U2pb", "U2c U1c"),
-                "rc3",
-            ),
-            _con({"R2pb": 1, "R2pb'": 1}, LE, mi("Y2", "U2pb", "U2c U1c"), "rc4"),
-            _con(
-                {"R2pb": 1, "R2pb'": 1, "R1c": 1, "R1c'": 1},
-                LE,
-                mi("Y2", "U1c U2pb", "U2c"),
-                "rc5",
-            ),
-            _con(
-                {"R2pb": 1, "R2pb'": 1, "R1c": 1, "R1c'": 1, "R2c": 1},
-                LE,
-                mi("Y2", "U1c U2c U2pb"),
-                "rc6",
-            ),
-            _con({"R1pb": 1, "R1pb'": 1}, LE, mi("Y1", "U1pb", "U2c U1c"), "rc7"),
-            _con(
-                {"R1pb": 1, "R1pb'": 1, "R1c": 1, "R1c'": 1},
-                LE,
-                mi("Y1", "U1pb U1c", "U2c"),
-                "rc8",
-            ),
-            _con(
-                {"R1pb": 1, "R1pb'": 1, "R1c": 1, "R1c'": 1, "R2c": 1},
-                LE,
-                mi("Y1", "U1pb U1c U2c"),
-                "rc9",
-            ),
-        ),
-        projection=base.projection,
-        pinned=(("R2pa", "0"), ("X2", "U2c")),
-    )
+def parse_expr(text: str) -> MIExpr:
+    """The MIExpr that prints as `text`: 0, or atoms I(A;B|C) joined by
+    ' + ' and ' - ', the first of them optionally negated."""
+    if text == "0":
+        return MIExpr()
+    parts = re.split(r" ([+-]) ", text)
+    atoms = [_read(_ATOM, atom, "a term I(A;B|C)") for atom in parts[::2]]
+    if any(neg for neg, *_ in atoms[1:]):
+        raise InvalidParameter(f"cannot read {text!r}: two signs before one term")
+    return MIExpr(tuple((-1 if "-" in (sign, neg) else 1, mi(left, right, given or ()))
+                        for sign, (neg, left, right, given) in zip(["+", *parts[1::2]], atoms)))
 
 
-def _jiang() -> RegionSchema:
-    return RegionSchema(
-        id="JIANG",
-        factorization=chain(
-            ("U1c",),
-            ("U2c",),
-            ("X2", "U2c"),
-            ("U1pb U2pb", "U1c U2c X2"),
-            ("X1", "U2c U1c U1pb U2pb"),
-        ),
-        rate_vars=("R1c", "R1pb", "R2c", "R2pa", "R1pb'", "R2pb'"),
-        constraints=(
-            _con({"R1pb'": 1}, GE, mi("U1pb", "X2", "U2c U1c"), "j0"),
-            _con({"R1pb'": 1, "R2pb'": 1}, GE, mi("U1pb", "U2pb X2", "U2c U1c"), "j1"),
-            _con({"R2pa": 1, "R2pb'": 1}, LE, mi("X2 U2pb", "Y2", "U2c U1c"), "j2"),
-            _con({"R2c": 1, "R2pa": 1, "R2pb'": 1}, LE, mi("U2c X2 U2pb", "Y2", "U1c"), "j3"),
-            _con({"R1c": 1, "R2pa": 1, "R2pb'": 1}, LE, mi("U1c X2 U2pb", "Y2", "U2c"), "j4"),
-            _con(
-                {"R2c": 1, "R1c": 1, "R2pa": 1, "R2pb'": 1},
-                LE,
-                mi("U2c X2 U1c U2pb", "Y2"),
-                "j5",
-            ),
-            _con({"R1pb": 1, "R1pb'": 1}, LE, mi("U1pb", "Y1", "U2c U1c"), "j6"),
-            _con({"R1c": 1, "R1pb": 1, "R1pb'": 1}, LE, mi("U1c U1pb", "Y1", "U2c"), "j7"),
-            _con({"R2c": 1, "R1pb": 1, "R1pb'": 1}, LE, mi("U2c U1pb", "Y1", "U1c"), "j8"),
-            _con(
-                {"R2c": 1, "R1c": 1, "R1pb": 1, "R1pb'": 1},
-                LE,
-                mi("U2c U1c U1pb", "Y1"),
-                "j9",
-            ),
-        ),
-        projection=(
-            ("R1", (("R1c", 1), ("R1pb", 1))),
-            ("R2", (("R2c", 1), ("R2pa", 1))),
-        ),
-        pinned=(("R2pb", "0"),),
-        notes=("j5 carries the broadcast auxiliary U2pb alongside U1c per the "
-               "variable correspondence",),
-    )
+def _linear(text: str, rates: Sequence[str]) -> tuple[tuple[str, int], ...]:
+    """'R1c + 2 R2' as (('R1c', 1), ('R2', 2)), in the written order."""
+    terms = tuple((n, int(c or 1))
+                  for c, n in (_read(_TERM, t, "a rate") for t in text.split(" + ")))
+    if len(dict(terms)) < len(terms) or dict(terms).keys() - set(rates):
+        raise InvalidParameter(f"a rate repeats or is undeclared in {text!r}")
+    return terms
 
 
-def _rtd_jiang() -> RegionSchema:
-    base = _jiang()
-    return RegionSchema(
-        id="RTD_JIANG",
-        factorization=base.factorization,
-        rate_vars=base.rate_vars,
-        constraints=(
-            _con({"R1pb'": 1}, GE, mi("U1pb", "X2", "U2c U1c"), "u0"),
-            _con({"R1pb'": 1, "R2pb'": 1}, GE, mi("U1pb", "X2 U2pb", "U2c U1c"), "u1"),
-            _con(
-                {"R2pa": 1, "R2pb'": 1},
-                LE,
-                mi("Y2", "X2 U2pb", "U2c U1c") + mi("U1c", "X2", "U2c"),
-                "u2",
-            ),
-            _con(
-                {"R1c": 1, "R2pa": 1, "R2pb'": 1},
-                LE,
-                mi("Y2", "U1c X2 U2pb", "U2c"),
-                "u3",
-            ),
-            _con(
-                {"R2c": 1, "R1c": 1, "R2pa": 1, "R2pb'": 1},
-                LE,
-                mi("Y2", "U2pb U1c U2c X2"),
-                "u4",
-            ),
-            _con({"R1pb": 1, "R1pb'": 1}, LE, mi("Y1", "U1pb", "U2c U1c"), "u5"),
-            _con({"R1c": 1, "R1pb": 1, "R1pb'": 1}, LE, mi("Y1", "U1c U1pb", "U2c"), "u6"),
-            _con(
-                {"R2c": 1, "R1c": 1, "R1pb": 1, "R1pb'": 1},
-                LE,
-                mi("Y1", "U2c U1c U1pb"),
-                "u7",
-            ),
-        ),
-        projection=base.projection,
-        pinned=(("R2pb", "0"), ("R1c'", "I(U1c;X2|U2c)")),
-        notes=("R1c' is substituted at its pinned value, which vanishes under "
-               "this factorization",),
-    )
+def parse_schema(block: str) -> RegionSchema:
+    """The RegionSchema one catalog block states (the line kinds are in
+    the module docstring).  A line it cannot read is refused with
+    InvalidParameter naming the schema and the line's number in the block."""
+    lines = block.strip("\n").split("\n")
+    kind, _, sid = lines[0].partition(" ")
+    if kind != "schema" or not sid:
+        raise InvalidParameter(f"line 1: a block opens with 'schema ID', not {lines[0]!r}")
+    fields: dict = {"factorization": FactorizationSpec(()), "rate_vars": (), "constraints": (),
+                    "projection": (), "notes": (), **{f: () for *_, f in _FACTS.values()}}
+    for number, line in enumerate(lines[1:], 2):
+        kind, _, rest = line.partition(" ")
+        try:
+            if kind == "chain":
+                factors = (_read(_FACTOR, f, "a factor p(A|B)") for f in rest.split(" "))
+                fields["factorization"] = FactorizationSpec(
+                    tuple(Factor(t, g or ()) for t, g in factors))
+            elif kind == "rates":
+                fields["rate_vars"] = tuple(_read(_RATES, rest, "rate names")[0].split(" "))
+            elif kind in ("R1", "R2") and rest.startswith("= "):
+                fields["projection"] += ((kind, _linear(rest[2:], fields["rate_vars"])),)
+            elif kind in _FACTS:
+                pattern, reader, field = _FACTS[kind]
+                name, value = _read(pattern, rest, f"a {kind} line")
+                fields[field] += ((name, reader(value)),)
+            elif kind == "note":
+                fields["notes"] += (rest,)
+            elif kind.endswith(":"):
+                label, lhs, op, rhs = _read(_CONSTRAINT, line, "LABEL: LHS <= RHS (or >=)")
+                c = LinearRateConstraint(_linear(lhs, fields["rate_vars"]),
+                                         LE if op == "<=" else GE, parse_expr(rhs), label)
+                undeclared = c.rhs.variables() - {*fields["factorization"].targets, *OUTPUTS}
+                if undeclared:
+                    raise InvalidParameter(f"undeclared variables {sorted(undeclared)}")
+                if label in (d.label for d in fields["constraints"]):
+                    raise InvalidParameter(f"label {label!r} is taken")
+                fields["constraints"] += (c,)
+            else:
+                raise InvalidParameter(f"unknown line kind {kind!r}")
+        except ValueError as e:
+            raise InvalidParameter(f"schema {sid}, line {number}: {e}") from e
+    return RegionSchema(id=sid, **fields)
 
 
-def _maric() -> RegionSchema:
-    head = mi("U1a", "Y1", "U1c Q") - mi("U1a", "X2a X2b", "U1c Q")
-    return RegionSchema(
-        id="MARIC",
-        factorization=chain(
-            ("Q",),
-            ("U1c", "Q"),
-            ("U1a", "Q U1c"),
-            ("X2a", "Q U1c U1a"),
-            ("X2b", "Q U1c U1a X2a"),
-            ("X2", "X2a X2b"),
-            ("X1", "Q U1c U1a X2a X2b X2"),
-        ),
-        deterministic=(("X2", ("X2a", "X2b")),),
-        default_sizes=(("Q", 1),),
-        rate_vars=("R1", "R2"),
-        constraints=(
-            _con({"R1": 1}, LE, head + mi("X2b U1c", "Y2", "X2a Q"), "m1"),
-            _con(
-                {"R1": 1},
-                LE,
-                mi("U1a U1c", "Y1", "Q") - mi("U1a U1c", "X2a X2b", "Q"),
-                "m2",
-            ),
-            _con({"R2": 1}, LE, mi("X2 U1c", "Y2", "Q"), "m3"),
-            _con({"R2": 1}, LE, mi("X2", "Y2 U1c", "Q"), "m4"),
-            _con({"R1": 1, "R2": 1}, LE, head + mi("X2 U1c", "Y2", "Q"), "m5"),
-        ),
-        projection=(("R1", (("R1", 1),)), ("R2", (("R2", 1),))),
-        notes=("X2 is the deterministic pair (X2a, X2b); the time-sharing "
-               "variable Q is degenerate by default",),
-    )
+_SCHEMAS = {s.id: s for s in map(parse_schema, _CATALOG.strip("\n").split("\n\n"))}
+
+SCHEMA_IDS = tuple(_SCHEMAS)
+
+
+def builtin_schema(schema_id: str) -> RegionSchema:
+    """Return the catalog schema for `schema_id` (see SCHEMA_IDS)."""
+    if schema_id not in _SCHEMAS:
+        raise UnknownSchema(f"unknown schema {schema_id!r}; known: {', '.join(SCHEMA_IDS)}")
+    return _SCHEMAS[schema_id]
 
 
 MARIC_MERGE_MAP: dict[str, tuple[str, ...]] = {"X2a": (), "X2b": ("X2a", "X2b")}
@@ -845,36 +665,6 @@ def maric_merged() -> RegionSchema:
         projection=base.projection,
         notes=("merged form: the decoded primary part has cardinality 1",),
     )
-
-
-_BUILDERS = {
-    "RTD": _rtd,
-    "RTD_IN": _rtd_in,
-    "DMT_OUT": _dmt_out,
-    "CC": _cc,
-    "CCP": _ccp,
-    "RTD_CC": _rtd_cc,
-    "JIANG": _jiang,
-    "RTD_JIANG": _rtd_jiang,
-    "MARIC": _maric,
-}
-
-SCHEMA_IDS = tuple(_BUILDERS)
-
-_CACHE: dict[str, RegionSchema] = {}
-
-
-def builtin_schema(schema_id: str) -> RegionSchema:
-    """Return the catalog schema for `schema_id` (see SCHEMA_IDS)."""
-    try:
-        builder = _BUILDERS[schema_id]
-    except KeyError:
-        raise UnknownSchema(
-            f"unknown schema {schema_id!r}; known: {', '.join(SCHEMA_IDS)}"
-        ) from None
-    if schema_id not in _CACHE:
-        _CACHE[schema_id] = builder()
-    return _CACHE[schema_id]
 
 
 # ---------------------------------------------------------------------------

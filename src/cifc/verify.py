@@ -60,6 +60,7 @@ from .regions import (
     instantiate,
     instantiate_all,
     maric_merged,
+    parse_expr,
     same_system,
 )
 from .sampling import _joints, _mode_for, check_climbs, climb, sample_instances
@@ -247,22 +248,20 @@ def devroye_identity_checks() -> tuple[IdentityCheck, ...]:
 # -- comparator reduction (merged satellite) --------------------------------
 
 
+# the five merged-comparator bounds, transcribed apart from the CC catalog block
+_CC_PRIMED = """\
+37p: I(Y1;U10,U11,V11,V20)
+38p: I(Y2;V20,V22|U10)
+39p: I(Y1;U11,V11|U10,V20) + I(Y2;U10,V20,V22) - I(V22;U11,V11|U10,V20)
+40p: I(Y1;U10,U11,V11,V20) + I(Y2;V22|U10,V20) - I(V22;U11,V11|U10,V20)
+41p: I(Y1;U11,V11,V20|U10) + I(Y2;V22|U10,V20) + I(Y2;U10,V20,V22) - I(V22;U11,V11|U10,V20)
+"""
+
+
 def cc_primed_expressions() -> dict[str, MIExpr]:
     """The five merged-comparator bounds 37p-41p, transcribed independently."""
-    return {
-        "37p": MIExpr.of(mi("Y1", "V11 U11 V20 U10")),
-        "38p": MIExpr.of(mi("Y2", "V20 V22", "U10")),
-        "39p": mi("Y1", "V11 U11", "V20 U10")
-        + mi("Y2", "V22 V20 U10")
-        - mi("V22", "U11 V11", "V20 U10"),
-        "40p": mi("Y1", "V11 U11 V20 U10")
-        + mi("Y2", "V22", "V20 U10")
-        - mi("V22", "U11 V11", "V20 U10"),
-        "41p": mi("Y1", "V11 U11 V20", "U10")
-        + mi("Y2", "V22", "V20 U10")
-        + mi("Y2", "V20 V22 U10")
-        - mi("V22", "U11 V11", "V20 U10"),
-    }
+    return {label: parse_expr(rhs) for label, rhs in
+            (line.split(": ") for line in _CC_PRIMED.splitlines())}
 
 
 CC_GAP = mi("V22 V20", "U11", "U10")

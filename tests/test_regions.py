@@ -7,6 +7,7 @@ from cifc.errors import FactorizationViolation, InvalidParameter, UnknownSchema,
 from cifc.probability import (
     CompiledExprs,
     JointDistribution,
+    MIExpr,
     chain,
     compile_exprs,
     entropy_term,
@@ -26,6 +27,8 @@ from cifc.regions import (
     instantiate,
     instantiate_all,
     maric_merged,
+    parse_expr,
+    parse_schema,
     same_system,
     schema_manifest,
 )
@@ -95,6 +98,72 @@ def test_unknown_schema():
 def test_constraint_requires_nonzero_coeff():
     with pytest.raises(ValueError):
         LinearRateConstraint((), "LE", mi("A", "B"), "x")
+
+
+# -- the catalog as text ------------------------------------------------------
+
+
+def test_schema_facts_the_manifest_does_not_print():
+    assert SCHEMA_IDS == ("RTD", "RTD_IN", "DMT_OUT", "CC", "CCP", "RTD_CC", "JIANG",
+                          "RTD_JIANG", "MARIC")
+    for sid in SCHEMA_IDS:
+        schema = builtin_schema(sid)
+        assert schema.input_deps == ((("X2", ("U2c",)),) if sid == "RTD" else ()), sid
+        assert schema.default_sizes == ((("Q", 1),) if sid == "MARIC" else ()), sid
+
+
+@pytest.mark.parametrize("sid", SCHEMA_IDS)
+def test_every_constraint_reads_back_from_its_printed_form(sid):
+    schema = builtin_schema(sid)
+    head = f"schema T\nchain p({','.join(schema.variables)})\nrates {' '.join(schema.rate_vars)}\n"
+    for c in schema.constraints:
+        assert parse_schema(head + f"{c.label}: {c}").constraints == (c,)
+        assert parse_expr(str(c.rhs)) == c.rhs
+    assert any(not c.rhs.terms for c in schema.constraints) == (sid in ("CCP", "RTD_CC"))
+
+
+_BLOCK = "schema T\nchain p(A) p(B,C|A)\nrates R1 R2\nR1 = R1\nR2 = R2\n"
+
+
+def test_a_small_block_reads_into_its_schema():
+    schema = parse_schema(_BLOCK + "a: R1 + 2 R2 <= -I(A;B|C) + I(Y1;A)\nb: R2 >= 0")
+    assert schema.variables == ("A", "B", "C") and schema.rate_vars == ("R1", "R2")
+    assert schema.projection == (("R1", (("R1", 1),)), ("R2", (("R2", 1),)))
+    assert schema.constraints == (
+        LinearRateConstraint((("R1", 1), ("R2", 2)), "LE", -mi("A", "B", "C") + mi("Y1", "A"), "a"),
+        LinearRateConstraint((("R2", 1),), "GE", MIExpr(), "b"),
+    )
+
+
+@pytest.mark.parametrize("lines", [
+    "bound R1 <= 1",  # an unknown line kind
+    "a: R1 <= I(A;B) extra",  # text left over after the last atom
+    "a: R1 <= I(A;B) + I(A;C) x",
+    "a: R1 <= 1 + I(A;B)",  # a constant term
+    "a: R1 <= I(A;B) + 1",
+    "a: R1 I(A;B)",  # no <= or >=
+    "a: R1 = I(A;B)",
+    "a: R1 <= I(A;A|C)",  # overlapping sides
+    "a: R1 <= I(A;Z)",  # an undeclared variable
+    "a: R3 <= I(A;B)",  # an undeclared rate
+    "a: R1 <= I(A;B) + -I(A;C)",
+    "a: R1 + R1 <= I(A;B)",
+    "a: R1 <= I(A;B)\na: R2 <= I(A;C)",  # a duplicate label
+    "a: 0 R1 <= I(A;B)",  # no nonzero coefficient
+    "pin R1 =",
+])
+def test_malformed_text_is_refused_naming_its_line(lines):
+    block = _BLOCK + lines
+    number = block.count("\n") + 1
+    with pytest.raises(InvalidParameter, match=f"schema T, line {number}: "):
+        parse_schema(block)
+
+
+def test_malformed_header_is_refused():
+    with pytest.raises(InvalidParameter, match="line 1: "):
+        parse_schema("rates R1\nschema T")
+    with pytest.raises(InvalidParameter, match="line 3: "):
+        parse_schema("schema T\nrates R1\nR1 = R2")
 
 
 # -- droppable constraints ----------------------------------------------------
