@@ -14,7 +14,7 @@ from cifc.channel import canonical_channel, random_channel
 from cifc.polytope import membership_oracle, project_or_empty
 from cifc.probability import JointDistribution, RandomVariableSet, extend_through_channel
 from cifc.regions import builtin_schema, instantiate
-from cifc.sampling import sample_instance
+from cifc.sampling import sample_instances
 
 rtd = builtin_schema("RTD")
 print(f"unified region: {len(rtd.constraints)} constraints over "
@@ -44,7 +44,7 @@ for h in poly.halfplanes:
 print("\n== sampled instances on a random channel ==")
 channel = random_channel(7)
 for seed in range(4):
-    d = sample_instance(rtd, channel, seed, mode=("free", "det", "flat_det")[seed % 3])
+    d = sample_instances(rtd, [channel], [seed], [("free", "det", "flat_det")[seed % 3]])[0]
     system = instantiate(rtd, d)
     poly = project_or_empty(system)
     if poly.is_empty:

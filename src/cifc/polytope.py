@@ -609,15 +609,6 @@ def polytope_to_json(p: Polytope2D) -> dict:
     }
 
 
-def polytope_from_json(obj: dict) -> Polytope2D:
-    hps = tuple(
-        HalfPlane(float(a1), float(a2), float(b), tuple(labels))
-        for a1, a2, b, labels in obj["halfplanes"]
-    )
-    verts = tuple((float(x), float(y)) for x, y in obj["vertices"])
-    return Polytope2D(hps, verts)
-
-
 def vertices_csv(p: Polytope2D) -> str:
     lines = ["R1,R2"]
     for x, y in p.vertices:

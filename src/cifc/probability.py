@@ -331,7 +331,8 @@ class MIExpr:
         parts = []
         for i, (s, t) in enumerate(self.terms):
             sign = "-" if s < 0 else ("+" if i else "")
-            parts.append(f"{sign} {t}" if i else f"{sign}{t}")
+            term = t if abs(s) == 1 else f"{abs(s)} {t}"
+            parts.append(f"{sign} {term}" if i else f"{sign}{term}")
         return " ".join(parts)
 
 

@@ -540,7 +540,7 @@ m5: R1 + R2 <= I(U1a;Y1|Q,U1c) - I(U1a;X2a,X2b|Q,U1c) + I(U1c,X2;Y2|Q)
 
 _VARS = r"[A-Za-z]\w*(?:,[A-Za-z]\w*)*"
 _RATE = r"[A-Za-z]\w*'?"
-_ATOM = re.compile(rf"(-?)I\(({_VARS});({_VARS})(?:\|({_VARS}))?\)")
+_ATOM = re.compile(rf"(-?)(?:(\d+) )?I\(({_VARS});({_VARS})(?:\|({_VARS}))?\)")
 _FACTOR = re.compile(rf"p\(({_VARS})(?:\|({_VARS}))?\)")
 _RATES = re.compile(rf"({_RATE}(?: {_RATE})*)")
 _TERM = re.compile(rf"(?:(-?\d+) )?({_RATE})")
@@ -563,15 +563,17 @@ def _read(pattern: re.Pattern, text: str, what: str) -> tuple:
 
 def parse_expr(text: str) -> MIExpr:
     """The MIExpr that prints as `text`: 0, or atoms I(A;B|C) joined by
-    ' + ' and ' - ', the first of them optionally negated."""
+    ' + ' and ' - ', the first of them optionally negated, each optionally
+    after its coefficient's magnitude and a space ('- 3 I(A;C)')."""
     if text == "0":
         return MIExpr()
     parts = re.split(r" ([+-]) ", text)
     atoms = [_read(_ATOM, atom, "a term I(A;B|C)") for atom in parts[::2]]
     if any(neg for neg, *_ in atoms[1:]):
         raise InvalidParameter(f"cannot read {text!r}: two signs before one term")
-    return MIExpr(tuple((-1 if "-" in (sign, neg) else 1, mi(left, right, given or ()))
-                        for sign, (neg, left, right, given) in zip(["+", *parts[1::2]], atoms)))
+    return MIExpr(tuple(
+        ((-1 if "-" in (sign, neg) else 1) * int(c or 1), mi(left, right, given or ()))
+        for sign, (neg, c, left, right, given) in zip(["+", *parts[1::2]], atoms)))
 
 
 def _linear(text: str, rates: Sequence[str]) -> tuple[tuple[str, int], ...]:

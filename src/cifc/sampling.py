@@ -16,10 +16,13 @@ A move of one block of a row goes in two passes: `_draw_move` makes its
 generator calls into a record and reads no block, and `_apply_move`
 writes the record into a population row in place.  `climb`, the one
 hill climb, alone writes a row after its draw.  It goes in speculative
-rounds: each climb's next few moves, drawn as if each were rejected, are
-applied to the round's population and scored in one batch.  An apply
-reads only the row it writes, so a round's moves are all drawn before
-any is applied, and a row's bits do not depend on the round around it.
+rounds: each climb's next few moves, as if each were rejected, are
+applied to the round's population and scored in one batch.  A draw reads
+no block, so each move is drawn once: the moves after a kept one carry
+over to the climb's next round, onto the kept state, and only a restart,
+which hangs on what was kept, waits to open a round.  An apply reads
+only the row it writes, so a row's bits do not depend on the round
+around it.
 
 A seed fixes the joint bit for bit: a Dirichlet(1) row is normalized
 Exp(1) variates, numpy's own `Generator.dirichlet` arithmetic.  A joint
@@ -337,8 +340,17 @@ def sample_instances(
     modes: Sequence[str],
     size: int = 2,
 ) -> JointDistribution:
-    """sample_instance at each seeds[k], in modes[k], through channels[k] or
-    one channel for all: drawn seed by seed, multiplied and extended as one batch."""
+    """Sample channel-extended joints satisfying the schema factorization:
+    the joint at each seeds[k], in modes[k], through channels[k] or one
+    channel for all, drawn seed by seed, multiplied and extended as one
+    batch.  A joint alone is `sample_instances(schema, [channel], [seed],
+    [mode])[0]`.
+
+    Modes: "free" draws every conditional from Dirichlet(1); "det" makes
+    the channel inputs deterministic codeword maps; "flat_det" additionally
+    decouples the auxiliaries (independent marginals).  All modes are
+    special cases of the schema's factorization.
+    """
     if not len(seeds):
         raise InvalidParameter("a batch needs at least one seed")
     if len(modes) != len(seeds):
@@ -352,23 +364,6 @@ def sample_instances(
     return extend_through_channel(_joints(plans[modes[0]].rvs, blocks), channels)
 
 
-def sample_instance(
-    schema: RegionSchema,
-    channel: Channel,
-    seed: int,
-    size: int = 2,
-    mode: str = "free",
-) -> JointDistribution:
-    """Sample a channel-extended joint satisfying the schema factorization.
-
-    Modes: "free" draws every conditional from Dirichlet(1); "det" makes
-    the channel inputs deterministic codeword maps; "flat_det" additionally
-    decouples the auxiliaries (independent marginals).  All modes are
-    special cases of the schema's factorization.
-    """
-    return sample_instances(schema, [channel], [seed], [mode], size)[0]
-
-
 def _mode_for(seed: int) -> str:
     return SAMPLING_MODES[seed % len(SAMPLING_MODES)]
 
@@ -376,13 +371,14 @@ def _mode_for(seed: int) -> str:
 # Rows scored per round of `climb`, over all running climbs.  A small
 # `score` call costs mostly a fixed amount, and most moves are rejected (61
 # of 975 at RTD 200 x 5 lambdas, 1,104 of 41,874 at 2000 x 21, 130 of 2,470
-# for JIANG 500 x 5), so a climb's next moves are mostly drawn from the
-# state it is in now.  A kept move drops the rows after it, and the deeper
-# the round the more: at 200 x 5 (seeds 1, 2), 12 rows, 3 moves a climb,
-# take 72 and 78 calls and drop 60 and 131 rows; 24 take 48 and 58 calls
-# but drop 160 and 386, and were slower.  At 21 lambdas a round is one step.
-# A round's moves are all drawn, then all applied: a draw reads no block
-# and an apply reads only its own row, so the depth moves no bit.
+# for JIANG 500 x 5), so a climb's next moves are mostly scored on the
+# state it is in now.  A kept move drops the scores of the rows after it,
+# which are scored again on the kept state next round, and the deeper the
+# round the more: at 200 x 5 (seeds 1, 2), 12 rows, 3 moves a climb, take
+# 72 and 78 calls and score 60 and 131 rows twice; 24 take 48 and 58 calls
+# but score 160 and 386 twice, and were slower.  At 21 lambdas a round is
+# one step.  A draw reads no block and an apply reads only its own row, so
+# the depth moves no bit.
 ROUND_ROWS = 12
 
 
@@ -419,14 +415,18 @@ def climb(schema: RegionSchema, rngs: Sequence[np.random.Generator], budget: int
     across the sampling modes; a step's move (`_draw_move`) is kept if it
     improves on the best since the last restart, else reverted.  The climbs
     go in speculative rounds, one `score` call each: each running climb
-    draws its next ceil(ROUND_ROWS / climbs running) moves from its state as
-    if each were rejected, within its budget and up to a restart, so `score`
-    may get several rows of one generator, in the order drawn.  The round's
-    population is built once, a copy of its climb's state per row, and each
-    move is applied to its row in place (`_apply_move`).  Each climb
-    keeps at most its first improving row, drops the rest and sets its
-    generator back to just after that move, so a score that rates each row
-    as it rates it alone gives each climb its result alone.
+    scores its next ceil(ROUND_ROWS / climbs running) moves on its state as
+    if each were rejected, within its budget, so `score` may get several
+    rows of one generator, in the order drawn.  The round's population is
+    built once, a copy of its climb's state per row, and each move is
+    applied to its row in place (`_apply_move`).  Each climb keeps at most
+    its first improving row; the moves after it are already drawn, and
+    they open its next round, applied to the kept state.  A restart, due
+    by the stall count that a keep resets, is drawn only as a round's
+    first row and is its climb's only row: a round that reaches one in a
+    later row ends there.  So each generator makes the calls of its climb
+    alone, and a score that rates each row as it rates it alone gives each
+    climb its result alone.
     """
     plan = _schema_plan(schema, 2, "free")  # every mode's plan moves the same blocks
     n_starts = _n_starts(budget)
@@ -439,45 +439,43 @@ def climb(schema: RegionSchema, rngs: Sequence[np.random.Generator], budget: int
             for at in range(0, len(tried), n_starts)]
     blocks, best = [b[rows] for b in starts], [tried[r] for r in rows]
     climb_best, stall, evals = list(best), [0] * len(rngs), [n_starts] * len(rngs)
+    pending = [[] for _ in rngs]  # per climb, moves drawn but not yet scored on its state
     while running := [k for k in range(len(rngs)) if evals[k] < budget]:
         depth = -(-ROUND_ROWS // len(running))
-        # per row, its owner and move, a _draw_move record or (None, a fresh
-        # state); per climb, its generator's state after each row but the last
-        owners, moves, marks = [], [], []
+        # per climb, its rows' moves: a _draw_move record or (None, a fresh state)
+        rounds = []
         for k in running:
-            rng, mark, first = rngs[k], [], evals[k]
-            for e in range(first, min(first + depth, budget)):
-                if e > first:
-                    mark.append(rng.bit_generator.state)
-                # a stuck basin restarts from a fresh state, accepted whatever its value
-                if stall[k] + e - first > 300 and budget - e > 400:
-                    moves.append((None, _draw([_schema_plan(schema, 2, _mode_for(e))], [rng])))
+            rows, rng = [], rngs[k]
+            for i, e in enumerate(range(evals[k], min(evals[k] + depth, budget))):
+                # a stuck basin restarts from a fresh state, accepted whatever
+                # its value; only a round's first row knows its stall
+                if stall[k] + i > 300 and budget - e > 400:
+                    if i == 0:
+                        rows.append((None, _draw([_schema_plan(schema, 2, _mode_for(e))], [rng])))
                     break
-                moves.append(_draw_move(plan, rng))
-            marks.append(mark)
-            owners += [k] * (len(mark) + 1)
-        owners = np.array(owners)
+                rows.append(pending[k][i] if i < len(pending[k]) else _draw_move(plan, rng))
+            rounds.append(rows)
+        owners = np.repeat(running, [len(rows) for rows in rounds])
         population = [b[owners] for b in blocks]
-        for r, move in enumerate(moves):
+        for r, move in enumerate(move for rows in rounds for move in rows):
             if move[0] is None:
                 for b, row in zip(population, move[1]):
                     b[r] = row[0]
             else:
                 _apply_move(plan, move, population, r)
         tried, at = list(score(population, owners)), 0
-        for k, mark in zip(running, marks):
-            for j in range(len(mark) + 1):
+        for k, rows in zip(running, rounds):
+            for j, move in enumerate(rows):
                 cand = tried[at + j]
-                if moves[at + j][0] is None or _improves(cand, climb_best[k]):
+                if move[0] is None or _improves(cand, climb_best[k]):
                     for b, row in zip(blocks, population):
                         b[k] = row[at + j]
                     climb_best[k], stall[k] = cand, 0
                     if _improves(cand, best[k]):
                         best[k] = cand
-                    if j < len(mark):
-                        rngs[k].bit_generator.state = mark[j]
                     break
                 stall[k] += 1
+            pending[k] = rows[j + 1:]  # the next round applies them to the kept state
             evals[k] += j + 1
-            at += len(mark) + 1
+            at += len(rows)
     return best

@@ -47,7 +47,7 @@ from cifc.sampling import (
     _improves,
     _joints,
     _schema_plan,
-    sample_instance,
+    sample_instances,
 )
 from cifc.verify import CheckReport, FrontierResult, SuiteReport
 
@@ -396,7 +396,7 @@ def check_droppable(instances: int = 50, seed: int = 0, tol: float = 1e-9) -> Su
         empties = 0
         for i in range(instances):
             s = seed + i
-            d = sample_instance(rtd, random_channel(s), s, mode=mode)
+            d = sample_instances(rtd, [random_channel(s)], [s], [mode])[0]
             inst = instantiate(rtd, d).pin({v: 0.0 for v in zeroed})
             pa = project_or_empty(inst)
             pb = project_or_empty(inst.drop(label))

@@ -40,7 +40,6 @@ from cifc.sampling import (
     _joints,
     _schema_plan,
     sample_factored,
-    sample_instance,
     sample_instances,
 )
 from helpers import (
@@ -348,7 +347,7 @@ def test_entropy_vector_matches_mutual_information(seed):
 def test_measures_match_log_ratio_reference_with_zero_cells(sid, seed):
     schema = builtin_schema(sid)
     sizes = (2, 4, 2, 2) if sid == "MARIC" else (2, 2, 2, 2)
-    d = sample_instance(schema, random_channel(seed, sizes), seed, mode="det")
+    d = sample_instances(schema, [random_channel(seed, sizes)], [seed], ["det"])[0]
     assert (d.prob == 0.0).any()
     for c in schema.constraints:
         expected = 0.0

@@ -38,7 +38,6 @@ from cifc.sampling import (
     _draw,
     _joints,
     sample_factored,
-    sample_instance,
     sample_instances,
 )
 from cifc.verify import _channel_sizes
@@ -120,6 +119,18 @@ def test_every_constraint_reads_back_from_its_printed_form(sid):
         assert parse_schema(head + f"{c.label}: {c}").constraints == (c,)
         assert parse_expr(str(c.rhs)) == c.rhs
     assert any(not c.rhs.terms for c in schema.constraints) == (sid in ("CCP", "RTD_CC"))
+
+
+@pytest.mark.parametrize("terms, text", [
+    (((2, mi("A", "B")), (-3, mi("A", "C"))), "2 I(A;B) - 3 I(A;C)"),
+    (((-4, mi("A", "B", "C")), (1, mi("A", "C")), (-1, mi("B", "C"))),
+     "-4 I(A;B|C) + I(A;C) - I(B;C)"),
+])
+def test_a_coefficient_other_than_one_prints_and_reads_back(terms, text):
+    # its magnitude before the atom, as a rate's before its name
+    expr = MIExpr(terms)
+    assert str(expr) == text
+    assert parse_expr(text) == expr
 
 
 _BLOCK = "schema T\nchain p(A) p(B,C|A)\nrates R1 R2\nR1 = R1\nR2 = R2\n"
@@ -269,7 +280,7 @@ def test_instantiate_checks_determinism():
 @pytest.mark.parametrize("check", [instantiate, check_distribution])
 def test_violations_name_the_first_failed_check_as_pinned(check):
     # chain order: an RTD draw couples U1c with U2c given X2, RTD_IN's second factor
-    d = sample_instance(builtin_schema("RTD"), random_channel(0), 0, mode="free")
+    d = sample_instances(builtin_schema("RTD"), [random_channel(0)], [0], ["free"])[0]
     with pytest.raises(FactorizationViolation) as err:
         check(builtin_schema("RTD_IN"), d)
     assert str(err.value) == "I(U1c;U2c|X2) = 9.813e-02 > 1e-09"
@@ -289,7 +300,7 @@ def test_a_batch_names_its_first_violation_as_that_member_alone_would():
         ("U2c",), ("X2", "U2c"), ("U1c", "U2c X2"), ("U1pb", "U2c X2 U1c"),
         ("X1", "U2c X2 U1c U1pb"),
     )
-    good = [sample_instance(schema, random_channel(s), s) for s in range(2)]
+    good = [sample_instances(schema, [random_channel(s)], [s], ["free"])[0] for s in range(2)]
     bad = [extend_through_channel(sample_factored(schema.rv_set(2), general, s), random_channel(s))
            for s in (2, 3)]
     messages = []
@@ -343,7 +354,7 @@ def test_one_checked_rhs_map_per_schema(sid, monkeypatch):
     schema = builtin_schema(sid)
     rhs = compile_schema(schema).rhs
     assert rhs is compile_exprs(tuple(c.rhs for c in schema.constraints), schema.requirements)
-    d = sample_instance(schema, random_channel(0, _channel_sizes(schema)), 0)
+    d = sample_instances(schema, [random_channel(0, _channel_sizes(schema))], [0], ["free"])[0]
     called = []
     evaluate = CompiledExprs.from_entropies
     monkeypatch.setattr(CompiledExprs, "from_entropies",
@@ -362,7 +373,7 @@ def test_checked_leading_values_equal_their_own_map_bit_for_bit(sid):
     for mode in SAMPLING_MODES:
         for seed in range(10):
             ch = random_channel(seed, _channel_sizes(schema))
-            d = sample_instance(schema, ch, seed, mode=mode)
+            d = sample_instances(schema, [ch], [seed], [mode])[0]
             expected = own(d)
             assert np.array_equal(checked(d), expected), (mode, seed)
             rhs = instantiate(schema, d).b
@@ -381,7 +392,7 @@ def test_instantiate_makes_one_entropy_pass(monkeypatch):
     for sid in SCHEMA_IDS:
         schema = builtin_schema(sid)
         leading = tuple(c.rhs for c in schema.constraints)
-        d = sample_instance(schema, random_channel(1, _channel_sizes(schema)), 1)
+        d = sample_instances(schema, [random_channel(1, _channel_sizes(schema))], [1], ["free"])[0]
         instantiate(schema, d)
         assert calls == [len(compile_exprs(leading, schema.requirements).subsets)], sid
         check_distribution(schema, d)
@@ -479,7 +490,7 @@ def test_instantiate_matches_reference_le_normal_form_bit_for_bit(sid, mode):
     sizes = (2, 4, 2, 2) if sid == "MARIC" else (2, 2, 2, 2)
     zeroed = {n: 0.0 for n in schema.rate_vars[1::2]}
     for seed in range(10):
-        d = sample_instance(schema, random_channel(seed, sizes), seed, mode=mode)
+        d = sample_instances(schema, [random_channel(seed, sizes)], [seed], [mode])[0]
         inst = instantiate(schema, d)
         label = schema.labels()[seed % len(schema.constraints)]
         assert _bits(inst) == _bits(reference_le_system(schema, d)), seed

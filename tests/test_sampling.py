@@ -197,29 +197,38 @@ def test_climb_scores_the_starts_then_a_row_per_generator_each_step(monkeypatch,
     # every score is a new best, so each climb keeps the first row of each
     # round, one evaluation, and ends on the last round's; a round holds each
     # generator's moves as rows, grouped and in the order they were drawn,
-    # each the block that the one-pass reference move makes from its climb's
-    # state, the climb's first row in the last call
+    # every move drawn once: the rows after a kept one come back first in
+    # the climb's next round.  Each row is the state it is scored on with
+    # one block replaced by what the one-pass reference move, on the
+    # generator as the move was drawn, makes of it; that state is the
+    # climb's first row in the last call
     plan = _schema_plan(builtin_schema("RTD"), 2, "free")
     rngs = [np.random.default_rng(s) for s in range(3)]
-    calls, moves, state = [], [], [np.empty((3, *b.shape)) for b in plan.blocks]
+    calls, drawn, state = [], [[], [], []], [np.empty((3, *b.shape)) for b in plan.blocks]
     draw_move = cifc.sampling._draw_move
 
     def spy(plan, rng):
         k = next(k for k, g in enumerate(rngs) if g is rng)
-        moves.append((k, *reference_propose(plan, state, k, copy.deepcopy(rng))))
+        drawn[k].append(copy.deepcopy(rng))
         return draw_move(plan, rng)
 
     def score(blocks, owners):
         assert [b.shape for b in blocks] == [(len(owners), *b.shape) for b in plan.blocks]
+        rows = owners.tolist()
         if calls:
-            assert [k for k, _, _ in moves] == owners.tolist()
-            assert all(blocks[idx][r].tobytes() == block.tobytes()
-                       for r, (_, idx, block) in enumerate(moves))
-            moves.clear()
-        calls.append(owners.tolist())
-        for k in set(calls[-1]):
+            # the drawn moves not yet kept, each a row
+            assert [k for k in range(3) for _ in drawn[k]] == rows
+            for r, k in enumerate(rows):
+                rng = copy.deepcopy(drawn[k][rows[:r].count(k)])
+                idx, block = reference_propose(plan, state, k, rng)
+                assert all(b[r].tobytes() == (block if i == idx else s[k]).tobytes()
+                           for i, (b, s) in enumerate(zip(blocks, state)))
+            for k in set(rows):
+                drawn[k].pop(0)
+        calls.append(rows)
+        for k in set(rows):
             for s, b in zip(state, blocks):
-                s[k] = b[calls[-1].index(k)]
+                s[k] = b[rows.index(k)]
         return [(float(len(calls)),)] * len(owners)
 
     monkeypatch.setattr(cifc.sampling, "_draw_move", spy)
@@ -229,8 +238,9 @@ def test_climb_scores_the_starts_then_a_row_per_generator_each_step(monkeypatch,
     assert calls[0] == [k for k in range(3) for _ in range(n_starts)]
     for i, c in enumerate(calls[1:]):
         assert c == sorted(c) and [c.count(k) for k in range(3)] == [min(depth, budget - n_starts - i)] * 3
-    # the starts, then one kept row per generator a round
+    # the starts, then one kept row per generator a round, and no move left unscored
     assert [n_starts + sum(k in c for c in calls[1:]) for k in range(3)] == [budget] * 3
+    assert drawn == [[], [], []]
     assert best == [(float(len(calls)),)] * 3
 
 
@@ -272,9 +282,10 @@ def test_climb_restarts_a_stalled_climb_at_the_steps_the_rule_names(monkeypatch)
 @pytest.mark.parametrize("keeps", ["every row", "no row"])
 def test_a_round_leaves_each_climb_as_stepping_one_row_at_a_time(monkeypatch, keeps):
     # a score that beats every best makes each climb keep its round's first
-    # row and set its generator back; one that beats none drops nothing but
-    # at the restarts; either way each generator evaluates the same states
-    # and ends in the same state as at a round of one row
+    # row and carry the moves after it to its next round; one that beats
+    # none keeps only the restarts, each a round's first row; either way
+    # each generator evaluates the same states and ends in the same state
+    # as at a round of one row
     def run(round_rows):
         monkeypatch.setattr(cifc.sampling, "ROUND_ROWS", round_rows)
         rngs = [np.random.default_rng(s) for s in range(3)]
@@ -296,6 +307,45 @@ def test_a_round_leaves_each_climb_as_stepping_one_row_at_a_time(monkeypatch, ke
     assert (evaluated, best, states) == run(1)[:3]
     assert all(len(e) == 1000 for e in evaluated)
     assert calls < 1000 - 6 if keeps == "no row" else calls == 1000 - 6 + 1
+
+
+def test_a_move_kept_just_before_a_restart_is_due_puts_the_restart_off(monkeypatch):
+    # climb k of 1400 evaluations from 6 starts keeps one move, at
+    # evaluation 306 - k: alone it would restart at 307, 609 and 911, but
+    # the keep resets its stall, so it restarts at 608 - k and 910 - k.  A
+    # round draws its rows as if each were rejected, so a restart looks due
+    # in the rows after the kept one; it waits for a round's first row, and
+    # the climbs end as they do one row at a time
+    values, draw, round_rows = {}, cifc.sampling._draw, cifc.sampling.ROUND_ROWS
+
+    def run(round_rows):
+        monkeypatch.setattr(cifc.sampling, "ROUND_ROWS", round_rows)
+        rngs = [np.random.default_rng(s) for s in range(3)]
+        restarts, calls = [[], [], []], []
+
+        def draw_spy(plans, gens):
+            if len(plans) == 1:  # drawn before its round's call, evaluation len(calls) + 5
+                k = next(k for k, g in enumerate(rngs) if g is gens[0])
+                restarts[k].append(len(calls) + 5)
+            return draw(plans, gens)
+
+        def score(blocks, owners):
+            calls.append(None)
+            if round_rows == 1:  # call c > 1 is every climb's evaluation c + 4
+                for r, k in enumerate(owners.tolist()):
+                    values[_state_bytes(blocks, r)] = float(len(calls) + 4 == 306 - k)
+            return [(values.get(_state_bytes(blocks, r), 0.0),) for r in range(len(owners))]
+
+        monkeypatch.setattr(cifc.sampling, "_draw", draw_spy)
+        best = climb(builtin_schema("RTD"), rngs, 1400, score)
+        return best, [rng.bit_generator.state for rng in rngs], restarts
+
+    best, states, restarts = run(1)
+    assert restarts == [[608 - k, 910 - k] for k in range(3)]
+    assert best == [(1.0,)] * 3
+    best_rounds, states_rounds, restarts_rounds = run(round_rows)
+    assert (best_rounds, states_rounds) == (best, states)
+    assert [len(r) for r in restarts_rounds] == [2] * 3
 
 
 def test_climb_with_no_feasible_row_has_no_best():

@@ -39,7 +39,6 @@ from cifc.sampling import (
     _joints,
     _mode_for,
     sample_factored,
-    sample_instance,
     sample_instances,
 )
 from cifc.verify import (
@@ -73,26 +72,26 @@ BSC = canonical_channel("bsc_pair", eps1=0.05, eps2=0.1)
 @pytest.mark.parametrize("mode", ["free", "det", "flat_det"])
 def test_sample_instance_obeys_factorization(sid, mode):
     schema = builtin_schema(sid)
-    d = sample_instance(schema, random_channel(5), 5, mode=mode)
+    d = sample_instances(schema, [random_channel(5)], [5], [mode])[0]
     instantiate(schema, d)  # raises on violation
 
 
 def test_sample_instance_maric_pairing():
     mar = builtin_schema("MARIC")
-    d = sample_instance(mar, random_channel(1, sizes=(2, 4, 2, 2)), 1, mode="free")
+    d = sample_instances(mar, [random_channel(1, sizes=(2, 4, 2, 2))], [1], ["free"])[0]
     assert evaluate_expr(d, entropy_term("X2", "X2a X2b")) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_sample_instance_unknown_mode():
     with pytest.raises(InvalidParameter):
-        sample_instance(builtin_schema("RTD"), BSC, 0, mode="warm")
+        sample_instances(builtin_schema("RTD"), [BSC], [0], ["warm"])[0]
     with pytest.raises(InvalidParameter, match="a batch needs at least one seed"):
         sample_instances(builtin_schema("RTD"), BSC, [], [])
 
 
 def test_sample_instance_deterministic():
-    a = sample_instance(builtin_schema("RTD"), BSC, 9, mode="det")
-    b = sample_instance(builtin_schema("RTD"), BSC, 9, mode="det")
+    a = sample_instances(builtin_schema("RTD"), [BSC], [9], ["det"])[0]
+    b = sample_instances(builtin_schema("RTD"), [BSC], [9], ["det"])[0]
     assert np.array_equal(a.prob, b.prob)
 
 
@@ -219,7 +218,7 @@ def test_sample_instance_draws_are_pinned(sid, seed, mode, size, digest):
     schema = builtin_schema(sid)
     rvs = schema.rv_set(size)
     sizes = (rvs.size("X1"), rvs.size("X2"), 2, 2)
-    d = sample_instance(schema, random_channel(seed, sizes), seed, size=size, mode=mode)
+    d = sample_instances(schema, [random_channel(seed, sizes)], [seed], [mode], size)[0]
     assert hashlib.sha256(d.prob.tobytes()).hexdigest() == digest
 
 
@@ -256,7 +255,7 @@ def test_compiled_rhs_of_sampled_instances_is_pinned():
         for mode in SAMPLING_MODES:
             for seed in range(10):
                 ch = random_channel(seed, _channel_sizes(schema))
-                d = sample_instance(schema, ch, seed, mode=mode)
+                d = sample_instances(schema, [ch], [seed], [mode])[0]
                 h.update((compiled.sign * compiled.rhs(d)).tobytes())
     assert h.hexdigest() == "6b007d94c613ae1ce5a0a7cc019b68fe95bbeef33a86e3cc4da3dc0433342560"
 
@@ -269,7 +268,7 @@ def test_compiled_rhs_of_sampled_instances_matches_log_ratio_reference():
         for mode in SAMPLING_MODES:
             for seed in range(10):
                 ch = random_channel(seed, _channel_sizes(schema))
-                d = sample_instance(schema, ch, seed, mode=mode)
+                d = sample_instances(schema, [ch], [seed], [mode])[0]
                 expected = [
                     sum(s * reference_mutual_information(d, t.left, t.right, t.given)
                         for s, t in c.rhs.terms)
@@ -366,6 +365,26 @@ def test_frontier_rtd_workload_csv_is_pinned():
     )
 
 
+@pytest.mark.parametrize("seed", [1, 2])
+def test_frontier_rtd_workload_draws_each_move_once(monkeypatch, seed):
+    # the benchmark's frontier-rtd run: 5 lambdas of 200 evaluations, 5 of
+    # them starts and none a restart, in rounds several rows deep; a move
+    # drawn after a kept one is carried to the next round, not drawn again
+    import cifc.sampling
+
+    draws = []
+    draw_move = cifc.sampling._draw_move
+
+    def spy(plan, rng):
+        draws.append(rng)
+        return draw_move(plan, rng)
+
+    monkeypatch.setattr(cifc.sampling, "_draw_move", spy)
+    trace_frontier("RTD", canonical_channel("orthogonal_noiseless"), budget=200, seed=seed,
+                   lambdas=5)
+    assert len(draws) == 5 * (200 - 5)
+
+
 # -- batches ----------------------------------------------------------------------
 
 
@@ -389,12 +408,12 @@ def test_a_batch_evaluates_bit_for_bit_as_its_members_one_by_one(sid):
     regions = project_or_empty(systems)
     assert b.shape == systems.b.shape == (30, len(schema.constraints)) and len(regions) == 30
     for k, s in enumerate(seeds):
-        one = sample_instance(schema, channels[k], s, mode=modes[k])
+        one = sample_instances(schema, [channels[k]], [s], [modes[k]])[0]
         assert d[k].prob.tobytes() == one.prob.tobytes()
         assert b[k].tobytes() == (compiled.sign * compiled.rhs(one)).tobytes()
         assert supports[k] == projection.support(compiled.sign * compiled.rhs(one), lams[k],
                                                  1.0 - lams[k])
-        alone = sample_instance(schema, channels[0], s, mode=modes[k])
+        alone = sample_instances(schema, [channels[0]], [s], [modes[k]])[0]
         assert shared[k].prob.tobytes() == alone.prob.tobytes()
         assert systems[k] == instantiate(schema, one)
         region = project_or_empty(instantiate(schema, one))
@@ -559,7 +578,7 @@ def test_jiang_extra_bounds_named_iff_dropping_them_reshapes(seed):
     strict = active = 0
     for i in range(100):
         s = seed + 20_000 + i
-        d = sample_instance(jg, random_channel(s), s, mode=_mode_for(i))
+        d = sample_instances(jg, [random_channel(s)], [s], [_mode_for(i)])[0]
         system = instantiate(jg, d)
         pj = project_or_empty(system)
         pu = project_or_empty(instantiate(uj, d))
@@ -661,7 +680,8 @@ def test_reversed_containment_fails_at_the_most_violating_vertex():
         head, rest = message.split(": vertex ")
         s = int(head.removeprefix("seed "))
         vertex = ast.literal_eval(rest.split(" outside")[0])
-        d = sample_instance(builtin_schema("RTD_JIANG"), random_channel(s), s, mode=_mode_for(s))
+        d = sample_instances(builtin_schema("RTD_JIANG"), [random_channel(s)], [s],
+                             [_mode_for(s)])[0]
         po = project_or_empty(instantiate(builtin_schema("JIANG"), d))
         pi = project_or_empty(instantiate(builtin_schema("RTD_JIANG"), d))
         assert vertex in pi.vertices
