@@ -175,19 +175,6 @@ class FactorizationSpec:
         return tuple(t for f in self.factors for t in f.targets)
 
 
-def chain(*factors: tuple) -> FactorizationSpec:
-    """Shorthand: chain(("U",), ("X", "U")) == p(U) p(X|U)."""
-    out = []
-    for f in factors:
-        if isinstance(f, Factor):
-            out.append(f)
-        elif len(f) == 1:
-            out.append(Factor(_names(f[0])))
-        else:
-            out.append(Factor(_names(f[0]), _names(f[1])))
-    return FactorizationSpec(tuple(out))
-
-
 # ---------------------------------------------------------------------------
 # Construction
 # ---------------------------------------------------------------------------
@@ -557,39 +544,6 @@ def factorization_checks(spec: FactorizationSpec) -> tuple[tuple[str, MITerm], .
             out.append((name, mi(f.targets, rest, f.given)))
         earlier.extend(f.targets)
     return tuple(out)
-
-
-# ---------------------------------------------------------------------------
-# Variable renaming / merging on expressions
-# ---------------------------------------------------------------------------
-
-
-def rename_term(t: MITerm, mapping: dict[str, tuple[str, ...]]) -> MITerm | None:
-    """Apply a name substitution; names mapped to () are dropped.
-
-    Returns None when the left or right set vanishes (the atom is then
-    identically zero).
-    """
-
-    def sub(names: tuple[str, ...]) -> tuple[str, ...]:
-        out: list[str] = []
-        for n in names:
-            out.extend(mapping.get(n, (n,)))
-        return tuple(dict.fromkeys(out))
-
-    left, right, given = sub(t.left), sub(t.right), sub(t.given)
-    if not left or not right:
-        return None
-    return MITerm(left, right, given)
-
-
-def rename_expr(e: MIExpr, mapping: dict[str, tuple[str, ...]]) -> MIExpr:
-    terms = []
-    for s, t in e.terms:
-        rt = rename_term(t, mapping)
-        if rt is not None:
-            terms.append((s, rt))
-    return MIExpr(tuple(terms))
 
 
 # ---------------------------------------------------------------------------

@@ -7,13 +7,14 @@ names only the variables and rates declared above it:
 
   schema RTD                        the id, first
   chain p(A) p(B,C|A) ...           the input factorization, in chain order
-  copy X2 = X2a,X2b                 a deterministic paired copy of its parts
+  copy X2 = X2a,X2b                 a deterministic paired copy of parts its factor is given
   rates R1c R1pb ...                the rate variables, in column order
   R1 = R1c + R1pb                   the projection onto (R1, R2), one line each
-  input X2 reads U2c                a channel input's only parents
+  input X2 reads U2c                a channel input's only parents, given in its factor
   size Q = 1                        a default cardinality
-  pin R1c' = I(U1c;X2|U2c)          a variable the region fixes, as text
+  pin R1c' = I(U1c;X2|U2c)          a unified-region name the region fixes, as text
   note ...                          a free-text note
+  superseded GROUP: TEXT            a superseded variant, in its source's notation
   1a: R1c' >= I(U1c;X2|U2c)         a constraint, as str() prints it (0: no rhs)
 
 Labels follow the source derivations' equation labels, so the audit
@@ -47,7 +48,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .channel import OUTPUTS
+from .channel import INPUTS, OUTPUTS
 from .errors import (
     InvalidParameter,
     UnknownSchema,
@@ -67,7 +68,6 @@ from .probability import (
     evaluate_shared,
     factorization_checks,
     mi,
-    rename_expr,
 )
 
 LE = "LE"
@@ -130,6 +130,7 @@ class RegionSchema:
     default_sizes: tuple[tuple[str, int], ...] = ()
     pinned: tuple[tuple[str, str], ...] = ()
     notes: tuple[str, ...] = ()
+    superseded: tuple[tuple[str, str], ...] = ()  # (group, variant) in the source's notation
 
     def __post_init__(self):
         declared = set(self.variables) | set(OUTPUTS)
@@ -310,11 +311,6 @@ class LinearSystem:
         alone: those with a positive coefficient or an rhs below -MI_TOL."""
         return (self.structure.matrix > 0).any(axis=1) | ~(self.b >= -MI_TOL)
 
-    def without_vacuous(self) -> LinearSystem:
-        """Drop the rows that `nonvacuous` leaves out, from one system."""
-        keep = self.one().nonvacuous()
-        return self._select(np.flatnonzero(keep).tolist(), range(len(self.variables)), self.b)
-
 
 def check_distribution(schema: RegionSchema, d: JointDistribution) -> None:
     """Require `d` to satisfy the schema's requirements (conditional
@@ -430,6 +426,15 @@ R1 = R1c + R1pb
 R2 = R2c + R2pa
 note binning rows e20/e21 are stated as equalities; encoded GE, equality is WLOG
 note rhs forms are the deterministic-input variants; the pre-insertion forms appear in the audit manifest only
+superseded e23-e29 pre-insertion: R21' = I(V21;V11,V12|W)
+superseded e23-e29 pre-insertion: R22' = I(V22;V11,V12|W)
+superseded e23-e29 pre-insertion: R11 <= I(Y1,V12,V21;V11|W)
+superseded e23-e29 pre-insertion: R21+R21' <= I(Y1,V11,V12;V21|W)
+superseded e23-e29 pre-insertion: R11+R21+R21' <= I(Y1,V12;V11,V21|W) + I(V11;V21|W)
+superseded e23-e29 pre-insertion: R11+R21+R21'+R12 <= I(Y1;V11,V21,V12|W) + I(V11,V12;V21|W)
+superseded e23-e29 pre-insertion: R22+R22' <= I(Y2,V12,V21;V22|W)
+superseded e23-e29 pre-insertion: R22+R22'+R21+R21' <= I(Y2,V12;V22,V21|W) + I(V22;V21|W)
+superseded e23-e29 pre-insertion: R22+R22'+R21+R21'+R12 <= I(Y2;V22,V21,V12|W) + I(V22,V21;V12|W)
 e20: R1c' >= I(U1c;U2c,X2)
 e21: R1pb' >= I(U1pb;U2c,X2)
 e23: R1c + R1c' + R2c + R2pa <= I(Y2;U1c,U2c,X2) + I(U2c,X2;U1c)
@@ -548,8 +553,9 @@ _CONSTRAINT = re.compile(r"([\w']+): (.+) ([<>]=) (.+)")
 _FACTS = {  # line kind -> (the text after the kind, the value's reader, the RegionSchema field)
     "input": (re.compile(rf"(\w+) reads ({_VARS})"), lambda v: tuple(v.split(",")), "input_deps"),
     "copy": (re.compile(rf"(\w+) = ({_VARS})"), lambda v: tuple(v.split(",")), "deterministic"),
-    "size": (re.compile(r"(\w+) = (\d+)"), int, "default_sizes"),
+    "size": (re.compile(r"(\w+) = ([1-9]\d*)"), int, "default_sizes"),
     "pin": (re.compile(rf"({_RATE}) = (.+)"), str, "pinned"),
+    "superseded": (re.compile(r"([^:]+): (.+)"), str, "superseded"),
 }
 
 
@@ -585,10 +591,42 @@ def _linear(text: str, rates: Sequence[str]) -> tuple[tuple[str, int], ...]:
     return terms
 
 
+def parse_chain(text: str) -> FactorizationSpec:
+    """The factorization a chain line states, 'p(A) p(B,C|A)'."""
+    factors = (_read(_FACTOR, f, "a factor p(A|B)") for f in text.split(" "))
+    return FactorizationSpec(tuple(Factor(t, g or ()) for t, g in factors))
+
+
+@lru_cache(maxsize=1)
+def _unified_names() -> frozenset[str]:
+    """The names a pin may fix: the rates and variables of the unified
+    region, the catalog's first block (which pins none)."""
+    unified = parse_schema(_CATALOG.strip("\n").split("\n\n")[0])
+    return frozenset(unified.rate_vars + unified.variables)
+
+
+def _check_fact(kind: str, name: str, value, chain: FactorizationSpec) -> None:
+    """Refuse a pin of no name of the unified region; a size, copy or input
+    of no variable (an input of no channel input) of the chain above; and a
+    copy or input that reads a variable its factor is not given."""
+    given = {t: f.given for f in chain.factors for t in f.targets}
+    if kind == "pin" and name not in _unified_names():
+        raise InvalidParameter(f"pin {name}: no rate or variable of the unified region")
+    if kind in ("size", "copy", "input") and name not in given:
+        raise InvalidParameter(f"{kind} {name}: no variable of the chain above")
+    if kind == "input" and name not in INPUTS:
+        raise InvalidParameter(f"input {name}: no channel input")
+    unread = set(value) - set(given[name]) if kind in ("copy", "input") else ()
+    if unread:
+        raise InvalidParameter(f"{kind} {name}: its factor is not given {sorted(unread)}")
+
+
 def parse_schema(block: str) -> RegionSchema:
     """The RegionSchema one catalog block states (the line kinds are in
-    the module docstring).  A line it cannot read is refused with
-    InvalidParameter naming the schema and the line's number in the block."""
+    the module docstring).  A line it cannot read, or whose fact names
+    what its kind cannot take, is refused with InvalidParameter naming the
+    schema and the line's number in the block; a block without its R1 and
+    R2 lines is refused naming its last line."""
     lines = block.strip("\n").split("\n")
     kind, _, sid = lines[0].partition(" ")
     if kind != "schema" or not sid:
@@ -599,9 +637,7 @@ def parse_schema(block: str) -> RegionSchema:
         kind, _, rest = line.partition(" ")
         try:
             if kind == "chain":
-                factors = (_read(_FACTOR, f, "a factor p(A|B)") for f in rest.split(" "))
-                fields["factorization"] = FactorizationSpec(
-                    tuple(Factor(t, g or ()) for t, g in factors))
+                fields["factorization"] = parse_chain(rest)
             elif kind == "rates":
                 fields["rate_vars"] = tuple(_read(_RATES, rest, "rate names")[0].split(" "))
             elif kind in ("R1", "R2") and rest.startswith("= "):
@@ -609,6 +645,7 @@ def parse_schema(block: str) -> RegionSchema:
             elif kind in _FACTS:
                 pattern, reader, field = _FACTS[kind]
                 name, value = _read(pattern, rest, f"a {kind} line")
+                _check_fact(kind, name, reader(value), fields["factorization"])
                 fields[field] += ((name, reader(value)),)
             elif kind == "note":
                 fields["notes"] += (rest,)
@@ -626,6 +663,9 @@ def parse_schema(block: str) -> RegionSchema:
                 raise InvalidParameter(f"unknown line kind {kind!r}")
         except ValueError as e:
             raise InvalidParameter(f"schema {sid}, line {number}: {e}") from e
+    if sorted(w for w, _ in fields["projection"]) != ["R1", "R2"]:
+        raise InvalidParameter(f"schema {sid}, line {len(lines)}: the block ends "
+                               "without one 'R1 =' and one 'R2 =' line")
     return RegionSchema(id=sid, **fields)
 
 
@@ -641,51 +681,9 @@ def builtin_schema(schema_id: str) -> RegionSchema:
     return _SCHEMAS[schema_id]
 
 
-MARIC_MERGE_MAP: dict[str, tuple[str, ...]] = {"X2a": (), "X2b": ("X2a", "X2b")}
-
-
-def maric_merged() -> RegionSchema:
-    """The MARIC schema after merging the decoded part of the primary input.
-
-    Substitutes X2b' = (X2a, X2b) and drops X2a (now degenerate), expressed
-    over the original variables so both forms evaluate on one joint.
-    """
-    base = builtin_schema("MARIC")
-    constraints = tuple(
-        LinearRateConstraint(
-            c.coeffs, c.sense, rename_expr(c.rhs, MARIC_MERGE_MAP), c.label + "'"
-        )
-        for c in base.constraints
-    )
-    return RegionSchema(
-        id="MARIC_MERGED",
-        factorization=base.factorization,
-        deterministic=base.deterministic,
-        default_sizes=base.default_sizes,
-        rate_vars=base.rate_vars,
-        constraints=constraints,
-        projection=base.projection,
-        notes=("merged form: the decoded primary part has cardinality 1",),
-    )
-
-
 # ---------------------------------------------------------------------------
 # Audit manifest
 # ---------------------------------------------------------------------------
-
-_DMT_OUT_SUPERSEDED = {
-    "e23-e29 pre-insertion": [
-        "R21' = I(V21;V11,V12|W)",
-        "R22' = I(V22;V11,V12|W)",
-        "R11 <= I(Y1,V12,V21;V11|W)",
-        "R21+R21' <= I(Y1,V11,V12;V21|W)",
-        "R11+R21+R21' <= I(Y1,V12;V11,V21|W) + I(V11;V21|W)",
-        "R11+R21+R21'+R12 <= I(Y1;V11,V21,V12|W) + I(V11,V12;V21|W)",
-        "R22+R22' <= I(Y2,V12,V21;V22|W)",
-        "R22+R22'+R21+R21' <= I(Y2,V12;V22,V21|W) + I(V22;V21|W)",
-        "R22+R22'+R21+R21'+R12 <= I(Y2;V22,V21,V12|W) + I(V22,V21;V12|W)",
-    ]
-}
 
 
 def schema_manifest(schema: RegionSchema) -> dict:
@@ -698,31 +696,22 @@ def schema_manifest(schema: RegionSchema) -> dict:
         "rate_variables": [
             {"name": n, "role": "message" if n in messages else "binning"} for n in schema.rate_vars
         ],
-        "projection": {
-            name: {n: c for n, c in coeffs} for name, coeffs in schema.projection
-        },
-        "factorization": [
-            {"targets": list(f.targets), "given": list(f.given)}
-            for f in schema.factorization.factors
-        ],
-        "constraints": [
-            {
-                "label": c.label,
-                "lhs": {n: v for n, v in c.coeffs},
-                "sense": c.sense,
-                "rhs": str(c.rhs),
-            }
-            for c in schema.constraints
-        ],
+        "projection": {name: dict(coeffs) for name, coeffs in schema.projection},
+        "factorization": [{"targets": list(f.targets), "given": list(f.given)}
+                          for f in schema.factorization.factors],
+        "constraints": [{"label": c.label, "lhs": dict(c.coeffs), "sense": c.sense,
+                         "rhs": str(c.rhs)} for c in schema.constraints],
     }
     if schema.deterministic:
         out["deterministic"] = {name: list(parts) for name, parts in schema.deterministic}
     if schema.pinned:
-        out["pinned"] = {name: value for name, value in schema.pinned}
+        out["pinned"] = dict(schema.pinned)
     if schema.notes:
         out["notes"] = list(schema.notes)
-    if schema.id == "DMT_OUT":
-        out["superseded_variants"] = _DMT_OUT_SUPERSEDED
+    if schema.superseded:
+        out["superseded_variants"] = {}
+        for group, variant in schema.superseded:
+            out["superseded_variants"].setdefault(group, []).append(variant)
     return out
 
 

@@ -38,7 +38,7 @@ from collections.abc import Iterable, Sequence
 import numpy as np
 
 from . import probability
-from .channel import Channel, check_integer, random_channel
+from .channel import Channel, _random_channel, check_integer, random_channel
 from .errors import InvalidParameter, Unbounded
 from .probability import MI_TOL, MIExpr, compile_exprs, extend_through_channel, mi
 from .polytope import (
@@ -59,7 +59,6 @@ from .regions import (
     compile_schema,
     instantiate,
     instantiate_all,
-    maric_merged,
     parse_expr,
     same_system,
 )
@@ -205,7 +204,7 @@ def _batches(schema: RegionSchema, seed: int, samples: int, channel: Channel | N
     sizes = _channel_sizes(schema)
     for at in range(0, len(seeds), BATCH):
         chunk = seeds[at:at + BATCH]
-        channels = channel or [random_channel(s, sizes) for s in chunk]
+        channels = channel or [_random_channel(s, *sizes) for s in chunk]
         modes = [mode or _mode_for(i) for i in range(at, at + len(chunk))]
         yield chunk, sample_instances(schema, channels, chunk, modes)
 
@@ -257,11 +256,26 @@ _CC_PRIMED = """\
 41p: I(Y1;U11,V11,V20|U10) + I(Y2;V22|U10,V20) + I(Y2;U10,V20,V22) - I(V22;U11,V11|U10,V20)
 """
 
+# MARIC's five bounds with the decoded part X2a merged into X2b' = (X2a, X2b),
+# written over the original variables so that both forms evaluate on one joint
+_MARIC_MERGED = """\
+m1': I(U1a;Y1|Q,U1c) - I(U1a;X2a,X2b|Q,U1c) + I(U1c,X2a,X2b;Y2|Q)
+m2': I(U1a,U1c;Y1|Q) - I(U1a,U1c;X2a,X2b|Q)
+m3': I(U1c,X2;Y2|Q)
+m4': I(X2;U1c,Y2|Q)
+m5': I(U1a;Y1|Q,U1c) - I(U1a;X2a,X2b|Q,U1c) + I(U1c,X2;Y2|Q)
+"""
+
+
+def _bounds(table: str) -> dict[str, MIExpr]:
+    """A table of `label: rhs` lines, each rhs read by parse_expr."""
+    return {label: parse_expr(rhs) for label, rhs in
+            (line.split(": ") for line in table.splitlines())}
+
 
 def cc_primed_expressions() -> dict[str, MIExpr]:
     """The five merged-comparator bounds 37p-41p, transcribed independently."""
-    return {label: parse_expr(rhs) for label, rhs in
-            (line.split(": ") for line in _CC_PRIMED.splitlines())}
+    return _bounds(_CC_PRIMED)
 
 
 CC_GAP = mi("V22 V20", "U11", "U10")
@@ -357,11 +371,10 @@ def jiang_identity_checks() -> tuple[IdentityCheck, ...]:
 def maric_identity_checks() -> tuple[IdentityCheck, ...]:
     """Merging the decoded part of the split primary input raises the first
     bound by exactly I(X2a;Y2|Q) and leaves the other four unchanged."""
-    mar = builtin_schema("MARIC")
-    merged = maric_merged()
+    mar, merged = builtin_schema("MARIC"), _bounds(_MARIC_MERGED)
 
     def delta(lab: str) -> MIExpr:
-        return merged.constraint(lab + "'").rhs - mar.constraint(lab).rhs
+        return merged[lab + "'"] - mar.constraint(lab).rhs
 
     return (
         IdentityCheck(

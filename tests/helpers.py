@@ -248,6 +248,11 @@ def make_system(variables, rows, b, r1, r2, labels=None) -> LinearSystem:
     return LinearSystem(RateStructure(tuple(variables), rows, tuple(r1), tuple(r2), labels), b)
 
 
+def drop_vacuous(system: LinearSystem) -> LinearSystem:
+    """The system without the rows that `nonvacuous` leaves out."""
+    return system.drop(*(lab for lab, kept in zip(system.labels, system.nonvacuous()) if not kept))
+
+
 def reference_le_system(schema, d, pin=None, vacuous=False, drop=()) -> LinearSystem:
     """A schema's LE-normal system at d, transcribed from the conversion
     that ran before `instantiate` returned LE rows itself.

@@ -22,7 +22,6 @@ from cifc.probability import (
     JointDistribution,
     MIExpr,
     RandomVariableSet,
-    chain,
     entropy_term,
     entropy_vector,
     evaluate_expr,
@@ -31,10 +30,8 @@ from cifc.probability import (
     joint_to_json,
     load_joint,
     mi,
-    rename_expr,
-    rename_term,
 )
-from cifc.regions import SCHEMA_IDS, builtin_schema
+from cifc.regions import SCHEMA_IDS, builtin_schema, parse_chain
 from cifc.sampling import (
     _draw,
     _joints,
@@ -64,7 +61,7 @@ def uniform_inputs() -> JointDistribution:
 
 def test_sample_single_binary_rv_is_simplex_point():
     rvs = RandomVariableSet(("U",), (2,))
-    d = sample_factored(rvs, chain(("U",)), seed=3)
+    d = sample_factored(rvs, parse_chain("p(U)"), seed=3)
     assert d.prob.shape == (2,)
     assert d.prob.min() >= 0
     assert d.prob.sum() == pytest.approx(1.0, abs=1e-12)
@@ -72,7 +69,7 @@ def test_sample_single_binary_rv_is_simplex_point():
 
 def test_sample_degenerate_chain_supported_on_single_slice():
     rvs = RandomVariableSet(("U", "X"), (1, 3))
-    d = sample_factored(rvs, chain(("U",), ("X", "U")), seed=1)
+    d = sample_factored(rvs, parse_chain("p(U) p(X|U)"), seed=1)
     assert d.prob.shape == (1, 3)
     assert d.prob.sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -80,12 +77,12 @@ def test_sample_degenerate_chain_supported_on_single_slice():
 def test_sample_missing_variable_rejected():
     rvs = RandomVariableSet(("U", "X"), (2, 2))
     with pytest.raises(SpecCoverageError):
-        sample_factored(rvs, chain(("U",)), seed=0)
+        sample_factored(rvs, parse_chain("p(U)"), seed=0)
 
 
 def test_sample_deterministic_in_seed():
     rvs = RandomVariableSet(("A", "B", "C"), (2, 2, 2))
-    spec = chain(("A",), ("B", "A"), ("C", "A B"))
+    spec = parse_chain("p(A) p(B|A) p(C|A,B)")
     d1 = sample_factored(rvs, spec, seed=11)
     d2 = sample_factored(rvs, spec, seed=11)
     assert np.array_equal(d1.prob, d2.prob)
@@ -115,7 +112,7 @@ def test_factorization_spec_validation():
 @pytest.mark.parametrize("seed", range(20))
 def test_sampled_chain_satisfies_declared_independencies(seed):
     rvs = RandomVariableSet(("X2", "U1c", "U1pb"), (2, 2, 2))
-    spec = chain(("X2",), ("U1c", "X2"), ("U1pb", "X2"))
+    spec = parse_chain("p(X2) p(U1c|X2) p(U1pb|X2)")
     d = sample_factored(rvs, spec, seed)
     probability.compile_exprs((), probability.factorization_checks(spec))(d)
     assert evaluate_expr(d, mi("U1c", "U1pb", "X2")) <= 1e-9
@@ -174,14 +171,14 @@ def test_extension_marginal_is_channel_pushforward():
 
 
 def test_marginalize_keep_all_is_identity():
-    d = sample_factored(RandomVariableSet(("A", "B"), (2, 3)), chain(("A",), ("B", "A")), 5)
+    d = sample_factored(RandomVariableSet(("A", "B"), (2, 3)), parse_chain("p(A) p(B|A)"), 5)
     p, order = _marginal(d, ("B", "A"))
     assert order == ("A", "B")
     assert np.allclose(p, d.prob, atol=0)
 
 
 def test_marginalize_to_nothing_is_scalar_one():
-    d = sample_factored(RandomVariableSet(("A",), (4,)), chain(("A",)), 5)
+    d = sample_factored(RandomVariableSet(("A",), (4,)), parse_chain("p(A)"), 5)
     p, order = _marginal(d, ())
     assert p.shape == () and order == ()
     assert float(p) == pytest.approx(1.0, abs=1e-12)
@@ -238,7 +235,7 @@ def test_miterm_validation():
 
 def test_expr_cancellation_is_zero():
     d = sample_factored(
-        RandomVariableSet(("A", "B"), (2, 2)), chain(("A",), ("B", "A")), 17
+        RandomVariableSet(("A", "B"), (2, 2)), parse_chain("p(A) p(B|A)"), 17
     )
     e = mi("A", "B") - mi("A", "B")
     assert evaluate_expr(d, e) == 0.0
@@ -247,7 +244,7 @@ def test_expr_cancellation_is_zero():
 @pytest.mark.parametrize("seed", range(10))
 def test_expr_chain_rule_identity(seed):
     rvs = RandomVariableSet(("U1c", "U2c", "X2"), (2, 2, 2))
-    d = sample_factored(rvs, chain(("U1c U2c X2",)), seed)
+    d = sample_factored(rvs, parse_chain("p(U1c,U2c,X2)"), seed)
     e = mi("U1c", "X2 U2c") - mi("U1c", "X2") - mi("U2c", "U1c", "X2")
     assert abs(evaluate_expr(d, e)) < 1e-12
 
@@ -292,7 +289,7 @@ def test_ci_rejects_identical_variables():
 @pytest.mark.parametrize("seed", range(100))
 def test_ci_holds_for_sampled_chain(seed):
     rvs = RandomVariableSet(("X2", "U1c", "U1pb"), (2, 2, 2))
-    d = sample_factored(rvs, chain(("X2",), ("U1c", "X2"), ("U1pb", "X2")), seed)
+    d = sample_factored(rvs, parse_chain("p(X2) p(U1c|X2) p(U1pb|X2)"), seed)
     assert evaluate_expr(d, mi("U1c", "U1pb", "X2")) <= 1e-9
 
 
@@ -300,7 +297,7 @@ def test_verify_factorization_names_violation():
     p = np.zeros((2, 2))
     p[0, 0] = p[1, 1] = 0.5
     d = JointDistribution(RandomVariableSet(("A", "B"), (2, 2)), p)
-    checks = probability.factorization_checks(chain(("A",), ("B",)))
+    checks = probability.factorization_checks(parse_chain("p(A) p(B)"))
     with pytest.raises(FactorizationViolation) as err:
         probability.compile_exprs((), checks)(d)
     assert "I(B;A" in str(err.value).replace(" ", "")
@@ -313,7 +310,7 @@ def test_verify_factorization_names_violation():
 @given(st.integers(min_value=0, max_value=10**6))
 def test_mi_nonnegative_on_sampled_joints(seed):
     rvs = RandomVariableSet(("A", "B", "C"), (2, 2, 2))
-    d = sample_factored(rvs, chain(("A B C",)), seed)
+    d = sample_factored(rvs, parse_chain("p(A,B,C)"), seed)
     for term in (mi("A", "B"), mi("A", "B", "C"), mi("A", "B C")):
         assert evaluate_expr(d, term) >= 0.0
 
@@ -322,7 +319,7 @@ def test_mi_nonnegative_on_sampled_joints(seed):
 @given(st.integers(min_value=0, max_value=10**6))
 def test_chain_rule_on_random_joints(seed):
     rvs = RandomVariableSet(("A", "B", "C", "D"), (2, 2, 2, 2))
-    d = sample_factored(rvs, chain(("A B C D",)), seed)
+    d = sample_factored(rvs, parse_chain("p(A,B,C,D)"), seed)
     lhs = evaluate_expr(d, mi("A", "B C", "D"))
     rhs = evaluate_expr(d, mi("A", "B", "D")) + evaluate_expr(d, mi("A", "C", "B D"))
     assert lhs == pytest.approx(rhs, abs=1e-9)
@@ -332,7 +329,7 @@ def test_chain_rule_on_random_joints(seed):
 @given(st.integers(min_value=0, max_value=10**6))
 def test_entropy_vector_matches_mutual_information(seed):
     rvs = RandomVariableSet(("A", "B", "C", "D"), (2, 3, 2, 2))
-    d = sample_factored(rvs, chain(("A B",), ("C D", "A")), seed)
+    d = sample_factored(rvs, parse_chain("p(A,B) p(C,D|A)"), seed)
     subsets = [("A", "C"), ("B", "C"), ("A", "B", "C"), ("C",), ("A", "B", "C", "D")]
     h = entropy_vector(d, subsets)
     assert h[3] == pytest.approx(reference_entropy(d, "C"), abs=1e-12)
@@ -368,7 +365,7 @@ def test_roundoff_never_makes_mi_negative(seed):
     # A, B independent and B independent of C: each entropy combination
     # below is zero up to roundoff, which can fall on either side of 0
     rvs = RandomVariableSet(("A", "B", "C"), (2, 3, 2))
-    d = sample_factored(rvs, chain(("A",), ("B",), ("C", "A")), seed)
+    d = sample_factored(rvs, parse_chain("p(A) p(B) p(C|A)"), seed)
     for term in (mi("A", "B"), mi("A", "B", "C"), mi("B", "C")):
         assert 0.0 <= evaluate_expr(d, term) <= 1e-12
 
@@ -381,7 +378,7 @@ def test_entropy_vector_exact_on_deterministic_support():
 
 
 def _small_joint() -> JointDistribution:
-    return sample_factored(RandomVariableSet(("A", "B"), (2, 3)), chain(("A B",)), 4)
+    return sample_factored(RandomVariableSet(("A", "B"), (2, 3)), parse_chain("p(A,B)"), 4)
 
 
 def test_entropy_vector_unknown_variable_leaves_the_kernel_usable():
@@ -426,7 +423,7 @@ def test_entropy_vector_skipping_zero_cells_is_the_dense_pass_byte_for_byte(case
         rvs = RandomVariableSet(("A", "B", "C"), (2, 3, 2))
         one_hot = np.zeros(rvs.sizes)
         one_hot[1, 2, 0] = 1.0
-        dense = sample_factored(rvs, chain(("A B C",)), 1).prob
+        dense = sample_factored(rvs, parse_chain("p(A,B,C)"), 1).prob
         prob = {"one-hot": one_hot, "one-hot and dense": np.stack([one_hot, dense]),
                 "no rows": np.empty((0, *rvs.sizes)), "odd subsets": np.stack([one_hot] * 2)}
         d = probability._unchecked(rvs, prob[case])
@@ -503,27 +500,9 @@ def test_an_empty_channel_sequence_is_refused_even_for_an_empty_batch():
 @pytest.mark.parametrize("seed", range(25))
 def test_data_processing_through_channel(seed):
     rvs = RandomVariableSet(("X1", "X2"), (2, 2))
-    d = sample_factored(rvs, chain(("X1 X2",)), seed)
+    d = sample_factored(rvs, parse_chain("p(X1,X2)"), seed)
     ext = extend_through_channel(d, random_channel(seed))
     assert evaluate_expr(ext, mi("X1", "Y1")) <= evaluate_expr(ext, entropy_term("X1")) + 1e-9
-
-
-# -- renaming ----------------------------------------------------------------
-
-
-def test_rename_merges_and_drops():
-    t = mi("X2b U1c", "Y2", "X2a Q")
-    r = rename_term(t, {"X2a": (), "X2b": ("X2a", "X2b")})
-    assert set(r.left) == {"X2a", "X2b", "U1c"}
-    assert r.given == ("Q",)
-    assert rename_term(mi("X2a", "Y2"), {"X2a": ()}) is None
-
-
-def test_rename_expr_drops_vanished_terms():
-    e = mi("X2a", "Y2", "Q") + mi("X2b", "Y1")
-    r = rename_expr(e, {"X2a": (), "X2b": ("X2a", "X2b")})
-    assert len(r.terms) == 1
-    assert set(r.terms[0][1].left) == {"X2a", "X2b"}
 
 
 # -- deterministic variables and serialization --------------------------------
@@ -543,7 +522,7 @@ def test_too_many_variables_for_the_einsum_letters_is_invalid():
 
 def test_joint_json_roundtrip():
     d = sample_factored(
-        RandomVariableSet(("A", "B"), (2, 3)), chain(("A",), ("B", "A")), 8
+        RandomVariableSet(("A", "B"), (2, 3)), parse_chain("p(A) p(B|A)"), 8
     )
     back = joint_from_json(joint_to_json(d))
     assert back.names == d.names

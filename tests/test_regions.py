@@ -1,14 +1,17 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import cifc.probability
+import cifc.regions
 from cifc.channel import random_channel
 from cifc.errors import FactorizationViolation, InvalidParameter, UnknownSchema, UnknownVariable
 from cifc.probability import (
     CompiledExprs,
     JointDistribution,
     MIExpr,
-    chain,
     compile_exprs,
     entropy_term,
     entropy_vector,
@@ -26,7 +29,7 @@ from cifc.regions import (
     compile_schema,
     instantiate,
     instantiate_all,
-    maric_merged,
+    parse_chain,
     parse_expr,
     parse_schema,
     same_system,
@@ -40,7 +43,7 @@ from cifc.sampling import (
     sample_factored,
     sample_instances,
 )
-from cifc.verify import _channel_sizes
+from cifc.verify import _MARIC_MERGED, _bounds, _channel_sizes
 
 EXPECTED_SHAPES = {
     # schema id -> (constraints, rate variables)
@@ -115,6 +118,7 @@ def test_schema_facts_the_manifest_does_not_print():
 def test_every_constraint_reads_back_from_its_printed_form(sid):
     schema = builtin_schema(sid)
     head = f"schema T\nchain p({','.join(schema.variables)})\nrates {' '.join(schema.rate_vars)}\n"
+    head += f"R1 = {schema.rate_vars[0]}\nR2 = {schema.rate_vars[0]}\n"  # any projection serves
     for c in schema.constraints:
         assert parse_schema(head + f"{c.label}: {c}").constraints == (c,)
         assert parse_expr(str(c.rhs)) == c.rhs
@@ -133,7 +137,9 @@ def test_a_coefficient_other_than_one_prints_and_reads_back(terms, text):
     assert parse_expr(text) == expr
 
 
-_BLOCK = "schema T\nchain p(A) p(B,C|A)\nrates R1 R2\nR1 = R1\nR2 = R2\n"
+_HEAD = "schema T\nchain p(A) p(B,C|A)\nrates R1 R2\nR1 = R1\n"
+_BLOCK = _HEAD + "R2 = R2\n"
+_NO_R2 = "a: R1 <= I(A;B)"  # after _HEAD alone: refused naming the block's last line
 
 
 def test_a_small_block_reads_into_its_schema():
@@ -162,12 +168,49 @@ def test_a_small_block_reads_into_its_schema():
     "a: R1 <= I(A;B)\na: R2 <= I(A;C)",  # a duplicate label
     "a: 0 R1 <= I(A;B)",  # no nonzero coefficient
     "pin R1 =",
+    _NO_R2,
+    "R2 = R1",  # a second R2 line
+    "copy C = A,Z",  # a part that is not declared
+    "copy C = B",  # a part that C's factor is not given
+    "copy Z = A",  # a copy of no variable
+    "input X1 reads Z",  # an input the chain does not declare
+    "input B reads A",  # no channel input
+    "chain p(A) p(B,C|A) p(X1|A)\ninput X1 reads B",  # read, but not given to X1
+    "size A = 0",
+    "size Q = 1",  # no variable
+    "pin R9 = 0",  # no rate or variable of the unified region
+    "superseded e23-e29",  # no ': TEXT'
 ])
 def test_malformed_text_is_refused_naming_its_line(lines):
-    block = _BLOCK + lines
+    block = (_HEAD if lines == _NO_R2 else _BLOCK) + lines
     number = block.count("\n") + 1
     with pytest.raises(InvalidParameter, match=f"schema T, line {number}: "):
         parse_schema(block)
+
+
+def test_superseded_variants_read_back_in_the_manifest():
+    schema = parse_schema(_BLOCK + "pin R2pb = 0\nsuperseded old a: R11 <= I(Y1;V11|W)\n"
+                                   "superseded old b: R12 <= I(V12;Y2)\n"
+                                   "superseded old a: R21+R21' <= I(Y1,V11;V21|W)")
+    assert schema.superseded == (("old a", "R11 <= I(Y1;V11|W)"), ("old b", "R12 <= I(V12;Y2)"),
+                                 ("old a", "R21+R21' <= I(Y1,V11;V21|W)"))
+    assert schema_manifest(schema)["superseded_variants"] == {
+        "old a": ["R11 <= I(Y1;V11|W)", "R21+R21' <= I(Y1,V11;V21|W)"],
+        "old b": ["R12 <= I(V12;Y2)"]}
+    assert schema_manifest(schema)["pinned"] == {"R2pb": "0"}
+    assert "superseded_variants" not in schema_manifest(parse_schema(_BLOCK))
+
+
+def test_regions_code_names_no_schema():
+    # a schema comes in as catalog text alone: outside `_CATALOG`, no
+    # string constant of the module is a schema id
+    tree = ast.parse(Path(cifc.regions.__file__).read_text())
+    catalog, = (n for n in tree.body if isinstance(n, ast.Assign)
+                and [getattr(t, "id", None) for t in n.targets] == ["_CATALOG"])
+    inside = {id(n) for n in ast.walk(catalog)}
+    named = [n.value for n in ast.walk(tree) if isinstance(n, ast.Constant)
+             and n.value in SCHEMA_IDS and id(n) not in inside]
+    assert named == []
 
 
 def test_malformed_header_is_refused():
@@ -202,6 +245,7 @@ def test_droppable_full_mapping():
 from helpers import (
     DROPPABLE,
     degenerate_rtd_distribution,
+    drop_vacuous,
     make_system,
     reference_le_system,
     square_assignment,
@@ -252,10 +296,8 @@ def test_instantiate_rejects_factorization_violation():
     general = sample_factored(
         rvs,
         # chain with no independence at all
-        chain(
-            ("U2c",), ("X2", "U2c"), ("U1c", "U2c X2"), ("U1pb", "U2c X2 U1c"),
-            ("X1", "U2c X2 U1c U1pb"),
-        ),
+        parse_chain("p(U2c) p(X2|U2c) p(U1c|U2c,X2) p(U1pb|U2c,X2,U1c) "
+                    "p(X1|U2c,X2,U1c,U1pb)"),
         seed=2,
     )
     d = extend_through_channel(general, random_channel(2))
@@ -266,10 +308,8 @@ def test_instantiate_rejects_factorization_violation():
 def test_instantiate_checks_determinism():
     ccp = builtin_schema("CCP")
     rvs = ccp.rv_set(2)
-    free = chain(
-        ("U2c",), ("U1c", "U2c"), ("U1pb U2pb", "U2c U1c"), ("X2", "U2c"),
-        ("X1", "U2c U1c U1pb U2pb X2"),
-    )
+    free = parse_chain("p(U2c) p(U1c|U2c) p(U1pb,U2pb|U2c,U1c) p(X2|U2c) "
+                       "p(X1|U2c,U1c,U1pb,U2pb,X2)")
     d = sample_factored(rvs, free, 4)  # X2|U2c stochastic, not a copy
     d = extend_through_channel(d, random_channel(4))
     with pytest.raises(FactorizationViolation):
@@ -296,10 +336,8 @@ def test_violations_name_the_first_failed_check_as_pinned(check):
 
 def test_a_batch_names_its_first_violation_as_that_member_alone_would():
     schema = builtin_schema("RTD_IN")
-    general = chain(
-        ("U2c",), ("X2", "U2c"), ("U1c", "U2c X2"), ("U1pb", "U2c X2 U1c"),
-        ("X1", "U2c X2 U1c U1pb"),
-    )
+    general = parse_chain("p(U2c) p(X2|U2c) p(U1c|U2c,X2) p(U1pb|U2c,X2,U1c) "
+                          "p(X1|U2c,X2,U1c,U1pb)")
     good = [sample_instances(schema, [random_channel(s)], [s], ["free"])[0] for s in range(2)]
     bad = [extend_through_channel(sample_factored(schema.rv_set(2), general, s), random_channel(s))
            for s in (2, 3)]
@@ -455,7 +493,7 @@ def test_without_vacuous_keeps_violated_variable_free_rows():
     )
     coeffs, rhs, labels = zip(*rows)
     inst = make_system(("a",), coeffs, rhs, (1,), (0,), labels)
-    kept = inst.without_vacuous()
+    kept = drop_vacuous(inst)
     assert list(kept.labels) == ["cap", "le_bad", "ge_bad"]
     assert project_or_empty(kept).is_empty
     assert project_or_empty(kept.drop("ge_bad")).is_empty
@@ -494,7 +532,7 @@ def test_instantiate_matches_reference_le_normal_form_bit_for_bit(sid, mode):
         inst = instantiate(schema, d)
         label = schema.labels()[seed % len(schema.constraints)]
         assert _bits(inst) == _bits(reference_le_system(schema, d)), seed
-        assert _bits(inst.pin(zeroed).without_vacuous()) == _bits(
+        assert _bits(drop_vacuous(inst.pin(zeroed))) == _bits(
             reference_le_system(schema, d, pin=zeroed, vacuous=True)), seed
         assert _bits(inst.drop(label)) == _bits(reference_le_system(schema, d, drop=(label,))), seed
 
@@ -504,11 +542,11 @@ def test_instantiate_matches_reference_le_normal_form_bit_for_bit(sid, mode):
 
 def test_maric_merged_rewrites_first_bound_only():
     base = builtin_schema("MARIC")
-    merged = maric_merged()
-    assert merged.labels() == ("m1'", "m2'", "m3'", "m4'", "m5'")
+    merged = _bounds(_MARIC_MERGED)
+    assert tuple(merged) == ("m1'", "m2'", "m3'", "m4'", "m5'")
     for lab in ("m2", "m3", "m4", "m5"):
-        assert str(merged.constraint(lab + "'").rhs) == str(base.constraint(lab).rhs)
-    assert "X2a,X2b" in str(merged.constraint("m1'").rhs).replace("U1c,", "")
+        assert str(merged[lab + "'"]) == str(base.constraint(lab).rhs)
+    assert "X2a,X2b" in str(merged["m1'"]).replace("U1c,", "")
 
 
 def test_rv_set_defaults_and_overrides():

@@ -8,8 +8,8 @@ import pytest
 import cifc.sampling
 from cifc.channel import random_channel
 from cifc.errors import InvalidParameter
-from cifc.probability import MAX_MARGINAL_LABELS, RandomVariableSet, chain
-from cifc.regions import SCHEMA_IDS, builtin_schema
+from cifc.probability import MAX_MARGINAL_LABELS, RandomVariableSet
+from cifc.regions import SCHEMA_IDS, builtin_schema, parse_chain
 from cifc.sampling import (
     SAMPLING_MODES,
     _apply_move,
@@ -67,7 +67,7 @@ def test_sample_factored_matches_cell_by_cell_reference(sid):
 def test_paired_copy_indexes_parts_in_declared_order():
     # P = (B, A), parts listed against the axis order
     rvs = RandomVariableSet(("A", "B", "P"), (2, 3, 6))
-    factors = chain(("A",), ("B", "A"), ("P", "B A")).factors
+    factors = parse_chain("p(A) p(B|A) p(P|B,A)").factors
     det = (("P", ("B", "A")),)
     plan = _chain_plan(rvs, factors, "free", det)
     joint = _joints(rvs, _draw([plan], [np.random.default_rng(2)]))[0].prob
@@ -90,7 +90,7 @@ def test_sampling_plan_refuses_a_joint_above_the_cell_cap():
     tracemalloc.start()
     try:
         with pytest.raises(InvalidParameter) as err:
-            sample_factored(rvs, chain(("A",), ("B", "A")), 0)
+            sample_factored(rvs, parse_chain("p(A) p(B|A)"), 0)
         assert f"{cells} cells" in str(err.value)
         assert f"cap of {MAX_MARGINAL_LABELS}" in str(err.value)
         with pytest.raises(InvalidParameter) as err:

@@ -15,7 +15,6 @@ from cifc.probability import (
     MIExpr,
     RandomVariableSet,
     _marginal_plan,
-    chain,
     extend_through_channel,
     entropy_term,
     entropy_vector,
@@ -31,7 +30,14 @@ from cifc.polytope import (
     polytope_equal,
     project_or_empty,
 )
-from cifc.regions import SCHEMA_IDS, builtin_schema, compile_schema, instantiate, same_system
+from cifc.regions import (
+    SCHEMA_IDS,
+    builtin_schema,
+    compile_schema,
+    instantiate,
+    parse_chain,
+    same_system,
+)
 from cifc.sampling import (
     SAMPLING_MODES,
     _chain_plan,
@@ -44,6 +50,8 @@ from cifc.sampling import (
 from cifc.verify import (
     REGION_TOL,
     SUITES,
+    _MARIC_MERGED,
+    _bounds,
     _channel_sizes,
     _nonvacuous_regions,
     CheckReport,
@@ -60,7 +68,12 @@ from cifc.verify import (
     sampled_region_containment,
     trace_frontier,
 )
-from helpers import check_droppable, reference_mutual_information, sequential_frontier
+from helpers import (
+    check_droppable,
+    drop_vacuous,
+    reference_mutual_information,
+    sequential_frontier,
+)
 
 BSC = canonical_channel("bsc_pair", eps1=0.05, eps2=0.1)
 
@@ -237,7 +250,7 @@ def test_sample_factored_draws_are_pinned(sid, size, seed, digest):
 def test_sample_factored_draw_with_unsorted_chain_is_pinned():
     # targets and conditions out of axis order, with unequal cardinalities
     rvs = RandomVariableSet(("A", "B", "C"), (2, 3, 4))
-    d = sample_factored(rvs, chain(("B",), ("C A", "B")), 5)
+    d = sample_factored(rvs, parse_chain("p(B) p(C,A|B)"), 5)
     assert hashlib.sha256(d.prob.tobytes()).hexdigest() == (
         "8c4b30078bccb3238cb53d83cb664be4cffde307a27c13cf14abbcc98741a230"
     )
@@ -460,18 +473,32 @@ def test_a_check_beyond_one_batch_runs_under_a_cap_that_refuses_all_its_samples(
     assert "gap_histogram" in report.check("merge gap nonnegative").details
 
 
+def test_batches_draw_their_channels_without_rechecking_seeds_or_sizes(monkeypatch):
+    # _batches has checked its seeds and takes its sizes from the schema, so it
+    # draws each channel through the cached draw; random_channel checks for others
+    import cifc.verify
+
+    schema = builtin_schema("MARIC")
+    sizes = _channel_sizes(schema)
+    expected = sample_instances(schema, [random_channel(s, sizes) for s in range(1, 101)],
+                                range(1, 101), [_mode_for(i) for i in range(100)])
+    monkeypatch.setattr(cifc.verify, "random_channel", None)
+    (seeds, d), = cifc.verify._batches(schema, 1, 100)
+    assert seeds == range(1, 101) and d.prob.tobytes() == expected.prob.tobytes()
+
+
 def test_the_one_system_operations_refuse_a_batch():
     schema = builtin_schema("CCP")
     seeds = [0, 1]
     d = sample_instances(schema, [random_channel(s, _channel_sizes(schema)) for s in seeds],
                          seeds, ["free", "det"])
     batch = instantiate(schema, d)
-    refused = (batch.without_vacuous, lambda: same_system(batch, batch),
+    refused = (lambda: same_system(batch, batch),
                lambda: oracle_polygon(batch), lambda: grid_agreement(batch, EMPTY))
     for operation in refused:
         with pytest.raises(InvalidParameter, match="a batch of 2 systems where one is needed"):
             operation()
-    assert same_system(batch[1].without_vacuous(), batch[1].without_vacuous())
+    assert same_system(drop_vacuous(batch[1]), drop_vacuous(batch[1]))
     assert oracle_polygon(batch[0]) == oracle_polygon(instantiate(schema, d[0]))
 
 
@@ -542,7 +569,7 @@ def test_cc_projects_each_kept_row_mask_as_one_batch():
     batch = instantiate(ccp, d).pin({"R1c'": 0.0})
     assert len({mask.tobytes() for mask in batch.nonvacuous()}) == 2
     for k, (system, region) in enumerate(_nonvacuous_regions(batch)):
-        alone = batch[k].without_vacuous()
+        alone = drop_vacuous(batch[k])
         assert system.structure == alone.structure and system.b.tobytes() == alone.b.tobytes()
         assert region == project_or_empty(alone)
 
@@ -637,17 +664,14 @@ def test_roundoff_violations_name_no_worst_seed():
 
 def test_maric_degenerate_part_gives_zero_difference():
     """X2a of cardinality one: merged and original bounds coincide."""
-    from cifc.regions import maric_merged
-
     mar = builtin_schema("MARIC")
-    merged = maric_merged()
+    merged = _bounds(_MARIC_MERGED)
     rvs = mar.rv_set(2, overrides={"X2a": 1})
     plan = _chain_plan(rvs, mar.factorization.factors, det=mar.deterministic)
     joint = _joints(rvs, _draw([plan], [np.random.default_rng(11)]))[0]
     d = extend_through_channel(joint, random_channel(11, sizes=(2, 2, 2, 2)))
     io = instantiate(mar, d)
-    im = instantiate(merged, d)
-    assert im.rhs("m1'") - io.rhs("m1") == pytest.approx(0.0, abs=1e-12)
+    assert evaluate_expr(d, merged["m1'"]) - io.rhs("m1") == pytest.approx(0.0, abs=1e-12)
 
 
 # -- containment ----------------------------------------------------------------
