@@ -3,11 +3,13 @@
 The catalog is one text table, `_CATALOG`, written in the notation the
 audit manifest prints and read once, at import, by `parse_schema`.  Each
 block states one schema, a fact per line; a projection or constraint
-names only the variables and rates declared above it:
+names only the variables and rates declared above it.  A `chain`,
+`rates`, `R1` or `R2` line comes once per block, and a `size`, `copy`,
+`input` or `pin` line once per name (a copy has no size line):
 
   schema RTD                        the id, first
   chain p(A) p(B,C|A) ...           the input factorization, in chain order
-  copy X2 = X2a,X2b                 a deterministic paired copy of parts its factor is given
+  copy X2 = X2a,X2b                 a paired copy of parts its factor, of it alone, is given
   rates R1c R1pb ...                the rate variables, in column order
   R1 = R1c + R1pb                   the projection onto (R1, R2), one line each
   input X2 reads U2c                a channel input's only parents, given in its factor
@@ -41,6 +43,7 @@ with nothing.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -74,25 +77,16 @@ LE = "LE"
 GE = "GE"
 
 
-def _coeff_items(coeffs: Mapping[str, int]) -> tuple[tuple[str, int], ...]:
-    return tuple(sorted((k, int(v)) for k, v in coeffs.items() if int(v) != 0))
-
-
 @dataclass(frozen=True)
 class LinearRateConstraint:
-    """sum(coeff * rate) <sense> rhs, with integer coefficients."""
+    """sum(coeff * rate) <sense> rhs: nonzero integer coefficients of
+    distinct rates, in name order, and a sense LE or GE.  `parse_schema`
+    builds and checks it."""
 
     coeffs: tuple[tuple[str, int], ...]
     sense: str
     rhs: MIExpr
     label: str
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", _coeff_items(dict(self.coeffs)))
-        if not self.coeffs:
-            raise ValueError(f"constraint {self.label}: no nonzero coefficient")
-        if self.sense not in (LE, GE):
-            raise ValueError(f"constraint {self.label}: sense must be LE|GE")
 
     def coeff(self, name: str) -> int:
         return dict(self.coeffs).get(name, 0)
@@ -118,6 +112,8 @@ class RegionSchema:
     binning rates.  A `deterministic` variable is a paired copy of its
     parts; an `input_deps` channel input, drawn as a deterministic map in
     the structured sampling modes, reads only the listed variables.
+    `parse_schema` builds and checks it: every name a constraint or the
+    projection uses is declared, and labels are distinct.
     """
 
     id: str
@@ -131,23 +127,6 @@ class RegionSchema:
     pinned: tuple[tuple[str, str], ...] = ()
     notes: tuple[str, ...] = ()
     superseded: tuple[tuple[str, str], ...] = ()  # (group, variant) in the source's notation
-
-    def __post_init__(self):
-        declared = set(self.variables) | set(OUTPUTS)
-        rates = set(self.rate_vars)
-        labels = [c.label for c in self.constraints]
-        if len(labels) != len(set(labels)):
-            raise ValueError(f"{self.id}: duplicate constraint labels")
-        for c in self.constraints:
-            bad = c.rhs.variables() - declared
-            if bad:
-                raise ValueError(f"{self.id}/{c.label}: undeclared variables {sorted(bad)}")
-            bad_rates = {n for n, _ in c.coeffs} - rates
-            if bad_rates:
-                raise ValueError(f"{self.id}/{c.label}: unknown rate vars {sorted(bad_rates)}")
-        bad_rates = self.message_rates() - rates
-        if bad_rates:
-            raise ValueError(f"{self.id}: projection uses unknown rate vars {sorted(bad_rates)}")
 
     @property
     def variables(self) -> tuple[str, ...]:
@@ -191,20 +170,14 @@ class RegionSchema:
         per-schema defaults (degenerate auxiliaries) and explicit
         overrides take precedence.
         """
-        sizes: dict[str, int] = {}
-        defaults = dict(self.default_sizes)
+        fixed = {**dict(self.default_sizes), **dict(overrides or {})}
         det = dict(self.deterministic)
-        overrides = dict(overrides or {})
+        sizes: dict[str, int] = {}
         for name in self.variables:
-            if name in overrides:
-                sizes[name] = overrides[name]
-            elif name in defaults:
-                sizes[name] = defaults[name]
+            if name in fixed:
+                sizes[name] = fixed[name]
             elif name in det:
-                prod = 1
-                for part in det[name]:
-                    prod *= sizes[part]
-                sizes[name] = prod
+                sizes[name] = math.prod(sizes[part] for part in det[name])
             else:
                 sizes[name] = size
         return RandomVariableSet(self.variables, tuple(sizes[n] for n in self.variables))
@@ -548,7 +521,7 @@ _RATE = r"[A-Za-z]\w*'?"
 _ATOM = re.compile(rf"(-?)(?:(\d+) )?I\(({_VARS});({_VARS})(?:\|({_VARS}))?\)")
 _FACTOR = re.compile(rf"p\(({_VARS})(?:\|({_VARS}))?\)")
 _RATES = re.compile(rf"({_RATE}(?: {_RATE})*)")
-_TERM = re.compile(rf"(?:(-?\d+) )?({_RATE})")
+_TERM = re.compile(rf"(?:(-?[1-9]\d*) )?({_RATE})")
 _CONSTRAINT = re.compile(r"([\w']+): (.+) ([<>]=) (.+)")
 _FACTS = {  # line kind -> (the text after the kind, the value's reader, the RegionSchema field)
     "input": (re.compile(rf"(\w+) reads ({_VARS})"), lambda v: tuple(v.split(",")), "input_deps"),
@@ -605,20 +578,29 @@ def _unified_names() -> frozenset[str]:
     return frozenset(unified.rate_vars + unified.variables)
 
 
-def _check_fact(kind: str, name: str, value, chain: FactorizationSpec) -> None:
-    """Refuse a pin of no name of the unified region; a size, copy or input
-    of no variable (an input of no channel input) of the chain above; and a
-    copy or input that reads a variable its factor is not given."""
-    given = {t: f.given for f in chain.factors for t in f.targets}
+def _check_fact(kind: str, name: str, value, fields: dict) -> None:
+    """Refuse a second size, copy, input or pin line for one name, or a size
+    and a copy of one; a pin of no name of the unified region; a size, copy
+    or input of no variable (an input of no channel input) of the chain
+    above; a copy or input that reads a variable its factor is not given;
+    and a copy whose factor draws other targets too."""
+    if kind != "superseded" and name in dict(fields[_FACTS[kind][2]]):
+        raise InvalidParameter(f"a second {kind} line for {name}")
+    clash = {"size": "deterministic", "copy": "default_sizes"}.get(kind)
+    if clash and name in dict(fields[clash]):
+        raise InvalidParameter(f"{kind} {name}: a paired copy's size is its parts' product")
+    factor = {t: f for f in fields["factorization"].factors for t in f.targets}
     if kind == "pin" and name not in _unified_names():
         raise InvalidParameter(f"pin {name}: no rate or variable of the unified region")
-    if kind in ("size", "copy", "input") and name not in given:
+    if kind in ("size", "copy", "input") and name not in factor:
         raise InvalidParameter(f"{kind} {name}: no variable of the chain above")
     if kind == "input" and name not in INPUTS:
         raise InvalidParameter(f"input {name}: no channel input")
-    unread = set(value) - set(given[name]) if kind in ("copy", "input") else ()
+    unread = set(value) - set(factor[name].given) if kind in ("copy", "input") else ()
     if unread:
         raise InvalidParameter(f"{kind} {name}: its factor is not given {sorted(unread)}")
+    if kind == "copy" and factor[name].targets != (name,):
+        raise InvalidParameter(f"copy {name}: its factor draws {factor[name].targets}")
 
 
 def parse_schema(block: str) -> RegionSchema:
@@ -626,32 +608,39 @@ def parse_schema(block: str) -> RegionSchema:
     the module docstring).  A line it cannot read, or whose fact names
     what its kind cannot take, is refused with InvalidParameter naming the
     schema and the line's number in the block; a block without its R1 and
-    R2 lines is refused naming its last line."""
+    R2 lines is refused naming its last line.  Each check reads only lines
+    above it, which no later line can change."""
     lines = block.strip("\n").split("\n")
     kind, _, sid = lines[0].partition(" ")
     if kind != "schema" or not sid:
         raise InvalidParameter(f"line 1: a block opens with 'schema ID', not {lines[0]!r}")
     fields: dict = {"factorization": FactorizationSpec(()), "rate_vars": (), "constraints": (),
                     "projection": (), "notes": (), **{f: () for *_, f in _FACTS.values()}}
+    seen = set()
     for number, line in enumerate(lines[1:], 2):
         kind, _, rest = line.partition(" ")
         try:
+            if kind in seen:
+                raise InvalidParameter(f"a second {kind} line")
+            seen |= {kind} & {"chain", "rates", "R1", "R2"}
             if kind == "chain":
                 fields["factorization"] = parse_chain(rest)
             elif kind == "rates":
                 fields["rate_vars"] = tuple(_read(_RATES, rest, "rate names")[0].split(" "))
+                if len(set(fields["rate_vars"])) < len(fields["rate_vars"]):
+                    raise InvalidParameter(f"a rate repeats in {rest!r}")
             elif kind in ("R1", "R2") and rest.startswith("= "):
                 fields["projection"] += ((kind, _linear(rest[2:], fields["rate_vars"])),)
             elif kind in _FACTS:
                 pattern, reader, field = _FACTS[kind]
                 name, value = _read(pattern, rest, f"a {kind} line")
-                _check_fact(kind, name, reader(value), fields["factorization"])
+                _check_fact(kind, name, reader(value), fields)
                 fields[field] += ((name, reader(value)),)
             elif kind == "note":
                 fields["notes"] += (rest,)
             elif kind.endswith(":"):
                 label, lhs, op, rhs = _read(_CONSTRAINT, line, "LABEL: LHS <= RHS (or >=)")
-                c = LinearRateConstraint(_linear(lhs, fields["rate_vars"]),
+                c = LinearRateConstraint(tuple(sorted(_linear(lhs, fields["rate_vars"]))),
                                          LE if op == "<=" else GE, parse_expr(rhs), label)
                 undeclared = c.rhs.variables() - {*fields["factorization"].targets, *OUTPUTS}
                 if undeclared:
@@ -663,7 +652,7 @@ def parse_schema(block: str) -> RegionSchema:
                 raise InvalidParameter(f"unknown line kind {kind!r}")
         except ValueError as e:
             raise InvalidParameter(f"schema {sid}, line {number}: {e}") from e
-    if sorted(w for w, _ in fields["projection"]) != ["R1", "R2"]:
+    if len(fields["projection"]) < 2:
         raise InvalidParameter(f"schema {sid}, line {len(lines)}: the block ends "
                                "without one 'R1 =' and one 'R2 =' line")
     return RegionSchema(id=sid, **fields)

@@ -1,4 +1,5 @@
 import ast
+import re
 from pathlib import Path
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 import cifc.probability
 import cifc.regions
-from cifc.channel import random_channel
+from cifc.channel import _random_channel, random_channel
 from cifc.errors import FactorizationViolation, InvalidParameter, UnknownSchema, UnknownVariable
 from cifc.probability import (
     CompiledExprs,
@@ -97,11 +98,6 @@ def test_unknown_schema():
         builtin_schema("HK")
 
 
-def test_constraint_requires_nonzero_coeff():
-    with pytest.raises(ValueError):
-        LinearRateConstraint((), "LE", mi("A", "B"), "x")
-
-
 # -- the catalog as text ------------------------------------------------------
 
 
@@ -175,17 +171,85 @@ def test_a_small_block_reads_into_its_schema():
     "copy Z = A",  # a copy of no variable
     "input X1 reads Z",  # an input the chain does not declare
     "input B reads A",  # no channel input
-    "chain p(A) p(B,C|A) p(X1|A)\ninput X1 reads B",  # read, but not given to X1
     "size A = 0",
     "size Q = 1",  # no variable
     "pin R9 = 0",  # no rate or variable of the unified region
     "superseded e23-e29",  # no ': TEXT'
+    "chain p(A)",  # a second chain line
+    "rates R1 R2",  # a second rates line
+    "copy C = A",  # C's factor draws B too
+    "size A = 2\nsize A = 3",  # a second size line for one name
+    "pin R2pb = 0\npin R2pb = 0",  # a second pin line for one name
 ])
 def test_malformed_text_is_refused_naming_its_line(lines):
     block = (_HEAD if lines == _NO_R2 else _BLOCK) + lines
     number = block.count("\n") + 1
     with pytest.raises(InvalidParameter, match=f"schema T, line {number}: "):
         parse_schema(block)
+
+
+def _catalog_blocks() -> list[str]:
+    return cifc.regions._CATALOG.strip("\n").split("\n\n")
+
+
+_ONE_TARGET = "schema T\nchain p(A) p(B|A) p(X1|A)\nrates R1 R2\nR1 = R1\nR2 = R2\n"
+
+
+@pytest.mark.parametrize("block, number", [
+    ("schema T\nchain p(A)\nrates R1 R1 R2\nR1 = R1\nR2 = R2", 3),  # a rate named twice
+    ("schema T\nchain p(A)\nrates R1 R2\nR1 = 0 R1\nR2 = R2", 4),  # a 0 coefficient
+    ("schema T\nchain p(A)\nrates R1 R2\nR1 = R9\nR2 = R2", 4),  # an undeclared rate
+    (_ONE_TARGET + "input X1 reads B", 6),  # read, but not given to X1
+    (_ONE_TARGET + "input X1 reads A\ninput X1 reads A", 7),  # a second input line for X1
+    (_ONE_TARGET + "copy B = A\ncopy B = A", 7),  # a second copy line for B
+    (_ONE_TARGET + "copy B = A\nsize B = 3", 7),  # a copy's size is its parts'
+    (_ONE_TARGET + "size B = 3\ncopy B = A", 7),
+    (next(b for b in _catalog_blocks() if b.startswith("schema MARIC\n"))
+     + "\nsize X2 = 3", 14),  # X2 pairs X2a and X2b
+], ids=["rates R1 R1 R2", "R1 = 0 R1", "R1 = R9", "input X1 reads B", "input X1 twice",
+        "copy B twice", "copy B, then size B", "size B, then copy B", "MARIC, size X2 = 3"])
+def test_malformed_text_after_its_own_head_is_refused(block, number):
+    sid = block.split("\n")[0][len("schema "):]
+    with pytest.raises(InvalidParameter, match=f"schema {sid}, line {number}: "):
+        parse_schema(block)
+
+
+def _block_mutants() -> dict[str, str]:
+    """Each catalog block with one line after its header deleted or
+    repeated, or with one of the catalog's chain, rates or copy lines
+    appended, as text -> schema id."""
+    blocks = [b.split("\n") for b in _catalog_blocks()]
+    extra = sorted({line for b in blocks for line in b if line.split(" ")[0] in
+                    ("chain", "rates", "copy")})
+    mutants = {}
+    for head, *lines in blocks:
+        sid = head[len("schema "):]
+        for i in range(len(lines)):
+            mutants["\n".join([head, *lines[:i], *lines[i + 1:]])] = sid
+            mutants["\n".join([head, *lines[:i + 1], *lines[i:]])] = sid
+        for line in extra:
+            mutants["\n".join([head, *lines, line])] = sid
+    return mutants
+
+
+def test_every_mutant_of_a_catalog_block_is_refused_or_runs():
+    # refused naming its schema and line, or a schema whose every draw meets
+    # its own requirements: no mutant ends in another error further on
+    mutants = _block_mutants()
+    assert len(mutants) == 399
+    refused = 0
+    for text, sid in mutants.items():
+        try:
+            schema = parse_schema(text)
+        except InvalidParameter as e:
+            assert re.match(rf"schema {sid}, line \d+: ", str(e)), (text, e)
+            refused += 1
+            continue
+        compile_schema(schema)
+        channel = _random_channel(0, *_channel_sizes(schema))
+        for mode in SAMPLING_MODES:
+            check_distribution(schema, sample_instances(schema, [channel], [0], [mode]))
+    assert 0 < refused < len(mutants)
 
 
 def test_superseded_variants_read_back_in_the_manifest():
