@@ -152,23 +152,10 @@ class Factor:
 
 @dataclass(frozen=True)
 class FactorizationSpec:
-    """Ordered factor chain; conditioning may reference earlier targets only."""
+    """Ordered factor chain; conditioning may reference earlier targets
+    only (`regions.parse_chain` refuses any other chain)."""
 
     factors: tuple[Factor, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "factors", tuple(self.factors))
-        seen: set[str] = set()
-        for f in self.factors:
-            for t in f.targets:
-                if t in seen:
-                    raise InvalidParameter(f"variable {t!r} targeted twice")
-            missing = set(f.given) - seen
-            if missing:
-                raise InvalidParameter(
-                    f"factor {f.targets} conditions on later/unknown variables {sorted(missing)}"
-                )
-            seen.update(f.targets)
 
     @property
     def targets(self) -> tuple[str, ...]:

@@ -5,7 +5,10 @@ audit manifest prints and read once, at import, by `parse_schema`.  Each
 block states one schema, a fact per line; a projection or constraint
 names only the variables and rates declared above it.  A `chain`,
 `rates`, `R1` or `R2` line comes once per block, and a `size`, `copy`,
-`input` or `pin` line once per name (a copy has no size line):
+`input` or `pin` line once per name (a copy has no size line).  A chain
+draws each variable once, both channel inputs X1 and X2 and no channel
+output, and gives a factor only variables drawn before it; a size is at
+most MAX_ALPHABET_SIZE:
 
   schema RTD                        the id, first
   chain p(A) p(B,C|A) ...           the input factorization, in chain order
@@ -51,7 +54,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .channel import INPUTS, OUTPUTS
+from .channel import INPUTS, MAX_ALPHABET_SIZE, OUTPUTS
 from .errors import (
     InvalidParameter,
     UnknownSchema,
@@ -168,8 +171,11 @@ class RegionSchema:
 
         Deterministic variables get the product of their parts' sizes;
         per-schema defaults (degenerate auxiliaries) and explicit
-        overrides take precedence.
+        overrides take precedence.  A default cardinality above
+        MAX_ALPHABET_SIZE is refused with InvalidParameter.
         """
+        if size > MAX_ALPHABET_SIZE:
+            raise InvalidParameter(f"size {size} is above the alphabet cap of {MAX_ALPHABET_SIZE}")
         fixed = {**dict(self.default_sizes), **dict(overrides or {})}
         det = dict(self.deterministic)
         sizes: dict[str, int] = {}
@@ -565,9 +571,23 @@ def _linear(text: str, rates: Sequence[str]) -> tuple[tuple[str, int], ...]:
 
 
 def parse_chain(text: str) -> FactorizationSpec:
-    """The factorization a chain line states, 'p(A) p(B,C|A)'."""
-    factors = (_read(_FACTOR, f, "a factor p(A|B)") for f in text.split(" "))
-    return FactorizationSpec(tuple(Factor(t, g or ()) for t, g in factors))
+    """The factorization a chain line states, 'p(A) p(B,C|A)'.  Refused
+    with InvalidParameter: a variable that is a target twice, also within
+    one factor, or a factor given a variable that no factor before it
+    draws."""
+    factors, seen = [], set()
+    for part in text.split(" "):
+        targets, given = _read(_FACTOR, part, "a factor p(A|B)")
+        f = Factor(targets, given or ())
+        missing = sorted(set(f.given) - seen)
+        if missing:
+            raise InvalidParameter(f"factor {f.targets} conditions on later/unknown variables {missing}")
+        for name in f.targets:
+            if name in seen:
+                raise InvalidParameter(f"variable {name!r} targeted twice")
+            seen.add(name)
+        factors.append(f)
+    return FactorizationSpec(tuple(factors))
 
 
 @lru_cache(maxsize=1)
@@ -580,7 +600,7 @@ def _unified_names() -> frozenset[str]:
 
 def _check_fact(kind: str, name: str, value, fields: dict) -> None:
     """Refuse a second size, copy, input or pin line for one name, or a size
-    and a copy of one; a pin of no name of the unified region; a size, copy
+    and a copy of one; a size above MAX_ALPHABET_SIZE; a pin of no name of the unified region; a size, copy
     or input of no variable (an input of no channel input) of the chain
     above; a copy or input that reads a variable its factor is not given;
     and a copy whose factor draws other targets too."""
@@ -590,6 +610,9 @@ def _check_fact(kind: str, name: str, value, fields: dict) -> None:
     if clash and name in dict(fields[clash]):
         raise InvalidParameter(f"{kind} {name}: a paired copy's size is its parts' product")
     factor = {t: f for f in fields["factorization"].factors for t in f.targets}
+    if kind == "size" and value > MAX_ALPHABET_SIZE:
+        raise InvalidParameter(f"size {name}: {value} is above the alphabet cap of "
+                               f"{MAX_ALPHABET_SIZE}")
     if kind == "pin" and name not in _unified_names():
         raise InvalidParameter(f"pin {name}: no rate or variable of the unified region")
     if kind in ("size", "copy", "input") and name not in factor:
@@ -624,7 +647,14 @@ def parse_schema(block: str) -> RegionSchema:
                 raise InvalidParameter(f"a second {kind} line")
             seen |= {kind} & {"chain", "rates", "R1", "R2"}
             if kind == "chain":
-                fields["factorization"] = parse_chain(rest)
+                chain = parse_chain(rest)
+                lacking = [n for n in INPUTS if n not in chain.targets]
+                if lacking:
+                    raise InvalidParameter(f"the chain draws no channel input {lacking[0]}")
+                outputs = [n for n in OUTPUTS if n in chain.targets]
+                if outputs:
+                    raise InvalidParameter(f"the chain draws {outputs[0]}, a channel output")
+                fields["factorization"] = chain
             elif kind == "rates":
                 fields["rate_vars"] = tuple(_read(_RATES, rest, "rate names")[0].split(" "))
                 if len(set(fields["rate_vars"])) < len(fields["rate_vars"]):

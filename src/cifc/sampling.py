@@ -171,7 +171,8 @@ class _ChainPlan(NamedTuple):
     `calls` are (lo, hi, bound) in chain order: one call filling [lo, hi)
     of a state's row of `width` numbers, Exp(1) variates if bound is None,
     else integers below it.  `free` lists the factors `climb` may move:
-    all but the paired copies.
+    all but the paired copies.  `alone` is each block at offset 0, which a
+    "resample" move fills from its own numbers.
     """
 
     rvs: RandomVariableSet
@@ -179,6 +180,7 @@ class _ChainPlan(NamedTuple):
     free: tuple[int, ...]
     calls: tuple[tuple[int, int, int | None], ...]
     width: int
+    alone: tuple[_BlockPlan, ...]
 
 
 @lru_cache(maxsize=256)
@@ -201,16 +203,17 @@ def _chain_plan(
             f"cap of {MAX_MARGINAL_LABELS} cells"
         )
     det_map, deps_map = dict(det), dict(struct_deps)
+    alone = tuple(_block_plan(rvs, f, mode, det_map, deps_map) for f in factors)
     blocks, calls, width = [], [], 0
-    for f in factors:
-        block = _block_plan(rvs, f, mode, det_map, deps_map)._replace(at=width)
+    for block in alone:
+        block = block._replace(at=width)
         for bound, count, _ in block.draws:  # consecutive draws of one kind merge
             lo = calls.pop()[0] if calls and calls[-1][2] == bound else width
             width += count
             calls.append((lo, width, bound))
         blocks.append(block)
     free = tuple(i for i, b in enumerate(blocks) if b.kind != "paired")
-    return _ChainPlan(rvs, tuple(blocks), free, tuple(calls), width)
+    return _ChainPlan(rvs, tuple(blocks), free, tuple(calls), width, alone)
 
 
 @lru_cache(maxsize=64)
@@ -278,22 +281,30 @@ def _apply_move(plan: _ChainPlan, move: tuple, population: list[np.ndarray], r: 
     """Write a `_draw_move` record into row r of `population`, in place:
     only the moved conditional row of the moved block changes."""
     idx, kind, row, arg = move
-    b = plan.blocks[idx]
     if kind == "resample":
-        b._replace(at=0).fill(arg, population[idx], [r])
+        plan.alone[idx].fill(arg, population[idx], [r])
         return
-    n = math.prod(b.t_sizes)
-    x = population[idx][r].reshape(-1, n)[row]  # a view: C-contiguous rows
+    b = plan.blocks[idx]
+    x = population[idx][r].reshape(b.n_cells, -1)[row]  # a view: C-contiguous rows
     if kind == "peak":
         peak = x.argmax()
         x[:] = 0.0
         x[peak] = 1.0
     elif kind == "flatten":
-        x *= 1 - arg
-        x += arg / n
+        # numpy's arithmetic a cell at a time, on a row of a few cells:
+        # v * (1 - α) + α / n
+        keep, add = 1 - arg, arg / len(x)
+        x[:] = [v * keep + add for v in x.tolist()]
     elif kind == "mix":
-        x *= 1 - arg[0]
-        x += arg[0] * normalize_exponentials(arg[1])
+        # v * (1 - α) + α * (u * (1 / s)), s the left-to-right sum of the
+        # variates u that ends np.cumsum, as normalize_exponentials takes it
+        # (not sum(), which compensates from Python 3.12 on)
+        alpha, e = arg[0], arg[1].tolist()
+        s = 0.0
+        for u in e:
+            s += u
+        keep, inv = 1 - alpha, 1.0 / s
+        x[:] = [v * keep + alpha * (u * inv) for v, u in zip(x.tolist(), e)]
     else:  # an axis move: the rest of the row is the sum over the axis
         x = x.reshape(b.t_sizes)
         rest = x.sum(axis=arg, keepdims=True)
@@ -374,12 +385,14 @@ def _mode_for(seed: int) -> str:
 # for JIANG 500 x 5), so a climb's next moves are mostly scored on the
 # state it is in now.  A kept move drops the scores of the rows after it,
 # which are scored again on the kept state next round, and the deeper the
-# round the more: at 200 x 5 (seeds 1, 2), 12 rows, 3 moves a climb, take
-# 72 and 78 calls and score 60 and 131 rows twice; 24 take 48 and 58 calls
-# but score 160 and 386 twice, and were slower.  At 21 lambdas a round is
-# one step.  A draw reads no block and an apply reads only its own row, so
-# the depth moves no bit.
-ROUND_ROWS = 12
+# round the more.  At 200 x 5 (seeds 1, 2, 3), 12 rows, 3 moves a climb,
+# take 72, 78 and 73 calls and score 60, 131 and 91 rows twice; 24 rows, 5
+# moves, take 48, 58 and 49 calls and score 160, 386 and 191 twice, yet
+# run faster: a call saved costs more than the rows scored again.  At 2000
+# x 21, 12 rows are one move a climb, 1,995 calls; 24 are two, 1,024 calls
+# that score 769 rows twice.  A draw reads no block and an apply reads
+# only its own row, so the depth moves no bit.
+ROUND_ROWS = 24
 
 
 def _n_starts(budget: int) -> int:

@@ -103,10 +103,16 @@ def test_variable_set_validation(names, sizes, bad):
 
 
 def test_factorization_spec_validation():
-    with pytest.raises(InvalidParameter):
-        FactorizationSpec((Factor(("A",)), Factor(("A",))))
-    with pytest.raises(InvalidParameter):
-        FactorizationSpec((Factor(("A",), ("B",)),))
+    # the reader is a chain's one gate: FactorizationSpec takes what it is given
+    with pytest.raises(InvalidParameter, match="variable 'A' targeted twice"):
+        parse_chain("p(A) p(A)")
+    with pytest.raises(InvalidParameter, match="variable 'A' targeted twice"):
+        parse_chain("p(A,A)")
+    with pytest.raises(InvalidParameter, match=r"later/unknown variables \['B'\]"):
+        parse_chain("p(A|B)")
+    with pytest.raises(InvalidParameter, match=r"later/unknown variables \['A'\]"):
+        parse_chain("p(A|A)")
+    assert parse_chain("p(A) p(B,C|A)") == FactorizationSpec((Factor("A"), Factor("B,C", "A")))
 
 
 @pytest.mark.parametrize("seed", range(20))

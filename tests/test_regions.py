@@ -7,7 +7,7 @@ import pytest
 
 import cifc.probability
 import cifc.regions
-from cifc.channel import _random_channel, random_channel
+from cifc.channel import MAX_ALPHABET_SIZE, _random_channel, random_channel
 from cifc.errors import FactorizationViolation, InvalidParameter, UnknownSchema, UnknownVariable
 from cifc.probability import (
     CompiledExprs,
@@ -133,14 +133,14 @@ def test_a_coefficient_other_than_one_prints_and_reads_back(terms, text):
     assert parse_expr(text) == expr
 
 
-_HEAD = "schema T\nchain p(A) p(B,C|A)\nrates R1 R2\nR1 = R1\n"
+_HEAD = "schema T\nchain p(A) p(B,C|A) p(X1,X2|A)\nrates R1 R2\nR1 = R1\n"
 _BLOCK = _HEAD + "R2 = R2\n"
 _NO_R2 = "a: R1 <= I(A;B)"  # after _HEAD alone: refused naming the block's last line
 
 
 def test_a_small_block_reads_into_its_schema():
     schema = parse_schema(_BLOCK + "a: R1 + 2 R2 <= -I(A;B|C) + I(Y1;A)\nb: R2 >= 0")
-    assert schema.variables == ("A", "B", "C") and schema.rate_vars == ("R1", "R2")
+    assert schema.variables == ("A", "B", "C", "X1", "X2") and schema.rate_vars == ("R1", "R2")
     assert schema.projection == (("R1", (("R1", 1),)), ("R2", (("R2", 1),)))
     assert schema.constraints == (
         LinearRateConstraint((("R1", 1), ("R2", 2)), "LE", -mi("A", "B", "C") + mi("Y1", "A"), "a"),
@@ -172,6 +172,7 @@ def test_a_small_block_reads_into_its_schema():
     "input X1 reads Z",  # an input the chain does not declare
     "input B reads A",  # no channel input
     "size A = 0",
+    "size A = 9",  # above the alphabet cap
     "size Q = 1",  # no variable
     "pin R9 = 0",  # no rate or variable of the unified region
     "superseded e23-e29",  # no ': TEXT'
@@ -192,13 +193,15 @@ def _catalog_blocks() -> list[str]:
     return cifc.regions._CATALOG.strip("\n").split("\n\n")
 
 
-_ONE_TARGET = "schema T\nchain p(A) p(B|A) p(X1|A)\nrates R1 R2\nR1 = R1\nR2 = R2\n"
+_CHAIN = "schema T\nchain p(A) p(X1,X2|A)\n"
+_RATES = "rates R1 R2\nR1 = R1\nR2 = R2"
+_ONE_TARGET = "schema T\nchain p(A) p(B|A) p(X1|A) p(X2|A)\nrates R1 R2\nR1 = R1\nR2 = R2\n"
 
 
 @pytest.mark.parametrize("block, number", [
-    ("schema T\nchain p(A)\nrates R1 R1 R2\nR1 = R1\nR2 = R2", 3),  # a rate named twice
-    ("schema T\nchain p(A)\nrates R1 R2\nR1 = 0 R1\nR2 = R2", 4),  # a 0 coefficient
-    ("schema T\nchain p(A)\nrates R1 R2\nR1 = R9\nR2 = R2", 4),  # an undeclared rate
+    (_CHAIN + "rates R1 R1 R2\nR1 = R1\nR2 = R2", 3),  # a rate named twice
+    (_CHAIN + "rates R1 R2\nR1 = 0 R1\nR2 = R2", 4),  # a 0 coefficient
+    (_CHAIN + "rates R1 R2\nR1 = R9\nR2 = R2", 4),  # an undeclared rate
     (_ONE_TARGET + "input X1 reads B", 6),  # read, but not given to X1
     (_ONE_TARGET + "input X1 reads A\ninput X1 reads A", 7),  # a second input line for X1
     (_ONE_TARGET + "copy B = A\ncopy B = A", 7),  # a second copy line for B
@@ -212,6 +215,33 @@ def test_malformed_text_after_its_own_head_is_refused(block, number):
     sid = block.split("\n")[0][len("schema "):]
     with pytest.raises(InvalidParameter, match=f"schema {sid}, line {number}: "):
         parse_schema(block)
+
+
+@pytest.mark.parametrize("chain, reason", [
+    # the first three used to parse, then fail with no line named: the
+    # first draw (UnknownVariable 'X2'), the channel extension
+    # (AlphabetMismatch) or rv_set (duplicate variable names)
+    ("p(A) p(X1|A)", "the chain draws no channel input X2"),
+    ("p(A) p(Y1|A) p(X1,X2|A)", "the chain draws Y1, a channel output"),
+    ("p(A,A) p(X1,X2|A)", "variable 'A' targeted twice"),
+    ("p(A) p(X1,X2,A|A)", "variable 'A' targeted twice"),
+    ("p(A) p(X1,X2|A,B)", "factor ('X1', 'X2') conditions on later/unknown variables ['B']"),
+])
+def test_a_malformed_chain_is_refused_at_its_line(chain, reason):
+    with pytest.raises(InvalidParameter, match=re.escape(f"schema T, line 2: {reason}")):
+        parse_schema(f"schema T\nchain {chain}\n{_RATES}")
+
+
+def test_an_alphabet_above_the_cap_is_refused():
+    # `size A = 99` used to parse to sizes (99, 2, 2), and rv_set(9) to
+    # return six 9s
+    with pytest.raises(InvalidParameter, match=re.escape(
+            f"schema T, line 6: size A: 99 is above the alphabet cap of {MAX_ALPHABET_SIZE}")):
+        parse_schema(_BLOCK + "size A = 99")
+    rtd = builtin_schema("RTD")
+    assert rtd.rv_set(MAX_ALPHABET_SIZE).sizes == (MAX_ALPHABET_SIZE,) * len(rtd.variables)
+    with pytest.raises(InvalidParameter, match="size 9 is above the alphabet cap of 8"):
+        rtd.rv_set(MAX_ALPHABET_SIZE + 1)
 
 
 def _block_mutants() -> dict[str, str]:

@@ -83,19 +83,18 @@ def test_sampling_plan_refuses_a_joint_above_the_cell_cap():
     rvs = RandomVariableSet(("A", "B"), (2**12 + 1, 2**12))
     cells = math.prod(rvs.sizes)
     assert cells == MAX_MARGINAL_LABELS + 2**12
+    # a schema's chain cannot get there: its default size is capped first
     rtd = builtin_schema("RTD")
     size = round(MAX_MARGINAL_LABELS ** (1 / len(rtd.variables))) + 1  # 17 for 6 variables
-    rtd_cells = math.prod(rtd.rv_set(size).sizes)
-    assert rtd_cells > MAX_MARGINAL_LABELS
+    assert size ** len(rtd.variables) > MAX_MARGINAL_LABELS
     tracemalloc.start()
     try:
         with pytest.raises(InvalidParameter) as err:
             sample_factored(rvs, parse_chain("p(A) p(B|A)"), 0)
         assert f"{cells} cells" in str(err.value)
         assert f"cap of {MAX_MARGINAL_LABELS}" in str(err.value)
-        with pytest.raises(InvalidParameter) as err:
+        with pytest.raises(InvalidParameter, match=f"size {size} is above the alphabet cap"):
             _draw([_schema_plan(rtd, size, "det")], [np.random.default_rng(0)])
-        assert f"{rtd_cells} cells" in str(err.value)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -137,6 +136,59 @@ def _move_kind(plan, rng) -> str:
 
 
 ROW_MOVES = {"resample", "peak", "flatten", "mix"}
+
+
+class _Forced:
+    """A generator that draws the move it is told to: its first integer is
+    `i` (the block plan.free[i]), its uniform `u` (the kind), and every
+    other number comes from default_rng(seed)."""
+
+    def __init__(self, i, u, seed):
+        self.rng, self.first, self.u = np.random.default_rng(seed), [i], u
+
+    def integers(self, *args):
+        return self.first.pop() if self.first else self.rng.integers(*args)
+
+    def random(self):
+        return self.u
+
+    def standard_exponential(self, *args):
+        return self.rng.standard_exponential(*args)
+
+
+# a uniform in each kind's range of _draw_move's thresholds
+FORCED = {"resample": 0.03, "axis sharpen": 0.1, "axis flatten": 0.3, "peak": 0.5,
+          "flatten": 0.6, "mix": 0.9}
+
+
+@pytest.mark.parametrize("kind", FORCED)
+def test_each_move_kind_applied_is_the_reference_arithmetic(kind):
+    # every free block of every catalog schema (a multi-target one for an
+    # axis move), on the states the three modes draw, so rows meet zeros
+    # and ties: `_apply_move` writes the block that `reference_propose`
+    # computes with numpy, byte for byte, and moves nothing else
+    moved = 0
+    for sid in SCHEMA_IDS:
+        schema = builtin_schema(sid)
+        plan = _schema_plan(schema, 2, "free")
+        blocks = _draw([_schema_plan(schema, 2, mode) for mode in SAMPLING_MODES],
+                       [np.random.default_rng(s) for s in range(3)])
+        for i, idx in enumerate(plan.free):
+            if kind.startswith("axis") and len(plan.blocks[idx].t_sizes) == 1:
+                continue
+            for seed in range(4):
+                k = seed % 3
+                rng, ref_rng = _Forced(i, FORCED[kind], seed), _Forced(i, FORCED[kind], seed)
+                move = _draw_move(plan, rng)
+                ref_idx, block = reference_propose(plan, blocks, k, ref_rng)
+                assert move[:2] == (idx, kind) and ref_idx == idx
+                assert rng.rng.bit_generator.state == ref_rng.rng.bit_generator.state
+                expected = [b.copy() for b in blocks]
+                expected[idx][k] = block
+                _apply_move(plan, move, blocks, k)
+                assert all(b.tobytes() == e.tobytes() for b, e in zip(blocks, expected)), (sid, idx)
+                moved += 1
+    assert moved >= 4 * 8  # the catalog has 8 free multi-target blocks
 
 
 @pytest.mark.parametrize("sid, kinds_hit", [
