@@ -737,6 +737,26 @@ def test_fme_oracle_reports_are_pinned(seed, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("seed, digest", [
+    (1, "505f23451eb53d44d26e1f92741c7c1fa2df7ec164768d49dc8545691a9907fb"),
+    (2, "a4e1fd1e275ed4e85456bedde08fede7e899fe90e4743623995568ff1246cbbd"),
+    (3, "95de16fcebadaf6a9f740969cef0f703a200375caff732d592ad281ecf5ffd10"),
+])
+def test_oracle_hulls_of_the_oracle_workload_are_pinned(seed, digest):
+    # the oracle's hull of every system the oracle-grid workload checks, by
+    # repr: a hull can move without flipping a grid verdict of the report pin
+    import cifc.verify
+
+    hulls = []
+    for sid in SCHEMA_IDS:
+        schema = builtin_schema(sid)
+        for seeds, d in cifc.verify._batches(schema, seed, 10):
+            systems = instantiate(schema, d)
+            hulls += [repr(oracle_polygon(systems[k])) for k in range(len(seeds))]
+    assert len(hulls) == 10 * len(SCHEMA_IDS)
+    assert hashlib.sha256("\n".join(hulls).encode()).hexdigest() == digest
+
+
 def _moved_regions(system):
     """Each projected region with its first labeled half-plane moved out by 0.01."""
     out = []
