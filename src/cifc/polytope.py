@@ -15,12 +15,15 @@ The projector and the membership oracle are deliberately independent
 code paths: the first runs variable elimination, the second enumerates
 every basic solution of the full-dimensional system and takes the convex
 hull of its projections.  The oracle, too, does once per coefficient
-structure what does not depend on the right-hand side: it builds every
-integer minor of the coefficients exactly in int64, level by level from
-the one below, and keeps each nonzero one as a basis with its adjugate,
-so a system's basic solutions are Cramer's rule, one `einsum` and one
-division per level, with no factorization.  It refuses a structure whose
-minors could overflow int64, or whose kept bases float64 cannot hold.
+structure what does not depend on the right-hand side: over row and
+rate subsets listed in colex order (built directly, with no sort) it
+builds every integer minor of the coefficients exactly in int64, level by
+level from the one below as r signed products of 2-D takes, and keeps
+each nonzero one as a basis with its adjugate, one signed gather of the
+level below.  A system's basic solutions are then Cramer's rule, one
+`einsum` and one division per level, with no factorization.  It refuses
+a structure whose minors could overflow int64, or whose kept bases
+float64 cannot hold, which one test of each level's largest minor decides.
 """
 
 from __future__ import annotations
@@ -402,16 +405,32 @@ def compile_projection(structure: RateStructure) -> CompiledProjection:
 # ---------------------------------------------------------------------------
 
 
-def _colex(size: int, r: int, binom: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+@lru_cache(maxsize=256)
+def _colex(size: int, r: int) -> tuple[np.ndarray, np.ndarray]:
     """The r-subsets of range(size), (C(size, r), r), in colex order, so a
     subset's index is its colex rank sum_i C(s_i, i + 1), and the rank of
-    each with its t-th element dropped, (C(size, r), r)."""
-    subs = np.array(list(itertools.combinations(range(size), r)), dtype=np.intp)
-    subs = subs.reshape(math.comb(size, r), r)
-    subs = subs[np.argsort(binom[subs, np.arange(1, r + 1)].sum(axis=1))]
-    # the terms before the t-th keep their place, those after it move down one
-    own, moved = binom[subs, np.arange(1, r + 1)], binom[subs, np.arange(r)]
-    drop = np.cumsum(own, axis=1) - own + moved.sum(axis=1, keepdims=True) - np.cumsum(moved, axis=1)
+    each with its t-th element dropped, (C(size, r), r); read-only, shared
+    by every structure with as many rows or rates.
+
+    Built without sorting, from the (r - 1)-subsets: grouped by largest
+    element e, the r-subsets are the C(e, r - 1) smallest (r - 1)-subsets,
+    which are those of range(e), each with e appended.  Dropping e gives
+    the prefix's own rank; dropping an earlier element, the prefix's drop
+    rank plus e's term C(e, r - 1).
+    """
+    if r == 0:
+        subs, drop = np.zeros((1, 0), dtype=np.intp), np.zeros((1, 0), dtype=np.intp)
+    else:
+        prefix, prefix_drop = _colex(size, r - 1)
+        last = np.arange(r - 1, size)
+        counts = np.array([math.comb(e, r - 1) for e in last.tolist()], dtype=np.intp)
+        ends = np.cumsum(counts)
+        k = np.arange(math.comb(size, r)) - np.repeat(ends - counts, counts)
+        subs, drop = np.empty((len(k), r), dtype=np.intp), np.empty((len(k), r), dtype=np.intp)
+        subs[:, :-1], subs[:, -1] = prefix[k], np.repeat(last, counts)
+        drop[:, :-1], drop[:, -1] = prefix_drop[k], k
+        drop[:, :-1] += np.repeat(counts, counts)[:, None]
+    subs.flags.writeable = drop.flags.writeable = False
     return subs, drop
 
 
@@ -426,9 +445,11 @@ def _oracle_bases(coeffs: tuple[tuple[int, ...], ...], n: int) -> tuple[np.ndarr
     other rate 0.  As sum_r C(rows, r) C(n, r) = C(m, n), the levels r = 0..n
     hold every subset once.  Which are bases depends on the coefficients
     only, so each structure builds, once and exactly in int64, every r x r
-    minor from level r - 1 by Laplace expansion along S's first row.  Row
-    and rate subsets are indexed by colex rank, so dropping an element is a
-    rank lookup and an adjugate a signed gather of the level below.  Returns
+    minor from level r - 1 by Laplace expansion along S's first row: r
+    signed products of two 2-D takes, one of that row's coefficients and
+    one of the minors below, summed.  Row and rate subsets are indexed by
+    colex rank (`_colex`), so dropping an element is a rank lookup and an
+    adjugate a signed gather of a float copy of the level below.  Returns
     the (m, n) row matrix and, per level r >= 1, the kept (k_r, r) subsets
     S and J, in colex order of S and then of J, their (k_r, r, r) adjugates
     and (k_r,) determinants (exact floats); r = 0, the origin, needs no
@@ -436,8 +457,10 @@ def _oracle_bases(coeffs: tuple[tuple[int, ...], ...], n: int) -> tuple[np.ndarr
     subset count exceeds MAX_ORACLE_SUBSETS or a minor could overflow int64
     (Hadamard: none exceeds the product of the largest row norms; int64
     products and sums wrap modulo 2**64, so only the minors must fit), and,
-    caching nothing, when a kept determinant or adjugate entry reaches 2**53,
-    past which float64 does not hold every integer.
+    caching no bases, when a kept determinant or adjugate entry reaches
+    2**53, past which float64 does not hold every integer.  Each level's
+    largest minor is tested once: it is the level's largest determinant,
+    and its adjugate entries are minors of the level below, tested there.
     """
     rows = len(coeffs)
     m = rows + n
@@ -451,22 +474,33 @@ def _oracle_bases(coeffs: tuple[tuple[int, ...], ...], n: int) -> tuple[np.ndarr
         raise InvalidParameter(f"the oracle's C({m}, {n}) row subsets allow minors beyond "
                                f"int64 by the rows' Hadamard bound")
     c = np.asarray(coeffs, dtype=np.int64).reshape(rows, n)
-    # each C(i, k) is at most a term C(rows, k) C(n, k) of C(m, n), so fits
-    binom = np.array([[math.comb(i, k) for k in range(top + 1)] for i in range(max(rows, n))])
     minors = np.ones((1, 1), dtype=np.int64)  # level 0: the empty minor
     levels = []
     for r in range(1, top + 1):
-        s, s_drop = _colex(rows, r, binom)
-        j, j_drop = _colex(n, r, binom)
-        sign, below = (-1) ** np.arange(r), minors
-        minors = (sign * c[s[:, :1, None], j] * below[s_drop[:, :1, None], j_drop]).sum(axis=2)
-        si, ji = np.nonzero(minors)
-        det = minors[si, ji]
-        adj = sign[:, None] * sign * below[s_drop[si][:, None, :], j_drop[ji][:, :, None]]
-        if (np.abs(det) >= 2**53).any() or (np.abs(adj) >= 2**53).any():
+        s, s_drop = _colex(rows, r)
+        j, j_drop = _colex(n, r)
+        below = minors
+        cs, bs = c[s[:, 0]], below[s_drop[:, 0]]
+        minors = cs.take(j[:, 0], 1) * bs.take(j_drop[:, 0], 1)
+        for t in range(1, r):
+            term = cs.take(j[:, t], 1)
+            term *= bs.take(j_drop[:, t], 1)
+            if t % 2:
+                minors -= term
+            else:
+                minors += term
+        if np.abs(minors).max() >= 2**53:
             raise InvalidParameter(f"the oracle's C({m}, {n}) row subsets include a basis "
                                    f"whose determinant or adjugate is not exact in float64")
-        levels.append((s[si], j[ji], adj.astype(float), det.astype(float)))
+        kept = np.flatnonzero(minors)
+        si, ji = np.divmod(kept, minors.shape[1])
+        det = minors.reshape(-1).take(kept).astype(float)
+        # adj[k, p, q] = (-1)**(p + q) below[s_drop[si_k, q], j_drop[ji_k, p]]
+        sign = (-1.0) ** np.add.outer(np.arange(r), np.arange(r))
+        adj = below.astype(float)[s_drop.take(si, 0)[:, None, :], j_drop.take(ji, 0)[:, :, None]]
+        adj *= sign
+        adj += 0.0  # a zero entry of a negative cofactor reads +0.0, not -0.0
+        levels.append((s.take(si, 0), j.take(ji, 0), adj, det))
     return np.vstack([c.astype(float), -np.eye(n)]), tuple(levels)
 
 
@@ -477,7 +511,8 @@ def _oracle_hull(system: LinearSystem) -> tuple[tuple[float, float], ...]:
     The nonsingular bases come from _oracle_bases, once per coefficient
     structure, as exact integer minors; per system only the basic solutions
     change, and Cramer's rule gives them as one `einsum` and one division
-    per level, each level in its own block of rows after the origin.  The
+    per level, each level written through flat indices into its own block
+    of rows after the origin.  The
     solutions satisfying the whole system within FEAS_TOL are clipped to
     x >= 0 (the slack also admits a rate of -FEAS_TOL) and projected.  The
     projection of the polytope is the convex hull of the projected
@@ -491,8 +526,11 @@ def _oracle_hull(system: LinearSystem) -> tuple[tuple[float, float], ...]:
     b = system.one().b
     ends = np.cumsum([1] + [len(det) for *_, det in levels])  # row 0: the origin
     sols = np.zeros((ends[-1], n))
+    flat = sols.reshape(-1)
     for (s, j, adj, det), lo, hi in zip(levels, ends, ends[1:]):
-        sols[np.arange(lo, hi)[:, None], j] = np.einsum("kij,kj->ki", adj, b[s]) / det[:, None]
+        # basis k of the level is row lo + k; its rates J are flat lo*n + k*n + J
+        flat[np.arange(lo * n, hi * n, n)[:, None] + j] = (
+            np.einsum("kij,kj->ki", adj, b.take(s)) / det[:, None])
     b = np.concatenate((b, np.zeros(n)))
     feas = (a @ sols.T <= b[:, None] + FEAS_TOL).all(axis=0)
     good = np.maximum(sols[feas], 0.0)

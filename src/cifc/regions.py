@@ -171,11 +171,15 @@ class RegionSchema:
 
         Deterministic variables get the product of their parts' sizes;
         per-schema defaults (degenerate auxiliaries) and explicit
-        overrides take precedence.  A default cardinality above
-        MAX_ALPHABET_SIZE is refused with InvalidParameter.
+        overrides take precedence.  A default cardinality or an override
+        above MAX_ALPHABET_SIZE is refused with InvalidParameter.
         """
         if size > MAX_ALPHABET_SIZE:
             raise InvalidParameter(f"size {size} is above the alphabet cap of {MAX_ALPHABET_SIZE}")
+        for name, value in (overrides or {}).items():
+            if value > MAX_ALPHABET_SIZE:
+                raise InvalidParameter(f"size {name}: {value} is above the alphabet cap of "
+                                       f"{MAX_ALPHABET_SIZE}")
         fixed = {**dict(self.default_sizes), **dict(overrides or {})}
         det = dict(self.deterministic)
         sizes: dict[str, int] = {}

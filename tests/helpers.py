@@ -5,7 +5,9 @@ factorized sampler, the one-pass reference for a climb's move, a
 builder of rate systems from plain rows, a sense-by-sense reference
 for the LE normal form of an instantiated schema, point-by-point
 references for the region membership tests, the uncompiled
-enumeration oracle, the constraints the unified region's remark lets
+enumeration oracle, a sorted-combinations reference for the oracle's
+colex tables and a one-gather-per-level reference for its exact bases,
+the constraints the unified region's remark lets
 drop when certain rates vanish and their check, and the
 one-lambda-at-a-time frontier search."""
 
@@ -373,6 +375,41 @@ def reference_oracle_hull(system: LinearSystem) -> tuple[tuple[float, float], ..
                 points.append((round(float(x), 12) + 0.0, round(float(y), 12) + 0.0))
     hull = _convex_hull(_merge_close(points, 1e-12), collinear_eps=1e-12)
     return tuple(_order_ccw(hull))
+
+
+def reference_colex(size: int, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """The r-subsets of range(size) sorted by colex rank, and the rank of
+    each with its t-th element dropped, from `itertools.combinations`."""
+    binom = np.array([[math.comb(i, k) for k in range(r + 1)] for i in range(max(size, 1))])
+    subs = np.array(list(itertools.combinations(range(size), r)), dtype=np.intp)
+    subs = subs.reshape(math.comb(size, r), r)
+    subs = subs[np.argsort(binom[subs, np.arange(1, r + 1)].sum(axis=1), kind="stable")]
+    # the terms before the t-th keep their place, those after it move down one
+    own, moved = binom[subs, np.arange(1, r + 1)], binom[subs, np.arange(r)]
+    drop = np.cumsum(own, axis=1) - own + moved.sum(axis=1, keepdims=True) - np.cumsum(moved, axis=1)
+    return subs, drop
+
+
+def reference_oracle_bases(coeffs, n: int) -> tuple[np.ndarray, tuple]:
+    """The oracle's bases as one (A, B, r) gather-multiply-sum per level of
+    minors and int64 signed adjugates cast to float, with none of its
+    refusals but the 2**53 one; the kernel `_oracle_bases` must match."""
+    rows = len(coeffs)
+    c = np.asarray(coeffs, dtype=np.int64).reshape(rows, n)
+    minors = np.ones((1, 1), dtype=np.int64)
+    levels = []
+    for r in range(1, min(rows, n) + 1):
+        s, s_drop = reference_colex(rows, r)
+        j, j_drop = reference_colex(n, r)
+        sign, below = (-1) ** np.arange(r), minors
+        minors = (sign * c[s[:, :1, None], j] * below[s_drop[:, :1, None], j_drop]).sum(axis=2)
+        si, ji = np.nonzero(minors)
+        det = minors[si, ji]
+        adj = sign[:, None] * sign * below[s_drop[si][:, None, :], j_drop[ji][:, :, None]]
+        if (np.abs(det) >= 2**53).any() or (np.abs(adj) >= 2**53).any():
+            raise ValueError("not exact in float64")
+        levels.append((s[si], j[ji], adj.astype(float), det.astype(float)))
+    return np.vstack([c.astype(float), -np.eye(n)]), tuple(levels)
 
 
 # the remark's (label, rates) pairs: the constraint is droppable when the rates vanish

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import json
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -18,6 +19,7 @@ from cifc.polytope import (
     FEAS_TOL,
     MAX_ORACLE_SUBSETS,
     Polytope2D,
+    _colex,
     _convex_hull,
     _distance_to_hull,
     _merge_close,
@@ -41,7 +43,9 @@ from helpers import (
     degenerate_rtd_distribution,
     make_system,
     reference_distance_to_hull,
+    reference_colex,
     reference_halfplane_violation,
+    reference_oracle_bases,
     reference_oracle_hull,
 )
 
@@ -498,6 +502,58 @@ def test_oracle_bases_are_exact_across_chunks(sid):
     assert sorted(got) == list(map(tuple, combos[np.abs(np.linalg.det(a[combos])) > 0.5].tolist()))
 
 
+def test_colex_tables_match_sorted_combinations():
+    for size in range(13):
+        for r in range(size + 1):
+            (subs, drop), (ref_subs, ref_drop) = _colex(size, r), reference_colex(size, r)
+            assert subs.dtype == ref_subs.dtype and subs.shape == ref_subs.shape == drop.shape
+            assert subs.tobytes() == ref_subs.tobytes(), (size, r)
+            assert drop.tolist() == ref_drop.tolist(), (size, r)
+            assert not subs.flags.writeable and not drop.flags.writeable
+
+
+def _assert_bases_match_reference(coeffs, n):
+    (a, levels), (ref_a, ref_levels) = _oracle_bases(coeffs, n), reference_oracle_bases(coeffs, n)
+    assert len(levels) == len(ref_levels) == min(len(coeffs), n)
+    for got, ref in zip((a, *itertools.chain(*levels)), (ref_a, *itertools.chain(*ref_levels))):
+        assert (got.dtype, got.shape) == (ref.dtype, ref.shape)
+        assert got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("sid", SCHEMA_IDS)
+def test_oracle_bases_match_the_reference_kernel(sid):
+    # byte for byte, the sign of every zero adjugate entry included
+    structure = compile_schema(builtin_schema(sid)).structure
+    _assert_bases_match_reference(structure.rows, len(structure.variables))
+
+
+@pytest.mark.parametrize("coeffs, n", [
+    (((1, 2), (3, 4)), 2),
+    (((1, 1), (2, 2), (0, 0)), 2),  # singular minors and a zero row
+    (((2, 0, -1), (1, 1, 1), (0, 3, 2), (1, -1, 0)), 3),
+    (((1, 2, 3, 4),), 4),
+    (((1, -1), (2, 1), (0, 1), (-3, 5), (7, 0)), 2),
+    (((2**27 + 1, 2**27), (2**27, 2**27 - 1)), 2),  # determinant -1
+])
+def test_oracle_bases_of_small_matrices_match_the_reference_kernel(coeffs, n):
+    _assert_bases_match_reference(coeffs, n)
+
+
+@pytest.mark.parametrize("coeffs", [
+    ((2**27 + 1, 1), (1, 2**27 + 1)),  # a determinant past 2**53
+    ((2**53, 0), (0, 1)),  # a 1 x 1 minor, and so an adjugate entry, of 2**53
+])
+def test_oracle_bases_refuse_what_the_reference_kernel_cannot_hold(coeffs):
+    with pytest.raises(ValueError):
+        reference_oracle_bases(coeffs, 2)
+    _oracle_bases.cache_clear()
+    with pytest.raises(InvalidParameter, match=re.escape(
+            "the oracle's C(4, 2) row subsets include a basis whose determinant or "
+            "adjugate is not exact in float64")):
+        _oracle_bases(coeffs, 2)
+    assert _oracle_bases.cache_info().currsize == 0
+
+
 def test_oracle_refuses_a_basis_not_exact_in_float64():
     # det = (2**27 + 1)**2 - 1: the products in B . adj(B) pass 2**53
     k = 2**27 + 1
@@ -510,17 +566,19 @@ def test_oracle_refuses_a_basis_not_exact_in_float64():
 
 def test_oracle_bases_build_in_bounded_memory():
     # all 75,582 RTD matrices at once took 49.1 MiB, float LU in chunks about
-    # 20 MiB; the exact minors, level by level, about 5.4 MiB
+    # 20 MiB, the exact minors as one 3-D gather per level 4.8 MiB; as r
+    # products of 2-D takes per level, colex tables included, about 4.2 MiB
     system = _catalog_system("RTD")
     coeffs = system.rows
     _oracle_bases.cache_clear()
+    _colex.cache_clear()
     tracemalloc.start()
     try:
         _oracle_bases(coeffs, len(system.variables))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 8 * 2**20
+    assert peak < 5.5 * 2**20
 
 
 def test_oracle_hull_stays_in_the_quadrant():

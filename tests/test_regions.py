@@ -650,8 +650,17 @@ def test_rv_set_defaults_and_overrides():
     assert rvs.size("X2") == 4  # pair of two binary parts
     rvs3 = mar.rv_set(2, overrides={"Q": 3})
     assert rvs3.size("Q") == 3
+    assert mar.rv_set(2, overrides={"Q": MAX_ALPHABET_SIZE}).size("Q") == MAX_ALPHABET_SIZE
     ccp = builtin_schema("CCP")
     assert ccp.rv_set(2).size("X2") == 2  # copy of U2c
+
+
+def test_an_override_above_the_alphabet_cap_is_refused():
+    # rv_set(2, overrides={"Q": 50}) used to give Q size 50
+    mar = builtin_schema("MARIC")
+    with pytest.raises(InvalidParameter, match=re.escape(
+            f"size Q: 50 is above the alphabet cap of {MAX_ALPHABET_SIZE}")):
+        mar.rv_set(2, overrides={"Q": 50})
 
 
 # -- manifest -------------------------------------------------------------------
