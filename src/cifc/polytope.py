@@ -481,8 +481,8 @@ def _oracle_bases(coeffs: tuple[tuple[int, ...], ...], n: int) -> tuple[np.ndarr
         j, j_drop = _colex(n, r)
         below = minors
         cs, bs = c[s[:, 0]], below[s_drop[:, 0]]
-        minors = cs.take(j[:, 0], 1) * bs.take(j_drop[:, 0], 1)
-        for t in range(1, r):
+        minors = np.zeros((len(s), len(j)), dtype=np.int64)
+        for t in range(r):
             term = cs.take(j[:, t], 1)
             term *= bs.take(j_drop[:, t], 1)
             if t % 2:
@@ -512,14 +512,14 @@ def _oracle_hull(system: LinearSystem) -> tuple[tuple[float, float], ...]:
     structure, as exact integer minors; per system only the basic solutions
     change, and Cramer's rule gives them as one `einsum` and one division
     per level, each level written through flat indices into its own block
-    of rows after the origin.  The
-    solutions satisfying the whole system within FEAS_TOL are clipped to
-    x >= 0 (the slack also admits a rate of -FEAS_TOL) and projected.  The
-    projection of the polytope is the convex hull of the projected
-    solutions because the systems handled here are bounded.  This path
-    shares no code with the elimination: no multipliers, no Chernikov rule,
-    no CompiledProjection.  Raises InvalidParameter for a batch of systems
-    and when _oracle_bases refuses the structure.
+    of rows after the origin.  The solutions satisfying the whole system
+    within FEAS_TOL are clipped to x >= 0 (the slack also admits a rate of
+    -FEAS_TOL) and projected.  The projection of the polytope is the convex
+    hull of the projected solutions because the systems handled here are
+    bounded.  This path shares no code with the elimination: no
+    multipliers, no Chernikov rule, no CompiledProjection.  Raises
+    InvalidParameter for a batch of systems and when _oracle_bases refuses
+    the structure.
     """
     n = len(system.variables)
     a, levels = _oracle_bases(system.rows, n)

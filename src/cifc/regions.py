@@ -176,11 +176,12 @@ class RegionSchema:
         """
         if size > MAX_ALPHABET_SIZE:
             raise InvalidParameter(f"size {size} is above the alphabet cap of {MAX_ALPHABET_SIZE}")
-        for name, value in (overrides or {}).items():
+        overrides = dict(overrides or {})
+        for name, value in overrides.items():
             if value > MAX_ALPHABET_SIZE:
                 raise InvalidParameter(f"size {name}: {value} is above the alphabet cap of "
                                        f"{MAX_ALPHABET_SIZE}")
-        fixed = {**dict(self.default_sizes), **dict(overrides or {})}
+        fixed = {**dict(self.default_sizes), **overrides}
         det = dict(self.deterministic)
         sizes: dict[str, int] = {}
         for name in self.variables:
