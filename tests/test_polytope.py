@@ -42,8 +42,8 @@ from cifc.verify import grid_agreement
 from helpers import (
     degenerate_rtd_distribution,
     make_system,
-    reference_distance_to_hull,
     reference_colex,
+    reference_distance_to_hull,
     reference_halfplane_violation,
     reference_oracle_bases,
     reference_oracle_hull,
