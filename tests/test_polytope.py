@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import json
 import math
@@ -764,6 +765,30 @@ def test_polytope_json_roundtrip():
             ch = random_channel(seed, (rvs.size("X1"), rvs.size("X2"), 2, 2))
             d = sample_instances(schema, [ch], [seed], [SAMPLING_MODES[seed % 3]])[0]
             assert _json_holds(project_or_empty(instantiate(schema, d)))
+
+
+@pytest.mark.parametrize("sid, digest", [
+    ("RTD", "97211a3be35cf51cfbba7c87a0b4b81596c92474acefb2813bbfeb199be1ff8a"),
+    ("RTD_IN", "7dc59ff87df23cadf4021ea87b51cb46a99afe42166d89da0a0fc07ceeeccf9f"),
+    ("DMT_OUT", "145410ecf5a80c91f9e90b662775106a8f8a5201aa966a37066f9e5e506ef363"),
+    ("CC", "8aff59949c1c0fcae5456d09527a9e192c21b51f0a4ec0513bc0158c37f757ff"),
+    ("CCP", "b2ae2e0fa8f1d1396052b505ae24174ae4054faa29534d944519b195f1351a98"),
+    ("RTD_CC", "3aaddb9a962e2e5d46ee0ab3daf5e6e12ed5e61d6ad4178f03dc0a2a3a5fe418"),
+    ("JIANG", "a5586182cf23b6f506b239e3aa2baef112386ed4bca516b0c370802d952670c8"),
+    ("RTD_JIANG", "6b7e37b34b40363de7cb9d7e3a2dfa5ce84a65717137e12d6dcc79b0c9085844"),
+    ("MARIC", "6293e039e63b2c74f03e4030ac94070a247b2285beaeef360b4ffe71766db7a9"),
+])
+def test_catalog_regions_are_pinned(sid, digest):
+    # every region's vertices, half-planes and labels, as JSON: the verify
+    # reports pin margins only, so a label could move without moving them
+    schema = builtin_schema(sid)
+    sizes = (2, 4, 2, 2) if sid == "MARIC" else (2, 2, 2, 2)
+    modes, seeds = zip(*itertools.product(SAMPLING_MODES, range(30)))
+    d = sample_instances(schema, [random_channel(s, sizes) for s in seeds], seeds, modes)
+    regions = project_or_empty(instantiate(schema, d))
+    assert len(regions) == 90 and any(not p.is_empty for p in regions)
+    text = json.dumps([polytope_to_json(p) for p in regions])
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_vertices_csv_format():
