@@ -7,10 +7,11 @@ Coefficients are held exactly (integers, reduced by gcd) throughout the
 elimination, and every right-hand side stays symbolic: a nonnegative
 integer multiplier vector over the system's rows.  Each structure is
 therefore eliminated once (`compile_projection`), and a system only
-evaluates its right-hand sides (floats in bits), a batch's all at once;
-only the hull of each region is built one at a time.  The support
-of a multiplier names the rows a projected half-plane comes from, so
-every half-plane of a projection carries the labels of its source rows.
+evaluates its right-hand sides (floats in bits), a batch's all at once:
+only each region's hull is built alone; its half-planes and their labels,
+and the comparisons of two regions, take one pass over a whole batch.
+The support of a multiplier names the rows a projected half-plane comes
+from, so every half-plane carries the labels of its source rows.
 The projector and the membership oracle are deliberately independent
 code paths: the first runs variable elimination, the second enumerates
 every basic solution of the full-dimensional system and takes the convex
@@ -91,9 +92,7 @@ class Polytope2D:
         return not self.vertices
 
     def max_coord(self) -> float:
-        if not self.vertices:
-            return 0.0
-        return max(max(v) for v in self.vertices)
+        return max((max(v) for v in self.vertices), default=0.0)
 
 
 EMPTY = Polytope2D((), ())
@@ -208,7 +207,6 @@ class CompiledProjection:
                  if a[i, 0] * a[j, 1] != a[i, 1] * a[j, 0]]
         i, j = (np.asarray(ix, dtype=int) for ix in zip(*pairs))
         object.__setattr__(self, "bounded", _recession_free(normals))
-        object.__setattr__(self, "_normals", normals)
         object.__setattr__(self, "_mu", np.array(mu_rows))
         object.__setattr__(self, "_support", self._mu != 0)
         object.__setattr__(self, "_starts", starts)
@@ -218,6 +216,11 @@ class CompiledProjection:
         object.__setattr__(self, "_pairs", (i, j, a[i, 0], a[i, 1], a[j, 0], a[j, 1],
                                             a[i, 0] * a[j, 1] - a[i, 1] * a[j, 0]))
         object.__setattr__(self, "_feas", np.asarray(self.feasibility, dtype=float).reshape(-1, width))
+        # each normal scaled to max(|a1|, |a2|) = 1, and the normals in order of angle
+        object.__setattr__(self, "_top", np.abs(a).max(axis=1))
+        object.__setattr__(self, "_unit", (a / self._top[:, None]).tolist())
+        object.__setattr__(self, "_order", np.argsort(np.arctan2(a[:, 1], a[:, 0]), kind="stable"))
+        object.__setattr__(self, "_names", {})  # by labels, then source-row mask: its names
 
     def _vertices(self, b: np.ndarray):
         """For rhs b, (m,) or (K, m): the rhs of every projected row, the
@@ -242,31 +245,39 @@ class CompiledProjection:
         """The projected region at each row of b, (K, m), or EMPTY, each
         half-plane named by the `labels` of the rows of A that give it (see
         Polytope2D).  Raises Unbounded when a region is nonempty but unbounded.
+
+        Only the hull is built region by region; the normals that touch it
+        (every normal against every hull vertex), their half-planes in
+        order of angle and their labels are found for the batch at once.
         """
         row_rhs, rhs, x, y, ok = self._vertices(b)
+        if not self.bounded and ok.any():
+            raise Unbounded("the projected region is unbounded; a decoding constraint is missing")
         scale = np.maximum(1.0, np.abs(rhs).max(axis=-1))
         tight = TIGHT_TOL * scale
+        hulls = []
+        for xk, yk, okk, merge in zip(x, y, ok, (VERTEX_MERGE_TOL * scale).tolist()):
+            points = _merge_close(list(zip(xk[okk].tolist(), yk[okk].tolist())), merge)
+            hulls.append(_order_ccw(_convex_hull(points, collinear_eps=1e-9)))
+        # every normal against every hull vertex; a padded vertex, NaN, is never tight
+        uv, _ = _padded(hulls)
+        gap = np.abs(self._a[:, :1] * uv[:, None, :, 0] + self._a[:, 1:] * uv[:, None, :, 1]
+                     - rhs[..., None])
+        k, n = np.nonzero((np.fmin.reduce(gap, axis=-1) <= tight[:, None])[:, self._order])
+        n = self._order[n]
         # per normal, the union of the supports of its rows tied at the minimum
         tied = (row_rhs <= rhs[:, self._group] + tight[:, None])[..., None] & self._support
-        sources = np.logical_or.reduceat(tied, self._starts, axis=1)
-        found = zip(rhs, x, y, ok, (VERTEX_MERGE_TOL * scale).tolist(), tight.tolist(), sources)
-        return [self._region(*region, labels) for region in found]
-
-    def _region(self, rhs, x, y, ok, merge, tight, sources, labels) -> Polytope2D:
-        if not ok.any():
-            return EMPTY
-        points = _merge_close(list(zip(x[ok].tolist(), y[ok].tolist())), merge)
-        hull = _order_ccw(_convex_hull(points, collinear_eps=1e-9))
-        halfplanes = []
-        for (a1, a2), r, used in zip(self._normals, rhs.tolist(), sources.tolist()):
-            if min(abs(a1 * u + a2 * v - r) for u, v in hull) <= tight:
-                names = dict.fromkeys(lab for lab, u in zip(labels, used) if u)
-                mx = max(abs(a1), abs(a2))
-                halfplanes.append(HalfPlane(a1 / mx, a2 / mx, r / mx, tuple(names)))
-        halfplanes.sort(key=lambda h: math.atan2(h.a2, h.a1))
-        if not self.bounded:
-            raise Unbounded("the projected region is unbounded; a decoding constraint is missing")
-        return Polytope2D(tuple(halfplanes), tuple(hull))
+        used = np.logical_or.reduceat(tied, self._starts, axis=1)[k, n]
+        keys = used.view(np.dtype((np.void, used.shape[-1]))).ravel().tolist()
+        names = self._names.setdefault(labels, {})
+        for i, key in enumerate(keys):
+            if key not in names:
+                names[key] = tuple(dict.fromkeys(lab for lab, u in zip(labels, used[i]) if u))
+        planes = [HalfPlane(*self._unit[j], r, names[key])
+                  for j, r, key in zip(n.tolist(), (rhs[k, n] / self._top[n]).tolist(), keys)]
+        cuts = np.cumsum(np.bincount(k, minlength=len(hulls))).tolist()
+        return [Polytope2D(tuple(planes[lo:hi]), tuple(hull)) if hull else EMPTY
+                for lo, hi, hull in zip([0] + cuts, cuts, hulls)]
 
     def support(self, b: np.ndarray, w1: float | np.ndarray, w2: float | np.ndarray):
         """Maximize w1*R1 + w2*R2 over the region at rhs b.
@@ -554,6 +565,16 @@ def _points(points) -> tuple[np.ndarray, np.ndarray]:
     return np.asarray(points, dtype=float).reshape(-1, 2).T
 
 
+def _padded(rows, fill=(math.nan, math.nan)) -> tuple[np.ndarray, np.ndarray]:
+    """K lists of tuples as one (K, P, len(fill)) array, each list padded
+    with `fill` to P = max(1, longest), and the (K, P) mask of real tuples."""
+    counts = np.array([len(row) for row in rows], dtype=np.intp)
+    real = np.arange(max(1, counts.max(initial=0))) < counts[:, None]
+    out = np.full((*real.shape, len(fill)), fill)
+    out[real] = np.reshape([t for row in rows for t in row], (-1, len(fill)))
+    return out, real
+
+
 # CPython's correctly rounded hypot, elementwise; the C library's, which
 # np.hypot calls, is one ulp off on about 0.1% of inputs
 _hypot = np.frompyfunc(math.hypot, 2, 1)
@@ -601,38 +622,52 @@ def membership_oracle(system: LinearSystem, point: tuple[float, float], tol: flo
 # ---------------------------------------------------------------------------
 
 
+def _violations(polys, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """(K, P): each point of row k of x and y against polys[k], its max
+    violation of the half-planes and the quadrant, +inf for an empty
+    region; a padded half-plane, 0 <= +inf, never raises it."""
+    planes, _ = _padded([[(h.a1, h.a2, h.b) for h in p.halfplanes] for p in polys], (0, 0, math.inf))
+    worst = np.where(-y > -x, -y, -x)
+    for a1, a2, b in planes.transpose(1, 2, 0)[..., None]:
+        v = a1 * x + a2 * y - b
+        worst = np.where(v > worst, v, worst)
+    worst[np.array([p.is_empty for p in polys], dtype=bool)] = math.inf
+    return worst
+
+
 def halfplane_violation(poly: Polytope2D, points) -> np.ndarray:
     """Each point's max violation of the half-planes and the quadrant; the
     empty region contains no point, so every violation is +inf there."""
-    x, y = _points(points)
-    if poly.is_empty:
-        return np.full(x.shape, math.inf)
-    worst = np.where(-y > -x, -y, -x)
-    for h in poly.halfplanes:
-        v = h.value(x, y)
-        worst = np.where(v > worst, v, worst)
-    return worst
+    return _violations([poly], *(c[None] for c in _points(points)))[0]
+
+
+def containment_margins(outers, inners) -> list[float]:
+    """Per pair, the worst violation of inner's vertices against outer
+    (<= 0 means contained), -inf for an empty inner region."""
+    xy, real = _padded([p.vertices for p in inners])
+    worst = _violations(outers, xy[..., 0], xy[..., 1])
+    # the value at the first argmax; a -0.0 on an axis reads as 0.0
+    return (worst.max(axis=-1, initial=-math.inf, where=real) + 0.0).tolist()
 
 
 def containment_margin(outer: Polytope2D, inner: Polytope2D) -> float:
     """Worst violation of inner's vertices against outer (<= 0 means contained)."""
-    if inner.is_empty:
-        return -math.inf
-    violation = halfplane_violation(outer, inner.vertices)
-    return float(violation[violation.argmax()]) + 0.0  # a -0.0 on an axis reads as 0.0
+    return containment_margins([outer], [inner])[0]
+
+
+def polytopes_equal(a, b, tol: float = 1e-9) -> list[bool]:
+    """Per pair, whether the vertex sets match within tol in both directions
+    (an empty region equals only an empty one); a padded vertex, NaN, is
+    close to none and needs covering by none."""
+    (p, p_real), (q, q_real) = (_padded([r.vertices for r in c]) for c in (a, b))
+    close = (np.abs(p[:, :, None] - q[:, None]) <= tol).all(axis=-1)
+    return ((close.any(axis=2) | ~p_real).all(axis=1)
+            & (close.any(axis=1) | ~q_real).all(axis=1)).tolist()
 
 
 def polytope_equal(a: Polytope2D, b: Polytope2D, tol: float = 1e-9) -> bool:
     """Vertex sets match within tol (in both directions)."""
-    if a.is_empty or b.is_empty:
-        return a.is_empty and b.is_empty
-
-    def covered(src, dst):
-        return all(
-            any(abs(x - u) <= tol and abs(y - v) <= tol for u, v in dst) for x, y in src
-        )
-
-    return covered(a.vertices, b.vertices) and covered(b.vertices, a.vertices)
+    return polytopes_equal([a], [b], tol)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -641,14 +676,9 @@ def polytope_equal(a: Polytope2D, b: Polytope2D, tol: float = 1e-9) -> bool:
 
 
 def polytope_to_json(p: Polytope2D) -> dict:
-    return {
-        "vertices": [[float(x), float(y)] for x, y in p.vertices],
-        "halfplanes": [[h.a1, h.a2, h.b, list(h.labels)] for h in p.halfplanes],
-    }
+    return {"vertices": [[float(x), float(y)] for x, y in p.vertices],
+            "halfplanes": [[h.a1, h.a2, h.b, list(h.labels)] for h in p.halfplanes]}
 
 
 def vertices_csv(p: Polytope2D) -> str:
-    lines = ["R1,R2"]
-    for x, y in p.vertices:
-        lines.append(f"{x:.12g},{y:.12g}")
-    return "\n".join(lines) + "\n"
+    return "R1,R2\n" + "".join(f"{x:.12g},{y:.12g}\n" for x, y in p.vertices)

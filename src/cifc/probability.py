@@ -55,10 +55,7 @@ Names = Iterable[str] | str
 
 def _names(spec: Names) -> tuple[str, ...]:
     """Normalize 'A B,C' or an iterable of names into a tuple."""
-    if isinstance(spec, str):
-        parts = [p for p in spec.replace(",", " ").split() if p]
-        return tuple(parts)
-    return tuple(spec)
+    return tuple(spec.replace(",", " ").split() if isinstance(spec, str) else spec)
 
 
 @dataclass(frozen=True)
@@ -294,10 +291,7 @@ class MIExpr:
         return MIExpr(tuple((-s, t) for s, t in self.terms))
 
     def variables(self) -> set[str]:
-        out: set[str] = set()
-        for _, t in self.terms:
-            out.update(t.left, t.right, t.given)
-        return out
+        return {n for _, t in self.terms for n in (*t.left, *t.right, *t.given)}
 
     def __str__(self) -> str:
         if not self.terms:
@@ -539,11 +533,8 @@ def factorization_checks(spec: FactorizationSpec) -> tuple[tuple[str, MITerm], .
 
 
 def joint_to_json(d: JointDistribution) -> dict:
-    return {
-        "names": list(d.names),
-        "sizes": list(d.rvs.sizes),
-        "p": [float(v) for v in d.prob.reshape(-1)],
-    }
+    return {"names": list(d.names), "sizes": list(d.rvs.sizes),
+            "p": [float(v) for v in d.prob.reshape(-1)]}
 
 
 def joint_from_json(obj: dict) -> JointDistribution:

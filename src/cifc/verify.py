@@ -7,10 +7,10 @@ produced it, so every verdict is reproducible.  The draws are made seed
 by seed, each seed's random channel once for every check, and every
 stage after them takes up to BATCH samples as one batch, which gives bit
 for bit what each sample gives alone: two schemas on one batch share one
-entropy pass, and a batch's regions are projected together (cc's once
-per kept-row mask); only the hulls, the comparisons of two regions, the
-oracle and the report go one by one.  The per-distribution identities
-are data: each comparator has a table of `IdentityCheck`s, MI
+entropy pass, a batch's regions are projected together (cc's once per
+kept-row mask) and compared in pairs by one call per batch; only the
+hulls, the oracle and the report go one by one.  The per-distribution
+identities are data: each comparator has a table of `IdentityCheck`s, MI
 expressions that must vanish or be nonnegative, and one runner,
 `check_identities`, evaluates a table through one compiled map, led by
 the table and checked against the schema's requirements.  Strictly
@@ -44,9 +44,9 @@ from .probability import MI_TOL, MIExpr, compile_exprs, extend_through_channel, 
 from .polytope import (
     Polytope2D,
     compile_projection,
-    containment_margin,
+    containment_margins,
     oracle_polygon,
-    polytope_equal,
+    polytopes_equal,
     project_or_empty,
     halfplane_violation,
     _distance_to_hull,
@@ -314,10 +314,11 @@ def check_cc_reduction(
     nonempty = 0
     for seeds, d in _batches(ccp, seed + 10_000, proj_instances):
         pinned = [system.pin({"R1c'": 0.0}) for system in instantiate_all((ccp, rtdcc), d)]
-        for s, (ia, pa), (ib, pb) in zip(seeds, *map(_nonvacuous_regions, pinned)):
+        (sa, pa), (sb, pb) = (zip(*_nonvacuous_regions(batch)) for batch in pinned)
+        for s, ia, ib, region, same in zip(seeds, sa, sb, pa, polytopes_equal(pa, pb)):
             structural.record_match(s, same_system(ia, ib), "systems differ")
-            projected.record_match(s, polytope_equal(pa, pb), "vertex sets differ")
-            nonempty += not pa.is_empty
+            projected.record_match(s, same, "vertex sets differ")
+            nonempty += not region.is_empty
     projected.details["nonempty_instances"] = nonempty
     report.checks.append(structural)
     report.checks.append(projected)
@@ -411,11 +412,11 @@ def sampled_region_containment(
     worst_margin = -math.inf
     nonempty = strict = 0
     for seeds, d in _batches(inner, seed, samples, channel):
-        regions = zip(*map(project_or_empty, instantiate_all((inner, outer), d)))
-        for s, (pi, po) in zip(seeds, regions):
+        inners, outers = map(project_or_empty, instantiate_all((inner, outer), d))
+        margins, equal = containment_margins(outers, inners), polytopes_equal(outers, inners, 1e-9)
+        for s, pi, po, margin, same in zip(seeds, inners, outers, margins, equal):
             nonempty += not pi.is_empty
-            strict += not (pi.is_empty or polytope_equal(po, pi, 1e-9))
-            margin = containment_margin(po, pi)
+            strict += not (pi.is_empty or same)
             worst_margin = max(worst_margin, margin)
             message = None
             if margin > REGION_TOL:
@@ -476,11 +477,9 @@ def check_fme_oracle(
         for seeds, d in _batches(schema, seed, instances):
             systems = instantiate(schema, d)
             for k, (s, poly) in enumerate(zip(seeds, project_or_empty(systems))):
-                bad, worst = grid_agreement(systems[k], poly, grid=grid)
-                if bad:
-                    check.record(s, worst, f"seed {s}: {bad} grid disagreements", tol=REGION_TOL)
-                else:
-                    check.record(s, 0.0, tol=REGION_TOL)
+                bad, worst = grid_agreement(systems[k], poly, grid=grid)  # worst is 0.0 if not bad
+                check.record(s, worst, f"seed {s}: {bad} grid disagreements" if bad else None,
+                             tol=REGION_TOL)
                 nonempty += not poly.is_empty
         check.details["nonempty_instances"] = nonempty
         report.checks.append(check)
@@ -503,10 +502,8 @@ class FrontierResult:
         return tuple(_pareto_filter([(r1, r2) for _, r1, r2, _ in self.points]))
 
     def to_csv(self) -> str:
-        lines = ["lambda,R1,R2,seed"]
-        for lam, r1, r2, s in self.points:
-            lines.append(f"{lam:.12g},{r1:.12g},{r2:.12g},{s}")
-        return "\n".join(lines) + "\n"
+        return "lambda,R1,R2,seed\n" + "".join(
+            f"{lam:.12g},{r1:.12g},{r2:.12g},{s}\n" for lam, r1, r2, s in self.points)
 
 
 def trace_frontier(
@@ -568,15 +565,9 @@ def trace_frontier(
 
 
 def _pareto_filter(points: list[tuple[float, float]]) -> list[tuple[float, float]]:
-    out = []
-    for p in points:
-        if not any(
-            (q[0] >= p[0] + 1e-12 and q[1] >= p[1] - 1e-12)
-            or (q[0] >= p[0] - 1e-12 and q[1] >= p[1] + 1e-12)
-            for q in points
-            if q is not p
-        ):
-            out.append(p)
+    out = [p for p in points if not any(
+        (q[0] >= p[0] + 1e-12 and q[1] >= p[1] - 1e-12)
+        or (q[0] >= p[0] - 1e-12 and q[1] >= p[1] + 1e-12) for q in points if q is not p)]
     uniq: list[tuple[float, float]] = []
     for p in sorted(out):
         if not uniq or abs(p[0] - uniq[-1][0]) > 1e-12 or abs(p[1] - uniq[-1][1]) > 1e-12:
@@ -619,7 +610,4 @@ def run_suite(name: str, samples: int = 200, seed: int = 0) -> list[SuiteReport]
 
 
 def reports_to_json(reports: list[SuiteReport]) -> dict:
-    return {
-        "ok": all(r.ok for r in reports),
-        "suites": [r.to_json() for r in reports],
-    }
+    return {"ok": all(r.ok for r in reports), "suites": [r.to_json() for r in reports]}

@@ -4,7 +4,9 @@ reference for the entropy pass, a cell-by-cell reference for the
 factorized sampler, the one-pass reference for a climb's move, a
 builder of rate systems from plain rows, a sense-by-sense reference
 for the LE normal form of an instantiated schema, point-by-point
-references for the region membership tests, the uncompiled
+references for the region membership tests, region-at-a-time
+references for a batch's regions, containment margins and vertex-set
+equality, the uncompiled
 enumeration oracle, a sorted-combinations reference for the oracle's
 colex tables and a one-gather-per-level reference for its exact bases,
 the constraints the unified region's remark lets
@@ -17,9 +19,15 @@ import math
 import numpy as np
 
 from cifc.channel import canonical_channel, normalize_exponentials, random_channel
+from cifc.errors import Unbounded
 from cifc.polytope import (
+    EMPTY,
     FEAS_TOL,
     TIE_TOL,
+    TIGHT_TOL,
+    VERTEX_MERGE_TOL,
+    HalfPlane,
+    Polytope2D,
     _convex_hull,
     _merge_close,
     _order_ccw,
@@ -301,6 +309,74 @@ def reference_halfplane_violation(poly, point) -> float:
     for h in poly.halfplanes:
         worst = max(worst, h.value(point[0], point[1]))
     return worst
+
+
+def reference_polytopes(projection, b, labels) -> list:
+    """A batch's regions, b (K, m), one region at a time through
+    `reference_region`, as `CompiledProjection.polytopes` built them before
+    it found the touching normals and their labels for the whole batch."""
+    row_rhs, rhs, x, y, ok = projection._vertices(b)
+    scale = np.maximum(1.0, np.abs(rhs).max(axis=-1))
+    tight = TIGHT_TOL * scale
+    tied = (row_rhs <= rhs[:, projection._group] + tight[:, None])[..., None] & projection._support
+    sources = np.logical_or.reduceat(tied, projection._starts, axis=1)
+    found = zip(rhs, x, y, ok, (VERTEX_MERGE_TOL * scale).tolist(), tight.tolist(), sources)
+    return [reference_region(projection, *region, labels) for region in found]
+
+
+def reference_region(projection, rhs, x, y, ok, merge, tight, sources, labels):
+    """One region: its hull, then each normal against each hull vertex in
+    Python, each tight one's labels built as it is found, the half-planes
+    sorted by angle at the end."""
+    if not ok.any():
+        return EMPTY
+    points = _merge_close(list(zip(x[ok].tolist(), y[ok].tolist())), merge)
+    hull = _order_ccw(_convex_hull(points, collinear_eps=1e-9))
+    halfplanes = []
+    normals = [(int(a1), int(a2)) for a1, a2 in projection._a.tolist()]
+    for (a1, a2), r, used in zip(normals, rhs.tolist(), sources.tolist()):
+        if min(abs(a1 * u + a2 * v - r) for u, v in hull) <= tight:
+            names = dict.fromkeys(lab for lab, u in zip(labels, used) if u)
+            mx = max(abs(a1), abs(a2))
+            halfplanes.append(HalfPlane(a1 / mx, a2 / mx, r / mx, tuple(names)))
+    halfplanes.sort(key=lambda h: math.atan2(h.a2, h.a1))
+    if not projection.bounded:
+        raise Unbounded("the projected region is unbounded; a decoding constraint is missing")
+    return Polytope2D(tuple(halfplanes), tuple(hull))
+
+
+def reference_halfplane_violations(poly, points) -> np.ndarray:
+    """The half-plane test of a whole point set, one region and one
+    half-plane at a time, each a later `np.where(v > worst, ...)`."""
+    x, y = np.asarray(points, dtype=float).reshape(-1, 2).T
+    if poly.is_empty:
+        return np.full(x.shape, math.inf)
+    worst = np.where(-y > -x, -y, -x)
+    for h in poly.halfplanes:
+        v = h.value(x, y)
+        worst = np.where(v > worst, v, worst)
+    return worst
+
+
+def reference_containment_margin(outer, inner) -> float:
+    """Worst violation of inner's vertices against outer, one pair at a time."""
+    if inner.is_empty:
+        return -math.inf
+    violation = reference_halfplane_violations(outer, inner.vertices)
+    return float(violation[violation.argmax()]) + 0.0
+
+
+def reference_polytope_equal(a, b, tol: float = 1e-9) -> bool:
+    """Vertex sets match within tol in both directions, one pair at a time."""
+    if a.is_empty or b.is_empty:
+        return a.is_empty and b.is_empty
+
+    def covered(src, dst):
+        return all(
+            any(abs(x - u) <= tol and abs(y - v) <= tol for u, v in dst) for x, y in src
+        )
+
+    return covered(a.vertices, b.vertices) and covered(b.vertices, a.vertices)
 
 
 def reference_distance_to_hull(hull, point) -> float:

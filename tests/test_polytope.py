@@ -29,25 +29,38 @@ from cifc.polytope import (
     _order_ccw,
     compile_projection,
     containment_margin,
+    containment_margins,
     halfplane_violation,
     membership_oracle,
     oracle_polygon,
     polytope_equal,
+    polytopes_equal,
     polytope_to_json,
     project_or_empty,
     vertices_csv,
 )
-from cifc.regions import SCHEMA_IDS, LinearSystem, builtin_schema, compile_schema, instantiate
+from cifc.regions import (
+    SCHEMA_IDS,
+    LinearSystem,
+    builtin_schema,
+    compile_schema,
+    instantiate,
+    instantiate_all,
+)
 from cifc.sampling import SAMPLING_MODES, sample_instances
 from cifc.verify import grid_agreement
 from helpers import (
     degenerate_rtd_distribution,
     make_system,
     reference_colex,
+    reference_containment_margin,
     reference_distance_to_hull,
     reference_halfplane_violation,
+    reference_halfplane_violations,
     reference_oracle_bases,
     reference_oracle_hull,
+    reference_polytope_equal,
+    reference_polytopes,
 )
 
 
@@ -706,6 +719,141 @@ def test_empty_containment_rules():
     assert not containment_margin(EMPTY, p) <= 1e-7
     assert polytope_equal(EMPTY, EMPTY)
     assert not polytope_equal(p, EMPTY)
+
+
+# -- a batch's regions and comparisons against the one-at-a-time references -------
+
+
+def _bits(regions) -> list[str]:
+    """Each region's vertices, half-planes and labels as JSON: floats by
+    repr, so equal text is equal bits, the sign of zero included."""
+    return [json.dumps(polytope_to_json(p)) for p in regions]
+
+
+def _assert_regions_match_reference(system):
+    """project_or_empty gives the reference's regions bit for bit, on one
+    system or a batch, EMPTY itself where the reference does, and raises
+    Unbounded where the reference raises; returns the regions (or None)."""
+    projection = compile_projection(system.structure)
+    try:
+        want = reference_polytopes(projection, np.atleast_2d(system.b), system.labels)
+    except Unbounded:
+        with pytest.raises(Unbounded):
+            project_or_empty(system)
+        return None
+    got = project_or_empty(system)
+    got = got if system.b.ndim == 2 else [got]
+    assert _bits(got) == _bits(want)
+    assert [p is EMPTY for p in got] == [p is EMPTY for p in want]
+    return got
+
+
+@st.composite
+def small_batches(draw):
+    """A small_systems structure, its rows labeled from a small alphabet
+    (repeats allowed), at K = 1 to 4 right-hand sides: one system, or a
+    batch, of one too."""
+    system = draw(small_systems())
+    m = len(system.labels)
+    rhs = st.lists(st.integers(-32, 128).map(lambda k: k / 64), min_size=m, max_size=m)
+    labels = draw(st.lists(st.sampled_from(["a", "b", "c", ""]), min_size=m, max_size=m))
+    b = np.array([system.b.tolist(), *draw(st.lists(rhs, max_size=3))])
+    structure = dataclasses.replace(system.structure, labels=tuple(labels))
+    return LinearSystem(structure, b if len(b) > 1 or draw(st.booleans()) else b[0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_batches())
+def test_regions_match_the_reference_on_random_batches(system):
+    _assert_regions_match_reference(system)
+
+
+@pytest.mark.parametrize("sid", SCHEMA_IDS)
+def test_catalog_regions_match_the_reference_alone_and_in_batches(sid):
+    schema = builtin_schema(sid)
+    sizes = (2, 4, 2, 2) if sid == "MARIC" else (2, 2, 2, 2)
+    modes, seeds = zip(*itertools.product(SAMPLING_MODES, range(30)))
+    d = sample_instances(schema, [random_channel(s, sizes) for s in seeds], seeds, modes)
+    systems = instantiate(schema, d)
+    regions = _assert_regions_match_reference(systems)  # K = 90
+    assert any(p.is_empty for p in regions) and any(not p.is_empty for p in regions)
+    for k in range(0, 90, 11):  # K = 1: one system, and a batch of one
+        for system in (systems[k], LinearSystem(systems.structure, systems.b[k:k + 1])):
+            assert _bits(_assert_regions_match_reference(system)) == _bits(regions[k:k + 1])
+
+
+def test_empty_point_and_segment_regions_match_the_reference():
+    # the unit square's rows at a square, a point, two segments and no point,
+    # as one batch and one by one
+    b = [[1.0, 1.0], [0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [-1.0, 1.0]]
+    batch = LinearSystem(unit_square().structure, b)
+    regions = _assert_regions_match_reference(batch)
+    assert [len(p.vertices) for p in regions] == [4, 1, 2, 2, 0]
+    for k in range(len(b)):
+        assert _bits(_assert_regions_match_reference(batch[k])) == _bits(regions[k:k + 1])
+    rtd_point = instantiate(builtin_schema("RTD"), degenerate_rtd_distribution())
+    for system in (segment_system(), empty_system(), rtd_point):
+        _assert_regions_match_reference(system)
+
+
+def test_a_batch_is_unbounded_iff_one_of_its_regions_is_nonempty():
+    # a >= 1 and b <= cap: unbounded in R1 when cap >= 0, empty otherwise
+    structure = make_system(("a", "b"), [(-1, 0), (0, 1)], [-1.0, 0.0], (1, 0), (0, 1)).structure
+
+    def batch(*caps):
+        return LinearSystem(structure, [[-1.0, cap] for cap in caps])
+
+    assert all(p is EMPTY for p in project_or_empty(batch(-1.0, -2.0, -0.5)))
+    for caps in [(0.0,), (1.0,), (-1.0, 1.0), (1.0, -1.0), (-2.0, -1.0, 0.0)]:
+        with pytest.raises(Unbounded):
+            project_or_empty(batch(*caps))
+        _assert_regions_match_reference(batch(*caps))
+
+
+def _degenerate_regions():
+    """EMPTY, a point, two segments, two squares and the orthogonal square."""
+    square = unit_square().structure
+    regions = project_or_empty(LinearSystem(square, [[0.0, 0.0], [1.0, 0.0], [0.5, 1.0],
+                                                     [1.0, 1.0], [1.1, 1.1]]))
+    return [EMPTY, *regions, project_or_empty(orthogonal_square_system())]
+
+
+def test_margins_and_equality_match_the_reference_on_degenerate_pairs():
+    regions = _degenerate_regions()
+    outers, inners = zip(*itertools.product(regions, repeat=2))
+    margins = containment_margins(outers, inners)
+    assert _hex(margins) == _hex(map(reference_containment_margin, outers, inners))
+    for tol in (1e-9, 0.2):
+        want = [reference_polytope_equal(a, b, tol) for a, b in zip(outers, inners)]
+        assert polytopes_equal(outers, inners, tol) == want
+        assert polytopes_equal(inners, outers, tol) == want  # both directions
+    for outer, inner, margin in zip(outers, inners, margins):  # K = 1
+        assert containment_margin(outer, inner).hex() == margin.hex()
+        assert polytope_equal(outer, inner) is reference_polytope_equal(outer, inner)
+    assert containment_margin(regions[3], EMPTY) == -math.inf  # inner empty
+    assert containment_margin(EMPTY, regions[3]) == math.inf  # outer empty
+    assert containment_margins([], []) == [] and polytopes_equal([], []) == []
+    probes = [*itertools.product(np.linspace(-0.5, 1.5, 9).tolist(), repeat=2),
+              (-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0), (1.0, 0.5)]
+    for poly in regions:
+        for points in (probes, poly.vertices, []):
+            got = halfplane_violation(poly, points)
+            assert _hex(got) == _hex(reference_halfplane_violations(poly, points))
+
+
+@pytest.mark.parametrize("outer_id, inner_id", [
+    ("RTD_IN", "DMT_OUT"), ("RTD_JIANG", "JIANG"), ("RTD_CC", "CCP")])
+def test_margins_and_equality_match_the_reference_on_containment_batches(outer_id, inner_id):
+    import cifc.verify
+
+    inner, outer = builtin_schema(inner_id), builtin_schema(outer_id)
+    (_, d), = cifc.verify._batches(inner, 1, 60)
+    inners, outers = map(project_or_empty, instantiate_all((inner, outer), d))
+    assert any(p.is_empty for p in inners) and any(not p.is_empty for p in inners)
+    # the suite's pairs, swapped (an empty outer region), and shifted by one
+    for a, b in ((outers, inners), (inners, outers), (outers[1:] + outers[:1], inners)):
+        assert _hex(containment_margins(a, b)) == _hex(map(reference_containment_margin, a, b))
+        assert polytopes_equal(a, b) == list(map(reference_polytope_equal, a, b))
 
 
 # -- spec invariants --------------------------------------------------------------
