@@ -31,14 +31,17 @@ def _dump_json(obj: dict, path: str | None) -> None:
 
 
 def _cmd_validate(args) -> int:
-    print(f"{args.channel}: valid channel {load_channel(args.channel).shape}")
+    ch = load_channel(args.channel)
+    print(f"{args.channel}: valid channel {ch.shape}")
     return 0
 
 
 def _cmd_project(args) -> int:
     ch = load_channel(args.channel)
     schema = builtin_schema(args.schema)
-    poly = project_or_empty(instantiate(schema, extend_through_channel(load_joint(args.dist), ch)))
+    d = load_joint(args.dist)
+    d = extend_through_channel(d, ch)
+    poly = project_or_empty(instantiate(schema, d))
     if poly.is_empty:
         print(f"note: {args.schema} region is empty at this distribution")
     out = args.out or "polytope.json"
@@ -77,8 +80,11 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_manifest(args) -> int:
-    _dump_json(schema_manifest(builtin_schema(args.schema)) if args.schema else catalog_manifest(),
-               args.out)
+    if args.schema:
+        payload = schema_manifest(builtin_schema(args.schema))
+    else:
+        payload = catalog_manifest()
+    _dump_json(payload, args.out)
     return 0
 
 

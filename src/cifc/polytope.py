@@ -59,9 +59,6 @@ class HalfPlane:
     b: float
     labels: tuple[str, ...]
 
-    def value(self, r1: float, r2: float) -> float:
-        return self.a1 * r1 + self.a2 * r2 - self.b
-
 
 @dataclass(frozen=True)
 class Polytope2D:
@@ -92,7 +89,9 @@ class Polytope2D:
         return not self.vertices
 
     def max_coord(self) -> float:
-        return max((max(v) for v in self.vertices), default=0.0)
+        if not self.vertices:
+            return 0.0
+        return max(max(v) for v in self.vertices)
 
 
 EMPTY = Polytope2D((), ())
@@ -568,8 +567,8 @@ def _points(points) -> tuple[np.ndarray, np.ndarray]:
 def _padded(rows, fill=(math.nan, math.nan)) -> tuple[np.ndarray, np.ndarray]:
     """K lists of tuples as one (K, P, len(fill)) array, each list padded
     with `fill` to P = max(1, longest), and the (K, P) mask of real tuples."""
-    counts = np.array([len(row) for row in rows], dtype=np.intp)
-    real = np.arange(max(1, counts.max(initial=0))) < counts[:, None]
+    counts = [len(row) for row in rows]
+    real = np.arange(max([1, *counts])) < np.array(counts, dtype=np.intp)[:, None]
     out = np.full((*real.shape, len(fill)), fill)
     out[real] = np.reshape([t for row in rows for t in row], (-1, len(fill)))
     return out, real
@@ -626,12 +625,15 @@ def _violations(polys, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """(K, P): each point of row k of x and y against polys[k], its max
     violation of the half-planes and the quadrant, +inf for an empty
     region; a padded half-plane, 0 <= +inf, never raises it."""
+    empty = [p.is_empty for p in polys]
+    if all(empty):
+        return np.full(x.shape, math.inf)
     planes, _ = _padded([[(h.a1, h.a2, h.b) for h in p.halfplanes] for p in polys], (0, 0, math.inf))
+    a1, a2, b = planes.transpose(2, 1, 0)[..., None]
     worst = np.where(-y > -x, -y, -x)
-    for a1, a2, b in planes.transpose(1, 2, 0)[..., None]:
-        v = a1 * x + a2 * y - b
-        worst = np.where(v > worst, v, worst)
-    worst[np.array([p.is_empty for p in polys], dtype=bool)] = math.inf
+    for v in a1 * x + a2 * y - b:  # one (K, P) slice per half-plane, in order
+        np.copyto(worst, v, where=v > worst)  # np.where(v > worst, v, worst), in place
+    worst[np.array(empty, dtype=bool)] = math.inf
     return worst
 
 
@@ -676,9 +678,14 @@ def polytope_equal(a: Polytope2D, b: Polytope2D, tol: float = 1e-9) -> bool:
 
 
 def polytope_to_json(p: Polytope2D) -> dict:
-    return {"vertices": [[float(x), float(y)] for x, y in p.vertices],
-            "halfplanes": [[h.a1, h.a2, h.b, list(h.labels)] for h in p.halfplanes]}
+    return {
+        "vertices": [[float(x), float(y)] for x, y in p.vertices],
+        "halfplanes": [[h.a1, h.a2, h.b, list(h.labels)] for h in p.halfplanes],
+    }
 
 
 def vertices_csv(p: Polytope2D) -> str:
-    return "R1,R2\n" + "".join(f"{x:.12g},{y:.12g}\n" for x, y in p.vertices)
+    lines = ["R1,R2"]
+    for x, y in p.vertices:
+        lines.append(f"{x:.12g},{y:.12g}")
+    return "\n".join(lines) + "\n"

@@ -55,7 +55,10 @@ Names = Iterable[str] | str
 
 def _names(spec: Names) -> tuple[str, ...]:
     """Normalize 'A B,C' or an iterable of names into a tuple."""
-    return tuple(spec.replace(",", " ").split() if isinstance(spec, str) else spec)
+    if isinstance(spec, str):
+        parts = [p for p in spec.replace(",", " ").split() if p]
+        return tuple(parts)
+    return tuple(spec)
 
 
 @dataclass(frozen=True)
@@ -291,7 +294,10 @@ class MIExpr:
         return MIExpr(tuple((-s, t) for s, t in self.terms))
 
     def variables(self) -> set[str]:
-        return {n for _, t in self.terms for n in (*t.left, *t.right, *t.given)}
+        out: set[str] = set()
+        for _, t in self.terms:
+            out.update(t.left, t.right, t.given)
+        return out
 
     def __str__(self) -> str:
         if not self.terms:
@@ -533,8 +539,11 @@ def factorization_checks(spec: FactorizationSpec) -> tuple[tuple[str, MITerm], .
 
 
 def joint_to_json(d: JointDistribution) -> dict:
-    return {"names": list(d.names), "sizes": list(d.rvs.sizes),
-            "p": [float(v) for v in d.prob.reshape(-1)]}
+    return {
+        "names": list(d.names),
+        "sizes": list(d.rvs.sizes),
+        "p": [float(v) for v in d.prob.reshape(-1)],
+    }
 
 
 def joint_from_json(obj: dict) -> JointDistribution:

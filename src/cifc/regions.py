@@ -95,7 +95,10 @@ class LinearRateConstraint:
         return dict(self.coeffs).get(name, 0)
 
     def lhs_str(self) -> str:
-        return " + ".join(name if c == 1 else f"{c} {name}" for name, c in self.coeffs)
+        parts = []
+        for name, c in self.coeffs:
+            parts.append(name if c == 1 else f"{c} {name}")
+        return " + ".join(parts)
 
     def __str__(self) -> str:
         op = "<=" if self.sense == LE else ">="

@@ -477,9 +477,11 @@ def check_fme_oracle(
         for seeds, d in _batches(schema, seed, instances):
             systems = instantiate(schema, d)
             for k, (s, poly) in enumerate(zip(seeds, project_or_empty(systems))):
-                bad, worst = grid_agreement(systems[k], poly, grid=grid)  # worst is 0.0 if not bad
-                check.record(s, worst, f"seed {s}: {bad} grid disagreements" if bad else None,
-                             tol=REGION_TOL)
+                bad, worst = grid_agreement(systems[k], poly, grid=grid)
+                if bad:
+                    check.record(s, worst, f"seed {s}: {bad} grid disagreements", tol=REGION_TOL)
+                else:
+                    check.record(s, 0.0, tol=REGION_TOL)
                 nonempty += not poly.is_empty
         check.details["nonempty_instances"] = nonempty
         report.checks.append(check)
@@ -502,8 +504,10 @@ class FrontierResult:
         return tuple(_pareto_filter([(r1, r2) for _, r1, r2, _ in self.points]))
 
     def to_csv(self) -> str:
-        return "lambda,R1,R2,seed\n" + "".join(
-            f"{lam:.12g},{r1:.12g},{r2:.12g},{s}\n" for lam, r1, r2, s in self.points)
+        lines = ["lambda,R1,R2,seed"]
+        for lam, r1, r2, s in self.points:
+            lines.append(f"{lam:.12g},{r1:.12g},{r2:.12g},{s}")
+        return "\n".join(lines) + "\n"
 
 
 def trace_frontier(
@@ -565,9 +569,15 @@ def trace_frontier(
 
 
 def _pareto_filter(points: list[tuple[float, float]]) -> list[tuple[float, float]]:
-    out = [p for p in points if not any(
-        (q[0] >= p[0] + 1e-12 and q[1] >= p[1] - 1e-12)
-        or (q[0] >= p[0] - 1e-12 and q[1] >= p[1] + 1e-12) for q in points if q is not p)]
+    out = []
+    for p in points:
+        if not any(
+            (q[0] >= p[0] + 1e-12 and q[1] >= p[1] - 1e-12)
+            or (q[0] >= p[0] - 1e-12 and q[1] >= p[1] + 1e-12)
+            for q in points
+            if q is not p
+        ):
+            out.append(p)
     uniq: list[tuple[float, float]] = []
     for p in sorted(out):
         if not uniq or abs(p[0] - uniq[-1][0]) > 1e-12 or abs(p[1] - uniq[-1][1]) > 1e-12:
@@ -610,4 +620,7 @@ def run_suite(name: str, samples: int = 200, seed: int = 0) -> list[SuiteReport]
 
 
 def reports_to_json(reports: list[SuiteReport]) -> dict:
-    return {"ok": all(r.ok for r in reports), "suites": [r.to_json() for r in reports]}
+    return {
+        "ok": all(r.ok for r in reports),
+        "suites": [r.to_json() for r in reports],
+    }

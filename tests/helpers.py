@@ -307,7 +307,7 @@ def reference_halfplane_violation(poly, point) -> float:
     for nonempty regions: on EMPTY it checks only the quadrant."""
     worst = max(-point[0], -point[1])
     for h in poly.halfplanes:
-        worst = max(worst, h.value(point[0], point[1]))
+        worst = max(worst, h.a1 * point[0] + h.a2 * point[1] - h.b)
     return worst
 
 
@@ -353,7 +353,7 @@ def reference_halfplane_violations(poly, points) -> np.ndarray:
         return np.full(x.shape, math.inf)
     worst = np.where(-y > -x, -y, -x)
     for h in poly.halfplanes:
-        v = h.value(x, y)
+        v = h.a1 * x + h.a2 * y - h.b
         worst = np.where(v > worst, v, worst)
     return worst
 

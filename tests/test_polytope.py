@@ -85,7 +85,7 @@ def test_segment_projection():
     assert polytope_equal(p, type(p)(p.halfplanes, ((0.0, 0.0), (1.0, 0.0))), 1e-12)
     # every half-plane is tight somewhere on the segment
     for h in p.halfplanes:
-        assert min(abs(h.value(x, y)) for x, y in p.vertices) < 1e-9
+        assert min(abs(h.a1 * x + h.a2 * y - h.b) for x, y in p.vertices) < 1e-9
 
 
 def test_degenerate_point_projection():
@@ -794,6 +794,19 @@ def test_empty_point_and_segment_regions_match_the_reference():
     rtd_point = instantiate(builtin_schema("RTD"), degenerate_rtd_distribution())
     for system in (segment_system(), empty_system(), rtd_point):
         _assert_regions_match_reference(system)
+
+
+def test_a_padded_hull_vertex_is_never_tight():
+    # R1 >= 1 keeps the first region, [1, 2] x [0, 0.5], off the origin, where
+    # its untouched row R2 - R1 <= 0 passes; its four vertices are padded to the
+    # five of the second region, so a padded vertex at the origin would name it
+    batch = make_system(("a", "b"), [(-1, 0), (1, 0), (0, 1), (-1, 1)],
+                        [[-1.0, 2.0, 0.5, 0.0], [0.0, 2.0, 1.0, 0.5]], (1, 0), (0, 1),
+                        ["lo", "hi", "top", "diag"])
+    first, second = _assert_regions_match_reference(batch)
+    assert (len(first.vertices), len(second.vertices)) == (4, 5)
+    assert not any("diag" in h.labels for h in first.halfplanes)
+    assert any("diag" in h.labels for h in second.halfplanes)
 
 
 def test_a_batch_is_unbounded_iff_one_of_its_regions_is_nonempty():
