@@ -6,8 +6,8 @@ builder of rate systems from plain rows, a sense-by-sense reference
 for the LE normal form of an instantiated schema, point-by-point
 references for the region membership tests, region-at-a-time
 references for a batch's regions, containment margins and vertex-set
-equality, the uncompiled
-enumeration oracle, a sorted-combinations reference for the oracle's
+equality, the uncompiled enumeration oracle, a sorted-combinations
+reference for the oracle's
 colex tables and a one-gather-per-level reference for its exact bases,
 the constraints the unified region's remark lets
 drop when certain rates vanish and their check, and the
