@@ -4,9 +4,9 @@ The package computes, for finite-alphabet channels and explicitly sampled
 input distributions, the unified achievable rate region and the prior
 comparator regions, projects them onto the (R1, R2) plane, and runs the
 per-distribution identity and containment suites that connect them.
-Each identity suite is a table that `check_identities` runs (`run_suite`
-names them), and each comparator's projected containment in its unified
-counterpart is checked once, by `sampled_region_containment`.
+The suites are the blocks of one claims table in `cifc.verify`, each line
+an identity, a pinned-rate equality or a containment, and `run_suite`
+runs one block or all of them.
 """
 
 from .channel import Channel, canonical_channel  # noqa: F401

@@ -529,10 +529,11 @@ m5: R1 + R2 <= I(U1a;Y1|Q,U1c) - I(U1a;X2a,X2b|Q,U1c) + I(U1c,X2;Y2|Q)
 
 _VARS = r"[A-Za-z]\w*(?:,[A-Za-z]\w*)*"
 _RATE = r"[A-Za-z]\w*'?"
-_ATOM = re.compile(rf"(-?)(?:(\d+) )?I\(({_VARS});({_VARS})(?:\|({_VARS}))?\)")
+_ATOM = re.compile(rf"(?:([1-9]\d*) )?I\(({_VARS});({_VARS})(?:\|({_VARS}))?\)")
 _FACTOR = re.compile(rf"p\(({_VARS})(?:\|({_VARS}))?\)")
 _RATES = re.compile(rf"({_RATE}(?: {_RATE})*)")
 _TERM = re.compile(rf"(?:(-?[1-9]\d*) )?({_RATE})")
+_REF = re.compile(r"\[(?:(\w+)\.)?([\w']+)\]")
 _CONSTRAINT = re.compile(r"([\w']+): (.+) ([<>]=) (.+)")
 _FACTS = {  # line kind -> (the text after the kind, the value's reader, the RegionSchema field)
     "input": (re.compile(rf"(\w+) reads ({_VARS})"), lambda v: tuple(v.split(",")), "input_deps"),
@@ -551,19 +552,29 @@ def _read(pattern: re.Pattern, text: str, what: str) -> tuple:
     return m.groups()
 
 
-def parse_expr(text: str) -> MIExpr:
+def parse_expr(text: str, reference=None) -> MIExpr:
     """The MIExpr that prints as `text`: 0, or atoms I(A;B|C) joined by
     ' + ' and ' - ', the first of them optionally negated, each optionally
-    after its coefficient's magnitude and a space ('- 3 I(A;C)')."""
+    after its coefficient's magnitude and a space ('- 3 I(A;C)').  Given
+    `reference`, a term may also be a reference, `[SCHEMA.label]` or
+    `[LABEL]`: `reference(SCHEMA or None, label)` is its MIExpr, which
+    takes the sign written before it; a catalog line has none."""
     if text == "0":
         return MIExpr()
     parts = re.split(r" ([+-]) ", text)
-    atoms = [_read(_ATOM, atom, "a term I(A;B|C)") for atom in parts[::2]]
-    if any(neg for neg, *_ in atoms[1:]):
+    if any(part.startswith("-") for part in parts[2::2]):
         raise InvalidParameter(f"cannot read {text!r}: two signs before one term")
-    return MIExpr(tuple(
-        ((-1 if "-" in (sign, neg) else 1) * int(c or 1), mi(left, right, given or ()))
-        for sign, (neg, c, left, right, given) in zip(["+", *parts[1::2]], atoms)))
+    terms: tuple = ()
+    for sign, part in zip(["+", *parts[1::2]], parts[::2]):
+        term = part.removeprefix("-")
+        s = -1 if sign == "-" or term != part else 1
+        if reference and term.startswith("["):
+            expr = reference(*_read(_REF, term, "a reference [SCHEMA.label] or [LABEL]"))
+            terms += (expr if s == 1 else -expr).terms
+        else:
+            c, left, right, given = _read(_ATOM, term, "a term I(A;B|C)")
+            terms += ((s * int(c or 1), mi(left, right, given or ())),)
+    return MIExpr(terms)
 
 
 def _linear(text: str, rates: Sequence[str]) -> tuple[tuple[str, int], ...]:

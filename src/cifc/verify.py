@@ -9,15 +9,27 @@ stage after them takes up to BATCH samples as one batch, which gives bit
 for bit what each sample gives alone: two schemas on one batch share one
 entropy pass, a batch's regions are projected together (cc's once per
 kept-row mask) and compared in pairs by one call per batch; only the
-hulls, the oracle and the report go one by one.  The per-distribution
-identities are data: each comparator has a table of `IdentityCheck`s, MI
-expressions that must vanish or be nonnegative, and one runner,
-`check_identities`, evaluates a table through one compiled map, led by
-the table and checked against the schema's requirements.  Strictly
+hulls, the oracle and the report go one by one.
+
+The claims are one text table, `_CLAIMS`, one block per suite in the
+order `run_suite` runs them, read once, at import, by `parse_claims`
+into `SUITES`:
+
+  suite cc CC                      the suite, then the schema its identities sample
+  37p: I(Y1;U10,U11,V11,V20)       a bound that the lines below may reference
+  zero ID: EXPR                    EXPR vanishes on every draw
+  nonneg ID: EXPR                  EXPR is nonnegative on every draw
+  pinned CCP RTD_CC R1c' = 0       with the rate at 0, one system and one region
+  contains A B [channel random_channel(7)]   B's region lies inside A's
+
+An EXPR is `parse_expr`'s text whose terms may also be references,
+`[SCHEMA.label]` for a catalog constraint's rhs and `[LABEL]` for a bound
+above it, each with the sign written before it.  The zero and nonneg
+lines of one ID, next to each other, are one `IdentityCheck`, and
+`check_identities` evaluates a suite's checks through one compiled map,
+led by them and checked against the schema's requirements.  Strictly
 positive claims are tested as >= -MI_TOL with the observed gaps logged;
-degenerate distributions legitimately achieve zero.  Each comparator's
-projected region is checked against its unified counterpart once, by
-`sampled_region_containment` in the containment suite.  The tolerances
+degenerate distributions legitimately achieve zero.  The tolerances
 are fixed: MI_TOL for every identity and zero check, REGION_TOL for
 every containment and oracle comparison.  The frontier is
 `cifc.sampling.climb` with a support objective: one climb per lambda on
@@ -31,16 +43,16 @@ improving one, so the output is identical to climbing each lambda alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import partial
+import re
+from dataclasses import dataclass, field, replace
 from collections.abc import Iterable, Sequence
 
 import numpy as np
 
 from . import probability
-from .channel import Channel, _random_channel, check_integer, random_channel
+from .channel import OUTPUTS, Channel, _random_channel, check_integer, random_channel
 from .errors import InvalidParameter, Unbounded
-from .probability import MI_TOL, MIExpr, compile_exprs, extend_through_channel, mi
+from .probability import MI_TOL, MIExpr, compile_exprs, extend_through_channel
 from .polytope import (
     Polytope2D,
     compile_projection,
@@ -52,6 +64,7 @@ from .polytope import (
     _distance_to_hull,
 )
 from .regions import (
+    _RATE,
     SCHEMA_IDS,
     LinearSystem,
     RegionSchema,
@@ -61,6 +74,7 @@ from .regions import (
     instantiate_all,
     parse_expr,
     same_system,
+    _read,
 )
 from .sampling import _joints, _mode_for, check_climbs, climb, sample_instances
 
@@ -216,113 +230,28 @@ def _channel_sizes(schema: RegionSchema) -> tuple[int, int, int, int]:
     return rvs.size("X1"), rvs.size("X2"), 2, 2
 
 
-def _rhs(schema_id: str, label: str) -> MIExpr:
-    return builtin_schema(schema_id).constraint(label).rhs
+def check_cc_reduction(samples: int = 200, seed: int = 0, proj_instances: int = 100) -> SuiteReport:
+    """The cc block of the claims table, its pinned line on `proj_instances` draws."""
+    return _run_claims(SUITES["cc"], samples, proj_instances, seed)[0]
 
 
-def devroye_identity_checks() -> tuple[IdentityCheck, ...]:
-    """Differences between the restricted unified region rows (e1x) and the
-    enlarged comparator rows (e2x), after cancelling the binning rates.
-
-    Four differences vanish identically, the e14 case equals I(U2c;U1c|X2),
-    which vanishes under the sampling chain, and the e17 case equals the
-    nonnegative I(U1c;U1pb).
-    """
-    u, c = partial(_rhs, "RTD_IN"), partial(_rhs, "DMT_OUT")
-    e14 = u("e14") - u("e10") - (c("e24") - c("e20"))
-    e14_gap = MIExpr.of(mi("U2c", "U1c", "X2"))
-    e17 = u("e17") - u("e12") - (c("e27") - c("e21") - c("e20"))
-    e17_gap = MIExpr.of(mi("U1c", "U1pb"))
-    return (
-        IdentityCheck("e13_e23", (u("e13") - u("e10") - (c("e23") - c("e20")),)),
-        IdentityCheck("e14_e24", (e14 - e14_gap, e14_gap)),
-        IdentityCheck("e15_e25", (u("e15") - u("e10") - (c("e25") - c("e20")),)),
-        IdentityCheck("e16_e26", (u("e16") - c("e26"),)),
-        IdentityCheck("e17_e27", (e17 - e17_gap,), (e17_gap,)),
-        IdentityCheck("e18_e28", (u("e18") - u("e12") - (c("e28") - c("e21") - c("e20")),)),
-        IdentityCheck("e19_e29", (u("e19") - u("e12") + u("e10") - (c("e29") - c("e21")),)),
-    )
-
-
-# -- comparator reduction (merged satellite) --------------------------------
-
-
-# the five merged-comparator bounds, transcribed apart from the CC catalog block
-_CC_PRIMED = """\
-37p: I(Y1;U10,U11,V11,V20)
-38p: I(Y2;V20,V22|U10)
-39p: I(Y1;U11,V11|U10,V20) + I(Y2;U10,V20,V22) - I(V22;U11,V11|U10,V20)
-40p: I(Y1;U10,U11,V11,V20) + I(Y2;V22|U10,V20) - I(V22;U11,V11|U10,V20)
-41p: I(Y1;U11,V11,V20|U10) + I(Y2;V22|U10,V20) + I(Y2;U10,V20,V22) - I(V22;U11,V11|U10,V20)
-"""
-
-# MARIC's five bounds with the decoded part X2a merged into X2b' = (X2a, X2b),
-# written over the original variables so that both forms evaluate on one joint
-_MARIC_MERGED = """\
-m1': I(U1a;Y1|Q,U1c) - I(U1a;X2a,X2b|Q,U1c) + I(U1c,X2a,X2b;Y2|Q)
-m2': I(U1a,U1c;Y1|Q) - I(U1a,U1c;X2a,X2b|Q)
-m3': I(U1c,X2;Y2|Q)
-m4': I(X2;U1c,Y2|Q)
-m5': I(U1a;Y1|Q,U1c) - I(U1a;X2a,X2b|Q,U1c) + I(U1c,X2;Y2|Q)
-"""
-
-
-def _bounds(table: str) -> dict[str, MIExpr]:
-    """A table of `label: rhs` lines, each rhs read by parse_expr."""
-    return {label: parse_expr(rhs) for label, rhs in
-            (line.split(": ") for line in table.splitlines())}
-
-
-def cc_primed_expressions() -> dict[str, MIExpr]:
-    """The five merged-comparator bounds 37p-41p, transcribed independently."""
-    return _bounds(_CC_PRIMED)
-
-
-CC_GAP = mi("V22 V20", "U11", "U10")
-
-
-def cc_identity_checks() -> tuple[IdentityCheck, ...]:
-    """Merging the satellite auxiliary leaves bounds 37/39/40 unchanged and
-    relaxes 38/41 by exactly the nonnegative I(V22,V20;U11|U10)."""
-    primed = cc_primed_expressions()
-    delta = {lab: primed[lab + "p"] - _rhs("CC", lab) for lab in ("37", "38", "39", "40", "41")}
-    return tuple(
-        IdentityCheck(f"37..41 vs primed: {lab}", (delta[lab],)) for lab in ("37", "39", "40")
-    ) + tuple(
-        IdentityCheck(f"{lab}p minus {lab} equals merge gap", (delta[lab] - CC_GAP,), (delta[lab],))
-        for lab in ("38", "41")
-    )
-
-
-def check_cc_reduction(
-    samples: int = 200,
-    seed: int = 0,
-    proj_instances: int = 100,
-) -> SuiteReport:
-    """Two sub-checks for the sequential-binning comparator.
-
-    (i) the identities of cc_identity_checks; (ii) with the variable
-    correspondence and the first binning rate pinned to zero, the merged
-    comparator and the specialized unified region are the same constraint
-    system, hence project to identical vertex sets.
-    """
-    report = check_identities("cc", "CC", cc_identity_checks(), samples, seed)
-    ccp = builtin_schema("CCP")
-    rtdcc = builtin_schema("RTD_CC")
+def _pinned_checks(sampled_id: str, other_id: str, rate: str, instances: int,
+                   seed: int) -> list[CheckReport]:
+    """On `instances` draws of the first schema, both schemas with `rate`
+    pinned to zero are one constraint system and project to one vertex set."""
+    schemas = builtin_schema(sampled_id), builtin_schema(other_id)
     structural = CheckReport("pinned systems structurally identical")
     projected = CheckReport("pinned projections vertex-identical")
     nonempty = 0
-    for seeds, d in _batches(ccp, seed + 10_000, proj_instances):
-        pinned = [system.pin({"R1c'": 0.0}) for system in instantiate_all((ccp, rtdcc), d)]
+    for seeds, d in _batches(schemas[0], seed, instances):
+        pinned = [system.pin({rate: 0.0}) for system in instantiate_all(schemas, d)]
         (sa, pa), (sb, pb) = (zip(*_nonvacuous_regions(batch)) for batch in pinned)
         for s, ia, ib, region, same in zip(seeds, sa, sb, pa, polytopes_equal(pa, pb)):
             structural.record_match(s, same_system(ia, ib), "systems differ")
             projected.record_match(s, same, "vertex sets differ")
             nonempty += not region.is_empty
     projected.details["nonempty_instances"] = nonempty
-    report.checks.append(structural)
-    report.checks.append(projected)
-    return report
+    return [structural, projected]
 
 
 def _nonvacuous_regions(batch: LinearSystem) -> list[tuple[LinearSystem, Polytope2D]]:
@@ -336,55 +265,6 @@ def _nonvacuous_regions(batch: LinearSystem) -> list[tuple[LinearSystem, Polytop
         for j, region in enumerate(project_or_empty(group)):
             out[ks[j]] = group[j], region
     return out
-
-
-# -- independent-common-messages comparator ----------------------------------
-
-
-JIANG_PAIRS = (
-    ("u0", "j0"),
-    ("u1", "j1"),
-    ("u2", "j2"),
-    ("u3", "j4"),
-    ("u4", "j5"),
-    ("u5", "j6"),
-    ("u6", "j7"),
-    ("u7", "j9"),
-)
-
-
-def jiang_identity_checks() -> tuple[IdentityCheck, ...]:
-    """The paired bounds agree, and the pinned binning rate vanishes."""
-    return (
-        IdentityCheck(
-            "eight paired bounds equal",
-            tuple(_rhs("RTD_JIANG", u) - _rhs("JIANG", j) for u, j in JIANG_PAIRS),
-        ),
-        IdentityCheck(
-            "I(U1c;X2|U2c) vanishes under the chain", (MIExpr.of(mi("U1c", "X2", "U2c")),)
-        ),
-    )
-
-
-# -- split-primary-input comparator ------------------------------------------
-
-
-def maric_identity_checks() -> tuple[IdentityCheck, ...]:
-    """Merging the decoded part of the split primary input raises the first
-    bound by exactly I(X2a;Y2|Q) and leaves the other four unchanged."""
-    mar, merged = builtin_schema("MARIC"), _bounds(_MARIC_MERGED)
-
-    def delta(lab: str) -> MIExpr:
-        return merged[lab + "'"] - mar.constraint(lab).rhs
-
-    return (
-        IdentityCheck(
-            "bounds m2..m5 unchanged under merge",
-            tuple(delta(lab) for lab in ("m2", "m3", "m4", "m5")),
-        ),
-        IdentityCheck("merged m1 exceeds m1 by I(X2a;Y2|Q)", (delta("m1") - mi("X2a", "Y2", "Q"),)),
-        IdentityCheck("merge gap nonnegative", nonneg=(delta("m1"),)),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -586,27 +466,180 @@ def _pareto_filter(points: list[tuple[float, float]]) -> list[tuple[float, float
 
 
 # ---------------------------------------------------------------------------
-# Suite registry (used by the CLI)
+# The claims, one text block per suite (the line kinds are in the module
+# docstring; run_suite and the CLI read SUITES)
 # ---------------------------------------------------------------------------
 
+# devroye: the restricted unified rows (e1x) minus the enlarged comparator's
+# rows (e2x), binning rates cancelled, vanish, but for e14's, which equals
+# I(U2c;U1c|X2) and vanishes under the sampling chain, and e17's, the
+# nonnegative I(U1c;U1pb).  cc: the merged comparator's bounds 37p-41p,
+# transcribed apart from the CC catalog block, equal 37/39/40 and relax 38/41
+# by exactly the nonnegative I(V22,V20;U11|U10); with R1c' pinned to zero, CCP
+# and RTD_CC are one system.  jiang: the paired bounds agree, and the pinned
+# binning rate vanishes.  maric: merging the decoded part X2a into
+# X2b' = (X2a, X2b), written over the original variables so that both forms
+# evaluate on one joint, raises m1 by exactly I(X2a;Y2|Q) and leaves m2..m5
+# unchanged.  containment: each comparator's region lies inside its
+# specialized unified region.
+_CLAIMS = """
+suite devroye RTD_IN
+zero e13_e23: [RTD_IN.e13] - [RTD_IN.e10] - [DMT_OUT.e23] + [DMT_OUT.e20]
+zero e14_e24: [RTD_IN.e14] - [RTD_IN.e10] - [DMT_OUT.e24] + [DMT_OUT.e20] - I(U2c;U1c|X2)
+zero e14_e24: I(U2c;U1c|X2)
+zero e15_e25: [RTD_IN.e15] - [RTD_IN.e10] - [DMT_OUT.e25] + [DMT_OUT.e20]
+zero e16_e26: [RTD_IN.e16] - [DMT_OUT.e26]
+zero e17_e27: [RTD_IN.e17] - [RTD_IN.e12] - [DMT_OUT.e27] + [DMT_OUT.e21] + [DMT_OUT.e20] - I(U1c;U1pb)
+nonneg e17_e27: I(U1c;U1pb)
+zero e18_e28: [RTD_IN.e18] - [RTD_IN.e12] - [DMT_OUT.e28] + [DMT_OUT.e21] + [DMT_OUT.e20]
+zero e19_e29: [RTD_IN.e19] - [RTD_IN.e12] + [RTD_IN.e10] - [DMT_OUT.e29] + [DMT_OUT.e21]
 
-# name -> runner(samples, projected, seed), where `projected` caps the
-# instances each projecting check draws; "all" runs every suite in order
-SUITES = {
-    "devroye": lambda n, k, seed: [
-        check_identities("devroye", "RTD_IN", devroye_identity_checks(), n, seed)],
-    "cc": lambda n, k, seed: [check_cc_reduction(n, seed, proj_instances=k)],
-    "jiang": lambda n, k, seed: [
-        check_identities("jiang", "JIANG", jiang_identity_checks(), n, seed)],
-    "maric": lambda n, k, seed: [
-        check_identities("maric", "MARIC", maric_identity_checks(), n, seed)],
-    "containment": lambda n, k, seed: [
-        sampled_region_containment(
-            "RTD_IN", "DMT_OUT", channel=random_channel(7), samples=k, seed=seed),
-        sampled_region_containment("RTD_JIANG", "JIANG", samples=k, seed=seed),
-        sampled_region_containment("RTD_CC", "CCP", samples=k, seed=seed),
-    ],
+suite cc CC
+37p: I(Y1;U10,U11,V11,V20)
+38p: I(Y2;V20,V22|U10)
+39p: I(Y1;U11,V11|U10,V20) + I(Y2;U10,V20,V22) - I(V22;U11,V11|U10,V20)
+40p: I(Y1;U10,U11,V11,V20) + I(Y2;V22|U10,V20) - I(V22;U11,V11|U10,V20)
+41p: I(Y1;U11,V11,V20|U10) + I(Y2;V22|U10,V20) + I(Y2;U10,V20,V22) - I(V22;U11,V11|U10,V20)
+zero 37..41 vs primed: 37: [37p] - [CC.37]
+zero 37..41 vs primed: 39: [39p] - [CC.39]
+zero 37..41 vs primed: 40: [40p] - [CC.40]
+zero 38p minus 38 equals merge gap: [38p] - [CC.38] - I(V20,V22;U11|U10)
+nonneg 38p minus 38 equals merge gap: [38p] - [CC.38]
+zero 41p minus 41 equals merge gap: [41p] - [CC.41] - I(V20,V22;U11|U10)
+nonneg 41p minus 41 equals merge gap: [41p] - [CC.41]
+pinned CCP RTD_CC R1c' = 0
+
+suite jiang JIANG
+zero eight paired bounds equal: [RTD_JIANG.u0] - [JIANG.j0]
+zero eight paired bounds equal: [RTD_JIANG.u1] - [JIANG.j1]
+zero eight paired bounds equal: [RTD_JIANG.u2] - [JIANG.j2]
+zero eight paired bounds equal: [RTD_JIANG.u3] - [JIANG.j4]
+zero eight paired bounds equal: [RTD_JIANG.u4] - [JIANG.j5]
+zero eight paired bounds equal: [RTD_JIANG.u5] - [JIANG.j6]
+zero eight paired bounds equal: [RTD_JIANG.u6] - [JIANG.j7]
+zero eight paired bounds equal: [RTD_JIANG.u7] - [JIANG.j9]
+zero I(U1c;X2|U2c) vanishes under the chain: I(U1c;X2|U2c)
+
+suite maric MARIC
+m1': I(U1a;Y1|Q,U1c) - I(U1a;X2a,X2b|Q,U1c) + I(U1c,X2a,X2b;Y2|Q)
+m2': I(U1a,U1c;Y1|Q) - I(U1a,U1c;X2a,X2b|Q)
+m3': I(U1c,X2;Y2|Q)
+m4': I(X2;U1c,Y2|Q)
+m5': I(U1a;Y1|Q,U1c) - I(U1a;X2a,X2b|Q,U1c) + I(U1c,X2;Y2|Q)
+zero bounds m2..m5 unchanged under merge: [m2'] - [MARIC.m2]
+zero bounds m2..m5 unchanged under merge: [m3'] - [MARIC.m3]
+zero bounds m2..m5 unchanged under merge: [m4'] - [MARIC.m4]
+zero bounds m2..m5 unchanged under merge: [m5'] - [MARIC.m5]
+zero merged m1 exceeds m1 by I(X2a;Y2|Q): [m1'] - [MARIC.m1] - I(X2a;Y2|Q)
+nonneg merge gap nonnegative: [m1'] - [MARIC.m1]
+
+suite containment
+contains RTD_IN DMT_OUT channel random_channel(7)
+contains RTD_JIANG JIANG
+contains RTD_CC CCP
+"""
+
+_BOUND = re.compile(r"([\w']+): (.+)")
+_CLAIM = re.compile(r"(.+): (.+)")  # the ID ends at the last ': '
+_PAIRS = {  # line kind -> its two schemas and what it runs them with
+    "pinned": re.compile(rf"(\w+) (\w+) ({_RATE}) = 0"),
+    "contains": re.compile(r"(\w+) (\w+)(?: channel random_channel\((\d+)\))?"),
 }
+
+
+@dataclass
+class Claims:
+    """A suite's block of the claims table, as `parse_claims` reads it: the
+    schema its identity checks sample, its bounds by label, its checks, its
+    pinned lines as (sampled, other, rate) and its contains lines as
+    (outer, inner, the random channel's seed or None)."""
+
+    name: str
+    schema_id: str | None = None
+    bounds: dict[str, MIExpr] = field(default_factory=dict)
+    checks: list[IdentityCheck] = field(default_factory=list)
+    pinned: list[tuple[str, str, str]] = field(default_factory=list)
+    contains: list[tuple[str, str, str | None]] = field(default_factory=list)
+
+
+def parse_claims(block: str) -> Claims:
+    """The Claims one block of the claims table states (the line kinds are
+    in the module docstring).  A line it cannot read, a reference to no
+    catalog constraint or to no bound above it, a bound defined twice, a
+    check that another check splits, variables the block's schema lacks,
+    two schemas that do not share one variable set, or a pinned rate that
+    one of them lacks is refused with InvalidParameter naming the block
+    and the line's number in it."""
+    lines = block.strip("\n").split("\n")
+    head = re.fullmatch(r"suite (\w+)(?: (\w+))?", lines[0])
+    if head is None:
+        raise InvalidParameter(f"line 1: a block opens with 'suite NAME [SCHEMA]', not {lines[0]!r}")
+    name, sid = head.groups()
+    claims = Claims(name, sid)
+
+    def reference(schema_id: str | None, label: str) -> MIExpr:
+        if schema_id:
+            return builtin_schema(schema_id).constraint(label).rhs
+        if label not in claims.bounds:
+            raise InvalidParameter(f"no bound {label!r} above this line")
+        return claims.bounds[label]
+
+    for number, line in enumerate(lines, 1):
+        kind, _, text = line.partition(" ")
+        try:
+            if number == 1:
+                schema = sid and builtin_schema(sid)
+            elif kind.endswith(":"):
+                label, text = _read(_BOUND, line, "a bound 'LABEL: EXPR'")
+                if label in claims.bounds:
+                    raise InvalidParameter(f"bound {label!r} is defined twice")
+                claims.bounds[label] = parse_expr(text, reference)
+            elif kind in ("zero", "nonneg"):
+                check_id, text = _read(_CLAIM, text, f"a {kind} line '{kind} ID: EXPR'")
+                if not schema:
+                    raise InvalidParameter(f"a {kind} line in a suite with no schema")
+                expr = parse_expr(text, reference)
+                undeclared = expr.variables() - {*schema.variables, *OUTPUTS}
+                if undeclared:
+                    raise InvalidParameter(f"undeclared variables {sorted(undeclared)}")
+                checks = claims.checks
+                if not checks or checks[-1].check_id != check_id:
+                    if any(c.check_id == check_id for c in checks):
+                        raise InvalidParameter(f"check {check_id!r} is split by another check")
+                    checks.append(IdentityCheck(check_id))
+                checks[-1] = replace(checks[-1], **{kind: getattr(checks[-1], kind) + (expr,)})
+            elif kind in _PAIRS:
+                a, b, arg = _read(_PAIRS[kind], text, f"a {kind} line")
+                if builtin_schema(a).rv_set(2) != builtin_schema(b).rv_set(2):
+                    raise InvalidParameter(f"{a} and {b} do not share one variable set")
+                if kind == "pinned" and not all(arg in builtin_schema(x).rate_vars
+                                                for x in (a, b)):
+                    raise InvalidParameter(f"{arg} is no rate of both {a} and {b}")
+                getattr(claims, kind).append((a, b, arg))
+            else:
+                raise InvalidParameter(f"unknown line kind {kind!r}")
+        except (ValueError, KeyError) as e:
+            raise InvalidParameter(f"claims {name}, line {number}: {e.args[0]}") from e
+    return claims
+
+
+def _run_claims(claims: Claims, samples: int, projected: int, seed: int) -> list[SuiteReport]:
+    """A block's reports: its identity checks on `samples` draws, with each
+    pinned line's two checks on `projected` draws after them, then one
+    containment report on `projected` draws per contains line."""
+    report = SuiteReport(claims.name)
+    if claims.checks:
+        report = check_identities(claims.name, claims.schema_id, claims.checks, samples, seed)
+    for sampled, other, rate in claims.pinned:
+        report.checks += _pinned_checks(sampled, other, rate, projected, seed + 10_000)
+    reports = [report] if report.checks else []
+    return reports + [
+        sampled_region_containment(outer, inner, c and random_channel(int(c)), projected, seed)
+        for outer, inner, c in claims.contains]
+
+
+# name -> its block of the claims table; "all" runs every suite in order
+SUITES = {c.name: c for c in map(parse_claims, _CLAIMS.strip("\n").split("\n\n"))}
 SUITE_NAMES = (*SUITES, "all")
 
 
@@ -615,8 +648,8 @@ def run_suite(name: str, samples: int = 200, seed: int = 0) -> list[SuiteReport]
     a seed or sample count that `_batches` refuses, before drawing."""
     if name not in SUITE_NAMES:
         raise InvalidParameter(f"unknown suite {name!r}; choose {', '.join(SUITE_NAMES)}")
-    runners = SUITES.values() if name == "all" else (SUITES[name],)
-    return [r for run in runners for r in run(samples, min(samples, 100), seed)]
+    blocks = SUITES.values() if name == "all" else (SUITES[name],)
+    return [r for claims in blocks for r in _run_claims(claims, samples, min(samples, 100), seed)]
 
 
 def reports_to_json(reports: list[SuiteReport]) -> dict:

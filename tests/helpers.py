@@ -10,11 +10,14 @@ equality, the uncompiled enumeration oracle, a sorted-combinations
 reference for the oracle's
 colex tables and a one-gather-per-level reference for its exact bases,
 the constraints the unified region's remark lets
-drop when certain rates vanish and their check, and the
-one-lambda-at-a-time frontier search."""
+drop when certain rates vanish and their check, the
+one-lambda-at-a-time frontier search, and the identity claims and
+merged bounds as Python builders, the form `cifc.verify`'s claims
+table replaced."""
 
 import itertools
 import math
+from functools import partial
 
 import numpy as np
 
@@ -37,10 +40,12 @@ from cifc.polytope import (
 )
 from cifc.probability import (
     JointDistribution,
+    MIExpr,
     RandomVariableSet,
     _marginal_plan,
     compile_exprs,
     extend_through_channel,
+    mi,
 )
 from cifc.regions import (
     GE,
@@ -50,6 +55,7 @@ from cifc.regions import (
     builtin_schema,
     compile_schema,
     instantiate,
+    parse_expr,
 )
 from cifc.sampling import (
     SAMPLING_MODES,
@@ -59,7 +65,7 @@ from cifc.sampling import (
     _schema_plan,
     sample_instances,
 )
-from cifc.verify import CheckReport, FrontierResult, SuiteReport
+from cifc.verify import CheckReport, FrontierResult, IdentityCheck, SuiteReport
 
 
 def square_assignment() -> JointDistribution:
@@ -601,3 +607,104 @@ def sequential_frontier(schema_id, channel, budget=2000, seed=0, lambdas=21) -> 
         else:
             points.append((float(lam), best[0], best[1], lam_seed))
     return FrontierResult(tuple(points), tuple(missing))
+
+
+# -- the identity claims as Python builders ------------------------------------
+
+
+def _rhs(schema_id: str, label: str) -> MIExpr:
+    return builtin_schema(schema_id).constraint(label).rhs
+
+
+def reference_devroye_identity_checks() -> tuple[IdentityCheck, ...]:
+    """Differences between the restricted unified region rows (e1x) and the
+    enlarged comparator rows (e2x), after cancelling the binning rates."""
+    u, c = partial(_rhs, "RTD_IN"), partial(_rhs, "DMT_OUT")
+    e14 = u("e14") - u("e10") - (c("e24") - c("e20"))
+    e14_gap = MIExpr.of(mi("U2c", "U1c", "X2"))
+    e17 = u("e17") - u("e12") - (c("e27") - c("e21") - c("e20"))
+    e17_gap = MIExpr.of(mi("U1c", "U1pb"))
+    return (
+        IdentityCheck("e13_e23", (u("e13") - u("e10") - (c("e23") - c("e20")),)),
+        IdentityCheck("e14_e24", (e14 - e14_gap, e14_gap)),
+        IdentityCheck("e15_e25", (u("e15") - u("e10") - (c("e25") - c("e20")),)),
+        IdentityCheck("e16_e26", (u("e16") - c("e26"),)),
+        IdentityCheck("e17_e27", (e17 - e17_gap,), (e17_gap,)),
+        IdentityCheck("e18_e28", (u("e18") - u("e12") - (c("e28") - c("e21") - c("e20")),)),
+        IdentityCheck("e19_e29", (u("e19") - u("e12") + u("e10") - (c("e29") - c("e21")),)),
+    )
+
+
+# the five merged-comparator bounds, transcribed apart from the CC catalog block
+REFERENCE_CC_PRIMED = """\
+37p: I(Y1;U10,U11,V11,V20)
+38p: I(Y2;V20,V22|U10)
+39p: I(Y1;U11,V11|U10,V20) + I(Y2;U10,V20,V22) - I(V22;U11,V11|U10,V20)
+40p: I(Y1;U10,U11,V11,V20) + I(Y2;V22|U10,V20) - I(V22;U11,V11|U10,V20)
+41p: I(Y1;U11,V11,V20|U10) + I(Y2;V22|U10,V20) + I(Y2;U10,V20,V22) - I(V22;U11,V11|U10,V20)
+"""
+
+# MARIC's five bounds with the decoded part X2a merged into X2b' = (X2a, X2b),
+# written over the original variables so that both forms evaluate on one joint
+REFERENCE_MARIC_MERGED = """\
+m1': I(U1a;Y1|Q,U1c) - I(U1a;X2a,X2b|Q,U1c) + I(U1c,X2a,X2b;Y2|Q)
+m2': I(U1a,U1c;Y1|Q) - I(U1a,U1c;X2a,X2b|Q)
+m3': I(U1c,X2;Y2|Q)
+m4': I(X2;U1c,Y2|Q)
+m5': I(U1a;Y1|Q,U1c) - I(U1a;X2a,X2b|Q,U1c) + I(U1c,X2;Y2|Q)
+"""
+
+
+def reference_bounds(table: str) -> dict[str, MIExpr]:
+    """A table of `label: rhs` lines, each rhs read by parse_expr."""
+    return {label: parse_expr(rhs) for label, rhs in
+            (line.split(": ") for line in table.splitlines())}
+
+
+def reference_cc_identity_checks() -> tuple[IdentityCheck, ...]:
+    """Merging the satellite auxiliary leaves bounds 37/39/40 unchanged and
+    relaxes 38/41 by exactly the nonnegative I(V22,V20;U11|U10)."""
+    primed = reference_bounds(REFERENCE_CC_PRIMED)
+    gap = mi("V22 V20", "U11", "U10")
+    delta = {lab: primed[lab + "p"] - _rhs("CC", lab) for lab in ("37", "38", "39", "40", "41")}
+    return tuple(
+        IdentityCheck(f"37..41 vs primed: {lab}", (delta[lab],)) for lab in ("37", "39", "40")
+    ) + tuple(
+        IdentityCheck(f"{lab}p minus {lab} equals merge gap", (delta[lab] - gap,), (delta[lab],))
+        for lab in ("38", "41")
+    )
+
+
+REFERENCE_JIANG_PAIRS = (("u0", "j0"), ("u1", "j1"), ("u2", "j2"), ("u3", "j4"),
+                         ("u4", "j5"), ("u5", "j6"), ("u6", "j7"), ("u7", "j9"))
+
+
+def reference_jiang_identity_checks() -> tuple[IdentityCheck, ...]:
+    """The paired bounds agree, and the pinned binning rate vanishes."""
+    return (
+        IdentityCheck(
+            "eight paired bounds equal",
+            tuple(_rhs("RTD_JIANG", u) - _rhs("JIANG", j) for u, j in REFERENCE_JIANG_PAIRS),
+        ),
+        IdentityCheck(
+            "I(U1c;X2|U2c) vanishes under the chain", (MIExpr.of(mi("U1c", "X2", "U2c")),)
+        ),
+    )
+
+
+def reference_maric_identity_checks() -> tuple[IdentityCheck, ...]:
+    """Merging the decoded part of the split primary input raises the first
+    bound by exactly I(X2a;Y2|Q) and leaves the other four unchanged."""
+    mar, merged = builtin_schema("MARIC"), reference_bounds(REFERENCE_MARIC_MERGED)
+
+    def delta(lab: str) -> MIExpr:
+        return merged[lab + "'"] - mar.constraint(lab).rhs
+
+    return (
+        IdentityCheck(
+            "bounds m2..m5 unchanged under merge",
+            tuple(delta(lab) for lab in ("m2", "m3", "m4", "m5")),
+        ),
+        IdentityCheck("merged m1 exceeds m1 by I(X2a;Y2|Q)", (delta("m1") - mi("X2a", "Y2", "Q"),)),
+        IdentityCheck("merge gap nonnegative", nonneg=(delta("m1"),)),
+    )

@@ -6,7 +6,7 @@ import pytest
 from cifc import probability, verify
 from cifc.channel import canonical_channel, random_channel, save_channel
 from cifc.cli import main
-from cifc.probability import JointDistribution, MIExpr, RandomVariableSet, joint_to_json, mi
+from cifc.probability import JointDistribution, RandomVariableSet, joint_to_json
 from cifc.regions import builtin_schema
 from cifc.sampling import sample_factored
 
@@ -390,9 +390,8 @@ def test_verify_suite_ok(tmp_path):
 
 def test_verify_reports_violation_with_exit_1(tmp_path, monkeypatch):
     # a false identity claim: X2 and Y2 are dependent given Q through the channel
-    false_claim = (verify.IdentityCheck("false claim", (MIExpr.of(mi("X2", "Y2", "Q")),)),)
-    monkeypatch.setitem(verify.SUITES, "maric", lambda n, k, seed: [
-        verify.check_identities("maric", "MARIC", false_claim, n, seed)])
+    monkeypatch.setitem(verify.SUITES, "maric",
+                        verify.parse_claims("suite maric MARIC\nzero false claim: I(X2;Y2|Q)"))
     rc = main(["verify", "--suite", "maric", "--samples", "6", "--seed", "1",
                "--out", str(tmp_path / "r.json")])
     assert rc == 1

@@ -44,7 +44,7 @@ from cifc.sampling import (
     sample_factored,
     sample_instances,
 )
-from cifc.verify import _MARIC_MERGED, _bounds, _channel_sizes
+from cifc.verify import SUITES, _channel_sizes
 
 EXPECTED_SHAPES = {
     # schema id -> (constraints, rate variables)
@@ -163,6 +163,10 @@ def test_a_small_block_reads_into_its_schema():
     "a: R1 + R1 <= I(A;B)",
     "a: R1 <= I(A;B)\na: R2 <= I(A;C)",  # a duplicate label
     "a: 0 R1 <= I(A;B)",  # no nonzero coefficient
+    "a: R1 <= I(A;B) - 0 I(A;C)",  # a 0 coefficient of an atom
+    "a: R1 <= 0 I(Y1;A)",
+    "a: R1 <= 01 I(A;B)",  # a leading zero
+    "a: R1 <= I(A;B) - [RTD.1a]",  # a reference is a claims line's, not a catalog line's
     "pin R1 =",
     _NO_R2,
     "R2 = R1",  # a second R2 line
@@ -636,7 +640,7 @@ def test_instantiate_matches_reference_le_normal_form_bit_for_bit(sid, mode):
 
 def test_maric_merged_rewrites_first_bound_only():
     base = builtin_schema("MARIC")
-    merged = _bounds(_MARIC_MERGED)
+    merged = SUITES["maric"].bounds
     assert tuple(merged) == ("m1'", "m2'", "m3'", "m4'", "m5'")
     for lab in ("m2", "m3", "m4", "m5"):
         assert str(merged[lab + "'"]) == str(base.constraint(lab).rhs)

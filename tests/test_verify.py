@@ -50,8 +50,7 @@ from cifc.sampling import (
 from cifc.verify import (
     REGION_TOL,
     SUITES,
-    _MARIC_MERGED,
-    _bounds,
+    _CLAIMS,
     _channel_sizes,
     _nonvacuous_regions,
     CheckReport,
@@ -59,18 +58,23 @@ from cifc.verify import (
     check_cc_reduction,
     check_fme_oracle,
     check_identities,
-    cc_primed_expressions,
-    devroye_identity_checks,
     grid_agreement,
-    maric_identity_checks,
+    parse_claims,
     reports_to_json,
     run_suite,
     sampled_region_containment,
     trace_frontier,
 )
 from helpers import (
+    REFERENCE_CC_PRIMED,
+    REFERENCE_MARIC_MERGED,
     check_droppable,
     drop_vacuous,
+    reference_bounds,
+    reference_cc_identity_checks,
+    reference_devroye_identity_checks,
+    reference_jiang_identity_checks,
+    reference_maric_identity_checks,
     reference_mutual_information,
     sequential_frontier,
 )
@@ -209,7 +213,7 @@ def test_a_seed_or_count_that_is_not_an_integer_is_refused_before_anything_is_dr
 
 @pytest.mark.parametrize("samples", [0, -1])
 @pytest.mark.parametrize("check", [
-    lambda n: check_identities("maric", "MARIC", maric_identity_checks(), samples=n),
+    lambda n: check_identities("maric", "MARIC", SUITES["maric"].checks, samples=n),
     lambda n: check_cc_reduction(samples=3, proj_instances=n),
     lambda n: sampled_region_containment("RTD_JIANG", "JIANG", samples=n),
     lambda n: check_fme_oracle(["CC", "RTD"], instances=n),
@@ -458,7 +462,7 @@ def test_a_check_beyond_one_batch_runs_under_a_cap_that_refuses_all_its_samples(
     import cifc.verify
 
     batch, samples = 40, 110
-    expected = check_identities("maric", "MARIC", maric_identity_checks(), samples, seed=3)
+    expected = check_identities("maric", "MARIC", SUITES["maric"].checks, samples, seed=3)
     schema = builtin_schema("MARIC")
     cells = math.prod(schema.rv_set(2).sizes) * 4  # with the binary outputs
     monkeypatch.setattr(cifc.verify, "BATCH", batch)
@@ -467,7 +471,7 @@ def test_a_check_beyond_one_batch_runs_under_a_cap_that_refuses_all_its_samples(
     with pytest.raises(InvalidParameter, match=f"{samples} extended joints"):
         sample_instances(schema, [random_channel(s, _channel_sizes(schema)) for s in seeds],
                          seeds, ["free"] * samples)
-    report = check_identities("maric", "MARIC", maric_identity_checks(), samples, seed=3)
+    report = check_identities("maric", "MARIC", SUITES["maric"].checks, samples, seed=3)
     assert report.ok and report.to_json() == expected.to_json()
     assert all(c.seeds_run == samples for c in report.checks)
     assert "gap_histogram" in report.check("merge gap nonnegative").details
@@ -502,6 +506,110 @@ def test_the_one_system_operations_refuse_a_batch():
     assert oracle_polygon(batch[0]) == oracle_polygon(instantiate(schema, d[0]))
 
 
+# -- the claims table ------------------------------------------------------------
+
+
+def test_the_claims_table_builds_the_python_builders_claims_bit_for_bit():
+    # the table's terms are in the builders' order, so the checks compare equal
+    # as MIExprs, term by term, not only in value
+    assert list(SUITES) == ["devroye", "cc", "jiang", "maric", "containment"]
+    assert tuple(SUITES["devroye"].checks) == reference_devroye_identity_checks()
+    assert tuple(SUITES["cc"].checks) == reference_cc_identity_checks()
+    assert tuple(SUITES["jiang"].checks) == reference_jiang_identity_checks()
+    assert tuple(SUITES["maric"].checks) == reference_maric_identity_checks()
+    assert SUITES["cc"].bounds == reference_bounds(REFERENCE_CC_PRIMED)
+    assert SUITES["maric"].bounds == reference_bounds(REFERENCE_MARIC_MERGED)
+    assert SUITES["cc"].pinned == [("CCP", "RTD_CC", "R1c'")]
+    assert SUITES["containment"].contains == [
+        ("RTD_IN", "DMT_OUT", "7"), ("RTD_JIANG", "JIANG", None), ("RTD_CC", "CCP", None)]
+    assert SUITES["containment"].schema_id is None and not SUITES["containment"].checks
+
+
+def test_check_cc_reduction_is_the_cc_block():
+    report, = run_suite("cc", samples=4, seed=2)
+    assert check_cc_reduction(samples=4, seed=2, proj_instances=4).to_json() == report.to_json()
+    assert [c.check_id for c in report.checks][-2:] == [
+        "pinned systems structurally identical", "pinned projections vertex-identical"]
+
+
+@pytest.mark.parametrize("block, number, reason", [
+    ("suite t NOPE", 1, "unknown schema 'NOPE'"),
+    ("suite t RTD_IN\nzero a: [NOPE.e1]", 2, "unknown schema 'NOPE'"),
+    ("suite t RTD_IN\nzero a: I(U1c;X2) - [RTD_IN.e99]", 2, "RTD_IN: no constraint labeled 'e99'"),
+    ("suite t RTD_IN\nequal a: I(U1c;X2)", 2, "unknown line kind 'equal'"),
+    ("suite t RTD_IN\nsuite u", 2, "unknown line kind 'suite'"),
+    ("suite t RTD_IN\nzero a: I(U1c;X2)\nzero b: I(U1c;X2)\nnonneg a: I(U1c;X2)", 4,
+     "check 'a' is split by another check"),
+    ("suite t MARIC\nzero a: [m1']\nm1': I(X2;Y2|Q)", 2, "no bound \"m1'\" above this line"),
+    ("suite t MARIC\nm1': I(X2;Y2|Q)\nm1': I(X2;Y2|Q)", 3, "bound \"m1'\" is defined twice"),
+    ("suite t\ncontains RTD_IN JIANG", 2, "RTD_IN and JIANG do not share one variable set"),
+    ("suite t\npinned CC RTD_CC R1c' = 0", 2, "CC and RTD_CC do not share one variable set"),
+    ("suite t\ncontains RTD_IN DMT_OUT channel bsc(3)", 2, "as a contains line"),
+    # LinearSystem.pin ignores a name that is no rate, so this would pin nothing
+    ("suite t\npinned CCP RTD_CC R9 = 0", 2, "R9 is no rate of both CCP and RTD_CC"),
+    ("suite t JIANG\nzero a: I(V22;U11)", 2, "undeclared variables ['U11', 'V22']"),
+    ("suite t\nzero a: I(X1;X2)", 2, "a zero line in a suite with no schema"),
+    ("suite t RTD_IN\nzero a: I(U1c;X2) + -[RTD_IN.e13]", 2, "two signs before one term"),
+    ("suite t RTD_IN\nzero a: I(U1c;X2) - 0 I(U1c;X1)", 2, "as a term I(A;B|C)"),
+    ("suite t RTD_IN\nzero a: 01 I(U1c;X2)", 2, "as a term I(A;B|C)"),
+])
+def test_a_malformed_claims_block_is_refused_naming_its_line(block, number, reason):
+    with pytest.raises(InvalidParameter, match=re.escape(f"claims t, line {number}: ") + ".*"
+                       + re.escape(reason)):
+        parse_claims(block)
+
+
+def test_a_claims_block_opens_with_its_suite_line():
+    for head in ("suit t", "suite", "suite t RTD_IN extra"):
+        with pytest.raises(InvalidParameter, match="line 1: a block opens with 'suite NAME"):
+            parse_claims(head + "\nzero a: I(U1c;X2)")
+
+
+def test_a_reference_takes_the_sign_written_before_it():
+    claims = parse_claims("suite t MARIC\nm: I(X2;Y2|Q) - I(U1c;Y1)\n"
+                          "zero a: -[m] - [MARIC.m3] + [m]")
+    m, m3 = claims.bounds["m"], builtin_schema("MARIC").constraint("m3").rhs
+    assert claims.checks == [IdentityCheck("a", (-m - m3 + m,))]
+    assert str(claims.checks[0].zero[0]) == (
+        "-I(X2;Y2|Q) + I(U1c;Y1) - I(U1c,X2;Y2|Q) + I(X2;Y2|Q) - I(U1c;Y1)")
+
+
+def _claims_mutants() -> dict[str, str]:
+    """Each claims block with one line after its header deleted or
+    repeated, or with one of the table's pinned or contains lines
+    appended, as text -> suite name."""
+    blocks = [b.split("\n") for b in _CLAIMS.strip("\n").split("\n\n")]
+    extra = sorted({line for b in blocks for line in b
+                    if line.split(" ")[0] in ("pinned", "contains")})
+    mutants = {}
+    for head, *lines in blocks:
+        name = head.split(" ")[1]
+        for i in range(len(lines)):
+            mutants["\n".join([head, *lines[:i], *lines[i + 1:]])] = name
+            mutants["\n".join([head, *lines[:i + 1], *lines[i:]])] = name
+        for line in extra:
+            mutants["\n".join([head, *lines, line])] = name
+    return mutants
+
+
+def test_every_mutant_of_a_claims_block_is_refused_or_runs(monkeypatch):
+    # refused naming its block and line, or a suite that runs at --samples 2
+    # and writes its strict-JSON report: no mutant ends in another error
+    mutants = _claims_mutants()
+    assert len(mutants) == 108
+    refused = 0
+    for text, name in mutants.items():
+        try:
+            claims = parse_claims(text)
+        except InvalidParameter as e:
+            assert re.match(rf"claims {name}, line \d+: ", str(e)), (text, e)
+            refused += 1
+            continue
+        monkeypatch.setitem(SUITES, name, claims)
+        json.dumps(reports_to_json(run_suite(name, samples=2, seed=0)), allow_nan=False)
+    assert 0 < refused < len(mutants)
+
+
 # -- identity suites (small runs; full sizes live in the acceptance tests) ----
 
 
@@ -518,8 +626,8 @@ def test_identity_suite_makes_one_entropy_pass_per_sample(monkeypatch):
 
     monkeypatch.setattr(cifc.probability, "entropy_vector", counted)
     for suite, sid, checks in (
-        ("devroye", "RTD_IN", devroye_identity_checks()),
-        ("maric", "MARIC", maric_identity_checks()),
+        ("devroye", "RTD_IN", SUITES["devroye"].checks),
+        ("maric", "MARIC", SUITES["maric"].checks),
     ):
         report = check_identities(suite, sid, checks, samples=6, seed=2)
         assert report.ok and calls == [6], suite
@@ -545,7 +653,7 @@ def test_devroye_product_distribution_gap_zero():
         prob = prob * m.reshape(shape)
     d = JointDistribution(schema.rv_set(2), prob)
     d = extend_through_channel(d, random_channel(3))
-    for check in devroye_identity_checks():
+    for check in SUITES["devroye"].checks:
         for e in check.zero:
             assert abs(evaluate_expr(d, e)) < 1e-9
         for e in check.nonneg:
@@ -580,7 +688,7 @@ def test_cc_degenerate_satellite_gap_vanishes():
     rvs = cc.rv_set(2, overrides={"U11": 1})
     d = sample_factored(rvs, cc.factorization, 7)
     d = extend_through_channel(d, random_channel(7))
-    primed = cc_primed_expressions()
+    primed = SUITES["cc"].bounds
     for lab in ("38", "41"):
         delta = evaluate_expr(d, primed[lab + "p"]) - evaluate_expr(d, cc.constraint(lab).rhs)
         assert delta == pytest.approx(0.0, abs=1e-12)
@@ -665,7 +773,7 @@ def test_roundoff_violations_name_no_worst_seed():
 def test_maric_degenerate_part_gives_zero_difference():
     """X2a of cardinality one: merged and original bounds coincide."""
     mar = builtin_schema("MARIC")
-    merged = _bounds(_MARIC_MERGED)
+    merged = SUITES["maric"].bounds
     rvs = mar.rv_set(2, overrides={"X2a": 1})
     plan = _chain_plan(rvs, mar.factorization.factors, det=mar.deterministic)
     joint = _joints(rvs, _draw([plan], [np.random.default_rng(11)]))[0]
@@ -873,8 +981,8 @@ def test_frontier_pareto_filter_nondominated():
 
 
 def test_reports_reproducible_and_serializable():
-    a = check_identities("maric", "MARIC", maric_identity_checks(), samples=8, seed=3)
-    b = check_identities("maric", "MARIC", maric_identity_checks(), samples=8, seed=3)
+    a = check_identities("maric", "MARIC", SUITES["maric"].checks, samples=8, seed=3)
+    b = check_identities("maric", "MARIC", SUITES["maric"].checks, samples=8, seed=3)
     ja = json.dumps(reports_to_json([a]), sort_keys=True)
     jb = json.dumps(reports_to_json([b]), sort_keys=True)
     assert ja == jb
