@@ -6,7 +6,7 @@ map per distribution, and projects the regions to check containment.
 Everything is reproducible from the seeds shown in the reports.
 """
 
-from cifc.verify import check_cc_reduction, run_suite, sampled_region_containment
+from cifc.verify import run_suite, sampled_region_containment
 from cifc.channel import random_channel
 
 
@@ -22,7 +22,7 @@ print("equation-by-equation comparison of the enlarged regions")
 show(*run_suite("devroye", samples=60, seed=0))
 
 print("\nmerged-satellite reduction and pinned-region equality")
-show(check_cc_reduction(samples=60, seed=0, proj_instances=30))
+show(*run_suite("cc", samples=60, seed=0))
 
 print("\nindependent-common-messages comparator")
 show(*run_suite("jiang", samples=60, seed=0))

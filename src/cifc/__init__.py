@@ -6,15 +6,15 @@ comparator regions, projects them onto the (R1, R2) plane, and runs the
 per-distribution identity and containment suites that connect them.
 The suites are the blocks of one claims table in `cifc.verify`, each line
 an identity, a pinned-rate equality or a containment, and `run_suite`
-runs one block or all of them.
+runs one block or all of them.  Every joint is drawn by
+`cifc.sampling.sample_instances` and every MI expression read by
+`cifc.probability.compile_exprs`, a batch at a time.
 """
 
 from .channel import Channel, canonical_channel  # noqa: F401
 from .polytope import (  # noqa: F401
     HalfPlane,
     Polytope2D,
-    membership_oracle,
-    polytope_equal,
     project_or_empty,
 )
 from .probability import (  # noqa: F401
@@ -23,7 +23,6 @@ from .probability import (  # noqa: F401
     MIExpr,
     MITerm,
     RandomVariableSet,
-    evaluate_expr,
     extend_through_channel,
     mi,
 )
@@ -33,9 +32,7 @@ from .regions import (  # noqa: F401
     instantiate,
     schema_manifest,
 )
-from .sampling import sample_factored  # noqa: F401
 from .verify import (  # noqa: F401
-    check_cc_reduction,
     check_identities,
     run_suite,
     sampled_region_containment,

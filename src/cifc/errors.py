@@ -28,10 +28,6 @@ class InvalidParameter(CifcError, ValueError):
     """A parameter is outside its documented domain."""
 
 
-class SpecCoverageError(CifcError):
-    """A factorization spec does not cover the declared variable set."""
-
-
 class AlphabetMismatch(CifcError):
     """Variable cardinalities disagree between two objects being combined."""
 

@@ -610,12 +610,6 @@ def _distance_to_hull(hull, points) -> np.ndarray:
     return worst
 
 
-def membership_oracle(system: LinearSystem, point: tuple[float, float], tol: float = FEAS_TOL) -> bool:
-    """True iff some nonnegative rate vector satisfies the system and
-    projects to `point` (within tol), decided by basic-solution enumeration."""
-    return bool(_distance_to_hull(_oracle_hull(system), [point])[0] <= tol)
-
-
 # ---------------------------------------------------------------------------
 # Containment and comparison
 # ---------------------------------------------------------------------------
@@ -652,11 +646,6 @@ def containment_margins(outers, inners) -> list[float]:
     return (worst.max(axis=-1, initial=-math.inf, where=real) + 0.0).tolist()
 
 
-def containment_margin(outer: Polytope2D, inner: Polytope2D) -> float:
-    """Worst violation of inner's vertices against outer (<= 0 means contained)."""
-    return containment_margins([outer], [inner])[0]
-
-
 def polytopes_equal(a, b, tol: float = 1e-9) -> list[bool]:
     """Per pair, whether the vertex sets match within tol in both directions
     (an empty region equals only an empty one); a padded vertex, NaN, is
@@ -665,11 +654,6 @@ def polytopes_equal(a, b, tol: float = 1e-9) -> list[bool]:
     close = (np.abs(p[:, :, None] - q[:, None]) <= tol).all(axis=-1)
     return ((close.any(axis=2) | ~p_real).all(axis=1)
             & (close.any(axis=1) | ~q_real).all(axis=1)).tolist()
-
-
-def polytope_equal(a: Polytope2D, b: Polytope2D, tol: float = 1e-9) -> bool:
-    """Vertex sets match within tol (in both directions)."""
-    return polytopes_equal([a], [b], tol)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -504,12 +504,6 @@ def compile_exprs(
                          tuple(name for name, _ in checks))
 
 
-def evaluate_expr(d: JointDistribution, e: MIExpr | MITerm) -> float:
-    """Signed sum of the expression's terms in bits; a single atom, such as
-    mi(...) or entropy_term(...), is read as the expression of that atom."""
-    return float(compile_exprs((MIExpr.of(e),))(d)[0])
-
-
 def entropy_term(names: Names, given: Names = ()) -> MITerm:
     """The atom H(A|C), written I(A;A|C)."""
     return _SelfInformation(names, names, given)

@@ -40,8 +40,8 @@ the paired copies' determinism.  Every map of a schema compiles them
 after its leading expressions (`compile_exprs(leading,
 schema.requirements)`), so one entropy pass per batch both checks and
 evaluates: the rhs map leads with the constraints' rhs, the identity
-suites of `cifc.verify` with their claim tables, and `check_distribution`
-with nothing.
+suites of `cifc.verify` with their claim tables, and a bare check of a
+distribution, `compile_exprs((), schema.requirements)(d)`, with nothing.
 """
 
 from __future__ import annotations
@@ -267,12 +267,6 @@ class LinearSystem:
             raise InvalidParameter(f"a batch of {len(self.b)} systems where one is needed")
         return self
 
-    def rhs(self, label: str):
-        """The rhs of the row labeled `label` (one per system of a batch)."""
-        if label not in self.labels:
-            raise KeyError(f"no constraint {label!r}")
-        return self.b[..., self.labels.index(label)]
-
     def _select(self, rows, cols, b) -> LinearSystem:
         return LinearSystem(self.structure.select(rows, cols), b[..., list(rows)])
 
@@ -281,7 +275,12 @@ class LinearSystem:
         return self._select(keep, range(len(self.variables)), self.b)
 
     def pin(self, values: Mapping[str, float]) -> LinearSystem:
-        """Fix some rate variables to constants and eliminate them."""
+        """Fix some rate variables to constants and eliminate them; a name
+        that is no rate of the system is refused with InvalidParameter."""
+        unknown = [n for n in values if n not in self.variables]
+        if unknown:
+            raise InvalidParameter(f"cannot pin {unknown[0]!r}: the rates are "
+                                   f"{', '.join(self.variables)}")
         keep = [i for i, n in enumerate(self.variables) if n not in values]
         fixed = [i for i, n in enumerate(self.variables) if n in values]
         vals = np.array([values[self.variables[i]] for i in fixed], dtype=float)
@@ -294,13 +293,6 @@ class LinearSystem:
         """Mask of the rows, per system of a batch, not implied by rate nonnegativity
         alone: those with a positive coefficient or an rhs below -MI_TOL."""
         return (self.structure.matrix > 0).any(axis=1) | ~(self.b >= -MI_TOL)
-
-
-def check_distribution(schema: RegionSchema, d: JointDistribution) -> None:
-    """Require `d` to satisfy the schema's requirements (conditional
-    independencies, then determinism) at MI_TOL; raises
-    FactorizationViolation naming the first one above it."""
-    compile_exprs((), schema.requirements)(d)
 
 
 class CompiledSchema(NamedTuple):
@@ -331,8 +323,9 @@ def instantiate(schema: RegionSchema, d: JointDistribution) -> LinearSystem:
     (a batch of systems for a batch of distributions).
 
     Each rhs is sign * value of its constraint's MI expression, through
-    the schema's compiled rhs map.  `d` must pass check_distribution, whose
-    requirements the map checks at MI_TOL in the same entropy pass.
+    the schema's compiled rhs map, which checks the schema's requirements
+    at MI_TOL in the same entropy pass and raises FactorizationViolation
+    naming the first one that `d` fails.
     """
     return instantiate_all((schema,), d)[0]
 
@@ -552,6 +545,15 @@ def _read(pattern: re.Pattern, text: str, what: str) -> tuple:
     return m.groups()
 
 
+def _declared(expr: MIExpr, variables: Sequence[str], where: str = "") -> MIExpr:
+    """`expr`, or InvalidParameter, its message after `where`, if it reads
+    a variable that is neither one of `variables` nor a channel output."""
+    undeclared = expr.variables() - {*variables, *OUTPUTS}
+    if undeclared:
+        raise InvalidParameter(f"{where}undeclared variables {sorted(undeclared)}")
+    return expr
+
+
 def parse_expr(text: str, reference=None) -> MIExpr:
     """The MIExpr that prints as `text`: 0, or atoms I(A;B|C) joined by
     ' + ' and ' - ', the first of them optionally negated, each optionally
@@ -686,11 +688,9 @@ def parse_schema(block: str) -> RegionSchema:
                 fields["notes"] += (rest,)
             elif kind.endswith(":"):
                 label, lhs, op, rhs = _read(_CONSTRAINT, line, "LABEL: LHS <= RHS (or >=)")
-                c = LinearRateConstraint(tuple(sorted(_linear(lhs, fields["rate_vars"]))),
-                                         LE if op == "<=" else GE, parse_expr(rhs), label)
-                undeclared = c.rhs.variables() - {*fields["factorization"].targets, *OUTPUTS}
-                if undeclared:
-                    raise InvalidParameter(f"undeclared variables {sorted(undeclared)}")
+                coeffs = tuple(sorted(_linear(lhs, fields["rate_vars"])))
+                expr = _declared(parse_expr(rhs), fields["factorization"].targets)
+                c = LinearRateConstraint(coeffs, LE if op == "<=" else GE, expr, label)
                 if label in (d.label for d in fields["constraints"]):
                     raise InvalidParameter(f"label {label!r} is taken")
                 fields["constraints"] += (c,)

@@ -39,11 +39,10 @@ from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .channel import Channel, check_integer, normalize_exponentials
-from .errors import InvalidParameter, SpecCoverageError
+from .errors import InvalidParameter
 from .probability import (
     MAX_MARGINAL_LABELS,
     Factor,
-    FactorizationSpec,
     JointDistribution,
     RandomVariableSet,
     _unchecked,
@@ -323,25 +322,6 @@ def _joints(rvs: RandomVariableSet, blocks: Sequence[np.ndarray]) -> JointDistri
     for stacked in blocks:
         joint *= stacked
     return _unchecked(rvs, joint)
-
-
-def sample_factored(
-    rvs: RandomVariableSet, spec: FactorizationSpec, seed: int
-) -> JointDistribution:
-    """Sample a joint whose conditionals follow `spec`, deterministically in seed.
-
-    Every conditional row is an independent symmetric Dirichlet(1) draw.
-    """
-    if set(spec.targets) != set(rvs.names):
-        missing = set(rvs.names) - set(spec.targets)
-        extra = set(spec.targets) - set(rvs.names)
-        raise SpecCoverageError(
-            f"factorization does not cover variable set (missing {sorted(missing)}, "
-            f"extra {sorted(extra)})"
-        )
-    blocks = _draw([_chain_plan(rvs, spec.factors)],
-                   [np.random.default_rng(check_integer(seed, "seed"))])
-    return JointDistribution(rvs, _joints(rvs, blocks)[0].prob)
 
 
 def sample_instances(

@@ -50,7 +50,7 @@ from collections.abc import Iterable, Sequence
 import numpy as np
 
 from . import probability
-from .channel import OUTPUTS, Channel, _random_channel, check_integer, random_channel
+from .channel import Channel, _random_channel, check_integer, random_channel
 from .errors import InvalidParameter, Unbounded
 from .probability import MI_TOL, MIExpr, compile_exprs, extend_through_channel
 from .polytope import (
@@ -74,6 +74,7 @@ from .regions import (
     instantiate_all,
     parse_expr,
     same_system,
+    _declared,
     _read,
 )
 from .sampling import _joints, _mode_for, check_climbs, climb, sample_instances
@@ -141,12 +142,6 @@ class SuiteReport:
     def ok(self) -> bool:
         return all(c.ok for c in self.checks)
 
-    def check(self, check_id: str) -> CheckReport:
-        for c in self.checks:
-            if c.check_id == check_id:
-                return c
-        raise KeyError(check_id)
-
     def to_json(self) -> dict:
         return {"suite": self.suite, "ok": self.ok, "checks": [c.to_json() for c in self.checks]}
 
@@ -183,6 +178,9 @@ def check_identities(
     histogram of its per-seed smallest gap.
     """
     schema = builtin_schema(schema_id)
+    for c in checks:  # as parse_claims checks a claim line
+        for e in c.zero + c.nonneg:
+            _declared(e, schema.variables, f"check {c.check_id!r} on {schema_id}: ")
     compiled = compile_exprs(tuple(e for c in checks for e in c.zero + c.nonneg),
                              schema.requirements)
     # the compiled values split into each check's zero part, then its nonneg part
@@ -228,11 +226,6 @@ def _channel_sizes(schema: RegionSchema) -> tuple[int, int, int, int]:
     (MARIC's X2 pairs two binary parts); both outputs are binary."""
     rvs = schema.rv_set(2)
     return rvs.size("X1"), rvs.size("X2"), 2, 2
-
-
-def check_cc_reduction(samples: int = 200, seed: int = 0, proj_instances: int = 100) -> SuiteReport:
-    """The cc block of the claims table, its pinned line on `proj_instances` draws."""
-    return _run_claims(SUITES["cc"], samples, proj_instances, seed)[0]
 
 
 def _pinned_checks(sampled_id: str, other_id: str, rate: str, instances: int,
@@ -598,10 +591,7 @@ def parse_claims(block: str) -> Claims:
                 check_id, text = _read(_CLAIM, text, f"a {kind} line '{kind} ID: EXPR'")
                 if not schema:
                     raise InvalidParameter(f"a {kind} line in a suite with no schema")
-                expr = parse_expr(text, reference)
-                undeclared = expr.variables() - {*schema.variables, *OUTPUTS}
-                if undeclared:
-                    raise InvalidParameter(f"undeclared variables {sorted(undeclared)}")
+                expr = _declared(parse_expr(text, reference), schema.variables)
                 checks = claims.checks
                 if not checks or checks[-1].check_id != check_id:
                     if any(c.check_id == check_id for c in checks):

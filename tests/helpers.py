@@ -11,9 +11,10 @@ reference for the oracle's
 colex tables and a one-gather-per-level reference for its exact bases,
 the constraints the unified region's remark lets
 drop when certain rates vanish and their check, the
-one-lambda-at-a-time frontier search, and the identity claims and
+one-lambda-at-a-time frontier search, the identity claims and
 merged bounds as Python builders, the form `cifc.verify`'s claims
-table replaced."""
+table replaced, a chain drawn alone for generic chains, and one
+expression's value through `compile_exprs`."""
 
 import itertools
 import math
@@ -21,7 +22,7 @@ from functools import partial
 
 import numpy as np
 
-from cifc.channel import canonical_channel, normalize_exponentials, random_channel
+from cifc.channel import canonical_channel, check_integer, normalize_exponentials, random_channel
 from cifc.errors import Unbounded
 from cifc.polytope import (
     EMPTY,
@@ -35,7 +36,7 @@ from cifc.polytope import (
     _merge_close,
     _order_ccw,
     compile_projection,
-    polytope_equal,
+    polytopes_equal,
     project_or_empty,
 )
 from cifc.probability import (
@@ -59,6 +60,7 @@ from cifc.regions import (
 )
 from cifc.sampling import (
     SAMPLING_MODES,
+    _chain_plan,
     _draw,
     _improves,
     _joints,
@@ -200,6 +202,20 @@ def reference_factored_joint(rvs, factors, rng, mode="free", det=(), struct_deps
             value = value * table[g, t]
         joint[cell] = value
     return joint
+
+
+def sample_factored(rvs, spec, seed: int) -> JointDistribution:
+    """A joint over `rvs` whose conditionals follow the chain `spec`, each
+    row a Dirichlet(1) draw: the package's draw of a generic chain, with no
+    schema, sampling mode or channel."""
+    blocks = _draw([_chain_plan(rvs, spec.factors)],
+                   [np.random.default_rng(check_integer(seed, "seed"))])
+    return JointDistribution(rvs, _joints(rvs, blocks)[0].prob)
+
+
+def expr_value(d: JointDistribution, e) -> float:
+    """An expression's value at d, or an atom's, as `mi(...)` or `entropy_term(...)`."""
+    return float(compile_exprs((MIExpr.of(e),))(d)[0])
 
 
 def reference_propose(plan, blocks, k, rng) -> tuple[int, np.ndarray]:
@@ -525,7 +541,7 @@ def check_droppable(instances: int = 50, seed: int = 0, tol: float = 1e-9) -> Su
             pa = project_or_empty(inst)
             pb = project_or_empty(inst.drop(label))
             empties += pa.is_empty
-            check.record_match(s, polytope_equal(pa, pb, tol), "projections differ")
+            check.record_match(s, polytopes_equal([pa], [pb], tol)[0], "projections differ")
         check.details["empty_instances"] = empties
         report.checks.append(check)
     return report

@@ -13,16 +13,19 @@ from cifc.channel import canonical_channel, random_channel
 from cifc.polytope import project_or_empty
 from cifc.probability import extend_through_channel
 from cifc.regions import SCHEMA_IDS, builtin_schema, compile_schema, instantiate, schema_manifest
-from cifc.sampling import sample_factored
 from cifc.verify import (
-    check_cc_reduction,
     check_fme_oracle,
     run_suite,
     sampled_region_containment,
     trace_frontier,
 )
 
-from helpers import check_droppable, degenerate_rtd_distribution, square_assignment
+from helpers import (
+    check_droppable,
+    degenerate_rtd_distribution,
+    sample_factored,
+    square_assignment,
+)
 
 
 def report(num: int, name: str, ok: bool, detail: str = "", elapsed: float | None = None):
@@ -71,7 +74,8 @@ def test_criterion_3_devroye_suite():
     )
     ok = rep.ok and contain.ok
     zero_ids = ("e13_e23", "e15_e25", "e18_e28", "e19_e29")
-    worst_zero = max(rep.check(i).max_abs_violation for i in zero_ids)
+    checks = {c.check_id: c for c in rep.checks}
+    worst_zero = max(checks[i].max_abs_violation for i in zero_ids)
     detail = (
         f"(four zero diffs <= {worst_zero:.1e}; e14 = I(U2c;U1c|X2) = 0; "
         f"e17 = I(U1c;U1pb) >= 0; containment "
@@ -84,9 +88,9 @@ def test_criterion_3_devroye_suite():
 
 def test_criterion_4_cc_suite():
     t0 = time.monotonic()
-    rep = check_cc_reduction(samples=200, seed=0, proj_instances=100)
+    rep, = run_suite("cc", samples=200, seed=0)  # the pinned checks on min(200, 100) draws
     ok = rep.ok
-    proj = rep.check("pinned projections vertex-identical")
+    proj = {c.check_id: c for c in rep.checks}["pinned projections vertex-identical"]
     detail = (
         f"(37/39/40 equal, 38p/41p relax by the merge gap; vertex equality "
         f"100/100, {proj.details['nonempty_instances']} nonempty)"
@@ -98,12 +102,13 @@ def test_criterion_4_cc_suite():
 def test_criterion_5_jiang_suite():
     t0 = time.monotonic()
     rep, = run_suite("jiang", samples=200, seed=0)
+    checks = {c.check_id: c for c in rep.checks}
     contain, = sampled_region_containment(
         "RTD_JIANG", "JIANG", samples=100, seed=20_000).checks
     ok = rep.ok and contain.ok
     detail = (
-        f"(paired bounds <= {rep.check('eight paired bounds equal').max_abs_violation:.1e}; "
-        f"pinned binning <= {rep.check('I(U1c;X2|U2c) vanishes under the chain').max_abs_violation:.1e}; "
+        f"(paired bounds <= {checks['eight paired bounds equal'].max_abs_violation:.1e}; "
+        f"pinned binning <= {checks['I(U1c;X2|U2c) vanishes under the chain'].max_abs_violation:.1e}; "
         f"containment 100/100 <= {contain.max_abs_violation:.1e}, "
         f"{contain.details['strictly_smaller']} strict)"
     )
@@ -113,10 +118,11 @@ def test_criterion_5_jiang_suite():
 def test_criterion_6_maric_suite():
     t0 = time.monotonic()
     rep, = run_suite("maric", samples=200, seed=0)
+    checks = {c.check_id: c for c in rep.checks}
     detail = (
-        f"(m2-m5 unchanged <= {rep.check('bounds m2..m5 unchanged under merge').max_abs_violation:.1e}; "
+        f"(m2-m5 unchanged <= {checks['bounds m2..m5 unchanged under merge'].max_abs_violation:.1e}; "
         f"m1 gap matches I(X2a;Y2|Q) <= "
-        f"{rep.check('merged m1 exceeds m1 by I(X2a;Y2|Q)').max_abs_violation:.1e})"
+        f"{checks['merged m1 exceeds m1 by I(X2a;Y2|Q)'].max_abs_violation:.1e})"
     )
     report(6, "split-input merge suite", rep.ok, detail, time.monotonic() - t0)
 

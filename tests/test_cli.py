@@ -8,9 +8,8 @@ from cifc.channel import canonical_channel, random_channel, save_channel
 from cifc.cli import main
 from cifc.probability import JointDistribution, RandomVariableSet, joint_to_json
 from cifc.regions import builtin_schema
-from cifc.sampling import sample_factored
 
-from helpers import _marginal, square_assignment
+from helpers import _marginal, sample_factored, square_assignment
 
 
 @pytest.fixture()

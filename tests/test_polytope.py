@@ -28,12 +28,9 @@ from cifc.polytope import (
     _oracle_hull,
     _order_ccw,
     compile_projection,
-    containment_margin,
     containment_margins,
     halfplane_violation,
-    membership_oracle,
     oracle_polygon,
-    polytope_equal,
     polytopes_equal,
     polytope_to_json,
     project_or_empty,
@@ -82,7 +79,7 @@ def orthogonal_square_system():
 
 def test_segment_projection():
     p = project_or_empty(segment_system())
-    assert polytope_equal(p, type(p)(p.halfplanes, ((0.0, 0.0), (1.0, 0.0))), 1e-12)
+    assert polytopes_equal([p], [type(p)(p.halfplanes, ((0.0, 0.0), (1.0, 0.0)))], 1e-12)[0]
     # every half-plane is tight somewhere on the segment
     for h in p.halfplanes:
         assert min(abs(h.a1 * x + h.a2 * y - h.b) for x, y in p.vertices) < 1e-9
@@ -143,8 +140,8 @@ def test_bounded_system_with_a_vertex_far_beyond_its_rhs():
     system = make_system(("a", "b"), [(1, -1), (-2, 3)], [1.0, 1.0], (1, 0), (0, 1))
     p = project_or_empty(system)
     expected = Polytope2D((), ((0.0, 0.0), (1.0, 0.0), (4.0, 3.0), (0.0, 1.0 / 3.0)))
-    assert polytope_equal(p, expected, 1e-12)
-    assert polytope_equal(p, Polytope2D((), oracle_polygon(system)), 1e-9)
+    assert polytopes_equal([p], [expected], 1e-12)[0]
+    assert polytopes_equal([p], [Polytope2D((), oracle_polygon(system))], 1e-9)[0]
 
 
 def test_projection_keeps_close_vertices_of_a_catalog_region():
@@ -305,7 +302,7 @@ def test_facet_labels_name_rows_that_suffice(sid):
         if not poly.is_empty:
             nonempty += 1
             reduced = project_or_empty(system.drop(*(rows - named)))
-            assert polytope_equal(reduced, poly, 1e-9), (mode, seed, sorted(rows - named))
+            assert polytopes_equal([reduced], [poly], 1e-9)[0], (mode, seed, sorted(rows - named))
     assert nonempty
 
 
@@ -323,8 +320,8 @@ def test_compiled_unbounded_when_decoding_rows_removed():
 def test_oracle_origin_of_zero_system():
     rtd = builtin_schema("RTD")
     system = instantiate(rtd, degenerate_rtd_distribution())
-    assert membership_oracle(system, (0.0, 0.0))
-    assert not membership_oracle(system, (0.1, 0.0))
+    distance = _distance_to_hull(oracle_polygon(system), [(0.0, 0.0), (0.1, 0.0)])
+    assert (distance <= FEAS_TOL).tolist() == [True, False]
 
 
 def _exact_oracle_hull(system):
@@ -391,8 +388,8 @@ def test_merge_close_matches_pairwise_reference(points, tol):
 
 
 def test_oracle_rejects_point_beyond_cap():
-    assert membership_oracle(segment_system(), (1.0, 0.0))
-    assert not membership_oracle(segment_system(), (2.0, 0.0))
+    distance = _distance_to_hull(oracle_polygon(segment_system()), [(1.0, 0.0), (2.0, 0.0)])
+    assert (distance <= FEAS_TOL).tolist() == [True, False]
 
 
 def test_oracle_hulls_a_segment_by_its_two_endpoints():
@@ -401,9 +398,8 @@ def test_oracle_hulls_a_segment_by_its_two_endpoints():
     # as a zero-area polygon holds the whole line R2 = 0
     system = make_system(("x1", "x2"), [(1, 0), (0, 1)], [0.5, 0.5], (1, 1), (0, 0))
     assert sorted(oracle_polygon(system)) == [(0.0, 0.0), (1.0, 0.0)]
-    assert membership_oracle(system, (1.0, 0.0))
-    assert not membership_oracle(system, (2.0, 0.0))
-    assert not membership_oracle(system, (-1.0, 0.0))
+    distance = _distance_to_hull(oracle_polygon(system), [(1.0, 0.0), (2.0, 0.0), (-1.0, 0.0)])
+    assert (distance <= FEAS_TOL).tolist() == [True, False, False]
 
 
 @pytest.mark.parametrize("eps", [0.0, 1e-12, 1e-9])
@@ -443,8 +439,8 @@ def test_oracle_square_grid_agreement():
     assert len(oracle_polygon(system)) == 4
     probes = list(itertools.product(np.linspace(0.0, 1.25, 21), repeat=2))
     in_f = halfplane_violation(poly, probes) <= 0
-    in_o = [membership_oracle(system, p, tol=0.0) for p in probes]
-    assert in_f.tolist() == in_o
+    in_o = _distance_to_hull(oracle_polygon(system), probes) <= 0.0
+    assert in_f.tolist() == in_o.tolist()
 
 
 def test_oracle_refuses_too_many_subsets():
@@ -691,7 +687,7 @@ def test_array_membership_matches_reference_on_degenerate_hulls():
 def test_empty_region_contains_no_point():
     assert halfplane_violation(EMPTY, [(0.5, 0.5)]).tolist() == [math.inf]
     assert halfplane_violation(EMPTY, []).shape == (0,)
-    assert containment_margin(EMPTY, project_or_empty(unit_square())) == math.inf
+    assert containment_margins([EMPTY], [project_or_empty(unit_square())])[0] == math.inf
     assert _distance_to_hull((), [(0.0, 0.0), (1.0, 2.0)]).tolist() == [math.inf, math.inf]
 
 
@@ -700,25 +696,25 @@ def test_empty_region_contains_no_point():
 
 def test_contains_self_and_origin():
     p = project_or_empty(orthogonal_square_system())
-    assert containment_margin(p, p) <= 0.0
+    assert containment_margins([p], [p])[0] <= 0.0
     point = project_or_empty(make_system(("a", "b"), [(1, 0), (0, 1)], [0.0, 0.0], (1, 0), (0, 1)))
-    assert containment_margin(p, point) <= 1e-7
+    assert containment_margins([p], [point])[0] <= 1e-7
 
 
 def test_scaled_square_not_contained():
     inner = project_or_empty(unit_square())
     outer = project_or_empty(make_system(("a", "b"), [(1, 0), (0, 1)], [1.1, 1.1], (1, 0), (0, 1)))
-    assert containment_margin(outer, inner) <= 1e-7
-    assert not containment_margin(inner, outer) <= 1e-7
-    assert containment_margin(inner, outer) == pytest.approx(0.1, abs=1e-9)
+    assert containment_margins([outer], [inner])[0] <= 1e-7
+    assert not containment_margins([inner], [outer])[0] <= 1e-7
+    assert containment_margins([inner], [outer])[0] == pytest.approx(0.1, abs=1e-9)
 
 
 def test_empty_containment_rules():
     p = project_or_empty(unit_square())
-    assert containment_margin(p, EMPTY) <= 1e-7
-    assert not containment_margin(EMPTY, p) <= 1e-7
-    assert polytope_equal(EMPTY, EMPTY)
-    assert not polytope_equal(p, EMPTY)
+    assert containment_margins([p], [EMPTY])[0] <= 1e-7
+    assert not containment_margins([EMPTY], [p])[0] <= 1e-7
+    assert polytopes_equal([EMPTY], [EMPTY])[0]
+    assert not polytopes_equal([p], [EMPTY])[0]
 
 
 # -- a batch's regions and comparisons against the one-at-a-time references -------
@@ -841,10 +837,10 @@ def test_margins_and_equality_match_the_reference_on_degenerate_pairs():
         assert polytopes_equal(outers, inners, tol) == want
         assert polytopes_equal(inners, outers, tol) == want  # both directions
     for outer, inner, margin in zip(outers, inners, margins):  # K = 1
-        assert containment_margin(outer, inner).hex() == margin.hex()
-        assert polytope_equal(outer, inner) is reference_polytope_equal(outer, inner)
-    assert containment_margin(regions[3], EMPTY) == -math.inf  # inner empty
-    assert containment_margin(EMPTY, regions[3]) == math.inf  # outer empty
+        assert containment_margins([outer], [inner])[0].hex() == margin.hex()
+        assert polytopes_equal([outer], [inner])[0] is reference_polytope_equal(outer, inner)
+    assert containment_margins([regions[3]], [EMPTY])[0] == -math.inf  # inner empty
+    assert containment_margins([EMPTY], [regions[3]])[0] == math.inf  # outer empty
     assert containment_margins([], []) == [] and polytopes_equal([], []) == []
     probes = [*itertools.product(np.linspace(-0.5, 1.5, 9).tolist(), repeat=2),
               (-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0), (1.0, 0.5)]
@@ -886,7 +882,7 @@ def test_relaxing_rhs_never_shrinks(seed):
         bigger = project_or_empty(LinearSystem(inst.structure, rhs))
         if base.is_empty:
             continue
-        assert containment_margin(bigger, base) <= 1e-9, label
+        assert containment_margins([bigger], [base])[0] <= 1e-9, label
 
 
 @pytest.mark.parametrize("seed", range(8))

@@ -16,7 +16,6 @@ from cifc.probability import (
     compile_exprs,
     entropy_term,
     entropy_vector,
-    evaluate_expr,
     extend_through_channel,
     mi,
 )
@@ -26,7 +25,6 @@ from cifc.regions import (
     LinearSystem,
     builtin_schema,
     catalog_manifest,
-    check_distribution,
     compile_schema,
     instantiate,
     instantiate_all,
@@ -41,7 +39,6 @@ from cifc.sampling import (
     _chain_plan,
     _draw,
     _joints,
-    sample_factored,
     sample_instances,
 )
 from cifc.verify import SUITES, _channel_sizes
@@ -282,7 +279,8 @@ def test_every_mutant_of_a_catalog_block_is_refused_or_runs():
         compile_schema(schema)
         channel = _random_channel(0, *_channel_sizes(schema))
         for mode in SAMPLING_MODES:
-            check_distribution(schema, sample_instances(schema, [channel], [0], [mode]))
+            compile_exprs((), schema.requirements)(
+                sample_instances(schema, [channel], [0], [mode]))
     assert 0 < refused < len(mutants)
 
 
@@ -344,8 +342,10 @@ from helpers import (
     DROPPABLE,
     degenerate_rtd_distribution,
     drop_vacuous,
+    expr_value,
     make_system,
     reference_le_system,
+    sample_factored,
     square_assignment,
 )
 
@@ -372,11 +372,11 @@ def test_instantiate_rhs_matches_direct_mi():
     d = extend_through_channel(d, random_channel(13))
     inst = instantiate(rtd, d)
     # 1a is a GE row: its LE-normal rhs is the negated MI value
-    assert -inst.rhs("1a") == pytest.approx(
-        evaluate_expr(d, mi("U1c", "X2", "U2c")), abs=1e-15
+    assert -inst.b[inst.labels.index("1a")] == pytest.approx(
+        expr_value(d, mi("U1c", "X2", "U2c")), abs=1e-15
     )
-    assert inst.rhs("1k") == pytest.approx(
-        evaluate_expr(d, mi("Y1", "U1pb", "U1c U2c")), abs=1e-15
+    assert inst.b[inst.labels.index("1k")] == pytest.approx(
+        expr_value(d, mi("Y1", "U1pb", "U1c U2c")), abs=1e-15
     )
 
 
@@ -415,7 +415,11 @@ def test_instantiate_checks_determinism():
 
 
 # The messages are pinned as the check-by-check implementation wrote them.
-@pytest.mark.parametrize("check", [instantiate, check_distribution])
+@pytest.mark.parametrize("check", [
+    instantiate,
+    pytest.param(lambda schema, d: compile_exprs((), schema.requirements)(d),
+                 id="check_distribution"),
+])
 def test_violations_name_the_first_failed_check_as_pinned(check):
     # chain order: an RTD draw couples U1c with U2c given X2, RTD_IN's second factor
     d = sample_instances(builtin_schema("RTD"), [random_channel(0)], [0], ["free"])[0]
@@ -447,7 +451,7 @@ def test_a_batch_names_its_first_violation_as_that_member_alone_would():
     assert messages[0] != messages[1]
     members = (good[0], bad[0], good[1], bad[1])
     batch = JointDistribution(good[0].rvs, np.stack([m.prob for m in members]))
-    for check in (instantiate, check_distribution):
+    for check in (instantiate, lambda schema, d: compile_exprs((), schema.requirements)(d)):
         with pytest.raises(FactorizationViolation) as err:
             check(schema, batch)
         assert str(err.value) == messages[0]
@@ -531,7 +535,7 @@ def test_instantiate_makes_one_entropy_pass(monkeypatch):
         d = sample_instances(schema, [random_channel(1, _channel_sizes(schema))], [1], ["free"])[0]
         instantiate(schema, d)
         assert calls == [len(compile_exprs(leading, schema.requirements).subsets)], sid
-        check_distribution(schema, d)
+        compile_exprs((), schema.requirements)(d)
         assert len(calls) == 2, sid
         calls.clear()
 
@@ -567,15 +571,23 @@ def test_pin_and_drop():
         assert len(row) == len(pinned.variables) == len(inst.variables) - 2
     dropped = pinned.drop("1g")
     assert len(dropped.rows) == len(pinned.rows) - 1
-    with pytest.raises(KeyError):
-        dropped.rhs("1g")
+    assert "1g" not in dropped.labels
 
 
 def test_pin_shifts_rhs():
     rtd = builtin_schema("RTD")
     inst = instantiate(rtd, square_assignment())
     pinned = inst.pin({"R2pa": 0.25})
-    assert pinned.rhs("1f") == pytest.approx(inst.rhs("1f") - 0.25, abs=1e-12)
+    row = pinned.b[pinned.labels.index("1f")]
+    assert row == pytest.approx(inst.b[inst.labels.index("1f")] - 0.25, abs=1e-12)
+
+
+def test_pin_refuses_a_name_that_is_no_rate_of_the_system():
+    ccp = builtin_schema("CCP")
+    system = instantiate(ccp, sample_instances(ccp, [random_channel(0)], [0], ["free"]))[0]
+    with pytest.raises(InvalidParameter, match=r"cannot pin 'R9': the rates are R1c, R1pb, "
+                                               r"R2c, R2pb, R1c', R1pb', R2pb'$"):
+        system.pin({"R9": 0.0})
 
 
 def test_without_vacuous_keeps_violated_variable_free_rows():

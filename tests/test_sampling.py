@@ -19,11 +19,10 @@ from cifc.sampling import (
     _joints,
     _schema_plan,
     climb,
-    sample_factored,
     sample_instances,
 )
 
-from helpers import reference_factored_joint, reference_propose
+from helpers import reference_factored_joint, reference_propose, sample_factored
 
 
 @pytest.mark.parametrize("sid", SCHEMA_IDS)
@@ -90,7 +89,7 @@ def test_sampling_plan_refuses_a_joint_above_the_cell_cap():
     tracemalloc.start()
     try:
         with pytest.raises(InvalidParameter) as err:
-            sample_factored(rvs, parse_chain("p(A) p(B|A)"), 0)
+            _chain_plan(rvs, parse_chain("p(A) p(B|A)").factors)
         assert f"{cells} cells" in str(err.value)
         assert f"cap of {MAX_MARGINAL_LABELS}" in str(err.value)
         with pytest.raises(InvalidParameter, match=f"size {size} is above the alphabet cap"):

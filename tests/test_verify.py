@@ -18,16 +18,15 @@ from cifc.probability import (
     extend_through_channel,
     entropy_term,
     entropy_vector,
-    evaluate_expr,
     mi,
 )
 from cifc.polytope import (
     EMPTY,
     compile_projection,
-    containment_margin,
+    containment_margins,
     halfplane_violation,
     oracle_polygon,
-    polytope_equal,
+    polytopes_equal,
     project_or_empty,
 )
 from cifc.regions import (
@@ -44,7 +43,6 @@ from cifc.sampling import (
     _draw,
     _joints,
     _mode_for,
-    sample_factored,
     sample_instances,
 )
 from cifc.verify import (
@@ -53,9 +51,11 @@ from cifc.verify import (
     _CLAIMS,
     _channel_sizes,
     _nonvacuous_regions,
+    _pinned_checks,
+    _run_claims,
     CheckReport,
     IdentityCheck,
-    check_cc_reduction,
+    SuiteReport,
     check_fme_oracle,
     check_identities,
     grid_agreement,
@@ -70,12 +70,14 @@ from helpers import (
     REFERENCE_MARIC_MERGED,
     check_droppable,
     drop_vacuous,
+    expr_value,
     reference_bounds,
     reference_cc_identity_checks,
     reference_devroye_identity_checks,
     reference_jiang_identity_checks,
     reference_maric_identity_checks,
     reference_mutual_information,
+    sample_factored,
     sequential_frontier,
 )
 
@@ -96,7 +98,7 @@ def test_sample_instance_obeys_factorization(sid, mode):
 def test_sample_instance_maric_pairing():
     mar = builtin_schema("MARIC")
     d = sample_instances(mar, [random_channel(1, sizes=(2, 4, 2, 2))], [1], ["free"])[0]
-    assert evaluate_expr(d, entropy_term("X2", "X2a X2b")) == pytest.approx(0.0, abs=1e-12)
+    assert expr_value(d, entropy_term("X2", "X2a X2b")) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_sample_instance_unknown_mode():
@@ -214,7 +216,7 @@ def test_a_seed_or_count_that_is_not_an_integer_is_refused_before_anything_is_dr
 @pytest.mark.parametrize("samples", [0, -1])
 @pytest.mark.parametrize("check", [
     lambda n: check_identities("maric", "MARIC", SUITES["maric"].checks, samples=n),
-    lambda n: check_cc_reduction(samples=3, proj_instances=n),
+    lambda n: _run_claims(SUITES["cc"], 3, n, 0),
     lambda n: sampled_region_containment("RTD_JIANG", "JIANG", samples=n),
     lambda n: check_fme_oracle(["CC", "RTD"], instances=n),
 ], ids=["identities", "cc_pinned", "containment", "fme_oracle"])
@@ -434,7 +436,7 @@ def test_a_batch_evaluates_bit_for_bit_as_its_members_one_by_one(sid):
         assert shared[k].prob.tobytes() == alone.prob.tobytes()
         assert systems[k] == instantiate(schema, one)
         region = project_or_empty(instantiate(schema, one))
-        assert regions[k] == region and polytope_equal(regions[k], region, 1e-9)
+        assert regions[k] == region and polytopes_equal([regions[k]], [region], 1e-9)[0]
 
 
 @pytest.mark.parametrize("sid", ["RTD", "MARIC"])
@@ -474,7 +476,8 @@ def test_a_check_beyond_one_batch_runs_under_a_cap_that_refuses_all_its_samples(
     report = check_identities("maric", "MARIC", SUITES["maric"].checks, samples, seed=3)
     assert report.ok and report.to_json() == expected.to_json()
     assert all(c.seeds_run == samples for c in report.checks)
-    assert "gap_histogram" in report.check("merge gap nonnegative").details
+    checks = {c.check_id: c for c in report.checks}
+    assert "gap_histogram" in checks["merge gap nonnegative"].details
 
 
 def test_batches_draw_their_channels_without_rechecking_seeds_or_sizes(monkeypatch):
@@ -525,9 +528,11 @@ def test_the_claims_table_builds_the_python_builders_claims_bit_for_bit():
     assert SUITES["containment"].schema_id is None and not SUITES["containment"].checks
 
 
-def test_check_cc_reduction_is_the_cc_block():
+def test_cc_block_is_its_identities_then_its_pinned_checks():
     report, = run_suite("cc", samples=4, seed=2)
-    assert check_cc_reduction(samples=4, seed=2, proj_instances=4).to_json() == report.to_json()
+    identities = check_identities("cc", "CC", SUITES["cc"].checks, samples=4, seed=2)
+    pinned = _pinned_checks("CCP", "RTD_CC", "R1c'", 4, seed=10_002)
+    assert report.to_json() == SuiteReport("cc", identities.checks + pinned).to_json()
     assert [c.check_id for c in report.checks][-2:] == [
         "pinned systems structurally identical", "pinned projections vertex-identical"]
 
@@ -639,7 +644,8 @@ def test_devroye_small_run_clean():
     assert report.ok
     ids = {c.check_id for c in report.checks}
     assert ids == {"e13_e23", "e14_e24", "e15_e25", "e16_e26", "e17_e27", "e18_e28", "e19_e29"}
-    assert report.check("e17_e27").details["gap_histogram"]["min"] >= 0.0
+    checks = {c.check_id: c for c in report.checks}
+    assert checks["e17_e27"].details["gap_histogram"]["min"] >= 0.0
 
 
 def test_devroye_product_distribution_gap_zero():
@@ -655,16 +661,16 @@ def test_devroye_product_distribution_gap_zero():
     d = extend_through_channel(d, random_channel(3))
     for check in SUITES["devroye"].checks:
         for e in check.zero:
-            assert abs(evaluate_expr(d, e)) < 1e-9
+            assert abs(expr_value(d, e)) < 1e-9
         for e in check.nonneg:
-            assert evaluate_expr(d, e) > -1e-9
-    assert evaluate_expr(d, mi("U1c", "U1pb")) == pytest.approx(0.0, abs=1e-12)
+            assert expr_value(d, e) > -1e-9
+    assert expr_value(d, mi("U1c", "U1pb")) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_cc_small_run_clean():
-    report = check_cc_reduction(samples=20, seed=0, proj_instances=12)
+    report, = run_suite("cc", samples=20, seed=0)
     assert report.ok
-    projected = report.check("pinned projections vertex-identical")
+    projected = {c.check_id: c for c in report.checks}["pinned projections vertex-identical"]
     assert projected.details["nonempty_instances"] > 0
 
 
@@ -690,7 +696,7 @@ def test_cc_degenerate_satellite_gap_vanishes():
     d = extend_through_channel(d, random_channel(7))
     primed = SUITES["cc"].bounds
     for lab in ("38", "41"):
-        delta = evaluate_expr(d, primed[lab + "p"]) - evaluate_expr(d, cc.constraint(lab).rhs)
+        delta = expr_value(d, primed[lab + "p"]) - expr_value(d, cc.constraint(lab).rhs)
         assert delta == pytest.approx(0.0, abs=1e-12)
 
 
@@ -717,12 +723,12 @@ def test_jiang_extra_bounds_named_iff_dropping_them_reshapes(seed):
         system = instantiate(jg, d)
         pj = project_or_empty(system)
         pu = project_or_empty(instantiate(uj, d))
-        if pj.is_empty or pu.is_empty or polytope_equal(pu, pj, 1e-9):
+        if pj.is_empty or pu.is_empty or polytopes_equal([pu], [pj], 1e-9)[0]:
             continue
         strict += 1
         named = {lab for h in pj.halfplanes for lab in h.labels} & set(JIANG_EXTRA)
         reshaping = {lab for lab in JIANG_EXTRA
-                     if not polytope_equal(pj, project_or_empty(system.drop(lab)), 1e-9)}
+                     if not polytopes_equal([pj], [project_or_empty(system.drop(lab))], 1e-9)[0]}
         assert named == reshaping, s
         active += bool(reshaping)
     contain, = sampled_region_containment("RTD_JIANG", "JIANG", seed=seed + 20_000).checks
@@ -755,6 +761,16 @@ def test_identity_runner_fails_a_false_claim(claim):
     assert any(f.startswith(f"seed {check.worst_seed}: ") for f in check.failures)
 
 
+def test_identity_runner_refuses_a_variable_the_schema_lacks():
+    # refused as parse_claims refuses it at a claim line, not as the entropy
+    # pass's UnknownVariable
+    claims = [IdentityCheck("gap", nonneg=(MIExpr.of(mi("X2a", "Y2")),)),
+              IdentityCheck("other comparator", zero=(mi("X2a", "Y2") - mi("V22", "Y1"),))]
+    with pytest.raises(InvalidParameter, match=re.escape(
+            "check 'other comparator' on MARIC: undeclared variables ['V22']")):
+        check_identities("maric", "MARIC", claims, samples=2)
+
+
 def test_roundoff_violations_name_no_worst_seed():
     # a passing check reports the size of its roundoff but no seed, so a
     # change of summation order cannot move worst_seed
@@ -779,7 +795,8 @@ def test_maric_degenerate_part_gives_zero_difference():
     joint = _joints(rvs, _draw([plan], [np.random.default_rng(11)]))[0]
     d = extend_through_channel(joint, random_channel(11, sizes=(2, 2, 2, 2)))
     io = instantiate(mar, d)
-    assert evaluate_expr(d, merged["m1'"]) - io.rhs("m1") == pytest.approx(0.0, abs=1e-12)
+    m1 = io.b[io.labels.index("m1")]
+    assert expr_value(d, merged["m1'"]) - m1 == pytest.approx(0.0, abs=1e-12)
 
 
 # -- containment ----------------------------------------------------------------
@@ -817,7 +834,8 @@ def test_reversed_containment_fails_at_the_most_violating_vertex():
         po = project_or_empty(instantiate(builtin_schema("JIANG"), d))
         pi = project_or_empty(instantiate(builtin_schema("RTD_JIANG"), d))
         assert vertex in pi.vertices
-        assert halfplane_violation(po, [vertex])[0] == containment_margin(po, pi) > REGION_TOL
+        margin, = containment_margins([po], [pi])
+        assert halfplane_violation(po, [vertex])[0] == margin > REGION_TOL
 
 
 def test_containment_jiang_pair():
