@@ -55,8 +55,7 @@ class Channel:
     negative entry (NegativeProbability) and every (x1, x2) slice summing
     to one within ROW_SUM_TOL (RowSumMismatch with the residual).  Each
     error names the first offending entry or slice, so every Channel that
-    exists is valid.  Two channels are equal when their tensors are, and
-    equal channels hash alike, so a channel can key a dict or a cache.
+    exists is valid.
     """
 
     transition: np.ndarray  # shape (|y1|, |y2|, |x1|, |x2|)
@@ -85,15 +84,6 @@ class Channel:
             )
         t.setflags(write=False)
         object.__setattr__(self, "transition", t)
-
-    def __eq__(self, other):
-        if not isinstance(other, Channel):
-            return NotImplemented
-        return self.shape == other.shape and np.array_equal(self.transition, other.transition)
-
-    def __hash__(self):
-        # + 0.0 turns a -0.0 entry into +0.0, which compares equal to it
-        return hash((self.shape, (self.transition + 0.0).tobytes()))
 
     @property
     def shape(self) -> tuple[int, int, int, int]:

@@ -32,7 +32,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .channel import INPUTS, OUTPUTS, Channel, check_integer, json_float_array, read_json
+from .channel import INPUTS, MAX_ALPHABET_SIZE, OUTPUTS, Channel, check_integer, json_float_array, read_json
 from .errors import (
     AlphabetMismatch,
     FactorizationViolation,
@@ -63,7 +63,8 @@ def _names(spec: Names) -> tuple[str, ...]:
 
 @dataclass(frozen=True)
 class RandomVariableSet:
-    """Ordered named variables with matching cardinalities, integers >= 1."""
+    """Ordered named variables with matching cardinalities, integers in
+    [1, MAX_ALPHABET_SIZE]; a size above the cap is refused naming its variable."""
 
     names: tuple[str, ...]
     sizes: tuple[int, ...]
@@ -76,6 +77,10 @@ class RandomVariableSet:
             raise InvalidParameter(f"duplicate variable names in {self.names}")
         if len(self.names) != len(self.sizes):
             raise InvalidParameter("names and sizes must have equal length")
+        for name, size in zip(self.names, sizes):
+            if size > MAX_ALPHABET_SIZE:
+                raise InvalidParameter(f"size {name}: {size} is above the alphabet cap of "
+                                       f"{MAX_ALPHABET_SIZE}")
 
     def axis(self, name: str) -> int:
         try:
@@ -256,15 +261,6 @@ class MITerm:
         base = f"I({','.join(self.left)};{','.join(self.right)}"
         return base + (f"|{','.join(self.given)})" if self.given else ")")
 
-    def __add__(self, other):
-        return MIExpr.of(self) + other
-
-    def __sub__(self, other):
-        return MIExpr.of(self) - other
-
-    def __neg__(self):
-        return MIExpr(((-1, self),))
-
 
 def mi(left: Names, right: Names, given: Names = ()) -> MITerm:
     return MITerm(_names(left), _names(right), _names(given))
@@ -275,20 +271,6 @@ class MIExpr:
     """Signed sum of MI atoms, in bits; the empty sum is 0."""
 
     terms: tuple[tuple[int, MITerm], ...] = ()
-
-    @staticmethod
-    def of(x) -> "MIExpr":
-        if isinstance(x, MIExpr):
-            return x
-        if isinstance(x, MITerm):
-            return MIExpr(((1, x),))
-        raise InvalidParameter(f"an MI expression has no constant term, got {x!r}")
-
-    def __add__(self, other):
-        return MIExpr(self.terms + MIExpr.of(other).terms)
-
-    def __sub__(self, other):
-        return self + -MIExpr.of(other)
 
     def __neg__(self):
         return MIExpr(tuple((-s, t) for s, t in self.terms))
@@ -464,7 +446,6 @@ def _integer_matrix(rows: Sequence[dict[int, int]], width: int) -> np.ndarray:
     return matrix
 
 
-@lru_cache(maxsize=1024)
 def compile_exprs(
     exprs: tuple[MIExpr, ...], checks: tuple[tuple[str, MITerm], ...] = ()
 ) -> CompiledExprs:

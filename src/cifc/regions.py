@@ -171,17 +171,11 @@ class RegionSchema:
 
         Deterministic variables get the product of their parts' sizes;
         per-schema defaults (degenerate auxiliaries) and explicit
-        overrides take precedence.  A default cardinality or an override
-        above MAX_ALPHABET_SIZE is refused with InvalidParameter.
+        overrides take precedence.  A size above MAX_ALPHABET_SIZE, a
+        paired copy's product too, is refused with InvalidParameter naming
+        the first variable that has it.
         """
-        if size > MAX_ALPHABET_SIZE:
-            raise InvalidParameter(f"size {size} is above the alphabet cap of {MAX_ALPHABET_SIZE}")
-        overrides = dict(overrides or {})
-        for name, value in overrides.items():
-            if value > MAX_ALPHABET_SIZE:
-                raise InvalidParameter(f"size {name}: {value} is above the alphabet cap of "
-                                       f"{MAX_ALPHABET_SIZE}")
-        fixed = {**dict(self.default_sizes), **overrides}
+        fixed = {**dict(self.default_sizes), **(overrides or {})}
         det = dict(self.deterministic)
         sizes: dict[str, int] = {}
         for name in self.variables:

@@ -215,9 +215,8 @@ def _chain_plan(
     return _ChainPlan(rvs, tuple(blocks), free, tuple(calls), width, alone)
 
 
-@lru_cache(maxsize=64)
 def _schema_plan(schema: RegionSchema, size: int, mode: str) -> _ChainPlan:
-    """The schema's chain at default cardinality `size`, looked up by schema."""
+    """The schema's chain plan at default cardinality `size`, from `_chain_plan`'s cache."""
     return _chain_plan(schema.rv_set(size), schema.factorization.factors, mode,
                        schema.deterministic, schema.input_deps)
 

@@ -13,8 +13,9 @@ the constraints the unified region's remark lets
 drop when certain rates vanish and their check, the
 one-lambda-at-a-time frontier search, the identity claims and
 merged bounds as Python builders, the form `cifc.verify`'s claims
-table replaced, a chain drawn alone for generic chains, and one
-expression's value through `compile_exprs`."""
+table replaced, a chain drawn alone for generic chains, and the value
+through `compile_exprs` of one expression, given as an MIExpr, an atom
+or text that `parse_expr` reads."""
 
 import itertools
 import math
@@ -46,7 +47,6 @@ from cifc.probability import (
     _marginal_plan,
     compile_exprs,
     extend_through_channel,
-    mi,
 )
 from cifc.regions import (
     GE,
@@ -214,8 +214,11 @@ def sample_factored(rvs, spec, seed: int) -> JointDistribution:
 
 
 def expr_value(d: JointDistribution, e) -> float:
-    """An expression's value at d, or an atom's, as `mi(...)` or `entropy_term(...)`."""
-    return float(compile_exprs((MIExpr.of(e),))(d)[0])
+    """The value at d of an MIExpr, of an atom (`mi(...)` or
+    `entropy_term(...)`) or of an expression's text, read by `parse_expr`."""
+    if isinstance(e, str):
+        e = parse_expr(e)
+    return float(compile_exprs((e if isinstance(e, MIExpr) else MIExpr(((1, e),)),))(d)[0])
 
 
 def reference_propose(plan, blocks, k, rng) -> tuple[int, np.ndarray]:
@@ -632,22 +635,30 @@ def _rhs(schema_id: str, label: str) -> MIExpr:
     return builtin_schema(schema_id).constraint(label).rhs
 
 
+def _sum(*exprs: MIExpr) -> MIExpr:
+    """The sum of MIExprs, term by term in the written order; a difference
+    is a sum with the subtrahend negated."""
+    return MIExpr(tuple(term for e in exprs for term in e.terms))
+
+
 def reference_devroye_identity_checks() -> tuple[IdentityCheck, ...]:
     """Differences between the restricted unified region rows (e1x) and the
     enlarged comparator rows (e2x), after cancelling the binning rates."""
     u, c = partial(_rhs, "RTD_IN"), partial(_rhs, "DMT_OUT")
-    e14 = u("e14") - u("e10") - (c("e24") - c("e20"))
-    e14_gap = MIExpr.of(mi("U2c", "U1c", "X2"))
-    e17 = u("e17") - u("e12") - (c("e27") - c("e21") - c("e20"))
-    e17_gap = MIExpr.of(mi("U1c", "U1pb"))
+    e14 = _sum(u("e14"), -u("e10"), -_sum(c("e24"), -c("e20")))
+    e14_gap = parse_expr("I(U2c;U1c|X2)")
+    e17 = _sum(u("e17"), -u("e12"), -_sum(c("e27"), -c("e21"), -c("e20")))
+    e17_gap = parse_expr("I(U1c;U1pb)")
     return (
-        IdentityCheck("e13_e23", (u("e13") - u("e10") - (c("e23") - c("e20")),)),
-        IdentityCheck("e14_e24", (e14 - e14_gap, e14_gap)),
-        IdentityCheck("e15_e25", (u("e15") - u("e10") - (c("e25") - c("e20")),)),
-        IdentityCheck("e16_e26", (u("e16") - c("e26"),)),
-        IdentityCheck("e17_e27", (e17 - e17_gap,), (e17_gap,)),
-        IdentityCheck("e18_e28", (u("e18") - u("e12") - (c("e28") - c("e21") - c("e20")),)),
-        IdentityCheck("e19_e29", (u("e19") - u("e12") + u("e10") - (c("e29") - c("e21")),)),
+        IdentityCheck("e13_e23", (_sum(u("e13"), -u("e10"), -_sum(c("e23"), -c("e20"))),)),
+        IdentityCheck("e14_e24", (_sum(e14, -e14_gap), e14_gap)),
+        IdentityCheck("e15_e25", (_sum(u("e15"), -u("e10"), -_sum(c("e25"), -c("e20"))),)),
+        IdentityCheck("e16_e26", (_sum(u("e16"), -c("e26")),)),
+        IdentityCheck("e17_e27", (_sum(e17, -e17_gap),), (e17_gap,)),
+        IdentityCheck("e18_e28",
+                      (_sum(u("e18"), -u("e12"), -_sum(c("e28"), -c("e21"), -c("e20"))),)),
+        IdentityCheck("e19_e29",
+                      (_sum(u("e19"), -u("e12"), u("e10"), -_sum(c("e29"), -c("e21"))),)),
     )
 
 
@@ -681,12 +692,14 @@ def reference_cc_identity_checks() -> tuple[IdentityCheck, ...]:
     """Merging the satellite auxiliary leaves bounds 37/39/40 unchanged and
     relaxes 38/41 by exactly the nonnegative I(V22,V20;U11|U10)."""
     primed = reference_bounds(REFERENCE_CC_PRIMED)
-    gap = mi("V22 V20", "U11", "U10")
-    delta = {lab: primed[lab + "p"] - _rhs("CC", lab) for lab in ("37", "38", "39", "40", "41")}
+    gap = parse_expr("I(V20,V22;U11|U10)")
+    delta = {lab: _sum(primed[lab + "p"], -_rhs("CC", lab))
+             for lab in ("37", "38", "39", "40", "41")}
     return tuple(
         IdentityCheck(f"37..41 vs primed: {lab}", (delta[lab],)) for lab in ("37", "39", "40")
     ) + tuple(
-        IdentityCheck(f"{lab}p minus {lab} equals merge gap", (delta[lab] - gap,), (delta[lab],))
+        IdentityCheck(f"{lab}p minus {lab} equals merge gap", (_sum(delta[lab], -gap),),
+                      (delta[lab],))
         for lab in ("38", "41")
     )
 
@@ -700,10 +713,11 @@ def reference_jiang_identity_checks() -> tuple[IdentityCheck, ...]:
     return (
         IdentityCheck(
             "eight paired bounds equal",
-            tuple(_rhs("RTD_JIANG", u) - _rhs("JIANG", j) for u, j in REFERENCE_JIANG_PAIRS),
+            tuple(_sum(_rhs("RTD_JIANG", u), -_rhs("JIANG", j))
+                  for u, j in REFERENCE_JIANG_PAIRS),
         ),
         IdentityCheck(
-            "I(U1c;X2|U2c) vanishes under the chain", (MIExpr.of(mi("U1c", "X2", "U2c")),)
+            "I(U1c;X2|U2c) vanishes under the chain", (parse_expr("I(U1c;X2|U2c)"),)
         ),
     )
 
@@ -714,13 +728,14 @@ def reference_maric_identity_checks() -> tuple[IdentityCheck, ...]:
     mar, merged = builtin_schema("MARIC"), reference_bounds(REFERENCE_MARIC_MERGED)
 
     def delta(lab: str) -> MIExpr:
-        return merged[lab + "'"] - mar.constraint(lab).rhs
+        return _sum(merged[lab + "'"], -mar.constraint(lab).rhs)
 
     return (
         IdentityCheck(
             "bounds m2..m5 unchanged under merge",
             tuple(delta(lab) for lab in ("m2", "m3", "m4", "m5")),
         ),
-        IdentityCheck("merged m1 exceeds m1 by I(X2a;Y2|Q)", (delta("m1") - mi("X2a", "Y2", "Q"),)),
+        IdentityCheck("merged m1 exceeds m1 by I(X2a;Y2|Q)",
+                      (_sum(delta("m1"), -parse_expr("I(X2a;Y2|Q)")),)),
         IdentityCheck("merge gap nonnegative", nonneg=(delta("m1"),)),
     )

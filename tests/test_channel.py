@@ -158,7 +158,7 @@ def test_canonical_channels_validate(kind, params):
 def test_a_random_channel_is_drawn_once_per_seed_and_sizes():
     a = random_channel(11, [2, 4, 2, 2])  # any sequence of sizes
     assert a is random_channel(11, (2, 4, 2, 2))
-    assert a == _random_channel.__wrapped__(11, 2, 4, 2, 2)  # a fresh draw
+    assert np.array_equal(a.transition, _random_channel.__wrapped__(11, 2, 4, 2, 2).transition)
     bound = _random_channel.cache_info().maxsize
     assert bound is not None
     for seed in range(bound + 1):
@@ -272,20 +272,3 @@ def test_transition_is_immutable():
         ch.transition[0, 0, 0, 0] = 0.5
 
 
-def test_equal_channels_compare_and_hash_alike():
-    a, b = bsc_pair(0.1, 0.2), bsc_pair(0.1, 0.2)
-    assert a == b and hash(a) == hash(b)
-    assert len({a, b}) == 1
-    assert {a: "bsc"}[b] == "bsc"
-    assert a != bsc_pair(0.1, 0.3)
-    assert random_channel(0) != random_channel(0, sizes=(2, 3, 2, 2))
-    assert a.__eq__(a.transition) is NotImplemented
-    assert a != "bsc"
-
-
-def test_negative_zero_entries_compare_and_hash_as_zero():
-    t = canonical_channel("orthogonal_noiseless").transition
-    negative = Channel(np.where(t == 0.0, -0.0, t))
-    assert np.signbit(negative.transition).any()  # the -0.0 entries survive construction
-    positive = Channel(t)
-    assert negative == positive and hash(negative) == hash(positive)

@@ -307,6 +307,18 @@ def test_project_rejects_non_integer_joint_sizes(tmp_path, orth_channel, capsys,
     assert capsys.readouterr().err == f"error: sizes[5] must be an integer, got {bad}\n"
 
 
+def test_project_refuses_a_joint_above_the_alphabet_cap(tmp_path, orth_channel, capsys):
+    # as a channel above the cap is: a uniform joint, whose U1c has 9 letters
+    dist = tmp_path / "wide.json"
+    dist.write_text(json.dumps(dict(RTD_INPUTS, sizes=[9, 1, 1, 1, 2, 2], p=[1 / 36] * 36)))
+    out = tmp_path / "poly.json"
+    rc = main(["project", "--schema", "RTD", "--channel", str(orth_channel),
+               "--dist", str(dist), "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: size U1c: 9 is above the alphabet cap of 8\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("body", [
     {"x1": True, "x2": 1.7, "y1": 1, "y2": 1, "p": [1.0]},
     {"x1": 2, "x2": 2, "y1": 2, "y2": 2.0, "p": [0.5] * 16},

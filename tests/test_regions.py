@@ -140,7 +140,8 @@ def test_a_small_block_reads_into_its_schema():
     assert schema.variables == ("A", "B", "C", "X1", "X2") and schema.rate_vars == ("R1", "R2")
     assert schema.projection == (("R1", (("R1", 1),)), ("R2", (("R2", 1),)))
     assert schema.constraints == (
-        LinearRateConstraint((("R1", 1), ("R2", 2)), "LE", -mi("A", "B", "C") + mi("Y1", "A"), "a"),
+        LinearRateConstraint((("R1", 1), ("R2", 2)), "LE",
+                             MIExpr(((-1, mi("A", "B", "C")), (1, mi("Y1", "A")))), "a"),
         LinearRateConstraint((("R2", 1),), "GE", MIExpr(), "b"),
     )
 
@@ -234,15 +235,17 @@ def test_a_malformed_chain_is_refused_at_its_line(chain, reason):
 
 
 def test_an_alphabet_above_the_cap_is_refused():
-    # `size A = 99` used to parse to sizes (99, 2, 2), and rv_set(9) to
-    # return six 9s
+    # `size A = 99` used to parse to sizes (99, 2, 2), rv_set(9) to return
+    # six 9s, and MARIC's rv_set(3) a paired copy X2 of 9 letters
     with pytest.raises(InvalidParameter, match=re.escape(
             f"schema T, line 6: size A: 99 is above the alphabet cap of {MAX_ALPHABET_SIZE}")):
         parse_schema(_BLOCK + "size A = 99")
     rtd = builtin_schema("RTD")
     assert rtd.rv_set(MAX_ALPHABET_SIZE).sizes == (MAX_ALPHABET_SIZE,) * len(rtd.variables)
-    with pytest.raises(InvalidParameter, match="size 9 is above the alphabet cap of 8"):
+    with pytest.raises(InvalidParameter, match="size U1c: 9 is above the alphabet cap of 8"):
         rtd.rv_set(MAX_ALPHABET_SIZE + 1)
+    with pytest.raises(InvalidParameter, match="size X2: 9 is above the alphabet cap of 8"):
+        builtin_schema("MARIC").rv_set(3)
 
 
 def _block_mutants() -> dict[str, str]:
@@ -491,16 +494,21 @@ def test_requirements_are_the_chain_independencies_then_determinism(sid):
 
 @pytest.mark.parametrize("sid", SCHEMA_IDS)
 def test_one_checked_rhs_map_per_schema(sid, monkeypatch):
+    # the schema compiles one map of its constraints' rhs, checked against
+    # its requirements, and each instantiate evaluates that map once
     schema = builtin_schema(sid)
     rhs = compile_schema(schema).rhs
-    assert rhs is compile_exprs(tuple(c.rhs for c in schema.constraints), schema.requirements)
+    assert compile_schema(schema).rhs is rhs
+    assert rhs.expr_matrix.shape[0] == len(schema.constraints)
+    assert rhs.check_names == tuple(name for name, _ in schema.requirements)
     d = sample_instances(schema, [random_channel(0, _channel_sizes(schema))], [0], ["free"])[0]
     called = []
     evaluate = CompiledExprs.from_entropies
     monkeypatch.setattr(CompiledExprs, "from_entropies",
                         lambda self, *args: called.append(self) or evaluate(self, *args))
     instantiate(schema, d)
-    assert len(called) == 1 and called[0] is rhs
+    instantiate(schema, d)
+    assert len(called) == 2 and all(m is rhs for m in called)
 
 
 @pytest.mark.parametrize("sid", SCHEMA_IDS)

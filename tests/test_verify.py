@@ -35,6 +35,7 @@ from cifc.regions import (
     compile_schema,
     instantiate,
     parse_chain,
+    parse_expr,
     same_system,
 )
 from cifc.sampling import (
@@ -165,10 +166,8 @@ PINNED_DRAWS = [
                            seed=-1, lambdas=2),
     lambda: sample_instances(builtin_schema("RTD"), canonical_channel("orthogonal_noiseless"),
                              [0, -2], ["free"] * 2),
-    lambda: sample_factored(builtin_schema("RTD").rv_set(2),
-                            builtin_schema("RTD").factorization, -1),
     lambda: random_channel(-3),
-], ids=["run_suite", "trace_frontier", "sample_instances", "sample_factored", "random_channel"])
+], ids=["run_suite", "trace_frontier", "sample_instances", "random_channel"])
 def test_a_negative_seed_is_refused_before_anything_is_drawn(monkeypatch, draw):
     # numpy's own refusal is a ValueError naming no seed
     monkeypatch.setattr(np.random, "default_rng", None)
@@ -195,16 +194,12 @@ def _frontier(**kwargs):
     (_frontier(lambdas=[]), "the lambda grid size must be at least 1, got 0"),
     (lambda: sample_instances(builtin_schema("RTD"), BSC, [0, 1.0], ["free"] * 2),
      "seed must be an integer, got 1.0"),
-    (lambda: sample_factored(builtin_schema("RTD").rv_set(2),
-                             builtin_schema("RTD").factorization, 2.0),
-     "seed must be an integer, got 2.0"),
     (lambda: random_channel(False), "seed must be an integer, got False"),
 ], ids=["run_suite_seed_float", "run_suite_seed_bool", "run_suite_samples_float",
         "fme_oracle_instances_bool", "frontier_seed_float", "frontier_seed_bool",
         "frontier_budget_float", "frontier_budget_bool", "frontier_budget_zero",
         "frontier_grid_float", "frontier_grid_bool", "frontier_grid_empty",
-        "sample_instances_seed_float", "sample_factored_seed_float",
-        "random_channel_seed_bool"])
+        "sample_instances_seed_float", "random_channel_seed_bool"])
 def test_a_seed_or_count_that_is_not_an_integer_is_refused_before_anything_is_drawn(
         monkeypatch, draw, bad):
     # a float ended in numpy's TypeError, and True passed as 1
@@ -574,7 +569,7 @@ def test_a_reference_takes_the_sign_written_before_it():
     claims = parse_claims("suite t MARIC\nm: I(X2;Y2|Q) - I(U1c;Y1)\n"
                           "zero a: -[m] - [MARIC.m3] + [m]")
     m, m3 = claims.bounds["m"], builtin_schema("MARIC").constraint("m3").rhs
-    assert claims.checks == [IdentityCheck("a", (-m - m3 + m,))]
+    assert claims.checks == [IdentityCheck("a", (MIExpr((-m).terms + (-m3).terms + m.terms),))]
     assert str(claims.checks[0].zero[0]) == (
         "-I(X2;Y2|Q) + I(U1c;Y1) - I(U1c,X2;Y2|Q) + I(X2;Y2|Q) - I(U1c;Y1)")
 
@@ -748,8 +743,8 @@ def test_every_identity_check_records_each_seed_once():
 
 
 @pytest.mark.parametrize("claim", [
-    IdentityCheck("false zero", zero=(MIExpr.of(mi("Y1", "U1c")),)),
-    IdentityCheck("negated gap", nonneg=(-mi("U1c", "U1pb"),)),
+    IdentityCheck("false zero", zero=(parse_expr("I(Y1;U1c)"),)),
+    IdentityCheck("negated gap", nonneg=(parse_expr("-I(U1c;U1pb)"),)),
 ], ids=["zero", "nonneg"])
 def test_identity_runner_fails_a_false_claim(claim):
     # both claims are false on a generic RTD_IN draw; a vacuous runner would pass them
@@ -764,8 +759,8 @@ def test_identity_runner_fails_a_false_claim(claim):
 def test_identity_runner_refuses_a_variable_the_schema_lacks():
     # refused as parse_claims refuses it at a claim line, not as the entropy
     # pass's UnknownVariable
-    claims = [IdentityCheck("gap", nonneg=(MIExpr.of(mi("X2a", "Y2")),)),
-              IdentityCheck("other comparator", zero=(mi("X2a", "Y2") - mi("V22", "Y1"),))]
+    claims = [IdentityCheck("gap", nonneg=(parse_expr("I(X2a;Y2)"),)),
+              IdentityCheck("other comparator", zero=(parse_expr("I(X2a;Y2) - I(V22;Y1)"),))]
     with pytest.raises(InvalidParameter, match=re.escape(
             "check 'other comparator' on MARIC: undeclared variables ['V22']")):
         check_identities("maric", "MARIC", claims, samples=2)
