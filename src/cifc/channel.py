@@ -5,7 +5,8 @@ stored densely as a 4-index tensor indexed ``[y1, y2, x1, x2]``; the
 tensor's shape is the only record of the alphabet sizes.  Constructing a
 `Channel` validates it (size cap, nonnegativity, per-input normalization),
 so no separate validation step exists.  Values are immutable after
-construction and safe to share across threads.
+construction and safe to share across threads.  Every seeded draw starts
+from `seeded`; random channels go a chunk of seeds at a time (`random_channels`).
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ import inspect
 import json
 import math
 import numbers
+import threading
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -46,42 +49,43 @@ def _check_sizes(sizes: dict[str, int]) -> None:
             )
 
 
+def _check_transitions(t: np.ndarray, named: bool = True) -> None:
+    """Check K stacked transition tensors, t of shape (K, |y1|, |y2|, |x1|, |x2|):
+    four axes of sizes in [1, MAX_ALPHABET_SIZE] (InvalidParameter), no negative
+    entry (NegativeProbability) and every (x1, x2) slice summing to one within
+    ROW_SUM_TOL (RowSumMismatch with the residual).  Each error names the first
+    offending entry or slice, after "channel k: ", its place in the stack, if `named`."""
+    if t.ndim != len(AXES) + 1:
+        raise InvalidParameter(f"transition tensor must have axes {AXES}, got shape {t.shape[1:]}")
+    _check_sizes(dict(zip(AXES, t.shape[1:])))
+    at = "channel {}: " if named else ""
+    if (t < 0.0).any():
+        k, iy1, iy2, ix1, ix2 = np.argwhere(t < 0.0)[0]
+        raise NegativeProbability(at.format(k) + (
+            f"p[y1={iy1},y2={iy2}|x1={ix1},x2={ix2}] = {t[k, iy1, iy2, ix1, ix2]:.6g} < 0"))
+    sums = t.sum(axis=(1, 2))
+    ok = np.abs(sums - 1.0) <= ROW_SUM_TOL  # NaN and inf fail too
+    if not ok.all():
+        k, ix1, ix2 = np.argwhere(~ok)[0]
+        residual = float(1.0 - sums[k, ix1, ix2])
+        raise RowSumMismatch(at.format(k) + f"slice (x1={ix1},x2={ix2}) sums to "
+                             f"{sums[k, ix1, ix2]:.12g} (residual {residual:.6g})",
+                             residual=residual)
+
+
 @dataclass(frozen=True, eq=False)
 class Channel:
     """Transition law p(y1, y2 | x1, x2), a tensor indexed ``[y1, y2, x1, x2]``.
 
-    Construction stores a read-only C-ordered copy and checks it: four
-    axes of sizes in [1, MAX_ALPHABET_SIZE] (InvalidParameter), no
-    negative entry (NegativeProbability) and every (x1, x2) slice summing
-    to one within ROW_SUM_TOL (RowSumMismatch with the residual).  Each
-    error names the first offending entry or slice, so every Channel that
-    exists is valid.
+    Construction stores a read-only C-ordered copy and checks it by
+    `_check_transitions`, so every Channel that exists is valid.
     """
 
     transition: np.ndarray  # shape (|y1|, |y2|, |x1|, |x2|)
 
     def __post_init__(self):
         t = np.array(self.transition, dtype=float, order="C")
-        if t.ndim != len(AXES):
-            raise InvalidParameter(
-                f"transition tensor must have axes {AXES}, got shape {t.shape}"
-            )
-        _check_sizes(dict(zip(AXES, t.shape)))
-        if (t < 0.0).any():
-            iy1, iy2, ix1, ix2 = np.argwhere(t < 0.0)[0]
-            raise NegativeProbability(
-                f"p[y1={iy1},y2={iy2}|x1={ix1},x2={ix2}] = {t[iy1, iy2, ix1, ix2]:.6g} < 0"
-            )
-        sums = t.sum(axis=(0, 1))
-        ok = np.abs(sums - 1.0) <= ROW_SUM_TOL  # NaN and inf fail too
-        if not ok.all():
-            ix1, ix2 = np.argwhere(~ok)[0]
-            residual = float(1.0 - sums[ix1, ix2])
-            raise RowSumMismatch(
-                f"slice (x1={ix1},x2={ix2}) sums to {sums[ix1, ix2]:.12g} "
-                f"(residual {residual:.6g})",
-                residual=residual,
-            )
+        _check_transitions(t[None], named=False)
         t.setflags(write=False)
         object.__setattr__(self, "transition", t)
 
@@ -118,19 +122,58 @@ def bsc_pair(eps1: float, eps2: float) -> Channel:
     return Channel(np.einsum("ac,bd->abcd", b1, b2))  # b[y, x] = p(y | x)
 
 
+@lru_cache(maxsize=4096)  # a few hundred bytes each; verify's default run seeds 400
+def _seed_state(seed: int) -> dict:
+    """The PCG64 state default_rng(seed) starts from; only ever read."""
+    return np.random.PCG64(seed).state
+
+
+def seeded(seeds: Iterable[int]) -> Iterator[np.random.Generator]:
+    """Per seed (checked integers), one generator at default_rng(seed)'s initial
+    state, so it draws default_rng(seed)'s numbers bit for bit: one generator per
+    call, reset to each seed in turn, so draw from it before taking the next."""
+    rng = np.random.Generator(np.random.PCG64(0))  # each seed replaces its state
+    for seed in seeds:
+        rng.bit_generator.state = _seed_state(seed)
+        yield rng
+
+
 def random_channel(seed: int, sizes: tuple[int, int, int, int] = (2, 2, 2, 2)) -> Channel:
     """Valid random transition tensor, bitwise reproducible from ``seed``, drawn once."""
     n1, n2, m1, m2 = sizes
     _check_sizes({"X1": n1, "X2": n2, "Y1": m1, "Y2": m2})
-    return _random_channel(check_integer(seed, "seed"), n1, n2, m1, m2)
+    return random_channels([check_integer(seed, "seed")], (n1, n2, m1, m2))[0]
 
 
-@lru_cache(maxsize=1024)  # a few hundred bytes each; verify's default run draws 500
-def _random_channel(seed: int, n1: int, n2: int, m1: int, m2: int) -> Channel:
-    # one (x1, x2)-major draw of the rows, then moved onto the [y1, y2, x1, x2] axes
-    exps = np.random.default_rng(seed).standard_exponential((n1, n2, m1 * m2))
-    rows = normalize_exponentials(exps)
-    return Channel(rows.reshape(n1, n2, m1, m2).transpose(2, 3, 0, 1))
+# (seed, sizes) -> its random channel, a few hundred bytes each; verify's default run draws 500
+_CHANNELS: dict[tuple, Channel] = {}
+_CHANNELS_LOCK = threading.Lock()
+CHANNEL_CACHE = 1024
+
+
+def random_channels(seeds: Sequence[int], sizes: tuple[int, int, int, int]) -> list[Channel]:
+    """`random_channel(seed, sizes)` for each of `seeds`, checked integers, at
+    checked `sizes`: the seeds not cached are drawn into one stack, normalized
+    and checked once, and each cached as a read-only view of it."""
+    with _CHANNELS_LOCK:
+        found = {seed: _CHANNELS.get((seed, sizes)) for seed in seeds}
+    if new := [seed for seed, channel in found.items() if channel is None]:
+        n1, n2, m1, m2 = sizes
+        exps = np.empty((len(new), n1, n2, m1 * m2))
+        for rng, e in zip(seeded(new), exps):
+            rng.standard_exponential(out=e)
+        rows = normalize_exponentials(exps).reshape(-1, *sizes)  # (x1, x2)-major
+        t = np.ascontiguousarray(rows.transpose(0, 3, 4, 1, 2))  # onto [y1, y2, x1, x2]
+        _check_transitions(t)
+        t.setflags(write=False)
+        with _CHANNELS_LOCK:
+            for seed, transition in zip(new, t):
+                channel = object.__new__(Channel)  # checked with its stack
+                object.__setattr__(channel, "transition", transition)
+                found[seed] = _CHANNELS.setdefault((seed, sizes), channel)
+            for key in list(_CHANNELS)[:-CHANNEL_CACHE]:  # the oldest, past the bound
+                del _CHANNELS[key]
+    return [found[seed] for seed in seeds]
 
 
 _CANONICAL = {

@@ -334,16 +334,18 @@ def _eliminate_symbolic(rows, var: int, eliminated: int):
     for pc, pm, ph in pos:
         for qc, qm, qh in neg:
             hist = ph | qh
-            if bin(hist).count("1") > eliminated + 1:
+            if hist.bit_count() > eliminated + 1:
                 continue
             cp, cq = pc[var], -qc[var]
-            coeffs = tuple(cq * a + cp * b for a, b in zip(pc, qc))
-            mu = tuple(cq * a + cp * b for a, b in zip(pm, qm))
-            out.append((*_reduce_exact(coeffs, mu), hist))
+            coeffs = [cq * a + cp * b for a, b in zip(pc, qc)]
+            mu = [cq * a + cp * b for a, b in zip(pm, qm)]
+            if (g := math.gcd(*coeffs, *mu)) > 1:
+                coeffs, mu = [c // g for c in coeffs], [m // g for m in mu]
+            out.append((tuple(coeffs), tuple(mu), hist))
     best: dict = {}
     for c, m, h in out:
         cur = best.get((c, m))
-        if cur is None or bin(h).count("1") < bin(cur).count("1"):
+        if cur is None or h.bit_count() < cur.bit_count():
             best[(c, m)] = h
     return [(c, m, h) for (c, m), h in best.items()]
 

@@ -325,19 +325,18 @@ def _marginal_plan(
             f"{len(subsets)} entropy subsets x {cells} joint cells exceed the "
             f"marginal-plan cap of {MAX_MARGINAL_LABELS} labels"
         )
-    labels = np.empty((len(subsets), *rvs.sizes), dtype=np.intp)
+    n = len(rvs.sizes)
+    strides = np.zeros((len(subsets), n), dtype=np.intp)
     starts = np.empty(len(subsets), dtype=np.intp)
     total = 0
     for k, ax in enumerate(axes):
-        starts[k] = labels[k] = total
-        stride = 1  # row-major over the subset's axes: the last varies fastest
+        starts[k], stride = total, 1  # row-major over the subset's axes: the last varies fastest
         for a in reversed(ax):
-            shape = [1] * len(rvs.sizes)
-            shape[a] = rvs.sizes[a]
-            labels[k] += stride * np.arange(rvs.sizes[a]).reshape(shape)
+            strides[k, a] = stride
             stride *= rvs.sizes[a]
         total += stride
-    labels = labels.reshape(-1)
+    # each joint cell's index vector, in row-major cell order, times the strides
+    labels = (strides @ np.indices(rvs.sizes).reshape(n, cells) + starts[:, None]).reshape(-1)
     labels.setflags(write=False)
     starts.setflags(write=False)
     return labels, starts, total

@@ -24,8 +24,10 @@ which hangs on what was kept, waits to open a round.  An apply reads
 only the row it writes, so a row's bits do not depend on the round
 around it.
 
-A seed fixes the joint bit for bit: a Dirichlet(1) row is normalized
-Exp(1) variates, numpy's own `Generator.dirichlet` arithmetic.  A joint
+A seed fixes the joint bit for bit, whatever was drawn before: its state
+is drawn on `channel.seeded`'s generator, reset to the initial state of
+default_rng(seed), and a Dirichlet(1) row is normalized Exp(1) variates,
+numpy's own `Generator.dirichlet` arithmetic.  A joint
 of more than MAX_MARGINAL_LABELS cells is refused before anything is
 allocated: no entropy plan could take it.
 """
@@ -38,7 +40,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .channel import Channel, check_integer, normalize_exponentials
+from .channel import Channel, check_integer, normalize_exponentials, seeded
 from .errors import InvalidParameter
 from .probability import (
     MAX_MARGINAL_LABELS,
@@ -221,11 +223,11 @@ def _schema_plan(schema: RegionSchema, size: int, mode: str) -> _ChainPlan:
                        schema.deterministic, schema.input_deps)
 
 
-def _draw(plans: Sequence[_ChainPlan], rngs: Sequence[np.random.Generator]) -> list[np.ndarray]:
+def _draw(plans: Sequence[_ChainPlan], rngs: Iterable[np.random.Generator]) -> list[np.ndarray]:
     """The population of state k drawn through plans[k] (of one chain, in
-    any modes) on rngs[k]: the calls state by state, so each generator is
-    consumed as if its state were drawn alone, then each factor once per
-    group of states that share a plan."""
+    any modes) on the k-th of `rngs`, taken once state k - 1 is drawn: the
+    calls state by state, so each generator is consumed as if its state were
+    drawn alone, then each factor once per group of states that share a plan."""
     # a row of floats holds the integer draws exactly
     rows = np.empty((len(plans), max(plan.width for plan in plans)))
     for plan, rng, row in zip(plans, rngs, rows):
@@ -350,7 +352,7 @@ def sample_instances(
         raise InvalidParameter(f"unknown sampling mode {unknown[0]!r}")
     seeds = [check_integer(s, "seed") for s in seeds]
     plans = {mode: _schema_plan(schema, size, mode) for mode in set(modes)}
-    blocks = _draw([plans[mode] for mode in modes], [np.random.default_rng(s) for s in seeds])
+    blocks = _draw([plans[mode] for mode in modes], seeded(seeds))
     return extend_through_channel(_joints(plans[modes[0]].rvs, blocks), channels)
 
 

@@ -4,9 +4,10 @@ Each check samples concrete small-alphabet distributions (through
 `cifc.sampling`), evaluates an algebraic identity (or projects two
 regions), and reports the worst deviation together with the seed that
 produced it, so every verdict is reproducible.  The draws are made seed
-by seed, each seed's random channel once for every check, and every
-stage after them takes up to BATCH samples as one batch, which gives bit
-for bit what each sample gives alone: two schemas on one batch share one
+by seed, a chunk's random channels as one checked stack, each seed's
+once for every check (`channel.random_channels`), and every stage after
+them takes up to BATCH samples as one batch, which gives bit for bit
+what each sample gives alone: two schemas on one batch share one
 entropy pass, a batch's regions are projected together (cc's once per
 kept-row mask) and compared in pairs by one call per batch; only the
 hulls, the oracle and the report go one by one.
@@ -50,7 +51,7 @@ from collections.abc import Iterable, Sequence
 import numpy as np
 
 from . import probability
-from .channel import Channel, _random_channel, check_integer, random_channel
+from .channel import Channel, check_integer, random_channel, random_channels
 from .errors import InvalidParameter, Unbounded
 from .probability import MI_TOL, MIExpr, compile_exprs, extend_through_channel
 from .polytope import (
@@ -216,7 +217,7 @@ def _batches(schema: RegionSchema, seed: int, samples: int, channel: Channel | N
     sizes = _channel_sizes(schema)
     for at in range(0, len(seeds), BATCH):
         chunk = seeds[at:at + BATCH]
-        channels = channel or [_random_channel(s, *sizes) for s in chunk]
+        channels = channel or random_channels(chunk, sizes)
         modes = [mode or _mode_for(i) for i in range(at, at + len(chunk))]
         yield chunk, sample_instances(schema, channels, chunk, modes)
 
@@ -634,10 +635,11 @@ SUITE_NAMES = (*SUITES, "all")
 
 
 def run_suite(name: str, samples: int = 200, seed: int = 0) -> list[SuiteReport]:
-    """Run one named verification suite (or all of them).  Its checks refuse
-    a seed or sample count that `_batches` refuses, before drawing."""
+    """Run one named verification suite (or all of them).  A seed or sample count
+    that `_batches` refuses is refused first, before a contains line's channel is drawn."""
     if name not in SUITE_NAMES:
         raise InvalidParameter(f"unknown suite {name!r}; choose {', '.join(SUITE_NAMES)}")
+    samples, seed = check_integer(samples, "samples", 1), check_integer(seed, "seed")
     blocks = SUITES.values() if name == "all" else (SUITES[name],)
     return [r for claims in blocks for r in _run_claims(claims, samples, min(samples, 100), seed)]
 

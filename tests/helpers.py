@@ -13,7 +13,8 @@ the constraints the unified region's remark lets
 drop when certain rates vanish and their check, the
 one-lambda-at-a-time frontier search, the identity claims and
 merged bounds as Python builders, the form `cifc.verify`'s claims
-table replaced, a chain drawn alone for generic chains, and the value
+table replaced, a chain drawn alone for generic chains, instances and
+random channels each drawn alone on its own default_rng(seed), and the value
 through `compile_exprs` of one expression, given as an MIExpr, an atom
 or text that `parse_expr` reads."""
 
@@ -23,7 +24,13 @@ from functools import partial
 
 import numpy as np
 
-from cifc.channel import canonical_channel, check_integer, normalize_exponentials, random_channel
+from cifc.channel import (
+    Channel,
+    canonical_channel,
+    check_integer,
+    normalize_exponentials,
+    random_channel,
+)
 from cifc.errors import Unbounded
 from cifc.polytope import (
     EMPTY,
@@ -211,6 +218,25 @@ def sample_factored(rvs, spec, seed: int) -> JointDistribution:
     blocks = _draw([_chain_plan(rvs, spec.factors)],
                    [np.random.default_rng(check_integer(seed, "seed"))])
     return JointDistribution(rvs, _joints(rvs, blocks)[0].prob)
+
+
+def reference_random_channel(seed: int, sizes) -> Channel:
+    """The random channel of `seed` at `sizes`, drawn alone on default_rng(seed)."""
+    n1, n2, m1, m2 = sizes
+    exps = np.random.default_rng(seed).standard_exponential((n1, n2, m1 * m2))
+    return Channel(normalize_exponentials(exps).reshape(n1, n2, m1, m2).transpose(2, 3, 0, 1))
+
+
+def reference_instances(schema, channels, seeds, modes, size: int = 2) -> np.ndarray:
+    """`sample_instances(...).prob`, each instance drawn alone on its own
+    default_rng(seed) and extended through its channel alone."""
+    probs = []
+    for k, (seed, mode) in enumerate(zip(seeds, modes)):
+        plan = _schema_plan(schema, size, mode)
+        joint = _joints(plan.rvs, _draw([plan], [np.random.default_rng(seed)]))
+        channel = channels if isinstance(channels, Channel) else channels[k]
+        probs.append(extend_through_channel(joint, channel).prob[0])
+    return np.stack(probs)
 
 
 def expr_value(d: JointDistribution, e) -> float:

@@ -3,21 +3,25 @@ import json
 import numpy as np
 import pytest
 
+import cifc.channel
 from cifc.channel import (
+    CHANNEL_CACHE,
     Channel,
+    _check_transitions,
     bsc_pair,
     canonical_channel,
     channel_from_json,
     channel_to_json,
     load_channel,
-    _random_channel,
     normalize_exponentials,
     random_channel,
+    random_channels,
     save_channel,
 )
 from cifc.errors import InvalidParameter, NegativeProbability, RowSumMismatch
 from cifc.regions import builtin_schema
 from cifc.sampling import _schema_plan
+from helpers import reference_random_channel
 
 
 def test_orthogonal_noiseless_is_deterministic_and_valid():
@@ -158,19 +162,52 @@ def test_canonical_channels_validate(kind, params):
 def test_a_random_channel_is_drawn_once_per_seed_and_sizes():
     a = random_channel(11, [2, 4, 2, 2])  # any sequence of sizes
     assert a is random_channel(11, (2, 4, 2, 2))
-    assert np.array_equal(a.transition, _random_channel.__wrapped__(11, 2, 4, 2, 2).transition)
-    bound = _random_channel.cache_info().maxsize
-    assert bound is not None
-    for seed in range(bound + 1):
+    assert a.transition.tobytes() == reference_random_channel(11, (2, 4, 2, 2)).transition.tobytes()
+    assert not a.transition.flags.writeable
+    for seed in range(CHANNEL_CACHE + 1):
         random_channel(50_000 + seed)
-    assert _random_channel.cache_info().currsize == bound
+    assert len(cifc.channel._CHANNELS) == CHANNEL_CACHE
     # a refused call draws nothing and caches nothing
-    _random_channel.cache_clear()
+    cifc.channel._CHANNELS.clear()
     for refused in ((-1, (2, 2, 2, 2)), (1, (2, 2, 2, 9)), (1.5, (2, 2, 2, 2)),
                     (True, (2, 2, 2, 2)), (1, (2, 2.5, 2, 2))):
         with pytest.raises(InvalidParameter):
             random_channel(*refused)
-    assert _random_channel.cache_info().currsize == 0
+    assert not cifc.channel._CHANNELS
+
+
+@pytest.mark.parametrize("sizes", [(2, 2, 2, 2), (2, 4, 2, 2), (3, 2, 2, 3)])
+def test_a_chunk_of_random_channels_is_each_seeds_channel_drawn_alone(sizes):
+    # drawn as one stack, with some seeds cached and one repeated, byte for byte
+    cifc.channel._CHANNELS.clear()
+    seeds = list(range(300))
+    cached = [random_channel(s, sizes) for s in seeds[::7]]
+    for at in range(0, 300, 100):
+        chunk = seeds[at:at + 100] + [seeds[at]]
+        got = random_channels(chunk, sizes)
+        assert got[0] is got[-1]
+        for s, channel in zip(chunk, got):
+            assert channel.transition.flags.c_contiguous and not channel.transition.flags.writeable
+            assert channel.transition.tobytes() == reference_random_channel(s, sizes).transition.tobytes()
+            assert channel is random_channel(s, sizes)
+    assert all(c is random_channel(s, sizes) for s, c in zip(seeds[::7], cached))
+
+
+@pytest.mark.parametrize("entry, value, error", [
+    ((1, 0, 1, 0), -0.1, NegativeProbability),
+    ((0, 1, 0, 1), 0.7, RowSumMismatch),
+], ids=["negative", "row_sum"])
+def test_the_stack_check_is_channels_own_naming_the_channel(entry, value, error):
+    good = random_channel(3).transition
+    bad = good.copy()
+    bad[entry] = value
+    with pytest.raises(error) as alone:
+        Channel(bad)
+    with pytest.raises(error) as stacked:
+        _check_transitions(np.stack([good, good, bad, good]))
+    assert type(stacked.value) is type(alone.value)
+    assert str(stacked.value) == f"channel 2: {alone.value}"
+    assert getattr(stacked.value, "residual", None) == getattr(alone.value, "residual", None)
 
 
 def test_random_channels_validate_many_seeds():

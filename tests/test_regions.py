@@ -7,7 +7,7 @@ import pytest
 
 import cifc.probability
 import cifc.regions
-from cifc.channel import MAX_ALPHABET_SIZE, _random_channel, random_channel
+from cifc.channel import MAX_ALPHABET_SIZE, random_channel
 from cifc.errors import FactorizationViolation, InvalidParameter, UnknownSchema, UnknownVariable
 from cifc.probability import (
     CompiledExprs,
@@ -280,7 +280,7 @@ def test_every_mutant_of_a_catalog_block_is_refused_or_runs():
             refused += 1
             continue
         compile_schema(schema)
-        channel = _random_channel(0, *_channel_sizes(schema))
+        channel = random_channel(0, _channel_sizes(schema))
         for mode in SAMPLING_MODES:
             compile_exprs((), schema.requirements)(
                 sample_instances(schema, [channel], [0], [mode]))

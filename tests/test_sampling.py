@@ -1,13 +1,16 @@
 import copy
 import math
 import re
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+import cifc.channel
 import cifc.sampling
-from cifc.channel import random_channel
+from cifc.channel import _seed_state, random_channel, random_channels
 from cifc.errors import InvalidParameter
 from cifc.probability import MAX_MARGINAL_LABELS, RandomVariableSet
 from cifc.regions import SCHEMA_IDS, builtin_schema, parse_chain
@@ -18,12 +21,19 @@ from cifc.sampling import (
     _draw,
     _draw_move,
     _joints,
+    _mode_for,
     _schema_plan,
     climb,
     sample_instances,
 )
+from cifc.verify import _channel_sizes
 
-from helpers import reference_factored_joint, reference_propose, sample_factored
+from helpers import (
+    reference_factored_joint,
+    reference_instances,
+    reference_propose,
+    sample_factored,
+)
 
 # MARIC's X2 is the pair (X2a, X2b), so at size 3 it has 9 letters
 ABOVE_CAP = {("MARIC", 3): "size X2: 9 is above the alphabet cap of 8"}
@@ -247,6 +257,51 @@ def test_sample_instances_refuses_seeds_and_modes_of_different_lengths(monkeypat
     with pytest.raises(InvalidParameter,
                        match=f"{len(seeds)} seeds but {len(modes)} sampling modes"):
         sample_instances(builtin_schema("RTD"), random_channel(0), seeds, modes)
+
+
+@pytest.mark.parametrize("sid", SCHEMA_IDS)
+@pytest.mark.parametrize("mode", SAMPLING_MODES)
+def test_sample_instances_are_each_seeds_default_rng_draw(sid, mode):
+    # bit for bit, whether a seed's state is new, cached or repeated in the
+    # batch, and whatever was drawn in between
+    schema = builtin_schema(sid)
+    channel = random_channel(0, _channel_sizes(schema))
+    _seed_state.cache_clear()
+    batches = ([3, 5, 3], [5, 8, 3, 13, 8])  # repeats; then cached and new seeds mixed
+    first = []
+    for seeds in batches:
+        got = sample_instances(schema, channel, seeds, [mode] * len(seeds)).prob
+        assert got.tobytes() == reference_instances(schema, channel, seeds, [mode] * len(seeds)).tobytes()
+        first.append(got.tobytes())
+    sample_instances(schema, channel, [21, 34], ["free", "det"])  # unrelated draws
+    assert [sample_instances(schema, channel, seeds, [mode] * len(seeds)).prob.tobytes()
+            for seeds in batches] == first
+
+
+def test_threads_drawing_disjoint_seeds_get_what_a_serial_run_gets():
+    # each thread's seed states and channels are missing from the caches
+    # when it draws, so four threads fill them at once
+    schema = builtin_schema("MARIC")
+    sizes = _channel_sizes(schema)
+
+    def draw(seeds):
+        return [sample_instances(schema, random_channels(seeds[at:at + 5], sizes), seeds[at:at + 5],
+                                 [_mode_for(s) for s in seeds[at:at + 5]]).prob.tobytes()
+                for at in range(0, len(seeds), 5)]
+
+    seed_sets = [list(range(7_000 + 40 * t, 7_040 + 40 * t)) for t in range(4)]
+    serial = [draw(seeds) for seeds in seed_sets]
+    _seed_state.cache_clear()
+    cifc.channel._CHANNELS.clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            futures = [pool.submit(draw, seeds) for seeds in seed_sets]
+            threaded = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == serial
 
 
 # -- climb, scored by a fake objective ------------------------------------------------

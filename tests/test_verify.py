@@ -8,7 +8,9 @@ import re
 import numpy as np
 import pytest
 
-from cifc.channel import Channel, _random_channel, canonical_channel, random_channel
+import cifc.channel
+import cifc.sampling
+from cifc.channel import Channel, _seed_state, canonical_channel, random_channel
 from cifc.errors import FactorizationViolation, InvalidParameter
 from cifc.probability import (
     JointDistribution,
@@ -160,6 +162,15 @@ PINNED_DRAWS = [
 ]
 
 
+def _forbid_draws(monkeypatch):
+    # a seed's state, once cached, is drawn from through `seeded` alone, and
+    # an empty channel cache lets no cached channel hide a draw
+    monkeypatch.setattr(np.random, "default_rng", None)
+    for module in (cifc.channel, cifc.sampling):
+        monkeypatch.setattr(module, "seeded", None)
+    monkeypatch.setattr(cifc.channel, "_CHANNELS", {})
+
+
 @pytest.mark.parametrize("draw", [
     lambda: run_suite("maric", samples=3, seed=-1),
     lambda: trace_frontier("RTD", canonical_channel("orthogonal_noiseless"), budget=10,
@@ -170,7 +181,7 @@ PINNED_DRAWS = [
 ], ids=["run_suite", "trace_frontier", "sample_instances", "random_channel"])
 def test_a_negative_seed_is_refused_before_anything_is_drawn(monkeypatch, draw):
     # numpy's own refusal is a ValueError naming no seed
-    monkeypatch.setattr(np.random, "default_rng", None)
+    _forbid_draws(monkeypatch)
     with pytest.raises(InvalidParameter, match=r"seed must be a non-negative integer, got -\d"):
         draw()
 
@@ -203,7 +214,7 @@ def _frontier(**kwargs):
 def test_a_seed_or_count_that_is_not_an_integer_is_refused_before_anything_is_drawn(
         monkeypatch, draw, bad):
     # a float ended in numpy's TypeError, and True passed as 1
-    monkeypatch.setattr(np.random, "default_rng", None)
+    _forbid_draws(monkeypatch)
     with pytest.raises(InvalidParameter, match=re.escape(bad)):
         draw()
 
@@ -477,7 +488,7 @@ def test_a_check_beyond_one_batch_runs_under_a_cap_that_refuses_all_its_samples(
 
 def test_batches_draw_their_channels_without_rechecking_seeds_or_sizes(monkeypatch):
     # _batches has checked its seeds and takes its sizes from the schema, so it
-    # draws each channel through the cached draw; random_channel checks for others
+    # draws a chunk's channels through random_channels; random_channel checks for others
     import cifc.verify
 
     schema = builtin_schema("MARIC")
@@ -1004,9 +1015,17 @@ def test_reports_reproducible_and_serializable():
     assert {"id", "seeds_run", "max_abs_violation", "worst_seed"} <= set(check)
 
 
+def test_a_second_run_in_one_process_reports_the_same_bytes():
+    # the second run draws from the seed states and channels the first cached
+    first, second = (json.dumps(reports_to_json(run_suite("all", samples=20, seed=1)), sort_keys=True)
+                     for _ in range(2))
+    assert first == second
+
+
 def test_each_suite_reports_alone_what_it_reports_in_all():
     # no memo may make a report depend on the suites that ran before it
-    _random_channel.cache_clear()
+    cifc.channel._CHANNELS.clear()
+    _seed_state.cache_clear()
     alone = {name: [r.to_json() for r in run_suite(name, samples=20, seed=1)]
              for name in reversed(SUITES)}
     together = [r.to_json() for r in run_suite("all", samples=20, seed=1)]
